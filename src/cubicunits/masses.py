@@ -13,14 +13,28 @@ preconditions the basis, the minimum itself comes from a complete
 Fincke-Pohst enumeration below a proven bound, with directed rounding
 slack on every comparison. The mass scan additionally uses a float64
 short-vector *exhibit* (unit monomials near the sample point) to prove
-escape cheaply; only points the exhibit cannot settle fall through to the
+escape cheaply, with a derived bound on its float error that must fit a
+stated headroom; only points the exhibit cannot settle fall through to the
 certified path.
+
+The certified path is a cover by Lipschitz cells. Moving x by d in the
+sup norm scales every coordinate of exp(x) v by at most e^d, so
+log lambda_1(exp(x) L) is 1-Lipschitz in that norm. One enumeration at a
+centre p, giving lambda_1 within [s - m, s + m] (m charges the
+enumeration's rounding and the error of x), therefore decides every point
+within sup-distance log((s - m) H) (no escape) or -log((s + m) H)
+(escape) of p. A point counts as covered only when its float64 distance
+to p, plus both points' position errors and the distance's own rounding,
+stays below that radius. Centres are taken coarse to fine over the
+unsettled points; a centre in doubt covers nothing, and a point no
+certified value covers raises PrecisionExhaustedError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,6 +76,13 @@ _HEX_VERTICES = (
     (Fraction(-1, 3), Fraction(-2, 3)),
     (Fraction(1, 3), Fraction(-1, 3)),
 )
+
+# Relative headroom below the cutoff that the float64 exhibit must clear
+# before it counts a point as escaped; mass_above_height derives the float
+# error it has to cover.
+_EXHIBIT_HEADROOM = 1e-9
+
+_EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 
 
 @dataclass(frozen=True)
@@ -301,17 +322,6 @@ def tightness_exponent(a_tilde, b_tilde, r) -> Fraction:
     return Fraction(2, 3) * (1 - rr) + (Fraction(1, 3) - rr) * (at + bt)
 
 
-def _hex_contains(u: int, v: int, m: int) -> bool:
-    # ccw vertex walk of the 3x-scaled hexagon, dilated by m
-    verts = ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))
-    for i in range(6):
-        px, py = verts[i][0] * m, verts[i][1] * m
-        qx, qy = verts[(i + 1) % 6][0] * m, verts[(i + 1) % 6][1] * m
-        if (qx - px) * (v - py) - (qy - py) * (u - px) < 0:
-            return False
-    return True
-
-
 def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
     """Deterministic rational sample points of the coefficient hexagon:
     integer points of the m-dilated, 3x-scaled hexagon, mapped back by
@@ -320,16 +330,19 @@ def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
     m = max(1, math.isqrt(max(0, samples - 1) // 9))
-    while True:
-        pts = [
-            (Fraction(u, 3 * m), Fraction(v, 3 * m))
-            for u in range(-2 * m, 2 * m + 1)
-            for v in range(-2 * m, 2 * m + 1)
-            if _hex_contains(u, v, m)
-        ]
-        if len(pts) >= samples:
-            return pts
+    while 9 * m * m + 3 * m + 1 < samples:  # the point count at dilation m
         m += 1
+    k = 3 * m
+    coord = {a: Fraction(a, k) for a in range(-2 * m, 2 * m + 1)}
+    # the six edges of the scaled hexagon with vertices m*(2,1), m*(1,2),
+    # m*(-1,1), m*(-2,-1), m*(-1,-2), m*(1,-1) are |u+v| <= 3m,
+    # |2v-u| <= 3m and |v-2u| <= 3m, which bound v in each row u
+    return [
+        (coord[u], coord[v])
+        for u in range(-2 * m, 2 * m + 1)
+        for v in range(max(-k - u, -((k - u) // 2), 2 * u - k),
+                       min(k - u, (k + u) // 2, k + 2 * u) + 1)
+    ]
 
 
 def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
@@ -353,6 +366,15 @@ def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
         for w in ws for s in (1, -1))
 
 
+def _two_adic_level(point: tuple[Fraction, Fraction]) -> float:
+    """2-adic valuation of the gcd of the point's coordinates (infinite at
+    the origin): coarse grid points have high levels."""
+    return min((math.inf if q == 0 else
+                (q.numerator & -q.numerator).bit_length()
+                - (q.denominator & -q.denominator).bit_length())
+               for q in point)
+
+
 def mass_above_height(
     order: CubicOrderData,
     phi: SimplexSet,
@@ -367,8 +389,8 @@ def mass_above_height(
     vector (c1+i) alpha1 + (c2+j) alpha2 has exactly known norm
         |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
     a cancellation-free sum safe in float64. Points the window does not
-    settle get the full certified enumeration. The returned count is exact
-    for the decisions made.
+    settle go to the certified Lipschitz-cell sweep. The returned count is
+    exact for the decisions made.
     """
     import numpy as np
 
@@ -385,55 +407,131 @@ def mass_above_height(
     a2 = np.array([float(c) for c in phi.alpha2.coords])
     c = np.array([[float(u), float(v)] for (u, v) in grid])
     basis2 = np.vstack([a1, a2])
-    dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
+    with mp.workprec(_bits(order)):
+        dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
     cutoff = (1.0 / float(height)) ** 2
+    alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
 
     ij = np.array(list(itertools.product(range(-window, window + 1), repeat=2)),
                   dtype=float)
     # y[p, w, k]: log coordinates of monomial w at grid point p
     y = (c[:, None, :] + ij[None, :, :]) @ basis2
+    # in place: the same values as dscale * exp(2 y).sum(axis=2), one buffer
+    y *= 2.0
     with np.errstate(over="ignore", under="ignore"):
-        norms = dscale * np.exp(2.0 * y).sum(axis=2)
-    best = norms.min(axis=1)
-
-    escaped = 0
-    base = embed_order_lattice(order)
-    for p in range(n):
-        b = best[p]
-        if np.isfinite(b) and b < cutoff * (1 - 1e-9) and (b > 0.0 or cutoff > 1e-300):
-            # the monomial's norm is known in closed form, so beating the
-            # cutoff with float64 headroom already proves escape
-            escaped += 1
-            continue
-        escaped += 1 if _certified_escape(order, phi, grid[p], height, base) else 0
+        np.exp(y, out=y)
+    best = (dscale * y.sum(axis=2)).min(axis=1)
+    del y
+    # Error of the exhibit at point p, with eps = _EPS:
+    # - each y_k is off from its exact value by at most
+    #       delta_p = (|c_u| + |c_v| + 2 window) * alpha_err + 3 eps * Y_p,
+    #   where alpha_err bounds the alphas' own error and Y_p, the largest
+    #   (|c_u|+window)|a1_k| + (|c_v|+window)|a2_k|, bounds max|y| over the
+    #   window; 3 eps * Y_p covers rounding the alphas and c to float64, the
+    #   sum c + ij and the two-term dot product (five half-ulps);
+    # - exp(2y) is then off by a relative e^{2 delta_p} - 1, plus the
+    #   exp call itself (budgeted at 4 eps), the three-term sum (eps),
+    #   dscale (computed at the order's precision, then rounded: eps) and
+    #   the product (eps/2); cutoff = (1/height)^2 is off by 3 eps/2.
+    # So the true norm is below 1/height^2 whenever best < cutoff (1 - h)
+    # and 3 delta_p + 10 eps <= h, for h up to about 1e-6. Underflow only
+    # drops terms below 1e-307, far under any cutoff above 1e-300. A point
+    # whose bound exceeds the headroom (huge |y|) falls through to the
+    # certified sweep; it never counts as escaped on float64 alone.
+    au = np.abs(c) + window
+    ymax = (au[:, 0:1] * np.abs(a1) + au[:, 1:2] * np.abs(a2)).max(axis=1)
+    delta = au.sum(axis=1) * alpha_err + 3 * _EPS * ymax
+    settled = ((best < cutoff * (1 - _EXHIBIT_HEADROOM))
+               & ((best > 0.0) | (cutoff > 1e-300))
+               & (3 * delta + 10 * _EPS <= _EXHIBIT_HEADROOM))
+    todo = np.flatnonzero(~settled)
+    # float64 positions of the unsettled points x = u alpha1 + v alpha2;
+    # with |u|, |v| <= 2/3 each coordinate is within (4/3) alpha_err of
+    # the exact point, plus four half-ulp roundings (u, v and the alphas to
+    # float64, the products, the sum) of terms up to (4/3) max|alpha|
+    pos = c[todo, 0:1] * a1 + c[todo, 1:2] * a2
+    pos_slack = 2 * ((4 / 3) * alpha_err + 3 * _EPS * float(np.abs(basis2).max()))
+    escaped = int(settled.sum()) + _certified_sweep(
+        order, phi, [grid[p] for p in todo], pos, height, pos_slack)
     return Fraction(escaped, n)
 
 
-def _certified_escape(
+def _certified_sweep(order, phi, points, pos, height, pos_slack) -> int:
+    """Number of `points` with ht(exp(x) L) > height, each decided by a
+    certified enumeration at a nearby cell centre.
+
+    log lambda_1(exp(x) L) is 1-Lipschitz in the sup norm of x: moving x by
+    d scales every coordinate of every lattice vector by at most e^d. So a
+    centre p with lambda_1 in [s - m, s + m] and s - m > 1/height keeps
+    lambda_1 > 1/height within sup-distance r = log((s - m) height) of p,
+    and s + m < 1/height gives escape within r = -log((s + m) height).
+    Centres are taken coarse to fine (descending 2-adic level, then grid
+    order) among the points not yet covered.
+
+    `pos` holds float64 positions of the points. Each coordinate of each
+    row is within pos_slack / 2 of the exact point, and a float difference
+    is within a relative eps = _EPS of the exact one, so a computed distance
+    d < (r - pos_slack - 8 eps |r|) (1 - 4 eps) proves the true one below r.
+    A centre whose value is in doubt covers nothing; a point still
+    uncovered at the end raises, as no certified value decides it.
+    """
+    import numpy as np
+
+    rank = sorted(range(len(points)), key=lambda i: (-_two_adic_level(points[i]), i))
+    covered = np.zeros(len(points), dtype=bool)
+    escapes = np.zeros(len(points), dtype=bool)
+    base = embed_order_lattice(order)
+    for i in rank:
+        if covered[i]:
+            continue
+        s, margin = _certified_norm(order, phi, points[i], base)
+        with mp.workprec(_bits(order)):
+            h = mp.mpf(height)
+            if (s - margin) * h > 1:
+                escape, r = False, mp.log((s - margin) * h)
+            elif (s + margin) * h < 1:
+                escape, r = True, -mp.log((s + margin) * h)
+            else:
+                continue
+            reach = r - pos_slack - 8 * _EPS * r
+        covered[i], escapes[i] = True, escape
+        if reach <= 0:
+            continue
+        open_ = np.flatnonzero(~covered)
+        dist = np.abs(pos[open_] - pos[i]).max(axis=1)
+        hit = open_[dist < float(reach) * (1 - 4 * _EPS)]
+        covered[hit], escapes[hit] = True, escape
+    if not covered.all():
+        point = points[int(np.flatnonzero(~covered)[0])]
+        raise PrecisionExhaustedError(
+            f"height vs {height} undecidable within error bounds near {point}; "
+            "rebuild the order with a finer precision policy")
+    return int(escapes.sum())
+
+
+def _bits(order: CubicOrderData) -> int:
+    return max(order.policy.target_bits, 192)
+
+
+def _certified_norm(
     order: CubicOrderData,
     phi: SimplexSet,
     point: tuple[Fraction, Fraction],
-    height: float,
     base: LatticeBasis3,
-) -> bool:
-    """Exact decision ht(exp(x) L) > height at one rational hexagon point.
+) -> tuple[mp.mpf, mp.mpf]:
+    """(s, margin) with |lambda_1(exp(x) L) - s| <= margin at the exact
+    hexagon point x = u alpha1 + v alpha2.
 
     Works at the order's own precision; the margin floor comes from the
-    stored root and log-vector errors, so instead of a precision ladder a
-    tie inside that floor raises and asks for a higher-precision order.
+    enumeration's rounding and the stored root and log-vector errors, so
+    instead of a precision ladder a tie inside that floor raises and asks
+    for a higher-precision order.
     """
-    bits = max(order.policy.target_bits, 192)
-    hcut = mp.mpf(1) / mp.mpf(height)
+    bits = _bits(order)
     with mp.workprec(bits):
         u, v = point
         x1 = phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
         x2 = phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator)
         x = x1 + x2
-        moved = exp_act(x, base)
-        s = shortest_vector_norm(moved, bits)
-        margin = s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
-        if abs(s - hcut) > margin:
-            return bool(s < hcut)
-    raise PrecisionExhaustedError(
-        f"height vs {height} undecidable within error bounds near {point}; "
-        "rebuild the order with a finer precision policy")
+        s = shortest_vector_norm(exp_act(x, base), bits)
+        return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s

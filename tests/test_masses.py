@@ -11,11 +11,17 @@ from cubicunits import (
     InvalidParamsError,
     LatticeBasis3,
     LogVector,
+    MonicCubic,
+    OneUnitParams,
     SimplexSet,
+    TwoUnitParams,
+    build_one_unit,
     build_order,
+    build_two_unit,
     check_tight,
     embed_order_lattice,
     exp_act,
+    extend_seed,
     hex_domain,
     hexagon_grid,
     lattice_height,
@@ -27,6 +33,7 @@ from cubicunits import (
     simplest_cubic,
     tightness_exponent,
 )
+from cubicunits import masses
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
 
@@ -260,6 +267,26 @@ def test_hexagon_grid_points_inside_hexagon():
             assert (qx - px) * (v - py) - (qy - py) * (u - px) >= 0
 
 
+def half_plane_grid(m):
+    # brute force: every point of the (4m+1)^2 box that passes the six
+    # half-plane tests of the ccw vertex walk of the m-dilated, 3x-scaled
+    # hexagon, in row-major order
+    verts = [(x * m, y * m) for x, y in ((2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1))]
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    return [(Fraction(u, 3 * m), Fraction(v, 3 * m))
+            for u in range(-2 * m, 2 * m + 1) for v in range(-2 * m, 2 * m + 1)
+            if all((qx - px) * (v - py) - (qy - py) * (u - px) >= 0
+                   for (px, py), (qx, qy) in edges)]
+
+
+def test_hexagon_grid_matches_half_plane_walk():
+    for m in range(1, 41):
+        ref = half_plane_grid(m)
+        # the smallest dilation with at least that many points is m
+        assert hexagon_grid(len(ref)) == ref
+        assert hexagon_grid(len(ref) - 1) == ref
+
+
 def test_hexagon_grid_count_formula():
     for m in (1, 2, 3, 5):
         n = 9 * m * m + 3 * m + 1
@@ -299,3 +326,71 @@ def test_mass_above_height_guards():
         mass_above_height(order, phi, 1.0, samples=10)
     with pytest.raises(InvalidParamsError):
         mass_above_height(order, regular_simplex(), 10.0, samples=10)
+
+
+def mass_member(kind, t):
+    if kind == "one_unit":
+        f, cand = build_one_unit(OneUnitParams(1, 1), t), [(1, 1), (1, 0)]
+    elif kind == "two_unit":
+        f, cand = build_two_unit(TwoUnitParams(1, 1, 2, 3), t), [(1, 1), (2, 3)]
+    else:  # x^3 - 3x - 1 along x(x+1): the simplest cubics
+        f = extend_seed(MonicCubic(0, -3, -1), 1, 0, 1, -1, t)
+        cand = [(1, 0), (1, -1)]
+    order = build_order(f, cand)
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    # at the ambient 53 bits, one_unit at t=10^9 has a grid point whose
+    # height tie sits inside the simplex's rounding error
+    with mp.workprec(256):
+        return order, make_simplex(v1, v2)
+
+
+def per_point_escape(order, phi, point, height, base):
+    # one certified enumeration at the point itself, no neighbourhood
+    bits = max(order.policy.target_bits, 192)
+    with mp.workprec(bits):
+        u, v = point
+        x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
+             + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
+        s = shortest_vector_norm(exp_act(x, base), bits)
+        margin = s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
+        hcut = 1 / mp.mpf(height)
+        assert abs(s - hcut) > margin, f"oracle undecided near {point}"
+        return s < hcut
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 9])
+def test_mass_sweep_matches_per_point_oracle(monkeypatch, kind, t):
+    order, phi = mass_member(kind, t)
+    base = embed_order_lattice(order)
+    sweep = masses._certified_sweep
+    seen = []
+
+    def recording(order, phi, points, *args):
+        count = sweep(order, phi, points, *args)
+        seen.append((points, count))
+        return count
+
+    monkeypatch.setattr(masses, "_certified_sweep", recording)
+    for height in (10.0, 100.0):
+        seen.clear()
+        frac = mass_above_height(order, phi, height, samples=300)
+        (points, count), = seen
+        oracle = sum(per_point_escape(order, phi, p, height, base) for p in points)
+        assert count == oracle
+        n = len(hexagon_grid(300))
+        assert frac == Fraction(n - len(points) + oracle, n)
+
+
+def test_mass_sweep_enumeration_count(monkeypatch):
+    order, phi = mass_member("one_unit", 1000)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return shortest_vector_norm(*args, **kwargs)
+
+    monkeypatch.setattr(masses, "shortest_vector_norm", counting)
+    mass_above_height(order, phi, 10.0, samples=2000)
+    # one enumeration per exhibit-unsettled point would be 1149 calls
+    assert len(calls) <= 300
