@@ -11,7 +11,6 @@ user-facing is exact or carries explicit error bounds.
 
 from .cubics import (
     MonicCubic,
-    RationalPoint,
     discriminant,
     eval_scaled,
     is_irreducible,
@@ -120,7 +119,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # cubics
-    "MonicCubic", "RationalPoint", "discriminant", "eval_scaled",
+    "MonicCubic", "discriminant", "eval_scaled",
     "is_irreducible", "is_totally_real", "isolating_intervals",
     "norm_linear_form", "poly_from_json", "poly_to_json", "scale_root",
     # errors

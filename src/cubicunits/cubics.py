@@ -1,8 +1,10 @@
 """Exact integer arithmetic on monic cubics.
 
 Everything in this module is exact: big integers and Fractions only, no
-floating point. The numeric side (isolated root refinement, logs, shapes)
-lives elsewhere and consumes these polynomials.
+floating point. Irreducibility, root counting and root isolation all
+reduce to the sign of an integer, a^3 f(b/a), at rational points chosen
+from the critical points of f. The numeric side (isolated root
+refinement, logs, shapes) lives elsewhere and consumes these polynomials.
 """
 
 from __future__ import annotations
@@ -10,13 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from .errors import InternalInconsistencyError, InvalidParamsError
 
 __all__ = [
     "MonicCubic",
-    "RationalPoint",
     "eval_scaled",
     "norm_linear_form",
     "discriminant",
@@ -26,6 +27,7 @@ __all__ = [
     "poly_to_json",
     "poly_from_json",
     "isolating_intervals",
+    "sign_at",
 ]
 
 
@@ -65,25 +67,6 @@ class MonicCubic:
             return f" {s} {body}"
 
         return ("x^3" + term(self.p2, "x^2") + term(self.p1, "x") + term(self.p0, "")).strip()
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """Reduced rational b/a with positive denominator."""
-
-    num: int
-    den: int
-
-    def __post_init__(self):
-        if self.den == 0:
-            raise InvalidParamsError("zero denominator")
-        g = gcd(self.num, self.den)
-        s = -1 if self.den < 0 else 1
-        object.__setattr__(self, "num", s * self.num // g)
-        object.__setattr__(self, "den", s * self.den // g)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
 
 def eval_scaled(f: MonicCubic, b: int, a: int) -> int:
@@ -135,61 +118,21 @@ def scale_root(f: MonicCubic, n: int) -> MonicCubic:
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root isolation (Sturm chain over Fractions).
+# Exact real-root counting and isolation, on integer signs only.
 #
-# Used here for the integer-root irreducibility test; the numeric module
-# reuses it to seed refinement. Cubics only, so the chain has at most 4
-# entries and degenerate cases are easy to enumerate.
+# f' has the critical points c1 < c2 = (-p2 -+ sqrt(D))/3, D = p2^2 - 3p1.
+# Between and beyond them f is monotone, which is all the irreducibility
+# test needs. For the isolation, the number of distinct real roots <= x
+# follows from the sign of f(x) once the roots are separated: by closed
+# forms when disc = 0, and otherwise by rationals near c1 and c2.
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(coeffs, x: Fraction):
-    # coeffs high-to-low degree
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_rem(num, den):
-    """Remainder of polynomial division, coefficients as Fractions (high-to-low)."""
-    num = list(num)
-    dn = len(den) - 1
-    while len(num) - 1 >= dn and any(num):
-        if num[0] == 0:
-            num.pop(0)
-            continue
-        q = num[0] / den[0]
-        for i in range(len(den)):
-            num[i] -= q * den[i]
-        num.pop(0)
-    while num and num[0] == 0:
-        num.pop(0)
-    return num
-
-
-def _sturm_chain(f: MonicCubic):
-    chain = [
-        [Fraction(1), Fraction(f.p2), Fraction(f.p1), Fraction(f.p0)],
-        [Fraction(3), Fraction(2 * f.p2), Fraction(f.p1)],
-    ]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    if chain[-1] and len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, r in zip(signs, signs[1:]) if s != r)
+def sign_at(f: MonicCubic, q: Fraction) -> int:
+    """Sign of f(q), exactly. Fraction keeps den > 0, so this is the sign
+    of den^3 f(q) = eval_scaled(f, num, den)."""
+    v = eval_scaled(f, q.numerator, q.denominator)
+    return (v > 0) - (v < 0)
 
 
 def _root_bound(f: MonicCubic) -> int:
@@ -197,74 +140,125 @@ def _root_bound(f: MonicCubic) -> int:
     return 1 + max(abs(f.p2), abs(f.p1), abs(f.p0))
 
 
+def _separators(f: MonicCubic, D: int) -> tuple[Fraction, Fraction]:
+    """For disc > 0: rationals q1 <= -p2/3 <= q2 with f(q1) > 0 > f(q2).
+
+    -p2/3 is the mean of the roots r1 < r2 < r3, so q1 < r3 and q2 > r1;
+    the signs then force r1 < q1 < r2 < q2 < r3. The q_i are the critical
+    points with sqrt(D) rounded down at scale 2^k, and they converge to
+    c1 and c2, where f(c1) > 0 > f(c2), so raising k ends the search.
+    """
+    k = 0
+    while True:
+        s = isqrt(D << (2 * k))  # floor(2^k sqrt(D))
+        q1 = Fraction((-f.p2 << k) - s, 3 << k)
+        q2 = Fraction((-f.p2 << k) + s, 3 << k)
+        if sign_at(f, q1) > 0 > sign_at(f, q2):
+            return q1, q2
+        k = 2 * k + 1
+
+
+def _root_counter(f: MonicCubic):
+    """x -> the number of distinct real roots of f that are <= x."""
+    disc = discriminant(f)
+    if disc < 0:  # one simple real root, where f turns positive
+        return lambda x: int(sign_at(f, x) >= 0)
+    D = f.p2 * f.p2 - 3 * f.p1
+    if disc == 0:  # repeated roots of a monic integer cubic are integers
+        if D == 0:  # (x - r)^3 with r = -p2/3
+            r = -f.p2 // 3
+            return lambda x: int(x >= r)
+        # (x - a)^2 (x - b): D = (a - b)^2 and 9p0 - p1p2 = 2a(a - b)^2
+        a = (9 * f.p0 - f.p1 * f.p2) // (2 * D)
+        b = -f.p2 - 2 * a
+        return lambda x: (x >= a) + (x >= b)
+    q1, q2 = _separators(f, D)
+
+    def count(x):
+        s = sign_at(f, x)
+        if x < q1:  # below r2: r1 <= x iff f(x) >= 0
+            return int(s >= 0)
+        if x <= q2:  # inside (r1, r3): r2 <= x iff f(x) <= 0
+            return 1 + (s <= 0)
+        return 2 + (s >= 0)  # above r2
+
+    return count
+
+
 def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
     """Half-open intervals (lo, hi], each containing exactly one distinct
     real root of f. Exact; handles any cubic (1 or 3 real roots, even with
-    repeated roots, which are counted once)."""
-    chain = _sturm_chain(f)
+    repeated roots, which are counted once).
+
+    Bisects [-B, B] (B the Cauchy bound) until each piece holds at most
+    one root, counting roots with the exact counter above."""
+    count = _root_counter(f)
     B = _root_bound(f)
     lo, hi = Fraction(-B), Fraction(B)
-    total = _sign_variations(chain, lo) - _sign_variations(chain, hi)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, count(lo), count(hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, na, nb = stack.pop()
+        n = nb - na
         if n == 0:
             continue
         if n == 1:
             out.append((a, b))
             continue
         mid = _split_point(f, a, b)
-        va, vm, vb = (_sign_variations(chain, x) for x in (a, mid, b))
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
+        nm = count(mid)
+        stack.append((a, mid, na, nm))
+        stack.append((mid, b, nm, nb))
     out.sort(key=lambda iv: iv[0])
     return out
 
 
 def _split_point(f: MonicCubic, a: Fraction, b: Fraction) -> Fraction:
-    # Sturm counts need f != 0 at the evaluation point; a cubic has at most
-    # three roots, so one of these split ratios always works.
+    # Split points avoid the roots, so f != 0 at every endpoint and an
+    # interval around a simple root shows a strict sign change, which
+    # roots.isolate_real_roots checks; a cubic has at most three roots,
+    # so one of these split ratios always works.
     for k in (Fraction(1, 2), Fraction(9, 16), Fraction(17, 32), Fraction(31, 64)):
         mid = a + (b - a) * k
-        if f(mid) != 0:
+        if sign_at(f, mid) != 0:
             return mid
     raise InternalInconsistencyError("cubic with four roots?")
 
 
-def _narrow_to_unit(f: MonicCubic, lo: Fraction, hi: Fraction):
-    """Shrink a bracketing interval until its width is < 1 (bisection on the
-    Sturm count, so it works even when f does not change sign, e.g. at a
-    double root)."""
-    chain = _sturm_chain(f)
-    while hi - lo >= 1:
-        mid = _split_point(f, lo, hi)
-        if _sign_variations(chain, lo) - _sign_variations(chain, mid) >= 1:
-            hi = mid
+def _has_int_root(f: MonicCubic, lo: int, hi: int, d: int) -> bool:
+    """Whether f has a root in the integers lo..hi, where d*f is increasing."""
+    if lo > hi or d * f(lo) > 0 or d * f(hi) < 0:
+        return False
+    while lo < hi:  # first k with d*f(k) >= 0
+        mid = (lo + hi) // 2
+        if d * f(mid) < 0:
+            lo = mid + 1
         else:
-            lo = mid
-    return lo, hi
+            hi = mid
+    return f(lo) == 0
 
 
 def is_irreducible(f: MonicCubic) -> bool:
     """Irreducible over Q iff the monic cubic has no integer root.
 
-    Candidates are located next to the isolated real roots (at most three),
-    then confirmed by exact evaluation; no divisor enumeration of p0.
+    The integers split into at most three runs on which f is monotone,
+    cut at integer brackets of the critical points; each run is searched
+    by bisection on the sign of f(k). No divisor enumeration of p0.
     """
     if f.p0 == 0:
         return False
-    for lo, hi in isolating_intervals(f):
-        lo, hi = _narrow_to_unit(f, lo, hi)
-        kset = set()
-        for edge in (lo, hi):
-            fl = edge.numerator // edge.denominator  # floor
-            kset.update((fl, fl + 1))
-        for k in kset:
-            if lo < k <= hi or lo == k:  # inside or on the half-open boundary
-                if f(k) == 0:
-                    return False
-    return True
+    B = _root_bound(f)
+    D = f.p2 * f.p2 - 3 * f.p1
+    if D <= 0:  # f' = 3(x + p2/3)^2 - D/3 >= 0: f increases everywhere
+        return not _has_int_root(f, -B, B, 1)
+    s = isqrt(D)  # s <= sqrt(D) < s + 1
+    # b1 = ceil((-p2 - s)/3) >= c1 with b1 - 1 < c1, and
+    # a2 = floor((-p2 + s)/3) <= c2 with a2 + 1 > c2.
+    b1 = -((f.p2 + s) // 3)
+    a2 = (s - f.p2) // 3
+    return not (_has_int_root(f, -B, b1 - 1, 1)
+                or _has_int_root(f, b1, a2, -1)
+                or _has_int_root(f, a2 + 1, B, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -65,18 +65,6 @@ __all__ = [
     "mass_above_height",
 ]
 
-# Coefficient hexagon of the simplex fundamental domain, in the basis
-# (alpha1, alpha2): vertices are the six permutations of barycentric
-# weights {0, 1/3, 2/3} and land at these fixed rational points.
-_HEX_VERTICES = (
-    (Fraction(2, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(2, 3)),
-    (Fraction(-1, 3), Fraction(1, 3)),
-    (Fraction(-2, 3), Fraction(-1, 3)),
-    (Fraction(-1, 3), Fraction(-2, 3)),
-    (Fraction(1, 3), Fraction(-1, 3)),
-)
-
 # Relative headroom below the cutoff that the float64 exhibit must clear
 # before it counts a point as escaped; mass_above_height derives the float
 # error it has to cover.

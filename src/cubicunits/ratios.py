@@ -16,6 +16,7 @@ import mpmath as mp
 
 from .errors import InvalidParamsError, OrbitCapError
 from .families import is_mutually_cubic_pair
+from .precision import mpf_to_fraction
 
 __all__ = [
     "ProjectiveRatio",
@@ -237,14 +238,8 @@ def ratio_estimate(seq: list[McrPair], t_values: list[int] | None = None,
     if a_deg:
         return RatioEstimate(ProjectiveRatio(0), "zero", tuple(samples), diffs, True)
     value = samples[-1]
-    in_window = bool(Fraction(1, 3) <= _mpf_to_fraction(value) <= 3)
+    in_window = bool(Fraction(1, 3) <= mpf_to_fraction(value) <= 3)
     return RatioEstimate(ProjectiveRatio(value), "finite", tuple(samples), diffs, in_window)
-
-
-def _mpf_to_fraction(x: mp.mpf) -> Fraction:
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    fr = Fraction((-1) ** sign * man)
-    return fr * Fraction(2) ** exp
 
 
 def orbit_csv_rows(points: list[ProjectiveRatio], digits: int = 50):

@@ -1,7 +1,8 @@
 """Validated isolation and refinement of the three real roots.
 
-Isolation is exact (Sturm over Fractions, shared with the irreducibility
-test). Refinement runs Newton in mpmath but certifies the final enclosure
+Isolation is exact (`cubics.isolating_intervals`: bisection with an exact
+count of the roots below each split point, from integer signs of f).
+Refinement runs Newton in mpmath but certifies the final enclosure
 by exact integer sign evaluation at dyadic endpoints, so the returned
 interval is unconditionally correct; Newton only decides how fast we get
 there. Asymptotic predictions for the constructed families are exact
@@ -17,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import families
-from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_intervals
+from .cubics import MonicCubic, discriminant, is_totally_real, isolating_intervals, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
 from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf, mpf_to_fraction
 
@@ -49,12 +50,6 @@ class IsolatedRoot:
     prec: int  # bits the value was computed at
 
 
-def _sign_at(f: MonicCubic, q: Fraction) -> int:
-    # Fraction keeps den > 0, so the sign of a^3 f(b/a) is the sign of f(q).
-    v = eval_scaled(f, q.numerator, q.denominator)
-    return (v > 0) - (v < 0)
-
-
 def isolate_real_roots(f: MonicCubic, prec: int = 64) -> list[IsolatedRoot]:
     """Three disjoint certified brackets, ascending. Input must have three
     distinct real roots."""
@@ -62,7 +57,7 @@ def isolate_real_roots(f: MonicCubic, prec: int = 64) -> list[IsolatedRoot]:
         raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
     out = []
     for lo, hi in isolating_intervals(f):
-        if _sign_at(f, lo) * _sign_at(f, hi) >= 0:
+        if sign_at(f, lo) * sign_at(f, hi) >= 0:
             raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
         with mp.workprec(prec):
             mid = fraction_to_mpf((lo + hi) / 2, prec)
@@ -81,7 +76,7 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     check and containment in the original bracket.
     """
     lo, hi = r.lo, r.hi
-    slo = _sign_at(f, lo)
+    slo = sign_at(f, lo)
     if slo == 0:  # exact rational root at the endpoint: width-0 enclosure
         v = fraction_to_mpf(lo, pol.target_bits)
         return IsolatedRoot(lo, lo, v, mp.mpf(0), pol.target_bits)
@@ -107,7 +102,7 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
                 xf = mpf_to_fraction(x)
                 cand_lo, cand_hi = xf - eps_fr, xf + eps_fr
                 if lo <= cand_lo and cand_hi <= hi:
-                    sl, sh = _sign_at(f, cand_lo), _sign_at(f, cand_hi)
+                    sl, sh = sign_at(f, cand_lo), sign_at(f, cand_hi)
                     if sl == 0:
                         return IsolatedRoot(cand_lo, cand_lo, fraction_to_mpf(cand_lo, bits), mp.mpf(0), bits)
                     if sh == 0:
@@ -119,7 +114,7 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
         # bracket by bisection (always sound) and escalate.
         for _ in range(64):
             mid = (lo + hi) / 2
-            sm = _sign_at(f, mid)
+            sm = sign_at(f, mid)
             if sm == 0:
                 v = fraction_to_mpf(mid, bits)
                 return IsolatedRoot(mid, mid, v, mp.mpf(0), bits)

@@ -3,8 +3,9 @@
 Nothing here imports the package's own formulas: the discriminant oracle
 goes through an exact Sylvester resultant (fraction-free Bareiss
 elimination), the numeric oracles go through mpmath's generic polynomial
-root finder. Expected values frozen in the test files were produced by
-these routines.
+root finder, root isolation goes through a Sturm chain over Fractions,
+and the integer-root test enumerates the divisors of p0. Expected values
+frozen in the test files were produced by these routines.
 """
 
 from __future__ import annotations
@@ -121,3 +122,101 @@ def iroot(n: int, k: int) -> int:
 def floor_power(t: int, num: int, den: int) -> int:
     """floor(t**(num/den)) for t >= 0 (used for the b_t = floor(t^alpha) scans)."""
     return iroot(t ** num, den)
+
+
+# ---------------------------------------------------------------------------
+# Root isolation by Sturm sequences over Fractions: the reference for the
+# package's integer-sign isolation, which must return the same intervals.
+# It bisects [-B, B] with the same split points.
+# ---------------------------------------------------------------------------
+
+
+def _poly_eval(coeffs, x: Fraction) -> Fraction:
+    # coeffs high-to-low degree
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _poly_rem(num, den):
+    """Remainder of polynomial division, coefficients high-to-low."""
+    num = list(num)
+    dn = len(den) - 1
+    while len(num) - 1 >= dn and any(num):
+        if num[0] == 0:
+            num.pop(0)
+            continue
+        q = num[0] / den[0]
+        for i in range(len(den)):
+            num[i] -= q * den[i]
+        num.pop(0)
+    while num and num[0] == 0:
+        num.pop(0)
+    return num
+
+
+def _sturm_chain(p2: int, p1: int, p0: int):
+    chain = [
+        [Fraction(1), Fraction(p2), Fraction(p1), Fraction(p0)],
+        [Fraction(3), Fraction(2 * p2), Fraction(p1)],
+    ]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def _sign_variations(chain, x: Fraction) -> int:
+    """Sign changes of the chain at x, zeros dropped; V(a) - V(b) counts
+    the distinct real roots in (a, b]."""
+    signs = []
+    for p in chain:
+        v = _poly_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for s, r in zip(signs, signs[1:]) if s != r)
+
+
+def sturm_isolating_intervals(p2: int, p1: int, p0: int) -> list[tuple[Fraction, Fraction]]:
+    """Half-open intervals (lo, hi], one per distinct real root, ascending."""
+    chain = _sturm_chain(p2, p1, p0)
+    f = chain[0]
+    B = 1 + max(abs(p2), abs(p1), abs(p0))
+    lo, hi = Fraction(-B), Fraction(B)
+    out = []
+    stack = [(lo, hi, _sign_variations(chain, lo) - _sign_variations(chain, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        for k in (Fraction(1, 2), Fraction(9, 16), Fraction(17, 32), Fraction(31, 64)):
+            mid = a + (b - a) * k
+            if _poly_eval(f, mid) != 0:
+                break
+        else:
+            raise AssertionError("cubic with four roots?")
+        va, vm, vb = (_sign_variations(chain, x) for x in (a, mid, b))
+        stack.append((a, mid, va - vm))
+        stack.append((mid, b, vm - vb))
+    out.sort(key=lambda iv: iv[0])
+    return out
+
+
+def has_integer_root(p2: int, p1: int, p0: int) -> bool:
+    """Rational root theorem: an integer root of a monic cubic is 0 or a
+    divisor of p0, with either sign."""
+    if p0 == 0:
+        return True
+    n = abs(p0)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for k in (d, -d):
+                if ((k + p2) * k + p1) * k + p0 == 0:
+                    return True
+    return False

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicunits import (
     InvalidParamsError,
     MonicCubic,
-    RationalPoint,
     discriminant,
     eval_scaled,
     is_irreducible,
@@ -21,7 +20,13 @@ from cubicunits import (
     scale_root,
 )
 
-from .oracles import disc_from_roots, disc_oracle, roots_oracle
+from .oracles import (
+    disc_from_roots,
+    disc_oracle,
+    has_integer_root,
+    roots_oracle,
+    sturm_isolating_intervals,
+)
 
 coeffs = st.integers(min_value=-200, max_value=200)
 cubics = st.builds(MonicCubic, coeffs, coeffs, coeffs)
@@ -131,11 +136,95 @@ def test_isolating_intervals_on_random_totally_real(f):
         assert float(lo) - 1e-50 < r <= float(hi) + 1e-50
 
 
-def test_rational_point_normalizes():
-    p = RationalPoint(2, -4)
-    assert (p.num, p.den) == (-1, 2)
-    with pytest.raises(InvalidParamsError):
-        RationalPoint(1, 0)
+# Integer-sign isolation against the Sturm-chain oracle: the intervals must
+# be identical, not just valid, since root refinement starts from them.
+big = st.integers(min_value=-10 ** 60, max_value=10 ** 60)
+root20 = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
+
+
+def _from_roots(r1, r2, r3, shift=0):
+    """(x - r1)(x - r2)(x - r3) + shift."""
+    return MonicCubic(-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3 + shift)
+
+
+def _assert_same_intervals(f):
+    assert isolating_intervals(f) == sturm_isolating_intervals(f.p2, f.p1, f.p0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big, big, big)
+def test_isolation_matches_sturm_oracle_one_real_root(p2, p1, p0):
+    f = MonicCubic(p2, p1, p0)
+    assume(discriminant(f) < 0)
+    _assert_same_intervals(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(root20, min_size=3, max_size=3, unique=True),
+       st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+def test_isolation_matches_sturm_oracle_three_real_roots(roots, shift):
+    f = _from_roots(*roots, shift)
+    assume(discriminant(f) > 0)
+    _assert_same_intervals(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root20, root20, st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(min_value=-10 ** 6, max_value=10 ** 6))
+def test_isolation_matches_sturm_oracle_near_double_roots(a, b, u, s):
+    # (x - a)^2 (x - b) + u(x - a) + s: for small u, s two roots sit close
+    # to a and the critical point between them is irrational, so the
+    # separator there needs many bits
+    f = _from_roots(a, a, b)
+    f = MonicCubic(f.p2, f.p1 + u, f.p0 - u * a + s)
+    assume(discriminant(f) > 0)
+    _assert_same_intervals(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big, big, big)
+def test_isolation_matches_sturm_oracle_totally_real_from_coefficients(p2, p1, p0):
+    # p1 << 0 makes three real roots likely at any coefficient size
+    f = MonicCubic(p2, -abs(p1) * 10 ** 6, p0)
+    assume(discriminant(f) > 0)
+    _assert_same_intervals(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root20, root20)
+def test_isolation_matches_sturm_oracle_double_and_triple_roots(a, b):
+    double = _from_roots(a, a, b)
+    assert discriminant(double) == 0
+    _assert_same_intervals(double)
+    ivs = isolating_intervals(double)
+    assert len(ivs) == (1 if a == b else 2)
+    _assert_same_intervals(_from_roots(a, a, a))
+    assert len(isolating_intervals(_from_roots(a, a, a))) == 1
+
+
+def test_isolation_matches_sturm_oracle_small_exhaustive():
+    for p2 in range(-6, 7):
+        for p1 in range(-6, 7):
+            for p0 in range(-6, 7):
+                _assert_same_intervals(MonicCubic(p2, p1, p0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+       st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+def test_is_irreducible_false_on_constructed_reducible(k, q2, q1):
+    # (x - k)(x^2 + q2 x + q1)
+    f = MonicCubic(q2 - k, q1 - k * q2, -k * q1)
+    assert not is_irreducible(f)
+
+
+def test_is_irreducible_matches_rational_root_theorem():
+    for p2 in range(-12, 13):
+        for p1 in range(-12, 13):
+            for p0 in range(-12, 13):
+                f = MonicCubic(p2, p1, p0)
+                assert is_irreducible(f) == (not has_integer_root(p2, p1, p0)), f
 
 
 def test_poly_json_roundtrip():
