@@ -501,8 +501,13 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once: argparse copies every default (the --H append list included)
+# into a fresh namespace on each parse, so calls share no state.
+_PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -8,26 +8,32 @@ proportion of a fundamental hexagon of the unit action whose points have
 height > H, and the expected escape rate is checked against the ceiling of
 the hexagon through check_tight.
 
-Heights are certified: a floating Lenstra-Lenstra-Lovasz pass only
-preconditions the basis, the minimum itself comes from a complete
-Fincke-Pohst enumeration below a proven bound, with directed rounding
-slack on every comparison. The mass scan additionally uses a float64
-short-vector *exhibit* (unit monomials near the sample point) to prove
-escape cheaply, with a derived bound on its float error that must fit a
-stated headroom; only points the exhibit cannot settle fall through to the
-certified path.
+Heights are certified, with all search work in float64 and every
+certified value exact or from mpf. The kernel reads the basis exactly as
+integers times a power of two, and a float64 Lenstra-Lenstra-Lovasz
+preconditioner (lazy size reduction from the exact Gram matrix, as in
+Nguyen and Stehle's L^2) reduces it by exact integer column operations.
+The same float64 Gram-Schmidt data then prune a complete Fincke-Pohst
+enumeration, with a relative pad whose derived error bound must fit it
+(_ENUM_PAD). The surviving candidates' squared norms are exact integers,
+and one mpf square root at the caller's precision gives the minimum.
+The mass scan additionally uses a float64 short-vector *exhibit* (unit
+monomials near the sample point) to prove escape cheaply, with a derived
+bound on its float error that must fit a stated headroom; only points the
+exhibit cannot settle fall through to the certified path.
 
 The certified path is a cover by Lipschitz cells. Moving x by d in the
 sup norm scales every coordinate of exp(x) v by at most e^d, so
 log lambda_1(exp(x) L) is 1-Lipschitz in that norm. One enumeration at a
-centre p, giving lambda_1 within [s - m, s + m] (m charges the
-enumeration's rounding and the error of x), therefore decides every point
-within sup-distance log((s - m) H) (no escape) or -log((s + m) H)
+centre p, giving lambda_1 within [s - m, s + m] (m charges the rounding
+of the moved basis and of the kernel, and the error of x), decides every
+point within sup-distance log((s - m) H) (no escape) or -log((s + m) H)
 (escape) of p. A point counts as covered only when its float64 distance
 to p, plus both points' position errors and the distance's own rounding,
 stays below that radius. Centres are taken coarse to fine over the
-unsettled points; a centre in doubt covers nothing, and a point no
-certified value covers raises PrecisionExhaustedError.
+unsettled points, all moved from one basis of L reduced once per sweep;
+a centre in doubt covers nothing, and a point no certified value covers
+raises PrecisionExhaustedError.
 """
 
 from __future__ import annotations
@@ -130,95 +136,154 @@ def exp_act(x: LogVector, basis: LatticeBasis3) -> LatticeBasis3:
     return LatticeBasis3(m, basis.det_err)
 
 
-def _gram_schmidt(cols):
-    """Returns (mu, bstar_sq) for the column list; plain mpf arithmetic."""
-    n = len(cols)
-    mu = [[mp.mpf(0)] * n for _ in range(n)]
-    bstar = [list(c) for c in cols]
-    bsq = [mp.mpf(0)] * n
-    for i in range(n):
-        for j in range(i):
-            dot = sum(cols[i][k] * bstar[j][k] for k in range(3))
-            mu[i][j] = dot / bsq[j] if bsq[j] != 0 else mp.mpf(0)
-            for k in range(3):
-                bstar[i][k] -= mu[i][j] * bstar[j][k]
-        bsq[i] = sum(v * v for v in bstar[i])
-    return mu, bsq
+def _integer_image(basis: LatticeBasis3) -> tuple[list[list[int]], int]:
+    """(cols, e) with column j of the basis equal to 2^e * cols[j] exactly;
+    every finite mpf is a dyadic rational."""
+    raw = [[basis.mat[i, j]._mpf_ for i in range(3)] for j in range(3)]
+    if any(not man and bc for c in raw for _, man, _, bc in c):
+        raise InternalInconsistencyError("non-finite basis entry")
+    e = min((exp for c in raw for _, man, exp, _ in c if man), default=0)
+    return [[(-man if sign else man) << (exp - e) if man else 0
+             for sign, man, exp, _ in c] for c in raw], e
 
 
-def _lll(cols, delta=None):
-    """Lenstra-Lenstra-Lovasz reduction of three 3-vectors (list of lists of
-    mpf), delta = 0.99. Only a preconditioner: correctness of the final
-    minimum never depends on the reduction quality."""
-    delta = delta if delta is not None else mp.mpf(99) / 100
-    cols = [list(c) for c in cols]
-    n = len(cols)
-    mu, bsq = _gram_schmidt(cols)
+def _dot(x, y) -> int:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _scaled_float(n: int, shift: int) -> float:
+    """float64 of n * 2^-shift, also for n beyond the float range."""
+    excess = max(n.bit_length() - 64, 0)
+    return math.ldexp(float(n >> excess), excess - shift)
+
+
+def _lll(cols):
+    """LLL (delta 0.99) of three integer columns: the reduced columns, and
+    their float64 Gram-Schmidt data B_l = |b*_l|^2 and mu[k][j], scaled
+    by 2^-shift, with shift. Entries past the third ride along.
+
+    Column operations are exact; float64 only steers them. Row k of the
+    Gram-Schmidt data is recomputed from the exact Gram row after every
+    size reduction of column k, until all its |mu| <= 0.51 (the lazy size
+    reduction of Nguyen and Stehle's L^2), so entries spanning hundreds of
+    bits lose nothing to cancellation.
+    """
+    b = [list(c) for c in cols]
+    shift = 2 * max(abs(v) for c in b for v in c[:3]).bit_length()
+    r = [[0.0] * 3 for _ in range(3)]  # r[k][j] = mu[k][j] B_j, r[k][k] = B_k
+    mu = [[0.0] * 3 for _ in range(3)]
+    r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
     k = 1
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 10 ** 6:
-            raise InternalInconsistencyError("basis reduction did not terminate")
-        for j in range(k - 1, -1, -1):
-            q = mp.nint(mu[k][j])
-            if q != 0:
-                for t in range(3):
-                    cols[k][t] -= q * cols[j][t]
-                mu, bsq = _gram_schmidt(cols)
-        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
-            k += 1
-        else:
-            cols[k], cols[k - 1] = cols[k - 1], cols[k]
-            mu, bsq = _gram_schmidt(cols)
+    for _ in range(10 ** 4):
+        if k == 3:
+            return b, [r[l][l] for l in range(3)], mu, shift
+        if r[0][0] <= 0:
+            raise InternalInconsistencyError("degenerate basis in reduction")
+        for j in range(k):
+            r[k][j] = (_scaled_float(_dot(b[k], b[j]), shift)
+                       - sum(mu[j][i] * r[k][i] for i in range(j)))
+            mu[k][j] = r[k][j] / r[j][j]
+        if max(abs(m) for m in mu[k][:k]) > 0.51:
+            for j in range(k - 1, -1, -1):
+                q = round(mu[k][j])
+                if q:
+                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                    for i in range(j):
+                        mu[k][i] -= q * mu[j][i]
+            continue
+        r[k][k] = (_scaled_float(_dot(b[k], b[k]), shift)
+                   - sum(mu[k][j] * r[k][j] for j in range(k)))
+        if r[k][k] + mu[k][k - 1] ** 2 * r[k - 1][k - 1] < 0.99 * r[k - 1][k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            if k == 1:
+                r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
             k = max(k - 1, 1)
-    return cols
+        else:
+            k += 1
+    raise InternalInconsistencyError("basis reduction did not terminate")
+
+
+# Relative pad on the float64 Fincke-Pohst bound. The enumeration prunes
+# with the float64 Gram-Schmidt data (B_l, mu_jl) that _lll computed from
+# the exact Gram matrix G; the Cholesky backward error puts them within a
+# relative eta = 16 u max_l G_ll / B_l of the exact values, u = 2^-53.
+# Every node the argument relies on (the minimiser's path, and each
+# candidate kept) has |z_l| = |c_l + y_l| <= zeta_l = sqrt(R0 / B_l) and
+# |c_l| <= a_l (a_2 = zeta_2, a_1 = zeta_1 + |mu_21| a_2, a_0 = zeta_0 +
+# |mu_10| a_1 + |mu_20| a_2), where R0 is the starting bound. So y_l =
+# sum_{j>l} mu_jl c_j is off by at most (2u + u + eta) m_l with m_l =
+# sum_{j>l} |mu_jl| a_j, z_l by that plus u zeta_l, and the partial norm
+# sum_l B_l z_l^2 (three products and two sums per level) by at most
+#     e = 64 (u + eta) (R0 + sqrt(R0) sum_l m_l sqrt(B_l)),
+# second-order terms included. With e <= pad * min_l B_l / 3, and
+# lambda_1^2 >= min_l B_l, the running bound (1 + pad) * (least float
+# norm found) stays >= lambda_1^2 + e, so the minimiser is never pruned
+# and survives the final filter; e also keeps every range endpoint within
+# far less than one integer of its exact value, which the one integer of
+# slack on each side covers. For an LLL-reduced basis e is below 2^-39 R0,
+# so the pad leaves a factor of about 2^8; a basis whose bound does not
+# fit raises instead of guessing.
+_ENUM_PAD = 2.0 ** -30
+
+
+def _fincke_pohst(bsq, mu, bound):
+    """Coefficient vectors (c0, c1, c2), top nonzero entry positive, whose
+    float64 norm sum_l bsq[l] (c_l + sum_{j>l} mu[j][l] c_j)^2 is within a
+    factor 1 + _ENUM_PAD of the least found; `bound` must exceed that
+    least norm by the pad."""
+    b0, b1, b2 = bsq
+    found = []
+    for c2 in range(int(math.sqrt(bound / b2)) + 2):
+        t2 = b2 * c2 * c2
+        if t2 > bound:
+            break
+        y1 = mu[2][1] * c2
+        h1 = math.sqrt((bound - t2) / b1)
+        lo1 = 0 if c2 == 0 else math.floor(-y1 - h1) - 1
+        for c1 in range(lo1, math.ceil(-y1 + h1) + 2):
+            z1 = c1 + y1
+            t1 = t2 + b1 * z1 * z1
+            if t1 > bound:
+                continue
+            y0 = mu[1][0] * c1 + mu[2][0] * c2
+            h0 = math.sqrt((bound - t1) / b0)
+            lo0 = 1 if c1 == c2 == 0 else math.floor(-y0 - h0) - 1
+            for c0 in range(lo0, math.ceil(-y0 + h0) + 2):
+                z0 = c0 + y0
+                t0 = t1 + b0 * z0 * z0
+                if t0 <= bound:
+                    found.append((t0, (c0, c1, c2)))
+                    bound = min(bound, t0 * (1 + _ENUM_PAD))
+    return [c for t0, c in found if t0 <= bound]
 
 
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """Certified euclidean length of a shortest nonzero lattice vector.
 
-    LLL preconditions, then Fincke-Pohst enumerates every coefficient
-    vector whose norm can be below the best bound found so far. The
-    enumeration radius gets a relative pad of 2^-(prec/2) so mpf rounding
-    cannot prune the true minimizer.
+    The columns, read exactly as integers times 2^e, are LLL-reduced in
+    exact arithmetic (_lll); a float64 Fincke-Pohst enumeration over their
+    Gram-Schmidt data, padded by _ENUM_PAD, keeps every coefficient vector
+    that can be shortest, and the least exact integer norm among those is
+    the true minimum of the lattice the columns span, rounded twice at
+    prec bits (to mpf, square root).
     """
+    cols, e = _integer_image(basis)
+    red, bsq, mu, shift = _lll(cols)
+    diag = [_scaled_float(_dot(c, c), shift) for c in red]
+    bound = (1 + _ENUM_PAD) * min(diag)
+    eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
+    z = [math.sqrt(bound / b) for b in bsq]
+    m1 = abs(mu[2][1]) * z[2]
+    m0 = abs(mu[1][0]) * (z[1] + m1) + abs(mu[2][0]) * z[2]
+    err = 64 * (2.0 ** -53 + eta) * (
+        bound + math.sqrt(bound) * (m1 * math.sqrt(bsq[1]) + m0 * math.sqrt(bsq[0])))
+    if not err <= _ENUM_PAD * min(bsq) / 3:
+        raise InternalInconsistencyError("float enumeration error exceeds its pad")
+    best = min(_dot(v, v) for v in (
+        [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
+        for c in _fincke_pohst(bsq, mu, bound)))
     with mp.workprec(prec):
-        cols = [basis.column(j) for j in range(3)]
-        red = _lll(cols)
-        mu, bsq = _gram_schmidt(red)
-        if min(bsq) <= 0:
-            raise InternalInconsistencyError("degenerate basis in enumeration")
-        best = min(sum(v * v for v in c) for c in red)
-        pad = 1 + mp.ldexp(1, -(prec // 2))
-        bound = best * pad
-        # norm^2 = sum_i bsq[i] * (c_i + sum_{j>i} mu[j][i] c_j)^2
-        r3 = int(mp.floor(mp.sqrt(bound / bsq[2]))) + 1
-        if r3 > 10 ** 4:
-            raise InternalInconsistencyError("enumeration radius blew up")
-        for c3 in range(-r3, r3 + 1):
-            t3 = bsq[2] * c3 * c3
-            if t3 > bound:
-                continue
-            center2 = mu[2][1] * c3
-            half2 = mp.sqrt((bound - t3) / bsq[1])
-            lo2 = int(mp.floor(-half2 - center2)) - 1
-            hi2 = int(mp.ceil(half2 - center2)) + 1
-            for c2 in range(lo2, hi2 + 1):
-                t2 = t3 + bsq[1] * (c2 + center2) ** 2
-                if t2 > bound:
-                    continue
-                center1 = mu[1][0] * c2 + mu[2][0] * c3
-                half1 = mp.sqrt((bound - t2) / bsq[0])
-                lo1 = int(mp.floor(-half1 - center1)) - 1
-                hi1 = int(mp.ceil(half1 - center1)) + 1
-                for c1 in range(lo1, hi1 + 1):
-                    if c1 == 0 and c2 == 0 and c3 == 0:
-                        continue
-                    nrm = t2 + bsq[0] * (c1 + center1) ** 2
-                    if nrm < best:
-                        best = nrm
-        return mp.sqrt(best)
+        return mp.ldexp(mp.sqrt(best), e)
 
 
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -310,27 +375,34 @@ def tightness_exponent(a_tilde, b_tilde, r) -> Fraction:
     return Fraction(2, 3) * (1 - rr) + (Fraction(1, 3) - rr) * (at + bt)
 
 
-def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
-    """Deterministic rational sample points of the coefficient hexagon:
-    integer points of the m-dilated, 3x-scaled hexagon, mapped back by
-    1/(3m), with m the smallest dilation giving at least `samples` points.
-    Row-major (u, v) order."""
+def _hexagon_points(samples: int) -> tuple[int, list[tuple[int, int]]]:
+    """(k, points): the hexagon_grid points as integer pairs (a, b) standing
+    for (a/k, b/k), over the common denominator k = 3m."""
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
     m = max(1, math.isqrt(max(0, samples - 1) // 9))
     while 9 * m * m + 3 * m + 1 < samples:  # the point count at dilation m
         m += 1
     k = 3 * m
-    coord = {a: Fraction(a, k) for a in range(-2 * m, 2 * m + 1)}
     # the six edges of the scaled hexagon with vertices m*(2,1), m*(1,2),
     # m*(-1,1), m*(-2,-1), m*(-1,-2), m*(1,-1) are |u+v| <= 3m,
     # |2v-u| <= 3m and |v-2u| <= 3m, which bound v in each row u
-    return [
-        (coord[u], coord[v])
+    return k, [
+        (u, v)
         for u in range(-2 * m, 2 * m + 1)
         for v in range(max(-k - u, -((k - u) // 2), 2 * u - k),
                        min(k - u, (k + u) // 2, k + 2 * u) + 1)
     ]
+
+
+def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
+    """Deterministic rational sample points of the coefficient hexagon:
+    integer points of the m-dilated, 3x-scaled hexagon, mapped back by
+    1/(3m), with m the smallest dilation giving at least `samples` points.
+    Row-major (u, v) order."""
+    k, points = _hexagon_points(samples)
+    coord = {a: Fraction(a, k) for a in range(-2 * k // 3, 2 * k // 3 + 1)}
+    return [(coord[u], coord[v]) for u, v in points]
 
 
 def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
@@ -352,15 +424,6 @@ def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
     return any(
         max(abs(alpha.coords[k] - s * w.coords[k]) for k in range(3)) <= tol
         for w in ws for s in (1, -1))
-
-
-def _two_adic_level(point: tuple[Fraction, Fraction]) -> float:
-    """2-adic valuation of the gcd of the point's coordinates (infinite at
-    the origin): coarse grid points have high levels."""
-    return min((math.inf if q == 0 else
-                (q.numerator & -q.numerator).bit_length()
-                - (q.denominator & -q.denominator).bit_length())
-               for q in point)
 
 
 def mass_above_height(
@@ -389,11 +452,13 @@ def mass_above_height(
             raise InvalidParamsError(
                 "simplex must come from the verified units of the order")
 
-    grid = hexagon_grid(samples)
+    k, grid = _hexagon_points(samples)
     n = len(grid)
     a1 = np.array([float(c) for c in phi.alpha1.coords])
     a2 = np.array([float(c) for c in phi.alpha2.coords])
-    c = np.array([[float(u), float(v)] for (u, v) in grid])
+    ab = np.array(grid)
+    # IEEE division is correctly rounded: a / k is float(Fraction(a, k))
+    c = ab / k
     basis2 = np.vstack([a1, a2])
     with mp.workprec(_bits(order)):
         dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
@@ -402,36 +467,38 @@ def mass_above_height(
 
     ij = np.array(list(itertools.product(range(-window, window + 1), repeat=2)),
                   dtype=float)
-    # y[p, w, k]: log coordinates of monomial w at grid point p
-    y = (c[:, None, :] + ij[None, :, :]) @ basis2
-    # in place: the same values as dscale * exp(2 y).sum(axis=2), one buffer
-    y *= 2.0
-    with np.errstate(over="ignore", under="ignore"):
-        np.exp(y, out=y)
-    best = (dscale * y.sum(axis=2)).min(axis=1)
-    del y
+    # exp(2 y) for y = (c + ij) B factors as exp(2 c B) * exp(2 ij B), so one
+    # (n x 3) by (3 x 49) product gives every window norm at every point
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        best = dscale * (np.exp(2.0 * (c @ basis2))
+                         @ np.exp(2.0 * (ij @ basis2)).T).min(axis=1)
     # Error of the exhibit at point p, with eps = _EPS:
-    # - each y_k is off from its exact value by at most
+    # - the exponents 2 c B_k and 2 ij B_k together are off from 2 y_k by
+    #   at most 2 delta_p, where
     #       delta_p = (|c_u| + |c_v| + 2 window) * alpha_err + 3 eps * Y_p,
-    #   where alpha_err bounds the alphas' own error and Y_p, the largest
+    #   alpha_err bounds the alphas' own error and Y_p, the largest
     #   (|c_u|+window)|a1_k| + (|c_v|+window)|a2_k|, bounds max|y| over the
-    #   window; 3 eps * Y_p covers rounding the alphas and c to float64, the
-    #   sum c + ij and the two-term dot product (five half-ulps);
-    # - exp(2y) is then off by a relative e^{2 delta_p} - 1, plus the
-    #   exp call itself (budgeted at 4 eps), the three-term sum (eps),
-    #   dscale (computed at the order's precision, then rounded: eps) and
-    #   the product (eps/2); cutoff = (1/height)^2 is off by 3 eps/2.
+    #   window; 3 eps * Y_p covers rounding the alphas and c to float64 and
+    #   the two two-term dot products (at most seven half-ulps);
+    # - exp(2 y_k) is then off by a relative e^{2 delta_p} - 1, plus the two
+    #   exp calls (budgeted at 4 eps each), their product and the three-term
+    #   sum (3 eps/2), dscale (computed at the order's precision, then
+    #   rounded: eps) and the product (eps/2); cutoff = (1/height)^2 is off
+    #   by 3 eps/2;
+    # - the alphas have trace zero, so some y_k >= 0 and the exact sum is at
+    #   least 1; a factor below 2^-1074 (underflow) times one below 2^1024
+    #   loses at most 2^-50 = 4 eps per term, 12 eps in all.
     # So the true norm is below 1/height^2 whenever best < cutoff (1 - h)
-    # and 3 delta_p + 10 eps <= h, for h up to about 1e-6. Underflow only
-    # drops terms below 1e-307, far under any cutoff above 1e-300. A point
-    # whose bound exceeds the headroom (huge |y|) falls through to the
-    # certified sweep; it never counts as escaped on float64 alone.
+    # and 3 delta_p + 25 eps <= h, for h up to about 1e-6. A factor that
+    # overflows makes its norms inf, or nan (inf * 0), and a nan makes the
+    # point's minimum nan; neither compares below the cutoff. A point whose
+    # bound exceeds the headroom (huge |y|) falls through to the certified
+    # sweep; it never counts as escaped on float64 alone.
     au = np.abs(c) + window
     ymax = (au[:, 0:1] * np.abs(a1) + au[:, 1:2] * np.abs(a2)).max(axis=1)
     delta = au.sum(axis=1) * alpha_err + 3 * _EPS * ymax
     settled = ((best < cutoff * (1 - _EXHIBIT_HEADROOM))
-               & ((best > 0.0) | (cutoff > 1e-300))
-               & (3 * delta + 10 * _EPS <= _EXHIBIT_HEADROOM))
+               & (3 * delta + 25 * _EPS <= _EXHIBIT_HEADROOM))
     todo = np.flatnonzero(~settled)
     # float64 positions of the unsettled points x = u alpha1 + v alpha2;
     # with |u|, |v| <= 2/3 each coordinate is within (4/3) alpha_err of
@@ -440,12 +507,13 @@ def mass_above_height(
     pos = c[todo, 0:1] * a1 + c[todo, 1:2] * a2
     pos_slack = 2 * ((4 / 3) * alpha_err + 3 * _EPS * float(np.abs(basis2).max()))
     escaped = int(settled.sum()) + _certified_sweep(
-        order, phi, [grid[p] for p in todo], pos, height, pos_slack)
+        order, phi, ab[todo], k, pos, height, pos_slack)
     return Fraction(escaped, n)
 
 
-def _certified_sweep(order, phi, points, pos, height, pos_slack) -> int:
-    """Number of `points` with ht(exp(x) L) > height, each decided by a
+def _certified_sweep(order, phi, points, k, pos, height, pos_slack) -> int:
+    """Number of the grid points (a/k, b/k), for the rows (a, b) of the
+    integer array `points`, with ht(exp(x) L) > height, each decided by a
     certified enumeration at a nearby cell centre.
 
     log lambda_1(exp(x) L) is 1-Lipschitz in the sup norm of x: moving x by
@@ -453,8 +521,9 @@ def _certified_sweep(order, phi, points, pos, height, pos_slack) -> int:
     centre p with lambda_1 in [s - m, s + m] and s - m > 1/height keeps
     lambda_1 > 1/height within sup-distance r = log((s - m) height) of p,
     and s + m < 1/height gives escape within r = -log((s + m) height).
-    Centres are taken coarse to fine (descending 2-adic level, then grid
-    order) among the points not yet covered.
+    Centres are taken coarse to fine (descending 2-adic valuation of
+    gcd(a, b), then grid order) among the points not yet covered; every
+    centre starts from the same pre-reduced basis of L (_prereduced).
 
     `pos` holds float64 positions of the points. Each coordinate of each
     row is within pos_slack / 2 of the exact point, and a float difference
@@ -465,14 +534,17 @@ def _certified_sweep(order, phi, points, pos, height, pos_slack) -> int:
     """
     import numpy as np
 
-    rank = sorted(range(len(points)), key=lambda i: (-_two_adic_level(points[i]), i))
+    low = points[:, 0] | points[:, 1]
+    low &= -low  # lowest set bit of gcd(a, b), 0 at the origin
+    level = np.where(low == 0, np.iinfo(low.dtype).max, low)
+    rank = np.lexsort((np.arange(len(points)), -level))
     covered = np.zeros(len(points), dtype=bool)
     escapes = np.zeros(len(points), dtype=bool)
-    base = embed_order_lattice(order)
+    base = _prereduced(order) if len(points) else None
     for i in rank:
         if covered[i]:
             continue
-        s, margin = _certified_norm(order, phi, points[i], base)
+        s, margin = _certified_norm(order, phi, points[i], k, base)
         with mp.workprec(_bits(order)):
             h = mp.mpf(height)
             if (s - margin) * h > 1:
@@ -490,7 +562,8 @@ def _certified_sweep(order, phi, points, pos, height, pos_slack) -> int:
         hit = open_[dist < float(reach) * (1 - 4 * _EPS)]
         covered[hit], escapes[hit] = True, escape
     if not covered.all():
-        point = points[int(np.flatnonzero(~covered)[0])]
+        a, b = points[int(np.flatnonzero(~covered)[0])]
+        point = (Fraction(int(a), k), Fraction(int(b), k))
         raise PrecisionExhaustedError(
             f"height vs {height} undecidable within error bounds near {point}; "
             "rebuild the order with a finer precision policy")
@@ -501,25 +574,66 @@ def _bits(order: CubicOrderData) -> int:
     return max(order.policy.target_bits, 192)
 
 
+def _prereduced(order: CubicOrderData) -> LatticeBasis3:
+    """The order lattice in an LLL-reduced basis, each entry within a
+    relative 2^-(bits+29) of its value from the stored roots: reducing at
+    the order's bits finds the transform U and the bits its sums cancel,
+    and U is applied exactly to an embedding carrying that many more bits.
+    """
+    bits = _bits(order)
+    cols, _ = _integer_image(embed_order_lattice(order, bits))
+    red = _lll([c + [int(i == j) for i in range(3)] for j, c in enumerate(cols)])[0]
+    lost = max(sum(abs(u * cols[j][i]) for j, u in enumerate(r[3:])).bit_length()
+               - abs(r[i]).bit_length() for r in red for i in range(3) if r[i])
+    fine = embed_order_lattice(order, bits + lost)
+    cols, e = _integer_image(fine)
+    m = mp.matrix(3, 3)
+    for j, r in enumerate(red):
+        for i in range(3):
+            v = sum(u * cols[l][i] for l, u in enumerate(r[3:]))
+            with mp.workprec(max(v.bit_length(), 1)):
+                m[i, j] = mp.ldexp(v, e)
+    return LatticeBasis3(m, fine.det_err)
+
+
+def _dual_weight(basis: LatticeBasis3) -> float:
+    """Upper bound on sum_k |m_k| |d_k| over the columns m_k and the dual
+    basis d_k = (m_i x m_j) / det, (k, i, j) cyclic, with |det| >= 1/2 (it
+    is 1 up to the embedding and flow errors); each cross-product entry is
+    bounded without cancellation."""
+    m = [[abs(float(v)) for v in basis.column(j)] for j in range(3)]
+    total = 0.0
+    for k in range(3):
+        p, q = m[(k + 1) % 3], m[(k + 2) % 3]
+        total += math.hypot(*m[k]) * math.hypot(
+            p[1] * q[2] + p[2] * q[1], p[2] * q[0] + p[0] * q[2], p[0] * q[1] + p[1] * q[0])
+    return 2 * total
+
+
 def _certified_norm(
     order: CubicOrderData,
     phi: SimplexSet,
-    point: tuple[Fraction, Fraction],
+    point,
+    k: int,
     base: LatticeBasis3,
 ) -> tuple[mp.mpf, mp.mpf]:
     """(s, margin) with |lambda_1(exp(x) L) - s| <= margin at the exact
-    hexagon point x = u alpha1 + v alpha2.
+    hexagon point x = (a/k) alpha1 + (b/k) alpha2, point = (a, b).
 
-    Works at the order's own precision; the margin floor comes from the
-    enumeration's rounding and the stored root and log-vector errors, so
-    instead of a precision ladder a tie inside that floor raises and asks
-    for a higher-precision order.
+    Works at the order's own precision. `base` is within 2^-(bits+29) of
+    L entrywise (_prereduced); exp_act rounds each entry once and its exp
+    is good to an ulp, so every entry of the moved basis M is within a
+    relative delta = 2^-(bits-2) of exp(x) L's. The minimiser w of either
+    basis has |w_k| = |<d_k, M w>| <= lambda_1 |d_k| (d the dual basis),
+    so their minima differ by at most delta lambda_1 sum_k |m_k| |d_k|; the
+    kernel rounds its exact minimum twice (2^-(bits-1)); and 4 x.err s
+    charges the error of x. Instead of a precision ladder, a tie inside
+    that margin covers nothing and in the end asks for a finer order.
     """
     bits = _bits(order)
     with mp.workprec(bits):
-        u, v = point
-        x1 = phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
-        x2 = phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator)
-        x = x1 + x2
-        s = shortest_vector_norm(exp_act(x, base), bits)
-        return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
+        a, b = (int(v) for v in point)
+        x = phi.alpha1.scaled(mp.mpf(a) / k) + phi.alpha2.scaled(mp.mpf(b) / k)
+        moved = exp_act(x, base)
+        s = shortest_vector_norm(moved, bits)
+        return s, s * (mp.ldexp(_dual_weight(moved), 3 - bits) + 4 * x.err)

@@ -4,8 +4,9 @@ Nothing here imports the package's own formulas: the discriminant oracle
 goes through an exact Sylvester resultant (fraction-free Bareiss
 elimination), the numeric oracles go through mpmath's generic polynomial
 root finder, root isolation goes through a Sturm chain over Fractions,
-and the integer-root test enumerates the divisors of p0. Expected values
-frozen in the test files were produced by these routines.
+the integer-root test enumerates the divisors of p0, and the shortest
+lattice vector comes from an all-mpf LLL and Fincke-Pohst enumeration.
+Expected values frozen in the test files were produced by these routines.
 """
 
 from __future__ import annotations
@@ -220,3 +221,76 @@ def has_integer_root(p2: int, p1: int, p0: int) -> bool:
                 if ((k + p2) * k + p1) * k + p0 == 0:
                     return True
     return False
+
+
+def _gram_schmidt(cols):
+    """(mu, bstar_sq) for a list of 3-vectors; plain mpf arithmetic."""
+    n = len(cols)
+    mu = [[mp.mpf(0)] * n for _ in range(n)]
+    bstar = [list(c) for c in cols]
+    bsq = [mp.mpf(0)] * n
+    for i in range(n):
+        for j in range(i):
+            dot = sum(cols[i][k] * bstar[j][k] for k in range(3))
+            mu[i][j] = dot / bsq[j] if bsq[j] != 0 else mp.mpf(0)
+            for k in range(3):
+                bstar[i][k] -= mu[i][j] * bstar[j][k]
+        bsq[i] = sum(v * v for v in bstar[i])
+    return mu, bsq
+
+
+def _lll(cols):
+    """LLL (delta 0.99) of three mpf 3-vectors at the ambient precision,
+    recomputing the Gram-Schmidt data after every step."""
+    delta = mp.mpf(99) / 100
+    cols = [list(c) for c in cols]
+    mu, bsq = _gram_schmidt(cols)
+    k = 1
+    while k < 3:
+        for j in range(k - 1, -1, -1):
+            q = mp.nint(mu[k][j])
+            if q != 0:
+                for t in range(3):
+                    cols[k][t] -= q * cols[j][t]
+                mu, bsq = _gram_schmidt(cols)
+        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
+            k += 1
+        else:
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
+            mu, bsq = _gram_schmidt(cols)
+            k = max(k - 1, 1)
+    return cols
+
+
+def reference_shortest_vector_norm(cols, prec: int) -> mp.mpf:
+    """Length of a shortest nonzero vector of the lattice spanned by three
+    mpf columns: mpf LLL, then a Fincke-Pohst enumeration over every
+    coefficient vector whose norm can be below the best found, with a
+    relative pad of 2^-(prec/2) and one integer of slack on each range.
+    Everything runs at prec bits; choose prec well above the bits the
+    basis loses to cancellation."""
+    with mp.workprec(prec):
+        red = _lll([[mp.mpf(x) for x in c] for c in cols])
+        mu, bsq = _gram_schmidt(red)
+        best = min(sum(v * v for v in c) for c in red)
+        bound = best * (1 + mp.ldexp(1, -(prec // 2)))
+        # norm^2 = sum_i bsq[i] * (c_i + sum_{j>i} mu[j][i] c_j)^2
+        r3 = int(mp.floor(mp.sqrt(bound / bsq[2]))) + 1
+        for c3 in range(-r3, r3 + 1):
+            t3 = bsq[2] * c3 * c3
+            if t3 > bound:
+                continue
+            center2 = mu[2][1] * c3
+            half2 = mp.sqrt((bound - t3) / bsq[1])
+            for c2 in range(int(mp.floor(-half2 - center2)) - 1,
+                            int(mp.ceil(half2 - center2)) + 2):
+                t2 = t3 + bsq[1] * (c2 + center2) ** 2
+                if t2 > bound:
+                    continue
+                center1 = mu[1][0] * c2 + mu[2][0] * c3
+                half1 = mp.sqrt((bound - t2) / bsq[0])
+                for c1 in range(int(mp.floor(-half1 - center1)) - 1,
+                                int(mp.ceil(half1 - center1)) + 2):
+                    if c1 or c2 or c3:
+                        best = min(best, t2 + bsq[0] * (c1 + center1) ** 2)
+        return mp.sqrt(best)

@@ -1,6 +1,10 @@
 """CLI: schedule/config parsing, exit codes, golden outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +264,30 @@ def test_jobs_do_not_change_bytes(tmp_path):
     again = tmp_path / "again.csv"
     assert main(args + ["--out", str(again)]) == EXIT_OK
     assert serial.read_bytes() == again.read_bytes()
+
+
+def test_in_process_calls_match_separate_processes(capsys):
+    # the parser is built once per process; --H appends, so a default list
+    # shared between parses would carry heights from one call to the next
+    calls = [
+        ["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000",
+         "--samples", "60", "--H", "10", "--H", "100"],
+        ["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000",
+         "--samples", "60", "--H", "9.99"],
+        ["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000", "--no-mass"],
+        ["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000", "--samples", "60"],
+        ["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000",
+         "--samples", "60", "--H", "10", "--H", "100"],
+    ]
+    in_process = []
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for argv, out in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "cubicunits.cli", *argv],
+                              env=env, stdout=subprocess.PIPE, check=True, timeout=120)
+        assert proc.stdout.decode("ascii") == out
+    assert in_process[3].splitlines()[0].endswith(",ceil_w,mass_h10")

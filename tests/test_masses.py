@@ -1,10 +1,13 @@
 """Lattice embeddings, certified heights, hexagon domains, mass estimates."""
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicunits import (
     DependentUnitsError,
@@ -34,6 +37,8 @@ from cubicunits import (
     tightness_exponent,
 )
 from cubicunits import masses
+from cubicunits.precision import mpf_to_fraction
+from .oracles import reference_shortest_vector_norm
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
 
@@ -92,6 +97,138 @@ def test_shortest_vector_is_lattice_invariant():
             m[j, 2] = m[j, 2] - 5 * m[j, 1]
         tweaked = LatticeBasis3(m, base.det_err)
         assert abs(shortest_vector_norm(tweaked) - ref) < mp.ldexp(1, -60)
+
+
+def exact_basis(cols):
+    # integer-valued dyadic entries, stored without rounding
+    m = mp.matrix(3, 3)
+    with mp.workprec(8192):
+        for j, c in enumerate(cols):
+            for i in range(3):
+                q = Fraction(c[i])
+                m[i, j] = mp.mpf(q.numerator) / q.denominator
+    return LatticeBasis3(m, mp.mpf(0))
+
+
+def reference_norm(basis, prec=1024):
+    return reference_shortest_vector_norm([basis.column(j) for j in range(3)], prec)
+
+
+def det3(cols):
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    return a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
+
+
+def near_tie_pair(draw):
+    # a unit b0 and a b1 at mu = <b1, b0> in [-0.509, -0.501] with
+    # |b1|^2 = -2 mu, in a random plane, entries rounded to 70 bits: b0 and
+    # b0 + b1 (not a basis vector after reduction) are minima a relative
+    # ~2^-70 apart whose float64 norms go through different roundings
+    coords = st.integers(-2 ** 60, 2 ** 60)
+    with mp.workprec(256):
+        p = mp.matrix([draw(coords) for _ in range(3)])
+        q = mp.matrix([draw(coords) for _ in range(3)])
+        q = q - (q.T * p)[0] / max((p.T * p)[0], 1) * p
+        if mp.norm(p) == 0 or mp.norm(q) == 0:
+            p, q = mp.matrix([1, 0, 0]), mp.matrix([0, 1, 0])
+        p, q = p / mp.norm(p), q / mp.norm(q)
+        mu = -mp.mpf(draw(st.integers(501, 509))) / 1000 - mp.mpf(draw(coords)) / 2 ** 72
+        b1 = mu * p + mp.sqrt(-2 * mu - mu ** 2) * q
+        with mp.workprec(70):
+            return [[mpf_to_fraction(+v[i]) for i in range(3)] for v in (p, b1)]
+
+
+@st.composite
+def transformed_bases(draw):
+    # a base lattice with column scales 2^e, |e| <= 50 (entries spanning up
+    # to 2^100), either generic or with near-tied minima, then a random
+    # unimodular transform
+    exps = [draw(st.integers(-50, 50)) for _ in range(3)]
+    if draw(st.booleans()):
+        unit = Fraction(2) ** exps[0]
+        cols = [[unit * v for v in c] for c in near_tie_pair(draw)]
+        cols.append([draw(st.integers(-3, 3)), draw(st.integers(-3, 3)),
+                     unit * 2 ** draw(st.integers(1, 40))])
+    else:
+        small = st.integers(-5, 5)
+        cols = [[draw(small) * Fraction(2) ** e for _ in range(3)] for e in exps]
+    if det3(cols) == 0:
+        cols = [[Fraction(2) ** e if i == j else 0 for i in range(3)]
+                for j, e in enumerate(exps)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        q = draw(st.integers(-2 ** 20, 2 ** 20))
+        cols[i] = [x + q * y for x, y in zip(cols[i], cols[j])]
+        if draw(st.booleans()):
+            cols[i], cols[j] = cols[j], cols[i]
+    return exact_basis(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(transformed_bases(), st.integers(64, 256))
+def test_kernel_matches_reference_on_transformed_bases(basis, prec):
+    s = shortest_vector_norm(basis, prec)
+    ref = reference_norm(basis)
+    with mp.workprec(1024):
+        assert abs(s - ref) <= ref * mp.ldexp(1, -(prec - 40))
+
+
+def test_kernel_keeps_near_tied_minima():
+    # |b0 + b1|^2 exceeds |b0|^2 = 1 by about 2^-71, and the float64 norms
+    # rank b0 + b1 first; only the enumeration pad keeps b0 for the exact
+    # comparison
+    b1 = [Fraction(-592790373841831080403, 2 ** 70),
+          Fraction(1023858520050342276513, 2 ** 70), 0]
+    assert 1 < (1 + b1[0]) ** 2 + b1[1] ** 2 < 1 + Fraction(1, 2 ** 60)
+    s = shortest_vector_norm(exact_basis([[1, 0, 0], b1, [0, 0, 2]]), 192)
+    assert abs(s - 1) <= mp.ldexp(1, -190)
+
+
+@functools.lru_cache(maxsize=None)
+def family_order(kind, t):
+    return mass_member(kind, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["one_unit", "two_unit", "seed"]), st.integers(3, 24),
+       st.integers(0, 90))
+def test_kernel_matches_reference_on_moved_family_bases(kind, e, index):
+    order, phi = family_order(kind, 10 ** e)
+    u, v = hexagon_grid(60)[index]
+    with mp.workprec(192):
+        x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
+             + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
+        moved = exp_act(x, embed_order_lattice(order))
+    s = shortest_vector_norm(moved, 192)
+    ref = reference_norm(moved)
+    with mp.workprec(1024):
+        assert abs(s - ref) <= ref * mp.ldexp(1, -(192 - 40))
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 12, 10 ** 24])
+def test_certified_norm_charges_the_kernel_error(kind, t):
+    # the kernel's term of the certified margin alone covers the distance
+    # to a 768-bit recomputation from the raw embedding, at the same x
+    order, phi = family_order(kind, t)
+    bits = masses._bits(order)
+    base = masses._prereduced(order)
+    with mp.workprec(768):  # the raw embedding, from the same stored roots
+        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
+        fine = LatticeBasis3(mp.matrix([[scale * r.value ** j for j in range(3)]
+                                        for r in order.roots]), mp.mpf(0))
+    k, points = masses._hexagon_points(60)
+    for a, b in points[::4]:
+        with mp.workprec(bits):
+            x = phi.alpha1.scaled(mp.mpf(a) / k) + phi.alpha2.scaled(mp.mpf(b) / k)
+            moved = exp_act(x, base)
+            s = shortest_vector_norm(moved, bits)
+            term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
+            s_ref, margin = masses._certified_norm(order, phi, (a, b), k, base)
+            assert s_ref == s and margin >= term
+        with mp.workprec(768):
+            s768 = reference_norm(exp_act(x, fine), 1024)
+            assert abs(s - s768) <= term
 
 
 def test_order_height_is_disc_sixth_over_sqrt3():
@@ -366,9 +503,9 @@ def test_mass_sweep_matches_per_point_oracle(monkeypatch, kind, t):
     sweep = masses._certified_sweep
     seen = []
 
-    def recording(order, phi, points, *args):
-        count = sweep(order, phi, points, *args)
-        seen.append((points, count))
+    def recording(order, phi, points, k, *args):
+        count = sweep(order, phi, points, k, *args)
+        seen.append(([(Fraction(int(a), k), Fraction(int(b), k)) for a, b in points], count))
         return count
 
     monkeypatch.setattr(masses, "_certified_sweep", recording)
