@@ -1,6 +1,11 @@
 """Command-line front end: family scans, curve emission, orbit dumps,
 one-off certification, mass profiles, and a doubled-precision re-audit.
 
+scan-family, mass-profile, verify and certify format one lazily staged
+member pipeline, `_Member`, reading its stages in column order: a command
+never computes, or fails in, a stage it does not print, and the first
+stage that fails names the row's status.
+
 Output contract: CSV with a header row, '.' decimal separator, LF line
 endings, and byte-identical bytes for identical inputs (worker pools only
 ever reorder computation, never output). Exit codes: 0 success, 2 config
@@ -15,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath as mp
 
@@ -24,7 +30,6 @@ from .errors import (
     CubicUnitsError,
     InvalidParamsError,
     OrbitCapError,
-    OutOfRegimeError,
     PrecisionExhaustedError,
 )
 from .precision import PrecisionPolicy
@@ -146,10 +151,16 @@ def build_scan_config(args) -> ScanConfig:
         heights = ["10"]
     for h in heights:
         try:
-            if float(h) <= 1:
+            if not float(h) > 1:  # NaN fails this too
                 raise ConfigError(f"height threshold must exceed 1, got {h}")
         except ValueError as e:
             raise ConfigError(f"bad height {h!r}") from e
+    r_cap = args.tight_r_cap or cfg.get("tight_r_cap", "2")
+    try:
+        if not mp.mpf(r_cap) >= 1:  # parsed as the tight_r column parses it
+            raise ConfigError(f"tight_r_cap must be at least 1, got {r_cap}")
+    except ValueError as e:
+        raise ConfigError(f"bad tight_r_cap {r_cap!r}") from e
     if bits < 64 or bits > 1 << 20:
         raise ConfigError(f"precision_bits {bits} out of range [64, 2^20]")
     if samples < 1:
@@ -158,8 +169,7 @@ def build_scan_config(args) -> ScanConfig:
         raise ConfigError("jobs must be >= 1")
     return ScanConfig(family, parse_schedule(schedule),
                       bits, samples, heights,
-                      args.out or cfg.get("out"), jobs,
-                      args.tight_r_cap or cfg.get("tight_r_cap", "2"))
+                      args.out or cfg.get("out"), jobs, r_cap)
 
 
 def _candidate_units(params_or_seed, descriptor: dict) -> list[tuple[int, int]]:
@@ -177,11 +187,50 @@ def _candidate_units(params_or_seed, descriptor: dict) -> list[tuple[int, int]]:
             (int(descriptor["c"]), int(descriptor["d"]))]
 
 
-def _member_for_t(family_json: str, t: int):
-    d = json.loads(family_json)
-    d["t"] = str(t)
-    params, _, f = families.family_from_json(d)
-    return params, f, _candidate_units(params, d)
+class _Member:
+    """One family member's pipeline; each stage below is computed on first
+    read and kept."""
+
+    def __init__(self, f, candidate_units, bits: int):
+        self.f = f
+        self.candidates = candidate_units
+        self.bits = bits
+
+    @classmethod
+    def of_family(cls, family_json: str, t: int, bits: int) -> "_Member":
+        d = json.loads(family_json)
+        d["t"] = str(t)
+        params, _, f = families.family_from_json(d)
+        return cls(f, _candidate_units(params, d), bits)
+
+    @cached_property
+    def order(self) -> units.CubicOrderData:
+        pol = PrecisionPolicy(self.bits, max(4 * self.bits, 4096))
+        return units.build_order(self.f, self.candidates, pol)
+
+    @cached_property
+    def logs(self) -> tuple[units.LogVector, units.LogVector]:
+        """Log vectors of the first two verified units."""
+        if len(self.order.units) < 2:
+            raise InvalidParamsError("the member has fewer than two verified units")
+        return tuple(units.log_embed(self.order, a, b) for a, b in self.order.units[:2])
+
+    @cached_property
+    def certificate(self) -> tuple[mp.mpf, units.RegulatorReport]:
+        reg, err = units.relative_regulator_with_error(*self.logs)
+        return reg, units.certify_fundamental(reg, self.order.disc, err, prec=self.bits)
+
+    @cached_property
+    def shape(self) -> shapes.ShapePoint:
+        return shapes.shape_from_units(*self.logs, self.bits)
+
+    @cached_property
+    def ht(self) -> mp.mpf:
+        return masses.lattice_height(masses.embed_order_lattice(self.order), self.bits)
+
+    @cached_property
+    def phi(self) -> masses.SimplexSet:
+        return masses.make_simplex(*self.logs)
 
 
 def _scan_row(payload) -> str:
@@ -189,76 +238,46 @@ def _scan_row(payload) -> str:
     family_json, t, bits, samples, heights, with_mass = payload
     ncols = 16 + (len(heights) if with_mass else 0)
     try:
-        params, f, cand = _member_for_t(family_json, t)
-        cells = [str(t), "ok", str(f.p2), str(f.p1), str(f.p0)]
+        m = _Member.of_family(family_json, t, bits)
+        f = m.f
         red = is_irreducible(f) and is_totally_real(f)
-        cells.append(_bool(red))
-        if not red:
-            cells += [""] * (ncols - len(cells))
-            cells[1] = "reducible_or_complex"
-            return ",".join(cells)
-        pol = PrecisionPolicy(bits, max(4 * bits, 4096))
-        order = units.build_order(f, cand, pol)
-        cells.append(str(order.disc))
-        cells.append(f"{len(order.units)}/{len(cand)}")
-        if len(order.units) < 2:
-            cells += [""] * (ncols - len(cells))
-            return ",".join(cells)
-        (a1, b1), (a2, b2) = order.units[0], order.units[1]
-        v1 = units.log_embed(order, a1, b1)
-        v2 = units.log_embed(order, a2, b2)
-        reg, err = units.relative_regulator_with_error(v1, v2)
-        rep = units.certify_fundamental(reg, order.disc, err, prec=bits)
-        cells += [_fmt(reg), _fmt(rep.cusick_ratio), _bool(rep.certified)]
-        sp = shapes.shape_from_units(v1, v2, bits)
-        cells += [_fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]
-        base = masses.embed_order_lattice(order)
-        ht = masses.lattice_height(base, bits)
-        phi = masses.make_simplex(v1, v2)
-        hd = masses.hex_domain(phi)
-        cells += [_fmt(ht), _fmt(hd.ceiling)]
-        if with_mass:
-            for h in heights:
-                frac = masses.mass_above_height(order, phi, float(h), samples)
-                cells.append(_fmt_frac(frac))
-        return ",".join(cells)
+        cells = [str(t), "ok" if red else "reducible_or_complex",
+                 str(f.p2), str(f.p1), str(f.p0), _bool(red)]
+        if red:
+            cells += [str(m.order.disc), f"{len(m.order.units)}/{len(m.candidates)}"]
+        if red and len(m.order.units) >= 2:
+            reg, rep = m.certificate
+            cells += [_fmt(reg), _fmt(rep.cusick_ratio), _bool(rep.certified)]
+            sp = m.shape
+            cells += [_fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]
+            cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi).ceiling)]
+            if with_mass:
+                cells += [_fmt_frac(masses.mass_above_height(m.order, m.phi, float(h), samples))
+                          for h in heights]
     except CubicUnitsError as e:
         cells = [str(t), type(e).__name__]
-        cells += [""] * (ncols - len(cells))
-        return ",".join(cells)
+    return ",".join(cells + [""] * (ncols - len(cells)))
 
 
-def _mass_rows(payload) -> list[str]:
+def _mass_rows(payload) -> str:
     """mass-profile rows for one t: one line per height threshold."""
     family_json, t, bits, samples, heights, r_cap = payload
     try:
-        params, f, cand = _member_for_t(family_json, t)
-        pol = PrecisionPolicy(bits, max(4 * bits, 4096))
-        order = units.build_order(f, cand, pol)
-        if len(order.units) < 2:
-            raise InvalidParamsError("mass profile needs two verified units")
-        v1 = units.log_embed(order, *order.units[0])
-        v2 = units.log_embed(order, *order.units[1])
-        base = masses.embed_order_lattice(order)
-        ht = masses.lattice_height(base, bits)
-        phi = masses.make_simplex(v1, v2)
-        hd = masses.hex_domain(phi)
-        tight_r = Fraction(0)
-        for k in range(100, -1, -1):
-            if masses.check_tight(phi, ht, mp.mpf(r_cap), Fraction(k, 100)):
-                tight_r = Fraction(k, 100)
-                break
-        rows = []
-        for h in heights:
-            frac = masses.mass_above_height(order, phi, float(h), samples)
-            rows.append(",".join([
-                str(t), str(order.disc), _fmt(ht), _fmt(hd.ceiling), h,
-                _fmt_frac(frac), f"{tight_r.numerator / tight_r.denominator:.2f}",
-            ]))
-        return rows
+        m = _Member.of_family(family_json, t, bits)
+        m.logs  # below rank 2 this raises; the units are embedded before the height
+        ht = m.ht
+        hd = masses.hex_domain(m.phi)
+        big_r = mp.mpf(r_cap)
+        tight_k = next((k for k in range(100, -1, -1)
+                        if masses.check_tight(m.phi, ht, big_r, Fraction(k, 100))), 0)
+        return "\n".join(",".join([
+            str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h,
+            _fmt_frac(masses.mass_above_height(m.order, m.phi, float(h), samples)),
+            f"{tight_k / 100:.2f}",
+        ]) for h in heights)
     except CubicUnitsError as e:
-        return [",".join([str(t), type(e).__name__, "", "", h, "", ""])
-                for h in heights]
+        return "\n".join(",".join([str(t), type(e).__name__, "", "", h, "", ""])
+                         for h in heights)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -270,10 +289,13 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(data)
 
 
-def _pooled(worker, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
+def _pooled(worker, cfg: ScanConfig, extra) -> list:
+    """worker((family_json, t, bits, samples, heights, extra)) for each t, in order."""
+    payloads = [(cfg.family_json, t, cfg.precision_bits, cfg.samples,
+                 tuple(cfg.heights), extra) for t in cfg.schedule]
+    if cfg.jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
         return list(pool.map(worker, payloads))
 
 
@@ -285,23 +307,14 @@ def cmd_scan_family(args) -> int:
               "shape_re", "shape_im", "shape_reduced", "ht", "ceil_w"]
     if with_mass:
         header += [f"mass_h{h}" for h in cfg.heights]
-    payloads = [(cfg.family_json, t, cfg.precision_bits, cfg.samples,
-                 tuple(cfg.heights), with_mass) for t in cfg.schedule]
-    rows = _pooled(_scan_row, payloads, cfg.jobs)
-    _emit([",".join(header)] + rows, cfg.out)
+    _emit([",".join(header)] + _pooled(_scan_row, cfg, with_mass), cfg.out)
     return EXIT_OK
 
 
 def cmd_mass_profile(args) -> int:
     cfg = build_scan_config(args)
-    header = "t,disc,ht,ceilW,H,fraction,tight_r"
-    payloads = [(cfg.family_json, t, cfg.precision_bits, cfg.samples,
-                 tuple(cfg.heights), cfg.tight_r_cap) for t in cfg.schedule]
-    blocks = _pooled(_mass_rows, payloads, cfg.jobs)
-    lines = [header]
-    for b in blocks:
-        lines.extend(b)
-    _emit(lines, cfg.out)
+    _emit(["t,disc,ht,ceilW,H,fraction,tight_r"] + _pooled(_mass_rows, cfg, cfg.tight_r_cap),
+          cfg.out)
     return EXIT_OK
 
 
@@ -316,12 +329,7 @@ def cmd_emit_curves(args) -> int:
         raise ConfigError("steps must be >= 2")
     if not (0 <= at <= bt):
         raise ConfigError(f"need 0 <= a~ <= b~, got {at}, {bt}")
-    bounds = []
-    if at > 0:
-        bounds.append(Fraction(1, 3) / at)
-    if bt > 0:
-        bounds.append(1 / bt)
-    rmax = min(bounds) if bounds else Fraction(1)  # constant curve: unit span
+    rmax = shapes.curve_range(at, bt) or Fraction(1)  # constant curve: unit span
     prec = int(args.precision_bits or 96)
     lines = ["r,re,im,reduced"]
     with mp.workprec(prec):
@@ -329,9 +337,8 @@ def cmd_emit_curves(args) -> int:
             r = rmax * Fraction(j, steps)
             z = shapes.curve_gamma(at, bt, r, prec)
             sp = shapes.reduce_fundamental(z, prec)
-            lines.append(",".join([
-                f"{r.numerator / r.denominator:.10f}",
-                _fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]))
+            lines.append(",".join([_fmt_frac(r), _fmt(sp.tau.real), _fmt(sp.tau.imag),
+                                   _bool(sp.reduced)]))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -368,29 +375,18 @@ def cmd_certify(args) -> int:
         cand.append((a, b))
     if len(cand) < 2:
         raise ConfigError("need at least two --unit a,b candidates")
-    bits = int(args.precision_bits or 192)
-    out: dict = {"poly": json.loads(args.poly)}
+    m = _Member(f, cand, int(args.precision_bits or 192))
+    out: dict = {"poly": json.loads(args.poly), "report": None}
     try:
-        pol = PrecisionPolicy(bits, max(4 * bits, 4096))
-        order = units.build_order(f, cand, pol)
-        out["disc"] = str(order.disc)
-        out["units_kept"] = [[a, b] for a, b in order.units]
+        out["disc"] = str(m.order.disc)
+        out["units_kept"] = [[a, b] for a, b in m.order.units]
         out["units_dropped"] = [
-            {"unit": [a, b], "reason": why} for (a, b), why in order.dropped]
-        if len(order.units) >= 2:
-            v1 = units.log_embed(order, *order.units[0])
-            v2 = units.log_embed(order, *order.units[1])
-            reg, err = units.relative_regulator_with_error(v1, v2)
-            rep = units.certify_fundamental(reg, order.disc, err, prec=bits)
-            out["report"] = json.loads(units.report_to_json(rep))
+            {"unit": [a, b], "reason": why} for (a, b), why in m.order.dropped]
+        if len(m.order.units) >= 2:
+            out["report"] = json.loads(units.report_to_json(m.certificate[1]))
         else:
-            out["report"] = None
             out["error"] = "fewer than two verified units"
-    except OutOfRegimeError as e:
-        out["report"] = None
-        out["error"] = f"OutOfRegimeError: {e}"
     except CubicUnitsError as e:
-        out["report"] = None
         out["error"] = f"{type(e).__name__}: {e}"
     _emit([json.dumps(out, indent=2, sort_keys=True)], args.out)
     return EXIT_OK
@@ -411,10 +407,9 @@ def cmd_verify(args) -> int:
         hi = _audit_point(cfg, t, 2 * cfg.precision_bits)
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
-            ok = (lo["certified"] == hi["certified"]
-                  and abs(lo["reg"] - hi["reg"]) <= mp.mpf("1e-12") * (1 + abs(hi["reg"]))
-                  and abs(lo["ht"] - hi["ht"]) <= mp.mpf("1e-12") * (1 + abs(hi["ht"]))
-                  and abs(lo["tau"] - hi["tau"]) <= mp.mpf("1e-12") * (1 + abs(hi["tau"])))
+            ok = lo["certified"] == hi["certified"] and all(
+                abs(lo[k] - hi[k]) <= mp.mpf("1e-12") * (1 + abs(hi[k]))
+                for k in ("reg", "ht", "tau"))
         lines.append(f"VERIFY t={t}: {'PASS' if ok else 'FAIL'}"
                      f" (status={lo['status']}/{hi['status']})")
         failures += 0 if ok else 1
@@ -425,19 +420,13 @@ def cmd_verify(args) -> int:
 
 def _audit_point(cfg: ScanConfig, t: int, bits: int) -> dict:
     try:
-        params, f, cand = _member_for_t(cfg.family_json, t)
-        pol = PrecisionPolicy(bits, max(4 * bits, 4096))
-        order = units.build_order(f, cand, pol)
-        if len(order.units) < 2:
+        m = _Member.of_family(cfg.family_json, t, bits)
+        if len(m.order.units) < 2:
             return {"status": "rank<2"}
-        v1 = units.log_embed(order, *order.units[0])
-        v2 = units.log_embed(order, *order.units[1])
-        reg, err = units.relative_regulator_with_error(v1, v2)
-        rep = units.certify_fundamental(reg, order.disc, err, prec=bits)
-        sp = shapes.shape_from_units(v1, v2, bits)
-        ht = masses.lattice_height(masses.embed_order_lattice(order), bits)
+        reg, rep = m.certificate
+        tau = m.shape.tau
         return {"status": "ok", "certified": rep.certified, "reg": reg,
-                "ht": ht, "tau": sp.tau}
+                "ht": m.ht, "tau": tau}
     except CubicUnitsError as e:
         return {"status": type(e).__name__}
 

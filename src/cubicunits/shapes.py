@@ -26,6 +26,7 @@ __all__ = [
     "shape_from_units",
     "reduce_fundamental",
     "limit_shape_z",
+    "curve_range",
     "curve_gamma",
     "cusick_angle_cos",
     "same_shape",
@@ -147,19 +148,23 @@ def limit_shape_z(a_tilde, b_tilde, prec: int = 96) -> mp.mpc:
         return num / den
 
 
+def curve_range(a_tilde, b_tilde) -> Fraction | None:
+    """Right end min(1/(3a~), 1/b~) of the curve's r-range, over the
+    positive exponents; None for the constant curve a~ = b~ = 0."""
+    at, bt = Fraction(a_tilde), Fraction(b_tilde)
+    bounds = ([Fraction(1, 3) / at] if at > 0 else []) + ([1 / bt] if bt > 0 else [])
+    return min(bounds, default=None)
+
+
 def curve_gamma(a_tilde, b_tilde, r, prec: int = 96) -> mp.mpc:
     """gamma(r) = limit shape at scaled exponents (r*a~, r*b~); the scan of
-    r over [0, min(1/(3a~), 1/b~)] draws the family's curve on the surface."""
+    r over [0, curve_range(a~, b~)] draws the family's curve on the surface."""
     at, bt, rr = Fraction(a_tilde), Fraction(b_tilde), Fraction(r)
     if rr < 0:
         raise InvalidParamsError("r must be >= 0")
-    bounds = []
-    if at > 0:
-        bounds.append(Fraction(1, 3) / at)
-    if bt > 0:
-        bounds.append(1 / bt)
-    if bounds and rr > min(bounds):
-        raise InvalidParamsError(f"r={rr} beyond the curve range [0, {min(bounds)}]")
+    rmax = curve_range(at, bt)
+    if rmax is not None and rr > rmax:
+        raise InvalidParamsError(f"r={rr} beyond the curve range [0, {rmax}]")
     return limit_shape_z(rr * at, rr * bt, prec)
 
 

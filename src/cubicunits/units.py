@@ -9,7 +9,7 @@ only ever means inconclusive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import mpmath as mp
@@ -89,8 +89,8 @@ class LogVector:
 @dataclass(frozen=True)
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
-    roots, discriminant, and the unit parameters that survived the exact
-    norm check (with the rejects and why)."""
+    roots, discriminant, the unit parameters that survived the exact norm
+    check (with the rejects and why), and log_embed's memo."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -98,6 +98,7 @@ class CubicOrderData:
     units: tuple[tuple[int, int], ...]
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
+    _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,10 @@ def build_order(f: MonicCubic, candidate_units, pol: PrecisionPolicy = DEFAULT_P
 def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     """psi(a*theta - b) = (log|a*theta_i - b|)_i, with a propagated error
     bound. Escalates root precision if some |a*theta_i - b| is too close
-    to zero to take a trustworthy log."""
+    to zero to take a trustworthy log. No step uses the ambient precision,
+    so the order memoises the result, keyed by (a, b)."""
+    if (a, b) in order._logs:
+        return order._logs[a, b]
     if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
         raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
     roots = list(order.roots)
@@ -154,7 +158,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
                     2 * e / abs(m) + mp.ldexp(max(1, abs(c)), -(bits - 8))
                     for m, e, c in zip(ms, errs, coords)
                 )
-                return LogVector(coords[0], coords[1], coords[2], err)
+                return order._logs.setdefault((a, b), LogVector(*coords, err))
         if 2 * target > pol.max_bits:
             raise PrecisionExhaustedError(
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")

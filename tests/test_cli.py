@@ -20,6 +20,10 @@ from cubicunits.cli import (
 from cubicunits.errors import OrbitCapError
 
 ONE_UNIT = '{"kind":"one_unit","a":"1","b":"1"}'
+# x^3 - 3x - 1 along x(x - 3): at t=5 theta - 3 fails the norm check, so the
+# member has fewer than two verified units
+SEED_RANK1 = ('{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},'
+              '"a":"1","b":"0","c":"1","d":"3"}')
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +109,23 @@ def test_exit_config_errors(capsys):
     assert main(["certify", "--poly", '{"p2":"0","p1":"-3","p0":"-1"}',
                  "--unit", "1,0"]) == EXIT_CONFIG
     capsys.readouterr()
+    member = ["--family", ONE_UNIT, "--schedule", "list:1000", "--samples", "60"]
+    for bad in (["mass-profile", "--tight-r-cap", "abc"],
+                ["mass-profile", "--tight-r-cap", "0.5"],
+                ["mass-profile", "--tight-r-cap", "nan"],
+                ["scan-family", "--tight-r-cap", "nan"],
+                ["scan-family", "--H", "nan"],
+                ["mass-profile", "--H", "nan"]):
+        assert main(bad[:1] + member + bad[1:]) == EXIT_CONFIG, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+
+
+def test_infinite_height_and_cap_are_accepted(capsys):
+    assert main(["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000",
+                 "--samples", "60", "--H", "inf", "--tight-r-cap", "inf"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "1000,997995005977,57.715717717505022,4.6055033534314536,inf,0.0000000000,1.00")
 
 
 def test_exit_capacity(capsys):
@@ -131,6 +152,17 @@ def test_scan_family_golden(capsys):
                       "57.715717717505022,4.6055033534314536,0.3076923077")
 
 
+def test_scan_family_non_ok_rows(capsys):
+    assert main(["scan-family", "--family", ONE_UNIT, "--schedule", "list:-2",
+                 "--samples", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "-2,reducible_or_complex,-3,2,1,false,,,,,,,,,,,")
+    assert main(["scan-family", "--family", SEED_RANK1, "--schedule", "list:5",
+                 "--samples", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "5,ok,5,-18,-1,true,33521,1/2,,,,,,,,,")
+
+
 def test_scan_family_no_mass(capsys):
     assert main(["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000",
                  "--no-mass"]) == EXIT_OK
@@ -149,6 +181,15 @@ def test_mass_profile_golden(capsys):
                       "9.2103407053093491,10,0.8351648352,1.00")
     assert out[2] == ("1000000,999997999995000005999977,5773.500767388945,"
                       "9.2103407053093491,100,0.3076923077,1.00")
+
+
+def test_mass_profile_error_rows(capsys):
+    assert main(["mass-profile", "--family", ONE_UNIT, "--schedule", "list:0",
+                 "--samples", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,DomainError,,,10,,"]
+    assert main(["mass-profile", "--family", SEED_RANK1, "--schedule", "list:5",
+                 "--samples", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["5,InvalidParamsError,,,10,,"]
 
 
 def test_emit_curves_golden(capsys):
@@ -216,6 +257,13 @@ def test_verify_passes(capsys):
     assert out[0] == "VERIFY t=1000: PASS (status=ok/ok)"
     assert out[1] == "VERIFY t=10000: PASS (status=ok/ok)"
     assert out[2] == "verified 2 rows, 0 failures"
+
+
+def test_verify_rank_below_two(capsys):
+    assert main(["verify", "--family", SEED_RANK1, "--schedule", "list:5",
+                 "--samples", "60"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "VERIFY t=5: PASS (status=rank<2/rank<2)", "verified 1 rows, 0 failures"]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from cubicunits import (
     simplest_cubic,
     to_plane,
 )
+from cubicunits.shapes import curve_range
 
 
 def replay(tau, word):
@@ -210,6 +211,14 @@ def test_curve_gamma_range():
         curve_gamma(Fraction(1, 3), 1, -1)
     # the constant curve at the corner has unconstrained r
     assert abs(curve_gamma(0, 0, 17) - corner(96)) < mp.ldexp(1, -80)
+
+
+def test_curve_range():
+    assert curve_range(Fraction(1, 3), 1) == 1
+    assert curve_range(Fraction(1, 2), Fraction(1, 4)) == Fraction(2, 3)
+    assert curve_range(0, Fraction(1, 2)) == 2
+    assert curve_range(1, 0) == Fraction(1, 3)
+    assert curve_range(0, 0) is None
 
 
 def test_cusick_angle_cos_exact():

@@ -72,6 +72,20 @@ def test_log_embed_basics():
         log_embed(order, 0, 1)
 
 
+def test_log_embed_is_memoised_per_order():
+    order = simplest_order(1000)
+    v = log_embed(order, 1, 0)
+    assert log_embed(order, 1, 0) is v
+    # the memo holds what a fresh order computes at any ambient precision
+    fresh = simplest_order(1000)
+    with mp.workprec(30):
+        w = log_embed(fresh, 1, 0)
+    assert w is not v and w == v
+    assert fresh == order  # the memo takes no part in comparing orders
+    with pytest.raises(InvalidParamsError):
+        log_embed(order, 1, 1)  # failures are not memoised as results
+
+
 def test_log_vector_arithmetic():
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
