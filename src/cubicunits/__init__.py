@@ -60,7 +60,6 @@ from .masses import (
     make_simplex_min_ceiling,
     mass_above_height,
     shortest_vector_norm,
-    tightness_exponent,
 )
 from .precision import DEFAULT_POLICY, PrecisionPolicy
 from .ratios import (
@@ -135,7 +134,7 @@ __all__ = [
     "HexDomain", "LatticeBasis3", "SimplexSet", "check_tight",
     "embed_order_lattice", "exp_act", "hex_domain", "hexagon_grid",
     "lattice_height", "make_simplex", "make_simplex_min_ceiling",
-    "mass_above_height", "shortest_vector_norm", "tightness_exponent",
+    "mass_above_height", "shortest_vector_norm",
     # precision
     "DEFAULT_POLICY", "PrecisionPolicy",
     # ratios

@@ -167,8 +167,14 @@ def build_scan_config(args) -> ScanConfig:
         raise ConfigError("samples must be >= 1")
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    return ScanConfig(family, parse_schedule(schedule),
-                      bits, samples, heights,
+    ts = parse_schedule(schedule)
+    try:  # a malformed descriptor fails the same way at every t
+        _Member.of_family(family, ts[0], bits)
+    except CubicUnitsError:
+        pass  # a numeric failure at one t is that row's status
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad family descriptor: {e!r}") from e
+    return ScanConfig(family, ts, bits, samples, heights,
                       args.out or cfg.get("out"), jobs, r_cap)
 
 
@@ -395,7 +401,10 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     """Re-audit: recompute spot rows at doubled precision and compare."""
     cfg = build_scan_config(args)
-    spots = max(1, int(args.spots))
+    try:
+        spots = max(1, int(args.spots))
+    except ValueError as e:
+        raise ConfigError(f"bad spots {args.spots!r}") from e
     sched = cfg.schedule
     idx = sorted({(k * (len(sched) - 1)) // max(1, spots - 1) for k in range(spots)}
                  ) if len(sched) > 1 else [0]

@@ -17,23 +17,20 @@ The same float64 Gram-Schmidt data then prune a complete Fincke-Pohst
 enumeration, with a relative pad whose derived error bound must fit it
 (_ENUM_PAD). The surviving candidates' squared norms are exact integers,
 and one mpf square root at the caller's precision gives the minimum.
-The mass scan additionally uses a float64 short-vector *exhibit* (unit
-monomials near the sample point) to prove escape cheaply, with a derived
-bound on its float error that must fit a stated headroom; only points the
-exhibit cannot settle fall through to the certified path.
 
-The certified path is a cover by Lipschitz cells. Moving x by d in the
-sup norm scales every coordinate of exp(x) v by at most e^d, so
-log lambda_1(exp(x) L) is 1-Lipschitz in that norm. One enumeration at a
-centre p, giving lambda_1 within [s - m, s + m] (m charges the rounding
-of the moved basis and of the kernel, and the error of x), decides every
-point within sup-distance log((s - m) H) (no escape) or -log((s + m) H)
-(escape) of p. A point counts as covered only when its float64 distance
-to p, plus both points' position errors and the distance's own rounding,
-stays below that radius. Centres are taken coarse to fine over the
-unsettled points, all moved from one basis of L reduced once per sweep;
-a centre in doubt covers nothing, and a point no certified value covers
-raises PrecisionExhaustedError.
+The mass scan is one pure-Python cover by Lipschitz cells. Moving x by d
+in the sup norm scales every coordinate of exp(x) v by at most e^d, so
+one verdict at a centre p decides a sup-ball around it: a float64
+*exhibit* of a short unit-monomial vector, with a derived bound on its
+float error that must fit a stated headroom, proves escape near p, and a
+centre it does not settle gets one certified enumeration, lambda_1 within
+[s - m, s + m], which decides every point within log((s - m) H) (no
+escape) or -log((s + m) H) (escape) of p. Centres are the grid points not
+yet covered, coarse to fine, all moved from one basis of L reduced once
+per sweep. The distance between two grid points depends only on their
+offset, which the cover reads exactly from integer images of the alphas,
+so each centre marks one interval per grid row. A centre in doubt covers
+nothing, and a point no verdict covers raises PrecisionExhaustedError.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
+from .precision import mpf_to_fraction
 from .units import CubicOrderData, LogVector, log_embed
 
 __all__ = [
@@ -66,14 +64,13 @@ __all__ = [
     "make_simplex_min_ceiling",
     "hex_domain",
     "check_tight",
-    "tightness_exponent",
     "hexagon_grid",
     "mass_above_height",
 ]
 
 # Relative headroom below the cutoff that the float64 exhibit must clear
-# before it counts a point as escaped; mass_above_height derives the float
-# error it has to cover.
+# before it counts a point as escaped; _exhibit derives the float error it
+# has to cover.
 _EXHIBIT_HEADROOM = 1e-9
 
 _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
@@ -368,16 +365,10 @@ def check_tight(phi: SimplexSet, ht, big_r, r) -> bool:
     return bool(lhs <= rhs)
 
 
-def tightness_exponent(a_tilde, b_tilde, r) -> Fraction:
-    """Exponent of the sharp height bound along the one-unit curves:
-    (2/3)(1 - r) + (1/3 - r)(a~ + b~), exact in the scaled exponents."""
-    at, bt, rr = Fraction(a_tilde), Fraction(b_tilde), Fraction(r)
-    return Fraction(2, 3) * (1 - rr) + (Fraction(1, 3) - rr) * (at + bt)
-
-
-def _hexagon_points(samples: int) -> tuple[int, list[tuple[int, int]]]:
-    """(k, points): the hexagon_grid points as integer pairs (a, b) standing
-    for (a/k, b/k), over the common denominator k = 3m."""
+def _hexagon_rows(samples: int) -> tuple[int, list[range]]:
+    """(k, rows): the hexagon_grid points as integer pairs (u, v) standing
+    for (u/k, v/k), over the common denominator k = 3m; rows[u + 2m] is the
+    range of v in row u, for u = -2m..2m."""
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
     m = max(1, math.isqrt(max(0, samples - 1) // 9))
@@ -387,12 +378,9 @@ def _hexagon_points(samples: int) -> tuple[int, list[tuple[int, int]]]:
     # the six edges of the scaled hexagon with vertices m*(2,1), m*(1,2),
     # m*(-1,1), m*(-2,-1), m*(-1,-2), m*(1,-1) are |u+v| <= 3m,
     # |2v-u| <= 3m and |v-2u| <= 3m, which bound v in each row u
-    return k, [
-        (u, v)
-        for u in range(-2 * m, 2 * m + 1)
-        for v in range(max(-k - u, -((k - u) // 2), 2 * u - k),
-                       min(k - u, (k + u) // 2, k + 2 * u) + 1)
-    ]
+    return k, [range(max(-k - u, -((k - u) // 2), 2 * u - k),
+                     min(k - u, (k + u) // 2, k + 2 * u) + 1)
+               for u in range(-2 * m, 2 * m + 1)]
 
 
 def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
@@ -400,9 +388,10 @@ def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
     integer points of the m-dilated, 3x-scaled hexagon, mapped back by
     1/(3m), with m the smallest dilation giving at least `samples` points.
     Row-major (u, v) order."""
-    k, points = _hexagon_points(samples)
-    coord = {a: Fraction(a, k) for a in range(-2 * k // 3, 2 * k // 3 + 1)}
-    return [(coord[u], coord[v]) for u, v in points]
+    k, rows = _hexagon_rows(samples)
+    top = 2 * k // 3
+    coord = {a: Fraction(a, k) for a in range(-top, top + 1)}
+    return [(coord[u], coord[v]) for u, row in enumerate(rows, -top) for v in row]
 
 
 def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
@@ -426,6 +415,9 @@ def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
         for w in ws for s in (1, -1))
 
 
+_STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
+
+
 def mass_above_height(
     order: CubicOrderData,
     phi: SimplexSet,
@@ -435,16 +427,15 @@ def mass_above_height(
 ) -> Fraction:
     """Proportion of hexagon sample points x with ht(exp(x) L) > height.
 
-    Escape (a vector shorter than 1/height) at a sample point is first
-    sought among the images of unit monomials: the lattice point with log
-    vector (c1+i) alpha1 + (c2+j) alpha2 has exactly known norm
-        |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
-    a cancellation-free sum safe in float64. Points the window does not
-    settle go to the certified Lipschitz-cell sweep. The returned count is
-    exact for the decisions made.
+    One coarse-to-fine sweep decides every grid point. The points not yet
+    covered become centres, in descending 2-adic valuation of gcd(a, b),
+    then grid order. The unit-monomial exhibit (_exhibit) settles a centre
+    when it proves escape, one certified enumeration (_certified_norm)
+    otherwise, and the verdict covers every grid point within the
+    sup-radius it proves (_cover). A centre in doubt covers nothing, and a
+    point no verdict covers raises. The count is exact for the decisions
+    made.
     """
-    import numpy as np
-
     if height <= 1:
         raise InvalidParamsError("height threshold must exceed 1")
     for alpha in (phi.alpha1, -phi.alpha3):
@@ -452,35 +443,82 @@ def mass_above_height(
             raise InvalidParamsError(
                 "simplex must come from the verified units of the order")
 
-    k, grid = _hexagon_points(samples)
-    n = len(grid)
-    a1 = np.array([float(c) for c in phi.alpha1.coords])
-    a2 = np.array([float(c) for c in phi.alpha2.coords])
-    ab = np.array(grid)
-    # IEEE division is correctly rounded: a / k is float(Fraction(a, k))
-    c = ab / k
-    basis2 = np.vstack([a1, a2])
+    k, rows = _hexagon_rows(samples)
+    top = 2 * k // 3
+    exhibit = _exhibit(order, phi, height, window)
+    cover = _cover(phi, k, rows)
+    state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
+    base = None
+    for a, b in sorted(((u, v) for u, row in enumerate(rows, -top) for v in row),
+                       key=_level, reverse=True):
+        if state[a + top][b - rows[a + top].start]:
+            continue
+        mark, r = _ESCAPES, exhibit(a / k, b / k)
+        if r is None:
+            if base is None:
+                base = _prereduced(order)
+            s, margin = _certified_norm(order, phi, (a, b), k, base)
+            with mp.workprec(_bits(order)):
+                h = mp.mpf(height)
+                if (s - margin) * h > 1:
+                    mark, r = _STAYS, float(mp.log((s - margin) * h))
+                elif (s + margin) * h < 1:
+                    r = float(-mp.log((s + margin) * h))
+                else:
+                    continue
+        cover(state, a, b, r, mark)
+    for u, row in enumerate(state, -top):
+        if 0 in row:
+            point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
+            raise PrecisionExhaustedError(
+                f"height vs {height} undecidable within error bounds near {point}; "
+                "rebuild the order with a finer precision policy")
+    return Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows)))
+
+
+def _level(point) -> float:
+    """The lowest set bit of gcd(a, b), infinite at the origin."""
+    low = point[0] | point[1]
+    return low & -low or math.inf
+
+
+def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int):
+    """radius(cu, cv): a sup-radius around the hexagon point (cu, cv),
+    given in float64, within which every point escapes, or None when the
+    unit-monomial window at it proves nothing.
+
+    The lattice point with log vector (cu+i) alpha1 + (cv+j) alpha2,
+    |i|, |j| <= window, has exactly known norm
+        |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
+    a cancellation-free sum safe in float64; exp(2 y) factors as
+    exp(2 c B) exp(2 ij B), so each point costs three exp calls. If
+    |exp(x) v|^2 <= q, then |exp(x') v| <= e^d sqrt(q) at sup-distance d,
+    so escape holds within -log(q height^2) / 2 of x.
+    """
+    a1 = [float(c) for c in phi.alpha1.coords]
+    a2 = [float(c) for c in phi.alpha2.coords]
     with mp.workprec(_bits(order)):
         dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
-    cutoff = (1.0 / float(height)) ** 2
     alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
+    h = float(height)
+    cutoff = (1.0 / h) ** 2
+    span = range(-window, window + 1)
+    factors = []
+    for i, j in itertools.product(span, span):
+        try:
+            factors.append([math.exp(2.0 * (i * x + j * y)) for x, y in zip(a1, a2)])
+        except OverflowError:
+            pass  # a monomial left out only proves less
 
-    ij = np.array(list(itertools.product(range(-window, window + 1), repeat=2)),
-                  dtype=float)
-    # exp(2 y) for y = (c + ij) B factors as exp(2 c B) * exp(2 ij B), so one
-    # (n x 3) by (3 x 49) product gives every window norm at every point
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        best = dscale * (np.exp(2.0 * (c @ basis2))
-                         @ np.exp(2.0 * (ij @ basis2)).T).min(axis=1)
-    # Error of the exhibit at point p, with eps = _EPS:
+    # Error of the exhibit at the point c, with eps = _EPS:
     # - the exponents 2 c B_k and 2 ij B_k together are off from 2 y_k by
-    #   at most 2 delta_p, where
-    #       delta_p = (|c_u| + |c_v| + 2 window) * alpha_err + 3 eps * Y_p,
-    #   alpha_err bounds the alphas' own error and Y_p, the largest
+    #   at most 2 delta, where
+    #       delta = (|c_u| + |c_v| + 2 window) * alpha_err + 3 eps * Y,
+    #   alpha_err bounds the alphas' own error and Y, the largest
     #   (|c_u|+window)|a1_k| + (|c_v|+window)|a2_k|, bounds max|y| over the
-    #   window; 3 eps * Y_p covers rounding the alphas and c to float64 and
+    #   window; 3 eps * Y covers rounding the alphas and c to float64 and
     #   the two two-term dot products (at most seven half-ulps);
-    # - exp(2 y_k) is then off by a relative e^{2 delta_p} - 1, plus the two
+    # - exp(2 y_k) is then off by a relative e^{2 delta} - 1, plus the two
     #   exp calls (budgeted at 4 eps each), their product and the three-term
     #   sum (3 eps/2), dscale (computed at the order's precision, then
     #   rounded: eps) and the product (eps/2); cutoff = (1/height)^2 is off
@@ -488,86 +526,89 @@ def mass_above_height(
     # - the alphas have trace zero, so some y_k >= 0 and the exact sum is at
     #   least 1; a factor below 2^-1074 (underflow) times one below 2^1024
     #   loses at most 2^-50 = 4 eps per term, 12 eps in all.
-    # So the true norm is below 1/height^2 whenever best < cutoff (1 - h)
-    # and 3 delta_p + 25 eps <= h, for h up to about 1e-6. A factor that
-    # overflows makes its norms inf, or nan (inf * 0), and a nan makes the
-    # point's minimum nan; neither compares below the cutoff. A point whose
-    # bound exceeds the headroom (huge |y|) falls through to the certified
-    # sweep; it never counts as escaped on float64 alone.
-    au = np.abs(c) + window
-    ymax = (au[:, 0:1] * np.abs(a1) + au[:, 1:2] * np.abs(a2)).max(axis=1)
-    delta = au.sum(axis=1) * alpha_err + 3 * _EPS * ymax
-    settled = ((best < cutoff * (1 - _EXHIBIT_HEADROOM))
-               & (3 * delta + 25 * _EPS <= _EXHIBIT_HEADROOM))
-    todo = np.flatnonzero(~settled)
-    # float64 positions of the unsettled points x = u alpha1 + v alpha2;
-    # with |u|, |v| <= 2/3 each coordinate is within (4/3) alpha_err of
-    # the exact point, plus four half-ulp roundings (u, v and the alphas to
-    # float64, the products, the sum) of terms up to (4/3) max|alpha|
-    pos = c[todo, 0:1] * a1 + c[todo, 1:2] * a2
-    pos_slack = 2 * ((4 / 3) * alpha_err + 3 * _EPS * float(np.abs(basis2).max()))
-    escaped = int(settled.sum()) + _certified_sweep(
-        order, phi, ab[todo], k, pos, height, pos_slack)
-    return Fraction(escaped, n)
+    # So the true squared norm is at most best (1 + err), err = 3 delta +
+    # 25 eps, for err up to about 1e-6, and below 1/height^2 whenever also
+    # best < cutoff (1 - _EXHIBIT_HEADROOM) and err <= _EXHIBIT_HEADROOM. A
+    # factor that overflows leaves its monomial out (exp raises), and a
+    # product that overflows is inf, which never compares below the cutoff.
+    # The float radius exceeds the proven -log(best (1 + err) height^2) / 2
+    # by at most a relative 2 eps (log) and an absolute 2 eps (the four
+    # roundings of its argument).
+    def radius(cu: float, cv: float) -> float | None:
+        au, av = abs(cu) + window, abs(cv) + window
+        ymax = max(au * abs(x) + av * abs(y) for x, y in zip(a1, a2))
+        err = 3 * ((au + av) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
+        if not err <= _EXHIBIT_HEADROOM:
+            return None
+        try:
+            p0, p1, p2 = [math.exp(2.0 * (cu * x + cv * y)) for x, y in zip(a1, a2)]
+        except OverflowError:
+            return None
+        best = dscale * min(p0 * w0 + p1 * w1 + p2 * w2 for w0, w1, w2 in factors)
+        if not best < cutoff * (1 - _EXHIBIT_HEADROOM):
+            return None
+        return -0.5 * math.log(best * (1 + err) * h * h)
+
+    return radius
 
 
-def _certified_sweep(order, phi, points, k, pos, height, pos_slack) -> int:
-    """Number of the grid points (a/k, b/k), for the rows (a, b) of the
-    integer array `points`, with ht(exp(x) L) > height, each decided by a
-    certified enumeration at a nearby cell centre.
+# The cover reads alpha1 and alpha2 as integer vectors at scale
+# 2^_COVER_BITS, so the distance of every grid offset is exact.
+_COVER_BITS = 64
 
-    log lambda_1(exp(x) L) is 1-Lipschitz in the sup norm of x: moving x by
-    d scales every coordinate of every lattice vector by at most e^d. So a
-    centre p with lambda_1 in [s - m, s + m] and s - m > 1/height keeps
-    lambda_1 > 1/height within sup-distance r = log((s - m) height) of p,
-    and s + m < 1/height gives escape within r = -log((s + m) height).
-    Centres are taken coarse to fine (descending 2-adic valuation of
-    gcd(a, b), then grid order) among the points not yet covered; every
-    centre starts from the same pre-reduced basis of L (_prereduced).
 
-    `pos` holds float64 positions of the points. Each coordinate of each
-    row is within pos_slack / 2 of the exact point, and a float difference
-    is within a relative eps = _EPS of the exact one, so a computed distance
-    d < (r - pos_slack - 8 eps |r|) (1 - 4 eps) proves the true one below r.
-    A centre whose value is in doubt covers nothing; a point still
-    uncovered at the end raises, as no certified value decides it.
+def _cover(phi: SimplexSet, k: int, rows: list[range]):
+    """cover(state, a, b, r, mark): set `mark` on the centre (a, b) and on
+    every grid point whose exact sup-distance to it is below r, a float
+    that exceeds a proven radius by at most a relative 2 eps and an
+    absolute 2 eps.
+
+    Grid points at offset (da, db) are (da alpha1 + db alpha2) / k apart,
+    whatever the centre. A and B are the alphas' integer images, rounded in
+    the first two coordinates and with trace zero, so each coordinate of
+    A 2^-S is within e = 2 alpha_err + 2^-S of the exact alpha's, S =
+    _COVER_BITS; as |da| + |db| <= (8/3) k on the grid, max_i |da A_i +
+    db B_i| <= R proves the distance below R 2^-S / k + (8/3) e. That set
+    is a hexagon, with |da| <= R max|B_i| / |det(A, B)|, and meets each row
+    da in one interval of db. Two certified verdicts on a point agree, so
+    a covered point is overwritten with its own mark; a disagreement is a
+    bug.
     """
-    import numpy as np
+    def image(alpha):
+        x1, x2 = (round(mpf_to_fraction(c) * 2 ** _COVER_BITS) for c in alpha.coords[:2])
+        return x1, x2, -x1 - x2
 
-    low = points[:, 0] | points[:, 1]
-    low &= -low  # lowest set bit of gcd(a, b), 0 at the origin
-    level = np.where(low == 0, np.iinfo(low.dtype).max, low)
-    rank = np.lexsort((np.arange(len(points)), -level))
-    covered = np.zeros(len(points), dtype=bool)
-    escapes = np.zeros(len(points), dtype=bool)
-    base = _prereduced(order) if len(points) else None
-    for i in rank:
-        if covered[i]:
-            continue
-        s, margin = _certified_norm(order, phi, points[i], k, base)
-        with mp.workprec(_bits(order)):
-            h = mp.mpf(height)
-            if (s - margin) * h > 1:
-                escape, r = False, mp.log((s - margin) * h)
-            elif (s + margin) * h < 1:
-                escape, r = True, -mp.log((s + margin) * h)
-            else:
-                continue
-            reach = r - pos_slack - 8 * _EPS * r
-        covered[i], escapes[i] = True, escape
-        if reach <= 0:
-            continue
-        open_ = np.flatnonzero(~covered)
-        dist = np.abs(pos[open_] - pos[i]).max(axis=1)
-        hit = open_[dist < float(reach) * (1 - 4 * _EPS)]
-        covered[hit], escapes[hit] = True, escape
-    if not covered.all():
-        a, b = points[int(np.flatnonzero(~covered)[0])]
-        point = (Fraction(int(a), k), Fraction(int(b), k))
-        raise PrecisionExhaustedError(
-            f"height vs {height} undecidable within error bounds near {point}; "
-            "rebuild the order with a finer precision policy")
-    return int(escapes.sum())
+    top = 2 * k // 3
+    img1, img2 = image(phi.alpha1), image(phi.alpha2)
+    det = abs(img1[0] * img2[1] - img1[1] * img2[0])
+    bmax = max(abs(q) for q in img2)
+    # |da p + db q| <= R with q > 0; where q = 0 it bounds |da| alone
+    pairs = [(p, q) if q > 0 else (-p, -q) for p, q in zip(img1, img2) if q]
+    flat = [abs(p) for p, q in zip(img1, img2) if not q]
+    slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -_COVER_BITS
+    # no two grid points are farther apart than (8/3) max|alpha_k|
+    diameter = 3 * max(abs(float(c)) for alpha in (phi.alpha1, phi.alpha2)
+                       for c in alpha.coords)
+
+    def cover(state: list[bytearray], a: int, b: int, r: float, mark: int) -> None:
+        state[a + top][b - rows[a + top].start] = mark
+        # 8 eps and 4 eps cover r's own error and the roundings here
+        reach = math.floor((min(r, diameter) * (1 - 8 * _EPS) - 4 * _EPS - slack)
+                           * k * 2.0 ** _COVER_BITS)
+        if reach < 0:
+            return
+        dmax = min([reach * bmax // det] + [reach // p for p in flat])
+        for u in range(max(a - dmax, -top), min(a + dmax, top) + 1):
+            row = rows[u + top]
+            lo = max([b - ((reach + (u - a) * p) // q) for p, q in pairs] + [row.start])
+            hi = min([b + (reach - (u - a) * p) // q for p, q in pairs] + [row.stop - 1])
+            if lo <= hi:
+                seg = state[u + top][lo - row.start:hi + 1 - row.start]
+                if _STAYS + _ESCAPES - mark in seg:
+                    raise InternalInconsistencyError("two certified verdicts disagree")
+                state[u + top][lo - row.start:hi + 1 - row.start] = bytes([mark]) * len(seg)
+
+    return cover
 
 
 def _bits(order: CubicOrderData) -> int:

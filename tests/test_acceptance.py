@@ -12,11 +12,11 @@ file.
 
 import math
 import random
+import statistics
 import time
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from cubicunits import (
     INFINITY,
@@ -199,7 +199,7 @@ def test_ac3_two_unit_asymptotics(capfd):
         ys.append(float(mp.log(dev)))
         if k == 30:
             ratio_dev = abs(float(Fraction(discriminant(f), 36 * t**4)) - 1)
-    slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    slope = statistics.linear_regression(xs, ys).slope
     ok = -1.15 <= slope <= -0.85 and ratio_dev <= 0.01
     _verdict(capfd, 3, ok, f"log-log slope {slope:.5f} in -1+-0.15; "
                     f"disc/(36 t^4) off by {ratio_dev:.2e} at t=2^30")

@@ -119,6 +119,22 @@ def test_exit_config_errors(capsys):
         assert main(bad[:1] + member + bad[1:]) == EXIT_CONFIG, bad
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("config error: ")
+    # valid JSON that is not a family descriptor: a missing key, not an
+    # object, a non-integer parameter
+    seed_x = SEED_RANK1.replace('"a":"1"', '"a":"x"')
+    for family in ('{"kind":"one_unit"}', "[1,2]", seed_x):
+        for command in ("scan-family", "mass-profile", "verify"):
+            argv = [command, "--family", family, "--schedule", "list:1000", "--samples", "60"]
+            assert main(argv) == EXIT_CONFIG, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("config error: ")
+
+
+def test_verify_bad_spots_is_a_config_error(capsys):
+    assert main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000",
+                 "--spots", "abc"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
 
 
 def test_infinite_height_and_cap_are_accepted(capsys):
@@ -339,3 +355,24 @@ def test_in_process_calls_match_separate_processes(capsys):
                               env=env, stdout=subprocess.PIPE, check=True, timeout=120)
         assert proc.stdout.decode("ascii") == out
     assert in_process[3].splitlines()[0].endswith(",ceil_w,mass_h10")
+
+
+def test_mass_stage_runs_without_numpy(capsys):
+    # the README scan and a mass profile, in an interpreter where importing
+    # numpy fails, give the bytes of the in-process run
+    calls = [
+        ["scan-family", "--family", ONE_UNIT, "--schedule", "geom:1000:1000000:10",
+         "--samples", "600", "--H", "10"],
+        ["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000,1000000",
+         "--samples", "600", "--H", "10", "--H", "100"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.modules['numpy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from cubicunits.cli import main; sys.exit(main(sys.argv[2:]))")
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-c", code, src, *argv],
+                              stdout=subprocess.PIPE, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout.decode("ascii") == expected

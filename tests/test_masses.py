@@ -34,7 +34,6 @@ from cubicunits import (
     mass_above_height,
     shortest_vector_norm,
     simplest_cubic,
-    tightness_exponent,
 )
 from cubicunits import masses
 from cubicunits.precision import mpf_to_fraction
@@ -217,7 +216,8 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
         scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
         fine = LatticeBasis3(mp.matrix([[scale * r.value ** j for j in range(3)]
                                         for r in order.roots]), mp.mpf(0))
-    k, points = masses._hexagon_points(60)
+    k, rows = masses._hexagon_rows(60)
+    points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
     for a, b in points[::4]:
         with mp.workprec(bits):
             x = phi.alpha1.scaled(mp.mpf(a) / k) + phi.alpha2.scaled(mp.mpf(b) / k)
@@ -365,17 +365,6 @@ def test_check_tight_fails_closed_on_fat_errors():
     assert not check_tight(fat, 1, 2, 1)
 
 
-def test_tightness_exponent_exact():
-    assert tightness_exponent(Fraction(1, 3), 1, Fraction(1, 3)) == Fraction(4, 9)
-    assert tightness_exponent(1, 1, 1) == Fraction(-4, 3)
-    assert tightness_exponent(0, 0, 1) == 0
-    assert tightness_exponent(0, 0, 0) == Fraction(2, 3)
-    # strictly decreasing in r
-    vals = [tightness_exponent(Fraction(1, 4), Fraction(1, 2), Fraction(k, 10))
-            for k in range(11)]
-    assert all(x > y for x, y in zip(vals, vals[1:]))
-
-
 # ---------------------------------------------------------------------------
 # sampling grid
 # ---------------------------------------------------------------------------
@@ -481,42 +470,34 @@ def mass_member(kind, t):
         return order, make_simplex(v1, v2)
 
 
-def per_point_escape(order, phi, point, height, base):
-    # one certified enumeration at the point itself, no neighbourhood
+def per_point_norm(order, phi, point, base):
+    # one certified enumeration at the point itself, no neighbourhood:
+    # (s, margin) with lambda_1 within margin of s
     bits = max(order.policy.target_bits, 192)
     with mp.workprec(bits):
         u, v = point
         x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
              + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
         s = shortest_vector_norm(exp_act(x, base), bits)
-        margin = s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
-        hcut = 1 / mp.mpf(height)
-        assert abs(s - hcut) > margin, f"oracle undecided near {point}"
-        return s < hcut
+        return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 9])
-def test_mass_sweep_matches_per_point_oracle(monkeypatch, kind, t):
+def test_mass_sweep_matches_per_point_oracle(kind, t):
+    # every grid point, whether the sweep settled it by an exhibit, by an
+    # enumeration or by either kind of cover, against its own enumeration
     order, phi = mass_member(kind, t)
     base = embed_order_lattice(order)
-    sweep = masses._certified_sweep
-    seen = []
-
-    def recording(order, phi, points, k, *args):
-        count = sweep(order, phi, points, k, *args)
-        seen.append(([(Fraction(int(a), k), Fraction(int(b), k)) for a, b in points], count))
-        return count
-
-    monkeypatch.setattr(masses, "_certified_sweep", recording)
+    points = hexagon_grid(300)
+    norms = [per_point_norm(order, phi, p, base) for p in points]
     for height in (10.0, 100.0):
-        seen.clear()
-        frac = mass_above_height(order, phi, height, samples=300)
-        (points, count), = seen
-        oracle = sum(per_point_escape(order, phi, p, height, base) for p in points)
-        assert count == oracle
-        n = len(hexagon_grid(300))
-        assert frac == Fraction(n - len(points) + oracle, n)
+        with mp.workprec(512):
+            hcut = 1 / mp.mpf(height)
+        assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
+        escapes = sum(s < hcut for s, _ in norms)
+        assert mass_above_height(order, phi, height, samples=300) == Fraction(
+            escapes, len(points))
 
 
 def test_mass_sweep_enumeration_count(monkeypatch):
