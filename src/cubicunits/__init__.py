@@ -86,7 +86,6 @@ from .roots import (
     newton_hypotheses,
     refine_root,
     refined_roots,
-    root_to_json,
 )
 from .shapes import (
     ShapePoint,
@@ -144,7 +143,7 @@ __all__ = [
     # roots
     "AsymptoticRoots", "IsolatedRoot", "NewtonHypotheses", "RootPrediction",
     "asymptotic_roots", "asymptotic_threshold", "isolate_real_roots",
-    "newton_hypotheses", "refine_root", "refined_roots", "root_to_json",
+    "newton_hypotheses", "refine_root", "refined_roots",
     # shapes
     "ShapePoint", "corner", "corner_distance", "curve_gamma",
     "cusick_angle_cos", "limit_shape_z", "omega", "reduce_fundamental",

@@ -2,23 +2,31 @@
 
 Isolation is exact (`cubics.isolating_intervals`: bisection with an exact
 count of the roots below each split point, from integer signs of f).
-Refinement runs Newton in mpmath but certifies the final enclosure
-by exact integer sign evaluation at dyadic endpoints, so the returned
-interval is unconditionally correct; Newton only decides how fast we get
-there. Asymptotic predictions for the constructed families are exact
-rational Newton steps from the designed anchor points, with the theorem's
-hypotheses checked as finite inequalities.
+Refinement only has to find a good iterate; the certificate does not
+trust it. The iterate comes from float64 Newton inside the exact bracket
+(each iterate's exact sign narrows the bracket, a step that leaves it or
+stalls is replaced by a split), then one mpf Newton step per precision
+level, doubling from about 2*53 bits to the working precision (Brent and
+Zimmermann, Modern Computer Arithmetic, section 4.2), then full-precision
+Newton. The enclosure [x-eps, x+eps] is accepted only inside the exact
+bracket and with an exact sign change at its dyadic ends, so the returned
+interval is unconditionally correct. Asymptotic predictions for the
+constructed families are exact rational Newton steps from the designed
+anchor points, with the theorem's hypotheses checked as finite
+inequalities.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from . import families
-from .cubics import MonicCubic, discriminant, is_totally_real, isolating_intervals, sign_at
+from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_intervals, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
 from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf, mpf_to_fraction
 
@@ -34,7 +42,6 @@ __all__ = [
     "AsymptoticRoots",
     "asymptotic_roots",
     "asymptotic_threshold",
-    "root_to_json",
 ]
 
 
@@ -68,12 +75,87 @@ def isolate_real_roots(f: MonicCubic, prec: int = 64) -> list[IsolatedRoot]:
     return out
 
 
+_SEED_STEPS = 100  # float64 iterations; each one shrinks the exact bracket
+_SEED_TOL = 2.0 ** -50  # relative float64 step at which the seed has converged
+# A Newton step is kept only if it is below this share of the last kept one.
+# Far from a root the cubic term pulls 2/3 per step and a near-double root
+# 1/2; splitting the bracket beats both.
+_SEED_PULL = 0.45
+_TINY = math.ulp(0.0)
+_HUGE = sys.float_info.max
+
+
+def _split(a: float, b: float) -> float:
+    """A float strictly between a < b when there is one (else a or b):
+    0 across a sign change, the geometric mean across a scale gap (an end
+    at 0 counts as the least subnormal), the midpoint otherwise."""
+    if a < 0 < b:
+        return 0.0
+    small, big = sorted((abs(a), abs(b)))
+    if big > 4 * small:
+        return math.copysign(math.sqrt(max(small, _TINY)) * math.sqrt(big), a + b)
+    return a + (b - a) * 0.5
+
+
+def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
+    """Float64 Newton inside the exact bracket [lo, hi] around a simple root.
+
+    An iterate x = n/d is a dyadic rational, so d^3 f(x) and d^2 f'(x) are
+    exact integers: their sign moves one end of the bracket to x, and their
+    quotient, rounded once, is the Newton step (no float64 coefficients,
+    so no cancellation). A step that leaves the bracket, or shrinks too
+    slowly, is replaced by a split of it (`_split`). Returns (seed, lo, hi)
+    with the narrowed exact bracket, or (None, lo, hi) if the root lies
+    beyond float64 range.
+    """
+    if lo < -_HUGE:  # one exact sign brings the bracket into float range
+        if sign_at(f, Fraction(-_HUGE)) != slo:
+            return None, lo, hi
+        lo = -_HUGE
+    if hi > _HUGE:
+        if sign_at(f, Fraction(_HUGE)) != -slo:
+            return None, lo, hi
+        hi = _HUGE
+    a, b = float(lo), float(hi)  # a < x < b in floats implies lo < x < hi
+    x = a * 0.5 + b * 0.5
+    last = math.inf
+    for _ in range(_SEED_STEPS):
+        if not a < x < b:
+            break
+        n, d = x.as_integer_ratio()
+        v = eval_scaled(f, n, d)
+        if v == 0:
+            break
+        if (v > 0) == (slo > 0):
+            a = lo = x
+        else:
+            b = hi = x
+        try:
+            dx = v / (((3 * n + 2 * f.p2 * d) * n + f.p1 * d * d) * d)
+        except (ZeroDivisionError, OverflowError):
+            dx = math.nan
+        x -= dx
+        if abs(dx) <= abs(x) * _SEED_TOL:
+            break
+        if a < x < b and abs(dx) <= last * _SEED_PULL:
+            last = abs(dx)
+        else:
+            x, last = _split(a, b), math.inf
+    return x, Fraction(lo), Fraction(hi)
+
+
 def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_POLICY) -> IsolatedRoot:
     """Shrink the enclosure to absolute radius <= 2^-target_bits.
 
-    Newton from the interval midpoint at escalating precision; the result
-    interval [x-eps, x+eps] is accepted only after an exact sign change
-    check and containment in the original bracket.
+    The iterate: a float64 Newton seed kept inside the exact bracket
+    (`_float_seed`), then one mpf Newton step per precision level, the
+    level doubling from about 2*53 bits up to the working precision, then
+    full-precision Newton until a step is below 2^-(target+4). For a root
+    beyond float64 range, Newton starts at the bracket midpoint at full
+    precision. The certificate does not trust the iterate: [x-eps, x+eps]
+    is accepted only inside the exact bracket and with an exact sign
+    change at its ends. Otherwise exact bisection narrows the bracket and
+    the next rung of `pol.ladder()` doubles the working precision.
     """
     lo, hi = r.lo, r.hi
     slo = sign_at(f, lo)
@@ -84,9 +166,22 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     eps_fr = Fraction(1, 1 << target)
     # working precision must absorb the root magnitude (err bound is absolute)
     mag_bits = max(abs(lo).numerator.bit_length(), abs(hi).numerator.bit_length())
+    seed, lo, hi = _float_seed(f, lo, hi, slo)
     for bits in pol.ladder(start_extra=mag_bits + 64):
         with mp.workprec(bits):
-            x = fraction_to_mpf((lo + hi) / 2, bits)
+            if seed is None:
+                x = fraction_to_mpf((lo + hi) / 2, bits)
+            else:
+                x = mp.mpf(seed)
+                levels, level = [], bits
+                while level > 2 * 53:
+                    level = (level + 1) // 2
+                    levels.append(level)
+                for level in reversed(levels):
+                    with mp.workprec(level):
+                        dfx = f.deriv(x)
+                        if dfx:
+                            x = x - f(x) / dfx
             ok = False
             for _ in range(bits.bit_length() * 8 + 40):
                 fx = f(x)
@@ -233,16 +328,3 @@ def asymptotic_roots(params, t: int) -> AsymptoticRoots:
     preds.sort(key=lambda p: p.value)  # ascending, matching isolate_real_roots
     reliable = abs(t) >= asymptotic_threshold(params) and all(h.all_ok for h in hyps)
     return AsymptoticRoots(tuple(preds), reliable, asymptotic_threshold(params), hyps)
-
-
-def root_to_json(r: IsolatedRoot) -> str:
-    import json
-
-    digits = max(20, int(r.prec * 0.302) + 4)
-    with mp.workprec(r.prec + 16):
-        val = mp.nstr(r.value, digits, strip_zeros=False)
-    if r.err == 0:
-        err = "0"
-    else:
-        err = f"2^{int(mp.floor(mp.log(r.err, 2)))}"
-    return json.dumps({"value": val, "err": err})

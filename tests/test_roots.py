@@ -1,6 +1,5 @@
 """Certified root isolation and refinement, plus family asymptotics."""
 
-import json
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,15 +20,19 @@ from cubicunits import (
     build_one_unit,
     build_two_unit,
     eval_scaled,
+    extend_seed,
+    is_totally_real,
     isolate_real_roots,
     newton_hypotheses,
     refine_root,
     refined_roots,
-    root_to_json,
     simplest_cubic,
 )
+from cubicunits import roots
+from cubicunits.cubics import sign_at
+from cubicunits.precision import mpf_to_fraction
 
-from .oracles import roots_oracle
+from .oracles import bisect_root, roots_oracle
 
 SEED = MonicCubic(0, -3, -1)
 
@@ -114,6 +117,84 @@ def test_one_unit_member_roots_bracketed(b, t):
         assert (slo > 0) != (shi > 0)
 
 
+def _member(kind: str, t: int) -> MonicCubic:
+    if kind == "one_unit":
+        return build_one_unit(OneUnitParams(1, 1), t)
+    if kind == "two_unit":
+        return build_two_unit(TwoUnitParams(1, 1, 2, 3), t)
+    return extend_seed(SEED, 1, 0, 1, -1, t)  # the simplest cubics
+
+
+def _assert_enclosures_hold_bisected_roots(f: MonicCubic) -> None:
+    """Each refined enclosure holds the root that plain exact bisection
+    finds in the same isolating bracket, to within that bisection's own
+    final half-width, and the error bound is met."""
+    target = DEFAULT_POLICY.target_bits
+    for iso, r in zip(isolate_real_roots(f), refined_roots(f)):
+        width = iso.hi - iso.lo
+        steps = max(0, width.numerator.bit_length() - width.denominator.bit_length()) + target + 16
+        root = bisect_root(f.p2, f.p1, f.p0, iso.lo, iso.hi, steps)
+        slack = width / 2 ** steps  # |root - true root| <= slack
+        assert iso.lo <= r.lo <= r.hi <= iso.hi
+        assert r.lo - slack <= root <= r.hi + slack
+        assert r.err <= mp.ldexp(1, -target)
+        with mp.workprec(r.prec):  # exact: value and err carry at most r.prec bits
+            value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+        assert abs(value - root) <= err + slack
+
+
+_DECADE_T = st.integers(3, 23).flatmap(lambda e: st.integers(10 ** e, 10 ** (e + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["one_unit", "two_unit", "seed"]), _DECADE_T, st.sampled_from([1, -1]))
+def test_family_enclosures_hold_the_bisected_root(kind, t, sign):
+    _assert_enclosures_hold_bisected_roots(_member(kind, sign * t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(2 ** 44, 2 ** 100), st.sampled_from([1, -1]))
+def test_close_root_enclosures_hold_the_bisected_root(k, d, s):
+    # (x-k)^2 (x-k+s*d) - s has two roots k +- d^(-1/2) + O(1/d), closer than 2^-20
+    f = MonicCubic(s * d - 3 * k, 3 * k * k - 2 * s * d * k, s * d * k * k - k ** 3 - s)
+    assert is_totally_real(f)
+    near_k = [r for r in refined_roots(f) if abs(r.value - k) < 1]
+    assert len(near_k) == 2 and abs(near_k[0].value - near_k[1].value) < mp.ldexp(1, -20)
+    _assert_enclosures_hold_bisected_roots(f)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(310, 420), st.integers(1, 9), st.integers(-5, 5).filter(bool))
+def test_huge_coefficient_enclosures_hold_the_bisected_root(e, m, c):
+    # coefficients beyond float64: roots +-sqrt(m 10^e) and about c/(m 10^e)
+    # for the first; about -m 10^e, beyond float64 too, for the second
+    for f in (MonicCubic(0, -m * 10 ** e, c), MonicCubic(m * 10 ** e, 1, -1)):
+        _assert_enclosures_hold_bisected_roots(f)
+
+
+def test_float_seed_steps_aside_only_beyond_float64_range():
+    # p1 = -3*10^400 does not fit a float64, but every root does: all are seeded
+    f = MonicCubic(0, -3 * 10 ** 400, 1)
+    for r in isolate_real_roots(f):
+        assert roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] is not None
+    _assert_enclosures_hold_bisected_roots(f)
+    # the root near -3*10^400 does not: it takes the midpoint start
+    f = MonicCubic(3 * 10 ** 400, 1, -1)
+    seeds = [roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] for r in isolate_real_roots(f)]
+    assert seeds[0] is None and None not in seeds[1:]
+    _assert_enclosures_hold_bisected_roots(f)
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+def test_family_roots_certify_at_the_first_rung(kind):
+    # The first rung runs at target + (root magnitude bits) + 64 bits, below
+    # 2*(target + 64) for every t <= 10^24; the second rung is at least that.
+    second = 2 * (DEFAULT_POLICY.target_bits + 64)
+    for e in range(3, 25):
+        for r in refined_roots(_member(kind, 10 ** e)):
+            assert r.prec < second, (e, r)
+
+
 # ---------------------------------------------------------------------------
 # Newton hypothesis checks and asymptotic predictions
 # ---------------------------------------------------------------------------
@@ -178,13 +259,3 @@ def test_asymptotic_roots_rejects_unknown_params():
     with pytest.raises(DomainError):
         asymptotic_roots("simplest", 10)
 
-
-def test_root_to_json():
-    r = refined_roots(SEED)[2]
-    d = json.loads(root_to_json(r))
-    assert d["value"].startswith("1.8793852415718")
-    assert d["err"].startswith("2^-")
-    exact = IsolatedRoot(Fraction(1, 2), Fraction(1, 2), mp.mpf("0.5"), mp.mpf(0), 64)
-    d = json.loads(root_to_json(exact))
-    assert d["err"] == "0"
-    assert d["value"].startswith("0.5")
