@@ -107,7 +107,6 @@ from .units import (
     build_order,
     certify_fundamental,
     log_embed,
-    relative_regulator,
     relative_regulator_with_error,
     report_to_json,
 )
@@ -150,6 +149,6 @@ __all__ = [
     "same_shape", "shape_from_units", "to_plane",
     # units
     "CubicOrderData", "LogVector", "RegulatorReport", "build_order",
-    "certify_fundamental", "log_embed", "relative_regulator",
+    "certify_fundamental", "log_embed",
     "relative_regulator_with_error", "report_to_json",
 ]

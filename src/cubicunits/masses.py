@@ -9,8 +9,11 @@ height > H, and the expected escape rate is checked against the ceiling of
 the hexagon through check_tight.
 
 Heights are certified, with all search work in float64 and every
-certified value exact or from mpf. The kernel reads the basis exactly as
-integers times a power of two, and a float64 Lenstra-Lenstra-Lovasz
+certified value exact or from mpf. A basis is carried as its exact
+integer image, three integer columns times one power of two: the
+embedding is rounded into it once, and the flow multiplies its columns
+by the mantissas of three mpf exponentials, rounding each entry once.
+The kernel reads that image directly, and a float64 Lenstra-Lenstra-Lovasz
 preconditioner (lazy size reduction from the exact Gram matrix, as in
 Nguyen and Stehle's L^2) reduces it by exact integer column operations.
 The same float64 Gram-Schmidt data then prune a complete Fincke-Pohst
@@ -26,10 +29,12 @@ float error that must fit a stated headroom, proves escape near p, and a
 centre it does not settle gets one certified enumeration, lambda_1 within
 [s - m, s + m], which decides every point within log((s - m) H) (no
 escape) or -log((s + m) H) (escape) of p. Centres are the grid points not
-yet covered, coarse to fine, all moved from one basis of L reduced once
-per sweep. The distance between two grid points depends only on their
-offset, which the cover reads exactly from integer images of the alphas,
-so each centre marks one interval per grid row. A centre in doubt covers
+yet covered, coarse to fine, all moved from one basis of L that the
+order reduces once and keeps. Each centre (a alpha1 + b alpha2) / k is
+formed from exact dyadic images of the alphas, rounded once per
+coordinate. The distance between two grid points depends only on their
+offset, which the cover reads exactly from the same images, so each
+centre marks one interval per grid row. A centre in doubt covers
 nothing, and a point no verdict covers raises PrecisionExhaustedError.
 """
 
@@ -42,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_shift, round_nearest
 
 from .errors import (
     DependentUnitsError,
@@ -49,7 +55,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import mpf_to_fraction
+from .precision import fraction_to_mpf, mpf_to_fraction
 from .units import CubicOrderData, LogVector, log_embed
 
 __all__ = [
@@ -78,13 +84,31 @@ _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 
 @dataclass(frozen=True)
 class LatticeBasis3:
-    """Columns of a 3x3 real basis, with a bound on the determinant error."""
+    """A 3x3 real basis as its exact integer image, column j being
+    2^exp * cols[j], with a bound on the determinant error. `column(j)`
+    and `mat` are exact mpf views of the same entries."""
 
-    mat: mp.matrix
+    cols: tuple[tuple[int, int, int], ...]
+    exp: int
     det_err: mp.mpf
 
-    def column(self, j: int):
-        return [self.mat[i, j] for i in range(3)]
+    @classmethod
+    def from_columns(cls, cols, det_err) -> "LatticeBasis3":
+        """The basis whose column j holds the finite entries cols[j] (mpf,
+        int or float, each a dyadic rational), read exactly."""
+        ints, e = _dyadic([v for c in cols for v in c])
+        return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e, det_err)
+
+    def column(self, j: int) -> list:
+        return [mp.make_mpf(from_man_exp(v, self.exp)) for v in self.cols[j]]
+
+    @property
+    def mat(self) -> mp.matrix:
+        m = mp.matrix(3, 3)
+        for j in range(3):
+            for i, v in enumerate(self.column(j)):
+                m[i, j] = v
+        return m
 
 
 @dataclass(frozen=True)
@@ -103,49 +127,61 @@ class HexDomain:
     ceiling_err: mp.mpf
 
 
-def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
-    """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i."""
-    prec = prec or order.policy.target_bits
-    with mp.workprec(prec + 32):
-        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
-        cols = []
-        for j in range(3):
-            cols.append([scale * r.value ** j for r in order.roots])
-        m = mp.matrix(3, 3)
-        for j in range(3):
-            for i in range(3):
-                m[i, j] = cols[j][i]
-        det = mp.det(m)
-        tol = mp.ldexp(1, -(prec // 2))
-        if abs(abs(det) - 1) > tol:
-            raise InternalInconsistencyError(
-                f"embedding determinant {mp.nstr(det, 12)} is not unimodular")
-        return LatticeBasis3(m, tol)
-
-
-def exp_act(x: LogVector, basis: LatticeBasis3) -> LatticeBasis3:
-    """Action of the diagonal flow: row i of the basis scales by e^{x_i}."""
-    m = mp.matrix(3, 3)
-    for i in range(3):
-        e = mp.exp(x.coords[i])
-        for j in range(3):
-            m[i, j] = e * basis.mat[i, j]
-    return LatticeBasis3(m, basis.det_err)
-
-
-def _integer_image(basis: LatticeBasis3) -> tuple[list[list[int]], int]:
-    """(cols, e) with column j of the basis equal to 2^e * cols[j] exactly;
-    every finite mpf is a dyadic rational."""
-    raw = [[basis.mat[i, j]._mpf_ for i in range(3)] for j in range(3)]
-    if any(not man and bc for c in raw for _, man, _, bc in c):
-        raise InternalInconsistencyError("non-finite basis entry")
-    e = min((exp for c in raw for _, man, exp, _ in c if man), default=0)
-    return [[(-man if sign else man) << (exp - e) if man else 0
-             for sign, man, exp, _ in c] for c in raw], e
+def _dyadic(values) -> tuple[list[int], int]:
+    """(ints, e) with values[i] = ints[i] * 2^e exactly, e the least 2-adic
+    valuation among the nonzero values; each value is a finite mpf, int or
+    float, read exactly by mpf_to_fraction."""
+    qs = [mpf_to_fraction(v) for v in values]
+    e = min(((q.numerator & -q.numerator).bit_length() - q.denominator.bit_length()
+             for q in qs if q), default=0)
+    return [int(q / Fraction(2) ** e) for q in qs], e
 
 
 def _dot(x, y) -> int:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
+    """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i,
+    computed at prec + 32 bits and kept as its exact integer image; the
+    image's exact determinant must be 1 up to det_err = 2^-(prec // 2) in
+    absolute value."""
+    prec = prec or order.policy.target_bits
+    with mp.workprec(prec + 32):
+        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
+        basis = LatticeBasis3.from_columns(
+            [[scale * r.value ** j for r in order.roots] for j in range(3)],
+            mp.ldexp(1, -(prec // 2)))
+    u, v, w = basis.cols
+    cross = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
+    det = _dot(u, cross) * Fraction(2) ** (3 * basis.exp)
+    if abs(abs(det) - 1) > Fraction(1, 1 << (prec // 2)):
+        raise InternalInconsistencyError(
+            f"embedding determinant {mp.nstr(fraction_to_mpf(det, 64), 12)} is not unimodular")
+    return basis
+
+
+def exp_act(x: LogVector, basis: LatticeBasis3) -> LatticeBasis3:
+    """Action of the diagonal flow: row i of the basis scales by e^{x_i}.
+
+    Works at the ambient precision p: e^{x_i} is one mpf exp, and entry
+    (i, j) of the result is the exact product of its mantissa with the
+    integer entry cols[j][i], rounded once to p bits (to nearest), so it is
+    within a relative 2^-p of e^{x_i} (rounded) times the entry.
+    """
+    p = mp.mp.prec
+    entries = []  # (j, i, q, s): entry (i, j) of the result is q 2^s
+    for i, xi in enumerate(x.coords):
+        _, man, f, _ = mpf_exp(xi._mpf_, p, round_nearest)
+        for j, c in enumerate(basis.cols):
+            v = man * c[i]
+            n = max(abs(v).bit_length() - p, 0)
+            entries.append((j, i, (v + (1 << n >> 1)) >> n, f + n))
+    e = min((s for _, _, q, s in entries if q), default=0)
+    cols = [[0] * 3 for _ in range(3)]
+    for j, i, q, s in entries:
+        cols[j][i] = q << (s - e) if q else 0
+    return LatticeBasis3(tuple(map(tuple, cols)), basis.exp + e, basis.det_err)
 
 
 def _scaled_float(n: int, shift: int) -> float:
@@ -257,15 +293,14 @@ def _fincke_pohst(bsq, mu, bound):
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """Certified euclidean length of a shortest nonzero lattice vector.
 
-    The columns, read exactly as integers times 2^e, are LLL-reduced in
+    The integer columns of the basis's exact image are LLL-reduced in
     exact arithmetic (_lll); a float64 Fincke-Pohst enumeration over their
     Gram-Schmidt data, padded by _ENUM_PAD, keeps every coefficient vector
     that can be shortest, and the least exact integer norm among those is
     the true minimum of the lattice the columns span, rounded twice at
     prec bits (to mpf, square root).
     """
-    cols, e = _integer_image(basis)
-    red, bsq, mu, shift = _lll(cols)
+    red, bsq, mu, shift = _lll(basis.cols)
     diag = [_scaled_float(_dot(c, c), shift) for c in red]
     bound = (1 + _ENUM_PAD) * min(diag)
     eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
@@ -280,7 +315,7 @@ def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
         [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
         for c in _fincke_pohst(bsq, mu, bound)))
     with mp.workprec(prec):
-        return mp.ldexp(mp.sqrt(best), e)
+        return mp.ldexp(mp.sqrt(best), basis.exp)
 
 
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -447,17 +482,15 @@ def mass_above_height(
     top = 2 * k // 3
     exhibit = _exhibit(order, phi, height, window)
     cover = _cover(phi, k, rows)
+    certified_norm = _certified_norm(order, phi, k)
     state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-    base = None
     for a, b in sorted(((u, v) for u, row in enumerate(rows, -top) for v in row),
                        key=_level, reverse=True):
         if state[a + top][b - rows[a + top].start]:
             continue
         mark, r = _ESCAPES, exhibit(a / k, b / k)
         if r is None:
-            if base is None:
-                base = _prereduced(order)
-            s, margin = _certified_norm(order, phi, (a, b), k, base)
+            s, margin = certified_norm(a, b)
             with mp.workprec(_bits(order)):
                 h = mp.mpf(height)
                 if (s - margin) * h > 1:
@@ -575,7 +608,8 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     bug.
     """
     def image(alpha):
-        x1, x2 = (round(mpf_to_fraction(c) * 2 ** _COVER_BITS) for c in alpha.coords[:2])
+        ints, e = _dyadic(alpha.coords[:2])
+        x1, x2 = (round(v * Fraction(2) ** (e + _COVER_BITS)) for v in ints)
         return x1, x2, -x1 - x2
 
     top = 2 * k // 3
@@ -620,29 +654,28 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     relative 2^-(bits+29) of its value from the stored roots: reducing at
     the order's bits finds the transform U and the bits its sums cancel,
     and U is applied exactly to an embedding carrying that many more bits.
+    No step reads the ambient precision, so the order memoises the basis,
+    keyed by bits, and every height of a member shares one reduction.
     """
     bits = _bits(order)
-    cols, _ = _integer_image(embed_order_lattice(order, bits))
-    red = _lll([c + [int(i == j) for i in range(3)] for j, c in enumerate(cols)])[0]
+    if bits in order._reduced:
+        return order._reduced[bits]
+    cols = embed_order_lattice(order, bits).cols
+    red = _lll([list(c) + [int(i == j) for i in range(3)] for j, c in enumerate(cols)])[0]
     lost = max(sum(abs(u * cols[j][i]) for j, u in enumerate(r[3:])).bit_length()
                - abs(r[i]).bit_length() for r in red for i in range(3) if r[i])
     fine = embed_order_lattice(order, bits + lost)
-    cols, e = _integer_image(fine)
-    m = mp.matrix(3, 3)
-    for j, r in enumerate(red):
-        for i in range(3):
-            v = sum(u * cols[l][i] for l, u in enumerate(r[3:]))
-            with mp.workprec(max(v.bit_length(), 1)):
-                m[i, j] = mp.ldexp(v, e)
-    return LatticeBasis3(m, fine.det_err)
+    moved = tuple(tuple(sum(u * c[i] for c, u in zip(fine.cols, r[3:])) for i in range(3))
+                  for r in red)
+    return order._reduced.setdefault(bits, LatticeBasis3(moved, fine.exp, fine.det_err))
 
 
 def _dual_weight(basis: LatticeBasis3) -> float:
     """Upper bound on sum_k |m_k| |d_k| over the columns m_k and the dual
     basis d_k = (m_i x m_j) / det, (k, i, j) cyclic, with |det| >= 1/2 (it
     is 1 up to the embedding and flow errors); each cross-product entry is
-    bounded without cancellation."""
-    m = [[abs(float(v)) for v in basis.column(j)] for j in range(3)]
+    bounded without cancellation. Reads float64 of the integer columns."""
+    m = [[_scaled_float(abs(v), -basis.exp) for v in c] for c in basis.cols]
     total = 0.0
     for k in range(3):
         p, q = m[(k + 1) % 3], m[(k + 2) % 3]
@@ -651,30 +684,40 @@ def _dual_weight(basis: LatticeBasis3) -> float:
     return 2 * total
 
 
-def _certified_norm(
-    order: CubicOrderData,
-    phi: SimplexSet,
-    point,
-    k: int,
-    base: LatticeBasis3,
-) -> tuple[mp.mpf, mp.mpf]:
-    """(s, margin) with |lambda_1(exp(x) L) - s| <= margin at the exact
-    hexagon point x = (a/k) alpha1 + (b/k) alpha2, point = (a, b).
+def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
+    """norm(a, b): (s, margin) with |lambda_1(exp(x) L) - s| <= margin at
+    the exact hexagon point x = (a alpha1 + b alpha2) / k.
 
-    Works at the order's own precision. `base` is within 2^-(bits+29) of
-    L entrywise (_prereduced); exp_act rounds each entry once and its exp
-    is good to an ulp, so every entry of the moved basis M is within a
-    relative delta = 2^-(bits-2) of exp(x) L's. The minimiser w of either
-    basis has |w_k| = |<d_k, M w>| <= lambda_1 |d_k| (d the dual basis),
-    so their minima differ by at most delta lambda_1 sum_k |m_k| |d_k|; the
-    kernel rounds its exact minimum twice (2^-(bits-1)); and 4 x.err s
-    charges the error of x. Instead of a precision ladder, a tie inside
-    that margin covers nothing and in the end asks for a finer order.
+    Works at the order's own precision. The alphas are read once, as exact
+    dyadic images; each coordinate of x is then one integer quotient
+    rounded to nearest, off by at most a relative 2^-bits, and x.err
+    charges that and (|a| alpha1.err + |b| alpha2.err) / k. `base` is
+    within 2^-(bits+29) of L entrywise (_prereduced, made on the first
+    call); exp_act rounds each entry once and its exp is good to an ulp,
+    so every entry of the moved basis M is within a relative delta =
+    2^-(bits-2) of exp(x) L's. The minimiser w of either basis has |w_k| =
+    |<d_k, M w>| <= lambda_1 |d_k| (d the dual basis), so their minima
+    differ by at most delta lambda_1 sum_k |m_k| |d_k|; the kernel rounds
+    its exact minimum twice (2^-(bits-1)); and 4 x.err s charges the error
+    of x. Instead of a precision ladder, a tie inside that margin covers
+    nothing and in the end asks for a finer order.
     """
     bits = _bits(order)
+    (n1, e1), (n2, e2) = _dyadic(phi.alpha1.coords), _dyadic(phi.alpha2.coords)
+    e = min(e1, e2)  # x_i = (a p1_i + b p2_i) 2^e / k
+    p1, p2 = [v << (e1 - e) for v in n1], [v << (e2 - e) for v in n2]
     with mp.workprec(bits):
-        a, b = (int(v) for v in point)
-        x = phi.alpha1.scaled(mp.mpf(a) / k) + phi.alpha2.scaled(mp.mpf(b) / k)
-        moved = exp_act(x, base)
-        s = shortest_vector_norm(moved, bits)
-        return s, s * (mp.ldexp(_dual_weight(moved), 3 - bits) + 4 * x.err)
+        err1, err2 = phi.alpha1.err / k, phi.alpha2.err / k
+
+    def norm(a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
+        base = _prereduced(order)
+        with mp.workprec(bits):
+            xs = [mp.make_mpf(mpf_shift(from_rational(a * u + b * v, k, bits, round_nearest), e))
+                  for u, v in zip(p1, p2)]
+            x = LogVector(*xs, abs(a) * err1 + abs(b) * err2
+                          + mp.ldexp(max(abs(c) for c in xs), 1 - bits))
+            moved = exp_act(x, base)
+            s = shortest_vector_norm(moved, bits)
+            return s, s * (mp.ldexp(_dual_weight(moved), 3 - bits) + 4 * x.err)
+
+    return norm

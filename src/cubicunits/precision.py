@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,11 +37,16 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact: every finite mpf is a dyadic rational."""
-    x = mp.mpf(x)
-    if not mp.isfinite(x):
+    """Exact value of a finite mpf, int or float: each is a dyadic
+    rational. An mpf is read from its own mantissa and exponent, so the
+    ambient precision plays no part."""
+    if isinstance(x, (int, float)):
+        if not math.isfinite(x):
+            raise InvalidParamsError(f"cannot convert {x} to a fraction")
+        return Fraction(x)
+    sign, man, exp, bc = x._mpf_
+    if not man and bc:
         raise InvalidParamsError(f"cannot convert {x} to a fraction")
-    sign, man, exp, _ = x._mpf_
     fr = Fraction(-man if sign else man)
     if exp >= 0:
         return fr * (1 << exp)

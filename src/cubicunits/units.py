@@ -31,7 +31,6 @@ __all__ = [
     "CubicOrderData",
     "RegulatorReport",
     "log_embed",
-    "relative_regulator",
     "relative_regulator_with_error",
     "certify_fundamental",
     "build_order",
@@ -90,7 +89,8 @@ class LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and log_embed's memo."""
+    check (with the rejects and why), log_embed's memo, and the mass
+    stage's memo of the reduced lattice basis."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -99,6 +99,7 @@ class CubicOrderData:
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _reduced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,6 @@ def relative_regulator_with_error(v1: LogVector, v2: LogVector):
     if det <= 8 * err:
         raise DependentUnitsError("regulator determinant below the error floor")
     return det, err
-
-
-def relative_regulator(v1: LogVector, v2: LogVector) -> mp.mpf:
-    return relative_regulator_with_error(v1, v2)[0]
 
 
 def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, margin_bits: int = 32,

@@ -47,11 +47,7 @@ def vec(x1, x2, x3, err="1e-40"):
 
 
 def basis_from_cols(cols):
-    m = mp.matrix(3, 3)
-    for j, c in enumerate(cols):
-        for i in range(3):
-            m[i, j] = mp.mpf(c[i])
-    return LatticeBasis3(m, mp.ldexp(1, -90))
+    return LatticeBasis3.from_columns([[mp.mpf(v) for v in c] for c in cols], mp.ldexp(1, -90))
 
 
 def regular_simplex():
@@ -94,19 +90,17 @@ def test_shortest_vector_is_lattice_invariant():
             m[j, 0] = m[j, 0] + 3 * m[j, 1] - 2 * m[j, 2]
         for j in range(3):
             m[j, 2] = m[j, 2] - 5 * m[j, 1]
-        tweaked = LatticeBasis3(m, base.det_err)
+        tweaked = LatticeBasis3.from_columns(
+            [[m[i, j] for i in range(3)] for j in range(3)], base.det_err)
         assert abs(shortest_vector_norm(tweaked) - ref) < mp.ldexp(1, -60)
 
 
 def exact_basis(cols):
-    # integer-valued dyadic entries, stored without rounding
-    m = mp.matrix(3, 3)
+    # dyadic entries, stored without rounding
     with mp.workprec(8192):
-        for j, c in enumerate(cols):
-            for i in range(3):
-                q = Fraction(c[i])
-                m[i, j] = mp.mpf(q.numerator) / q.denominator
-    return LatticeBasis3(m, mp.mpf(0))
+        return LatticeBasis3.from_columns(
+            [[mp.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in c]
+             for c in cols], mp.mpf(0))
 
 
 def reference_norm(basis, prec=1024):
@@ -204,6 +198,28 @@ def test_kernel_matches_reference_on_moved_family_bases(kind, e, index):
         assert abs(s - ref) <= ref * mp.ldexp(1, -(192 - 40))
 
 
+def centre(phi, a, b, k, bits):
+    # x = (a alpha1 + b alpha2) / k from the exact alphas, each coordinate
+    # rounded to nearest at bits through a 4096-bit quotient, which lands on
+    # no tie at bits here; exp_act reads only the coordinates
+    coords = []
+    for p, q in zip(phi.alpha1.coords, phi.alpha2.coords):
+        x = (a * mpf_to_fraction(p) + b * mpf_to_fraction(q)) / k
+        with mp.workprec(4096):
+            x = mp.mpf(x.numerator) / x.denominator
+        with mp.workprec(bits):
+            coords.append(+x)
+    return LogVector(*coords, mp.mpf(0))
+
+
+def raw_embedding(order, prec):
+    # the embedding from the stored roots, each entry rounded at prec
+    with mp.workprec(prec):
+        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
+        return LatticeBasis3.from_columns(
+            [[scale * r.value ** j for r in order.roots] for j in range(3)], mp.mpf(0))
+
+
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 12, 10 ** 24])
 def test_certified_norm_charges_the_kernel_error(kind, t):
@@ -212,23 +228,63 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
     order, phi = family_order(kind, t)
     bits = masses._bits(order)
     base = masses._prereduced(order)
-    with mp.workprec(768):  # the raw embedding, from the same stored roots
-        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
-        fine = LatticeBasis3(mp.matrix([[scale * r.value ** j for j in range(3)]
-                                        for r in order.roots]), mp.mpf(0))
+    fine = raw_embedding(order, 768)
     k, rows = masses._hexagon_rows(60)
+    norm = masses._certified_norm(order, phi, k)
     points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
     for a, b in points[::4]:
+        x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
-            x = phi.alpha1.scaled(mp.mpf(a) / k) + phi.alpha2.scaled(mp.mpf(b) / k)
             moved = exp_act(x, base)
             s = shortest_vector_norm(moved, bits)
             term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
-            s_ref, margin = masses._certified_norm(order, phi, (a, b), k, base)
+            s_ref, margin = norm(a, b)
             assert s_ref == s and margin >= term
         with mp.workprec(768):
             s768 = reference_norm(exp_act(x, fine), 1024)
             assert abs(s - s768) <= term
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 12, 10 ** 24])
+def test_exp_act_rounds_each_entry_once(kind, t):
+    # every entry of the moved integer image is within a relative
+    # 2^-(bits-2) of the 768-bit product e^{x_i} times the basis entry
+    order, phi = family_order(kind, t)
+    bits = masses._bits(order)
+    base = masses._prereduced(order)
+    k, rows = masses._hexagon_rows(60)
+    points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
+    for a, b in points[::9]:
+        x = centre(phi, a, b, k, bits)
+        with mp.workprec(bits):
+            moved = exp_act(x, base)
+        with mp.workprec(768):
+            for j in range(3):
+                for i, (m, v) in enumerate(zip(moved.column(j), base.column(j))):
+                    ref = mp.exp(x.coords[i]) * v
+                    assert abs(m - ref) <= abs(ref) * mp.ldexp(1, -(bits - 2))
+
+
+def test_prereduced_is_memoised_per_order(monkeypatch):
+    order, phi = mass_member("one_unit", 1000)
+    embeds = []
+
+    def counting(*args, **kwargs):
+        embeds.append(1)
+        return embed_order_lattice(*args, **kwargs)
+
+    monkeypatch.setattr(masses, "embed_order_lattice", counting)
+    for height in (10.0, 9.99, 100.0):
+        mass_above_height(order, phi, height, samples=600)
+    assert len(embeds) == 2  # one reduction: the coarse and the fine embedding
+    base = masses._prereduced(order)
+    assert masses._prereduced(order) is base and len(embeds) == 2
+    # the memo holds what a fresh order reduces at any ambient precision
+    fresh = mass_member("one_unit", 1000)[0]
+    with mp.workprec(30):
+        assert masses._prereduced(fresh) == base
+    assert fresh == order  # the memo takes no part in comparing orders
 
 
 def test_order_height_is_disc_sixth_over_sqrt3():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cubicunits import (
     DEFAULT_POLICY,
     DomainError,
+    InvalidParamsError,
     IsolatedRoot,
     MonicCubic,
     OneUnitParams,
@@ -92,6 +93,20 @@ def test_refine_respects_policy():
     assert r.err <= mp.ldexp(1, -400)
     with mp.workprec(500):
         assert abs(r.value - 2 * mp.cos(mp.pi / 9)) < mp.ldexp(1, -398)
+
+
+def test_mpf_to_fraction_ignores_the_ambient_precision():
+    # a 200-bit 1/3 reads the same inside and outside its precision
+    with mp.workprec(200):
+        third = mp.mpf(1) / 3
+        inside = mpf_to_fraction(third)
+    assert mpf_to_fraction(third) == inside
+    assert abs(Fraction(1, 3) - inside) < Fraction(1, 2 ** 201)
+    assert mpf_to_fraction(-(10 ** 30)) == -(10 ** 30)
+    assert mpf_to_fraction(0.1) == Fraction(0.1) and mpf_to_fraction(mp.mpf(0)) == 0
+    for bad in (mp.inf, mp.nan, float("-inf")):
+        with pytest.raises(InvalidParamsError):
+            mpf_to_fraction(bad)
 
 
 @settings(max_examples=40, deadline=None)
