@@ -1,9 +1,10 @@
 """Exact integer arithmetic on monic cubics.
 
 Everything in this module is exact: big integers and Fractions only, no
-floating point. Irreducibility, root counting and root isolation all
-reduce to the sign of an integer, a^3 f(b/a), at rational points chosen
-from the critical points of f. The numeric side (isolated root
+floating point. Irreducibility and root isolation both reduce to the
+sign of an integer, a^3 f(b/a), at rational points chosen from the
+critical points of f; the isolating intervals are cut at those points
+in closed form, with no bisection. The numeric side (isolated root
 refinement, logs, shapes) lives elsewhere and consumes these polynomials.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import InternalInconsistencyError, InvalidParamsError
+from .errors import InvalidParamsError
 
 __all__ = [
     "MonicCubic",
@@ -118,13 +119,13 @@ def scale_root(f: MonicCubic, n: int) -> MonicCubic:
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root counting and isolation, on integer signs only.
+# Exact real-root isolation and irreducibility, on integer signs only.
 #
 # f' has the critical points c1 < c2 = (-p2 -+ sqrt(D))/3, D = p2^2 - 3p1.
 # Between and beyond them f is monotone, which is all the irreducibility
-# test needs. For the isolation, the number of distinct real roots <= x
-# follows from the sign of f(x) once the roots are separated: by closed
-# forms when disc = 0, and otherwise by rationals near c1 and c2.
+# test needs. The isolation needs no search either: rationals near c1 and
+# c2 separate three simple roots, and repeated roots are integers with
+# closed forms.
 # ---------------------------------------------------------------------------
 
 
@@ -158,71 +159,28 @@ def _separators(f: MonicCubic, D: int) -> tuple[Fraction, Fraction]:
         k = 2 * k + 1
 
 
-def _root_counter(f: MonicCubic):
-    """x -> the number of distinct real roots of f that are <= x."""
+def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
+    """Half-open intervals (lo, hi], ascending, each containing exactly one
+    distinct real root of f. Exact; handles any cubic (1 or 3 real roots,
+    even with repeated roots, which are counted once).
+
+    No search: (-B, B], B the Cauchy bound, is cut at the separators
+    q1 < q2 when disc > 0, at the midpoint of the two integer roots when
+    one of them is double, and nowhere when f has one distinct real root.
+    f is nonzero at every end, with a strict sign change when disc > 0."""
+    B = Fraction(_root_bound(f))
     disc = discriminant(f)
-    if disc < 0:  # one simple real root, where f turns positive
-        return lambda x: int(sign_at(f, x) >= 0)
     D = f.p2 * f.p2 - 3 * f.p1
-    if disc == 0:  # repeated roots of a monic integer cubic are integers
-        if D == 0:  # (x - r)^3 with r = -p2/3
-            r = -f.p2 // 3
-            return lambda x: int(x >= r)
+    if disc > 0:
+        cuts = _separators(f, D)
+    elif disc == 0 and D:
         # (x - a)^2 (x - b): D = (a - b)^2 and 9p0 - p1p2 = 2a(a - b)^2
         a = (9 * f.p0 - f.p1 * f.p2) // (2 * D)
-        b = -f.p2 - 2 * a
-        return lambda x: (x >= a) + (x >= b)
-    q1, q2 = _separators(f, D)
-
-    def count(x):
-        s = sign_at(f, x)
-        if x < q1:  # below r2: r1 <= x iff f(x) >= 0
-            return int(s >= 0)
-        if x <= q2:  # inside (r1, r3): r2 <= x iff f(x) <= 0
-            return 1 + (s <= 0)
-        return 2 + (s >= 0)  # above r2
-
-    return count
-
-
-def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
-    """Half-open intervals (lo, hi], each containing exactly one distinct
-    real root of f. Exact; handles any cubic (1 or 3 real roots, even with
-    repeated roots, which are counted once).
-
-    Bisects [-B, B] (B the Cauchy bound) until each piece holds at most
-    one root, counting roots with the exact counter above."""
-    count = _root_counter(f)
-    B = _root_bound(f)
-    lo, hi = Fraction(-B), Fraction(B)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, count(lo), count(hi))]
-    while stack:
-        a, b, na, nb = stack.pop()
-        n = nb - na
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        mid = _split_point(f, a, b)
-        nm = count(mid)
-        stack.append((a, mid, na, nm))
-        stack.append((mid, b, nm, nb))
-    out.sort(key=lambda iv: iv[0])
-    return out
-
-
-def _split_point(f: MonicCubic, a: Fraction, b: Fraction) -> Fraction:
-    # Split points avoid the roots, so f != 0 at every endpoint and an
-    # interval around a simple root shows a strict sign change, which
-    # roots.isolate_real_roots checks; a cubic has at most three roots,
-    # so one of these split ratios always works.
-    for k in (Fraction(1, 2), Fraction(9, 16), Fraction(17, 32), Fraction(31, 64)):
-        mid = a + (b - a) * k
-        if sign_at(f, mid) != 0:
-            return mid
-    raise InternalInconsistencyError("cubic with four roots?")
+        cuts = (Fraction(-f.p2 - a, 2),)  # (a + b)/2, as b = -p2 - 2a
+    else:  # one simple real root, or (x - r)^3 when disc = D = 0
+        cuts = ()
+    ends = (-B, *cuts, B)
+    return list(zip(ends, ends[1:]))
 
 
 def _has_int_root(f: MonicCubic, lo: int, hi: int, d: int) -> bool:

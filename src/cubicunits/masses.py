@@ -484,8 +484,7 @@ def mass_above_height(
     cover = _cover(phi, k, rows)
     certified_norm = _certified_norm(order, phi, k)
     state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-    for a, b in sorted(((u, v) for u, row in enumerate(rows, -top) for v in row),
-                       key=_level, reverse=True):
+    for a, b in _centres(rows, top):
         if state[a + top][b - rows[a + top].start]:
             continue
         mark, r = _ESCAPES, exhibit(a / k, b / k)
@@ -509,10 +508,18 @@ def mass_above_height(
     return Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows)))
 
 
-def _level(point) -> float:
-    """The lowest set bit of gcd(a, b), infinite at the origin."""
-    low = point[0] | point[1]
-    return low & -low or math.inf
+def _centres(rows: list[range], top: int):
+    """The grid points (a, b) in descending 2-adic valuation of gcd(a, b):
+    the origin, then each level s = 2^j, row-major within a level."""
+    yield 0, 0
+    s = 1 << top.bit_length()  # above every |a|, |b| <= top
+    while s > 1:
+        s >>= 1
+        for a in range(-(top // s) * s, top + 1, s):
+            row = rows[a + top]
+            for b in range(-(-row.start // s) * s, row.stop, s):
+                if (a | b) & s:  # lowest set bit of gcd(a, b) is s
+                    yield a, b
 
 
 def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int):

@@ -1,19 +1,19 @@
 """Validated isolation and refinement of the three real roots.
 
-Isolation is exact (`cubics.isolating_intervals`: bisection with an exact
-count of the roots below each split point, from integer signs of f).
-Refinement only has to find a good iterate; the certificate does not
-trust it. The iterate comes from float64 Newton inside the exact bracket
-(each iterate's exact sign narrows the bracket, a step that leaves it or
-stalls is replaced by a split), then one mpf Newton step per precision
-level, doubling from about 2*53 bits to the working precision (Brent and
-Zimmermann, Modern Computer Arithmetic, section 4.2), then full-precision
-Newton. The enclosure [x-eps, x+eps] is accepted only inside the exact
-bracket and with an exact sign change at its dyadic ends, so the returned
-interval is unconditionally correct. Asymptotic predictions for the
-constructed families are exact rational Newton steps from the designed
-anchor points, with the theorem's hypotheses checked as finite
-inequalities.
+Isolation is exact and needs no search (`cubics.isolating_intervals`:
+the Cauchy interval cut at two rational separators near the critical
+points of f, which lie strictly between the roots). Refinement only has
+to find a good iterate; the certificate does not trust it. The iterate
+comes from float64 Newton inside the exact bracket (each iterate's exact
+sign narrows the bracket, a step that leaves it or stalls is replaced by
+a split), then one mpf Newton step per precision level, doubling from
+about 2*53 bits to the working precision (Brent and Zimmermann, Modern
+Computer Arithmetic, section 4.2), then full-precision Newton. The
+enclosure [x-eps, x+eps], clipped to the exact bracket, is accepted only
+with an exact sign change at its ends, so the returned interval is
+unconditionally correct. Asymptotic predictions for the constructed
+families are exact rational Newton steps from the designed anchor
+points, with the theorem's hypotheses checked as finite inequalities.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     full-precision Newton until a step is below 2^-(target+4). For a root
     beyond float64 range, Newton starts at the bracket midpoint at full
     precision. The certificate does not trust the iterate: [x-eps, x+eps]
-    is accepted only inside the exact bracket and with an exact sign
-    change at its ends. Otherwise exact bisection narrows the bracket and
+    is clipped to the exact bracket, which holds exactly one root (an end
+    of it can lie within eps of the root), and accepted only with an exact
+    sign change at its ends. Otherwise exact bisection narrows the bracket and
     the next rung of `pol.ladder()` doubles the working precision.
     """
     lo, hi = r.lo, r.hi
@@ -165,7 +166,7 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     target = pol.target_bits
     eps_fr = Fraction(1, 1 << target)
     # working precision must absorb the root magnitude (err bound is absolute)
-    mag_bits = max(abs(lo).numerator.bit_length(), abs(hi).numerator.bit_length())
+    mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
     seed, lo, hi = _float_seed(f, lo, hi, slo)
     for bits in pol.ladder(start_extra=mag_bits + 64):
         with mp.workprec(bits):
@@ -195,8 +196,8 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
                     break
             if ok:
                 xf = mpf_to_fraction(x)
-                cand_lo, cand_hi = xf - eps_fr, xf + eps_fr
-                if lo <= cand_lo and cand_hi <= hi:
+                cand_lo, cand_hi = max(lo, xf - eps_fr), min(hi, xf + eps_fr)
+                if cand_lo <= cand_hi:
                     sl, sh = sign_at(f, cand_lo), sign_at(f, cand_hi)
                     if sl == 0:
                         return IsolatedRoot(cand_lo, cand_lo, fraction_to_mpf(cand_lo, bits), mp.mpf(0), bits)

@@ -181,32 +181,17 @@ def _sign_variations(chain, x: Fraction) -> int:
     return sum(1 for s, r in zip(signs, signs[1:]) if s != r)
 
 
-def sturm_isolating_intervals(p2: int, p1: int, p0: int) -> list[tuple[Fraction, Fraction]]:
-    """Half-open intervals (lo, hi], one per distinct real root, ascending."""
+def sturm_root_count(p2: int, p1: int, p0: int, a: Fraction, b: Fraction) -> int:
+    """The number of distinct real roots of x^3 + p2 x^2 + p1 x + p0 in
+    (a, b], from the Sturm chain."""
     chain = _sturm_chain(p2, p1, p0)
-    f = chain[0]
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def sturm_distinct_real_roots(p2: int, p1: int, p0: int) -> int:
+    """The number of distinct real roots, counted over the Cauchy interval."""
     B = 1 + max(abs(p2), abs(p1), abs(p0))
-    lo, hi = Fraction(-B), Fraction(B)
-    out = []
-    stack = [(lo, hi, _sign_variations(chain, lo) - _sign_variations(chain, hi))]
-    while stack:
-        a, b, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((a, b))
-            continue
-        for k in (Fraction(1, 2), Fraction(9, 16), Fraction(17, 32), Fraction(31, 64)):
-            mid = a + (b - a) * k
-            if _poly_eval(f, mid) != 0:
-                break
-        else:
-            raise AssertionError("cubic with four roots?")
-        va, vm, vb = (_sign_variations(chain, x) for x in (a, mid, b))
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
-    out.sort(key=lambda iv: iv[0])
-    return out
+    return sturm_root_count(p2, p1, p0, Fraction(-B), Fraction(B))
 
 
 def has_integer_root(p2: int, p1: int, p0: int) -> bool:

@@ -19,13 +19,15 @@ from cubicunits import (
     poly_to_json,
     scale_root,
 )
+from cubicunits.cubics import sign_at
 
 from .oracles import (
     disc_from_roots,
     disc_oracle,
     has_integer_root,
     roots_oracle,
-    sturm_isolating_intervals,
+    sturm_distinct_real_roots,
+    sturm_root_count,
 )
 
 coeffs = st.integers(min_value=-200, max_value=200)
@@ -136,8 +138,8 @@ def test_isolating_intervals_on_random_totally_real(f):
         assert float(lo) - 1e-50 < r <= float(hi) + 1e-50
 
 
-# Integer-sign isolation against the Sturm-chain oracle: the intervals must
-# be identical, not just valid, since root refinement starts from them.
+# Closed-form isolation against the Sturm-chain oracle: every interval holds
+# exactly one root, and together they hold all of them.
 big = st.integers(min_value=-10 ** 60, max_value=10 ** 60)
 root20 = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
 
@@ -147,8 +149,16 @@ def _from_roots(r1, r2, r3, shift=0):
     return MonicCubic(-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3 + shift)
 
 
-def _assert_same_intervals(f):
-    assert isolating_intervals(f) == sturm_isolating_intervals(f.p2, f.p1, f.p0)
+def _assert_isolates(f):
+    ivs = isolating_intervals(f)
+    for lo, hi in ivs:
+        assert lo < hi and sturm_root_count(f.p2, f.p1, f.p0, lo, hi) == 1
+    for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
+        assert hi <= lo  # ascending and disjoint
+    assert len(ivs) == sturm_distinct_real_roots(f.p2, f.p1, f.p0)
+    if discriminant(f) > 0:  # refinement needs a strict sign change
+        for lo, hi in ivs:
+            assert sign_at(f, lo) * sign_at(f, hi) < 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,7 +166,7 @@ def _assert_same_intervals(f):
 def test_isolation_matches_sturm_oracle_one_real_root(p2, p1, p0):
     f = MonicCubic(p2, p1, p0)
     assume(discriminant(f) < 0)
-    _assert_same_intervals(f)
+    _assert_isolates(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,7 +175,7 @@ def test_isolation_matches_sturm_oracle_one_real_root(p2, p1, p0):
 def test_isolation_matches_sturm_oracle_three_real_roots(roots, shift):
     f = _from_roots(*roots, shift)
     assume(discriminant(f) > 0)
-    _assert_same_intervals(f)
+    _assert_isolates(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,7 +188,7 @@ def test_isolation_matches_sturm_oracle_near_double_roots(a, b, u, s):
     f = _from_roots(a, a, b)
     f = MonicCubic(f.p2, f.p1 + u, f.p0 - u * a + s)
     assume(discriminant(f) > 0)
-    _assert_same_intervals(f)
+    _assert_isolates(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,7 +197,7 @@ def test_isolation_matches_sturm_oracle_totally_real_from_coefficients(p2, p1, p
     # p1 << 0 makes three real roots likely at any coefficient size
     f = MonicCubic(p2, -abs(p1) * 10 ** 6, p0)
     assume(discriminant(f) > 0)
-    _assert_same_intervals(f)
+    _assert_isolates(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,10 +205,10 @@ def test_isolation_matches_sturm_oracle_totally_real_from_coefficients(p2, p1, p
 def test_isolation_matches_sturm_oracle_double_and_triple_roots(a, b):
     double = _from_roots(a, a, b)
     assert discriminant(double) == 0
-    _assert_same_intervals(double)
+    _assert_isolates(double)
     ivs = isolating_intervals(double)
     assert len(ivs) == (1 if a == b else 2)
-    _assert_same_intervals(_from_roots(a, a, a))
+    _assert_isolates(_from_roots(a, a, a))
     assert len(isolating_intervals(_from_roots(a, a, a))) == 1
 
 
@@ -206,7 +216,7 @@ def test_isolation_matches_sturm_oracle_small_exhaustive():
     for p2 in range(-6, 7):
         for p1 in range(-6, 7):
             for p0 in range(-6, 7):
-                _assert_same_intervals(MonicCubic(p2, p1, p0))
+                _assert_isolates(MonicCubic(p2, p1, p0))
 
 
 @settings(max_examples=200, deadline=None)

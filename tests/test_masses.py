@@ -478,6 +478,20 @@ def test_hexagon_grid_count_formula():
         assert all(p[0].denominator <= 3 * m for p in pts)
 
 
+@pytest.mark.parametrize("samples", [1, 2, 7, 60, 300, 600, 1000, 10000, 12345])
+def test_centres_descend_by_level_then_row_major(samples):
+    # the sweep's centre order: a stable sort by the lowest set bit of
+    # gcd(a, b), highest first, with the origin above every level
+    def level(point):
+        low = point[0] | point[1]
+        return low & -low or math.inf
+
+    k, rows = masses._hexagon_rows(samples)
+    top = 2 * k // 3
+    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
+    assert list(masses._centres(rows, top)) == sorted(grid, key=level, reverse=True)
+
+
 # ---------------------------------------------------------------------------
 # mass above height
 # ---------------------------------------------------------------------------

@@ -200,6 +200,23 @@ def test_float_seed_steps_aside_only_beyond_float64_range():
     _assert_enclosures_hold_bisected_roots(f)
 
 
+def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():
+    # lo lies within 2^-300 below 2^(1/3), so [x - 2^-192, x + 2^-192]
+    # reaches past it; clipped to the bracket, which holds one root, the
+    # enclosure certifies at once, at target + 2 + 64 bits (|hi| = 2)
+    f = MonicCubic(0, 0, -2)
+    with mp.workprec(1200):
+        n = int(mp.floor(mp.cbrt(mp.ldexp(1, 901))))
+    assert n ** 3 <= 1 << 901 < (n + 1) ** 3
+    lo, hi = Fraction(n, 1 << 300), Fraction(2)
+    r = refine_root(f, IsolatedRoot(lo, hi, mp.mpf(1), mp.mpf(1), 64))
+    assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=2 + 64)) == 258
+    assert lo <= r.lo and r.hi <= hi and r.lo ** 3 < 2 < r.hi ** 3
+    x, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+    assert err <= Fraction(1, 1 << DEFAULT_POLICY.target_bits)
+    assert x - err <= r.lo and r.hi <= x + err
+
+
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 def test_family_roots_certify_at_the_first_rung(kind):
     # The first rung runs at target + (root magnitude bits) + 64 bits, below
