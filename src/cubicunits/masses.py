@@ -22,19 +22,22 @@ enumeration, with a relative pad whose derived error bound must fit it
 and one mpf square root at the caller's precision gives the minimum.
 
 The mass scan is one pure-Python cover by Lipschitz cells. Moving x by d
-in the sup norm scales every coordinate of exp(x) v by at most e^d, so
-one verdict at a centre p decides a sup-ball around it: a float64
-*exhibit* of a short unit-monomial vector, with a derived bound on its
-float error that must fit a stated headroom, proves escape near p, and a
-centre it does not settle gets one certified enumeration, lambda_1 within
-[s - m, s + m], which decides every point within log((s - m) H) (no
-escape) or -log((s + m) H) (escape) of p. Centres are the grid points not
+scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d) v| lies between
+e^{min d_i} and e^{max d_i} times |exp(x) v|, and one verdict at a centre
+p decides a one-sided region around it: a float64 *exhibit* of a short
+unit-monomial vector, with a derived bound on its float error that must
+fit a stated headroom, proves escape wherever max_i d_i stays below its
+radius, and a centre it does not settle gets one certified enumeration,
+lambda_1 within [s - m, s + m], which decides every point with min_i d_i
+> -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape).
+In the trace-zero plane each region is a triangle with 3/2 the area of
+the sup-ball hexagon |d_i| < r inside it. Centres are the grid points not
 yet covered, coarse to fine, all moved from one basis of L that the
 order reduces once and keeps. Each centre (a alpha1 + b alpha2) / k is
 formed from exact dyadic images of the alphas, rounded once per
-coordinate. The distance between two grid points depends only on their
-offset, which the cover reads exactly from the same images, so each
-centre marks one interval per grid row. A centre in doubt covers
+coordinate. The offset between two grid points depends only on their
+index difference, which the cover reads exactly from the same images, so
+each centre marks one interval per grid row. A centre in doubt covers
 nothing, and a point no verdict covers raises PrecisionExhaustedError.
 """
 
@@ -380,23 +383,17 @@ def hex_domain(phi: SimplexSet) -> HexDomain:
     return HexDomain(tuple(verts), ceiling, err)
 
 
-def _to_mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
 def check_tight(phi: SimplexSet, ht, big_r, r) -> bool:
     """Whether exp(r * ceiling) <= ht * R holds with certified slack; a
     True answer survives the recorded numeric error, any doubt reports
     False."""
-    big_r = _to_mpf(big_r)
-    r = _to_mpf(r)
+    big_r, r = (fraction_to_mpf(x, mp.mp.prec) if isinstance(x, Fraction) else mp.mpf(x)
+                for x in (big_r, r))
     if big_r < 1 or not (0 <= r <= 1):
         raise InvalidParamsError("need R >= 1 and r in [0, 1]")
     hd = hex_domain(phi)
     lhs = mp.exp(r * (hd.ceiling + hd.ceiling_err))
-    rhs = _to_mpf(ht) * big_r * (1 - mp.ldexp(1, -40))
+    rhs = mp.mpf(ht) * big_r * (1 - mp.ldexp(1, -40))
     return bool(lhs <= rhs)
 
 
@@ -466,10 +463,11 @@ def mass_above_height(
     covered become centres, in descending 2-adic valuation of gcd(a, b),
     then grid order. The unit-monomial exhibit (_exhibit) settles a centre
     when it proves escape, one certified enumeration (_certified_norm)
-    otherwise, and the verdict covers every grid point within the
-    sup-radius it proves (_cover). A centre in doubt covers nothing, and a
-    point no verdict covers raises. The count is exact for the decisions
-    made.
+    otherwise, and the verdict covers every grid point in the one-sided
+    region it proves (_cover): no coordinate of the offset above the
+    radius for escape, none below minus the radius for no escape. A centre
+    in doubt covers nothing, and a point no verdict covers raises. The
+    count is exact for the decisions made.
     """
     if height <= 1:
         raise InvalidParamsError("height threshold must exceed 1")
@@ -484,21 +482,21 @@ def mass_above_height(
     cover = _cover(phi, k, rows)
     certified_norm = _certified_norm(order, phi, k)
     state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-    for a, b in _centres(rows, top):
-        if state[a + top][b - rows[a + top].start]:
-            continue
-        mark, r = _ESCAPES, exhibit(a / k, b / k)
-        if r is None:
-            s, margin = certified_norm(a, b)
-            with mp.workprec(_bits(order)):
-                h = mp.mpf(height)
+    with mp.workprec(_bits(order)):
+        h = mp.mpf(height)
+        for a, b in _centres(rows, top):
+            if state[a + top][b - rows[a + top].start]:
+                continue
+            mark, r = _ESCAPES, exhibit(a / k, b / k)
+            if r is None:
+                s, margin = certified_norm(a, b)
                 if (s - margin) * h > 1:
                     mark, r = _STAYS, float(mp.log((s - margin) * h))
                 elif (s + margin) * h < 1:
                     r = float(-mp.log((s + margin) * h))
                 else:
                     continue
-        cover(state, a, b, r, mark)
+            cover(state, a, b, r, mark)
     for u, row in enumerate(state, -top):
         if 0 in row:
             point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
@@ -523,17 +521,17 @@ def _centres(rows: list[range], top: int):
 
 
 def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int):
-    """radius(cu, cv): a sup-radius around the hexagon point (cu, cv),
-    given in float64, within which every point escapes, or None when the
-    unit-monomial window at it proves nothing.
+    """radius(cu, cv): a radius r, given in float64, such that every point
+    x + d with max_i d_i < r escapes, x the hexagon point (cu, cv), or None
+    when the unit-monomial window at it proves nothing.
 
     The lattice point with log vector (cu+i) alpha1 + (cv+j) alpha2,
     |i|, |j| <= window, has exactly known norm
         |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
     a cancellation-free sum safe in float64; exp(2 y) factors as
     exp(2 c B) exp(2 ij B), so each point costs three exp calls. If
-    |exp(x) v|^2 <= q, then |exp(x') v| <= e^d sqrt(q) at sup-distance d,
-    so escape holds within -log(q height^2) / 2 of x.
+    |exp(x) v|^2 <= q, then |exp(x + d) v| <= e^{max d_i} sqrt(q), so
+    escape holds wherever max_i d_i < -log(q height^2) / 2.
     """
     a1 = [float(c) for c in phi.alpha1.coords]
     a2 = [float(c) for c in phi.alpha2.coords]
@@ -599,20 +597,24 @@ _COVER_BITS = 64
 
 def _cover(phi: SimplexSet, k: int, rows: list[range]):
     """cover(state, a, b, r, mark): set `mark` on the centre (a, b) and on
-    every grid point whose exact sup-distance to it is below r, a float
-    that exceeds a proven radius by at most a relative 2 eps and an
+    every grid point x + d whose offset d from it the verdict decides:
+    sg d_i below r on every coordinate i, with sg = +1 for _ESCAPES (no
+    coordinate grows by r) and -1 for _STAYS (none shrinks by r). r is a
+    float that exceeds a proven radius by at most a relative 2 eps and an
     absolute 2 eps.
 
     Grid points at offset (da, db) are (da alpha1 + db alpha2) / k apart,
     whatever the centre. A and B are the alphas' integer images, rounded in
     the first two coordinates and with trace zero, so each coordinate of
     A 2^-S is within e = 2 alpha_err + 2^-S of the exact alpha's, S =
-    _COVER_BITS; as |da| + |db| <= (8/3) k on the grid, max_i |da A_i +
-    db B_i| <= R proves the distance below R 2^-S / k + (8/3) e. That set
-    is a hexagon, with |da| <= R max|B_i| / |det(A, B)|, and meets each row
-    da in one interval of db. Two certified verdicts on a point agree, so
-    a covered point is overwritten with its own mark; a disagreement is a
-    bug.
+    _COVER_BITS; as |da| + |db| <= (8/3) k on the grid, sg (da A_i + db
+    B_i) <= R proves sg d_i below R 2^-S / k + (8/3) e. That set is a
+    triangle in (da, db): the three sums cancel, so each lies in [-2R, R],
+    |da| <= 2R max|B_i| / |det(A, B)|, and each grid row meets it in one
+    interval of db, bounded above by the coordinates with sg B_i > 0 and
+    below by those with sg B_i < 0. Two certified verdicts on a point
+    agree, so a covered point is overwritten with its own mark; a
+    disagreement is a bug.
     """
     def image(alpha):
         ints, e = _dyadic(alpha.coords[:2])
@@ -623,9 +625,6 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     img1, img2 = image(phi.alpha1), image(phi.alpha2)
     det = abs(img1[0] * img2[1] - img1[1] * img2[0])
     bmax = max(abs(q) for q in img2)
-    # |da p + db q| <= R with q > 0; where q = 0 it bounds |da| alone
-    pairs = [(p, q) if q > 0 else (-p, -q) for p, q in zip(img1, img2) if q]
-    flat = [abs(p) for p, q in zip(img1, img2) if not q]
     slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -_COVER_BITS
     # no two grid points are farther apart than (8/3) max|alpha_k|
     diameter = 3 * max(abs(float(c)) for alpha in (phi.alpha1, phi.alpha2)
@@ -638,11 +637,20 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
                            * k * 2.0 ** _COVER_BITS)
         if reach < 0:
             return
-        dmax = min([reach * bmax // det] + [reach // p for p in flat])
-        for u in range(max(a - dmax, -top), min(a + dmax, top) + 1):
+        sg = 1 if mark == _ESCAPES else -1
+        # da p + db q <= reach on every coordinate; where q = 0 it bounds da alone
+        pairs = [(sg * p, sg * q) for p, q in zip(img1, img2)]
+        dhi = 2 * reach * bmax // det
+        dlo = -dhi
+        for p, q in pairs:
+            if q == 0 < p:
+                dhi = min(dhi, reach // p)
+            elif q == 0:  # then p < 0, as the alphas span the plane
+                dlo = max(dlo, -(reach // -p))
+        for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
             row = rows[u + top]
-            lo = max([b - ((reach + (u - a) * p) // q) for p, q in pairs] + [row.start])
-            hi = min([b + (reach - (u - a) * p) // q for p, q in pairs] + [row.stop - 1])
+            lo = max([b - (reach - (u - a) * p) // -q for p, q in pairs if q < 0] + [row.start])
+            hi = min([b + (reach - (u - a) * p) // q for p, q in pairs if q > 0] + [row.stop - 1])
             if lo <= hi:
                 seg = state[u + top][lo - row.start:hi + 1 - row.start]
                 if _STAYS + _ESCAPES - mark in seg:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cubicunits import (
     DependentUnitsError,
+    InternalInconsistencyError,
     InvalidParamsError,
     LatticeBasis3,
     LogVector,
@@ -570,6 +572,50 @@ def test_mass_sweep_matches_per_point_oracle(kind, t):
             escapes, len(points))
 
 
+@pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
+                                     ("one_unit", 10 ** 21)])
+def test_cover_marks_the_one_sided_region(kind, t):
+    # against the exact alphas: a verdict marks only points whose offset d
+    # from the centre has sg d_i <= r on every coordinate (sg = +1 for
+    # escape, -1 for stays), and every point that clears r by the charged
+    # error. The margin doubles that error, to also cover the float
+    # rounding of the reach and the 2^-64 rounding of the integer images.
+    # At 10^21, alpha2's first coordinate (about -1e-21) rounds to 0 in
+    # its image, so one coordinate bounds the rows alone.
+    order, phi = mass_member(kind, t)
+    k, rows = masses._hexagon_rows(300)
+    top = 2 * k // 3
+    alphas = [[mpf_to_fraction(c) for c in alpha.coords] for alpha in (phi.alpha1, phi.alpha2)]
+    assert (t < 10 ** 20) == all(abs(c) >= 2 ** -64 for c in alphas[1])
+    eps = sys.float_info.epsilon
+    slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -64
+    size = max(abs(float(c)) for alpha in alphas for c in alpha)
+    cover = masses._cover(phi, k, rows)
+    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
+    for a, b in [(0, 0), (5, -3), (-7, 2), (top, rows[-1].start)]:
+        for r in (size / 20, size / 4, size / 2, 1e9):
+            margin = Fraction(2 * (8 * eps * r + 4 * eps + slack)) + Fraction(1, k << 64)
+            for mark, sg in ((masses._ESCAPES, 1), (masses._STAYS, -1)):
+                state = [bytearray(len(row)) for row in rows]
+                cover(state, a, b, r, mark)
+                beyond = False  # a marked point outside the sup-ball |d_i| <= r
+                for u, v in grid:
+                    got = state[u + top][v - rows[u + top].start]
+                    d = [((u - a) * p + (v - b) * q) / k for p, q in zip(*alphas)]
+                    worst = max(sg * di for di in d)
+                    assert got in (0, mark)
+                    assert got or (u, v) != (a, b)
+                    if got and (u, v) != (a, b):
+                        assert worst <= Fraction(r)
+                    if worst <= Fraction(r) - margin:
+                        assert got
+                    beyond |= bool(got) and max(map(abs, d)) > r
+                assert beyond or (a, b) != (0, 0) or r not in (size / 4, size / 2)
+                if r >= size / 4:
+                    with pytest.raises(InternalInconsistencyError):
+                        cover(state, a, b, r, masses._STAYS + masses._ESCAPES - mark)
+
+
 def test_mass_sweep_enumeration_count(monkeypatch):
     order, phi = mass_member("one_unit", 1000)
     calls = []
@@ -580,5 +626,6 @@ def test_mass_sweep_enumeration_count(monkeypatch):
 
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
     mass_above_height(order, phi, 10.0, samples=2000)
-    # one enumeration per exhibit-unsettled point would be 1149 calls
-    assert len(calls) <= 300
+    # one enumeration per exhibit-unsettled point would be 1149 calls; the
+    # one-sided cover makes 70, and the sup-ball cover it replaced made 88
+    assert len(calls) <= 80
