@@ -39,6 +39,14 @@ coordinate. The offset between two grid points depends only on their
 index difference, which the cover reads exactly from the same images, so
 each centre marks one interval per grid row. A centre in doubt covers
 nothing, and a point no verdict covers raises PrecisionExhaustedError.
+
+Only the exhibit and the walk read the height. The grid, the cover and
+the certified norm, with its memo of (s, margin) per centre, form one
+sweep context that the order keeps per (simplex, samples), so every
+height of a member enumerates each centre at most once. A certified
+centre's set-up is integers and floats: x's exact integer numerators
+(and their exact trace), three mpf exponentials, and a float64 margin
+rounded outward; only the verdicts compare in mpf.
 """
 
 from __future__ import annotations
@@ -164,8 +172,9 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     return basis
 
 
-def exp_act(x: LogVector, basis: LatticeBasis3) -> LatticeBasis3:
-    """Action of the diagonal flow: row i of the basis scales by e^{x_i}.
+def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
+    """Action of the diagonal flow: row i of the basis scales by e^{x_i},
+    for x a LogVector or its three coordinates (mpf).
 
     Works at the ambient precision p: e^{x_i} is one mpf exp, and entry
     (i, j) of the result is the exact product of its mantissa with the
@@ -174,7 +183,7 @@ def exp_act(x: LogVector, basis: LatticeBasis3) -> LatticeBasis3:
     """
     p = mp.mp.prec
     entries = []  # (j, i, q, s): entry (i, j) of the result is q 2^s
-    for i, xi in enumerate(x.coords):
+    for i, xi in enumerate(x.coords if isinstance(x, LogVector) else x):
         _, man, f, _ = mpf_exp(xi._mpf_, p, round_nearest)
         for j, c in enumerate(basis.cols):
             v = man * c[i]
@@ -468,19 +477,16 @@ def mass_above_height(
     radius for escape, none below minus the radius for no escape. A centre
     in doubt covers nothing, and a point no verdict covers raises. The
     count is exact for the decisions made.
+
+    Everything but the exhibit and the walk is free of the height, so the
+    order keeps it per (phi, samples) (_sweep): every height of a member
+    shares one grid, one cover and one certified norm per centre.
     """
     if height <= 1:
         raise InvalidParamsError("height threshold must exceed 1")
-    for alpha in (phi.alpha1, -phi.alpha3):
-        if not _alpha_in_unit_log_lattice(alpha, order):
-            raise InvalidParamsError(
-                "simplex must come from the verified units of the order")
-
-    k, rows = _hexagon_rows(samples)
+    k, rows, cover, certified_norm = _sweep(order, phi, samples)
     top = 2 * k // 3
     exhibit = _exhibit(order, phi, height, window)
-    cover = _cover(phi, k, rows)
-    certified_norm = _certified_norm(order, phi, k)
     state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
     with mp.workprec(_bits(order)):
         h = mp.mpf(height)
@@ -504,6 +510,24 @@ def mass_above_height(
                 f"height vs {height} undecidable within error bounds near {point}; "
                 "rebuild the order with a finer precision policy")
     return Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows)))
+
+
+def _sweep(order: CubicOrderData, phi: SimplexSet, samples: int):
+    """(k, rows, cover, norm): the grid (_hexagon_rows), its _cover and the
+    _certified_norm of its centres, which no height changes. Made on the
+    first call for (phi, samples), after checking at the order's bits that
+    phi comes from the order's units, and memoised on the order; a simplex
+    that fails the check raises and is not kept."""
+    key = (phi, samples)
+    if key not in order._sweeps:
+        k, rows = _hexagon_rows(samples)
+        with mp.workprec(_bits(order)):
+            if not all(_alpha_in_unit_log_lattice(alpha, order)
+                       for alpha in (phi.alpha1, -phi.alpha3)):
+                raise InvalidParamsError(
+                    "simplex must come from the verified units of the order")
+        order._sweeps[key] = (k, rows, _cover(phi, k, rows), _certified_norm(order, phi, k))
+    return order._sweeps[key]
 
 
 def _centres(rows: list[range], top: int):
@@ -699,40 +723,68 @@ def _dual_weight(basis: LatticeBasis3) -> float:
     return 2 * total
 
 
+# Relative factor by which _certified_norm rounds its float64 margin
+# outward; it covers about ten float roundings (2^-53 each) with room.
+_MARGIN_ROUND = 1 + 2.0 ** -40
+
+
 def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     """norm(a, b): (s, margin) with |lambda_1(exp(x) L) - s| <= margin at
-    the exact hexagon point x = (a alpha1 + b alpha2) / k.
+    the exact hexagon point x = (a alpha1 + b alpha2) / k, memoised per
+    (a, b), since no height enters it.
 
     Works at the order's own precision. The alphas are read once, as exact
-    dyadic images; each coordinate of x is then one integer quotient
+    dyadic images, so x_i = n_i 2^e / k with exact integer numerators n_i;
+    their sum, the exact trace, is checked against x's error as LogVector
+    checks its coordinates. Each coordinate of x is one integer quotient
     rounded to nearest, off by at most a relative 2^-bits, and x.err
-    charges that and (|a| alpha1.err + |b| alpha2.err) / k. `base` is
-    within 2^-(bits+29) of L entrywise (_prereduced, made on the first
-    call); exp_act rounds each entry once and its exp is good to an ulp,
-    so every entry of the moved basis M is within a relative delta =
-    2^-(bits-2) of exp(x) L's. The minimiser w of either basis has |w_k| =
-    |<d_k, M w>| <= lambda_1 |d_k| (d the dual basis), so their minima
-    differ by at most delta lambda_1 sum_k |m_k| |d_k|; the kernel rounds
+    charges that, as 2^(1-bits) max|x_i|, and (|a| alpha1.err + |b|
+    alpha2.err) / k. `base` is within 2^-(bits+29) of L entrywise
+    (_prereduced, read when norm is made); exp_act rounds each entry once
+    and its exp is good to an ulp, so every entry of the moved basis M is
+    within a relative delta = 2^-(bits-2) of exp(x) L's. The minimiser w
+    of either basis has |w_k| = |<d_k, M w>| <= lambda_1 |d_k| (d the dual
+    basis), so their minima differ by at most delta lambda_1 sum_k |m_k|
+    |d_k| <= 4 D 2^-bits lambda_1, D = _dual_weight(M); the kernel rounds
     its exact minimum twice (2^-(bits-1)); and 4 x.err s charges the error
-    of x. Instead of a precision ladder, a tie inside that margin covers
-    nothing and in the end asks for a finer order.
+    of x. The margin is s (8 D 2^-bits + 4 x.err): the second 4 D 2^-bits
+    (D > 5, as |m_k| |d_k| >= <m_k, d_k> = 1) covers the kernel's
+    rounding, D's own float rounding and the mpf roundings of the margin
+    and of the verdicts (s -+ margin) H at bits. The bracket is summed in
+    float64, in units of 2^f with f at least the exponent of every alpha
+    error term and at least -bits, so no term overflows; about ten
+    roundings of nonnegative terms are charged by the factor
+    _MARGIN_ROUND, and 2^-1000 units bound what underflow drops. Instead
+    of a precision ladder, a tie inside that margin covers nothing and in
+    the end asks for a finer order.
     """
     bits = _bits(order)
     (n1, e1), (n2, e2) = _dyadic(phi.alpha1.coords), _dyadic(phi.alpha2.coords)
     e = min(e1, e2)  # x_i = (a p1_i + b p2_i) 2^e / k
     p1, p2 = [v << (e1 - e) for v in n1], [v << (e2 - e) for v in n2]
+    t1, t2 = sum(p1), sum(p2)  # the alphas' exact traces, times 2^-e
     with mp.workprec(bits):
-        err1, err2 = phi.alpha1.err / k, phi.alpha2.err / k
+        errs = [phi.alpha1.err / k, phi.alpha2.err / k]
+        f = max([-bits] + [mp.frexp(v)[1] for v in errs if v])
+        c1, c2 = (float(mp.ldexp(v, -f)) for v in errs)  # each at most 1
+    base = _prereduced(order)
+    memo = {}
 
     def norm(a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
-        base = _prereduced(order)
+        if (a, b) in memo:
+            return memo[a, b]
+        ns = [a * u + b * v for u, v in zip(p1, p2)]
+        xmax = _scaled_float(max(map(abs, ns)), -e) / k
+        x_err = abs(a) * c1 + abs(b) * c2 + math.ldexp(xmax, 1 - bits - f)  # in units of 2^f
+        trace = _scaled_float(abs(a * t1 + b * t2), -e) / k
+        if trace > 3 * math.ldexp(x_err, f) and trace > 2.0 ** -24 * max(1.0, xmax):
+            raise InvalidParamsError(f"centre coordinates sum to {trace:.8g}, beyond 3*err")
         with mp.workprec(bits):
-            xs = [mp.make_mpf(mpf_shift(from_rational(a * u + b * v, k, bits, round_nearest), e))
-                  for u, v in zip(p1, p2)]
-            x = LogVector(*xs, abs(a) * err1 + abs(b) * err2
-                          + mp.ldexp(max(abs(c) for c in xs), 1 - bits))
-            moved = exp_act(x, base)
+            moved = exp_act([mp.make_mpf(mpf_shift(from_rational(n, k, bits, round_nearest), e))
+                             for n in ns], base)
             s = shortest_vector_norm(moved, bits)
-            return s, s * (mp.ldexp(_dual_weight(moved), 3 - bits) + 4 * x.err)
+            rel = (math.ldexp(_dual_weight(moved), 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
+            rel += 2.0 ** -1000
+            return memo.setdefault((a, b), (s, s * mp.ldexp(rel, f)))
 
     return norm

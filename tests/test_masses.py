@@ -18,6 +18,7 @@ from cubicunits import (
     LogVector,
     MonicCubic,
     OneUnitParams,
+    PrecisionPolicy,
     SimplexSet,
     TwoUnitParams,
     build_one_unit,
@@ -629,3 +630,106 @@ def test_mass_sweep_enumeration_count(monkeypatch):
     # one enumeration per exhibit-unsettled point would be 1149 calls; the
     # one-sided cover makes 70, and the sup-ball cover it replaced made 88
     assert len(calls) <= 80
+
+
+# ---------------------------------------------------------------------------
+# one sweep context per (simplex, samples), shared by every height
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t, prec", [(10 ** 3, 16), (10 ** 15, 20)])
+def test_mass_is_independent_of_ambient_precision(t, prec):
+    # the simplex-membership check runs at the order's bits, so a genuine
+    # simplex is accepted, and gives the same fraction, at any ambient
+    # precision; each order is fresh, so the check runs under each one
+    fractions = set()
+    for ambient in (prec, 20, 53):
+        order, phi = mass_member("one_unit", t)
+        with mp.workprec(ambient):
+            fractions.add(mass_above_height(order, phi, 10.0, samples=60))
+    assert len(fractions) == 1
+
+
+def counting_sweep(monkeypatch):
+    # record every kernel call and every centre the certified norm is asked for
+    kernel, asked = [], []
+    certified_norm = masses._certified_norm
+
+    def kernel_counting(*args, **kwargs):
+        kernel.append(1)
+        return shortest_vector_norm(*args, **kwargs)
+
+    def norm_recording(order, phi, k):
+        norm = certified_norm(order, phi, k)
+
+        def recorded(a, b):
+            asked.append((a, b))
+            return norm(a, b)
+        return recorded
+
+    monkeypatch.setattr(masses, "shortest_vector_norm", kernel_counting)
+    monkeypatch.setattr(masses, "_certified_norm", norm_recording)
+    return kernel, asked
+
+
+@pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
+def test_heights_share_certified_centres(monkeypatch, kind, t):
+    heights = (10.0, 9.99, 100.0)
+    fresh = [mass_above_height(*mass_member(kind, t), h, samples=600) for h in heights]
+    kernel, asked = counting_sweep(monkeypatch)
+    order, phi = mass_member(kind, t)
+    assert [mass_above_height(order, phi, h, samples=600) for h in heights] == fresh
+    # one enumeration per distinct centre, though later heights ask again
+    assert len(kernel) == len(set(asked)) < len(asked)
+    before = len(kernel)
+    assert mass_above_height(order, phi, 9.99, samples=600) == fresh[1]
+    assert len(kernel) == before
+
+
+def test_sweep_memo_key_is_exact():
+    # a context made for one simplex or grid is never read for another
+    order, phi = mass_member("two_unit", 10 ** 9)
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    with mp.workprec(256):
+        swapped = make_simplex(v2, v1)
+    mass_above_height(order, phi, 10.0, samples=600)
+    for simplex, samples in ((swapped, 600), (phi, 300), (swapped, 300)):
+        fresh_order = mass_member("two_unit", 10 ** 9)[0]
+        for height in (10.0, 100.0):
+            assert mass_above_height(order, simplex, height, samples) == mass_above_height(
+                fresh_order, simplex, height, samples)
+    assert len(order._sweeps) == 4
+
+
+def policy_member(kind, t, bits):
+    # like mass_member, at a finer policy and with the simplex made at 53
+    # bits, the CLI's default ambient precision: its error is about 2^-50, so
+    # at 1200 bits the kernel term of the margin falls below the float range
+    order = mass_member(kind, t)[0]
+    order = build_order(order.f, order.units, PrecisionPolicy(bits, 4 * bits))
+    with mp.workprec(53):
+        return order, make_simplex(*(log_embed(order, *u) for u in order.units[:2]))
+
+
+@pytest.mark.parametrize("kind, t, bits", [
+    *((kind, 10 ** e, 192) for kind in ("one_unit", "two_unit", "seed") for e in (3, 12, 21)),
+    ("one_unit", 10 ** 3, 1200),
+])
+def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
+    # the float64 margin is at least the mpf margin it replaced,
+    # s (2^(3-bits) D + 4 x.err), evaluated at twice the bits
+    order, phi = family_order(kind, t) if bits == 192 else policy_member(kind, t, bits)
+    assert masses._bits(order) == bits
+    base = masses._prereduced(order)
+    k, rows = masses._hexagon_rows(60)
+    norm = masses._certified_norm(order, phi, k)
+    points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
+    for a, b in points[::7]:
+        x = centre(phi, a, b, k, bits)
+        with mp.workprec(bits):
+            weight = masses._dual_weight(exp_act(x, base))
+        s, margin = norm(a, b)
+        with mp.workprec(2 * bits):
+            x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
+                     + mp.ldexp(max(abs(c) for c in x.coords), 1 - bits))
+            assert margin >= s * (mp.ldexp(weight, 3 - bits) + 4 * x_err)
