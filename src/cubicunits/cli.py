@@ -258,8 +258,8 @@ def _scan_row(payload) -> str:
             cells += [_fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]
             cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi).ceiling)]
             if with_mass:
-                cells += [_fmt_frac(masses.mass_above_height(m.order, m.phi, float(h), samples))
-                          for h in heights]
+                cells += map(_fmt_frac, masses.mass_above_height(
+                    m.order, m.phi, [float(h) for h in heights], samples))
     except CubicUnitsError as e:
         cells = [str(t), type(e).__name__]
     return ",".join(cells + [""] * (ncols - len(cells)))
@@ -276,11 +276,11 @@ def _mass_rows(payload) -> str:
         big_r = mp.mpf(r_cap)
         tight_k = next((k for k in range(100, -1, -1)
                         if masses.check_tight(m.phi, ht, big_r, Fraction(k, 100))), 0)
+        fracs = masses.mass_above_height(m.order, m.phi, [float(h) for h in heights], samples)
         return "\n".join(",".join([
-            str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h,
-            _fmt_frac(masses.mass_above_height(m.order, m.phi, float(h), samples)),
+            str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h, _fmt_frac(frac),
             f"{tight_k / 100:.2f}",
-        ]) for h in heights)
+        ]) for h, frac in zip(heights, fracs))
     except CubicUnitsError as e:
         return "\n".join(",".join([str(t), type(e).__name__, "", "", h, "", ""])
                          for h in heights)

@@ -32,18 +32,19 @@ lambda_1 within [s - m, s + m], which decides every point with min_i d_i
 > -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape).
 In the trace-zero plane each region is a triangle with 3/2 the area of
 the sup-ball hexagon |d_i| < r inside it. Centres are the grid points not
-yet covered, coarse to fine, all moved from one basis of L that the
-order reduces once and keeps. Each centre (a alpha1 + b alpha2) / k is
+yet covered, coarse to fine, all moved from one basis of L that each
+call reduces once. Each centre (a alpha1 + b alpha2) / k is
 formed from exact dyadic images of the alphas, rounded once per
 coordinate. The offset between two grid points depends only on their
 index difference, which the cover reads exactly from the same images, so
 each centre marks one interval per grid row. A centre in doubt covers
 nothing, and a point no verdict covers raises PrecisionExhaustedError.
 
-Only the exhibit and the walk read the height. The grid, the cover and
-the certified norm, with its memo of (s, margin) per centre, form one
-sweep context that the order keeps per (simplex, samples), so every
-height of a member enumerates each centre at most once. A certified
+Only the exhibit's cutoff and the walk read the height, so one call
+takes every height of a member and builds the rest once: the grid, the
+cover, the exhibit's monomial table and the certified norm, with its
+memo of (s, margin) per centre, so each centre is enumerated at most
+once however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
 rounded outward; only the verdicts compare in mpf.
@@ -174,7 +175,7 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
 
 def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
     """Action of the diagonal flow: row i of the basis scales by e^{x_i},
-    for x a LogVector or its three coordinates (mpf).
+    for x three coordinates (mpf).
 
     Works at the ambient precision p: e^{x_i} is one mpf exp, and entry
     (i, j) of the result is the exact product of its mantissa with the
@@ -183,7 +184,7 @@ def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
     """
     p = mp.mp.prec
     entries = []  # (j, i, q, s): entry (i, j) of the result is q 2^s
-    for i, xi in enumerate(x.coords if isinstance(x, LogVector) else x):
+    for i, xi in enumerate(x):
         _, man, f, _ = mpf_exp(xi._mpf_, p, round_nearest)
         for j, c in enumerate(basis.cols):
             v = man * c[i]
@@ -462,72 +463,65 @@ _STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
 def mass_above_height(
     order: CubicOrderData,
     phi: SimplexSet,
-    height: float,
+    heights: tuple[float, ...] | list[float],
     samples: int = 10000,
-    window: int = 3,
-) -> Fraction:
-    """Proportion of hexagon sample points x with ht(exp(x) L) > height.
+) -> tuple[Fraction, ...]:
+    """For each height H in `heights`, in order, the proportion of hexagon
+    sample points x with ht(exp(x) L) > H.
 
-    One coarse-to-fine sweep decides every grid point. The points not yet
-    covered become centres, in descending 2-adic valuation of gcd(a, b),
-    then grid order. The unit-monomial exhibit (_exhibit) settles a centre
-    when it proves escape, one certified enumeration (_certified_norm)
-    otherwise, and the verdict covers every grid point in the one-sided
-    region it proves (_cover): no coordinate of the offset above the
-    radius for escape, none below minus the radius for no escape. A centre
-    in doubt covers nothing, and a point no verdict covers raises. The
-    count is exact for the decisions made.
+    One coarse-to-fine sweep per height decides every grid point. The
+    points not yet covered become centres, in descending 2-adic valuation
+    of gcd(a, b), then grid order. The unit-monomial exhibit (_exhibit)
+    settles a centre when it proves escape, one certified enumeration
+    (_certified_norm) otherwise, and the verdict covers every grid point in
+    the one-sided region it proves (_cover): no coordinate of the offset
+    above the radius for escape, none below minus the radius for no
+    escape. A centre in doubt covers nothing, and a point no verdict covers
+    raises. The count is exact for the decisions made.
 
-    Everything but the exhibit and the walk is free of the height, so the
-    order keeps it per (phi, samples) (_sweep): every height of a member
-    shares one grid, one cover and one certified norm per centre.
+    Only the exhibit's cutoff and the walk read the height, so everything
+    else is built once per call, after checking at the order's bits that
+    phi comes from the order's units: every height shares one grid, one
+    cover and one certified norm per centre.
     """
-    if height <= 1:
-        raise InvalidParamsError("height threshold must exceed 1")
-    k, rows, cover, certified_norm = _sweep(order, phi, samples)
+    if not heights or any(not h > 1 for h in heights):  # NaN fails this too
+        raise InvalidParamsError("need at least one height threshold, each above 1")
+    k, rows = _hexagon_rows(samples)
+    bits = _bits(order)
+    with mp.workprec(bits):
+        if not all(_alpha_in_unit_log_lattice(alpha, order)
+                   for alpha in (phi.alpha1, -phi.alpha3)):
+            raise InvalidParamsError("simplex must come from the verified units of the order")
+    cover, certified_norm = _cover(phi, k, rows), _certified_norm(order, phi, k)
+    exhibit = _exhibit(order, phi)
     top = 2 * k // 3
-    exhibit = _exhibit(order, phi, height, window)
-    state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-    with mp.workprec(_bits(order)):
-        h = mp.mpf(height)
-        for a, b in _centres(rows, top):
-            if state[a + top][b - rows[a + top].start]:
-                continue
-            mark, r = _ESCAPES, exhibit(a / k, b / k)
-            if r is None:
-                s, margin = certified_norm(a, b)
-                if (s - margin) * h > 1:
-                    mark, r = _STAYS, float(mp.log((s - margin) * h))
-                elif (s + margin) * h < 1:
-                    r = float(-mp.log((s + margin) * h))
-                else:
+    fractions = []
+    for height in heights:
+        radius = exhibit(height)
+        state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
+        with mp.workprec(bits):
+            h = mp.mpf(height)
+            for a, b in _centres(rows, top):
+                if state[a + top][b - rows[a + top].start]:
                     continue
-            cover(state, a, b, r, mark)
-    for u, row in enumerate(state, -top):
-        if 0 in row:
-            point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
-            raise PrecisionExhaustedError(
-                f"height vs {height} undecidable within error bounds near {point}; "
-                "rebuild the order with a finer precision policy")
-    return Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows)))
-
-
-def _sweep(order: CubicOrderData, phi: SimplexSet, samples: int):
-    """(k, rows, cover, norm): the grid (_hexagon_rows), its _cover and the
-    _certified_norm of its centres, which no height changes. Made on the
-    first call for (phi, samples), after checking at the order's bits that
-    phi comes from the order's units, and memoised on the order; a simplex
-    that fails the check raises and is not kept."""
-    key = (phi, samples)
-    if key not in order._sweeps:
-        k, rows = _hexagon_rows(samples)
-        with mp.workprec(_bits(order)):
-            if not all(_alpha_in_unit_log_lattice(alpha, order)
-                       for alpha in (phi.alpha1, -phi.alpha3)):
-                raise InvalidParamsError(
-                    "simplex must come from the verified units of the order")
-        order._sweeps[key] = (k, rows, _cover(phi, k, rows), _certified_norm(order, phi, k))
-    return order._sweeps[key]
+                mark, r = _ESCAPES, radius(a / k, b / k)
+                if r is None:
+                    s, margin = certified_norm(a, b)
+                    if (s - margin) * h > 1:
+                        mark, r = _STAYS, float(mp.log((s - margin) * h))
+                    elif (s + margin) * h < 1:
+                        r = float(-mp.log((s + margin) * h))
+                    else:
+                        continue
+                cover(state, a, b, r, mark)
+        for u, row in enumerate(state, -top):
+            if 0 in row:
+                point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
+                raise PrecisionExhaustedError(
+                    f"height vs {height} undecidable within error bounds near {point}; "
+                    "rebuild the order with a finer precision policy")
+        fractions.append(Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows))))
+    return tuple(fractions)
 
 
 def _centres(rows: list[range], top: int):
@@ -544,13 +538,20 @@ def _centres(rows: list[range], top: int):
                     yield a, b
 
 
-def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int):
-    """radius(cu, cv): a radius r, given in float64, such that every point
-    x + d with max_i d_i < r escapes, x the hexagon point (cu, cv), or None
-    when the unit-monomial window at it proves nothing.
+# Half-width of the exhibit's window: it tries the unit monomials
+# (cu+i) alpha1 + (cv+j) alpha2 with |i|, |j| <= _WINDOW.
+_WINDOW = 3
+
+
+def _exhibit(order: CubicOrderData, phi: SimplexSet):
+    """exhibit(height) -> radius(cu, cv): a radius r, given in float64,
+    such that every point x + d with max_i d_i < r has height above
+    `height`, x the hexagon point (cu, cv), or None when the unit-monomial
+    window at it proves nothing. The window's factor table and disc^{-1/3}
+    are made once; only the cutoff reads the height.
 
     The lattice point with log vector (cu+i) alpha1 + (cv+j) alpha2,
-    |i|, |j| <= window, has exactly known norm
+    |i|, |j| <= _WINDOW, has exactly known norm
         |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
     a cancellation-free sum safe in float64; exp(2 y) factors as
     exp(2 c B) exp(2 ij B), so each point costs three exp calls. If
@@ -562,9 +563,7 @@ def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int)
     with mp.workprec(_bits(order)):
         dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
     alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
-    h = float(height)
-    cutoff = (1.0 / h) ** 2
-    span = range(-window, window + 1)
+    span = range(-_WINDOW, _WINDOW + 1)
     factors = []
     for i, j in itertools.product(span, span):
         try:
@@ -575,11 +574,11 @@ def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int)
     # Error of the exhibit at the point c, with eps = _EPS:
     # - the exponents 2 c B_k and 2 ij B_k together are off from 2 y_k by
     #   at most 2 delta, where
-    #       delta = (|c_u| + |c_v| + 2 window) * alpha_err + 3 eps * Y,
+    #       delta = (|c_u| + |c_v| + 2 _WINDOW) * alpha_err + 3 eps * Y,
     #   alpha_err bounds the alphas' own error and Y, the largest
-    #   (|c_u|+window)|a1_k| + (|c_v|+window)|a2_k|, bounds max|y| over the
-    #   window; 3 eps * Y covers rounding the alphas and c to float64 and
-    #   the two two-term dot products (at most seven half-ulps);
+    #   (|c_u|+_WINDOW)|a1_k| + (|c_v|+_WINDOW)|a2_k|, bounds max|y| over
+    #   the window; 3 eps * Y covers rounding the alphas and c to float64
+    #   and the two two-term dot products (at most seven half-ulps);
     # - exp(2 y_k) is then off by a relative e^{2 delta} - 1, plus the two
     #   exp calls (budgeted at 4 eps each), their product and the three-term
     #   sum (3 eps/2), dscale (computed at the order's precision, then
@@ -596,22 +595,28 @@ def _exhibit(order: CubicOrderData, phi: SimplexSet, height: float, window: int)
     # The float radius exceeds the proven -log(best (1 + err) height^2) / 2
     # by at most a relative 2 eps (log) and an absolute 2 eps (the four
     # roundings of its argument).
-    def radius(cu: float, cv: float) -> float | None:
-        au, av = abs(cu) + window, abs(cv) + window
-        ymax = max(au * abs(x) + av * abs(y) for x, y in zip(a1, a2))
-        err = 3 * ((au + av) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
-        if not err <= _EXHIBIT_HEADROOM:
-            return None
-        try:
-            p0, p1, p2 = [math.exp(2.0 * (cu * x + cv * y)) for x, y in zip(a1, a2)]
-        except OverflowError:
-            return None
-        best = dscale * min(p0 * w0 + p1 * w1 + p2 * w2 for w0, w1, w2 in factors)
-        if not best < cutoff * (1 - _EXHIBIT_HEADROOM):
-            return None
-        return -0.5 * math.log(best * (1 + err) * h * h)
+    def exhibit(height: float):
+        h = float(height)
+        cutoff = (1.0 / h) ** 2
 
-    return radius
+        def radius(cu: float, cv: float) -> float | None:
+            au, av = abs(cu) + _WINDOW, abs(cv) + _WINDOW
+            ymax = max(au * abs(x) + av * abs(y) for x, y in zip(a1, a2))
+            err = 3 * ((au + av) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
+            if not err <= _EXHIBIT_HEADROOM:
+                return None
+            try:
+                p0, p1, p2 = [math.exp(2.0 * (cu * x + cv * y)) for x, y in zip(a1, a2)]
+            except OverflowError:
+                return None
+            best = dscale * min(p0 * w0 + p1 * w1 + p2 * w2 for w0, w1, w2 in factors)
+            if not best < cutoff * (1 - _EXHIBIT_HEADROOM):
+                return None
+            return -0.5 * math.log(best * (1 + err) * h * h)
+
+        return radius
+
+    return exhibit
 
 
 # The cover reads alpha1 and alpha2 as integer vectors at scale
@@ -693,12 +698,9 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     relative 2^-(bits+29) of its value from the stored roots: reducing at
     the order's bits finds the transform U and the bits its sums cancel,
     and U is applied exactly to an embedding carrying that many more bits.
-    No step reads the ambient precision, so the order memoises the basis,
-    keyed by bits, and every height of a member shares one reduction.
+    No step reads the ambient precision.
     """
     bits = _bits(order)
-    if bits in order._reduced:
-        return order._reduced[bits]
     cols = embed_order_lattice(order, bits).cols
     red = _lll([list(c) + [int(i == j) for i in range(3)] for j, c in enumerate(cols)])[0]
     lost = max(sum(abs(u * cols[j][i]) for j, u in enumerate(r[3:])).bit_length()
@@ -706,7 +708,7 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     fine = embed_order_lattice(order, bits + lost)
     moved = tuple(tuple(sum(u * c[i] for c, u in zip(fine.cols, r[3:])) for i in range(3))
                   for r in red)
-    return order._reduced.setdefault(bits, LatticeBasis3(moved, fine.exp, fine.det_err))
+    return LatticeBasis3(moved, fine.exp, fine.det_err)
 
 
 def _dual_weight(basis: LatticeBasis3) -> float:

@@ -89,11 +89,8 @@ class LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and three memos of values no later
-    call can change: log_embed's log vectors, keyed by (a, b); the mass
-    stage's reduced lattice basis, keyed by bits; and its height-free
-    sweep context (grid, cover, and certified norms of the centres
-    enumerated so far), keyed by (simplex, samples)."""
+    check (with the rejects and why), and a memo of log_embed's log
+    vectors, keyed by (a, b), which no later call can change."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -102,8 +99,6 @@ class CubicOrderData:
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _reduced: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _sweeps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

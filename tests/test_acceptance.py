@@ -276,7 +276,7 @@ def test_ac6_mass_escape(capfd):
         f = build_one_unit(OneUnitParams(1, 1), t)
         order = build_order(f, [(1, 1), (1, 0)])
         v1, v2 = log_embed(order, 1, 1), log_embed(order, 1, 0)
-        fracs.append(mass_above_height(order, make_simplex(v1, v2), 10.0, samples=600))
+        fracs += mass_above_height(order, make_simplex(v1, v2), (10.0,), samples=600)
     monotone = all(fracs[i + 1] >= fracs[i] for i in range(3))
     ok = monotone and fracs[-1] >= Fraction(4, 5)
 
@@ -292,7 +292,7 @@ def test_ac6_mass_escape(capfd):
         tight = check_tight(phi, ht, 2, Fraction(1, 3))
         tight_all = tight_all and tight
         if tight:
-            frac = mass_above_height(order, phi, 10.0, samples=600)
+            frac, = mass_above_height(order, phi, (10.0,), samples=600)
             bound_all = bound_all and frac >= bound
     ok = ok and tight_all and bound_all
     _verdict(capfd, 6, ok, "fractions " + " <= ".join(str(f) for f in fracs)
@@ -425,7 +425,7 @@ def _suite_height_periodicity(rng: random.Random) -> int:
         with mp.workprec(prec):
             base = embed_order_lattice(order, prec)
             ref = lattice_height(base, prec)
-            moved = exp_act(x, base)
+            moved = exp_act(x.coords, base)
             if abs(lattice_height(moved, prec) - ref) > ref * mp.ldexp(1, -40):
                 failures += 1
     return failures

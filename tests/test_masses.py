@@ -194,7 +194,7 @@ def test_kernel_matches_reference_on_moved_family_bases(kind, e, index):
     with mp.workprec(192):
         x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
              + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
-        moved = exp_act(x, embed_order_lattice(order))
+        moved = exp_act(x.coords, embed_order_lattice(order))
     s = shortest_vector_norm(moved, 192)
     ref = reference_norm(moved)
     with mp.workprec(1024):
@@ -204,7 +204,7 @@ def test_kernel_matches_reference_on_moved_family_bases(kind, e, index):
 def centre(phi, a, b, k, bits):
     # x = (a alpha1 + b alpha2) / k from the exact alphas, each coordinate
     # rounded to nearest at bits through a 4096-bit quotient, which lands on
-    # no tie at bits here; exp_act reads only the coordinates
+    # no tie at bits here
     coords = []
     for p, q in zip(phi.alpha1.coords, phi.alpha2.coords):
         x = (a * mpf_to_fraction(p) + b * mpf_to_fraction(q)) / k
@@ -238,13 +238,13 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
     for a, b in points[::4]:
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
-            moved = exp_act(x, base)
+            moved = exp_act(x.coords, base)
             s = shortest_vector_norm(moved, bits)
             term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
             s_ref, margin = norm(a, b)
             assert s_ref == s and margin >= term
         with mp.workprec(768):
-            s768 = reference_norm(exp_act(x, fine), 1024)
+            s768 = reference_norm(exp_act(x.coords, fine), 1024)
             assert abs(s - s768) <= term
 
 
@@ -261,7 +261,7 @@ def test_exp_act_rounds_each_entry_once(kind, t):
     for a, b in points[::9]:
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
-            moved = exp_act(x, base)
+            moved = exp_act(x.coords, base)
         with mp.workprec(768):
             for j in range(3):
                 for i, (m, v) in enumerate(zip(moved.column(j), base.column(j))):
@@ -269,7 +269,7 @@ def test_exp_act_rounds_each_entry_once(kind, t):
                     assert abs(m - ref) <= abs(ref) * mp.ldexp(1, -(bits - 2))
 
 
-def test_prereduced_is_memoised_per_order(monkeypatch):
+def test_prereduced_once_per_mass_call(monkeypatch):
     order, phi = mass_member("one_unit", 1000)
     embeds = []
 
@@ -278,16 +278,12 @@ def test_prereduced_is_memoised_per_order(monkeypatch):
         return embed_order_lattice(*args, **kwargs)
 
     monkeypatch.setattr(masses, "embed_order_lattice", counting)
-    for height in (10.0, 9.99, 100.0):
-        mass_above_height(order, phi, height, samples=600)
+    mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=600)
     assert len(embeds) == 2  # one reduction: the coarse and the fine embedding
+    # the reduction reads no ambient precision
     base = masses._prereduced(order)
-    assert masses._prereduced(order) is base and len(embeds) == 2
-    # the memo holds what a fresh order reduces at any ambient precision
-    fresh = mass_member("one_unit", 1000)[0]
     with mp.workprec(30):
-        assert masses._prereduced(fresh) == base
-    assert fresh == order  # the memo takes no part in comparing orders
+        assert masses._prereduced(order) == base
 
 
 def test_order_height_is_disc_sixth_over_sqrt3():
@@ -304,7 +300,7 @@ def test_exp_act_preserves_determinant():
     with mp.workprec(200):
         base = embed_order_lattice(SEED_ORDER)
         x = vec("0.7", "-0.2", "-0.5")
-        moved = exp_act(x, base)
+        moved = exp_act(x.coords, base)
         assert abs(abs(mp.det(moved.mat)) - abs(mp.det(base.mat))) < mp.ldexp(1, -150)
 
 
@@ -315,7 +311,7 @@ def test_height_is_periodic_under_unit_flow():
         ref = lattice_height(base)
         for unit in SEED_ORDER.units:
             v = log_embed(SEED_ORDER, *unit)
-            moved = exp_act(v, base)
+            moved = exp_act(v.coords, base)
             assert abs(lattice_height(moved) - ref) < ref * mp.ldexp(1, -40)
 
 
@@ -511,20 +507,29 @@ def big_order_and_simplex():
 
 def test_mass_above_height_frozen():
     order, phi = big_order_and_simplex()
-    m10 = mass_above_height(order, phi, 10.0, samples=60)
+    m10, m100, m1e9 = mass_above_height(order, phi, (10.0, 100.0, 1e9), samples=60)
     assert m10 == Fraction(76, 91)
-    m100 = mass_above_height(order, phi, 100.0, samples=60)
     assert m100 <= m10
     # the orbit's height is bounded by ht * e^ceiling, far below 1e9
-    assert mass_above_height(order, phi, 1e9, samples=60) == 0
+    assert m1e9 == 0
 
 
-def test_mass_above_height_guards():
+def test_mass_above_height_guards(monkeypatch):
     order, phi = big_order_and_simplex()
+    kernel = []
+
+    def counting(*args, **kwargs):
+        kernel.append(1)
+        return shortest_vector_norm(*args, **kwargs)
+
+    monkeypatch.setattr(masses, "shortest_vector_norm", counting)
+    # every height is checked before any kernel call: NaN fails "above 1"
+    for heights in ((1.0,), (10.0, float("nan")), ()):
+        with pytest.raises(InvalidParamsError):
+            mass_above_height(order, phi, heights, samples=10)
+    assert not kernel
     with pytest.raises(InvalidParamsError):
-        mass_above_height(order, phi, 1.0, samples=10)
-    with pytest.raises(InvalidParamsError):
-        mass_above_height(order, regular_simplex(), 10.0, samples=10)
+        mass_above_height(order, regular_simplex(), (10.0,), samples=10)
 
 
 def mass_member(kind, t):
@@ -551,7 +556,7 @@ def per_point_norm(order, phi, point, base):
         u, v = point
         x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
              + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
-        s = shortest_vector_norm(exp_act(x, base), bits)
+        s = shortest_vector_norm(exp_act(x.coords, base), bits)
         return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
 
 
@@ -564,13 +569,14 @@ def test_mass_sweep_matches_per_point_oracle(kind, t):
     base = embed_order_lattice(order)
     points = hexagon_grid(300)
     norms = [per_point_norm(order, phi, p, base) for p in points]
-    for height in (10.0, 100.0):
+    heights = (10.0, 100.0)
+    expected = []
+    for height in heights:
         with mp.workprec(512):
             hcut = 1 / mp.mpf(height)
         assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
-        escapes = sum(s < hcut for s, _ in norms)
-        assert mass_above_height(order, phi, height, samples=300) == Fraction(
-            escapes, len(points))
+        expected.append(Fraction(sum(s < hcut for s, _ in norms), len(points)))
+    assert mass_above_height(order, phi, heights, samples=300) == tuple(expected)
 
 
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
@@ -626,14 +632,14 @@ def test_mass_sweep_enumeration_count(monkeypatch):
         return shortest_vector_norm(*args, **kwargs)
 
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
-    mass_above_height(order, phi, 10.0, samples=2000)
+    mass_above_height(order, phi, (10.0,), samples=2000)
     # one enumeration per exhibit-unsettled point would be 1149 calls; the
     # one-sided cover makes 70, and the sup-ball cover it replaced made 88
     assert len(calls) <= 80
 
 
 # ---------------------------------------------------------------------------
-# one sweep context per (simplex, samples), shared by every height
+# one mass call per member: every height shares the height-free sweep
 # ---------------------------------------------------------------------------
 
 
@@ -646,7 +652,7 @@ def test_mass_is_independent_of_ambient_precision(t, prec):
     for ambient in (prec, 20, 53):
         order, phi = mass_member("one_unit", t)
         with mp.workprec(ambient):
-            fractions.add(mass_above_height(order, phi, 10.0, samples=60))
+            fractions.add(mass_above_height(order, phi, (10.0,), samples=60))
     assert len(fractions) == 1
 
 
@@ -675,30 +681,12 @@ def counting_sweep(monkeypatch):
 @pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
 def test_heights_share_certified_centres(monkeypatch, kind, t):
     heights = (10.0, 9.99, 100.0)
-    fresh = [mass_above_height(*mass_member(kind, t), h, samples=600) for h in heights]
+    fresh = [mass_above_height(*mass_member(kind, t), (h,), samples=600)[0] for h in heights]
     kernel, asked = counting_sweep(monkeypatch)
     order, phi = mass_member(kind, t)
-    assert [mass_above_height(order, phi, h, samples=600) for h in heights] == fresh
+    assert mass_above_height(order, phi, heights, samples=600) == tuple(fresh)
     # one enumeration per distinct centre, though later heights ask again
     assert len(kernel) == len(set(asked)) < len(asked)
-    before = len(kernel)
-    assert mass_above_height(order, phi, 9.99, samples=600) == fresh[1]
-    assert len(kernel) == before
-
-
-def test_sweep_memo_key_is_exact():
-    # a context made for one simplex or grid is never read for another
-    order, phi = mass_member("two_unit", 10 ** 9)
-    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
-    with mp.workprec(256):
-        swapped = make_simplex(v2, v1)
-    mass_above_height(order, phi, 10.0, samples=600)
-    for simplex, samples in ((swapped, 600), (phi, 300), (swapped, 300)):
-        fresh_order = mass_member("two_unit", 10 ** 9)[0]
-        for height in (10.0, 100.0):
-            assert mass_above_height(order, simplex, height, samples) == mass_above_height(
-                fresh_order, simplex, height, samples)
-    assert len(order._sweeps) == 4
 
 
 def policy_member(kind, t, bits):
@@ -727,7 +715,7 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
     for a, b in points[::7]:
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
-            weight = masses._dual_weight(exp_act(x, base))
+            weight = masses._dual_weight(exp_act(x.coords, base))
         s, margin = norm(a, b)
         with mp.workprec(2 * bits):
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
