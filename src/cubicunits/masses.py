@@ -21,30 +21,38 @@ enumeration, with a relative pad whose derived error bound must fit it
 (_ENUM_PAD). The surviving candidates' squared norms are exact integers,
 and one mpf square root at the caller's precision gives the minimum.
 
-The mass scan is one pure-Python cover by Lipschitz cells. Moving x by d
-scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d) v| lies between
-e^{min d_i} and e^{max d_i} times |exp(x) v|, and one verdict at a centre
-p decides a one-sided region around it: a float64 *exhibit* of a short
-unit-monomial vector, with a derived bound on its float error that must
-fit a stated headroom, proves escape wherever max_i d_i stays below its
-radius, and a centre it does not settle gets one certified enumeration,
-lambda_1 within [s - m, s + m], which decides every point with min_i d_i
-> -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape).
-In the trace-zero plane each region is a triangle with 3/2 the area of
-the sup-ball hexagon |d_i| < r inside it. Centres are the grid points not
-yet covered, coarse to fine, all moved from one basis of L that each
-call reduces once. Each centre (a alpha1 + b alpha2) / k is
-formed from exact dyadic images of the alphas, rounded once per
-coordinate. The offset between two grid points depends only on their
-index difference, which the cover reads exactly from the same images, so
-each centre marks one interval per grid row. A centre in doubt covers
-nothing, and a point no verdict covers raises PrecisionExhaustedError.
+The mass scan runs in two steps per height. First the unit rows: the
+unit eps1^i eps2^j has log vector y = i alpha1 + j alpha2 and exactly
+known norm |exp(x) eps|^2 = disc^{-1/3} sum_k e^{2(x_k + y_k)}. Along a
+grid row x is affine in the column, so that sum is convex there, and the
+grid points of a row where eps is shorter than 1/H form one interval. Its
+two end points pass a cancellation-free float64 test, whose derived bound
+on its float error must fit a stated headroom, and convexity proves every
+point between them escaped. Only monomials whose region, inside x_k +
+y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
+each row searches a short computed range of (i, j); and as the grid
+point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
+the extended grid, one interval per extended row serves every (row,
+monomial) pair. Then the centre walk visits only the points still open,
+coarse to fine, and gives each one a certified enumeration, lambda_1
+within [s - m, s + m], which decides every point with min_i d_i >
+-log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape):
+moving x by d scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d)
+v| lies between e^{min d_i} and e^{max d_i} times |exp(x) v|. In the
+trace-zero plane each such region is a triangle with 3/2 the
+area of the sup-ball hexagon |d_i| < r inside it. The centres are all
+moved from one basis of L that each call reduces once. Each centre (a
+alpha1 + b alpha2) / k is formed from exact dyadic images of the alphas,
+rounded once per coordinate. The offset between two grid points depends
+only on their index difference, which the cover reads exactly from the
+same images, so each centre marks one interval per grid row. A centre in
+doubt covers nothing, and a point no verdict covers raises
+PrecisionExhaustedError.
 
-Only the exhibit's cutoff and the walk read the height, so one call
-takes every height of a member and builds the rest once: the grid, the
-cover, the exhibit's monomial table and the certified norm, with its
-memo of (s, margin) per centre, so each centre is enumerated at most
-once however many heights ask. A certified
+Only the unit rows and the walk read the height, so one call takes every
+height of a member and builds the rest once: the grid, the cover and the
+certified norm, with its memo of (s, margin) per centre, so each centre
+is enumerated at most once however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
 rounded outward; only the verdicts compare in mpf.
@@ -86,9 +94,9 @@ __all__ = [
     "mass_above_height",
 ]
 
-# Relative headroom below the cutoff that the float64 exhibit must clear
-# before it counts a point as escaped; _exhibit derives the float error it
-# has to cover.
+# Relative headroom below the cutoff that the float64 unit test must clear
+# before it counts a point as escaped; _unit_rows derives the float error
+# it has to cover.
 _EXHIBIT_HEADROOM = 1e-9
 
 _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
@@ -469,20 +477,22 @@ def mass_above_height(
     """For each height H in `heights`, in order, the proportion of hexagon
     sample points x with ht(exp(x) L) > H.
 
-    One coarse-to-fine sweep per height decides every grid point. The
-    points not yet covered become centres, in descending 2-adic valuation
-    of gcd(a, b), then grid order. The unit-monomial exhibit (_exhibit)
-    settles a centre when it proves escape, one certified enumeration
-    (_certified_norm) otherwise, and the verdict covers every grid point in
-    the one-sided region it proves (_cover): no coordinate of the offset
-    above the radius for escape, none below minus the radius for no
-    escape. A centre in doubt covers nothing, and a point no verdict covers
-    raises. The count is exact for the decisions made.
+    Each height first runs the unit rows (_unit_rows): every grid point
+    where some unit monomial is certified shorter than 1/H is marked
+    escaped, one convex interval per row and monomial. The centre walk
+    then visits only the points still open (_open_points), in descending
+    2-adic valuation of gcd(a, b), then grid order, and settles each with
+    one certified enumeration (_certified_norm), whose verdict covers every
+    grid point in the one-sided region it proves (_cover): no coordinate
+    of the offset above the radius for escape, none below minus the radius
+    for no escape. A non-unit can still be short, so the kernel keeps both
+    verdicts. A centre in doubt covers nothing, and a point no verdict
+    covers raises. The count is exact for the decisions made.
 
-    Only the exhibit's cutoff and the walk read the height, so everything
-    else is built once per call, after checking at the order's bits that
-    phi comes from the order's units: every height shares one grid, one
-    cover and one certified norm per centre.
+    Only the unit rows and the walk read the height, so everything else is
+    built once per call, after checking at the order's bits that phi comes
+    from the order's units: every height shares one grid, one cover and one
+    certified norm per centre.
     """
     if not heights or any(not h > 1 for h in heights):  # NaN fails this too
         raise InvalidParamsError("need at least one height threshold, each above 1")
@@ -493,26 +503,22 @@ def mass_above_height(
                    for alpha in (phi.alpha1, -phi.alpha3)):
             raise InvalidParamsError("simplex must come from the verified units of the order")
     cover, certified_norm = _cover(phi, k, rows), _certified_norm(order, phi, k)
-    exhibit = _exhibit(order, phi)
+    unit_rows = _unit_rows(order, phi, k, rows)
     top = 2 * k // 3
     fractions = []
     for height in heights:
-        radius = exhibit(height)
         state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
+        unit_rows(state, height)
         with mp.workprec(bits):
             h = mp.mpf(height)
-            for a, b in _centres(rows, top):
-                if state[a + top][b - rows[a + top].start]:
+            for a, b in _open_points(state, rows, top):
+                s, margin = certified_norm(a, b)
+                if (s - margin) * h > 1:
+                    mark, r = _STAYS, float(mp.log((s - margin) * h))
+                elif (s + margin) * h < 1:
+                    mark, r = _ESCAPES, float(-mp.log((s + margin) * h))
+                else:
                     continue
-                mark, r = _ESCAPES, radius(a / k, b / k)
-                if r is None:
-                    s, margin = certified_norm(a, b)
-                    if (s - margin) * h > 1:
-                        mark, r = _STAYS, float(mp.log((s - margin) * h))
-                    elif (s + margin) * h < 1:
-                        r = float(-mp.log((s + margin) * h))
-                    else:
-                        continue
                 cover(state, a, b, r, mark)
         for u, row in enumerate(state, -top):
             if 0 in row:
@@ -524,99 +530,189 @@ def mass_above_height(
     return tuple(fractions)
 
 
-def _centres(rows: list[range], top: int):
-    """The grid points (a, b) in descending 2-adic valuation of gcd(a, b):
-    the origin, then each level s = 2^j, row-major within a level."""
-    yield 0, 0
+def _open_points(state: list[bytearray], rows: list[range], top: int):
+    """The grid points (a, b) still open (state 0) when the walk reaches
+    them, in descending 2-adic valuation of gcd(a, b): the origin, then
+    each level s = 2^j, row-major within a level. The state is read as the
+    walk goes, so a point marked after an earlier visit is skipped; within
+    a row, bytearray.find on the level's points jumps over decided runs."""
+    if not state[top][-rows[top].start]:
+        yield 0, 0
     s = 1 << top.bit_length()  # above every |a|, |b| <= top
     while s > 1:
         s >>= 1
         for a in range(-(top // s) * s, top + 1, s):
-            row = rows[a + top]
-            for b in range(-(-row.start // s) * s, row.stop, s):
-                if (a | b) & s:  # lowest set bit of gcd(a, b) is s
-                    yield a, b
+            row, marks = rows[a + top], state[a + top]
+            # the lowest set bit of gcd(a, b) is s: b any multiple of s when
+            # a has bit s, else an odd one
+            b = -(-row.start // s) * s
+            if not (a | b) & s:
+                b += s
+            first, step = b - row.start, s if a & s else 2 * s
+            level = marks[first::step]
+            pos = level.find(0)
+            while pos >= 0:
+                i = first + pos * step
+                if not marks[i]:
+                    yield a, row.start + i
+                pos = level.find(0, pos + 1)
 
 
-# Half-width of the exhibit's window: it tries the unit monomials
-# (cu+i) alpha1 + (cv+j) alpha2 with |i|, |j| <= _WINDOW.
-_WINDOW = 3
+def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]):
+    """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark _ESCAPES
+    on every grid point where some unit monomial is certified shorter than
+    1/height, and return, per row u of the extended grid (u alpha1 + v
+    alpha2) / k (u and v any integers) that the search reaches, the bounds
+    vmin < v < vmax it searched and the certified interval lo..hi (empty
+    when lo > hi) it found.
 
+    The unit monomial eps = eps1^i eps2^j has log vector y = i alpha1 + j
+    alpha2 and exactly known norm |exp(x) eps|^2 = disc^{-1/3} sum_m
+    exp(2 (x + y)_m). At the grid point (a, b), x + y is the extended point
+    (a + ik, b + jk), so the grid point escapes by eps exactly when that
+    extended point lies in the one set E = {z : disc^{-1/3} sum_m exp(2 z_m)
+    < 1/H^2}. E lies inside the triangle z_m < R = log(disc^{1/3} / H^2) / 2
+    on every m, and vmin < v < vmax bounds that triangle on row u (widened
+    by a relative and an absolute 2^-20), so only monomials that put some
+    grid point of a row inside those bounds can be short there. Along a
+    row the sum is convex in v (three exponentials of functions affine in
+    v), so E meets each row in one interval: float64 Newton from each end
+    of the bounds finds its ends, which are rounded inward to integers and
+    certified by the float test below; by convexity that certifies every
+    point between them. An end that fails the test steps inward; after
+    three failures the row is left to the kernel. The widest rows go
+    first, and a row whose grid rows a = u - ik are all marked already is
+    not solved.
 
-def _exhibit(order: CubicOrderData, phi: SimplexSet):
-    """exhibit(height) -> radius(cu, cv): a radius r, given in float64,
-    such that every point x + d with max_i d_i < r has height above
-    `height`, x the hexagon point (cu, cv), or None when the unit-monomial
-    window at it proves nothing. The window's factor table and disc^{-1/3}
-    are made once; only the cutoff reads the height.
-
-    The lattice point with log vector (cu+i) alpha1 + (cv+j) alpha2,
-    |i|, |j| <= _WINDOW, has exactly known norm
-        |v|^2 = disc^{-1/3} * sum_k exp(2 y_k),
-    a cancellation-free sum safe in float64; exp(2 y) factors as
-    exp(2 c B) exp(2 ij B), so each point costs three exp calls. If
-    |exp(x) v|^2 <= q, then |exp(x + d) v| <= e^{max d_i} sqrt(q), so
-    escape holds wherever max_i d_i < -log(q height^2) / 2.
+    The test at the extended point c = (s, t) = (u, v) / k, in float64 with
+    eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from their
+    exact values by at most 2 delta, delta = (|s| + |t|) alpha_err + 3 eps
+    Y, where alpha_err bounds the alphas' own error and Y = max_m |s|
+    |alpha1_m| + |t| |alpha2_m|; 3 eps Y covers rounding the alphas and c to
+    float64 and the two-term dot product. Each exp(2 z_m) is then off by a
+    relative e^{2 delta} - 1, plus the exp call (budgeted at 4 eps), the
+    three-term sum (3 eps/2), dscale (computed at the order's precision,
+    then rounded: eps) and the product (eps/2); cutoff = (1/H)^2 is off by
+    3 eps/2. The alphas have trace zero, so some z_m >= 0 and the exact sum
+    is at least 1, which bounds what underflow drops. So the true squared
+    norm is at most the float one times 1 + err, err = 3 delta + 25 eps,
+    for err up to about 1e-6, and below 1/H^2 whenever also the float
+    norm is below cutoff (1 - _EXHIBIT_HEADROOM) and err <=
+    _EXHIBIT_HEADROOM. An exponential that overflows fails the test.
     """
     a1 = [float(c) for c in phi.alpha1.coords]
     a2 = [float(c) for c in phi.alpha2.coords]
     with mp.workprec(_bits(order)):
         dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
     alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
-    span = range(-_WINDOW, _WINDOW + 1)
-    factors = []
-    for i, j in itertools.product(span, span):
+    det = a1[0] * a2[1] - a1[1] * a2[0]
+    top = 2 * k // 3
+
+    (x0, x1, x2), (y0, y1, y2) = a1, a2
+    q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
+
+    def short(u: int, v: int, cutoff: float) -> bool:
+        s, t = u / k, v / k
+        ymax = max(abs(s * x0) + abs(t * y0), abs(s * x1) + abs(t * y1),
+                   abs(s * x2) + abs(t * y2))
+        err = 3 * ((abs(s) + abs(t)) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
+        if not err <= _EXHIBIT_HEADROOM:
+            return False
         try:
-            factors.append([math.exp(2.0 * (i * x + j * y)) for x, y in zip(a1, a2)])
+            total = (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
+                     + math.exp(2.0 * (s * x2 + t * y2)))
         except OverflowError:
-            pass  # a monomial left out only proves less
+            return False
+        return dscale * total < cutoff * (1 - _EXHIBIT_HEADROOM)
 
-    # Error of the exhibit at the point c, with eps = _EPS:
-    # - the exponents 2 c B_k and 2 ij B_k together are off from 2 y_k by
-    #   at most 2 delta, where
-    #       delta = (|c_u| + |c_v| + 2 _WINDOW) * alpha_err + 3 eps * Y,
-    #   alpha_err bounds the alphas' own error and Y, the largest
-    #   (|c_u|+_WINDOW)|a1_k| + (|c_v|+_WINDOW)|a2_k|, bounds max|y| over
-    #   the window; 3 eps * Y covers rounding the alphas and c to float64
-    #   and the two two-term dot products (at most seven half-ulps);
-    # - exp(2 y_k) is then off by a relative e^{2 delta} - 1, plus the two
-    #   exp calls (budgeted at 4 eps each), their product and the three-term
-    #   sum (3 eps/2), dscale (computed at the order's precision, then
-    #   rounded: eps) and the product (eps/2); cutoff = (1/height)^2 is off
-    #   by 3 eps/2;
-    # - the alphas have trace zero, so some y_k >= 0 and the exact sum is at
-    #   least 1; a factor below 2^-1074 (underflow) times one below 2^1024
-    #   loses at most 2^-50 = 4 eps per term, 12 eps in all.
-    # So the true squared norm is at most best (1 + err), err = 3 delta +
-    # 25 eps, for err up to about 1e-6, and below 1/height^2 whenever also
-    # best < cutoff (1 - _EXHIBIT_HEADROOM) and err <= _EXHIBIT_HEADROOM. A
-    # factor that overflows leaves its monomial out (exp raises), and a
-    # product that overflows is inf, which never compares below the cutoff.
-    # The float radius exceeds the proven -log(best (1 + err) height^2) / 2
-    # by at most a relative 2 eps (log) and an absolute 2 eps (the four
-    # roundings of its argument).
-    def exhibit(height: float):
-        h = float(height)
-        cutoff = (1.0 / h) ** 2
-
-        def radius(cu: float, cv: float) -> float | None:
-            au, av = abs(cu) + _WINDOW, abs(cv) + _WINDOW
-            ymax = max(au * abs(x) + av * abs(y) for x, y in zip(a1, a2))
-            err = 3 * ((au + av) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
-            if not err <= _EXHIBIT_HEADROOM:
+    def end(c0, c1, c2, v, sg, stop):
+        """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
+        from v, where g > 0, towards its root on the side sg of the
+        minimum (sg = +1: the larger root); None when g stays positive
+        before `stop`."""
+        for _ in range(64):
+            w0, w1, w2 = math.exp(c0 + q0 * v), math.exp(c1 + q1 * v), math.exp(c2 + q2 * v)
+            total = w0 + w1 + w2
+            g = math.log(total)
+            if g <= 0:
+                return v
+            slope = (q0 * w0 + q1 * w1 + q2 * w2) / total
+            if not sg * slope > 0:  # past the minimum: g > 0 all the way
                 return None
-            try:
-                p0, p1, p2 = [math.exp(2.0 * (cu * x + cv * y)) for x, y in zip(a1, a2)]
-            except OverflowError:
+            step = g / slope
+            v -= step
+            if sg * (v - stop) < 0:
                 return None
-            best = dscale * min(p0 * w0 + p1 * w1 + p2 * w2 for w0, w1, w2 in factors)
-            if not best < cutoff * (1 - _EXHIBIT_HEADROOM):
-                return None
-            return -0.5 * math.log(best * (1 + err) * h * h)
+            if abs(step) < 2.0 ** -10:  # v is off the root by about step^2
+                return v
+        return v
 
-        return radius
+    def bounds(wide: float) -> list[tuple[int, float, float]]:
+        """(u, vmin, vmax) for every extended row u that meets the
+        triangle z_m < wide, with vmin < v < vmax there."""
+        # the triangle's vertices z = wide (1, 1, 1) - 3 wide e_m, in s
+        corners = [((wide - 3 * wide * (m == 0)) * a2[1] - (wide - 3 * wide * (m == 1)) * a2[0])
+                   / det for m in range(3)]
+        out = []
+        for u in range(math.floor(min(corners) * k), math.ceil(max(corners) * k) + 1):
+            s = u / k
+            vmin, vmax = -math.inf, math.inf
+            for x, y in zip(a1, a2):
+                if y > 0:
+                    vmax = min(vmax, (wide - s * x) / y * k)
+                elif y < 0:
+                    vmin = max(vmin, (wide - s * x) / y * k)
+            if vmin < vmax:
+                out.append((u, vmin, vmax))
+        return out
 
-    return exhibit
+    def interval(u: int, vmin: float, vmax: float, big_r: float, cutoff: float) -> tuple[int, int]:
+        """The certified interval lo..hi of E on the extended row u, or (0, -1)."""
+        s = u / k
+        offsets = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
+        right = end(*offsets, vmax, 1, vmin)
+        left = None if right is None else end(*offsets, vmin, -1, right)
+        if left is None:
+            return 0, -1
+        ends = [math.ceil(left), math.floor(right)]
+        for e, inward in ((1, -1), (0, 1)):
+            for _ in range(3):
+                if ends[0] > ends[1] or short(u, ends[e], cutoff):
+                    break
+                ends[e] += inward
+            else:
+                return 0, -1
+        return ends[0], ends[1]
+
+    def unit_rows(state: list[bytearray], height: float) -> list[tuple[int, float, float, int, int]]:
+        cutoff = (1.0 / float(height)) ** 2
+        if not cutoff > dscale:  # the sum is at least 1: no unit is short
+            return []
+        big_r = 0.5 * math.log(cutoff / dscale)
+        wide = big_r * (1 + 2.0 ** -20) + 2.0 ** -20
+        out = []
+        # widest first: a row whose grid rows are all marked already is skipped
+        for u, vmin, vmax in sorted(bounds(wide), key=lambda b: b[1] - b[2]):
+            grid = range(-top + (u + top) % k, top + 1, k)  # a = u - ik on the grid
+            lo, hi = 0, -1
+            if any(0 in state[a + top] for a in grid):
+                lo, hi = interval(u, vmin, vmax, big_r, cutoff)
+            out.append((u, vmin, vmax, lo, hi))
+            if lo > hi:
+                continue
+            for a in grid:
+                row, marks = rows[a + top], state[a + top]
+                if hi - lo >= k - 1:  # the translates by jk cover every b
+                    marks[:] = bytes([_ESCAPES]) * len(row)
+                    continue
+                # b = v - jk meets the row for jk in [lo - row.stop + 1, hi - row.start]
+                for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
+                    first, last = max(lo - j * k, row.start), min(hi - j * k, row.stop - 1)
+                    marks[first - row.start:last + 1 - row.start] = (
+                        bytes([_ESCAPES]) * (last + 1 - first))
+        return out
+
+    return unit_rows
 
 
 # The cover reads alpha1 and alpha2 as integer vectors at scale

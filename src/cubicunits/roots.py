@@ -5,13 +5,14 @@ the Cauchy interval cut at two rational separators near the critical
 points of f, which lie strictly between the roots). Refinement only has
 to find a good iterate; the certificate does not trust it. The iterate
 comes from float64 Newton inside the exact bracket (each iterate's exact
-sign narrows the bracket, a step that leaves it or stalls is replaced by
-a split), then one mpf Newton step per precision level, doubling from
-about 2*53 bits to the working precision (Brent and Zimmermann, Modern
-Computer Arithmetic, section 4.2), then full-precision Newton. The
-enclosure [x-eps, x+eps], clipped to the exact bracket, is accepted only
-with an exact sign change at its ends, so the returned interval is
-unconditionally correct. Asymptotic predictions for the constructed
+sign narrows the bracket; a step that leaves it first tries the float
+next to the end it left through, and one that leaves it again or stalls
+is replaced by a split), then one mpf Newton step per precision level,
+doubling from about 2*53 bits to the working precision (Brent and
+Zimmermann, Modern Computer Arithmetic, section 4.2), then full-precision
+Newton. The enclosure [x-eps, x+eps], clipped to the exact bracket, is
+accepted only with an exact sign change at its ends, so the returned
+interval is unconditionally correct. Asymptotic predictions for the constructed
 families are exact rational Newton steps from the designed anchor
 points, with the theorem's hypotheses checked as finite inequalities.
 """
@@ -103,10 +104,14 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     An iterate x = n/d is a dyadic rational, so d^3 f(x) and d^2 f'(x) are
     exact integers: their sign moves one end of the bracket to x, and their
     quotient, rounded once, is the Newton step (no float64 coefficients,
-    so no cancellation). A step that leaves the bracket, or shrinks too
-    slowly, is replaced by a split of it (`_split`). Returns (seed, lo, hi)
-    with the narrowed exact bracket, or (None, lo, hi) if the root lies
-    beyond float64 range.
+    so no cancellation). The first iterate splits the bracket (`_split`),
+    so a bracket that spans many scales, as one reaching out to the Cauchy
+    bound does, starts at its geometric mean, not near its far end. A step that leaves the bracket through an end is
+    replaced, once per end, by the float next to that end inside it (a
+    root within an ulp of the end is then bracketed by one evaluation);
+    any other step that leaves the bracket, or shrinks too slowly, is
+    replaced by a split. Returns (seed, lo, hi) with the narrowed exact
+    bracket, or (None, lo, hi) if the root lies beyond float64 range.
     """
     if lo < -_HUGE:  # one exact sign brings the bracket into float range
         if sign_at(f, Fraction(-_HUGE)) != slo:
@@ -117,8 +122,9 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
             return None, lo, hi
         hi = _HUGE
     a, b = float(lo), float(hi)  # a < x < b in floats implies lo < x < hi
-    x = a * 0.5 + b * 0.5
+    x = _split(a, b)
     last = math.inf
+    nudged = set()  # the ends whose inner neighbour was tried: -1 for a, 1 for b
     for _ in range(_SEED_STEPS):
         if not a < x < b:
             break
@@ -137,8 +143,12 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
         x -= dx
         if abs(dx) <= abs(x) * _SEED_TOL:
             break
-        if a < x < b and abs(dx) <= last * _SEED_PULL:
+        side = -1 if x <= a else 1 if x >= b else 0
+        if side == 0 and abs(dx) <= last * _SEED_PULL:
             last = abs(dx)
+        elif side and side not in nudged:
+            nudged.add(side)
+            x, last = math.nextafter(a, b) if side < 0 else math.nextafter(b, a), math.inf
         else:
             x, last = _split(a, b), math.inf
     return x, Fraction(lo), Fraction(hi)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -477,8 +478,7 @@ def test_hexagon_grid_count_formula():
         assert all(p[0].denominator <= 3 * m for p in pts)
 
 
-@pytest.mark.parametrize("samples", [1, 2, 7, 60, 300, 600, 1000, 10000, 12345])
-def test_centres_descend_by_level_then_row_major(samples):
+def centre_order(samples):
     # the sweep's centre order: a stable sort by the lowest set bit of
     # gcd(a, b), highest first, with the origin above every level
     def level(point):
@@ -488,7 +488,45 @@ def test_centres_descend_by_level_then_row_major(samples):
     k, rows = masses._hexagon_rows(samples)
     top = 2 * k // 3
     grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
-    assert list(masses._centres(rows, top)) == sorted(grid, key=level, reverse=True)
+    return rows, top, sorted(grid, key=level, reverse=True)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 60, 300, 600, 1000, 10000, 12345])
+def test_centres_descend_by_level_then_row_major(samples):
+    # at an empty state the open-point walk visits every grid point
+    rows, top, order = centre_order(samples)
+    state = [bytearray(len(row)) for row in rows]
+    assert list(masses._open_points(state, rows, top)) == order
+
+
+@pytest.mark.parametrize("samples, seed", [(60, 0), (300, 1), (1000, 2), (10000, 3)])
+def test_open_point_walk_skips_marks_written_between_visits(samples, seed):
+    # random marks before the walk and after every visit (sometimes on the
+    # visited point, sometimes a run of a row, anywhere): the walk yields
+    # exactly the points still open when the centre order reaches them
+    rng = random.Random(seed)
+    rows, top, order = centre_order(samples)
+    state = [bytearray(rng.random() < 0.3 for _ in row) for row in rows]
+
+    def is_open(point):
+        return not state[point[0] + top][point[1] - rows[point[0] + top].start]
+
+    walk = masses._open_points(state, rows, top)
+    visited = 0
+    for point in order:
+        if not is_open(point):
+            continue
+        assert next(walk) == point
+        visited += 1
+        for _ in range(rng.randrange(3)):
+            u = rng.randrange(len(rows))
+            lo = rng.randrange(len(rows[u]))
+            hi = min(len(rows[u]), lo + rng.randrange(1, 6))
+            state[u][lo:hi] = bytes([rng.choice((masses._STAYS, masses._ESCAPES))]) * (hi - lo)
+        if rng.random() < 0.5:
+            state[point[0] + top][point[1] - rows[point[0] + top].start] = masses._STAYS
+    assert next(walk, None) is None
+    assert visited > 1
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +601,7 @@ def per_point_norm(order, phi, point, base):
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 9])
 def test_mass_sweep_matches_per_point_oracle(kind, t):
-    # every grid point, whether the sweep settled it by an exhibit, by an
+    # every grid point, whether the sweep settled it by a unit row, by an
     # enumeration or by either kind of cover, against its own enumeration
     order, phi = mass_member(kind, t)
     base = embed_order_lattice(order)
@@ -633,9 +671,71 @@ def test_mass_sweep_enumeration_count(monkeypatch):
 
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
     mass_above_height(order, phi, (10.0,), samples=2000)
-    # one enumeration per exhibit-unsettled point would be 1149 calls; the
-    # one-sided cover makes 70, and the sup-ball cover it replaced made 88
+    # one enumeration per point the unit rows leave open would be 1149
+    # calls; the one-sided cover makes 70, and the sup-ball cover it
+    # replaced made 88
     assert len(calls) <= 80
+
+
+def short_monomials(order, phi, k, rows, height, window=12):
+    # brute force: every (grid point, unit monomial (i, j)) with |i|, |j| <=
+    # window whose squared norm disc^{-1/3} sum_m exp(2 (x + y)_m) is below
+    # 1/H^2, decided at 256 bits; a float64 pass drops the pairs whose
+    # float norm is more than twice the cut
+    top = 2 * k // 3
+    span = range(-window, window + 1)
+    a1 = [float(c) for c in phi.alpha1.coords]
+    a2 = [float(c) for c in phi.alpha2.coords]
+    mono = {(i, j): [math.exp(2 * (i * x + j * y)) for x, y in zip(a1, a2)]
+            for i in span for j in span}
+    with mp.workprec(256):
+        dscale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3)
+        cut = 1 / mp.mpf(height) ** 2
+        fcut = 2 * float(cut / dscale)
+        found = set()
+        for u, row in enumerate(rows, -top):
+            for v in row:
+                p = [math.exp(2 * (u * x + v * y) / k) for x, y in zip(a1, a2)]
+                for (i, j), w in mono.items():
+                    if p[0] * w[0] + p[1] * w[1] + p[2] * w[2] >= fcut:
+                        continue
+                    z = [((u + i * k) * x + (v + j * k) * y) / k
+                         for x, y in zip(phi.alpha1.coords, phi.alpha2.coords)]
+                    if dscale * sum(mp.exp(2 * c) for c in z) < cut:
+                        found.add((u, v, i, j))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 6])
+def test_unit_rows_match_monomial_oracle(kind, t):
+    # the unit rows mark exactly the grid points where some unit monomial of
+    # a wide window is short, and no monomial outside the per-row ranges
+    # they search is short anywhere; every monomial they search lies in the
+    # window, so the window sees all of them
+    order, phi = mass_member(kind, t)
+    k, rows = masses._hexagon_rows(300)
+    top = 2 * k // 3
+    unit_rows = masses._unit_rows(order, phi, k, rows)
+    for height in (10.0, 100.0):
+        found = short_monomials(order, phi, k, rows, height)
+        state = [bytearray(len(row)) for row in rows]
+        searched = unit_rows(state, height)
+        assert all(set(marks) <= {0, masses._ESCAPES} for marks in state)
+        marked = {(u, v) for u, row in enumerate(rows, -top) for v in row
+                  if state[u + top][v - row.start]}
+        assert marked == {(u, v) for u, v, _, _ in found}
+        bounds = {row_u: (vmin, vmax) for row_u, vmin, vmax, _, _ in searched}
+        for u, v, i, j in found:
+            vmin, vmax = bounds[u + i * k]
+            assert vmin <= v + j * k <= vmax
+        for row_u, vmin, vmax, _, _ in searched:
+            for u in range(-top + (row_u + top) % k, top + 1, k):
+                row = rows[u + top]
+                assert abs(row_u - u) // k <= 12
+                assert math.floor((vmax - row.start) / k) <= 12
+                assert math.ceil((vmin - row.stop + 1) / k) >= -12
+        assert found or height == 100.0
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,28 @@ def test_float_seed_steps_aside_only_beyond_float64_range():
     _assert_enclosures_hold_bisected_roots(f)
 
 
+@pytest.mark.parametrize("t", [10 ** 16, 10 ** 24, -10 ** 16, -10 ** 24])
+def test_float_seed_spends_few_exact_signs(monkeypatch, t):
+    # one_unit's large root lies within an ulp of its bracket end, and
+    # every Newton step towards it lands beyond that end: the float next
+    # to the end brackets it at once. When each such step became a
+    # midpoint split, that root took 49 exact signs at t = 10^16 and 10^24
+    # and 27 and 49 at -10^16 and -10^24, and the member 49 to 72 in all
+    signs = []
+
+    def counting(*args):
+        signs[-1] += 1
+        return eval_scaled(*args)
+
+    monkeypatch.setattr(roots, "eval_scaled", counting)
+    f = _member("one_unit", t)
+    for r in isolate_real_roots(f):
+        signs.append(0)
+        assert roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] is not None
+    large = signs[0] if t > 0 else signs[2]
+    assert large <= 3 and sum(signs) <= 24, signs
+
+
 def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():
     # lo lies within 2^-300 below 2^(1/3), so [x - 2^-192, x + 2^-192]
     # reaches past it; clipped to the bracket, which holds one root, the
