@@ -19,7 +19,9 @@ Nguyen and Stehle's L^2) reduces it by exact integer column operations.
 The same float64 Gram-Schmidt data then prune a complete Fincke-Pohst
 enumeration, with a relative pad whose derived error bound must fit it
 (_ENUM_PAD). The surviving candidates' squared norms are exact integers,
-and one mpf square root at the caller's precision gives the minimum.
+and one mpf square root at the caller's precision gives the minimum. A
+second enumeration over the same reduction gives the least norm among the
+vectors not parallel to that minimiser (_second_minimum).
 
 The mass scan runs in two steps per height. First the unit rows: the
 unit eps1^i eps2^j has log vector y = i alpha1 + j alpha2 and exactly
@@ -33,9 +35,12 @@ y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
 each row searches a short computed range of (i, j); and as the grid
 point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
 the extended grid, one interval per extended row serves every (row,
-monomial) pair. Then the centre walk visits only the points still open,
-coarse to fine, and gives each one a certified enumeration, lambda_1
-within [s - m, s + m], which decides every point with min_i d_i >
+monomial) pair. The rows certify the complement too (the mirror test just
+outside each interval, or a slope bracket of a row's minimum), so that
+every unit monomial is long at each point left open; a grid row where
+that fails is doubtful. Then the centre walk visits only the points still
+open, coarse to fine, and gives each one a certified enumeration,
+lambda_1 within [s - m, s + m], which decides every point with min_i d_i >
 -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape):
 moving x by d scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d)
 v| lies between e^{min d_i} and e^{max d_i} times |exp(x) v|. In the
@@ -45,14 +50,20 @@ moved from one basis of L that each call reduces once. Each centre (a
 alpha1 + b alpha2) / k is formed from exact dyadic images of the alphas,
 rounded once per coordinate. The offset between two grid points depends
 only on their index difference, which the cover reads exactly from the
-same images, so each centre marks one interval per grid row. A centre in
-doubt covers nothing, and a point no verdict covers raises
+same images, so each centre marks one interval per grid row. When the
+shortest vector v1 is a certified unit monomial (_unit_monomial) and B -
+m_B bounds every vector not parallel to it from below, the centre also
+marks "height at most H" on the open points outside doubtful rows with
+min_i d_i > -log((B - m_B) H): a vector shorter than 1/H there is a
+multiple of v1, which the unit rows proved long. A centre in doubt covers
+nothing that way, and a point no verdict covers raises
 PrecisionExhaustedError.
 
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
-certified norm, with its memo of (s, margin) per centre, so each centre
-is enumerated at most once however many heights ask. A certified
+certified norm, with its memo of (s, margin) and, once asked for, B - m_B
+per centre, so each centre is enumerated at most once however many
+heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
 rounded outward; only the verdicts compare in mpf.
@@ -64,6 +75,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 
 import mpmath as mp
@@ -94,10 +106,10 @@ __all__ = [
     "mass_above_height",
 ]
 
-# Relative headroom below the cutoff that the float64 unit test must clear
-# before it counts a point as escaped; _unit_rows derives the float error
-# it has to cover.
-_EXHIBIT_HEADROOM = 1e-9
+# Relative headroom by which the float64 unit tests must clear the cutoff,
+# below it for a short unit and above it for a long one, and a slope its
+# error bound; _unit_rows derives the float error each has to cover.
+_UNIT_HEADROOM = 1e-9
 
 _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 
@@ -129,6 +141,14 @@ class LatticeBasis3:
             for i, v in enumerate(self.column(j)):
                 m[i, j] = v
         return m
+
+    @cached_property
+    def _minimum(self):
+        """(reduction, (n, c)): the integer columns LLL-reduced with their
+        float64 Gram-Schmidt data (_lll), and the least exact squared norm n
+        over them with a coefficient vector c attaining it (_least)."""
+        reduction = _lll(self.cols)
+        return reduction, _least(reduction)
 
 
 @dataclass(frozen=True)
@@ -280,11 +300,24 @@ def _lll(cols):
 _ENUM_PAD = 2.0 ** -30
 
 
-def _fincke_pohst(bsq, mu, bound):
-    """Coefficient vectors (c0, c1, c2), top nonzero entry positive, whose
-    float64 norm sum_l bsq[l] (c_l + sum_{j>l} mu[j][l] c_j)^2 is within a
-    factor 1 + _ENUM_PAD of the least found; `bound` must exceed that
-    least norm by the pad."""
+def _parallel(c, d) -> bool:
+    """Whether the integer vectors c and d are parallel (exact)."""
+    return not (c[1] * d[2] - c[2] * d[1] or c[2] * d[0] - c[0] * d[2]
+                or c[0] * d[1] - c[1] * d[0])
+
+
+def _fincke_pohst(bsq, mu, bound, skip=None):
+    """Coefficient vectors (c0, c1, c2), top nonzero entry positive and not
+    parallel to `skip`, whose float64 norm sum_l bsq[l] (c_l + sum_{j>l}
+    mu[j][l] c_j)^2 is within a factor 1 + _ENUM_PAD of the least found;
+    `bound` must exceed that least norm by the pad.
+
+    On a level (c1, c2) the norm is a parabola in c0 with its vertex at
+    -y0, which the float y0 has within far less than 1/2 (the bound that
+    keeps each range end within one integer), so only the three c0 nearest
+    the float vertex are tried: they hold the level's least exact norm, and
+    its least once the one c0 parallel to skip is left out. The level (0,
+    0) holds the multiples of the first column, whose least is c0 = 1."""
     b0, b1, b2 = bsq
     found = []
     for c2 in range(int(math.sqrt(bound / b2)) + 2):
@@ -300,15 +333,44 @@ def _fincke_pohst(bsq, mu, bound):
             if t1 > bound:
                 continue
             y0 = mu[1][0] * c1 + mu[2][0] * c2
-            h0 = math.sqrt((bound - t1) / b0)
-            lo0 = 1 if c1 == c2 == 0 else math.floor(-y0 - h0) - 1
-            for c0 in range(lo0, math.ceil(-y0 + h0) + 2):
+            near = round(-y0)
+            for c0 in ((1,) if c1 == c2 == 0 else (near - 1, near, near + 1)):
                 z0 = c0 + y0
                 t0 = t1 + b0 * z0 * z0
-                if t0 <= bound:
+                if t0 <= bound and not (skip and _parallel((c0, c1, c2), skip)):
                     found.append((t0, (c0, c1, c2)))
                     bound = min(bound, t0 * (1 + _ENUM_PAD))
     return [c for t0, c in found if t0 <= bound]
+
+
+def _least(reduction, skip=None) -> tuple[int, tuple[int, int, int]]:
+    """(n, c): the least exact squared norm n = |sum_l c_l red_l|^2 over the
+    nonzero coefficient vectors c not parallel to `skip` (every one when
+    skip is None; else skip must be a shortest vector's), and a c that
+    attains it, for reduction = (red, bsq, mu, shift) from _lll. The
+    Fincke-Pohst bound is the least squared reduced column not parallel to
+    skip, padded by _ENUM_PAD, and must pass the derived float error check
+    at _ENUM_PAD with min_l B_l, a lower bound on lambda_1^2. With skip, the
+    least norm sought is at least lambda_2^2 (a vector not parallel to a
+    shortest one is, with it, independent), and lambda_2^2 >= min(B_1,
+    B_2), as of two independent vectors one has a nonzero coefficient past
+    the first; so min(B_1, B_2) takes min_l B_l's place there."""
+    red, bsq, mu, shift = reduction
+    diag = [_scaled_float(_dot(c, c), shift) for c in red]
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the columns' own coefficients
+    bound = (1 + _ENUM_PAD) * min(g for g, e in zip(diag, unit)
+                                  if not (skip and _parallel(e, skip)))
+    eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
+    z = [math.sqrt(bound / b) for b in bsq]
+    m1 = abs(mu[2][1]) * z[2]
+    m0 = abs(mu[1][0]) * (z[1] + m1) + abs(mu[2][0]) * z[2]
+    err = 64 * (2.0 ** -53 + eta) * (
+        bound + math.sqrt(bound) * (m1 * math.sqrt(bsq[1]) + m0 * math.sqrt(bsq[0])))
+    if not err <= _ENUM_PAD * min(bsq[1:] if skip else bsq) / 3:
+        raise InternalInconsistencyError("float enumeration error exceeds its pad")
+    return min((_dot(v, v), c) for v, c in (
+        ([sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)], c)
+        for c in _fincke_pohst(bsq, mu, bound, skip)))
 
 
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -319,24 +381,20 @@ def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     Gram-Schmidt data, padded by _ENUM_PAD, keeps every coefficient vector
     that can be shortest, and the least exact integer norm among those is
     the true minimum of the lattice the columns span, rounded twice at
-    prec bits (to mpf, square root).
+    prec bits (to mpf, square root). The reduction and the minimiser stay
+    on the basis (LatticeBasis3._minimum), for _second_minimum.
     """
-    red, bsq, mu, shift = _lll(basis.cols)
-    diag = [_scaled_float(_dot(c, c), shift) for c in red]
-    bound = (1 + _ENUM_PAD) * min(diag)
-    eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
-    z = [math.sqrt(bound / b) for b in bsq]
-    m1 = abs(mu[2][1]) * z[2]
-    m0 = abs(mu[1][0]) * (z[1] + m1) + abs(mu[2][0]) * z[2]
-    err = 64 * (2.0 ** -53 + eta) * (
-        bound + math.sqrt(bound) * (m1 * math.sqrt(bsq[1]) + m0 * math.sqrt(bsq[0])))
-    if not err <= _ENUM_PAD * min(bsq) / 3:
-        raise InternalInconsistencyError("float enumeration error exceeds its pad")
-    best = min(_dot(v, v) for v in (
-        [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
-        for c in _fincke_pohst(bsq, mu, bound)))
+    best, _ = basis._minimum[1]
     with mp.workprec(prec):
         return mp.ldexp(mp.sqrt(best), basis.exp)
+
+
+def _second_minimum(basis: LatticeBasis3) -> int:
+    """The least exact squared norm, in units of 2^(2 exp), among the
+    lattice vectors not parallel to the kernel's minimiser: a second
+    padded enumeration over the same reduction (_least)."""
+    reduction, (_, c) = basis._minimum
+    return _least(reduction, c)[0]
 
 
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -479,15 +537,24 @@ def mass_above_height(
 
     Each height first runs the unit rows (_unit_rows): every grid point
     where some unit monomial is certified shorter than 1/H is marked
-    escaped, one convex interval per row and monomial. The centre walk
-    then visits only the points still open (_open_points), in descending
-    2-adic valuation of gcd(a, b), then grid order, and settles each with
-    one certified enumeration (_certified_norm), whose verdict covers every
-    grid point in the one-sided region it proves (_cover): no coordinate
-    of the offset above the radius for escape, none below minus the radius
-    for no escape. A non-unit can still be short, so the kernel keeps both
-    verdicts. A centre in doubt covers nothing, and a point no verdict
-    covers raises. The count is exact for the decisions made.
+    escaped, one convex interval per row and monomial, and a grid row
+    holding an open point where some unit monomial is not certified at
+    least 1/H long is doubtful. The centre walk then visits only the points
+    still open (_open_points), in descending 2-adic valuation of gcd(a,
+    b), then grid order, and settles each with one certified enumeration
+    (_certified_norm), whose verdict covers every grid point in the
+    one-sided region it proves (_cover): no coordinate of the offset above
+    the radius for escape, none below minus the radius for no escape. A
+    non-unit can still be short, so the kernel keeps both verdicts. A
+    centre in doubt covers nothing this way, and a point no verdict covers
+    raises. The count is exact for the decisions made.
+
+    When the centre's shortest vector v1 is a certified unit monomial, with
+    B - m_B below the least norm of a vector not parallel to it, a second,
+    wider cover marks "at most H" on the open points p = x + d outside the
+    doubtful rows with min_i d_i > -log((B - m_B) H). A vector w with |exp(p) w| < 1/H
+    then has |exp(x) w| < B - m_B, so w = n v1, and v1 would be short at p;
+    but the unit rows certified every unit monomial long there.
 
     Only the unit rows and the walk read the height, so everything else is
     built once per call, after checking at the order's bits that phi comes
@@ -508,18 +575,21 @@ def mass_above_height(
     fractions = []
     for height in heights:
         state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-        unit_rows(state, height)
+        doubtful = unit_rows(state, height)[1]
         with mp.workprec(bits):
             h = mp.mpf(height)
             for a, b in _open_points(state, rows, top):
-                s, margin = certified_norm(a, b)
+                s, margin, floor = certified_norm(a, b)
+                # each radius is a float log of a float product: both round
+                # once, within what _cover charges to r
                 if (s - margin) * h > 1:
-                    mark, r = _STAYS, float(mp.log((s - margin) * h))
+                    cover(state, a, b, math.log(float((s - margin) * h)), _STAYS)
                 elif (s + margin) * h < 1:
-                    mark, r = _ESCAPES, float(-mp.log((s + margin) * h))
-                else:
-                    continue
-                cover(state, a, b, r, mark)
+                    cover(state, a, b, -math.log(float((s + margin) * h)), _ESCAPES)
+                if any(0 in row for row in state):  # a unit-aware cover marks open points only
+                    wide = floor()
+                    if wide is not None and wide * h > 1:
+                        cover(state, a, b, math.log(float(wide * h)), _STAYS, doubtful)
         for u, row in enumerate(state, -top):
             if 0 in row:
                 point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
@@ -559,12 +629,14 @@ def _open_points(state: list[bytearray], rows: list[range], top: int):
 
 
 def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]):
-    """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark _ESCAPES
-    on every grid point where some unit monomial is certified shorter than
-    1/height, and return, per row u of the extended grid (u alpha1 + v
-    alpha2) / k (u and v any integers) that the search reaches, the bounds
-    vmin < v < vmax it searched and the certified interval lo..hi (empty
-    when lo > hi) it found.
+    """unit_rows(state, height) -> ([(u, vmin, vmax, lo, hi)], doubtful):
+    mark _ESCAPES on every grid point where some unit monomial is certified
+    shorter than 1/height, and return, per row u of the extended grid (u
+    alpha1 + v alpha2) / k (u and v any integers) that the search reaches,
+    the bounds vmin < v < vmax it searched and the certified interval
+    lo..hi (empty when lo > hi) it found, with the set of grid rows a
+    holding an open point where some unit monomial is not certified at
+    least 1/height long (doubtful rows).
 
     The unit monomial eps = eps1^i eps2^j has log vector y = i alpha1 + j
     alpha2 and exactly known norm |exp(x) eps|^2 = disc^{-1/3} sum_m
@@ -574,31 +646,50 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     < 1/H^2}. E lies inside the triangle z_m < R = log(disc^{1/3} / H^2) / 2
     on every m, and vmin < v < vmax bounds that triangle on row u (widened
     by a relative and an absolute 2^-20), so only monomials that put some
-    grid point of a row inside those bounds can be short there. Along a
-    row the sum is convex in v (three exponentials of functions affine in
-    v), so E meets each row in one interval: float64 Newton from each end
-    of the bounds finds its ends, which are rounded inward to integers and
-    certified by the float test below; by convexity that certifies every
-    point between them. An end that fails the test steps inward; after
-    three failures the row is left to the kernel. The widest rows go
-    first, and a row whose grid rows a = u - ik are all marked already is
-    not solved.
+    grid point of a row inside those bounds can be short there, and every
+    other one is long. Along a row the sum is convex in v (three
+    exponentials of functions affine in v), so E meets each row in one
+    interval: float64 Newton from each end of the bounds finds its ends,
+    which are rounded inward to integers and certified by the float test
+    `short`; by convexity that certifies every point between them. An end
+    that fails the test steps inward; after three failures the row is
+    left to the kernel. The widest rows go first, and a row whose grid
+    rows a = u - ik are all marked already is not solved.
 
-    The test at the extended point c = (s, t) = (u, v) / k, in float64 with
-    eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from their
-    exact values by at most 2 delta, delta = (|s| + |t|) alpha_err + 3 eps
-    Y, where alpha_err bounds the alphas' own error and Y = max_m |s|
-    |alpha1_m| + |t| |alpha2_m|; 3 eps Y covers rounding the alphas and c to
-    float64 and the two-term dot product. Each exp(2 z_m) is then off by a
-    relative e^{2 delta} - 1, plus the exp call (budgeted at 4 eps), the
-    three-term sum (3 eps/2), dscale (computed at the order's precision,
-    then rounded: eps) and the product (eps/2); cutoff = (1/H)^2 is off by
-    3 eps/2. The alphas have trace zero, so some z_m >= 0 and the exact sum
-    is at least 1, which bounds what underflow drops. So the true squared
-    norm is at most the float one times 1 + err, err = 3 delta + 25 eps,
-    for err up to about 1e-6, and below 1/H^2 whenever also the float
-    norm is below cutoff (1 - _EXHIBIT_HEADROOM) and err <=
-    _EXHIBIT_HEADROOM. An exponential that overflows fails the test.
+    The complement is certified too, so that every grid point left 0 has
+    every unit monomial long: for a non-empty interval, the mirror test
+    `long` at lo - 1 and hi + 1 (an end that is short there steps outward)
+    and convexity cover every other v; for a row with no short integer, a
+    certified slope sign (`slope_sign`) falling at a and rising at b,
+    found by bisection (or a and b the ends of the bounds), brackets the
+    minimum, so the sum is no less than at a on v < a and than at b on v >
+    b, and the points a..b are tested `long` one by one. A row where any of
+    this fails makes doubtful every grid row holding an open point of its
+    bounds. A row whose grid rows hold no open point once its escapes are
+    marked needs none of this.
+
+    The tests at the extended point c = (s, t) = (u, v) / k, in float64
+    with eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from
+    their exact values by at most 2 delta, delta = (|s| + |t|) (alpha_err +
+    3 eps A), where alpha_err bounds the alphas' own error and A = max_m
+    max(|alpha1_m|, |alpha2_m|); 3 eps (|s| + |t|) A covers rounding the
+    alphas and c to float64 and the two-term dot product. Each w_m = exp(2
+    z_m) is then off by a relative e^{2 delta} - 1, plus the exp call
+    (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (computed at
+    the order's precision, then rounded: eps) and the product (eps/2);
+    cutoff = (1/H)^2 is off by 3 eps/2. The alphas have trace zero, so some z_m >= 0 and
+    the exact sum is at least 1, which bounds what underflow drops. So the
+    true squared norm over the cutoff is within a factor 1 + err, err = 3
+    delta + 25 eps, of the float one either way, for err up to about 1e-6:
+    `short` holds when the float norm is below cutoff (1 -
+    _UNIT_HEADROOM), `long` when it is above cutoff (1 + _UNIT_HEADROOM),
+    each with err <= _UNIT_HEADROOM. `slope_sign` reads the sign of the
+    derivative, (2 dscale / k) sum_m alpha2_m w_m: in the float sum S each
+    w_m is off by a relative 2 delta + 4 eps, each alpha2_m by alpha_err +
+    eps |alpha2_m|, and the products and the sum add 3 eps of sum_m
+    |alpha2_m| w_m, so S is off by at most err sum_m |alpha2_m| w_m + 2
+    alpha_err sum_m w_m, which twice over must stay below |S|, again with
+    err <= _UNIT_HEADROOM. An exponential that overflows fails every test.
     """
     a1 = [float(c) for c in phi.alpha1.coords]
     a2 = [float(c) for c in phi.alpha2.coords]
@@ -611,19 +702,40 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     (x0, x1, x2), (y0, y1, y2) = a1, a2
     q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
 
-    def short(u: int, v: int, cutoff: float) -> bool:
-        s, t = u / k, v / k
-        ymax = max(abs(s * x0) + abs(t * y0), abs(s * x1) + abs(t * y1),
-                   abs(s * x2) + abs(t * y2))
-        err = 3 * ((abs(s) + abs(t)) * alpha_err + 3 * _EPS * ymax) + 25 * _EPS
-        if not err <= _EXHIBIT_HEADROOM:
-            return False
+    grow = 3 * (alpha_err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
+
+    def weights(s: float, t: float):
+        """(w0, w1, w2) at the extended point c = (s, t), or None when err
+        exceeds _UNIT_HEADROOM or an exponential overflows."""
+        if not (abs(s) + abs(t)) * grow + 25 * _EPS <= _UNIT_HEADROOM:
+            return None
         try:
-            total = (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
-                     + math.exp(2.0 * (s * x2 + t * y2)))
+            return (math.exp(2.0 * (s * x0 + t * y0)), math.exp(2.0 * (s * x1 + t * y1)),
+                    math.exp(2.0 * (s * x2 + t * y2)))
         except OverflowError:
-            return False
-        return dscale * total < cutoff * (1 - _EXHIBIT_HEADROOM)
+            return None
+
+    def short(u: int, v: int, cutoff: float) -> bool:
+        w = weights(u / k, v / k)
+        return w is not None and dscale * (w[0] + w[1] + w[2]) < cutoff * (1 - _UNIT_HEADROOM)
+
+    def long(u: int, v: int, cutoff: float) -> bool:
+        w = weights(u / k, v / k)
+        return w is not None and dscale * (w[0] + w[1] + w[2]) > cutoff * (1 + _UNIT_HEADROOM)
+
+    def slope_sign(u: int, v: int) -> int:
+        """The certified sign (+1, -1) of the norm's slope along the row at
+        v, 0 in doubt."""
+        s, t = u / k, v / k
+        w = weights(s, t)
+        if w is None:
+            return 0
+        w0, w1, w2 = w
+        err = (abs(s) + abs(t)) * grow + 25 * _EPS
+        total = y0 * w0 + y1 * w1 + y2 * w2
+        bound = 2 * (err * (abs(y0) * w0 + abs(y1) * w1 + abs(y2) * w2)
+                     + 2 * alpha_err * (w0 + w1 + w2))
+        return (total > bound) - (total < -bound)
 
     def end(c0, c1, c2, v, sg, stop):
         """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
@@ -666,8 +778,35 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
                 out.append((u, vmin, vmax))
         return out
 
-    def interval(u: int, vmin: float, vmax: float, big_r: float, cutoff: float) -> tuple[int, int]:
-        """The certified interval lo..hi of E on the extended row u, or (0, -1)."""
+    def none_short(u: int, lo: int, hi: int, cutoff: float) -> bool:
+        """Whether every integer lo..hi is certified long on the extended
+        row u, by a slope bracket of the minimum."""
+        if lo > hi:
+            return True
+        c0, c1, c2 = 2.0 * x0 * u / k, 2.0 * x1 * u / k, 2.0 * x2 * u / k
+        a, b = lo, hi  # bisect to a: the last v whose float slope falls, or lo
+        while a < b:
+            mid = (a + b + 1) // 2
+            if (y0 * math.exp(c0 + q0 * mid) + y1 * math.exp(c1 + q1 * mid)
+                    + y2 * math.exp(c2 + q2 * mid)) < 0:
+                a = mid
+            else:
+                b = mid - 1
+        for _ in range(3):  # certify a's slope, or step outward
+            if a == lo or slope_sign(u, a) < 0:
+                break
+            a -= 1
+        else:
+            return False
+        for b in range(a + 1, min(a + 4, hi) + 1):
+            if b == hi or slope_sign(u, b) > 0:
+                return all(long(u, v, cutoff) for v in range(a, b + 1))
+        return a == hi and long(u, a, cutoff)
+
+    def interval(u: int, vmin: float, vmax: float, big_r: float,
+                 cutoff: float) -> tuple[int, int] | None:
+        """The certified interval lo..hi of E on the extended row u (empty
+        when Newton finds none), or None when an end fails the test."""
         s = u / k
         offsets = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
         right = end(*offsets, vmax, 1, vmin)
@@ -681,36 +820,76 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
                     break
                 ends[e] += inward
             else:
-                return 0, -1
+                return None
         return ends[0], ends[1]
 
-    def unit_rows(state: list[bytearray], height: float) -> list[tuple[int, float, float, int, int]]:
+    def complement(u: int, lo: int, hi: int, vmin: float, vmax: float,
+                   cutoff: float) -> tuple[int, int] | None:
+        """lo..hi, widened over any short point just outside it, when every
+        other integer vmin < v < vmax is then certified long on the
+        extended row u; else None."""
+        if lo > hi:
+            if none_short(u, math.floor(vmin) + 1, math.ceil(vmax) - 1, cutoff):
+                return lo, hi
+            return None
+        ends = [lo, hi]
+        for e, outward in ((0, -1), (1, 1)):
+            for _ in range(3):
+                if long(u, ends[e] + outward, cutoff):
+                    break
+                if not short(u, ends[e] + outward, cutoff):
+                    return None
+                ends[e] += outward
+            else:
+                return None
+        return ends[0], ends[1]
+
+    def spans(state: list[bytearray], u: int, lo: int, hi: int):
+        """(a, marks, first, stop) for every grid row a = u - ik and slice
+        marks[first:stop] of it that holds grid points (a, v - jk) with lo
+        <= v <= hi."""
+        for a in range(-top + (u + top) % k, top + 1, k):
+            row, marks = rows[a + top], state[a + top]
+            if hi - lo >= k - 1:  # the translates by jk cover every b
+                yield a, marks, 0, len(row)
+                continue
+            # b = v - jk meets the row for jk in [lo - row.stop + 1, hi - row.start]
+            for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
+                yield (a, marks, max(lo - j * k, row.start) - row.start,
+                       min(hi - j * k, row.stop - 1) + 1 - row.start)
+
+    def escape(state: list[bytearray], u: int, lo: int, hi: int) -> None:
+        for _, marks, first, stop in spans(state, u, lo, hi):
+            marks[first:stop] = bytes([_ESCAPES]) * (stop - first)
+
+    def unit_rows(state: list[bytearray], height: float):
         cutoff = (1.0 / float(height)) ** 2
+        out, doubtful = [], set()
         if not cutoff > dscale:  # the sum is at least 1: no unit is short
-            return []
+            return out, doubtful
         big_r = 0.5 * math.log(cutoff / dscale)
         wide = big_r * (1 + 2.0 ** -20) + 2.0 ** -20
-        out = []
         # widest first: a row whose grid rows are all marked already is skipped
         for u, vmin, vmax in sorted(bounds(wide), key=lambda b: b[1] - b[2]):
-            grid = range(-top + (u + top) % k, top + 1, k)  # a = u - ik on the grid
+            grid = [state[a + top] for a in range(-top + (u + top) % k, top + 1, k)]
             lo, hi = 0, -1
-            if any(0 in state[a + top] for a in grid):
-                lo, hi = interval(u, vmin, vmax, big_r, cutoff)
+            if any(0 in marks for marks in grid):
+                found = interval(u, vmin, vmax, big_r, cutoff)
+                if found is not None and found[0] <= found[1]:
+                    lo, hi = found
+                    escape(state, u, lo, hi)
+                if any(0 in marks for marks in grid):  # open points need every unit long
+                    wider = None if found is None else complement(u, lo, hi, vmin, vmax, cutoff)
+                    if wider is None:
+                        doubtful.update(
+                            a for a, marks, first, stop in spans(
+                                state, u, math.floor(vmin) + 1, math.ceil(vmax) - 1)
+                            if 0 in marks[first:stop])
+                    elif wider != (lo, hi):
+                        lo, hi = wider
+                        escape(state, u, lo, hi)
             out.append((u, vmin, vmax, lo, hi))
-            if lo > hi:
-                continue
-            for a in grid:
-                row, marks = rows[a + top], state[a + top]
-                if hi - lo >= k - 1:  # the translates by jk cover every b
-                    marks[:] = bytes([_ESCAPES]) * len(row)
-                    continue
-                # b = v - jk meets the row for jk in [lo - row.stop + 1, hi - row.start]
-                for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
-                    first, last = max(lo - j * k, row.start), min(hi - j * k, row.stop - 1)
-                    marks[first - row.start:last + 1 - row.start] = (
-                        bytes([_ESCAPES]) * (last + 1 - first))
-        return out
+        return out, doubtful
 
     return unit_rows
 
@@ -721,12 +900,15 @@ _COVER_BITS = 64
 
 
 def _cover(phi: SimplexSet, k: int, rows: list[range]):
-    """cover(state, a, b, r, mark): set `mark` on the centre (a, b) and on
-    every grid point x + d whose offset d from it the verdict decides:
-    sg d_i below r on every coordinate i, with sg = +1 for _ESCAPES (no
-    coordinate grows by r) and -1 for _STAYS (none shrinks by r). r is a
-    float that exceeds a proven radius by at most a relative 2 eps and an
-    absolute 2 eps.
+    """cover(state, a, b, r, mark, doubtful=None): set `mark` on the centre
+    (a, b) and on every grid point x + d whose offset d from it the verdict
+    decides: sg d_i below r on every coordinate i, with sg = +1 for
+    _ESCAPES (no coordinate grows by r) and -1 for _STAYS (none shrinks by
+    r). r is a float that exceeds a proven radius by at most a relative 2
+    eps and an absolute 2 eps. Given a set of doubtful grid rows, only
+    points in state 0 outside them take the mark: a unit-aware verdict
+    holds only where the unit rows certified every unit monomial long, so
+    it leaves escaped, decided and doubtful points as they are.
 
     Grid points at offset (da, db) are (da alpha1 + db alpha2) / k apart,
     whatever the centre. A and B are the alphas' integer images, rounded in
@@ -755,8 +937,11 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     diameter = 3 * max(abs(float(c)) for alpha in (phi.alpha1, phi.alpha2)
                        for c in alpha.coords)
 
-    def cover(state: list[bytearray], a: int, b: int, r: float, mark: int) -> None:
-        state[a + top][b - rows[a + top].start] = mark
+    def cover(state: list[bytearray], a: int, b: int, r: float, mark: int,
+              doubtful: set[int] | None = None) -> None:
+        unit_aware = doubtful is not None
+        if not (unit_aware and (a in doubtful or state[a + top][b - rows[a + top].start])):
+            state[a + top][b - rows[a + top].start] = mark
         # 8 eps and 4 eps cover r's own error and the roundings here
         reach = math.floor((min(r, diameter) * (1 - 8 * _EPS) - 4 * _EPS - slack)
                            * k * 2.0 ** _COVER_BITS)
@@ -772,15 +957,23 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
                 dhi = min(dhi, reach // p)
             elif q == 0:  # then p < 0, as the alphas span the plane
                 dlo = max(dlo, -(reach // -p))
+        below = [(p, -q) for p, q in pairs if q < 0]
+        above = [(p, q) for p, q in pairs if q > 0]
         for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
+            if unit_aware and (u in doubtful or 0 not in state[u + top]):
+                continue
             row = rows[u + top]
-            lo = max([b - (reach - (u - a) * p) // -q for p, q in pairs if q < 0] + [row.start])
-            hi = min([b + (reach - (u - a) * p) // q for p, q in pairs if q > 0] + [row.stop - 1])
+            lo = max(row.start, b - min((reach - (u - a) * p) // q for p, q in below))
+            hi = min(row.stop - 1, b + min((reach - (u - a) * p) // q for p, q in above))
             if lo <= hi:
                 seg = state[u + top][lo - row.start:hi + 1 - row.start]
-                if _STAYS + _ESCAPES - mark in seg:
+                if unit_aware:
+                    seg = seg.replace(b"\0", bytes([mark]))
+                elif _STAYS + _ESCAPES - mark in seg:
                     raise InternalInconsistencyError("two certified verdicts disagree")
-                state[u + top][lo - row.start:hi + 1 - row.start] = bytes([mark]) * len(seg)
+                else:
+                    seg = bytes([mark]) * len(seg)
+                state[u + top][lo - row.start:hi + 1 - row.start] = seg
 
     return cover
 
@@ -821,15 +1014,69 @@ def _dual_weight(basis: LatticeBasis3) -> float:
     return 2 * total
 
 
+def _unit_monomial(order: CubicOrderData, phi: SimplexSet):
+    """monomial(x, w, e, rel) -> (i, j) or None: (i, j) when the lattice
+    vector whose moved image at the centre x (three floats) is w 2^e (three
+    integers), each coordinate within rel |w| 2^e of the exact image, is
+    certified to be +-eps1^i eps2^j, where eps1 and eps2 are the units with
+    log vectors alpha1 and alpha2; None is a refusal, which only withholds
+    a unit-aware cover.
+
+    The vector is exp(x) times the embedding of an element v of the order,
+    so ell_k = log|w_k 2^e| - x_k + log(disc) / 6 reads log|sigma_k(v)|. A
+    coordinate with rel |w| > 2^-20 |w_k| is too small to read, a refusal.
+    The (i, j) nearest to ell in the alphas' first two coordinates must
+    bring y = i alpha1 + j alpha2 within 0.05 of ell on all three. What
+    that reading leaves uncharged (w_k's error, at most 2^-19 in the log;
+    the float rounding of x, ell and y, with every term below 2^20; the
+    centre's and the alphas' own errors, below 2^-20) is far below another
+    0.05, so every conjugate of eta = v / eps1^i eps2^j, an algebraic
+    integer as eps is a unit, lies in (e^-0.1, e^0.1) in absolute value.
+    Then 0 < |N(eta)| < e^0.3 < 2 makes N(eta) = +-1, and Tr(eta^2), an
+    integer in (3 e^-0.2, 3 e^0.2), is 3; the three sigma_k(eta)^2 have
+    product 1 and sum 3, so by AM-GM each is 1, and in a totally real field
+    eta = +-1.
+    """
+    a1 = [float(c) for c in phi.alpha1.coords]
+    a2 = [float(c) for c in phi.alpha2.coords]
+    det = a1[0] * a2[1] - a1[1] * a2[0]
+    alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
+    sixth = math.log(order.disc) / 6  # math.log reads an int of any size
+    limit = 2.0 ** 20
+
+    def monomial(x, w, e: int, rel: float) -> tuple[int, int] | None:
+        if not all(w):
+            return None
+        read = [math.log(abs(v)) for v in w]
+        if not rel <= math.exp(min(read) - 0.5 * math.log(_dot(w, w))) / limit:
+            return None
+        ell = [r + e * math.log(2) - xk + sixth for r, xk in zip(read, x)]
+        if not max(map(abs, ell + list(x))) < limit:
+            return None
+        i = round((ell[0] * a2[1] - ell[1] * a2[0]) / det)
+        j = round((a1[0] * ell[1] - a1[1] * ell[0]) / det)
+        y = [i * p + j * q for p, q in zip(a1, a2)]
+        if (max(map(abs, y)) < limit and (abs(i) + abs(j)) * alpha_err < 1 / limit
+                and all(abs(lk - yk) <= 0.05 for lk, yk in zip(ell, y))):
+            return i, j
+        return None
+
+    return monomial
+
+
 # Relative factor by which _certified_norm rounds its float64 margin
 # outward; it covers about ten float roundings (2^-53 each) with room.
 _MARGIN_ROUND = 1 + 2.0 ** -40
 
 
 def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
-    """norm(a, b): (s, margin) with |lambda_1(exp(x) L) - s| <= margin at
-    the exact hexagon point x = (a alpha1 + b alpha2) / k, memoised per
-    (a, b), since no height enters it.
+    """norm(a, b): (s, margin, floor) with |lambda_1(exp(x) L) - s| <=
+    margin at the exact hexagon point x = (a alpha1 + b alpha2) / k, and
+    floor() a value below the least norm of a lattice vector not parallel
+    to the kernel's shortest vector v1 when v1 is a certified unit monomial
+    (_unit_monomial), else None; floor computes on its first call, since a
+    centre that leaves no point open has no use for it. Memoised per (a,
+    b), since no height enters it.
 
     Works at the order's own precision. The alphas are read once, as exact
     dyadic images, so x_i = n_i 2^e / k with exact integer numerators n_i;
@@ -840,21 +1087,26 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     alpha2.err) / k. `base` is within 2^-(bits+29) of L entrywise
     (_prereduced, read when norm is made); exp_act rounds each entry once
     and its exp is good to an ulp, so every entry of the moved basis M is
-    within a relative delta = 2^-(bits-2) of exp(x) L's. The minimiser w
-    of either basis has |w_k| = |<d_k, M w>| <= lambda_1 |d_k| (d the dual
-    basis), so their minima differ by at most delta lambda_1 sum_k |m_k|
-    |d_k| <= 4 D 2^-bits lambda_1, D = _dual_weight(M); the kernel rounds
-    its exact minimum twice (2^-(bits-1)); and 4 x.err s charges the error
-    of x. The margin is s (8 D 2^-bits + 4 x.err): the second 4 D 2^-bits
-    (D > 5, as |m_k| |d_k| >= <m_k, d_k> = 1) covers the kernel's
-    rounding, D's own float rounding and the mpf roundings of the margin
-    and of the verdicts (s -+ margin) H at bits. The bracket is summed in
-    float64, in units of 2^f with f at least the exponent of every alpha
-    error term and at least -bits, so no term overflows; about ten
-    roundings of nonnegative terms are charged by the factor
-    _MARGIN_ROUND, and 2^-1000 units bound what underflow drops. Instead
-    of a precision ladder, a tie inside that margin covers nothing and in
-    the end asks for a finer order.
+    within a relative delta = 2^-(bits-2) of exp(x) L's. A lattice vector
+    M c has |c_k| = |<d_k, M c>| <= |M c| |d_k| (d the dual basis), so its
+    norm in either basis differs by at most delta |M c| sum_k |m_k| |d_k|
+    <= 4 D 2^-bits |M c|, D = _dual_weight(M), and so do the minima over
+    any set of coefficient vectors; the kernel rounds its exact minimum
+    twice (2^-(bits-1)); and 4 x.err s charges the error of x. The margin
+    is s (8 D 2^-bits + 4 x.err): the second 4 D 2^-bits (D > 5, as |m_k|
+    |d_k| >= <m_k, d_k> = 1) covers the kernel's rounding, D's own float
+    rounding and the mpf roundings of the margin and of the verdicts (s -+
+    margin) H at bits. The bracket is summed in float64, in units of 2^f
+    with f at least the exponent of every alpha error term and at least
+    -bits, so no term overflows; about ten roundings of nonnegative terms
+    are charged by the factor _MARGIN_ROUND, and 2^-1000 units bound what
+    underflow drops. Instead of a precision ladder, a tie inside that
+    margin covers nothing and in the end asks for a finer order.
+
+    The least norm B over the coefficient vectors not parallel to v1's
+    (_second_minimum) takes the same relative margin, so floor() = B (1 -
+    margin / s). v1's own image has every coordinate within 8 D 2^-bits
+    |v1| of the exact one, which _unit_monomial reads.
     """
     bits = _bits(order)
     (n1, e1), (n2, e2) = _dyadic(phi.alpha1.coords), _dyadic(phi.alpha2.coords)
@@ -866,9 +1118,10 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
         f = max([-bits] + [mp.frexp(v)[1] for v in errs if v])
         c1, c2 = (float(mp.ldexp(v, -f)) for v in errs)  # each at most 1
     base = _prereduced(order)
+    monomial = _unit_monomial(order, phi)
     memo = {}
 
-    def norm(a: int, b: int) -> tuple[mp.mpf, mp.mpf]:
+    def norm(a: int, b: int):
         if (a, b) in memo:
             return memo[a, b]
         ns = [a * u + b * v for u, v in zip(p1, p2)]
@@ -881,8 +1134,21 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
             moved = exp_act([mp.make_mpf(mpf_shift(from_rational(n, k, bits, round_nearest), e))
                              for n in ns], base)
             s = shortest_vector_norm(moved, bits)
-            rel = (math.ldexp(_dual_weight(moved), 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
-            rel += 2.0 ** -1000
-            return memo.setdefault((a, b), (s, s * mp.ldexp(rel, f)))
+            weight = _dual_weight(moved)
+            rel = (math.ldexp(weight, 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
+            rel = mp.ldexp(rel + 2.0 ** -1000, f)
+
+        @cache
+        def floor() -> mp.mpf | None:
+            (red, *_), (_, c) = moved._minimum
+            v1 = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
+            x = [_scaled_float(n, -e) / k for n in ns]
+            if not monomial(x, v1, moved.exp, math.ldexp(weight, 3 - bits)):
+                return None
+            with mp.workprec(bits):
+                second = mp.ldexp(mp.sqrt(_second_minimum(moved)), moved.exp)
+                return second - second * rel
+
+        return memo.setdefault((a, b), (s, s * rel, floor))
 
     return norm

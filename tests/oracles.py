@@ -279,3 +279,50 @@ def reference_shortest_vector_norm(cols, prec: int) -> mp.mpf:
                     if c1 or c2 or c3:
                         best = min(best, t2 + bsq[0] * (c1 + center1) ** 2)
         return mp.sqrt(best)
+
+
+def _nearest_per_level(red, mu, bsq, bound):
+    """(norm, c) for nonzero coefficient vectors c = (c1, c2, c3) over the
+    reduced columns: every level (c2, c3) whose partial norm fits `bound`,
+    each with the three c1 nearest its centre (c1 = 1 alone on the level
+    (0, 0)). On a level the norm is a parabola in c1, so these hold its
+    least vector and, were that one excluded, the next least."""
+    r3 = int(mp.floor(mp.sqrt(bound / bsq[2]))) + 1
+    for c3 in range(-r3, r3 + 1):
+        t3 = bsq[2] * c3 * c3
+        if t3 > bound:
+            continue
+        center2 = mu[2][1] * c3
+        half2 = mp.sqrt((bound - t3) / bsq[1])
+        for c2 in range(int(mp.floor(-half2 - center2)) - 1,
+                        int(mp.ceil(half2 - center2)) + 2):
+            t2 = t3 + bsq[1] * (c2 + center2) ** 2
+            if t2 > bound:
+                continue
+            center1 = mu[1][0] * c2 + mu[2][0] * c3
+            near = int(mp.nint(-center1))
+            for c1 in ((1,) if c2 == c3 == 0 else (near - 1, near, near + 1)):
+                yield t2 + bsq[0] * (c1 + center1) ** 2, (c1, c2, c3)
+
+
+def reference_second_minimum(cols, prec: int) -> mp.mpf:
+    """Length of a shortest vector among those not parallel to a shortest
+    one, in the lattice spanned by three mpf columns: mpf LLL, a shortest
+    coefficient vector c* from the levels that fit the shortest reduced
+    column, then the least vector not parallel to c* (exact test on the
+    integer coefficients) from the levels that fit the second shortest
+    reduced column, which is at least that least norm. Both bounds are
+    padded by 2^-(prec/2). Everything runs at prec bits."""
+    with mp.workprec(prec):
+        red = _lll([[mp.mpf(x) for x in c] for c in cols])
+        mu, bsq = _gram_schmidt(red)
+        pad = 1 + mp.ldexp(1, -(prec // 2))
+        sizes = sorted(sum(v * v for v in c) for c in red)
+        _, best = min(_nearest_per_level(red, mu, bsq, sizes[0] * pad))
+
+        def parallel(c):
+            return not (c[1] * best[2] - c[2] * best[1] or c[2] * best[0] - c[0] * best[2]
+                        or c[0] * best[1] - c[1] * best[0])
+
+        return mp.sqrt(min(n for n, c in _nearest_per_level(red, mu, bsq, sizes[1] * pad)
+                           if not parallel(c)))

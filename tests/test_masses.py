@@ -41,7 +41,7 @@ from cubicunits import (
 )
 from cubicunits import masses
 from cubicunits.precision import mpf_to_fraction
-from .oracles import reference_shortest_vector_norm
+from .oracles import reference_second_minimum, reference_shortest_vector_norm
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
 
@@ -181,6 +181,26 @@ def test_kernel_keeps_near_tied_minima():
     assert abs(s - 1) <= mp.ldexp(1, -190)
 
 
+@settings(max_examples=150, deadline=None)
+@given(transformed_bases())
+def test_second_minimum_matches_reference_on_transformed_bases(basis):
+    # the least exact norm among vectors not parallel to the kernel's
+    # minimiser, against an independent mpf enumeration; on the near-tied
+    # bases the two minima are not parallel, so the second is the first
+    second = masses._second_minimum(basis)
+    ref = reference_second_minimum([basis.column(j) for j in range(3)], 1024)
+    with mp.workprec(1024):
+        assert abs(mp.ldexp(mp.sqrt(second), basis.exp) - ref) <= ref * mp.ldexp(1, -200)
+
+
+def test_second_minimum_skips_only_the_shortest_line():
+    # columns e0 (shortest), 3 e0 + 2^40 e1 and 5 e1 + 2^60 e2: the answer is
+    # 2^40, and about 2^40 sqrt(pad) = 2^25 of its translates by multiples
+    # of e0 lie within the enumeration's pad of it
+    basis = exact_basis([[1, 0, 0], [3, 2 ** 40, 0], [0, 5, 2 ** 60]])
+    assert masses._second_minimum(basis) == 2 ** 80
+
+
 @functools.lru_cache(maxsize=None)
 def family_order(kind, t):
     return mass_member(kind, t)
@@ -242,11 +262,86 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
             moved = exp_act(x.coords, base)
             s = shortest_vector_norm(moved, bits)
             term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
-            s_ref, margin = norm(a, b)
+            s_ref, margin, _ = norm(a, b)
             assert s_ref == s and margin >= term
         with mp.workprec(768):
             s768 = reference_norm(exp_act(x.coords, fine), 1024)
             assert abs(s - s768) <= term
+
+
+def moved_centre(order, phi, a, b, k, basis):
+    # (x, moved, rel): the centre (a alpha1 + b alpha2) / k as floats,
+    # `basis` moved there at the order's bits, and the relative error
+    # bound the certified norm hands the unit-monomial check
+    bits = masses._bits(order)
+    x = centre(phi, a, b, k, bits)
+    with mp.workprec(bits):
+        moved = exp_act(x.coords, basis)
+    return ([float(c) for c in x.coords], moved,
+            math.ldexp(masses._dual_weight(moved), 3 - bits))
+
+
+@pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
+                                     ("seed", 10 ** 21)])
+def test_unit_monomial_reads_the_shortest_vector(kind, t):
+    # at every other grid point the check names the monomial (i, j) exactly
+    # when the kernel's shortest vector has norm +-1 and a log vector, read
+    # at 256 bits, on the pair's lattice; 2 v1 (norm 8) is always refused
+    order, phi = mass_member(kind, t)
+    base = masses._prereduced(order)
+    k, rows = masses._hexagon_rows(60)
+    monomial = masses._unit_monomial(order, phi)
+    named = 0
+    for a, b in [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row][::2]:
+        x, moved, rel = moved_centre(order, phi, a, b, k, base)
+        (red, *_), (_, c) = moved._minimum
+        v1 = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
+        got = monomial(x, v1, moved.exp, rel)
+        with mp.workprec(256):
+            y = centre(phi, a, b, k, 256).coords
+            norm = abs(mp.fprod(v1)) * mp.ldexp(1, 3 * moved.exp) * mp.sqrt(order.disc)
+            ell = [mp.log(abs(v)) + moved.exp * mp.log(2) - yk + mp.log(order.disc) / 6
+                   for v, yk in zip(v1, y)]
+            a1, a2 = phi.alpha1.coords, phi.alpha2.coords
+            det = a1[0] * a2[1] - a1[1] * a2[0]
+            i = int(mp.nint((ell[0] * a2[1] - ell[1] * a2[0]) / det))
+            j = int(mp.nint((a1[0] * ell[1] - a1[1] * ell[0]) / det))
+            # the moved image is read at the order's bits, so a coordinate
+            # much smaller than |v1| loses digits; off the lattice is far off
+            on_lattice = all(abs(e - i * p - j * q) < mp.mpf(10) ** -9
+                             for e, p, q in zip(ell, a1, a2))
+            expected = (i, j) if mp.nint(norm) == 1 and on_lattice else None
+        assert got == expected
+        named += got is not None
+        assert monomial(x, [2 * v for v in v1], moved.exp, rel) is None
+    assert named > 0
+
+
+def test_unit_monomial_refuses_non_units_and_missing_monomials():
+    # f = x^3 - 3x^2 - x + 2 (disc 229): theta - 1 and theta + 1 are units
+    # and theta has norm -2. With the pair (eps1, eps2) = (theta - 1, theta
+    # + 1), eps1 is the monomial (1, 0); with (eps1^2, eps2) it is no
+    # monomial, and neither theta nor 2 eps1 is a unit
+    order = build_order(MonicCubic(-3, -1, 2), [(1, 1), (1, -1)])
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    with mp.workprec(256):
+        phi = make_simplex(v1, v2)
+        squared = make_simplex(v1.scaled(2), v2)
+    embedding = embed_order_lattice(order, masses._bits(order))
+    k, _ = masses._hexagon_rows(60)
+    monomial, other = masses._unit_monomial(order, phi), masses._unit_monomial(order, squared)
+    for a, b in [(0, 0), (3, -2), (-5, 4), (8, 8)]:
+        x, moved, rel = moved_centre(order, phi, a, b, k, embedding)
+
+        def image(c):  # c0 + c1 theta + c2 theta^2, moved
+            return [sum(ci * col[r] for ci, col in zip(c, moved.cols)) for r in range(3)]
+
+        eps1 = image((-1, 1, 0))
+        assert monomial(x, eps1, moved.exp, rel) == (1, 0)
+        assert monomial(x, image((1, 1, 0)), moved.exp, rel) == (1, 1)  # eps2 = eps1 eps1^-1 eps2
+        assert other(x, eps1, moved.exp, rel) is None
+        assert monomial(x, image((0, 1, 0)), moved.exp, rel) is None
+        assert monomial(x, image((-2, 2, 0)), moved.exp, rel) is None
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
@@ -598,23 +693,28 @@ def per_point_norm(order, phi, point, base):
         return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
 
 
-@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
-@pytest.mark.parametrize("t", [10 ** 3, 10 ** 9])
-def test_mass_sweep_matches_per_point_oracle(kind, t):
+@pytest.mark.parametrize("kind, t, samples, heights", [
+    *(pytest.param(kind, t, 300, (10.0, 100.0), id=f"{t}-{kind}")
+      for t in (10 ** 3, 10 ** 9) for kind in ("one_unit", "two_unit", "seed")),
+    # the benchmark's mass_dense shape, where the unit-aware covers reach
+    # farthest
+    *(pytest.param("one_unit", t, 2000, (10.0,), id=f"{t}-one_unit-2000")
+      for t in (10 ** 3, 10 ** 6)),
+])
+def test_mass_sweep_matches_per_point_oracle(kind, t, samples, heights):
     # every grid point, whether the sweep settled it by a unit row, by an
-    # enumeration or by either kind of cover, against its own enumeration
+    # enumeration or by any kind of cover, against its own enumeration
     order, phi = mass_member(kind, t)
     base = embed_order_lattice(order)
-    points = hexagon_grid(300)
+    points = hexagon_grid(samples)
     norms = [per_point_norm(order, phi, p, base) for p in points]
-    heights = (10.0, 100.0)
     expected = []
     for height in heights:
         with mp.workprec(512):
             hcut = 1 / mp.mpf(height)
         assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
         expected.append(Fraction(sum(s < hcut for s, _ in norms), len(points)))
-    assert mass_above_height(order, phi, heights, samples=300) == tuple(expected)
+    assert mass_above_height(order, phi, heights, samples=samples) == tuple(expected)
 
 
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
@@ -661,6 +761,22 @@ def test_cover_marks_the_one_sided_region(kind, t):
                         cover(state, a, b, r, masses._STAYS + masses._ESCAPES - mark)
 
 
+@pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9)])
+def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
+    # with no headroom every float unit test refuses: the unit rows mark no
+    # escape and leave each grid row they reach doubtful, no unit-aware
+    # cover marks anything there, and the kernel gives the same fractions
+    order, phi = mass_member(kind, t)
+    heights = (10.0, 100.0)
+    expected = mass_above_height(order, phi, heights, samples=300)
+    monkeypatch.setattr(masses, "_UNIT_HEADROOM", 0.0)
+    k, rows = masses._hexagon_rows(300)
+    state = [bytearray(len(row)) for row in rows]
+    _, doubtful = masses._unit_rows(order, phi, k, rows)(state, 10.0)
+    assert doubtful and not any(b"".join(state))
+    assert mass_above_height(order, phi, heights, samples=300) == expected
+
+
 def test_mass_sweep_enumeration_count(monkeypatch):
     order, phi = mass_member("one_unit", 1000)
     calls = []
@@ -672,9 +788,10 @@ def test_mass_sweep_enumeration_count(monkeypatch):
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
     mass_above_height(order, phi, (10.0,), samples=2000)
     # one enumeration per point the unit rows leave open would be 1149
-    # calls; the one-sided cover makes 70, and the sup-ball cover it
-    # replaced made 88
-    assert len(calls) <= 80
+    # calls; with the unit-aware covers the one-sided cover makes 9, with
+    # plain one-sided covers only it made 70, and the sup-ball cover
+    # before it 88
+    assert len(calls) <= 12
 
 
 def short_monomials(order, phi, k, rows, height, window=12):
@@ -712,7 +829,10 @@ def test_unit_rows_match_monomial_oracle(kind, t):
     # the unit rows mark exactly the grid points where some unit monomial of
     # a wide window is short, and no monomial outside the per-row ranges
     # they search is short anywhere; every monomial they search lies in the
-    # window, so the window sees all of them
+    # window, so the window sees all of them. They also certify the
+    # complement everywhere here: no point is doubtful, and at every point
+    # left open each window monomial is long at 256 bits (in no `found`
+    # pair), which the marked set being exactly `found`'s shows
     order, phi = mass_member(kind, t)
     k, rows = masses._hexagon_rows(300)
     top = 2 * k // 3
@@ -720,7 +840,8 @@ def test_unit_rows_match_monomial_oracle(kind, t):
     for height in (10.0, 100.0):
         found = short_monomials(order, phi, k, rows, height)
         state = [bytearray(len(row)) for row in rows]
-        searched = unit_rows(state, height)
+        searched, doubtful = unit_rows(state, height)
+        assert not doubtful
         assert all(set(marks) <= {0, masses._ESCAPES} for marks in state)
         marked = {(u, v) for u, row in enumerate(rows, -top) for v in row
                   if state[u + top][v - row.start]}
@@ -816,7 +937,7 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
             weight = masses._dual_weight(exp_act(x.coords, base))
-        s, margin = norm(a, b)
+        s, margin, _ = norm(a, b)
         with mp.workprec(2 * bits):
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
                      + mp.ldexp(max(abs(c) for c in x.coords), 1 - bits))
