@@ -7,14 +7,16 @@ to find a good iterate; the certificate does not trust it. The iterate
 comes from float64 Newton inside the exact bracket (each iterate's exact
 sign narrows the bracket; a step that leaves it first tries the float
 next to the end it left through, and one that leaves it again or stalls
-is replaced by a split), then one mpf Newton step per precision level,
-doubling from about 2*53 bits to the working precision (Brent and
-Zimmermann, Modern Computer Arithmetic, section 4.2), then full-precision
-Newton. The enclosure [x-eps, x+eps], clipped to the exact bracket, is
-accepted only with an exact sign change at its ends, so the returned
-interval is unconditionally correct. Asymptotic predictions for the constructed
-families are exact rational Newton steps from the designed anchor
-points, with the theorem's hypotheses checked as finite inequalities.
+is replaced by a split), then fixed-point Newton on exact integers: each
+iterate is a dyadic X/2^P whose X has the working precision's bits, and
+each step is one integer division (Brent and Zimmermann, Modern Computer
+Arithmetic, section 4.2). The enclosure [x-eps, x+eps], clipped to the
+exact bracket, is accepted only with an exact sign change at its ends, so
+the returned interval is unconditionally correct; x itself is the
+returned value, so eps bounds its error with no rounding. Asymptotic
+predictions for the constructed families are exact rational Newton steps
+from the designed anchor points, with the theorem's hypotheses checked
+as finite inequalities.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up, to_rational
 
 from . import families
 from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_intervals, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
-from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf, mpf_to_fraction
+from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf
 
 __all__ = [
     "IsolatedRoot",
@@ -58,19 +61,28 @@ class IsolatedRoot:
     prec: int  # bits the value was computed at
 
 
+def _centred(lo: Fraction, hi: Fraction, prec: int) -> tuple[mp.mpf, mp.mpf]:
+    """(value, err) for the bracket [lo, hi]: its midpoint rounded to
+    nearest at prec bits, and the radius of the bracket about that value,
+    max(value - lo, hi - value), rounded up. Each is one rounding of exact
+    integers, so err >= (hi - lo)/2 + |value - (lo + hi)/2|."""
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    mid = from_rational(a * d + c * b, 2 * b * d, prec, round_nearest)
+    v, w = to_rational(mid)  # mid = v/w exactly; both radii over w*b*d
+    rad = from_rational(max((v * b - a * w) * d, (c * w - v * d) * b), w * b * d, prec, round_up)
+    return mp.make_mpf(mid), mp.make_mpf(rad)
+
+
 def isolate_real_roots(f: MonicCubic, prec: int = 64) -> list[IsolatedRoot]:
-    """Three disjoint certified brackets, ascending. Input must have three
-    distinct real roots."""
+    """Three disjoint certified brackets, ascending, each with its
+    `_centred` value and err. Input must have three distinct real roots."""
     if not is_totally_real(f):
         raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
     out = []
     for lo, hi in isolating_intervals(f):
         if sign_at(f, lo) * sign_at(f, hi) >= 0:
             raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
-        with mp.workprec(prec):
-            mid = fraction_to_mpf((lo + hi) / 2, prec)
-            rad = fraction_to_mpf((hi - lo) / 2, prec) * (1 + mp.mpf(2) ** (8 - prec))
-        out.append(IsolatedRoot(lo, hi, mid, rad, prec))
+        out.append(IsolatedRoot(lo, hi, *_centred(lo, hi, prec), prec))
     if len(out) != 3:
         raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(out)} for {f}")
     return out
@@ -154,19 +166,60 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     return x, Fraction(lo), Fraction(hi)
 
 
+def _newton(f: MonicCubic, x: int, q: int, bits: int, target: int):
+    """Newton on exact integers from x/q, q > 0, each iterate X/2^P.
+
+    With F = q^3 f(x/q) and D = q^2 f'(x/q), the next iterate is
+    (x D - F)/(q D) exactly; it is rounded once to X/2^P, with P read from
+    its own exponent so that X has `bits` significant bits (so a root below
+    float64 range keeps its relative precision), and P >= target + 8 so
+    that the window X +- 2^(P - target) is integral. Returns (X, P) after
+    the first step below 2^-(target+4), or None if f' vanishes or no step
+    gets there.
+    """
+    p2, p1 = f.p2, f.p1
+    for _ in range(bits.bit_length() * 8 + 40):
+        fx = eval_scaled(f, x, q)
+        dfx = (3 * x + 2 * p2 * q) * x + p1 * q * q
+        if dfx == 0:
+            return None
+        num, den = x * dfx - fx, q * dfx
+        if den < 0:
+            num, den = -num, -den
+        k = num.bit_length() - den.bit_length()  # 2^(k-1) < |num/den| < 2^(k+1)
+        if abs(num) << max(-k, 0) >= den << max(k, 0):
+            k += 1
+        p = max(bits - k, target + 8)
+        x, q = ((num << (p + 1)) // den + 1) >> 1, 1 << p  # nearest X/2^P
+        if abs(fx) << (target + 4) < den:  # |f/f'| < 2^-(target+4)
+            return x, p
+    return None
+
+
+def _window_end(f: MonicCubic, n: int, q: int, end: Fraction, outside: bool):
+    """(point, sign of f there) for the window end n/q, clipped to the
+    bracket end `end` when n/q lies outside it."""
+    if outside:
+        return end, sign_at(f, end)
+    v = eval_scaled(f, n, q)
+    return Fraction(n, q), (v > 0) - (v < 0)
+
+
 def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_POLICY) -> IsolatedRoot:
     """Shrink the enclosure to absolute radius <= 2^-target_bits.
 
     The iterate: a float64 Newton seed kept inside the exact bracket
-    (`_float_seed`), then one mpf Newton step per precision level, the
-    level doubling from about 2*53 bits up to the working precision, then
-    full-precision Newton until a step is below 2^-(target+4). For a root
-    beyond float64 range, Newton starts at the bracket midpoint at full
-    precision. The certificate does not trust the iterate: [x-eps, x+eps]
-    is clipped to the exact bracket, which holds exactly one root (an end
-    of it can lie within eps of the root), and accepted only with an exact
-    sign change at its ends. Otherwise exact bisection narrows the bracket and
-    the next rung of `pol.ladder()` doubles the working precision.
+    (`_float_seed`), or the bracket midpoint for a root beyond float64
+    range, then Newton on exact integers (`_newton`): each iterate is a
+    dyadic X/2^P with as many significant bits as the working precision,
+    until a step is below 2^-(target+4). The certificate does not trust
+    the iterate: the window (X +- 2^(P - target))/2^P is clipped to the
+    exact bracket by integer cross-multiplication (the bracket holds
+    exactly one root, and an end of it can lie within 2^-target of the
+    root), and accepted only with an exact sign change at its ends. value
+    is X/2^P exactly and err is 2^-target, so the window is centred on
+    value. Otherwise exact bisection narrows the bracket and the next rung
+    of `pol.ladder()` doubles the working precision.
     """
     lo, hi = r.lo, r.hi
     slo = sign_at(f, lo)
@@ -179,43 +232,22 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
     seed, lo, hi = _float_seed(f, lo, hi, slo)
     for bits in pol.ladder(start_extra=mag_bits + 64):
-        with mp.workprec(bits):
-            if seed is None:
-                x = fraction_to_mpf((lo + hi) / 2, bits)
-            else:
-                x = mp.mpf(seed)
-                levels, level = [], bits
-                while level > 2 * 53:
-                    level = (level + 1) // 2
-                    levels.append(level)
-                for level in reversed(levels):
-                    with mp.workprec(level):
-                        dfx = f.deriv(x)
-                        if dfx:
-                            x = x - f(x) / dfx
-            ok = False
-            for _ in range(bits.bit_length() * 8 + 40):
-                fx = f(x)
-                dfx = f.deriv(x)
-                if dfx == 0:
-                    break
-                dx = fx / dfx
-                x = x - dx
-                if abs(dx) < mp.ldexp(1, -(target + 4)):
-                    ok = True
-                    break
-            if ok:
-                xf = mpf_to_fraction(x)
-                cand_lo, cand_hi = max(lo, xf - eps_fr), min(hi, xf + eps_fr)
-                if cand_lo <= cand_hi:
-                    sl, sh = sign_at(f, cand_lo), sign_at(f, cand_hi)
-                    if sl == 0:
-                        return IsolatedRoot(cand_lo, cand_lo, fraction_to_mpf(cand_lo, bits), mp.mpf(0), bits)
-                    if sh == 0:
-                        return IsolatedRoot(cand_hi, cand_hi, fraction_to_mpf(cand_hi, bits), mp.mpf(0), bits)
-                    if sl != sh:
-                        v = fraction_to_mpf(xf, bits)
-                        return IsolatedRoot(cand_lo, cand_hi, v, mp.ldexp(1, -target), bits)
+        start = seed if seed is not None and math.isfinite(seed) else (lo + hi) / 2
+        found = _newton(f, *start.as_integer_ratio(), bits, target)
+        if found is not None:
+            x, p = found
+            q, e = 1 << p, 1 << (p - target)
+            (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            if (x + e) * b >= a * q and (x - e) * d <= c * q:  # the window meets [lo, hi]
+                cand_lo, sl = _window_end(f, x - e, q, lo, (x - e) * b < a * q)
+                cand_hi, sh = _window_end(f, x + e, q, hi, (x + e) * d > c * q)
+                if sl == 0:
+                    return IsolatedRoot(cand_lo, cand_lo, fraction_to_mpf(cand_lo, bits), mp.mpf(0), bits)
+                if sh == 0:
+                    return IsolatedRoot(cand_hi, cand_hi, fraction_to_mpf(cand_hi, bits), mp.mpf(0), bits)
+                if sl != sh:
+                    v = mp.make_mpf(from_man_exp(x, -p))
+                    return IsolatedRoot(cand_lo, cand_hi, v, mp.ldexp(1, -target), bits)
         # Newton failed to certify at this precision: tighten the exact
         # bracket by bisection (always sound) and escalate.
         for _ in range(64):
@@ -229,9 +261,7 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
             else:
                 hi = mid
             if hi - lo <= 2 * eps_fr:
-                mid = (lo + hi) / 2
-                v = fraction_to_mpf(mid, bits)
-                return IsolatedRoot(lo, hi, v, fraction_to_mpf((hi - lo) / 2, 64), bits)
+                return IsolatedRoot(lo, hi, *_centred(lo, hi, bits), bits)
     raise PrecisionExhaustedError(f"could not certify root of {f} to 2^-{target} within {pol.max_bits} bits")
 
 

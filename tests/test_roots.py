@@ -1,5 +1,6 @@
 """Certified root isolation and refinement, plus family asymptotics."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -153,9 +154,16 @@ def _assert_enclosures_hold_bisected_roots(f: MonicCubic) -> None:
         assert iso.lo <= r.lo <= r.hi <= iso.hi
         assert r.lo - slack <= root <= r.hi + slack
         assert r.err <= mp.ldexp(1, -target)
-        with mp.workprec(r.prec):  # exact: value and err carry at most r.prec bits
-            value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+        value, err = _assert_centred(r)
         assert abs(value - root) <= err + slack
+
+
+def _assert_centred(r: IsolatedRoot) -> tuple[Fraction, Fraction]:
+    """The refined root's window [value - err, value + err], read exactly,
+    holds its certified enclosure [lo, hi]; returns (value, err)."""
+    value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+    assert value - err <= r.lo <= r.hi <= value + err, r
+    return value, err
 
 
 _DECADE_T = st.integers(3, 23).flatmap(lambda e: st.integers(10 ** e, 10 ** (e + 1)))
@@ -234,9 +242,8 @@ def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():
     r = refine_root(f, IsolatedRoot(lo, hi, mp.mpf(1), mp.mpf(1), 64))
     assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=2 + 64)) == 258
     assert lo <= r.lo and r.hi <= hi and r.lo ** 3 < 2 < r.hi ** 3
-    x, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+    _, err = _assert_centred(r)
     assert err <= Fraction(1, 1 << DEFAULT_POLICY.target_bits)
-    assert x - err <= r.lo and r.hi <= x + err
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
@@ -247,6 +254,84 @@ def test_family_roots_certify_at_the_first_rung(kind):
     for e in range(3, 25):
         for r in refined_roots(_member(kind, 10 ** e)):
             assert r.prec < second, (e, r)
+
+
+_FAMILY_MEMBERS = [(kind, sign * 10 ** e) for kind in ("one_unit", "two_unit", "seed")
+                   for e in range(3, 25) for sign in (1, -1)]
+
+
+def test_isolation_err_bounds_the_distance_from_value_to_the_bracket():
+    # value is the midpoint rounded once to nearest, err the radius about
+    # value rounded once up: a true bound, and within one rounding of tight
+    for kind, t in _FAMILY_MEMBERS:
+        for r in isolate_real_roots(_member(kind, t)):
+            value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+            mid, half = (r.lo + r.hi) / 2, (r.hi - r.lo) / 2
+            assert abs(value - mid) <= abs(mid) / 2 ** 64, (kind, t, r)
+            assert half + abs(value - mid) <= err <= (half + abs(value - mid)) * (1 + Fraction(1, 2 ** 63))
+
+
+def test_refined_roots_ignore_the_ambient_precision():
+    # no wrapper: the ambient precision is set as a caller might leave it
+    def read(member):
+        return [(r.lo, r.hi, mpf_to_fraction(r.value), mpf_to_fraction(r.err), r.prec)
+                for r in refined_roots(_member(*member))]
+
+    saved = mp.mp.prec
+    try:
+        mp.mp.prec = 53
+        low = [read(m) for m in _FAMILY_MEMBERS]
+        mp.mp.prec = 300
+        high = [read(m) for m in _FAMILY_MEMBERS]
+    finally:
+        mp.mp.prec = saved
+    assert low == high
+
+
+def test_refined_roots_are_centred_on_their_windows():
+    huge = [MonicCubic(0, -m * 10 ** e, c) for e, m, c in ((310, 1, 1), (400, 3, -5), (420, 9, 2))]
+    huge += [MonicCubic(m * 10 ** e, 1, -1) for e, m in ((310, 1), (400, 3), (420, 9))]
+    # (x-k)^2 (x-k+s*d) - s: two roots within 2^-20 of each other
+    close = [MonicCubic(s * d - 3 * k, 3 * k * k - 2 * s * d * k, s * d * k * k - k ** 3 - s)
+             for k, d, s in ((0, 2 ** 44, 1), (7, 2 ** 60, -1), (-10 ** 6, 2 ** 100, 1))]
+    for f in [_member(kind, t) for kind, t in _FAMILY_MEMBERS] + huge + close:
+        for r in refined_roots(f):
+            assert r.err <= mp.ldexp(1, -DEFAULT_POLICY.target_bits)
+            _assert_centred(r)
+
+
+def test_a_root_beyond_float64_starts_the_integer_loop_at_the_bracket_midpoint(monkeypatch):
+    # x^3 + 3*10^400 x^2 + x - 1: the root near -3*10^400 has no float64
+    # seed, so Newton starts from the exact midpoint of its bracket
+    f = MonicCubic(3 * 10 ** 400, 1, -1)
+    starts, newton = [], roots._newton
+
+    def recording(f, x, q, bits, target):
+        starts.append(Fraction(x, q))
+        return newton(f, x, q, bits, target)
+
+    monkeypatch.setattr(roots, "_newton", recording)
+    iso = isolate_real_roots(f)[0]
+    r = refine_root(f, iso)
+    assert starts == [(iso.lo + iso.hi) / 2]
+    mag_bits = math.ceil(max(abs(iso.lo), abs(iso.hi))).bit_length()
+    assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=mag_bits + 64))
+    assert r.lo < r.hi and sign_at(f, r.lo) != sign_at(f, r.hi)
+    _assert_centred(r)
+
+
+def test_the_bisection_fallback_is_centred_on_its_window(monkeypatch):
+    # with no seed and Newton refused, bisection alone narrows each
+    # isolating bracket (its separator ends are not dyadic) to 2^-15, and
+    # err must bound the distance from the rounded midpoint value
+    monkeypatch.setattr(roots, "_float_seed", lambda f, lo, hi, slo: (None, lo, hi))
+    monkeypatch.setattr(roots, "_newton", lambda *args: None)
+    pol = PrecisionPolicy(target_bits=16, max_bits=64)
+    for f in (SEED, simplest_cubic(5), _member("two_unit", 10 ** 6)):
+        for r in refined_roots(f, pol):
+            assert r.hi - r.lo <= Fraction(2, 1 << 16)
+            assert sign_at(f, r.lo) != sign_at(f, r.hi)
+            _assert_centred(r)
 
 
 # ---------------------------------------------------------------------------
