@@ -57,7 +57,6 @@ from .masses import (
     hexagon_grid,
     lattice_height,
     make_simplex,
-    make_simplex_min_ceiling,
     mass_above_height,
     shortest_vector_norm,
 )
@@ -82,7 +81,6 @@ from .roots import (
     RootPrediction,
     asymptotic_roots,
     asymptotic_threshold,
-    isolate_real_roots,
     newton_hypotheses,
     refine_root,
     refined_roots,
@@ -131,8 +129,8 @@ __all__ = [
     # masses
     "HexDomain", "LatticeBasis3", "SimplexSet", "check_tight",
     "embed_order_lattice", "exp_act", "hex_domain", "hexagon_grid",
-    "lattice_height", "make_simplex", "make_simplex_min_ceiling",
-    "mass_above_height", "shortest_vector_norm",
+    "lattice_height", "make_simplex", "mass_above_height",
+    "shortest_vector_norm",
     # precision
     "DEFAULT_POLICY", "PrecisionPolicy",
     # ratios
@@ -141,8 +139,8 @@ __all__ = [
     "tilde_T",
     # roots
     "AsymptoticRoots", "IsolatedRoot", "NewtonHypotheses", "RootPrediction",
-    "asymptotic_roots", "asymptotic_threshold", "isolate_real_roots",
-    "newton_hypotheses", "refine_root", "refined_roots",
+    "asymptotic_roots", "asymptotic_threshold", "newton_hypotheses",
+    "refine_root", "refined_roots",
     # shapes
     "ShapePoint", "corner", "corner_distance", "curve_gamma",
     "cusick_angle_cos", "limit_shape_z", "omega", "reduce_fundamental",

@@ -178,7 +178,7 @@ def build_scan_config(args) -> ScanConfig:
                       args.out or cfg.get("out"), jobs, r_cap)
 
 
-def _candidate_units(params_or_seed, descriptor: dict) -> list[tuple[int, int]]:
+def _candidate_units(params_or_seed) -> list[tuple[int, int]]:
     if isinstance(params_or_seed, families.OneUnitParams):
         # theta itself is a unit: the constant coefficient is +-1 by
         # construction, so the pair (designed unit, theta) drives the
@@ -187,10 +187,11 @@ def _candidate_units(params_or_seed, descriptor: dict) -> list[tuple[int, int]]:
     if isinstance(params_or_seed, families.TwoUnitParams):
         return [(params_or_seed.a, params_or_seed.b),
                 (params_or_seed.c, params_or_seed.d)]
-    # seed kind: the linear factors (ax-b), (cx-d) evaluate identically on
-    # the seed and on every extension, so they are the natural candidates
-    return [(int(descriptor["a"]), int(descriptor["b"])),
-            (int(descriptor["c"]), int(descriptor["d"]))]
+    # seed kind (h, (a, b, c, d)): the linear factors (ax-b), (cx-d)
+    # evaluate identically on the seed and on every extension, so they are
+    # the natural candidates
+    _, (a, b, c, d) = params_or_seed
+    return [(a, b), (c, d)]
 
 
 class _Member:
@@ -207,7 +208,7 @@ class _Member:
         d = json.loads(family_json)
         d["t"] = str(t)
         params, _, f = families.family_from_json(d)
-        return cls(f, _candidate_units(params, d), bits)
+        return cls(f, _candidate_units(params), bits)
 
     @cached_property
     def order(self) -> units.CubicOrderData:
@@ -275,7 +276,7 @@ def _mass_rows(payload) -> str:
         hd = masses.hex_domain(m.phi)
         big_r = mp.mpf(r_cap)
         tight_k = next((k for k in range(100, -1, -1)
-                        if masses.check_tight(m.phi, ht, big_r, Fraction(k, 100))), 0)
+                        if masses.check_tight(hd, ht, big_r, Fraction(k, 100))), 0)
         fracs = masses.mass_above_height(m.order, m.phi, [float(h) for h in heights], samples)
         return "\n".join(",".join([
             str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h, _fmt_frac(frac),

@@ -99,7 +99,6 @@ __all__ = [
     "shortest_vector_norm",
     "lattice_height",
     "make_simplex",
-    "make_simplex_min_ceiling",
     "hex_domain",
     "check_tight",
     "hexagon_grid",
@@ -117,19 +116,18 @@ _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 @dataclass(frozen=True)
 class LatticeBasis3:
     """A 3x3 real basis as its exact integer image, column j being
-    2^exp * cols[j], with a bound on the determinant error. `column(j)`
-    and `mat` are exact mpf views of the same entries."""
+    2^exp * cols[j]. `column(j)` and `mat` are exact mpf views of the same
+    entries."""
 
     cols: tuple[tuple[int, int, int], ...]
     exp: int
-    det_err: mp.mpf
 
     @classmethod
-    def from_columns(cls, cols, det_err) -> "LatticeBasis3":
+    def from_columns(cls, cols) -> "LatticeBasis3":
         """The basis whose column j holds the finite entries cols[j] (mpf,
         int or float, each a dyadic rational), read exactly."""
         ints, e = _dyadic([v for c in cols for v in c])
-        return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e, det_err)
+        return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e)
 
     def column(self, j: int) -> list:
         return [mp.make_mpf(from_man_exp(v, self.exp)) for v in self.cols[j]]
@@ -184,14 +182,13 @@ def _dot(x, y) -> int:
 def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
     """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i,
     computed at prec + 32 bits and kept as its exact integer image; the
-    image's exact determinant must be 1 up to det_err = 2^-(prec // 2) in
-    absolute value."""
+    image's exact determinant must be 1 up to 2^-(prec // 2) in absolute
+    value."""
     prec = prec or order.policy.target_bits
     with mp.workprec(prec + 32):
         scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
         basis = LatticeBasis3.from_columns(
-            [[scale * r.value ** j for r in order.roots] for j in range(3)],
-            mp.ldexp(1, -(prec // 2)))
+            [[scale * r.value ** j for r in order.roots] for j in range(3)])
     u, v, w = basis.cols
     cross = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
     det = _dot(u, cross) * Fraction(2) ** (3 * basis.exp)
@@ -222,7 +219,7 @@ def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
     cols = [[0] * 3 for _ in range(3)]
     for j, i, q, s in entries:
         cols[j][i] = q << (s - e) if q else 0
-    return LatticeBasis3(tuple(map(tuple, cols)), basis.exp + e, basis.det_err)
+    return LatticeBasis3(tuple(map(tuple, cols)), basis.exp + e)
 
 
 def _scaled_float(n: int, shift: int) -> float:
@@ -416,30 +413,6 @@ def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
     return SimplexSet(a1, a2, a3)
 
 
-def make_simplex_min_ceiling(v1: LogVector, v2: LogVector) -> SimplexSet:
-    """Like make_simplex, but picks among the six small unimodular
-    recombinations of (v1, v2) the simplex set whose hexagon ceiling is
-    lowest (useful for reporting the sharpest tightness bound)."""
-    pairs = [
-        (v1, v2), (v2, v1),
-        (v1, v1 + v2), (v1 + v2, v2),
-        (v1, v2 - v1), (v1 - v2, v2),
-    ]
-    best = None
-    best_ceiling = None
-    for w1, w2 in pairs:
-        try:
-            phi = make_simplex(w1, w2)
-        except DependentUnitsError:
-            continue
-        c = hex_domain(phi).ceiling
-        if best_ceiling is None or c < best_ceiling:
-            best, best_ceiling = phi, c
-    if best is None:
-        raise DependentUnitsError("no recombination spans the plane")
-    return best
-
-
 def hex_domain(phi: SimplexSet) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
@@ -459,15 +432,15 @@ def hex_domain(phi: SimplexSet) -> HexDomain:
     return HexDomain(tuple(verts), ceiling, err)
 
 
-def check_tight(phi: SimplexSet, ht, big_r, r) -> bool:
-    """Whether exp(r * ceiling) <= ht * R holds with certified slack; a
-    True answer survives the recorded numeric error, any doubt reports
-    False."""
+def check_tight(hd: HexDomain, ht, big_r, r) -> bool:
+    """Whether exp(r * ceiling) <= ht * R holds with certified slack for
+    the hexagon hd (`hex_domain`), at the ambient precision: the ceiling
+    is read as hd.ceiling + hd.ceiling_err, so a True answer survives the
+    recorded numeric error, and any doubt reports False."""
     big_r, r = (fraction_to_mpf(x, mp.mp.prec) if isinstance(x, Fraction) else mp.mpf(x)
                 for x in (big_r, r))
     if big_r < 1 or not (0 <= r <= 1):
         raise InvalidParamsError("need R >= 1 and r in [0, 1]")
-    hd = hex_domain(phi)
     lhs = mp.exp(r * (hd.ceiling + hd.ceiling_err))
     rhs = mp.mpf(ht) * big_r * (1 - mp.ldexp(1, -40))
     return bool(lhs <= rhs)
@@ -997,7 +970,7 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     fine = embed_order_lattice(order, bits + lost)
     moved = tuple(tuple(sum(u * c[i] for c, u in zip(fine.cols, r[3:])) for i in range(3))
                   for r in red)
-    return LatticeBasis3(moved, fine.exp, fine.det_err)
+    return LatticeBasis3(moved, fine.exp)
 
 
 def _dual_weight(basis: LatticeBasis3) -> float:

@@ -1,13 +1,14 @@
-"""Validated isolation and refinement of the three real roots.
+"""Certified refinement of the three real roots from exact brackets.
 
-Isolation is exact and needs no search (`cubics.isolating_intervals`:
+The brackets are exact and need no search (`cubics.isolating_intervals`:
 the Cauchy interval cut at two rational separators near the critical
-points of f, which lie strictly between the roots). Refinement only has
-to find a good iterate; the certificate does not trust it. The iterate
-comes from float64 Newton inside the exact bracket (each iterate's exact
-sign narrows the bracket; a step that leaves it first tries the float
-next to the end it left through, and one that leaves it again or stalls
-is replaced by a split), then fixed-point Newton on exact integers: each
+points of f, which lie strictly between the roots), and each is refined
+on its own. Refinement only has to find a good iterate; the certificate
+does not trust it. The iterate comes from float64 Newton inside the exact
+bracket (each iterate's exact sign narrows the bracket; a step that
+leaves it first tries the float next to the end it left through, and one
+that leaves it again or stalls is replaced by a split), then fixed-point
+Newton on exact integers: each
 iterate is a dyadic X/2^P whose X has the working precision's bits, and
 each step is one integer division (Brent and Zimmermann, Modern Computer
 Arithmetic, section 4.2). The enclosure [x-eps, x+eps], clipped to the
@@ -37,7 +38,6 @@ from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf
 __all__ = [
     "IsolatedRoot",
     "PrecisionPolicy",
-    "isolate_real_roots",
     "refine_root",
     "refined_roots",
     "newton_hypotheses",
@@ -52,7 +52,8 @@ __all__ = [
 @dataclass(frozen=True)
 class IsolatedRoot:
     """One real root: exact bracketing interval [lo, hi] plus a floating
-    midpoint. err is an absolute radius bound: |true root - value| <= err."""
+    value inside it. err is an absolute radius bound: |true root - value|
+    <= err."""
 
     lo: Fraction
     hi: Fraction
@@ -71,21 +72,6 @@ def _centred(lo: Fraction, hi: Fraction, prec: int) -> tuple[mp.mpf, mp.mpf]:
     v, w = to_rational(mid)  # mid = v/w exactly; both radii over w*b*d
     rad = from_rational(max((v * b - a * w) * d, (c * w - v * d) * b), w * b * d, prec, round_up)
     return mp.make_mpf(mid), mp.make_mpf(rad)
-
-
-def isolate_real_roots(f: MonicCubic, prec: int = 64) -> list[IsolatedRoot]:
-    """Three disjoint certified brackets, ascending, each with its
-    `_centred` value and err. Input must have three distinct real roots."""
-    if not is_totally_real(f):
-        raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
-    out = []
-    for lo, hi in isolating_intervals(f):
-        if sign_at(f, lo) * sign_at(f, hi) >= 0:
-            raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
-        out.append(IsolatedRoot(lo, hi, *_centred(lo, hi, prec), prec))
-    if len(out) != 3:
-        raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(out)} for {f}")
-    return out
 
 
 _SEED_STEPS = 100  # float64 iterations; each one shrinks the exact bracket
@@ -205,8 +191,10 @@ def _window_end(f: MonicCubic, n: int, q: int, end: Fraction, outside: bool):
     return Fraction(n, q), (v > 0) - (v < 0)
 
 
-def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_POLICY) -> IsolatedRoot:
-    """Shrink the enclosure to absolute radius <= 2^-target_bits.
+def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
+                pol: PrecisionPolicy = DEFAULT_POLICY) -> IsolatedRoot:
+    """Shrink the exact bracket [lo, hi], which holds exactly one simple
+    root of f, to an enclosure of absolute radius <= 2^-target_bits.
 
     The iterate: a float64 Newton seed kept inside the exact bracket
     (`_float_seed`), or the bracket midpoint for a root beyond float64
@@ -221,7 +209,6 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
     value. Otherwise exact bisection narrows the bracket and the next rung
     of `pol.ladder()` doubles the working precision.
     """
-    lo, hi = r.lo, r.hi
     slo = sign_at(f, lo)
     if slo == 0:  # exact rational root at the endpoint: width-0 enclosure
         v = fraction_to_mpf(lo, pol.target_bits)
@@ -266,8 +253,16 @@ def refine_root(f: MonicCubic, r: IsolatedRoot, pol: PrecisionPolicy = DEFAULT_P
 
 
 def refined_roots(f: MonicCubic, pol: PrecisionPolicy = DEFAULT_POLICY) -> list[IsolatedRoot]:
-    """Convenience: isolate + refine all three, ascending."""
-    return [refine_root(f, r, pol) for r in isolate_real_roots(f)]
+    """The three real roots, ascending, each refined from its exact
+    isolating bracket. f must have three distinct real roots."""
+    if not is_totally_real(f):
+        raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
+    brackets = isolating_intervals(f)
+    if any(sign_at(f, lo) * sign_at(f, hi) >= 0 for lo, hi in brackets):
+        raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
+    if len(brackets) != 3:
+        raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(brackets)} for {f}")
+    return [refine_root(f, lo, hi, pol) for lo, hi in brackets]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +361,6 @@ def asymptotic_roots(params, t: int) -> AsymptoticRoots:
         preds.append(RootPrediction(al - step, tag, al))
     third = -f.p2 - preds[0].value - preds[1].value
     preds.append(RootPrediction(third, tags[2], None))
-    preds.sort(key=lambda p: p.value)  # ascending, matching isolate_real_roots
+    preds.sort(key=lambda p: p.value)  # ascending, matching refined_roots
     reliable = abs(t) >= asymptotic_threshold(params) and all(h.all_ok for h in hyps)
     return AsymptoticRoots(tuple(preds), reliable, asymptotic_threshold(params), hyps)

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# certify_fundamental asks the Cusick ratio to clear 1/8 by 2^-_MARGIN_BITS
+_MARGIN_BITS = 32
+
+
 def _round_slack(coords) -> mp.mpf:
     return mp.ldexp(max(1, *(abs(x) for x in coords)), -(mp.mp.prec - 2))
 
@@ -106,7 +110,6 @@ class RegulatorReport:
     rel_reg: mp.mpf
     cusick_ratio: mp.mpf
     certified: bool
-    margin_bits: int = 32
 
     def __post_init__(self):
         if self.certified and not self.cusick_ratio < mp.mpf(1) / 8:
@@ -164,7 +167,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
         target *= 2
         sub = PrecisionPolicy(target, pol.max_bits)
-        roots = [refine_root(order.f, r, sub) for r in roots]
+        roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
 
 
 def relative_regulator_with_error(v1: LogVector, v2: LogVector):
@@ -191,11 +194,10 @@ def relative_regulator_with_error(v1: LogVector, v2: LogVector):
     return det, err
 
 
-def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, margin_bits: int = 32,
-                        prec: int = 192) -> RegulatorReport:
+def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> RegulatorReport:
     """Cusick test: a pair of independent units with relative regulator
     R' satisfying R'/log^2(disc/4) < 1/8 is a fundamental pair. certified
-    means the inequality holds with margin 2^-margin_bits after pushing
+    means the inequality holds with margin 2^-_MARGIN_BITS after pushing
     all numeric error upward; False is inconclusive, never a disproof."""
     if disc <= 16:
         raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
@@ -207,8 +209,8 @@ def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, margin_bits: int = 32
         pad = mp.ldexp(1, -(mp.mp.prec - 16))
         ratio = rel_reg / L ** 2
         ratio_hi = (rel_reg + mp.mpf(rel_reg_err)) / (L * (1 - pad)) ** 2 * (1 + pad)
-        certified = bool(ratio_hi < mp.mpf(1) / 8 - mp.ldexp(1, -margin_bits))
-        return RegulatorReport(rel_reg, ratio, certified, margin_bits)
+        certified = bool(ratio_hi < mp.mpf(1) / 8 - mp.ldexp(1, -_MARGIN_BITS))
+        return RegulatorReport(rel_reg, ratio, certified)
 
 
 def report_to_json(rep: RegulatorReport, digits: int = 40) -> str:
@@ -216,5 +218,5 @@ def report_to_json(rep: RegulatorReport, digits: int = 40) -> str:
         "rel_reg": mp.nstr(rep.rel_reg, digits, strip_zeros=False),
         "cusick_ratio": mp.nstr(rep.cusick_ratio, digits, strip_zeros=False),
         "certified": rep.certified,
-        "margin_bits": rep.margin_bits,
+        "margin_bits": _MARGIN_BITS,
     })

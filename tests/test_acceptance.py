@@ -43,7 +43,6 @@ from cubicunits import (
     lattice_height,
     log_embed,
     make_simplex,
-    make_simplex_min_ceiling,
     mass_above_height,
     norm_linear_form,
     orbit,
@@ -287,9 +286,9 @@ def test_ac6_mass_escape(capfd):
         p = TwoUnitParams(b * b + b + 1, b, b + 1, 1)
         order = build_order(build_two_unit(p, b**3), [(p.a, p.b), (p.c, p.d)])
         v1, v2 = log_embed(order, p.a, p.b), log_embed(order, p.c, p.d)
-        phi = make_simplex_min_ceiling(v1, v2)
+        phi = make_simplex(v1, v2)
         ht = lattice_height(embed_order_lattice(order))
-        tight = check_tight(phi, ht, 2, Fraction(1, 3))
+        tight = check_tight(hex_domain(phi), ht, 2, Fraction(1, 3))
         tight_all = tight_all and tight
         if tight:
             frac, = mass_above_height(order, phi, (10.0,), samples=600)

@@ -17,7 +17,9 @@ from cubicunits.cli import (
     parse_schedule,
     read_config,
 )
+from cubicunits import masses
 from cubicunits.errors import OrbitCapError
+from cubicunits.masses import hex_domain
 
 ONE_UNIT = '{"kind":"one_unit","a":"1","b":"1"}'
 # x^3 - 3x - 1 along x(x - 3): at t=5 theta - 3 fails the norm check, so the
@@ -206,6 +208,22 @@ def test_mass_profile_error_rows(capsys):
     assert main(["mass-profile", "--family", SEED_RANK1, "--schedule", "list:5",
                  "--samples", "60"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1:] == ["5,InvalidParamsError,,,10,,"]
+
+
+def test_mass_profile_builds_the_hexagon_once_per_row(monkeypatch, capsys):
+    # the tightness loop tries up to 101 values of r on the row's hexagon;
+    # it must read the one hexagon, not rebuild it for each
+    built = []
+
+    def counting(phi):
+        built.append(phi)
+        return hex_domain(phi)
+
+    monkeypatch.setattr(masses, "hex_domain", counting)
+    assert main(["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000000",
+                 "--samples", "60", "--H", "10", "--H", "100"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert len(built) == 1
 
 
 def test_emit_curves_golden(capsys):

@@ -34,7 +34,6 @@ from cubicunits import (
     lattice_height,
     log_embed,
     make_simplex,
-    make_simplex_min_ceiling,
     mass_above_height,
     shortest_vector_norm,
     simplest_cubic,
@@ -51,7 +50,7 @@ def vec(x1, x2, x3, err="1e-40"):
 
 
 def basis_from_cols(cols):
-    return LatticeBasis3.from_columns([[mp.mpf(v) for v in c] for c in cols], mp.ldexp(1, -90))
+    return LatticeBasis3.from_columns([[mp.mpf(v) for v in c] for c in cols])
 
 
 def regular_simplex():
@@ -68,7 +67,8 @@ def test_embed_order_lattice_unimodular():
     with mp.workprec(260):
         basis = embed_order_lattice(SEED_ORDER)
         det = mp.det(basis.mat)
-        assert abs(abs(det) - 1) <= basis.det_err
+        # the bound embed_order_lattice checks, at the order's target bits
+        assert abs(abs(det) - 1) <= mp.ldexp(1, -(SEED_ORDER.policy.target_bits // 2))
         # column 0 is disc^{-1/6} * (1,1,1)
         s = mp.power(mp.mpf(SEED_ORDER.disc), mp.mpf(-1) / 6)
         for x in basis.column(0):
@@ -95,7 +95,7 @@ def test_shortest_vector_is_lattice_invariant():
         for j in range(3):
             m[j, 2] = m[j, 2] - 5 * m[j, 1]
         tweaked = LatticeBasis3.from_columns(
-            [[m[i, j] for i in range(3)] for j in range(3)], base.det_err)
+            [[m[i, j] for i in range(3)] for j in range(3)])
         assert abs(shortest_vector_norm(tweaked) - ref) < mp.ldexp(1, -60)
 
 
@@ -104,7 +104,7 @@ def exact_basis(cols):
     with mp.workprec(8192):
         return LatticeBasis3.from_columns(
             [[mp.mpf(Fraction(v).numerator) / Fraction(v).denominator for v in c]
-             for c in cols], mp.mpf(0))
+             for c in cols])
 
 
 def reference_norm(basis, prec=1024):
@@ -241,7 +241,7 @@ def raw_embedding(order, prec):
     with mp.workprec(prec):
         scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
         return LatticeBasis3.from_columns(
-            [[scale * r.value ** j for r in order.roots] for j in range(3)], mp.mpf(0))
+            [[scale * r.value ** j for r in order.roots] for j in range(3)])
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
@@ -475,36 +475,20 @@ def test_hexagon_area_equals_covolume():
         assert abs(area - cross) < cross * mp.ldexp(1, -60)
 
 
-def test_make_simplex_min_ceiling_picks_minimum():
-    with mp.workprec(200):
-        v1 = log_embed(SEED_ORDER, 1, 0)
-        v2 = log_embed(SEED_ORDER, 1, -1)
-        best = hex_domain(make_simplex_min_ceiling(v1, v2)).ceiling
-        seen = []
-        for w1, w2 in [(v1, v2), (v2, v1), (v1, v1 + v2), (v1 + v2, v2),
-                       (v1, v2 - v1), (v1 - v2, v2)]:
-            try:
-                seen.append(hex_domain(make_simplex(w1, w2)).ceiling)
-            except DependentUnitsError:
-                pass
-        assert abs(best - min(seen)) < mp.ldexp(1, -100)
-        assert all(best <= c + mp.ldexp(1, -100) for c in seen)
-
-
 # ---------------------------------------------------------------------------
 # tightness
 # ---------------------------------------------------------------------------
 
 
 def test_check_tight_frozen():
-    phi = regular_simplex()  # ceiling 2/3
-    assert check_tight(phi, 1, 2, 1)  # e^(2/3) = 1.948 <= 2
-    assert not check_tight(phi, 1, Fraction(19, 10), 1)  # 1.948 > 1.9
-    assert check_tight(phi, 1, Fraction(19, 10), Fraction(1, 2))
+    hd = hex_domain(regular_simplex())  # ceiling 2/3
+    assert check_tight(hd, 1, 2, 1)  # e^(2/3) = 1.948 <= 2
+    assert not check_tight(hd, 1, Fraction(19, 10), 1)  # 1.948 > 1.9
+    assert check_tight(hd, 1, Fraction(19, 10), Fraction(1, 2))
     with pytest.raises(InvalidParamsError):
-        check_tight(phi, 1, Fraction(1, 2), 1)
+        check_tight(hd, 1, Fraction(1, 2), 1)
     with pytest.raises(InvalidParamsError):
-        check_tight(phi, 1, 2, 2)
+        check_tight(hd, 1, 2, 2)
 
 
 def test_check_tight_fails_closed_on_fat_errors():
@@ -513,7 +497,7 @@ def test_check_tight_fails_closed_on_fat_errors():
     a2 = LogVector(mp.mpf(-1), mp.mpf(1), mp.mpf(0), mp.mpf(2))
     a3 = LogVector(mp.mpf(0), mp.mpf(-1), mp.mpf(1), mp.mpf(2))
     fat = SimplexSet(a1, a2, a3)
-    assert not check_tight(fat, 1, 2, 1)
+    assert not check_tight(hex_domain(fat), 1, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Certified root isolation and refinement, plus family asymptotics."""
+"""Certified root refinement from exact brackets, plus family asymptotics."""
 
 import math
 from fractions import Fraction
@@ -24,7 +24,7 @@ from cubicunits import (
     eval_scaled,
     extend_seed,
     is_totally_real,
-    isolate_real_roots,
+    isolating_intervals,
     newton_hypotheses,
     refine_root,
     refined_roots,
@@ -77,15 +77,14 @@ def test_rational_roots_enclosed_tightly():
 def test_refine_exact_endpoint_root():
     # a bracket whose endpoint is the root short-circuits to a width-0 result
     f = MonicCubic(0, -1, 0)
-    seed = IsolatedRoot(Fraction(0), Fraction(1, 2), mp.mpf("0.25"), mp.mpf("0.25"), 64)
-    r = refine_root(f, seed)
+    r = refine_root(f, Fraction(0), Fraction(1, 2))
     assert r.lo == r.hi == Fraction(0)
     assert r.err == 0 and r.value == 0
 
 
 def test_isolation_rejects_complex_roots():
     with pytest.raises(DomainError):
-        isolate_real_roots(MonicCubic(0, 0, -2))
+        refined_roots(MonicCubic(0, 0, -2))
 
 
 def test_refine_respects_policy():
@@ -126,10 +125,12 @@ def test_simplest_cubic_roots_match_oracle(t):
        st.integers(min_value=10 ** 3, max_value=10 ** 7))
 def test_one_unit_member_roots_bracketed(b, t):
     f = build_one_unit(OneUnitParams(1, b), t)
-    for r in isolate_real_roots(f):
-        assert r.lo < r.hi
-        slo = eval_scaled(f, r.lo.numerator, r.lo.denominator)
-        shi = eval_scaled(f, r.hi.numerator, r.hi.denominator)
+    brackets = isolating_intervals(f)
+    assert len(brackets) == 3
+    for lo, hi in brackets:
+        assert lo < hi
+        slo = eval_scaled(f, lo.numerator, lo.denominator)
+        shi = eval_scaled(f, hi.numerator, hi.denominator)
         assert (slo > 0) != (shi > 0)
 
 
@@ -146,12 +147,12 @@ def _assert_enclosures_hold_bisected_roots(f: MonicCubic) -> None:
     finds in the same isolating bracket, to within that bisection's own
     final half-width, and the error bound is met."""
     target = DEFAULT_POLICY.target_bits
-    for iso, r in zip(isolate_real_roots(f), refined_roots(f)):
-        width = iso.hi - iso.lo
+    for (lo, hi), r in zip(isolating_intervals(f), refined_roots(f)):
+        width = hi - lo
         steps = max(0, width.numerator.bit_length() - width.denominator.bit_length()) + target + 16
-        root = bisect_root(f.p2, f.p1, f.p0, iso.lo, iso.hi, steps)
+        root = bisect_root(f.p2, f.p1, f.p0, lo, hi, steps)
         slack = width / 2 ** steps  # |root - true root| <= slack
-        assert iso.lo <= r.lo <= r.hi <= iso.hi
+        assert lo <= r.lo <= r.hi <= hi
         assert r.lo - slack <= root <= r.hi + slack
         assert r.err <= mp.ldexp(1, -target)
         value, err = _assert_centred(r)
@@ -198,12 +199,12 @@ def test_huge_coefficient_enclosures_hold_the_bisected_root(e, m, c):
 def test_float_seed_steps_aside_only_beyond_float64_range():
     # p1 = -3*10^400 does not fit a float64, but every root does: all are seeded
     f = MonicCubic(0, -3 * 10 ** 400, 1)
-    for r in isolate_real_roots(f):
-        assert roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] is not None
+    for lo, hi in isolating_intervals(f):
+        assert roots._float_seed(f, lo, hi, sign_at(f, lo))[0] is not None
     _assert_enclosures_hold_bisected_roots(f)
     # the root near -3*10^400 does not: it takes the midpoint start
     f = MonicCubic(3 * 10 ** 400, 1, -1)
-    seeds = [roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] for r in isolate_real_roots(f)]
+    seeds = [roots._float_seed(f, lo, hi, sign_at(f, lo))[0] for lo, hi in isolating_intervals(f)]
     assert seeds[0] is None and None not in seeds[1:]
     _assert_enclosures_hold_bisected_roots(f)
 
@@ -223,9 +224,9 @@ def test_float_seed_spends_few_exact_signs(monkeypatch, t):
 
     monkeypatch.setattr(roots, "eval_scaled", counting)
     f = _member("one_unit", t)
-    for r in isolate_real_roots(f):
+    for lo, hi in isolating_intervals(f):
         signs.append(0)
-        assert roots._float_seed(f, r.lo, r.hi, sign_at(f, r.lo))[0] is not None
+        assert roots._float_seed(f, lo, hi, sign_at(f, lo))[0] is not None
     large = signs[0] if t > 0 else signs[2]
     assert large <= 3 and sum(signs) <= 24, signs
 
@@ -239,7 +240,7 @@ def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():
         n = int(mp.floor(mp.cbrt(mp.ldexp(1, 901))))
     assert n ** 3 <= 1 << 901 < (n + 1) ** 3
     lo, hi = Fraction(n, 1 << 300), Fraction(2)
-    r = refine_root(f, IsolatedRoot(lo, hi, mp.mpf(1), mp.mpf(1), 64))
+    r = refine_root(f, lo, hi)
     assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=2 + 64)) == 258
     assert lo <= r.lo and r.hi <= hi and r.lo ** 3 < 2 < r.hi ** 3
     _, err = _assert_centred(r)
@@ -261,13 +262,14 @@ _FAMILY_MEMBERS = [(kind, sign * 10 ** e) for kind in ("one_unit", "two_unit", "
 
 
 def test_isolation_err_bounds_the_distance_from_value_to_the_bracket():
-    # value is the midpoint rounded once to nearest, err the radius about
-    # value rounded once up: a true bound, and within one rounding of tight
+    # _centred, which the bisection fallback returns: value is the midpoint
+    # rounded once to nearest, err the radius about value rounded once up,
+    # a true bound and within one rounding of tight
     for kind, t in _FAMILY_MEMBERS:
-        for r in isolate_real_roots(_member(kind, t)):
-            value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
-            mid, half = (r.lo + r.hi) / 2, (r.hi - r.lo) / 2
-            assert abs(value - mid) <= abs(mid) / 2 ** 64, (kind, t, r)
+        for lo, hi in isolating_intervals(_member(kind, t)):
+            value, err = (mpf_to_fraction(v) for v in roots._centred(lo, hi, 64))
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            assert abs(value - mid) <= abs(mid) / 2 ** 64, (kind, t, lo, hi)
             assert half + abs(value - mid) <= err <= (half + abs(value - mid)) * (1 + Fraction(1, 2 ** 63))
 
 
@@ -311,10 +313,10 @@ def test_a_root_beyond_float64_starts_the_integer_loop_at_the_bracket_midpoint(m
         return newton(f, x, q, bits, target)
 
     monkeypatch.setattr(roots, "_newton", recording)
-    iso = isolate_real_roots(f)[0]
-    r = refine_root(f, iso)
-    assert starts == [(iso.lo + iso.hi) / 2]
-    mag_bits = math.ceil(max(abs(iso.lo), abs(iso.hi))).bit_length()
+    lo, hi = isolating_intervals(f)[0]
+    r = refine_root(f, lo, hi)
+    assert starts == [(lo + hi) / 2]
+    mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
     assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=mag_bits + 64))
     assert r.lo < r.hi and sign_at(f, r.lo) != sign_at(f, r.hi)
     _assert_centred(r)
