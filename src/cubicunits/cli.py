@@ -121,7 +121,7 @@ def read_config(path: str) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
                 cfg[key] = val.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # a non-ASCII byte fails the decode
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return cfg
 

@@ -35,10 +35,7 @@ y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
 each row searches a short computed range of (i, j); and as the grid
 point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
 the extended grid, one interval per extended row serves every (row,
-monomial) pair. The rows certify the complement too (the mirror test just
-outside each interval, or a slope bracket of a row's minimum), so that
-every unit monomial is long at each point left open; a grid row where
-that fails is doubtful. Then the centre walk visits only the points still
+monomial) pair. Then the centre walk visits only the points still
 open, coarse to fine, and gives each one a certified enumeration,
 lambda_1 within [s - m, s + m], which decides every point with min_i d_i >
 -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape):
@@ -50,20 +47,21 @@ moved from one basis of L that each call reduces once. Each centre (a
 alpha1 + b alpha2) / k is formed from exact dyadic images of the alphas,
 rounded once per coordinate. The offset between two grid points depends
 only on their index difference, which the cover reads exactly from the
-same images, so each centre marks one interval per grid row. When the
-shortest vector v1 is a certified unit monomial (_unit_monomial) and B -
-m_B bounds every vector not parallel to it from below, the centre also
-marks "height at most H" on the open points outside doubtful rows with
-min_i d_i > -log((B - m_B) H): a vector shorter than 1/H there is a
-multiple of v1, which the unit rows proved long. A centre in doubt covers
-nothing that way, and a point no verdict covers raises
+same images, so each centre marks one interval per grid row. With B -
+m_B below the norm of every vector not parallel to the centre's shortest
+vector v1, the centre also marks "height at most H" on the open points p
+= x + d with min_i d_i > -log((B - m_B) H) where a float64 test, whose
+derived error bound must fit a stated headroom, certifies |exp(p) v1| >=
+1/H: a vector shorter than 1/H at p is shorter than B - m_B at x, so it
+is n v1 for an integer n != 0, and no shorter than v1. A centre in doubt
+covers nothing, and a point no verdict covers raises
 PrecisionExhaustedError.
 
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
 certified norm, with its memo of (s, margin) and, once asked for, B - m_B
-per centre, so each centre is enumerated at most once however many
-heights ask. A certified
+and v1's image per centre, so each centre is enumerated at most once
+however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
 rounded outward; only the verdicts compare in mpf.
@@ -105,9 +103,10 @@ __all__ = [
     "mass_above_height",
 ]
 
-# Relative headroom by which the float64 unit tests must clear the cutoff,
-# below it for a short unit and above it for a long one, and a slope its
-# error bound; _unit_rows derives the float error each has to cover.
+# Relative headroom by which the float64 norm tests must clear the cutoff:
+# below it for a unit short on a row (_unit_rows), above it for the
+# shortest vector at a point of a wide cover (_cover); each derives the
+# float error it has to cover.
 _UNIT_HEADROOM = 1e-9
 
 _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
@@ -510,24 +509,22 @@ def mass_above_height(
 
     Each height first runs the unit rows (_unit_rows): every grid point
     where some unit monomial is certified shorter than 1/H is marked
-    escaped, one convex interval per row and monomial, and a grid row
-    holding an open point where some unit monomial is not certified at
-    least 1/H long is doubtful. The centre walk then visits only the points
-    still open (_open_points), in descending 2-adic valuation of gcd(a,
-    b), then grid order, and settles each with one certified enumeration
-    (_certified_norm), whose verdict covers every grid point in the
-    one-sided region it proves (_cover): no coordinate of the offset above
-    the radius for escape, none below minus the radius for no escape. A
-    non-unit can still be short, so the kernel keeps both verdicts. A
-    centre in doubt covers nothing this way, and a point no verdict covers
-    raises. The count is exact for the decisions made.
+    escaped, one convex interval per row and monomial. The centre walk
+    then visits only the points still open (_open_points), in descending
+    2-adic valuation of gcd(a, b), then grid order, and settles each with
+    one certified enumeration (_certified_norm), whose verdict covers every
+    grid point in the one-sided region it proves (_cover): no coordinate of
+    the offset above the radius for escape, none below minus the radius for
+    no escape. A non-unit can still be short, so the kernel keeps both
+    verdicts. A centre in doubt covers nothing this way, and a point no
+    verdict covers raises. The count is exact for the decisions made.
 
-    When the centre's shortest vector v1 is a certified unit monomial, with
-    B - m_B below the least norm of a vector not parallel to it, a second,
-    wider cover marks "at most H" on the open points p = x + d outside the
-    doubtful rows with min_i d_i > -log((B - m_B) H). A vector w with |exp(p) w| < 1/H
-    then has |exp(x) w| < B - m_B, so w = n v1, and v1 would be short at p;
-    but the unit rows certified every unit monomial long there.
+    While points stay open, a centre x also gives B - m_B, below the least
+    norm of a vector not parallel to its shortest vector v1, and a second,
+    wider cover marks "at most H" on each open point p = x + d with min_i
+    d_i > -log((B - m_B) H) where v1 is certified long: |exp(p) v1| >= 1/H.
+    A vector w with |exp(p) w| < 1/H has |exp(x) w| < B - m_B, so w = n v1
+    with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|.
 
     Only the unit rows and the walk read the height, so everything else is
     built once per call, after checking at the order's bits that phi comes
@@ -548,7 +545,7 @@ def mass_above_height(
     fractions = []
     for height in heights:
         state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
-        doubtful = unit_rows(state, height)[1]
+        unit_rows(state, height)
         with mp.workprec(bits):
             h = mp.mpf(height)
             for a, b in _open_points(state, rows, top):
@@ -559,10 +556,10 @@ def mass_above_height(
                     cover(state, a, b, math.log(float((s - margin) * h)), _STAYS)
                 elif (s + margin) * h < 1:
                     cover(state, a, b, -math.log(float((s + margin) * h)), _ESCAPES)
-                if any(0 in row for row in state):  # a unit-aware cover marks open points only
-                    wide = floor()
-                    if wide is not None and wide * h > 1:
-                        cover(state, a, b, math.log(float(wide * h)), _STAYS, doubtful)
+                if any(0 in row for row in state):  # a wide cover marks open points only
+                    wide, v1 = floor()
+                    if wide * h > 1:
+                        cover(state, a, b, math.log(float(wide * h)), _STAYS, v1, height)
         for u, row in enumerate(state, -top):
             if 0 in row:
                 point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
@@ -602,14 +599,12 @@ def _open_points(state: list[bytearray], rows: list[range], top: int):
 
 
 def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]):
-    """unit_rows(state, height) -> ([(u, vmin, vmax, lo, hi)], doubtful):
-    mark _ESCAPES on every grid point where some unit monomial is certified
+    """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark
+    _ESCAPES on every grid point where some unit monomial is certified
     shorter than 1/height, and return, per row u of the extended grid (u
     alpha1 + v alpha2) / k (u and v any integers) that the search reaches,
     the bounds vmin < v < vmax it searched and the certified interval
-    lo..hi (empty when lo > hi) it found, with the set of grid rows a
-    holding an open point where some unit monomial is not certified at
-    least 1/height long (doubtful rows).
+    lo..hi (empty when lo > hi) it found.
 
     The unit monomial eps = eps1^i eps2^j has log vector y = i alpha1 + j
     alpha2 and exactly known norm |exp(x) eps|^2 = disc^{-1/3} sum_m
@@ -629,19 +624,7 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     left to the kernel. The widest rows go first, and a row whose grid
     rows a = u - ik are all marked already is not solved.
 
-    The complement is certified too, so that every grid point left 0 has
-    every unit monomial long: for a non-empty interval, the mirror test
-    `long` at lo - 1 and hi + 1 (an end that is short there steps outward)
-    and convexity cover every other v; for a row with no short integer, a
-    certified slope sign (`slope_sign`) falling at a and rising at b,
-    found by bisection (or a and b the ends of the bounds), brackets the
-    minimum, so the sum is no less than at a on v < a and than at b on v >
-    b, and the points a..b are tested `long` one by one. A row where any of
-    this fails makes doubtful every grid row holding an open point of its
-    bounds. A row whose grid rows hold no open point once its escapes are
-    marked needs none of this.
-
-    The tests at the extended point c = (s, t) = (u, v) / k, in float64
+    The test at the extended point c = (s, t) = (u, v) / k, in float64
     with eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from
     their exact values by at most 2 delta, delta = (|s| + |t|) (alpha_err +
     3 eps A), where alpha_err bounds the alphas' own error and A = max_m
@@ -655,14 +638,8 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     true squared norm over the cutoff is within a factor 1 + err, err = 3
     delta + 25 eps, of the float one either way, for err up to about 1e-6:
     `short` holds when the float norm is below cutoff (1 -
-    _UNIT_HEADROOM), `long` when it is above cutoff (1 + _UNIT_HEADROOM),
-    each with err <= _UNIT_HEADROOM. `slope_sign` reads the sign of the
-    derivative, (2 dscale / k) sum_m alpha2_m w_m: in the float sum S each
-    w_m is off by a relative 2 delta + 4 eps, each alpha2_m by alpha_err +
-    eps |alpha2_m|, and the products and the sum add 3 eps of sum_m
-    |alpha2_m| w_m, so S is off by at most err sum_m |alpha2_m| w_m + 2
-    alpha_err sum_m w_m, which twice over must stay below |S|, again with
-    err <= _UNIT_HEADROOM. An exponential that overflows fails every test.
+    _UNIT_HEADROOM), with err <= _UNIT_HEADROOM. An exponential that
+    overflows fails the test.
     """
     a1 = [float(c) for c in phi.alpha1.coords]
     a2 = [float(c) for c in phi.alpha2.coords]
@@ -677,38 +654,16 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
 
     grow = 3 * (alpha_err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
 
-    def weights(s: float, t: float):
-        """(w0, w1, w2) at the extended point c = (s, t), or None when err
-        exceeds _UNIT_HEADROOM or an exponential overflows."""
-        if not (abs(s) + abs(t)) * grow + 25 * _EPS <= _UNIT_HEADROOM:
-            return None
-        try:
-            return (math.exp(2.0 * (s * x0 + t * y0)), math.exp(2.0 * (s * x1 + t * y1)),
-                    math.exp(2.0 * (s * x2 + t * y2)))
-        except OverflowError:
-            return None
-
     def short(u: int, v: int, cutoff: float) -> bool:
-        w = weights(u / k, v / k)
-        return w is not None and dscale * (w[0] + w[1] + w[2]) < cutoff * (1 - _UNIT_HEADROOM)
-
-    def long(u: int, v: int, cutoff: float) -> bool:
-        w = weights(u / k, v / k)
-        return w is not None and dscale * (w[0] + w[1] + w[2]) > cutoff * (1 + _UNIT_HEADROOM)
-
-    def slope_sign(u: int, v: int) -> int:
-        """The certified sign (+1, -1) of the norm's slope along the row at
-        v, 0 in doubt."""
         s, t = u / k, v / k
-        w = weights(s, t)
-        if w is None:
-            return 0
-        w0, w1, w2 = w
-        err = (abs(s) + abs(t)) * grow + 25 * _EPS
-        total = y0 * w0 + y1 * w1 + y2 * w2
-        bound = 2 * (err * (abs(y0) * w0 + abs(y1) * w1 + abs(y2) * w2)
-                     + 2 * alpha_err * (w0 + w1 + w2))
-        return (total > bound) - (total < -bound)
+        if not (abs(s) + abs(t)) * grow + 25 * _EPS <= _UNIT_HEADROOM:
+            return False
+        try:
+            total = (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
+                     + math.exp(2.0 * (s * x2 + t * y2)))
+        except OverflowError:
+            return False
+        return dscale * total < cutoff * (1 - _UNIT_HEADROOM)
 
     def end(c0, c1, c2, v, sg, stop):
         """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
@@ -751,35 +706,10 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
                 out.append((u, vmin, vmax))
         return out
 
-    def none_short(u: int, lo: int, hi: int, cutoff: float) -> bool:
-        """Whether every integer lo..hi is certified long on the extended
-        row u, by a slope bracket of the minimum."""
-        if lo > hi:
-            return True
-        c0, c1, c2 = 2.0 * x0 * u / k, 2.0 * x1 * u / k, 2.0 * x2 * u / k
-        a, b = lo, hi  # bisect to a: the last v whose float slope falls, or lo
-        while a < b:
-            mid = (a + b + 1) // 2
-            if (y0 * math.exp(c0 + q0 * mid) + y1 * math.exp(c1 + q1 * mid)
-                    + y2 * math.exp(c2 + q2 * mid)) < 0:
-                a = mid
-            else:
-                b = mid - 1
-        for _ in range(3):  # certify a's slope, or step outward
-            if a == lo or slope_sign(u, a) < 0:
-                break
-            a -= 1
-        else:
-            return False
-        for b in range(a + 1, min(a + 4, hi) + 1):
-            if b == hi or slope_sign(u, b) > 0:
-                return all(long(u, v, cutoff) for v in range(a, b + 1))
-        return a == hi and long(u, a, cutoff)
-
     def interval(u: int, vmin: float, vmax: float, big_r: float,
-                 cutoff: float) -> tuple[int, int] | None:
-        """The certified interval lo..hi of E on the extended row u (empty
-        when Newton finds none), or None when an end fails the test."""
+                 cutoff: float) -> tuple[int, int]:
+        """The certified interval lo..hi of E on the extended row u, empty
+        (lo > hi) when Newton finds none or an end fails the test."""
         s = u / k
         offsets = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
         right = end(*offsets, vmax, 1, vmin)
@@ -793,76 +723,39 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
                     break
                 ends[e] += inward
             else:
-                return None
+                return 0, -1
         return ends[0], ends[1]
 
-    def complement(u: int, lo: int, hi: int, vmin: float, vmax: float,
-                   cutoff: float) -> tuple[int, int] | None:
-        """lo..hi, widened over any short point just outside it, when every
-        other integer vmin < v < vmax is then certified long on the
-        extended row u; else None."""
-        if lo > hi:
-            if none_short(u, math.floor(vmin) + 1, math.ceil(vmax) - 1, cutoff):
-                return lo, hi
-            return None
-        ends = [lo, hi]
-        for e, outward in ((0, -1), (1, 1)):
-            for _ in range(3):
-                if long(u, ends[e] + outward, cutoff):
-                    break
-                if not short(u, ends[e] + outward, cutoff):
-                    return None
-                ends[e] += outward
-            else:
-                return None
-        return ends[0], ends[1]
-
-    def spans(state: list[bytearray], u: int, lo: int, hi: int):
-        """(a, marks, first, stop) for every grid row a = u - ik and slice
-        marks[first:stop] of it that holds grid points (a, v - jk) with lo
-        <= v <= hi."""
+    def escape(state: list[bytearray], u: int, lo: int, hi: int) -> None:
+        """Mark _ESCAPES on every grid point (a, v - jk), a = u - ik, with
+        lo <= v <= hi."""
         for a in range(-top + (u + top) % k, top + 1, k):
             row, marks = rows[a + top], state[a + top]
             if hi - lo >= k - 1:  # the translates by jk cover every b
-                yield a, marks, 0, len(row)
+                marks[:] = bytes([_ESCAPES]) * len(row)
                 continue
             # b = v - jk meets the row for jk in [lo - row.stop + 1, hi - row.start]
             for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
-                yield (a, marks, max(lo - j * k, row.start) - row.start,
-                       min(hi - j * k, row.stop - 1) + 1 - row.start)
+                first = max(lo - j * k, row.start) - row.start
+                stop = min(hi - j * k, row.stop - 1) + 1 - row.start
+                marks[first:stop] = bytes([_ESCAPES]) * (stop - first)
 
-    def escape(state: list[bytearray], u: int, lo: int, hi: int) -> None:
-        for _, marks, first, stop in spans(state, u, lo, hi):
-            marks[first:stop] = bytes([_ESCAPES]) * (stop - first)
-
-    def unit_rows(state: list[bytearray], height: float):
+    def unit_rows(state: list[bytearray], height: float) -> list[tuple]:
         cutoff = (1.0 / float(height)) ** 2
-        out, doubtful = [], set()
+        out = []
         if not cutoff > dscale:  # the sum is at least 1: no unit is short
-            return out, doubtful
+            return out
         big_r = 0.5 * math.log(cutoff / dscale)
         wide = big_r * (1 + 2.0 ** -20) + 2.0 ** -20
         # widest first: a row whose grid rows are all marked already is skipped
         for u, vmin, vmax in sorted(bounds(wide), key=lambda b: b[1] - b[2]):
-            grid = [state[a + top] for a in range(-top + (u + top) % k, top + 1, k)]
             lo, hi = 0, -1
-            if any(0 in marks for marks in grid):
-                found = interval(u, vmin, vmax, big_r, cutoff)
-                if found is not None and found[0] <= found[1]:
-                    lo, hi = found
+            if any(0 in state[a + top] for a in range(-top + (u + top) % k, top + 1, k)):
+                lo, hi = interval(u, vmin, vmax, big_r, cutoff)
+                if lo <= hi:
                     escape(state, u, lo, hi)
-                if any(0 in marks for marks in grid):  # open points need every unit long
-                    wider = None if found is None else complement(u, lo, hi, vmin, vmax, cutoff)
-                    if wider is None:
-                        doubtful.update(
-                            a for a, marks, first, stop in spans(
-                                state, u, math.floor(vmin) + 1, math.ceil(vmax) - 1)
-                            if 0 in marks[first:stop])
-                    elif wider != (lo, hi):
-                        lo, hi = wider
-                        escape(state, u, lo, hi)
             out.append((u, vmin, vmax, lo, hi))
-        return out, doubtful
+        return out
 
     return unit_rows
 
@@ -873,15 +766,12 @@ _COVER_BITS = 64
 
 
 def _cover(phi: SimplexSet, k: int, rows: list[range]):
-    """cover(state, a, b, r, mark, doubtful=None): set `mark` on the centre
-    (a, b) and on every grid point x + d whose offset d from it the verdict
-    decides: sg d_i below r on every coordinate i, with sg = +1 for
+    """cover(state, a, b, r, mark, v1=None, height=None): set `mark` on the
+    centre (a, b) and on every grid point x + d whose offset d from it the
+    verdict decides: sg d_i below r on every coordinate i, with sg = +1 for
     _ESCAPES (no coordinate grows by r) and -1 for _STAYS (none shrinks by
     r). r is a float that exceeds a proven radius by at most a relative 2
-    eps and an absolute 2 eps. Given a set of doubtful grid rows, only
-    points in state 0 outside them take the mark: a unit-aware verdict
-    holds only where the unit rows certified every unit monomial long, so
-    it leaves escaped, decided and doubtful points as they are.
+    eps and an absolute 2 eps.
 
     Grid points at offset (da, db) are (da alpha1 + db alpha2) / k apart,
     whatever the centre. A and B are the alphas' integer images, rounded in
@@ -895,6 +785,24 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     below by those with sg B_i < 0. Two certified verdicts on a point
     agree, so a covered point is overwritten with its own mark; a
     disagreement is a bug.
+
+    Given v1 = (q_0, q_1, q_2, x_err) from _certified_norm's floor() and
+    the height H, the cover is wide: it marks only points in state 0, and
+    of those only the ones where a float64 test certifies |exp(x + d) v1| >=
+    1/H, that is sum_m e^{2 d_m} (exp(x) v1)_m^2 >= 1/H^2. q_m bounds
+    (exp(x~) v1)_m^2 from below at the rounded centre x~, within a relative
+    eps, and x~ is off from x by at most x_err per coordinate, a factor
+    e^{+-2 x_err} on each term. The test reads 2 d_m from the images as
+    da a_m + db b_m, a_m and b_m the float64 of 2 A_m 2^-S / k and 2 B_m
+    2^-S / k: off by 2 slack from the images and 5 eps diameter from the
+    roundings. With delta = slack + 3 eps diameter + x_err, each term
+    e^{2 d_m} (exp(x) v1)_m^2 is off from the float one by a relative e^{2
+    delta} - 1, plus the exp call (4 eps), q_m (eps), the product (eps/2)
+    and the sum (eps), and the cutoff (1/H)^2 (1 + _UNIT_HEADROOM) by 3 eps:
+    as in _unit_rows, a point passes when the float sum exceeds that cutoff,
+    with err = 3 delta + 25 eps <= _UNIT_HEADROOM. r is capped at 100 and H
+    at 2^300, so every term is a normal float: q_m is 0 or in [2^-600, 2],
+    e^{2 d_m} in [e^-201, e^401], as d_m >= -r and the d_m sum to zero.
     """
     def image(alpha):
         ints, e = _dyadic(alpha.coords[:2])
@@ -909,12 +817,21 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     # no two grid points are farther apart than (8/3) max|alpha_k|
     diameter = 3 * max(abs(float(c)) for alpha in (phi.alpha1, phi.alpha2)
                        for c in alpha.coords)
+    (a0, a1, a2), (b0, b1, b2) = ([math.ldexp(q, 1 - _COVER_BITS) / k for q in img]
+                                  for img in (img1, img2))
+    spread = slack + 3 * _EPS * diameter  # the error of each float64 d_m
 
     def cover(state: list[bytearray], a: int, b: int, r: float, mark: int,
-              doubtful: set[int] | None = None) -> None:
-        unit_aware = doubtful is not None
-        if not (unit_aware and (a in doubtful or state[a + top][b - rows[a + top].start])):
+              v1: tuple[float, float, float, float] | None = None,
+              height: float | None = None) -> None:
+        if v1 is None:
             state[a + top][b - rows[a + top].start] = mark
+        else:
+            q0, q1, q2, x_err = v1
+            if not (3 * (spread + x_err) + 25 * _EPS <= _UNIT_HEADROOM and height <= 2.0 ** 300):
+                return
+            cutoff = (1.0 / height) ** 2 * (1 + _UNIT_HEADROOM)
+            r = min(r, 100.0)
         # 8 eps and 4 eps cover r's own error and the roundings here
         reach = math.floor((min(r, diameter) * (1 - 8 * _EPS) - 4 * _EPS - slack)
                            * k * 2.0 ** _COVER_BITS)
@@ -933,20 +850,27 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
         below = [(p, -q) for p, q in pairs if q < 0]
         above = [(p, q) for p, q in pairs if q > 0]
         for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
-            if unit_aware and (u in doubtful or 0 not in state[u + top]):
+            row, marks = rows[u + top], state[u + top]
+            if v1 is not None and 0 not in marks:
                 continue
-            row = rows[u + top]
             lo = max(row.start, b - min((reach - (u - a) * p) // q for p, q in below))
             hi = min(row.stop - 1, b + min((reach - (u - a) * p) // q for p, q in above))
-            if lo <= hi:
-                seg = state[u + top][lo - row.start:hi + 1 - row.start]
-                if unit_aware:
-                    seg = seg.replace(b"\0", bytes([mark]))
-                elif _STAYS + _ESCAPES - mark in seg:
-                    raise InternalInconsistencyError("two certified verdicts disagree")
-                else:
-                    seg = bytes([mark]) * len(seg)
-                state[u + top][lo - row.start:hi + 1 - row.start] = seg
+            if lo > hi:
+                continue
+            first, stop = lo - row.start, hi + 1 - row.start
+            if v1 is not None:
+                g0, g1, g2 = (u - a) * a0, (u - a) * a1, (u - a) * a2
+                i = marks.find(0, first, stop)
+                while i >= 0:
+                    db = row.start + i - b
+                    if (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
+                            + q2 * math.exp(g2 + db * b2)) > cutoff:
+                        marks[i] = mark
+                    i = marks.find(0, i + 1, stop)
+            elif _STAYS + _ESCAPES - mark in marks[first:stop]:
+                raise InternalInconsistencyError("two certified verdicts disagree")
+            else:
+                marks[first:stop] = bytes([mark]) * (stop - first)
 
     return cover
 
@@ -987,56 +911,6 @@ def _dual_weight(basis: LatticeBasis3) -> float:
     return 2 * total
 
 
-def _unit_monomial(order: CubicOrderData, phi: SimplexSet):
-    """monomial(x, w, e, rel) -> (i, j) or None: (i, j) when the lattice
-    vector whose moved image at the centre x (three floats) is w 2^e (three
-    integers), each coordinate within rel |w| 2^e of the exact image, is
-    certified to be +-eps1^i eps2^j, where eps1 and eps2 are the units with
-    log vectors alpha1 and alpha2; None is a refusal, which only withholds
-    a unit-aware cover.
-
-    The vector is exp(x) times the embedding of an element v of the order,
-    so ell_k = log|w_k 2^e| - x_k + log(disc) / 6 reads log|sigma_k(v)|. A
-    coordinate with rel |w| > 2^-20 |w_k| is too small to read, a refusal.
-    The (i, j) nearest to ell in the alphas' first two coordinates must
-    bring y = i alpha1 + j alpha2 within 0.05 of ell on all three. What
-    that reading leaves uncharged (w_k's error, at most 2^-19 in the log;
-    the float rounding of x, ell and y, with every term below 2^20; the
-    centre's and the alphas' own errors, below 2^-20) is far below another
-    0.05, so every conjugate of eta = v / eps1^i eps2^j, an algebraic
-    integer as eps is a unit, lies in (e^-0.1, e^0.1) in absolute value.
-    Then 0 < |N(eta)| < e^0.3 < 2 makes N(eta) = +-1, and Tr(eta^2), an
-    integer in (3 e^-0.2, 3 e^0.2), is 3; the three sigma_k(eta)^2 have
-    product 1 and sum 3, so by AM-GM each is 1, and in a totally real field
-    eta = +-1.
-    """
-    a1 = [float(c) for c in phi.alpha1.coords]
-    a2 = [float(c) for c in phi.alpha2.coords]
-    det = a1[0] * a2[1] - a1[1] * a2[0]
-    alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
-    sixth = math.log(order.disc) / 6  # math.log reads an int of any size
-    limit = 2.0 ** 20
-
-    def monomial(x, w, e: int, rel: float) -> tuple[int, int] | None:
-        if not all(w):
-            return None
-        read = [math.log(abs(v)) for v in w]
-        if not rel <= math.exp(min(read) - 0.5 * math.log(_dot(w, w))) / limit:
-            return None
-        ell = [r + e * math.log(2) - xk + sixth for r, xk in zip(read, x)]
-        if not max(map(abs, ell + list(x))) < limit:
-            return None
-        i = round((ell[0] * a2[1] - ell[1] * a2[0]) / det)
-        j = round((a1[0] * ell[1] - a1[1] * ell[0]) / det)
-        y = [i * p + j * q for p, q in zip(a1, a2)]
-        if (max(map(abs, y)) < limit and (abs(i) + abs(j)) * alpha_err < 1 / limit
-                and all(abs(lk - yk) <= 0.05 for lk, yk in zip(ell, y))):
-            return i, j
-        return None
-
-    return monomial
-
-
 # Relative factor by which _certified_norm rounds its float64 margin
 # outward; it covers about ten float roundings (2^-53 each) with room.
 _MARGIN_ROUND = 1 + 2.0 ** -40
@@ -1045,11 +919,11 @@ _MARGIN_ROUND = 1 + 2.0 ** -40
 def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     """norm(a, b): (s, margin, floor) with |lambda_1(exp(x) L) - s| <=
     margin at the exact hexagon point x = (a alpha1 + b alpha2) / k, and
-    floor() a value below the least norm of a lattice vector not parallel
-    to the kernel's shortest vector v1 when v1 is a certified unit monomial
-    (_unit_monomial), else None; floor computes on its first call, since a
-    centre that leaves no point open has no use for it. Memoised per (a,
-    b), since no height enters it.
+    floor() -> (B - m_B, v1): a value below the least norm of a lattice
+    vector not parallel to the kernel's shortest vector v1, and v1 as the
+    wide cover reads it (_cover), (q_0, q_1, q_2, x_err). floor computes on
+    its first call, since a centre that leaves no point open has no use for
+    it. Memoised per (a, b), since no height enters it.
 
     Works at the order's own precision. The alphas are read once, as exact
     dyadic images, so x_i = n_i 2^e / k with exact integer numerators n_i;
@@ -1077,9 +951,13 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     margin covers nothing and in the end asks for a finer order.
 
     The least norm B over the coefficient vectors not parallel to v1's
-    (_second_minimum) takes the same relative margin, so floor() = B (1 -
-    margin / s). v1's own image has every coordinate within 8 D 2^-bits
-    |v1| of the exact one, which _unit_monomial reads.
+    (_second_minimum) takes the same relative margin, so B - m_B = B (1 -
+    margin / s). v1's own image w 2^e has every coordinate within 8 D
+    2^-bits |w| 2^e of exp(x~) v1's, x~ the rounded centre (the bound above,
+    coordinate by coordinate); the integer gap is at least 8 D 2^-bits |w|,
+    so (max(|w_m| - gap, 0) 2^e)^2 is at most (exp(x~) v1)_m^2, and q_m is
+    its float64, within a relative eps, or 0 below 2^-600. x_err is x's
+    error per coordinate as a float, with 2^-1000 for what underflow drops.
     """
     bits = _bits(order)
     (n1, e1), (n2, e2) = _dyadic(phi.alpha1.coords), _dyadic(phi.alpha2.coords)
@@ -1091,7 +969,6 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
         f = max([-bits] + [mp.frexp(v)[1] for v in errs if v])
         c1, c2 = (float(mp.ldexp(v, -f)) for v in errs)  # each at most 1
     base = _prereduced(order)
-    monomial = _unit_monomial(order, phi)
     memo = {}
 
     def norm(a: int, b: int):
@@ -1112,15 +989,18 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
             rel = mp.ldexp(rel + 2.0 ** -1000, f)
 
         @cache
-        def floor() -> mp.mpf | None:
-            (red, *_), (_, c) = moved._minimum
-            v1 = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
-            x = [_scaled_float(n, -e) / k for n in ns]
-            if not monomial(x, v1, moved.exp, math.ldexp(weight, 3 - bits)):
-                return None
+        def floor() -> tuple[mp.mpf, tuple[float, float, float, float]]:
+            (red, *_), (n, c) = moved._minimum
+            num, den = weight.as_integer_ratio()
+            gap = -(-num * (math.isqrt(n) + 1) // (den << (bits - 3)))
+            squares = []
+            for i in range(3):
+                low = max(abs(sum(ck * col[i] for ck, col in zip(c, red))) - gap, 0)
+                q = _scaled_float(low * low, -2 * moved.exp)
+                squares.append(q if q >= 2.0 ** -600 else 0.0)
             with mp.workprec(bits):
                 second = mp.ldexp(mp.sqrt(_second_minimum(moved)), moved.exp)
-                return second - second * rel
+                return second - second * rel, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
 
         return memo.setdefault((a, b), (s, s * rel, floor))
 

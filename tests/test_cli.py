@@ -91,6 +91,18 @@ def test_read_config_rejects_unknown_key(tmp_path):
         read_config(str(tmp_path / "missing.cfg"))
 
 
+def test_non_ascii_config_is_a_config_error(tmp_path, capsys):
+    # one non-ASCII byte, even in a comment, fails the ASCII decode
+    p = tmp_path / "scan.cfg"
+    p.write_bytes("# m\u00e4ss\nfamily = ".encode("utf-8") + ONE_UNIT.encode("ascii")
+                  + b"\nschedule = list:1000\n")
+    with pytest.raises(ConfigError):
+        read_config(str(p))
+    assert main(["scan-family", "--config", str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

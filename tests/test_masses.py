@@ -38,11 +38,12 @@ from cubicunits import (
     shortest_vector_norm,
     simplest_cubic,
 )
-from cubicunits import masses
+from cubicunits import cli, masses
 from cubicunits.precision import mpf_to_fraction
 from .oracles import reference_second_minimum, reference_shortest_vector_norm
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
+TWO_UNIT = '{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}'
 
 
 def vec(x1, x2, x3, err="1e-40"):
@@ -267,81 +268,6 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
         with mp.workprec(768):
             s768 = reference_norm(exp_act(x.coords, fine), 1024)
             assert abs(s - s768) <= term
-
-
-def moved_centre(order, phi, a, b, k, basis):
-    # (x, moved, rel): the centre (a alpha1 + b alpha2) / k as floats,
-    # `basis` moved there at the order's bits, and the relative error
-    # bound the certified norm hands the unit-monomial check
-    bits = masses._bits(order)
-    x = centre(phi, a, b, k, bits)
-    with mp.workprec(bits):
-        moved = exp_act(x.coords, basis)
-    return ([float(c) for c in x.coords], moved,
-            math.ldexp(masses._dual_weight(moved), 3 - bits))
-
-
-@pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
-                                     ("seed", 10 ** 21)])
-def test_unit_monomial_reads_the_shortest_vector(kind, t):
-    # at every other grid point the check names the monomial (i, j) exactly
-    # when the kernel's shortest vector has norm +-1 and a log vector, read
-    # at 256 bits, on the pair's lattice; 2 v1 (norm 8) is always refused
-    order, phi = mass_member(kind, t)
-    base = masses._prereduced(order)
-    k, rows = masses._hexagon_rows(60)
-    monomial = masses._unit_monomial(order, phi)
-    named = 0
-    for a, b in [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row][::2]:
-        x, moved, rel = moved_centre(order, phi, a, b, k, base)
-        (red, *_), (_, c) = moved._minimum
-        v1 = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
-        got = monomial(x, v1, moved.exp, rel)
-        with mp.workprec(256):
-            y = centre(phi, a, b, k, 256).coords
-            norm = abs(mp.fprod(v1)) * mp.ldexp(1, 3 * moved.exp) * mp.sqrt(order.disc)
-            ell = [mp.log(abs(v)) + moved.exp * mp.log(2) - yk + mp.log(order.disc) / 6
-                   for v, yk in zip(v1, y)]
-            a1, a2 = phi.alpha1.coords, phi.alpha2.coords
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            i = int(mp.nint((ell[0] * a2[1] - ell[1] * a2[0]) / det))
-            j = int(mp.nint((a1[0] * ell[1] - a1[1] * ell[0]) / det))
-            # the moved image is read at the order's bits, so a coordinate
-            # much smaller than |v1| loses digits; off the lattice is far off
-            on_lattice = all(abs(e - i * p - j * q) < mp.mpf(10) ** -9
-                             for e, p, q in zip(ell, a1, a2))
-            expected = (i, j) if mp.nint(norm) == 1 and on_lattice else None
-        assert got == expected
-        named += got is not None
-        assert monomial(x, [2 * v for v in v1], moved.exp, rel) is None
-    assert named > 0
-
-
-def test_unit_monomial_refuses_non_units_and_missing_monomials():
-    # f = x^3 - 3x^2 - x + 2 (disc 229): theta - 1 and theta + 1 are units
-    # and theta has norm -2. With the pair (eps1, eps2) = (theta - 1, theta
-    # + 1), eps1 is the monomial (1, 0); with (eps1^2, eps2) it is no
-    # monomial, and neither theta nor 2 eps1 is a unit
-    order = build_order(MonicCubic(-3, -1, 2), [(1, 1), (1, -1)])
-    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
-    with mp.workprec(256):
-        phi = make_simplex(v1, v2)
-        squared = make_simplex(v1.scaled(2), v2)
-    embedding = embed_order_lattice(order, masses._bits(order))
-    k, _ = masses._hexagon_rows(60)
-    monomial, other = masses._unit_monomial(order, phi), masses._unit_monomial(order, squared)
-    for a, b in [(0, 0), (3, -2), (-5, 4), (8, 8)]:
-        x, moved, rel = moved_centre(order, phi, a, b, k, embedding)
-
-        def image(c):  # c0 + c1 theta + c2 theta^2, moved
-            return [sum(ci * col[r] for ci, col in zip(c, moved.cols)) for r in range(3)]
-
-        eps1 = image((-1, 1, 0))
-        assert monomial(x, eps1, moved.exp, rel) == (1, 0)
-        assert monomial(x, image((1, 1, 0)), moved.exp, rel) == (1, 1)  # eps2 = eps1 eps1^-1 eps2
-        assert other(x, eps1, moved.exp, rel) is None
-        assert monomial(x, image((0, 1, 0)), moved.exp, rel) is None
-        assert monomial(x, image((-2, 2, 0)), moved.exp, rel) is None
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
@@ -680,7 +606,7 @@ def per_point_norm(order, phi, point, base):
 @pytest.mark.parametrize("kind, t, samples, heights", [
     *(pytest.param(kind, t, 300, (10.0, 100.0), id=f"{t}-{kind}")
       for t in (10 ** 3, 10 ** 9) for kind in ("one_unit", "two_unit", "seed")),
-    # the benchmark's mass_dense shape, where the unit-aware covers reach
+    # the benchmark's mass_dense shape, where the wide covers reach
     # farthest
     *(pytest.param("one_unit", t, 2000, (10.0,), id=f"{t}-one_unit-2000")
       for t in (10 ** 3, 10 ** 6)),
@@ -745,20 +671,98 @@ def test_cover_marks_the_one_sided_region(kind, t):
                         cover(state, a, b, r, masses._STAYS + masses._ESCAPES - mark)
 
 
+def recording_wide_covers(monkeypatch):
+    # (a, b, height, newly marked grid points) for every wide cover call
+    calls = []
+    make_cover = masses._cover
+
+    def recording(phi, k, rows):
+        cover, top = make_cover(phi, k, rows), 2 * k // 3
+
+        def recorded(state, a, b, r, mark, v1=None, height=None):
+            before = [bytes(marks) for marks in state]
+            cover(state, a, b, r, mark, v1, height)
+            if v1 is not None:
+                calls.append((a, b, height, [
+                    (u, row.start + i)
+                    for u, (row, old, new) in enumerate(zip(rows, before, state), -top)
+                    for i in range(len(row)) if old[i] != new[i]]))
+        return recorded
+
+    monkeypatch.setattr(masses, "_cover", recording)
+    return calls
+
+
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9)])
 def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
-    # with no headroom every float unit test refuses: the unit rows mark no
-    # escape and leave each grid row they reach doubtful, no unit-aware
-    # cover marks anything there, and the kernel gives the same fractions
+    # with no headroom every float64 norm test refuses: the unit rows mark no
+    # escape, the wide covers mark no point, and the kernel alone gives the
+    # same fractions
     order, phi = mass_member(kind, t)
     heights = (10.0, 100.0)
     expected = mass_above_height(order, phi, heights, samples=300)
     monkeypatch.setattr(masses, "_UNIT_HEADROOM", 0.0)
     k, rows = masses._hexagon_rows(300)
     state = [bytearray(len(row)) for row in rows]
-    _, doubtful = masses._unit_rows(order, phi, k, rows)(state, 10.0)
-    assert doubtful and not any(b"".join(state))
+    masses._unit_rows(order, phi, k, rows)(state, 10.0)
+    assert not any(b"".join(state))
+    calls = recording_wide_covers(monkeypatch)
     assert mass_above_height(order, phi, heights, samples=300) == expected
+    assert calls and not any(marked for *_, marked in calls)
+
+
+@pytest.mark.parametrize("kind, t, samples, heights", [
+    ("one_unit", 10 ** 3, 2000, (10.0,)),
+    ("two_unit", 10 ** 9, 600, (10.0, 100.0)),
+    # at 600 samples no wide cover marks a point here
+    ("one_unit", 10 ** 21, 2000, (10.0, 100.0)),
+    # without the v1 test, some wide covers here would mark points where v1 is short
+    ("one_unit", 10 ** 9, 300, (10.0, 100.0)),
+])
+def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, heights):
+    # every point p = x + d a wide cover marks has |exp(p) v1| >= 1/H, for v1
+    # the shortest vector at the centre x, at 256 bits with every error
+    # charged: each coordinate of v1's image within 8 D 2^-bits |v1|, the
+    # rounding of x and the alphas' errors in x and in d
+    calls = recording_wide_covers(monkeypatch)
+    order, phi = mass_member(kind, t)
+    mass_above_height(order, phi, heights, samples=samples)
+    assert any(marked for *_, marked in calls)
+    bits = masses._bits(order)
+    base = masses._prereduced(order)
+    k, _ = masses._hexagon_rows(samples)
+    alphas = list(zip(phi.alpha1.coords, phi.alpha2.coords))
+    for a, b, height, marked in calls:
+        x = centre(phi, a, b, k, bits)
+        with mp.workprec(bits):
+            moved = exp_act(x.coords, base)
+        (red, *_), (n, c) = moved._minimum
+        image = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
+        with mp.workprec(256):
+            gap = mp.ldexp(masses._dual_weight(moved), 3 - bits) * mp.sqrt(n)
+            low = [mp.ldexp(max(abs(w) - gap, 0), moved.exp) for w in image]
+            x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
+                     + mp.ldexp(max(map(abs, x.coords)), 1 - bits))
+            for u, v in marked:
+                da, db = u - a, v - b
+                err = x_err + (abs(da) * phi.alpha1.err + abs(db) * phi.alpha2.err) / k
+                d = [(da * p + db * q) / k for p, q in alphas]
+                norm2 = sum(mp.exp(2 * (dm - err - mp.ldexp(1, -240))) * w ** 2
+                            for dm, w in zip(d, low))
+                assert norm2 >= 1 / mp.mpf(height) ** 2, (kind, t, a, b, u, v)
+
+
+def test_wide_covers_cut_kernel_calls_at_high_t(monkeypatch):
+    # the two_unit member at t = 10^24 as mass-profile builds it (its simplex
+    # at the ambient 53 bits): wide covers that test the centre's shortest
+    # vector at each point leave 5 centres to the kernel; when only centres
+    # whose shortest vector was a certified unit monomial covered wide, 15
+    member = cli._Member.of_family(TWO_UNIT, 10 ** 24, 192)
+    order, phi = member.order, member.phi
+    kernel, _ = counting_sweep(monkeypatch)
+    fractions = mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=600)
+    assert fractions == (Fraction(592, 601), Fraction(592, 601), Fraction(574, 601))
+    assert len(kernel) == 5
 
 
 def test_mass_sweep_enumeration_count(monkeypatch):
@@ -772,7 +776,7 @@ def test_mass_sweep_enumeration_count(monkeypatch):
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
     mass_above_height(order, phi, (10.0,), samples=2000)
     # one enumeration per point the unit rows leave open would be 1149
-    # calls; with the unit-aware covers the one-sided cover makes 9, with
+    # calls; with the wide covers the one-sided cover makes 9, with
     # plain one-sided covers only it made 70, and the sup-ball cover
     # before it 88
     assert len(calls) <= 12
@@ -813,10 +817,7 @@ def test_unit_rows_match_monomial_oracle(kind, t):
     # the unit rows mark exactly the grid points where some unit monomial of
     # a wide window is short, and no monomial outside the per-row ranges
     # they search is short anywhere; every monomial they search lies in the
-    # window, so the window sees all of them. They also certify the
-    # complement everywhere here: no point is doubtful, and at every point
-    # left open each window monomial is long at 256 bits (in no `found`
-    # pair), which the marked set being exactly `found`'s shows
+    # window, so the window sees all of them
     order, phi = mass_member(kind, t)
     k, rows = masses._hexagon_rows(300)
     top = 2 * k // 3
@@ -824,8 +825,7 @@ def test_unit_rows_match_monomial_oracle(kind, t):
     for height in (10.0, 100.0):
         found = short_monomials(order, phi, k, rows, height)
         state = [bytearray(len(row)) for row in rows]
-        searched, doubtful = unit_rows(state, height)
-        assert not doubtful
+        searched = unit_rows(state, height)
         assert all(set(marks) <= {0, masses._ESCAPES} for marks in state)
         marked = {(u, v) for u, row in enumerate(rows, -top) for v in row
                   if state[u + top][v - row.start]}
