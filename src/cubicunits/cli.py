@@ -138,10 +138,15 @@ def build_scan_config(args) -> ScanConfig:
         json.loads(family)
     except json.JSONDecodeError as e:
         raise ConfigError(f"family descriptor is not valid JSON: {e}") from e
+
+    def flag_or_config(flag, key: str, default):
+        # an explicit 0 is a value to range-check, not a missing flag
+        return flag if flag is not None else cfg.get(key, default)
+
     try:
-        bits = int(args.precision_bits or cfg.get("precision_bits", 192))
-        samples = int(args.samples or cfg.get("samples", 10000))
-        jobs = int(args.jobs or cfg.get("jobs", 1))
+        bits = int(flag_or_config(args.precision_bits, "precision_bits", 192))
+        samples = int(flag_or_config(args.samples, "samples", 10000))
+        jobs = int(flag_or_config(args.jobs, "jobs", 1))
     except ValueError as e:
         raise ConfigError(f"bad integer option: {e}") from e
     heights = list(args.heights or [])

@@ -85,7 +85,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import fraction_to_mpf, mpf_to_fraction
+from .precision import fraction_to_mpf
 from .units import CubicOrderData, LogVector, log_embed
 
 __all__ = [
@@ -167,11 +167,31 @@ class HexDomain:
 def _dyadic(values) -> tuple[list[int], int]:
     """(ints, e) with values[i] = ints[i] * 2^e exactly, e the least 2-adic
     valuation among the nonzero values; each value is a finite mpf, int or
-    float, read exactly by mpf_to_fraction."""
-    qs = [mpf_to_fraction(v) for v in values]
-    e = min(((q.numerator & -q.numerator).bit_length() - q.denominator.bit_length()
-             for q in qs if q), default=0)
-    return [int(q / Fraction(2) ** e) for q in qs], e
+    float. An mpf is read from its own sign, mantissa and exponent, an int
+    as itself times 2^0 and a float from its exact integer ratio, so no
+    value is rounded and the ambient precision plays no part; each is
+    written m 2^x with m odd (or 0), and m is shifted left by x - e. A
+    non-finite value raises InvalidParamsError."""
+    parts = []
+    for v in values:
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise InvalidParamsError(f"cannot read {v} as a dyadic rational")
+            m, d = v.as_integer_ratio()  # d is a power of two
+            x = 1 - d.bit_length()
+        elif isinstance(v, int):
+            m, x = v, 0
+        else:
+            sign, m, x, bc = v._mpf_
+            if not m and bc:  # inf and nan carry a zero mantissa
+                raise InvalidParamsError(f"cannot read {v} as a dyadic rational")
+            m = -m if sign else m
+        if m:  # strip m's trailing zero bits (an mpf's mantissa has none)
+            z = (m & -m).bit_length() - 1
+            m, x = m >> z, x + z
+        parts.append((m, x))
+    e = min((x for m, x in parts if m), default=0)
+    return [m << (x - e) if m else 0 for m, x in parts], e
 
 
 def _dot(x, y) -> int:
@@ -180,10 +200,15 @@ def _dot(x, y) -> int:
 
 def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
     """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i,
-    computed at prec + 32 bits and kept as its exact integer image; the
-    image's exact determinant must be 1 up to 2^-(prec // 2) in absolute
-    value."""
+    computed at prec + 32 bits (prec defaults to the order's target bits)
+    and kept as its exact integer image; the image's exact determinant must
+    be 1 up to 2^-(prec // 2) in absolute value. It reads only the order's
+    stored roots and discriminant, never the ambient precision, so the order
+    memoises each embedding, keyed by prec: the height and the mass stage's
+    coarse reduction share the one at the order's bits."""
     prec = prec or order.policy.target_bits
+    if prec in order._lattices:
+        return order._lattices[prec]
     with mp.workprec(prec + 32):
         scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
         basis = LatticeBasis3.from_columns(
@@ -194,7 +219,7 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     if abs(abs(det) - 1) > Fraction(1, 1 << (prec // 2)):
         raise InternalInconsistencyError(
             f"embedding determinant {mp.nstr(fraction_to_mpf(det, 64), 12)} is not unimodular")
-    return basis
+    return order._lattices.setdefault(prec, basis)
 
 
 def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
@@ -416,15 +441,15 @@ def hex_domain(phi: SimplexSet) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
     ceiling is the largest coordinate over all vertices."""
-    weights = (mp.mpf(0), mp.mpf(1) / 3, mp.mpf(2) / 3)
+    weights = (None, mp.mpf(1) / 3, mp.mpf(2) / 3)
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
     verts = []
     ceiling = mp.mpf("-inf")
     for perm in itertools.permutations(range(3)):
-        v = tuple(
-            sum(weights[perm[i]] * alphas[i].coords[k] for i in range(3))
-            for k in range(3)
-        )
+        # the zero-weight term is left out: each product is rounded to the
+        # ambient precision, and adding an exact zero returns it unchanged
+        (w, a), (w2, b) = ((weights[p], alphas[i].coords) for i, p in enumerate(perm) if p)
+        v = tuple(w * x + w2 * y for x, y in zip(a, b))
         verts.append(v)
         ceiling = max(ceiling, max(v))
     err = sum(a.err for a in alphas)
@@ -476,8 +501,15 @@ def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
 
 def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
     """Whether alpha is an integer combination of the log vectors of the
-    order's verified units (i.e. lies in psi of the certified unit group)."""
+    order's verified units (i.e. lies in psi of the certified unit group).
+    A simplex from make_simplex(v1, v2) has alpha1 = v1 and -alpha3 = v2 up
+    to its rounding, which alpha's err records, so alpha equal to +-w
+    within the two error bounds, for w a unit's memoised log vector, is
+    accepted at once; any other alpha is solved for in the units' basis."""
     ws = [log_embed(order, a, b) for a, b in order.units[:2]]
+    if any(all(abs(x - s * y) <= alpha.err + w.err for x, y in zip(alpha.coords, w.coords))
+           for w in ws for s in (1, -1)):
+        return True
     if len(ws) == 2:
         det = ws[0].x1 * ws[1].x2 - ws[0].x2 * ws[1].x1
         scale = max(max(w.norm() for w in ws), mp.mpf(1))

@@ -93,8 +93,11 @@ class LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and a memo of log_embed's log
-    vectors, keyed by (a, b), which no later call can change."""
+    check (with the rejects and why), and two memos of exact data derived
+    from them, which no later call can change and no ambient precision
+    enters: log_embed's log vectors, keyed by (a, b), and
+    masses.embed_order_lattice's lattice embeddings, keyed by the
+    precision in bits they were built at."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -103,6 +106,7 @@ class CubicOrderData:
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _lattices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

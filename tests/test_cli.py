@@ -144,6 +144,24 @@ def test_exit_config_errors(capsys):
             assert captured.out == "" and captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("flag", ["--samples", "--jobs", "--precision-bits"])
+def test_explicit_zero_is_range_checked(flag, capsys):
+    # 0 is a value to range-check, not a missing flag to fill with the default
+    assert main(["scan-family", "--family", ONE_UNIT, "--schedule", "list:1000",
+                 flag, "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error")
+
+
+def test_explicit_zero_samples_overrides_the_config_file(tmp_path, capsys):
+    cfgp = tmp_path / "scan.cfg"
+    cfgp.write_text("family = " + ONE_UNIT + "\nschedule = list:1000\nsamples = 600\n",
+                    encoding="ascii")
+    assert main(["scan-family", "--config", str(cfgp), "--samples", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error")
+
+
 def test_verify_bad_spots_is_a_config_error(capsys):
     assert main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000",
                  "--spots", "abc"]) == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Lattice embeddings, certified heights, hexagon domains, mass estimates."""
 
 import functools
+import itertools
 import math
 import random
 import sys
@@ -10,6 +11,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
 from cubicunits import (
     DependentUnitsError,
@@ -38,7 +40,7 @@ from cubicunits import (
     shortest_vector_norm,
     simplest_cubic,
 )
-from cubicunits import cli, masses
+from cubicunits import cli, masses, units
 from cubicunits.precision import mpf_to_fraction
 from .oracles import reference_second_minimum, reference_shortest_vector_norm
 
@@ -926,3 +928,144 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
                      + mp.ldexp(max(abs(c) for c in x.coords), 1 - bits))
             assert margin >= s * (mp.ldexp(weight, 3 - bits) + 4 * x_err)
+
+
+# ---------------------------------------------------------------------------
+# exact reads: dyadic images, the embedding memo, the hexagon, the simplex
+# ---------------------------------------------------------------------------
+
+
+def reference_dyadic(values):
+    # the same (ints, e) through one exact Fraction per value
+    qs = [mpf_to_fraction(v) for v in values]
+    e = min(((q.numerator & -q.numerator).bit_length() - q.denominator.bit_length()
+             for q in qs if q), default=0)
+    return [int(q / Fraction(2) ** e) for q in qs], e
+
+
+DYADIC_VALUES = st.lists(st.one_of(
+    # mpf at random precisions, signs and exponents
+    st.builds(lambda man, exp, prec: mp.make_mpf(from_man_exp(man, exp, prec, round_nearest)),
+              st.integers(-(1 << 700), 1 << 700), st.integers(-1000, 1000),
+              st.integers(2, 600)),
+    st.integers(-(1 << 400), 1 << 400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # subnormals, and the largest float
+    st.sampled_from([5e-324, -1e-310, 2.0 ** -1050 * 3, sys.float_info.max]),
+    st.sampled_from([0, 0.0, -0.0, mp.mpf(0)]),
+), max_size=9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DYADIC_VALUES)
+def test_dyadic_reads_every_value_exactly(values):
+    assert masses._dyadic(values) == reference_dyadic(values)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, math.inf, -math.inf, math.nan])
+def test_dyadic_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidParamsError):
+        masses._dyadic([mp.mpf(1), 3, bad])
+
+
+def test_one_mass_row_builds_its_embedding_twice(monkeypatch, capsys):
+    # the height and the mass stage's coarse reduction share the embedding
+    # at the order's bits; the reduction's finer one is the second build
+    builds = []
+    from_columns = LatticeBasis3.from_columns.__func__
+
+    def counting(cls, cols):
+        builds.append(1)
+        return from_columns(cls, cols)
+
+    monkeypatch.setattr(LatticeBasis3, "from_columns", classmethod(counting))
+    assert cli.main(["scan-family", "--family", TWO_UNIT, "--schedule", "list:1000",
+                     "--samples", "60", "--H", "10"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("1000,ok,")
+    assert len(builds) == 2
+
+
+def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
+    # at 128 bits the height embeds at 128 and the mass stage at 192: two
+    # entries, each the embedding a fresh order builds
+    orders = []
+    build = units.build_order
+
+    def recording(*args, **kwargs):
+        orders.append(build(*args, **kwargs))
+        return orders[-1]
+
+    monkeypatch.setattr(units, "build_order", recording)
+    assert cli.main(["mass-profile", "--family", TWO_UNIT, "--schedule", "list:1000",
+                     "--samples", "60", "--H", "10", "--precision-bits", "128"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("1000,")
+    (order,) = orders
+    assert {128, 192} <= set(order._lattices)
+    for bits in (128, 192):
+        fresh = build(order.f, order.units, order.policy)
+        assert order._lattices[bits] == embed_order_lattice(fresh, bits)
+
+
+def test_embedding_reads_no_ambient_precision():
+    embeddings = []
+    saved = mp.mp.prec
+    try:
+        for ambient in (30, 300):
+            order = build_order(SEED_ORDER.f, SEED_ORDER.units)
+            mp.mp.prec = ambient
+            embeddings.append(embed_order_lattice(order))
+            mp.mp.prec = saved
+    finally:
+        mp.mp.prec = saved
+    assert embeddings[0] == embeddings[1]
+
+
+def three_term_hex_domain(phi):
+    # every vertex as the full barycentric sum, its zero-weight term included
+    weights = (mp.mpf(0), mp.mpf(1) / 3, mp.mpf(2) / 3)
+    alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
+    verts = [tuple(sum(weights[perm[i]] * alphas[i].coords[k] for i in range(3))
+                   for k in range(3))
+             for perm in itertools.permutations(range(3))]
+    return verts, max(max(v) for v in verts)
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("ambient", [53, 113, 300])
+def test_hex_domain_equals_the_three_term_sums(kind, ambient):
+    order, _ = mass_member(kind, 10 ** 12)
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    saved = mp.mp.prec
+    try:
+        mp.mp.prec = ambient
+        phi = make_simplex(v1, v2)
+        hd = hex_domain(phi)
+        verts, ceiling = three_term_hex_domain(phi)
+    finally:
+        mp.mp.prec = saved
+    assert [[x._mpf_ for x in v] for v in hd.vertices] == [[x._mpf_ for x in v] for v in verts]
+    assert hd.ceiling._mpf_ == ceiling._mpf_
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+def test_simplex_check_accepts_unit_combinations_only(monkeypatch, kind):
+    order, _ = mass_member(kind, 10 ** 9)
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    regular = regular_simplex()
+    with mp.workprec(masses._bits(order)):
+        for alpha in (v1 + v2, v2.scaled(2) - v1):
+            assert masses._alpha_in_unit_log_lattice(alpha, order)
+        for alpha in (regular.alpha1, regular.alpha2, regular.alpha3, v1.scaled(mp.mpf(1) / 2)):
+            assert not masses._alpha_in_unit_log_lattice(alpha, order)
+
+    # a simplex made from the units at the ambient 53 bits, as the CLI makes
+    # it, is accepted without solving for its coefficients
+    def no_solve(x):
+        raise AssertionError("solved for the coefficients of a unit's own log vector")
+
+    with mp.workprec(53):
+        phi = make_simplex(v1, v2)
+    monkeypatch.setattr(masses.mp, "nint", no_solve)
+    with mp.workprec(masses._bits(order)):
+        assert all(masses._alpha_in_unit_log_lattice(alpha, order)
+                   for alpha in (phi.alpha1, -phi.alpha3))
