@@ -126,6 +126,12 @@ def read_config(path: str) -> dict:
     return cfg
 
 
+def _check_bits(bits: int) -> int:
+    if bits < 64 or bits > 1 << 20:
+        raise ConfigError(f"precision_bits {bits} out of range [64, 2^20]")
+    return bits
+
+
 def build_scan_config(args) -> ScanConfig:
     cfg = read_config(args.config) if args.config else {}
     family = args.family or cfg.get("family")
@@ -166,8 +172,7 @@ def build_scan_config(args) -> ScanConfig:
             raise ConfigError(f"tight_r_cap must be at least 1, got {r_cap}")
     except ValueError as e:
         raise ConfigError(f"bad tight_r_cap {r_cap!r}") from e
-    if bits < 64 or bits > 1 << 20:
-        raise ConfigError(f"precision_bits {bits} out of range [64, 2^20]")
+    _check_bits(bits)
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if jobs < 1:
@@ -341,8 +346,9 @@ def cmd_emit_curves(args) -> int:
         raise ConfigError("steps must be >= 2")
     if not (0 <= at <= bt):
         raise ConfigError(f"need 0 <= a~ <= b~, got {at}, {bt}")
+    # an explicit 0 is a value to range-check, not a missing flag
+    prec = _check_bits(96 if args.precision_bits is None else args.precision_bits)
     rmax = shapes.curve_range(at, bt) or Fraction(1)  # constant curve: unit span
-    prec = int(args.precision_bits or 96)
     lines = ["r,re,im,reduced"]
     with mp.workprec(prec):
         for j in range(steps + 1):
@@ -387,7 +393,7 @@ def cmd_certify(args) -> int:
         cand.append((a, b))
     if len(cand) < 2:
         raise ConfigError("need at least two --unit a,b candidates")
-    m = _Member(f, cand, int(args.precision_bits or 192))
+    m = _Member(f, cand, _check_bits(192 if args.precision_bits is None else args.precision_bits))
     out: dict = {"poly": json.loads(args.poly), "report": None}
     try:
         out["disc"] = str(m.order.disc)
@@ -406,11 +412,13 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     """Re-audit: recompute spot rows at doubled precision and compare."""
-    cfg = build_scan_config(args)
     try:
-        spots = max(1, int(args.spots))
+        spots = int(args.spots)
     except ValueError as e:
         raise ConfigError(f"bad spots {args.spots!r}") from e
+    if spots < 1:
+        raise ConfigError(f"spots must be >= 1, got {spots}")
+    cfg = build_scan_config(args)
     sched = cfg.schedule
     idx = sorted({(k * (len(sched) - 1)) // max(1, spots - 1) for k in range(spots)}
                  ) if len(sched) > 1 else [0]

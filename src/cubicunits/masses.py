@@ -201,8 +201,9 @@ def _dot(x, y) -> int:
 def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
     """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i,
     computed at prec + 32 bits (prec defaults to the order's target bits)
-    and kept as its exact integer image; the image's exact determinant must
-    be 1 up to 2^-(prec // 2) in absolute value. It reads only the order's
+    and kept as its exact integer image; the image's exact determinant n
+    2^e must be 1 up to 2^-(prec // 2) in absolute value, which is checked
+    on integers, scaled by a power of two. It reads only the order's
     stored roots and discriminant, never the ambient precision, so the order
     memoises each embedding, keyed by prec: the height and the mass stage's
     coarse reduction share the one at the order's bits."""
@@ -215,10 +216,12 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
             [[scale * r.value ** j for r in order.roots] for j in range(3)])
     u, v, w = basis.cols
     cross = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
-    det = _dot(u, cross) * Fraction(2) ** (3 * basis.exp)
-    if abs(abs(det) - 1) > Fraction(1, 1 << (prec // 2)):
+    n, e, h = _dot(u, cross), 3 * basis.exp, prec // 2  # det = n 2^e
+    z = max(0, -e)  # | |det| - 1 | > 2^-h, times 2^(h + z): all integers
+    if abs((abs(n) << (e + h + z)) - (1 << (h + z))) > 1 << z:
+        det = fraction_to_mpf(n * Fraction(2) ** e, 64)
         raise InternalInconsistencyError(
-            f"embedding determinant {mp.nstr(fraction_to_mpf(det, 64), 12)} is not unimodular")
+            f"embedding determinant {mp.nstr(det, 12)} is not unimodular")
     return order._lattices.setdefault(prec, basis)
 
 
@@ -440,18 +443,20 @@ def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
 def hex_domain(phi: SimplexSet) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
-    ceiling is the largest coordinate over all vertices."""
-    weights = (None, mp.mpf(1) / 3, mp.mpf(2) / 3)
+    ceiling is the largest coordinate over all vertices. The six vertices
+    share 18 distinct products (weight 1/3 or 2/3 times a coordinate),
+    each rounded once to the ambient precision, and each vertex coordinate
+    is one correctly rounded sum of two of them."""
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
+    # terms[p][i]: weight p/3 times alpha_i; the zero-weight term is left
+    # out, as adding an exact zero returns the other unchanged
+    terms = [None] + [[[w * x for x in alpha.coords] for alpha in alphas]
+                      for w in (mp.mpf(1) / 3, mp.mpf(2) / 3)]
     verts = []
-    ceiling = mp.mpf("-inf")
     for perm in itertools.permutations(range(3)):
-        # the zero-weight term is left out: each product is rounded to the
-        # ambient precision, and adding an exact zero returns it unchanged
-        (w, a), (w2, b) = ((weights[p], alphas[i].coords) for i, p in enumerate(perm) if p)
-        v = tuple(w * x + w2 * y for x, y in zip(a, b))
-        verts.append(v)
-        ceiling = max(ceiling, max(v))
+        a, b = (terms[p][i] for i, p in enumerate(perm) if p)
+        verts.append(tuple(x + y for x, y in zip(a, b)))
+    ceiling = max(max(v) for v in verts)
     err = sum(a.err for a in alphas)
     return HexDomain(tuple(verts), ceiling, err)
 
@@ -503,10 +508,13 @@ def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
     """Whether alpha is an integer combination of the log vectors of the
     order's verified units (i.e. lies in psi of the certified unit group).
     A simplex from make_simplex(v1, v2) has alpha1 = v1 and -alpha3 = v2 up
-    to its rounding, which alpha's err records, so alpha equal to +-w
-    within the two error bounds, for w a unit's memoised log vector, is
-    accepted at once; any other alpha is solved for in the units' basis."""
+    to its rounding, which alpha's err records, so alpha that is w itself,
+    for w a unit's memoised log vector, is accepted before any mpf
+    arithmetic, alpha equal to +-w within the two error bounds next; any
+    other alpha is solved for in the units' basis."""
     ws = [log_embed(order, a, b) for a, b in order.units[:2]]
+    if any(alpha is w for w in ws):
+        return True
     if any(all(abs(x - s * y) <= alpha.err + w.err for x, y in zip(alpha.coords, w.coords))
            for w in ws for s in (1, -1)):
         return True
@@ -606,8 +614,10 @@ def _open_points(state: list[bytearray], rows: list[range], top: int):
     """The grid points (a, b) still open (state 0) when the walk reaches
     them, in descending 2-adic valuation of gcd(a, b): the origin, then
     each level s = 2^j, row-major within a level. The state is read as the
-    walk goes, so a point marked after an earlier visit is skipped; within
-    a row, bytearray.find on the level's points jumps over decided runs."""
+    walk goes, so a point marked after an earlier visit is skipped. A row
+    with no open point is passed over before its level's points are
+    sliced out; within a row, bytearray.find on them jumps over decided
+    runs."""
     if not state[top][-rows[top].start]:
         yield 0, 0
     s = 1 << top.bit_length()  # above every |a|, |b| <= top
@@ -615,6 +625,8 @@ def _open_points(state: list[bytearray], rows: list[range], top: int):
         s >>= 1
         for a in range(-(top // s) * s, top + 1, s):
             row, marks = rows[a + top], state[a + top]
+            if 0 not in marks:  # marks are never cleared: the row stays decided
+                continue
             # the lowest set bit of gcd(a, b) is s: b any multiple of s when
             # a has bit s, else an odd one
             b = -(-row.start // s) * s
@@ -651,10 +663,18 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     exponentials of functions affine in v), so E meets each row in one
     interval: float64 Newton from each end of the bounds finds its ends,
     which are rounded inward to integers and certified by the float test
-    `short`; by convexity that certifies every point between them. An end
+    below; by convexity that certifies every point between them. An end
     that fails the test steps inward; after three failures the row is
     left to the kernel. The widest rows go first, and a row whose grid
     rows a = u - ik are all marked already is not solved.
+
+    Each row costs a few float operations. Once per member: the one or
+    two grid rows of each residue class of u mod k, and the split of the
+    coordinates by the sign of alpha2_m, so vmax (vmin) is the least
+    (greatest) of at most two bounds (wide - s alpha1_m) k / alpha2_m.
+    Once per row: s alpha1_m, which Newton's offsets and each end's test
+    share. A certified interval is marked by slicing one preallocated
+    buffer into each translate b = v - jk that meets a grid row.
 
     The test at the extended point c = (s, t) = (u, v) / k, in float64
     with eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from
@@ -669,7 +689,7 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     the exact sum is at least 1, which bounds what underflow drops. So the
     true squared norm over the cutoff is within a factor 1 + err, err = 3
     delta + 25 eps, of the float one either way, for err up to about 1e-6:
-    `short` holds when the float norm is below cutoff (1 -
+    an end passes when the float norm is below cutoff (1 -
     _UNIT_HEADROOM), with err <= _UNIT_HEADROOM. An exponential that
     overflows fails the test.
     """
@@ -685,17 +705,15 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
     q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
 
     grow = 3 * (alpha_err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
-
-    def short(u: int, v: int, cutoff: float) -> bool:
-        s, t = u / k, v / k
-        if not (abs(s) + abs(t)) * grow + 25 * _EPS <= _UNIT_HEADROOM:
-            return False
-        try:
-            total = (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
-                     + math.exp(2.0 * (s * x2 + t * y2)))
-        except OverflowError:
-            return False
-        return dscale * total < cutoff * (1 - _UNIT_HEADROOM)
+    # the at most two coordinates that bound v above (alpha2_m > 0), and
+    # below (< 0); a lone one is taken twice
+    ups = [(x, y) for x, y in zip(a1, a2) if y > 0]
+    downs = [(x, y) for x, y in zip(a1, a2) if y < 0]
+    (xa, ya), (xb, yb), (xc, yc), (xd, yd) = ups * (3 - len(ups)) + downs * (3 - len(downs))
+    # classes[c]: the grid rows a + top, a = u - ik, of the extended rows u
+    # with u + top = c mod k (c, and c + k if the grid has it, as 2 top < 2k)
+    classes = [(c, c + k) if c + k <= 2 * top else (c,) for c in range(k)]
+    fill = memoryview(bytes([_ESCAPES]) * max(map(len, rows)))
 
     def end(c0, c1, c2, v, sg, stop):
         """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
@@ -719,59 +737,6 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
                 return v
         return v
 
-    def bounds(wide: float) -> list[tuple[int, float, float]]:
-        """(u, vmin, vmax) for every extended row u that meets the
-        triangle z_m < wide, with vmin < v < vmax there."""
-        # the triangle's vertices z = wide (1, 1, 1) - 3 wide e_m, in s
-        corners = [((wide - 3 * wide * (m == 0)) * a2[1] - (wide - 3 * wide * (m == 1)) * a2[0])
-                   / det for m in range(3)]
-        out = []
-        for u in range(math.floor(min(corners) * k), math.ceil(max(corners) * k) + 1):
-            s = u / k
-            vmin, vmax = -math.inf, math.inf
-            for x, y in zip(a1, a2):
-                if y > 0:
-                    vmax = min(vmax, (wide - s * x) / y * k)
-                elif y < 0:
-                    vmin = max(vmin, (wide - s * x) / y * k)
-            if vmin < vmax:
-                out.append((u, vmin, vmax))
-        return out
-
-    def interval(u: int, vmin: float, vmax: float, big_r: float,
-                 cutoff: float) -> tuple[int, int]:
-        """The certified interval lo..hi of E on the extended row u, empty
-        (lo > hi) when Newton finds none or an end fails the test."""
-        s = u / k
-        offsets = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
-        right = end(*offsets, vmax, 1, vmin)
-        left = None if right is None else end(*offsets, vmin, -1, right)
-        if left is None:
-            return 0, -1
-        ends = [math.ceil(left), math.floor(right)]
-        for e, inward in ((1, -1), (0, 1)):
-            for _ in range(3):
-                if ends[0] > ends[1] or short(u, ends[e], cutoff):
-                    break
-                ends[e] += inward
-            else:
-                return 0, -1
-        return ends[0], ends[1]
-
-    def escape(state: list[bytearray], u: int, lo: int, hi: int) -> None:
-        """Mark _ESCAPES on every grid point (a, v - jk), a = u - ik, with
-        lo <= v <= hi."""
-        for a in range(-top + (u + top) % k, top + 1, k):
-            row, marks = rows[a + top], state[a + top]
-            if hi - lo >= k - 1:  # the translates by jk cover every b
-                marks[:] = bytes([_ESCAPES]) * len(row)
-                continue
-            # b = v - jk meets the row for jk in [lo - row.stop + 1, hi - row.start]
-            for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
-                first = max(lo - j * k, row.start) - row.start
-                stop = min(hi - j * k, row.stop - 1) + 1 - row.start
-                marks[first:stop] = bytes([_ESCAPES]) * (stop - first)
-
     def unit_rows(state: list[bytearray], height: float) -> list[tuple]:
         cutoff = (1.0 / float(height)) ** 2
         out = []
@@ -779,13 +744,64 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
             return out
         big_r = 0.5 * math.log(cutoff / dscale)
         wide = big_r * (1 + 2.0 ** -20) + 2.0 ** -20
+        limit, headroom = cutoff * (1 - _UNIT_HEADROOM), _UNIT_HEADROOM
+        # (u, vmin, vmax) for every extended row u that meets the triangle
+        # z_m < wide, with vmin < v < vmax there; the triangle's vertices
+        # are z = wide (1, 1, 1) - 3 wide e_m, in s
+        corners = [((wide - 3 * wide * (m == 0)) * a2[1] - (wide - 3 * wide * (m == 1)) * a2[0])
+                   / det for m in range(3)]
+        spans = []
+        for u in range(math.floor(min(corners) * k), math.ceil(max(corners) * k) + 1):
+            s = u / k
+            va, vb = (wide - s * xa) / ya * k, (wide - s * xb) / yb * k
+            vc, vd = (wide - s * xc) / yc * k, (wide - s * xd) / yd * k
+            vmin, vmax = (vd if vd > vc else vc), (vb if vb < va else va)
+            if vmin < vmax:
+                spans.append((u, vmin, vmax))
         # widest first: a row whose grid rows are all marked already is skipped
-        for u, vmin, vmax in sorted(bounds(wide), key=lambda b: b[1] - b[2]):
+        spans.sort(key=lambda b: b[1] - b[2])
+        for u, vmin, vmax in spans:
+            grid = classes[(u + top) % k]
             lo, hi = 0, -1
-            if any(0 in state[a + top] for a in range(-top + (u + top) % k, top + 1, k)):
-                lo, hi = interval(u, vmin, vmax, big_r, cutoff)
-                if lo <= hi:
-                    escape(state, u, lo, hi)
+            if 0 in state[grid[0]] or len(grid) > 1 and 0 in state[grid[1]]:
+                s = u / k
+                sx0, sx1, sx2 = s * x0, s * x1, s * x2
+                c0, c1, c2 = 2.0 * (sx0 - big_r), 2.0 * (sx1 - big_r), 2.0 * (sx2 - big_r)
+                right = end(c0, c1, c2, vmax, 1, vmin)
+                left = None if right is None else end(c0, c1, c2, vmin, -1, right)
+                if left is not None:
+                    lo, hi = math.ceil(left), math.floor(right)
+                    # certify hi, then lo: an end that fails the float test
+                    # steps inward, and a third failure leaves the row open
+                    for e in (1, 0):
+                        for _ in range(3):
+                            if lo > hi:
+                                break
+                            t = (hi if e else lo) / k
+                            try:
+                                if ((abs(s) + abs(t)) * grow + 25 * _EPS <= headroom
+                                        and dscale * (math.exp(2.0 * (sx0 + t * y0))
+                                                      + math.exp(2.0 * (sx1 + t * y1))
+                                                      + math.exp(2.0 * (sx2 + t * y2))) < limit):
+                                    break
+                            except OverflowError:  # fails the test
+                                pass
+                            lo, hi = (lo, hi - 1) if e else (lo + 1, hi)
+                        else:
+                            lo, hi = 0, -1
+                            break
+            if lo <= hi:
+                # mark every grid point (a, v - jk), a = u - ik, lo <= v <= hi
+                for i in grid:
+                    marks, start, n = state[i], rows[i].start, len(rows[i])
+                    if hi - lo >= k - 1:  # the translates by jk cover every b
+                        marks[:] = fill[:n]
+                        continue
+                    # b = v - jk meets the row for jk in [lo - start - n + 1, hi - start]
+                    for jk in range(-((start + n - 1 - lo) // k) * k, hi - start + 1, k):
+                        first, stop = lo - jk - start, hi - jk + 1 - start
+                        first, stop = (first if first > 0 else 0), (stop if stop < n else n)
+                        marks[first:stop] = fill[:stop - first]
             out.append((u, vmin, vmax, lo, hi))
         return out
 
@@ -817,6 +833,13 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     below by those with sg B_i < 0. Two certified verdicts on a point
     agree, so a covered point is overwritten with its own mark; a
     disagreement is a bug.
+
+    Each call sets up each side of the triangle once, as the least of at
+    most two integer constraints db <= (R - da p) // q, so a row's interval
+    is four exact floor divisions and two comparisons. A verdict cover
+    looks for a disagreeing mark with bytearray.find and fills the
+    interval from one preallocated buffer; a wide cover skips a row with
+    no open point before it reads the row's bounds.
 
     Given v1 = (q_0, q_1, q_2, x_err) from _certified_norm's floor() and
     the height H, the cover is wide: it marks only points in state 0, and
@@ -853,6 +876,9 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
                                   for img in (img1, img2))
     spread = slack + 3 * _EPS * diameter  # the error of each float64 d_m
 
+    width = max(map(len, rows))
+    fills = {mark: memoryview(bytes([mark]) * width) for mark in (_STAYS, _ESCAPES)}
+
     def cover(state: list[bytearray], a: int, b: int, r: float, mark: int,
               v1: tuple[float, float, float, float] | None = None,
               height: float | None = None) -> None:
@@ -879,30 +905,41 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
                 dhi = min(dhi, reach // p)
             elif q == 0:  # then p < 0, as the alphas span the plane
                 dlo = max(dlo, -(reach // -p))
-        below = [(p, -q) for p, q in pairs if q < 0]
+        # each side of the triangle is the least of at most two constraints
+        # on db, (reach - da p) // q with q > 0 (a lone one is taken twice):
+        # above for db - b, below for b - db
         above = [(p, q) for p, q in pairs if q > 0]
+        below = [(p, -q) for p, q in pairs if q < 0]
+        (pa, qa), (pb, qb) = above * (3 - len(above))
+        (pc, qc), (pd, qd) = below * (3 - len(below))
+        other, fill = _STAYS + _ESCAPES - mark, fills[mark]
         for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
             row, marks = rows[u + top], state[u + top]
             if v1 is not None and 0 not in marks:
                 continue
-            lo = max(row.start, b - min((reach - (u - a) * p) // q for p, q in below))
-            hi = min(row.stop - 1, b + min((reach - (u - a) * p) // q for p, q in above))
-            if lo > hi:
+            da = u - a
+            ha, hb = (reach - da * pa) // qa, (reach - da * pb) // qb
+            la, lb = (reach - da * pc) // qc, (reach - da * pd) // qd
+            first = b - (la if la < lb else lb) - row.start
+            stop = b + (ha if ha < hb else hb) + 1 - row.start
+            first, stop = (first if first > 0 else 0), (stop if stop < len(row) else len(row))
+            if first >= stop:
                 continue
-            first, stop = lo - row.start, hi + 1 - row.start
             if v1 is not None:
-                g0, g1, g2 = (u - a) * a0, (u - a) * a1, (u - a) * a2
                 i = marks.find(0, first, stop)
+                if i < 0:
+                    continue
+                g0, g1, g2 = da * a0, da * a1, da * a2
                 while i >= 0:
                     db = row.start + i - b
                     if (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
                             + q2 * math.exp(g2 + db * b2)) > cutoff:
                         marks[i] = mark
                     i = marks.find(0, i + 1, stop)
-            elif _STAYS + _ESCAPES - mark in marks[first:stop]:
+            elif marks.find(other, first, stop) >= 0:
                 raise InternalInconsistencyError("two certified verdicts disagree")
             else:
-                marks[first:stop] = bytes([mark]) * (stop - first)
+                marks[first:stop] = fill[:stop - first]
 
     return cover
 

@@ -169,6 +169,30 @@ def test_verify_bad_spots_is_a_config_error(capsys):
     assert captured.out == "" and captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("value", ["0", "63", str((1 << 20) + 1)])
+def test_emit_curves_range_checks_explicit_precision_bits(value, capsys):
+    assert main(["emit-curves", "--a-tilde", "0", "--b-tilde", "1/2", "--steps", "4",
+                 "--precision-bits", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error")
+
+
+@pytest.mark.parametrize("value", ["0", "63", str((1 << 20) + 1)])
+def test_certify_range_checks_explicit_precision_bits(value, capsys):
+    assert main(["certify", "--poly", '{"p2":"-1000","p1":"-1003","p0":"-1"}',
+                 "--unit", "1,0", "--unit", "1,-1", "--precision-bits", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error")
+
+
+@pytest.mark.parametrize("spots", ["0", "-3"])
+def test_verify_range_checks_spots(spots, capsys):
+    assert main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000,2000",
+                 "--spots", spots]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error")
+
+
 def test_infinite_height_and_cap_are_accepted(capsys):
     assert main(["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000",
                  "--samples", "60", "--H", "inf", "--tight-r-cap", "inf"]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Lattice embeddings, certified heights, hexagon domains, mass estimates."""
 
+import collections
 import functools
 import itertools
 import math
@@ -42,7 +43,12 @@ from cubicunits import (
 )
 from cubicunits import cli, masses, units
 from cubicunits.precision import mpf_to_fraction
-from .oracles import reference_second_minimum, reference_shortest_vector_norm
+from .oracles import (
+    reference_cover,
+    reference_second_minimum,
+    reference_shortest_vector_norm,
+    reference_unit_rows,
+)
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
 TWO_UNIT = '{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}'
@@ -693,6 +699,91 @@ def recording_wide_covers(monkeypatch):
 
     monkeypatch.setattr(masses, "_cover", recording)
     return calls
+
+
+def replaying_row_loops(monkeypatch):
+    # run every cover and unit-rows call of the sweep also through the slow
+    # reference row loops, on a copy of the state it was given, and require
+    # the same states, the same unit-row tuples and the same raise; counts
+    # the calls replayed, by kind
+    counts = collections.Counter()
+    make_cover, make_unit_rows = masses._cover, masses._unit_rows
+
+    def outcome(call, state, *args):
+        try:
+            return call(state, *args)
+        except InternalInconsistencyError:
+            return "raised"
+
+    def cover_pair(phi, k, rows):
+        fast, slow = make_cover(phi, k, rows), reference_cover(phi, k, rows)
+
+        def replayed(state, *args):
+            before = [bytes(marks) for marks in state]
+            copy = [bytearray(marks) for marks in state]
+            got, want = outcome(fast, state, *args), outcome(slow, copy, *args)
+            assert got == want and state == copy
+            wide = len(args) > 4 and args[4] is not None
+            counts["wide" if wide else "verdict"] += 1
+            counts["wide marking"] += wide and before != state
+            if got == "raised":
+                raise InternalInconsistencyError("two certified verdicts disagree")
+        return replayed
+
+    def unit_rows_pair(order, phi, k, rows):
+        fast, slow = make_unit_rows(order, phi, k, rows), reference_unit_rows(order, phi, k, rows)
+
+        def replayed(state, height):
+            copy = [bytearray(marks) for marks in state]
+            got, want = fast(state, height), slow(copy, height)
+            assert got == want and state == copy
+            counts["unit rows"] += 1
+            return got
+        return replayed
+
+    monkeypatch.setattr(masses, "_cover", cover_pair)
+    monkeypatch.setattr(masses, "_unit_rows", unit_rows_pair)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 9, 10 ** 21])
+def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
+    # every verdict cover, wide cover and unit-rows call of sweeps at three
+    # grid sizes and three heights (a near-tie pair among them) marks the
+    # same points as the slow per-row reference, and the unit rows return
+    # the same (u, vmin, vmax, lo, hi) tuples
+    counts = replaying_row_loops(monkeypatch)
+    order, phi = mass_member(kind, t)
+    for samples in (300, 3000, 10 ** 4):
+        mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=samples)
+    assert counts["unit rows"] == 9
+    assert counts["verdict"] and counts["wide"] and counts["wide marking"]
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
+def test_planted_opposite_mark_raises_on_a_fine_grid(kind):
+    # on a 10^4-sample grid, a verdict cover whose region holds a point
+    # already marked with the opposite verdict raises, in the fast rows and
+    # in the reference alike; the point is the region's farthest row from
+    # the centre, found by the same cover on an open grid
+    order, phi = mass_member(kind, 10 ** 6)
+    k, rows = masses._hexagon_rows(10 ** 4)
+    top = 2 * k // 3
+    r = 3 * max(abs(float(c)) for c in phi.alpha1.coords) / k
+    for mark in (masses._STAYS, masses._ESCAPES):
+        other = masses._STAYS + masses._ESCAPES - mark
+        for make in (masses._cover, reference_cover):
+            cover = make(phi, k, rows)
+            state = [bytearray(len(row)) for row in rows]
+            cover(state, 5, -3, r, mark)
+            region = [(u, i) for u, marks in enumerate(state) for i, m in enumerate(marks) if m]
+            assert len(region) > 1 and all(state[u][i] == mark for u, i in region)
+            u, i = max(region, key=lambda p: abs(p[0] - top - 5))  # far from the centre
+            state = [bytearray(len(row)) for row in rows]
+            state[u][i] = other
+            with pytest.raises(InternalInconsistencyError):
+                cover(state, 5, -3, r, mark)
 
 
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9)])
