@@ -86,7 +86,8 @@ def parse_schedule(text: str) -> list[int]:
             out = list(range(a, b + (1 if d > 0 else -1), d))
         elif parts[0] == "geom" and len(parts) == 4:
             a, b, q = int(parts[1]), int(parts[2]), int(parts[3])
-            if a == 0 or q < 2 or abs(b) < abs(a):
+            # the values keep start's sign, so a stop of the other sign is never reached
+            if a == 0 or q < 2 or abs(b) < abs(a) or (a < 0) != (b < 0):
                 raise ConfigError(f"bad geometric schedule {text!r}")
             out, v = [], a
             while abs(v) <= abs(b):

@@ -59,7 +59,7 @@ PrecisionExhaustedError.
 
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
-certified norm, with its memo of (s, margin) and, once asked for, B - m_B
+certified norm, with its memo of s -+ margin and, once asked for, B - m_B
 and v1's image per centre, so each centre is enumerated at most once
 however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
@@ -73,11 +73,12 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, mpf_exp, mpf_shift, round_nearest
+from mpmath.libmp import (
+    from_int, from_man_exp, from_rational, mpf_exp, mpf_shift, mpf_sqrt, round_nearest)
 
 from .errors import (
     DependentUnitsError,
@@ -207,7 +208,10 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     stored roots and discriminant, never the ambient precision, so the order
     memoises each embedding, keyed by prec: the height and the mass stage's
     coarse reduction share the one at the order's bits."""
-    prec = prec or order.policy.target_bits
+    if prec is None:
+        prec = order.policy.target_bits
+    elif prec < 8:
+        raise InvalidParamsError(f"embedding precision must be at least 8 bits, got {prec}")
     if prec in order._lattices:
         return order._lattices[prec]
     with mp.workprec(prec + 32):
@@ -227,32 +231,42 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
 
 def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
     """Action of the diagonal flow: row i of the basis scales by e^{x_i},
-    for x three coordinates (mpf).
+    for x three coordinates (mpf), at the ambient precision (_exp_act)."""
+    return _exp_act([xi._mpf_ for xi in x], basis, mp.mp.prec)
 
-    Works at the ambient precision p: e^{x_i} is one mpf exp, and entry
-    (i, j) of the result is the exact product of its mantissa with the
-    integer entry cols[j][i], rounded once to p bits (to nearest), so it is
-    within a relative 2^-p of e^{x_i} (rounded) times the entry.
+
+def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
+    """exp_act for x three raw mpf tuples, at p bits.
+
+    e^{x_i} is one mpf exp, and entry (i, j) of the result is the exact
+    product of its mantissa with the integer entry cols[j][i], rounded once
+    to p bits (to nearest, ties up), so it is within a relative 2^-p of
+    e^{x_i} (rounded) times the entry. The nine entries are then written
+    at their least exponent.
     """
-    p = mp.mp.prec
-    entries = []  # (j, i, q, s): entry (i, j) of the result is q 2^s
-    for i, xi in enumerate(x):
-        _, man, f, _ = mpf_exp(xi._mpf_, p, round_nearest)
-        for j, c in enumerate(basis.cols):
-            v = man * c[i]
-            n = max(abs(v).bit_length() - p, 0)
-            entries.append((j, i, (v + (1 << n >> 1)) >> n, f + n))
-    e = min((s for _, _, q, s in entries if q), default=0)
-    cols = [[0] * 3 for _ in range(3)]
-    for j, i, q, s in entries:
-        cols[j][i] = q << (s - e) if q else 0
-    return LatticeBasis3(tuple(map(tuple, cols)), basis.exp + e)
+    entries = []  # (q, s), row-major: entry (i, j) of the result is q 2^s
+    for t, row in zip(x, zip(*basis.cols)):
+        _, man, f, _ = mpf_exp(t, p, round_nearest)
+        for c in row:
+            v = man * c
+            n = v.bit_length() - p  # bit_length reads |v|
+            entries.append(((v + (1 << (n - 1))) >> n, f + n) if n > 0 else (v, f))
+    e = min([s for q, s in entries if q], default=0)
+    q = [m << (s - e) if m else 0 for m, s in entries]
+    return LatticeBasis3(((q[0], q[3], q[6]), (q[1], q[4], q[7]), (q[2], q[5], q[8])),
+                         basis.exp + e)
 
 
 def _scaled_float(n: int, shift: int) -> float:
-    """float64 of n * 2^-shift, also for n beyond the float range."""
-    excess = max(n.bit_length() - 64, 0)
-    return math.ldexp(float(n >> excess), excess - shift)
+    """n * 2^-shift as a float64, also for n beyond the float range: n is
+    floored to its 64 leading bits, then rounded to nearest, so the result
+    is within a relative 2^-53 + 2^-63 (+ 2^-116) of n 2^-shift. For the
+    enumeration (_lll, _least) that is the Gram input error of _ENUM_PAD's
+    bound, whose extra 2^-63 = u / 1024 the pad's factor of about 2^8
+    absorbs; in the certified margin it is among the roundings
+    _MARGIN_ROUND covers."""
+    x = n.bit_length() - 64
+    return math.ldexp(float(n >> x), x - shift) if x > 0 else math.ldexp(float(n), -shift)
 
 
 def _lll(cols):
@@ -265,46 +279,66 @@ def _lll(cols):
     size reduction of column k, until all its |mu| <= 0.51 (the lazy size
     reduction of Nguyen and Stehle's L^2), so entries spanning hundreds of
     bits lose nothing to cancellation.
+
+    Written out for three columns, rows k = 1 and 2 each in their own
+    branch, with every exact dot product spelled out. Each float sum has
+    at most two terms, so every float is the one a loop over k and j gives.
     """
-    b = [list(c) for c in cols]
-    shift = 2 * max(abs(v) for c in b for v in c[:3]).bit_length()
-    r = [[0.0] * 3 for _ in range(3)]  # r[k][j] = mu[k][j] B_j, r[k][k] = B_k
-    mu = [[0.0] * 3 for _ in range(3)]
-    r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
+    b0, b1, b2 = (list(c) for c in cols)
+    shift = 2 * max(map(abs, (*b0[:3], *b1[:3], *b2[:3]))).bit_length()
+    r00 = _scaled_float(b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2], shift)
+    mu10 = mu20 = mu21 = r11 = r22 = 0.0  # r_kj = mu_kj B_j, r_kk = B_k
     k = 1
     for _ in range(10 ** 4):
         if k == 3:
-            return b, [r[l][l] for l in range(3)], mu, shift
-        if r[0][0] <= 0:
+            return [b0, b1, b2], [r00, r11, r22], [
+                [0.0, 0.0, 0.0], [mu10, 0.0, 0.0], [mu20, mu21, 0.0]], shift
+        if r00 <= 0:
             raise InternalInconsistencyError("degenerate basis in reduction")
-        for j in range(k):
-            r[k][j] = (_scaled_float(_dot(b[k], b[j]), shift)
-                       - sum(mu[j][i] * r[k][i] for i in range(j)))
-            mu[k][j] = r[k][j] / r[j][j]
-        if max(abs(m) for m in mu[k][:k]) > 0.51:
-            for j in range(k - 1, -1, -1):
-                q = round(mu[k][j])
+        if k == 1:
+            r10 = _scaled_float(b1[0] * b0[0] + b1[1] * b0[1] + b1[2] * b0[2], shift)
+            mu10 = r10 / r00
+            if abs(mu10) > 0.51:
+                q = round(mu10)
                 if q:
-                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                    for i in range(j):
-                        mu[k][i] -= q * mu[j][i]
+                    b1 = [s - q * t for s, t in zip(b1, b0)]
+                continue
+            r11 = (_scaled_float(b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2], shift)
+                   - mu10 * r10)
+            if r11 + mu10 ** 2 * r00 < 0.99 * r00:
+                b0, b1 = b1, b0
+                r00 = _scaled_float(b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2], shift)
+            else:
+                k = 2
             continue
-        r[k][k] = (_scaled_float(_dot(b[k], b[k]), shift)
-                   - sum(mu[k][j] * r[k][j] for j in range(k)))
-        if r[k][k] + mu[k][k - 1] ** 2 * r[k - 1][k - 1] < 0.99 * r[k - 1][k - 1]:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            if k == 1:
-                r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
-            k = max(k - 1, 1)
+        r20 = _scaled_float(b2[0] * b0[0] + b2[1] * b0[1] + b2[2] * b0[2], shift)
+        mu20 = r20 / r00
+        r21 = _scaled_float(b2[0] * b1[0] + b2[1] * b1[1] + b2[2] * b1[2], shift) - mu10 * r20
+        mu21 = r21 / r11
+        if (abs(mu21) if abs(mu21) > abs(mu20) else abs(mu20)) > 0.51:  # as max() picks
+            q = round(mu21)
+            if q:
+                b2 = [s - q * t for s, t in zip(b2, b1)]
+                mu20 -= q * mu10
+            q = round(mu20)
+            if q:
+                b2 = [s - q * t for s, t in zip(b2, b0)]
+            continue
+        r22 = (_scaled_float(b2[0] * b2[0] + b2[1] * b2[1] + b2[2] * b2[2], shift)
+               - (mu20 * r20 + mu21 * r21))
+        if r22 + mu21 ** 2 * r11 < 0.99 * r11:
+            b1, b2 = b2, b1
+            k = 1
         else:
-            k += 1
+            k = 3
     raise InternalInconsistencyError("basis reduction did not terminate")
 
 
 # Relative pad on the float64 Fincke-Pohst bound. The enumeration prunes
 # with the float64 Gram-Schmidt data (B_l, mu_jl) that _lll computed from
 # the exact Gram matrix G; the Cholesky backward error puts them within a
-# relative eta = 16 u max_l G_ll / B_l of the exact values, u = 2^-53.
+# relative eta = 16 u max_l G_ll / B_l of the exact values, u = 2^-53
+# (G is read by _scaled_float, within a relative u + 2^-63 per entry).
 # Every node the argument relies on (the minimiser's path, and each
 # candidate kept) has |z_l| = |c_l + y_l| <= zeta_l = sqrt(R0 / B_l) and
 # |c_l| <= a_l (a_2 = zeta_2, a_1 = zeta_1 + |mu_21| a_2, a_0 = zeta_0 +
@@ -378,23 +412,34 @@ def _least(reduction, skip=None) -> tuple[int, tuple[int, int, int]]:
     least norm sought is at least lambda_2^2 (a vector not parallel to a
     shortest one is, with it, independent), and lambda_2^2 >= min(B_1,
     B_2), as of two independent vectors one has a nonzero coefficient past
-    the first; so min(B_1, B_2) takes min_l B_l's place there."""
+    the first; so min(B_1, B_2) takes min_l B_l's place there.
+
+    Written out for three columns: the diagonal of the exact Gram matrix,
+    read as _scaled_float reads it, and each candidate's exact norm. The
+    result is the lexicographically least (n, c) over the candidates."""
     red, bsq, mu, shift = reduction
-    diag = [_scaled_float(_dot(c, c), shift) for c in red]
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the columns' own coefficients
-    bound = (1 + _ENUM_PAD) * min(g for g, e in zip(diag, unit)
-                                  if not (skip and _parallel(e, skip)))
-    eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
-    z = [math.sqrt(bound / b) for b in bsq]
-    m1 = abs(mu[2][1]) * z[2]
-    m0 = abs(mu[1][0]) * (z[1] + m1) + abs(mu[2][0]) * z[2]
+    b0, b1, b2 = bsq
+    (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = red
+    g0, g1, g2 = (_scaled_float(n, shift) for n in (
+        p0 * p0 + p1 * p1 + p2 * p2, q0 * q0 + q1 * q1 + q2 * q2, w0 * w0 + w1 * w1 + w2 * w2))
+    if skip is None:
+        least = min(g0, g1, g2)
+    else:  # leave out the one column, if any, whose coefficients (e_l) are parallel to skip
+        s0, s1, s2 = skip
+        least = (min(g1, g2) if not (s1 or s2) else min(g0, g2) if not (s0 or s2)
+                 else min(g0, g1) if not (s0 or s1) else min(g0, g1, g2))
+    bound = (1 + _ENUM_PAD) * least
+    eta = 16 * 2.0 ** -53 * max(g0 / b0, g1 / b1, g2 / b2)
+    z1, z2 = math.sqrt(bound / b1), math.sqrt(bound / b2)
+    m1 = abs(mu[2][1]) * z2
+    m0 = abs(mu[1][0]) * (z1 + m1) + abs(mu[2][0]) * z2
     err = 64 * (2.0 ** -53 + eta) * (
-        bound + math.sqrt(bound) * (m1 * math.sqrt(bsq[1]) + m0 * math.sqrt(bsq[0])))
-    if not err <= _ENUM_PAD * min(bsq[1:] if skip else bsq) / 3:
+        bound + math.sqrt(bound) * (m1 * math.sqrt(b1) + m0 * math.sqrt(b0)))
+    if not err <= _ENUM_PAD * (min(b1, b2) if skip else min(b0, b1, b2)) / 3:
         raise InternalInconsistencyError("float enumeration error exceeds its pad")
-    return min((_dot(v, v), c) for v, c in (
-        ([sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)], c)
-        for c in _fincke_pohst(bsq, mu, bound, skip)))
+    return min(((c0 * p0 + c1 * q0 + c2 * w0) ** 2 + (c0 * p1 + c1 * q1 + c2 * w1) ** 2
+                + (c0 * p2 + c1 * q2 + c2 * w2) ** 2, (c0, c1, c2))
+               for c0, c1, c2 in _fincke_pohst(bsq, mu, bound, skip))
 
 
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -408,9 +453,13 @@ def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     prec bits (to mpf, square root). The reduction and the minimiser stay
     on the basis (LatticeBasis3._minimum), for _second_minimum.
     """
-    best, _ = basis._minimum[1]
-    with mp.workprec(prec):
-        return mp.ldexp(mp.sqrt(best), basis.exp)
+    return _root(basis._minimum[1][0], basis.exp, prec)
+
+
+def _root(n: int, exp: int, prec: int) -> mp.mpf:
+    """sqrt(n) 2^exp for an integer n >= 0, rounded once at prec bits (to
+    nearest), as mp.ldexp(mp.sqrt(n), exp) gives it at that precision."""
+    return mp.make_mpf(mpf_shift(mpf_sqrt(from_int(n), prec, round_nearest), exp))
 
 
 def _second_minimum(basis: LatticeBasis3) -> int:
@@ -475,10 +524,12 @@ def check_tight(hd: HexDomain, ht, big_r, r) -> bool:
     return bool(lhs <= rhs)
 
 
-def _hexagon_rows(samples: int) -> tuple[int, list[range]]:
+@lru_cache(maxsize=16)
+def _hexagon_rows(samples: int) -> tuple[int, tuple[range, ...]]:
     """(k, rows): the hexagon_grid points as integer pairs (u, v) standing
     for (u/k, v/k), over the common denominator k = 3m; rows[u + 2m] is the
-    range of v in row u, for u = -2m..2m."""
+    range of v in row u, for u = -2m..2m. Memoised per samples; the rows
+    are a tuple, so no caller can change the shared value."""
     if samples < 1:
         raise InvalidParamsError("samples must be >= 1")
     m = max(1, math.isqrt(max(0, samples - 1) // 9))
@@ -488,9 +539,9 @@ def _hexagon_rows(samples: int) -> tuple[int, list[range]]:
     # the six edges of the scaled hexagon with vertices m*(2,1), m*(1,2),
     # m*(-1,1), m*(-2,-1), m*(-1,-2), m*(1,-1) are |u+v| <= 3m,
     # |2v-u| <= 3m and |v-2u| <= 3m, which bound v in each row u
-    return k, [range(max(-k - u, -((k - u) // 2), 2 * u - k),
-                     min(k - u, (k + u) // 2, k + 2 * u) + 1)
-               for u in range(-2 * m, 2 * m + 1)]
+    return k, tuple(range(max(-k - u, -((k - u) // 2), 2 * u - k),
+                          min(k - u, (k + u) // 2, k + 2 * u) + 1)
+                    for u in range(-2 * m, 2 * m + 1))
 
 
 def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
@@ -589,17 +640,17 @@ def mass_above_height(
         with mp.workprec(bits):
             h = mp.mpf(height)
             for a, b in _open_points(state, rows, top):
-                s, margin, floor = certified_norm(a, b)
+                _, _, low, high, floor = certified_norm(a, b)
                 # each radius is a float log of a float product: both round
                 # once, within what _cover charges to r
-                if (s - margin) * h > 1:
-                    cover(state, a, b, math.log(float((s - margin) * h)), _STAYS)
-                elif (s + margin) * h < 1:
-                    cover(state, a, b, -math.log(float((s + margin) * h)), _ESCAPES)
+                if (v := low * h) > 1:
+                    cover(state, a, b, math.log(float(v)), _STAYS)
+                elif (v := high * h) < 1:
+                    cover(state, a, b, -math.log(float(v)), _ESCAPES)
                 if any(0 in row for row in state):  # a wide cover marks open points only
                     wide, v1 = floor()
-                    if wide * h > 1:
-                        cover(state, a, b, math.log(float(wide * h)), _STAYS, v1, height)
+                    if (v := wide * h) > 1:
+                        cover(state, a, b, math.log(float(v)), _STAYS, v1, height)
         for u, row in enumerate(state, -top):
             if 0 in row:
                 point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
@@ -610,7 +661,7 @@ def mass_above_height(
     return tuple(fractions)
 
 
-def _open_points(state: list[bytearray], rows: list[range], top: int):
+def _open_points(state: list[bytearray], rows: tuple[range, ...], top: int):
     """The grid points (a, b) still open (state 0) when the walk reaches
     them, in descending 2-adic valuation of gcd(a, b): the origin, then
     each level s = 2^j, row-major within a level. The state is read as the
@@ -642,7 +693,7 @@ def _open_points(state: list[bytearray], rows: list[range], top: int):
                 pos = level.find(0, pos + 1)
 
 
-def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]):
+def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: tuple[range, ...]):
     """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark
     _ESCAPES on every grid point where some unit monomial is certified
     shorter than 1/height, and return, per row u of the extended grid (u
@@ -813,7 +864,13 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: list[range]
 _COVER_BITS = 64
 
 
-def _cover(phi: SimplexSet, k: int, rows: list[range]):
+def _round_shift(v: int, n: int) -> int:
+    """round(v 2^-n) for n >= 1, ties to even: v = q 2^n + d, 0 <= d < 2^n,
+    goes up when d > 2^(n-1), or d = 2^(n-1) and q is odd."""
+    return (v + (1 << (n - 1)) - 1 + ((v >> n) & 1)) >> n
+
+
+def _cover(phi: SimplexSet, k: int, rows: tuple[range, ...]):
     """cover(state, a, b, r, mark, v1=None, height=None): set `mark` on the
     centre (a, b) and on every grid point x + d whose offset d from it the
     verdict decides: sg d_i below r on every coordinate i, with sg = +1 for
@@ -861,7 +918,8 @@ def _cover(phi: SimplexSet, k: int, rows: list[range]):
     """
     def image(alpha):
         ints, e = _dyadic(alpha.coords[:2])
-        x1, x2 = (round(v * Fraction(2) ** (e + _COVER_BITS)) for v in ints)
+        n = -e - _COVER_BITS  # the image is round(v 2^-n) per coordinate v 2^e
+        x1, x2 = (v << -n if n <= 0 else _round_shift(v, n) for v in ints)
         return x1, x2, -x1 - x2
 
     top = 2 * k // 3
@@ -956,13 +1014,16 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     No step reads the ambient precision.
     """
     bits = _bits(order)
-    cols = embed_order_lattice(order, bits).cols
-    red = _lll([list(c) + [int(i == j) for i in range(3)] for j, c in enumerate(cols)])[0]
-    lost = max(sum(abs(u * cols[j][i]) for j, u in enumerate(r[3:])).bit_length()
-               - abs(r[i]).bit_length() for r in red for i in range(3) if r[i])
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = embed_order_lattice(order, bits).cols
+    # each reduced column carries its coefficients (u, v, w) over the columns
+    red = _lll([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])[0]
+    lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(x).bit_length()
+               for x0, x1, x2, u, v, w in red
+               for x, a, b, c in ((x0, a0, b0, c0), (x1, a1, b1, c1), (x2, a2, b2, c2)) if x)
     fine = embed_order_lattice(order, bits + lost)
-    moved = tuple(tuple(sum(u * c[i] for c, u in zip(fine.cols, r[3:])) for i in range(3))
-                  for r in red)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = fine.cols
+    moved = tuple((u * a0 + v * b0 + w * c0, u * a1 + v * b1 + w * c1, u * a2 + v * b2 + w * c2)
+                  for _, _, _, u, v, w in red)
     return LatticeBasis3(moved, fine.exp)
 
 
@@ -970,14 +1031,14 @@ def _dual_weight(basis: LatticeBasis3) -> float:
     """Upper bound on sum_k |m_k| |d_k| over the columns m_k and the dual
     basis d_k = (m_i x m_j) / det, (k, i, j) cyclic, with |det| >= 1/2 (it
     is 1 up to the embedding and flow errors); each cross-product entry is
-    bounded without cancellation. Reads float64 of the integer columns."""
-    m = [[_scaled_float(abs(v), -basis.exp) for v in c] for c in basis.cols]
-    total = 0.0
-    for k in range(3):
-        p, q = m[(k + 1) % 3], m[(k + 2) % 3]
-        total += math.hypot(*m[k]) * math.hypot(
-            p[1] * q[2] + p[2] * q[1], p[2] * q[0] + p[0] * q[2], p[0] * q[1] + p[1] * q[0])
-    return 2 * total
+    bounded without cancellation. Reads float64 of the integer columns
+    (_scaled_float); the three terms are written out, summed k = 0, 1, 2."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = (_scaled_float(abs(v), -basis.exp)
+                                          for c in basis.cols for v in c)
+    hypot = math.hypot
+    return 2 * (hypot(a0, a1, a2) * hypot(b1 * c2 + b2 * c1, b2 * c0 + b0 * c2, b0 * c1 + b1 * c0)
+                + hypot(b0, b1, b2) * hypot(c1 * a2 + c2 * a1, c2 * a0 + c0 * a2, c0 * a1 + c1 * a0)
+                + hypot(c0, c1, c2) * hypot(a1 * b2 + a2 * b1, a2 * b0 + a0 * b2, a0 * b1 + a1 * b0))
 
 
 # Relative factor by which _certified_norm rounds its float64 margin
@@ -986,8 +1047,10 @@ _MARGIN_ROUND = 1 + 2.0 ** -40
 
 
 def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
-    """norm(a, b): (s, margin, floor) with |lambda_1(exp(x) L) - s| <=
-    margin at the exact hexagon point x = (a alpha1 + b alpha2) / k, and
+    """norm(a, b): (s, margin, s - margin, s + margin, floor) with
+    |lambda_1(exp(x) L) - s| <= margin at the exact hexagon point x = (a
+    alpha1 + b alpha2) / k, the two bounds rounded once at the order's bits
+    (so each height's verdict pays only its two products), and
     floor() -> (B - m_B, v1): a value below the least norm of a lattice
     vector not parallel to the kernel's shortest vector v1, and v1 as the
     wide cover reads it (_cover), (q_0, q_1, q_2, x_err). floor computes on
@@ -1001,8 +1064,9 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     rounded to nearest, off by at most a relative 2^-bits, and x.err
     charges that, as 2^(1-bits) max|x_i|, and (|a| alpha1.err + |b|
     alpha2.err) / k. `base` is within 2^-(bits+29) of L entrywise
-    (_prereduced, read when norm is made); exp_act rounds each entry once
-    and its exp is good to an ulp, so every entry of the moved basis M is
+    (_prereduced, read when norm is made); _exp_act, given the rounded
+    coordinates as raw mpf tuples, rounds each entry once and its exp is
+    good to an ulp, so every entry of the moved basis M is
     within a relative delta = 2^-(bits-2) of exp(x) L's. A lattice vector
     M c has |c_k| = |<d_k, M c>| <= |M c| |d_k| (d the dual basis), so its
     norm in either basis differs by at most delta |M c| sum_k |m_k| |d_k|
@@ -1049,28 +1113,32 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
         trace = _scaled_float(abs(a * t1 + b * t2), -e) / k
         if trace > 3 * math.ldexp(x_err, f) and trace > 2.0 ** -24 * max(1.0, xmax):
             raise InvalidParamsError(f"centre coordinates sum to {trace:.8g}, beyond 3*err")
+        moved = _exp_act([mpf_shift(from_rational(n, k, bits, round_nearest), e) for n in ns],
+                         base, bits)
+        s = shortest_vector_norm(moved, bits)
+        weight = _dual_weight(moved)
+        rel = (math.ldexp(weight, 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
+        rel = mp.ldexp(rel + 2.0 ** -1000, f)
         with mp.workprec(bits):
-            moved = exp_act([mp.make_mpf(mpf_shift(from_rational(n, k, bits, round_nearest), e))
-                             for n in ns], base)
-            s = shortest_vector_norm(moved, bits)
-            weight = _dual_weight(moved)
-            rel = (math.ldexp(weight, 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
-            rel = mp.ldexp(rel + 2.0 ** -1000, f)
+            margin = s * rel
+            low, high = s - margin, s + margin
 
         @cache
         def floor() -> tuple[mp.mpf, tuple[float, float, float, float]]:
-            (red, *_), (n, c) = moved._minimum
+            (red, *_), (n, (d0, d1, d2)) = moved._minimum
+            (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = red
             num, den = weight.as_integer_ratio()
             gap = -(-num * (math.isqrt(n) + 1) // (den << (bits - 3)))
             squares = []
-            for i in range(3):
-                low = max(abs(sum(ck * col[i] for ck, col in zip(c, red))) - gap, 0)
-                q = _scaled_float(low * low, -2 * moved.exp)
+            for w in (d0 * x0 + d1 * y0 + d2 * z0, d0 * x1 + d1 * y1 + d2 * z1,
+                      d0 * x2 + d1 * y2 + d2 * z2):  # v1's image
+                w = max(abs(w) - gap, 0)
+                q = _scaled_float(w * w, -2 * moved.exp)
                 squares.append(q if q >= 2.0 ** -600 else 0.0)
+            second = _root(_second_minimum(moved), moved.exp, bits)
             with mp.workprec(bits):
-                second = mp.ldexp(mp.sqrt(_second_minimum(moved)), moved.exp)
                 return second - second * rel, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
 
-        return memo.setdefault((a, b), (s, s * rel, floor))
+        return memo.setdefault((a, b), (s, margin, low, high, floor))
 
     return norm

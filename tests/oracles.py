@@ -13,7 +13,10 @@ The mass sweep's two row loops are the exception: `reference_cover` and
 `masses._unit_rows` had before their rows became a few integer or float
 operations each. They read the package's constants and its exact dyadic
 reader, since they check only that the faster rows mark the same points
-and return the same tuples.
+and return the same tuples. So are `reference_lll`, `reference_least`,
+`reference_exp_act` and `reference_dual_weight`: the certified kernel's
+generic loops from before it was written out for three columns, which the
+written-out kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -519,3 +522,117 @@ def reference_unit_rows(order, phi, k: int, rows):
         return out
 
     return unit_rows
+
+
+# The certified kernel's generic loops, as masses had them before the
+# kernel was written out for three columns: the same integer and float
+# operations in the same order, so the written-out kernel must return
+# repr-identical results. `_reference_scaled_float` and `_reference_dot`
+# are the helpers they read; the enumeration itself (masses._fincke_pohst)
+# and its constants are shared.
+
+
+def _reference_scaled_float(n: int, shift: int) -> float:
+    excess = max(n.bit_length() - 64, 0)
+    return math.ldexp(float(n >> excess), excess - shift)
+
+
+def _reference_dot(x, y) -> int:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def reference_exp_act(x, basis):
+    """masses.exp_act with a generic (j, i) loop over the entries."""
+    from mpmath.libmp import mpf_exp, round_nearest
+
+    from cubicunits.masses import LatticeBasis3
+
+    p = mp.mp.prec
+    entries = []  # (j, i, q, s): entry (i, j) of the result is q 2^s
+    for i, xi in enumerate(x):
+        _, man, f, _ = mpf_exp(xi._mpf_, p, round_nearest)
+        for j, c in enumerate(basis.cols):
+            v = man * c[i]
+            n = max(abs(v).bit_length() - p, 0)
+            entries.append((j, i, (v + (1 << n >> 1)) >> n, f + n))
+    e = min((s for _, _, q, s in entries if q), default=0)
+    cols = [[0] * 3 for _ in range(3)]
+    for j, i, q, s in entries:
+        cols[j][i] = q << (s - e) if q else 0
+    return LatticeBasis3(tuple(map(tuple, cols)), basis.exp + e)
+
+
+def reference_lll(cols):
+    """masses._lll with generic loops over k and j."""
+    from cubicunits.errors import InternalInconsistencyError
+
+    _scaled_float, _dot = _reference_scaled_float, _reference_dot
+    b = [list(c) for c in cols]
+    shift = 2 * max(abs(v) for c in b for v in c[:3]).bit_length()
+    r = [[0.0] * 3 for _ in range(3)]  # r[k][j] = mu[k][j] B_j, r[k][k] = B_k
+    mu = [[0.0] * 3 for _ in range(3)]
+    r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
+    k = 1
+    for _ in range(10 ** 4):
+        if k == 3:
+            return b, [r[l][l] for l in range(3)], mu, shift
+        if r[0][0] <= 0:
+            raise InternalInconsistencyError("degenerate basis in reduction")
+        for j in range(k):
+            r[k][j] = (_scaled_float(_dot(b[k], b[j]), shift)
+                       - sum(mu[j][i] * r[k][i] for i in range(j)))
+            mu[k][j] = r[k][j] / r[j][j]
+        if max(abs(m) for m in mu[k][:k]) > 0.51:
+            for j in range(k - 1, -1, -1):
+                q = round(mu[k][j])
+                if q:
+                    b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                    for i in range(j):
+                        mu[k][i] -= q * mu[j][i]
+            continue
+        r[k][k] = (_scaled_float(_dot(b[k], b[k]), shift)
+                   - sum(mu[k][j] * r[k][j] for j in range(k)))
+        if r[k][k] + mu[k][k - 1] ** 2 * r[k - 1][k - 1] < 0.99 * r[k - 1][k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            if k == 1:
+                r[0][0] = _scaled_float(_dot(b[0], b[0]), shift)
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    raise InternalInconsistencyError("basis reduction did not terminate")
+
+
+def reference_least(reduction, skip=None):
+    """masses._least with generator sums over the columns."""
+    from cubicunits.errors import InternalInconsistencyError
+    from cubicunits.masses import _ENUM_PAD, _fincke_pohst, _parallel
+
+    _scaled_float, _dot = _reference_scaled_float, _reference_dot
+    red, bsq, mu, shift = reduction
+    diag = [_scaled_float(_dot(c, c), shift) for c in red]
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the columns' own coefficients
+    bound = (1 + _ENUM_PAD) * min(g for g, e in zip(diag, unit)
+                                  if not (skip and _parallel(e, skip)))
+    eta = 16 * 2.0 ** -53 * max(g / b for g, b in zip(diag, bsq))
+    z = [math.sqrt(bound / b) for b in bsq]
+    m1 = abs(mu[2][1]) * z[2]
+    m0 = abs(mu[1][0]) * (z[1] + m1) + abs(mu[2][0]) * z[2]
+    err = 64 * (2.0 ** -53 + eta) * (
+        bound + math.sqrt(bound) * (m1 * math.sqrt(bsq[1]) + m0 * math.sqrt(bsq[0])))
+    if not err <= _ENUM_PAD * min(bsq[1:] if skip else bsq) / 3:
+        raise InternalInconsistencyError("float enumeration error exceeds its pad")
+    return min((_dot(v, v), c) for v, c in (
+        ([sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)], c)
+        for c in _fincke_pohst(bsq, mu, bound, skip)))
+
+
+def reference_dual_weight(basis) -> float:
+    """masses._dual_weight with a loop over the three cyclic cross products."""
+    _scaled_float = _reference_scaled_float
+    m = [[_scaled_float(abs(v), -basis.exp) for v in c] for c in basis.cols]
+    total = 0.0
+    for k in range(3):
+        p, q = m[(k + 1) % 3], m[(k + 2) % 3]
+        total += math.hypot(*m[k]) * math.hypot(
+            p[1] * q[2] + p[2] * q[1], p[2] * q[0] + p[0] * q[2], p[0] * q[1] + p[1] * q[0])
+    return 2 * total

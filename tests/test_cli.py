@@ -52,9 +52,21 @@ def test_parse_schedule_list():
 
 def test_parse_schedule_errors():
     for bad in ("arith:1:10:0", "arith:1:10:-1", "geom:0:10:2", "geom:2:100:1",
-                "geom:100:2:2", "list:", "arith:1:x:1", "cubic:1:2", ""):
+                "geom:100:2:2", "list:", "arith:1:x:1", "cubic:1:2", "",
+                # a geometric schedule keeps start's sign: a stop of the
+                # other sign is never reached
+                "geom:5:-100:2", "geom:-5:100:2", f"geom:1000:{-10 ** 24}:10"):
         with pytest.raises(ConfigError):
             parse_schedule(bad)
+
+
+def test_geometric_schedule_ends_of_opposite_signs_exit_2(capsys):
+    for schedule in ("geom:5:-100:2", f"geom:1000:{-10 ** 24}:10"):
+        assert main(["scan-family", "--family", ONE_UNIT, "--schedule", schedule,
+                     "--no-mass"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+        assert "bad geometric schedule" in captured.err
 
 
 def test_parse_schedule_capacity():

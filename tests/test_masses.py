@@ -22,6 +22,7 @@ from cubicunits import (
     LogVector,
     MonicCubic,
     OneUnitParams,
+    PrecisionExhaustedError,
     PrecisionPolicy,
     SimplexSet,
     TwoUnitParams,
@@ -45,6 +46,10 @@ from cubicunits import cli, masses, units
 from cubicunits.precision import mpf_to_fraction
 from .oracles import (
     reference_cover,
+    reference_dual_weight,
+    reference_exp_act,
+    reference_least,
+    reference_lll,
     reference_second_minimum,
     reference_shortest_vector_norm,
     reference_unit_rows,
@@ -210,6 +215,60 @@ def test_second_minimum_skips_only_the_shortest_line():
     assert masses._second_minimum(basis) == 2 ** 80
 
 
+def raised(call, *args):
+    # the call's result, or the InternalInconsistencyError it raised
+    try:
+        return call(*args)
+    except InternalInconsistencyError as e:
+        return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(transformed_bases(), st.booleans(), st.integers(64, 256),
+       st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=3, max_size=3))
+def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along, prec, xs):
+    # the written-out kernel returns repr-identical results to the generic
+    # loops it replaced: _lll also with _prereduced's ride-along entries,
+    # _least with and without skip, _exp_act at prec and _dual_weight
+    cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
+            for j, c in enumerate(basis.cols)]
+    reduction = masses._lll(cols)
+    assert repr(reduction) == repr(reference_lll(cols))
+    if not ride_along:
+        n, c = masses._least(reduction)
+        assert repr((n, c)) == repr(reference_least(reduction))
+        assert repr(raised(masses._least, reduction, c)) == repr(raised(reference_least, reduction, c))
+    x = [mp.ldexp(v, -36) for v in xs]  # |x_i| up to 16
+    with mp.workprec(prec):
+        moved = exp_act(x, basis)
+        assert moved == masses._exp_act([v._mpf_ for v in x], basis, prec)
+        assert repr(moved) == repr(reference_exp_act(x, basis))
+    assert repr(masses._dual_weight(moved)) == repr(reference_dual_weight(moved))
+
+
+@settings(max_examples=60, deadline=None)
+@given(transformed_bases(), st.integers(0, 3), st.booleans(), st.integers(40, 200))
+def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along, drop):
+    # a zero column (where < 3) or a repeated first column (where = 3) is
+    # a degenerate basis; B_2 shrunk by 2^-drop puts the enumeration's
+    # derived float error over its pad. Both raise, as in the generic loops
+    cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
+            for j, c in enumerate(basis.cols)]
+    if where < 3:
+        cols[where] = [0] * len(cols[where])
+    else:
+        cols[1] = list(cols[0])
+    for lll in (masses._lll, reference_lll):
+        with pytest.raises(InternalInconsistencyError, match="degenerate basis"):
+            lll(cols)
+    red, bsq, mu, shift = basis._minimum[0]
+    skewed = (red, [bsq[0], bsq[1], bsq[2] * 2.0 ** -drop], mu, shift)
+    for least in (masses._least, reference_least):
+        for skip in (None, basis._minimum[1][1]):
+            with pytest.raises(InternalInconsistencyError, match="exceeds its pad"):
+                least(skewed, skip)
+
+
 @functools.lru_cache(maxsize=None)
 def family_order(kind, t):
     return mass_member(kind, t)
@@ -271,7 +330,7 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
             moved = exp_act(x.coords, base)
             s = shortest_vector_norm(moved, bits)
             term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
-            s_ref, margin, _ = norm(a, b)
+            s_ref, margin, *_ = norm(a, b)
             assert s_ref == s and margin >= term
         with mp.workprec(768):
             s768 = reference_norm(exp_act(x.coords, fine), 1024)
@@ -446,6 +505,20 @@ def test_hexagon_grid_counts():
     assert len(hexagon_grid(60)) == 91  # m=3
     with pytest.raises(InvalidParamsError):
         hexagon_grid(0)
+
+
+def test_hexagon_rows_are_memoised_per_samples():
+    # one shared (k, rows) per samples, its rows a tuple no caller can
+    # change; a bad samples still raises on every call
+    first = masses._hexagon_rows(600)
+    assert masses._hexagon_rows(600) is first
+    assert isinstance(first[1], tuple) and all(isinstance(row, range) for row in first[1])
+    assert len(hexagon_grid(600)) == sum(map(len, first[1]))
+    for bad in (0, -5, 0):
+        with pytest.raises(InvalidParamsError):
+            masses._hexagon_rows(bad)
+        with pytest.raises(InvalidParamsError):
+            hexagon_grid(bad)
 
 
 def test_hexagon_grid_points_inside_hexagon():
@@ -761,6 +834,56 @@ def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
     assert counts["verdict"] and counts["wide"] and counts["wide marking"]
 
 
+def replaying_kernel(monkeypatch):
+    # run every _lll, _least, _exp_act and _dual_weight call of the sweep
+    # also through the generic loops the kernel replaced, and require
+    # repr-identical results or the same raise; counts the calls replayed,
+    # by kind
+    counts = collections.Counter()
+
+    def exp_act_at(x, basis, p):
+        with mp.workprec(p):
+            return reference_exp_act([mp.make_mpf(v) for v in x], basis)
+
+    def replay(name, kind, reference):
+        fast = getattr(masses, name)
+
+        def replayed(*args):
+            got, want = raised(fast, *args), raised(reference, *args)
+            assert repr(got) == repr(want)
+            counts[kind(*args)] += 1
+            if isinstance(got, Exception):
+                raise got
+            return got
+        monkeypatch.setattr(masses, name, replayed)
+
+    replay("_lll", lambda cols: f"lll{len(cols[0])}", reference_lll)
+    replay("_least", lambda reduction, skip=None: "least" if skip is None else "least skip",
+           reference_least)
+    replay("_exp_act", lambda *args: "exp_act", exp_act_at)
+    replay("_dual_weight", lambda basis: "dual_weight", reference_dual_weight)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [10 ** 3, 10 ** 12, 10 ** 24, -10 ** 9])
+def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
+    # every kernel call of sweeps at 600 and 10^4 samples and three heights
+    # (a near-tie pair among them), undecided points included: the moves,
+    # reductions (the kernel's and _prereduced's), first and second
+    # enumerations and dual weights are repr-identical to the generic loops
+    counts = replaying_kernel(monkeypatch)
+    order, phi = family_order(kind, t)
+    for samples in (600, 10 ** 4):
+        try:
+            mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=samples)
+        except PrecisionExhaustedError:
+            pass
+    centres = counts["exp_act"]
+    assert counts["lll6"] == 2 and counts["dual_weight"] == centres > 0
+    assert counts["lll3"] >= centres and counts["least"] >= centres and counts["least skip"]
+
+
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
 def test_planted_opposite_mark_raises_on_a_fine_grid(kind):
     # on a 10^4-sample grid, a verdict cover whose region holds a point
@@ -1014,7 +1137,7 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
             weight = masses._dual_weight(exp_act(x.coords, base))
-        s, margin, _ = norm(a, b)
+        s, margin, *_ = norm(a, b)
         with mp.workprec(2 * bits):
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
                      + mp.ldexp(max(abs(c) for c in x.coords), 1 - bits))
@@ -1051,6 +1174,15 @@ DYADIC_VALUES = st.lists(st.one_of(
 @given(DYADIC_VALUES)
 def test_dyadic_reads_every_value_exactly(values):
     assert masses._dyadic(values) == reference_dyadic(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-2 ** 300, 2 ** 300), st.integers(1, 300), st.booleans())
+def test_round_shift_rounds_half_to_even(v, n, tie):
+    # the cover's alpha images: round(v 2^-n) in integers, ties included
+    if tie:
+        v = (v >> n << n) + (1 << (n - 1))
+    assert masses._round_shift(v, n) == round(Fraction(v, 1 << n))
 
 
 @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, math.inf, -math.inf, math.nan])
@@ -1095,6 +1227,19 @@ def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
     for bits in (128, 192):
         fresh = build(order.f, order.units, order.policy)
         assert order._lattices[bits] == embed_order_lattice(fresh, bits)
+
+
+def test_embedding_rejects_an_explicit_precision_below_8_bits():
+    # only a missing prec means the order's target bits; an explicit 0 is
+    # rejected like any prec below PrecisionPolicy's floor of 8 bits
+    order = build_order(SEED_ORDER.f, SEED_ORDER.units)
+    for prec in (0, 7, -64):
+        with pytest.raises(InvalidParamsError):
+            embed_order_lattice(order, prec)
+    assert not order._lattices
+    assert embed_order_lattice(order, None) is embed_order_lattice(order)
+    assert list(order._lattices) == [order.policy.target_bits]
+    assert embed_order_lattice(order, 8).exp < 0
 
 
 def test_embedding_reads_no_ambient_precision():
