@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -313,6 +312,8 @@ def _pooled(worker, cfg: ScanConfig, extra) -> list:
                  tuple(cfg.heights), extra) for t in cfg.schedule]
     if cfg.jobs <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
+    # imported here: the pool pulls in multiprocessing, which only --jobs > 1 uses
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
         return list(pool.map(worker, payloads))
 

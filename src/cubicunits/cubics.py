@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .errors import InvalidParamsError
@@ -39,6 +40,12 @@ class MonicCubic:
     p2: int
     p1: int
     p0: int
+
+    # Verdicts kept in the instance's __dict__, outside the fields (so
+    # outside equality, hashing and repr): a member its caller validated is
+    # not tested again by build_order or refined_roots.
+    _real = cached_property(lambda f: discriminant(f) > 0)
+    _irreducible = cached_property(lambda f: _no_int_root(f))
 
     def __post_init__(self):
         for name in ("p2", "p1", "p0"):
@@ -108,7 +115,7 @@ def discriminant(f: MonicCubic) -> int:
 
 def is_totally_real(f: MonicCubic) -> bool:
     """True iff f has three distinct real roots (positive discriminant)."""
-    return discriminant(f) > 0
+    return f._real
 
 
 def scale_root(f: MonicCubic, n: int) -> MonicCubic:
@@ -203,6 +210,10 @@ def is_irreducible(f: MonicCubic) -> bool:
     cut at integer brackets of the critical points; each run is searched
     by bisection on the sign of f(k). No divisor enumeration of p0.
     """
+    return f._irreducible
+
+
+def _no_int_root(f: MonicCubic) -> bool:
     if f.p0 == 0:
         return False
     B = _root_bound(f)

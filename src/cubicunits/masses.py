@@ -73,12 +73,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    from_int, from_man_exp, from_rational, mpf_exp, mpf_shift, mpf_sqrt, round_nearest)
+    fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
+    mpf_le, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import (
     DependentUnitsError,
@@ -87,7 +88,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .precision import fraction_to_mpf
-from .units import CubicOrderData, LogVector, log_embed
+from .units import _RND, CubicOrderData, LogVector, _max1, log_embed
 
 __all__ = [
     "LatticeBasis3",
@@ -170,9 +171,9 @@ def _dyadic(values) -> tuple[list[int], int]:
     valuation among the nonzero values; each value is a finite mpf, int or
     float. An mpf is read from its own sign, mantissa and exponent, an int
     as itself times 2^0 and a float from its exact integer ratio, so no
-    value is rounded and the ambient precision plays no part; each is
-    written m 2^x with m odd (or 0), and m is shifted left by x - e. A
-    non-finite value raises InvalidParamsError."""
+    value is rounded and the ambient precision plays no part (a raw mpf
+    tuple too); each is written m 2^x with m odd (or 0), and m is shifted
+    left by x - e. A non-finite value raises InvalidParamsError."""
     parts = []
     for v in values:
         if isinstance(v, float):
@@ -183,7 +184,7 @@ def _dyadic(values) -> tuple[list[int], int]:
         elif isinstance(v, int):
             m, x = v, 0
         else:
-            sign, m, x, bc = v._mpf_
+            sign, m, x, bc = v if type(v) is tuple else v._mpf_
             if not m and bc:  # inf and nan carry a zero mantissa
                 raise InvalidParamsError(f"cannot read {v} as a dyadic rational")
             m = -m if sign else m
@@ -214,10 +215,10 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
         raise InvalidParamsError(f"embedding precision must be at least 8 bits, got {prec}")
     if prec in order._lattices:
         return order._lattices[prec]
-    with mp.workprec(prec + 32):
-        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
-        basis = LatticeBasis3.from_columns(
-            [[scale * r.value ** j for r in order.roots] for j in range(3)])
+    w = prec + 32  # each step as mpmath's operators take it at w bits
+    scale = mpf_pow(from_int(order.disc, w, _RND), mpf_div(from_int(-1), from_int(6), w, _RND), w, _RND)
+    basis = LatticeBasis3.from_columns([[mpf_mul(scale, mpf_pow_int(r.value._mpf_, j, w, _RND), w, _RND)
+                                         for r in order.roots] for j in range(3)])
     u, v, w = basis.cols
     cross = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
     n, e, h = _dot(u, cross), 3 * basis.exp, prec // 2  # det = n 2^e
@@ -459,7 +460,20 @@ def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
 def _root(n: int, exp: int, prec: int) -> mp.mpf:
     """sqrt(n) 2^exp for an integer n >= 0, rounded once at prec bits (to
     nearest), as mp.ldexp(mp.sqrt(n), exp) gives it at that precision."""
-    return mp.make_mpf(mpf_shift(mpf_sqrt(from_int(n), prec, round_nearest), exp))
+    # mpf_sqrt's own steps on from_int(n), with math.isqrt for its sqrtrem
+    _, man, e, bc = from_int(n)
+    if not man:
+        return mp.make_mpf(fzero)
+    if e & 1:
+        man, e, bc = man << 1, e - 1, bc + 1
+    elif man == 1:
+        return mp.make_mpf((0, 1, e // 2 + exp, 1))
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    r = math.isqrt(man << shift)
+    if man << shift != r * r:  # perturb up on a nonzero remainder
+        r, shift = (r << 1) + 1, shift + 2
+    return mp.make_mpf(from_man_exp(r, (e - shift) // 2 + exp, prec, _RND))
 
 
 def _second_minimum(basis: LatticeBasis3) -> int:
@@ -479,14 +493,25 @@ def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
     """The triple (v1, v2 - v1, -v2): sums to zero, spans the same lattice
     as (v1, v2), and its hexagonal fundamental domain drives the mass
     predictions."""
+    # raw tuples at the ambient precision, each step as mpmath's operator
+    # takes it (units.py)
+    p = mp.mp.prec
     a1 = v1
     a2 = v2 - v1
     a3 = -v2
-    cross = a1.x1 * a2.x2 - a1.x2 * a2.x1
-    scale = max(a1.norm(), a2.norm(), mp.mpf(1))
-    if abs(cross) <= 8 * (v1.err + v2.err) * scale:
+    cross = mpf_sub(mpf_mul(a1.x1._mpf_, a2.x2._mpf_, p, _RND), mpf_mul(a1.x2._mpf_, a2.x1._mpf_, p, _RND), p, _RND)
+    # max(a1.norm(), a2.norm(), mp.mpf(1)): only its value enters
+    scale = _max1([a1.norm()._mpf_, a2.norm()._mpf_]) or fone
+    errs = mpf_mul_int(mpf_add(v1.err._mpf_, v2.err._mpf_, p, _RND), 8, p, _RND)
+    if mpf_le(mpf_abs(cross, p, _RND), mpf_mul(errs, scale, p, _RND)):
         raise DependentUnitsError("simplex vectors do not span the plane")
     return SimplexSet(a1, a2, a3)
+
+
+@cache
+def _thirds(p: int):
+    # 1/3 and 2/3, each as mp.mpf(k) / 3 rounds it at p bits
+    return tuple(mpf_div(from_int(k), from_int(3), p, _RND) for k in (1, 2))
 
 
 def hex_domain(phi: SimplexSet) -> HexDomain:
@@ -495,19 +520,22 @@ def hex_domain(phi: SimplexSet) -> HexDomain:
     ceiling is the largest coordinate over all vertices. The six vertices
     share 18 distinct products (weight 1/3 or 2/3 times a coordinate),
     each rounded once to the ambient precision, and each vertex coordinate
-    is one correctly rounded sum of two of them."""
+    is one correctly rounded sum of two of them; raw tuples throughout."""
+    p = mp.mp.prec
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
-    # terms[p][i]: weight p/3 times alpha_i; the zero-weight term is left
+    # terms[k][i]: weight k/3 times alpha_i; the zero-weight term is left
     # out, as adding an exact zero returns the other unchanged
-    terms = [None] + [[[w * x for x in alpha.coords] for alpha in alphas]
-                      for w in (mp.mpf(1) / 3, mp.mpf(2) / 3)]
+    terms = [None] + [[[mpf_mul(w, x._mpf_, p, _RND) for x in alpha.coords] for alpha in alphas]
+                      for w in _thirds(p)]
     verts = []
     for perm in itertools.permutations(range(3)):
-        a, b = (terms[p][i] for i, p in enumerate(perm) if p)
-        verts.append(tuple(x + y for x, y in zip(a, b)))
-    ceiling = max(max(v) for v in verts)
-    err = sum(a.err for a in alphas)
-    return HexDomain(tuple(verts), ceiling, err)
+        a, b = (terms[k][i] for i, k in enumerate(perm) if k)
+        verts.append([mpf_add(x, y, p, _RND) for x, y in zip(a, b)])
+    # the first maximal coordinate; sum() starts from the int 0, so it
+    # rounds its first term
+    ceiling = reduce(lambda m, x: x if mpf_gt(x, m) else m, itertools.chain(*verts))
+    err = reduce(lambda s, a: mpf_add(s, a.err._mpf_, p, _RND), alphas, fzero)
+    return HexDomain(tuple(tuple(map(mp.make_mpf, v)) for v in verts), mp.make_mpf(ceiling), mp.make_mpf(err))
 
 
 def check_tight(hd: HexDomain, ht, big_r, r) -> bool:

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_mpf_div, mpc_mul_mpf,
+    mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add, mpf_div, mpf_floor, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_int)
 
 from .errors import DependentUnitsError, InternalInconsistencyError, InvalidParamsError
-from .units import LogVector
+from .units import _RND, LogVector, _max1
 
 __all__ = [
     "ShapePoint",
@@ -34,17 +39,35 @@ __all__ = [
 ]
 
 
+def _bits(prec: int | None) -> int:
+    # the working precision: the ambient one when prec is None
+    if prec is not None and prec < 8:
+        raise InvalidParamsError(f"shape precision must be at least 8 bits, got {prec}")
+    return mp.mp.prec if prec is None else prec
+
+
+# The shape is computed on mpmath's raw tuples: each step is the libmp call,
+# precision and rounding that mpmath's operator for it makes (units.py), so
+# every bit is the operator code's. _RND is mpmath's default rounding.
+_HALF, _MINUS_ONE = mpf_shift(fone, -1), from_int(-1)
+
+
+@cache
+def _omega(q: int):
+    # omega and the corner 1 + omega, raw, as the operator code builds them at q bits
+    w = tuple(mpf_div(x, from_int(2), q, _RND) for x in (mpf_neg(fone, q, _RND), mpf_sqrt(from_int(3), q, _RND)))
+    return w, mpc_add_mpf(w, fone, q, _RND)
+
+
 def omega(prec: int | None = None) -> mp.mpc:
     """Primitive cube root of unity in the upper half plane, (-1+sqrt(3)i)/2.
     Computed at `prec` bits (ambient precision when omitted)."""
-    with mp.workprec(prec or mp.mp.prec):
-        return mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
+    return mp.make_mpc(_omega(_bits(prec))[0])
 
 
 def corner(prec: int | None = None) -> mp.mpc:
     """The corner of the fundamental domain at e^{i pi/3} = 1 + omega."""
-    with mp.workprec(prec or mp.mp.prec):
-        return 1 + omega(prec)
+    return mp.make_mpc(_omega(_bits(prec))[1])
 
 
 @dataclass(frozen=True)
@@ -57,14 +80,20 @@ class ShapePoint:
 def to_plane(v: LogVector, prec: int | None = None) -> mp.mpc:
     """The similarity from the trace-zero plane to C determined by
     (-1,0,1) -> 1 and (0,-1,1) -> 1+omega. Writing v = a*(-1,0,1) +
-    b*(0,-1,1) gives a = -v1, b = -v2, so the image is -v1 - v2*(1+omega)."""
-    prec = prec or mp.mp.prec
-    s = abs(v.x1 + v.x2 + v.x3)
-    scale = max(1, abs(v.x1), abs(v.x2), abs(v.x3))
-    if s > max(9 * v.err, mp.ldexp(scale, -16)):
-        raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(s, 8)}")
-    with mp.workprec(prec):
-        return -v.x1 - v.x2 * (1 + omega(prec))
+    b*(0,-1,1) gives a = -v1, b = -v2, so the image is -v1 - v2*(1+omega).
+    The plane check runs at the ambient precision, the image at prec bits."""
+    return mp.make_mpc(_plane(v, mp.mp.prec, _bits(prec)))
+
+
+def _plane(v: LogVector, p: int, q: int):
+    x = [t._mpf_ for t in (v.x1, v.x2, v.x3)]
+    s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
+    edge = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -16)
+    err9 = mpf_mul_int(v.err._mpf_, 9, p, _RND)
+    if mpf_gt(s, edge if mpf_gt(edge, err9) else err9):  # s > max(9 err, edge)
+        raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(mp.make_mpf(s), 8)}")
+    # -x1 - x2 (1 + omega): mpf - mpc is mpc_sub((x, 0), z)
+    return mpc_sub((mpf_neg(x[0], q, _RND), fzero), mpc_mul_mpf(_omega(q)[1], x[1], q, _RND), q, _RND)
 
 
 def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
@@ -75,33 +104,36 @@ def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
     Re >= 0. The moves are recorded: 'T<n>' is tau -> tau + n, 'S' is
     tau -> -1/tau.
     """
-    prec = prec or mp.mp.prec
-    with mp.workprec(prec):
-        tau = mp.mpc(tau)
-        if not tau.imag > 0:
-            raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(tau, 12)}")
-        tol = mp.ldexp(1, -max(24, (2 * prec) // 3))
-        word = []
-        for _ in range(100000):
-            n = int(mp.floor(tau.real + mp.mpf(1) / 2))
-            if n != 0:
-                tau -= n
-                word.append(f"T{-n}")
-            if abs(tau) < 1 - tol:
-                tau = -1 / tau
-                word.append("S")
-            else:
-                break
-        else:
-            raise InternalInconsistencyError("reduction did not terminate")
-        # ties: left vertical edge -> right; arc with Re < 0 -> Re > 0
-        if abs(tau.real + mp.mpf(1) / 2) <= tol:
-            tau += 1
-            word.append("T1")
-        if abs(abs(tau) - 1) <= tol and tau.real < -tol:
-            tau = -1 / tau
+    q = _bits(prec)
+    with mp.workprec(q):  # tau enters as mp.mpc rounds it
+        z = mp.mpc(tau)._mpc_
+    if not mpf_gt(z[1], fzero):
+        raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(mp.make_mpc(z), 12)}")
+    tol = mpf_shift(fone, -max(24, (2 * q) // 3))
+    word = []
+    for _ in range(100000):
+        n = to_int(mpf_floor(mpf_add(z[0], _HALF, q, _RND), q, _RND))
+        if n != 0:
+            z = mpc_sub_mpf(z, from_int(n), q, _RND)
+            word.append(f"T{-n}")
+        r = mpc_abs(z, q, _RND)
+        if mpf_lt(r, mpf_sub(fone, tol, q, _RND)):
+            z = mpc_mpf_div(_MINUS_ONE, z, q, _RND)
             word.append("S")
-        return ShapePoint(tau, True, tuple(word))
+        else:
+            break
+    else:
+        raise InternalInconsistencyError("reduction did not terminate")
+    # ties: left vertical edge -> right; arc with Re < 0 -> Re > 0
+    if mpf_le(mpf_abs(mpf_add(z[0], _HALF, q, _RND), q, _RND), tol):
+        z = mpc_add_mpf(z, fone, q, _RND)
+        word.append("T1")
+        r = mpc_abs(z, q, _RND)
+    if (mpf_lt(z[0], mpf_neg(tol, q, _RND))
+            and mpf_le(mpf_abs(mpf_sub(r, fone, q, _RND), q, _RND), tol)):
+        z = mpc_mpf_div(_MINUS_ONE, z, q, _RND)
+        word.append("S")
+    return ShapePoint(mp.make_mpc(z), True, tuple(word))
 
 
 def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> ShapePoint:
@@ -109,25 +141,24 @@ def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> S
     to_plane(v2)/to_plane(v1) normalized into the upper half plane
     (conjugating when it lands below; the shape ignores orientation) and
     Gauss-reduced."""
-    prec = prec or mp.mp.prec
-    with mp.workprec(prec):
-        z1 = to_plane(v1, prec)
-        z2 = to_plane(v2, prec)
-        if abs(z1) == 0:
-            raise DependentUnitsError("first vector maps to 0")
-        tau = z2 / z1
-        # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
-        scale = (v2.err + abs(tau) * v1.err) / abs(z1)
-        tol = 4 * scale + mp.ldexp(1 + abs(tau), -(prec - 16))
-        word = []
-        if abs(tau.imag) <= tol:
-            raise DependentUnitsError(
-                f"quotient {mp.nstr(tau, 10)} is real within tolerance: dependent units")
-        if tau.imag < 0:
-            tau = mp.conj(tau)
-            word.append("reflect")
-        red = reduce_fundamental(tau, prec)
-        return ShapePoint(red.tau, True, tuple(word) + red.reduction_word)
+    q = _bits(prec)
+    z1, z2 = _plane(v1, q, q), _plane(v2, q, q)
+    if (r1 := mpc_abs(z1, q, _RND)) == fzero:
+        raise DependentUnitsError("first vector maps to 0")
+    tau = mpc_div(z2, z1, q, _RND)
+    r = mpc_abs(tau, q, _RND)
+    # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
+    scale = mpf_div(mpf_add(v2.err._mpf_, mpf_mul(r, v1.err._mpf_, q, _RND), q, _RND), r1, q, _RND)
+    tol = mpf_add(mpf_mul_int(scale, 4, q, _RND), mpf_shift(mpf_add(r, fone, q, _RND), -(q - 16)), q, _RND)
+    word = ()
+    if mpf_le(mpf_abs(tau[1], q, _RND), tol):
+        raise DependentUnitsError(
+            f"quotient {mp.nstr(mp.make_mpc(tau), 10)} is real within tolerance: dependent units")
+    if mpf_lt(tau[1], fzero):
+        tau = mpc_conjugate(tau, q, _RND)
+        word = ("reflect",)
+    red = reduce_fundamental(mp.make_mpc(tau), q)
+    return ShapePoint(red.tau, True, word + red.reduction_word)
 
 
 def limit_shape_z(a_tilde, b_tilde, prec: int = 96) -> mp.mpc:
@@ -188,7 +219,7 @@ def corner_distance(tau) -> mp.mpf:
     e^{i pi/3} and its translate e^{2 pi i/3} are the same point of the
     surface and reduction may return a neighborhood of either."""
     t = mp.mpc(tau.tau if isinstance(tau, ShapePoint) else tau)
-    p = corner(mp.mp.prec)
+    p = corner()
     return min(abs(t - p), abs(t - (p - 1)))
 
 

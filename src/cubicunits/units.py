@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, round_nearest as _RND)
 
 from .cubics import MonicCubic, discriminant, is_irreducible, is_totally_real, norm_linear_form
 from .errors import (
@@ -41,9 +45,18 @@ __all__ = [
 # certify_fundamental asks the Cusick ratio to clear 1/8 by 2^-_MARGIN_BITS
 _MARGIN_BITS = 32
 
+# The routines below compute on mpmath's raw tuples: each step is the libmp
+# call, precision and rounding that mpmath's operator for it makes (-x and
+# abs(x) round, int * x is mpf_mul_int, x ** 2 is mpf_pow_int, a sum()
+# rounds its first term), so every bit is the operator code's. _RND is
+# mpmath's default rounding, to nearest.
+_EIGHTH = mp.mpf(0.125)
 
-def _round_slack(coords) -> mp.mpf:
-    return mp.ldexp(max(1, *(abs(x) for x in coords)), -(mp.mp.prec - 2))
+
+def _max1(xs):
+    # the first maximal of (1, *xs) under >, as max() picks it, for raw
+    # tuples xs; None stands for the int 1
+    return reduce(lambda m, x: x if mpf_gt(x, m or fone) else m, xs, None)
 
 
 @dataclass(frozen=True)
@@ -57,9 +70,13 @@ class LogVector:
     err: mp.mpf
 
     def __post_init__(self):
-        s = abs(self.x1 + self.x2 + self.x3)
-        if s > 3 * self.err and s > mp.ldexp(1, -24) * max(1, abs(self.x1), abs(self.x2), abs(self.x3)):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(3 * self.err, 8)}")
+        # 2^-24 * max(1, |x_i|) is exact, as each |x_i| has at most p bits,
+        # so mpf_shift gives the product mpf_mul would round
+        p, x = mp.mp.prec, [t._mpf_ for t in self.coords]
+        s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
+        err3 = mpf_mul_int(self.err._mpf_, 3, p, _RND)
+        if mpf_gt(s, err3) and mpf_gt(s, mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -24)):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
 
     @property
     def coords(self):
@@ -70,23 +87,38 @@ class LogVector:
     # bound stays honest even for arithmetic done at low precision.
 
     def __add__(self, o: "LogVector") -> "LogVector":
-        x = (self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3)
-        return LogVector(*x, self.err + o.err + _round_slack(x))
+        return self._combine(o, mpf_add)
 
     def __sub__(self, o: "LogVector") -> "LogVector":
-        x = (self.x1 - o.x1, self.x2 - o.x2, self.x3 - o.x3)
-        return LogVector(*x, self.err + o.err + _round_slack(x))
+        return self._combine(o, mpf_sub)
+
+    def _combine(self, o, op) -> "LogVector":
+        p = mp.mp.prec
+        x = [op(s._mpf_, t._mpf_, p, _RND) for s, t in zip(self.coords, o.coords)]
+        return _vector(x, mpf_add(self.err._mpf_, o.err._mpf_, p, _RND), p)
 
     def __neg__(self) -> "LogVector":
-        x = (-self.x1, -self.x2, -self.x3)
-        return LogVector(*x, self.err + _round_slack(x))
+        p = mp.mp.prec
+        return _vector([mpf_neg(s._mpf_, p, _RND) for s in self.coords], self.err._mpf_, p)
 
     def scaled(self, c) -> "LogVector":
-        x = (c * self.x1, c * self.x2, c * self.x3)
-        return LogVector(*x, abs(c) * self.err + _round_slack(x))
+        # c and abs(c) enter as mpmath converts them; for an int c, mpf_mul
+        # rounds the same exact product that mpf_mul_int does
+        p = mp.mp.prec
+        c, ac = mp.convert(c)._mpf_, mp.convert(abs(c))._mpf_
+        x = [mpf_mul(c, s._mpf_, p, _RND) for s in self.coords]
+        return _vector(x, mpf_mul(ac, self.err._mpf_, p, _RND), p)
 
     def norm(self) -> mp.mpf:
-        return mp.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        p = mp.mp.prec
+        sq = [mpf_pow_int(s._mpf_, 2, p, _RND) for s in self.coords]
+        return mp.make_mpf(mpf_sqrt(mpf_add(mpf_add(sq[0], sq[1], p, _RND), sq[2], p, _RND), p, _RND))
+
+
+def _vector(x, err, p: int) -> LogVector:
+    # the vector with raw coordinates x, charged err plus their rounding slack
+    slack = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -(p - 2))
+    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(mpf_add(err, slack, p, _RND)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +148,7 @@ class RegulatorReport:
     certified: bool
 
     def __post_init__(self):
-        if self.certified and not self.cusick_ratio < mp.mpf(1) / 8:
+        if self.certified and not self.cusick_ratio < _EIGHTH:
             raise InternalInconsistencyError("certified report with ratio >= 1/8")
 
 
@@ -156,16 +188,18 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     target = pol.target_bits
     while True:
         bits = max(r.prec for r in roots)
-        with mp.workprec(bits):
-            ms = [a * r.value - b for r in roots]
-            errs = [abs(a) * r.err for r in roots]
-            if all(m != 0 and abs(m) > 256 * e for m, e in zip(ms, errs)):
-                coords = [mp.log(abs(m)) for m in ms]
-                err = max(
-                    2 * e / abs(m) + mp.ldexp(max(1, abs(c)), -(bits - 8))
-                    for m, e, c in zip(ms, errs, coords)
-                )
-                return order._logs.setdefault((a, b), LogVector(*coords, err))
+        ms = [mpf_sub(mpf_mul_int(r.value._mpf_, a, bits, _RND), from_int(b), bits, _RND) for r in roots]
+        errs = [mpf_mul_int(r.err._mpf_, abs(a), bits, _RND) for r in roots]
+        ams = [mpf_abs(m, bits, _RND) for m in ms]
+        if all(m != fzero and mpf_gt(am, mpf_mul_int(e, 256, bits, _RND)) for m, am, e in zip(ms, ams, errs)):
+            coords = [mpf_log(am, bits, _RND) for am in ams]
+            # 2 e / |m| + 2^-(bits - 8) max(1, |c|) per coordinate, and the first maximal
+            terms = [mpf_add(mpf_div(mpf_mul_int(e, 2, bits, _RND), am, bits, _RND),
+                             mpf_shift(_max1([mpf_abs(c, bits, _RND)]) or fone, -(bits - 8)), bits, _RND)
+                     for am, e, c in zip(ams, errs, coords)]
+            err = reduce(lambda m, t: t if mpf_gt(t, m) else m, terms)
+            with mp.workprec(bits):  # the LogVector check runs at bits
+                return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), mp.make_mpf(err)))
         if 2 * target > pol.max_bits:
             raise PrecisionExhaustedError(
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
@@ -179,23 +213,25 @@ def relative_regulator_with_error(v1: LogVector, v2: LogVector):
     coordinate-deletion minors must agree (rows sum to ~0); disagreement
     beyond tolerance is an internal error, near-zero determinant means the
     units are dependent."""
-    a = (v1.x1, v1.x2, v1.x3)
-    b = (v2.x1, v2.x2, v2.x3)
-    minors = [
-        a[1] * b[2] - a[2] * b[1],  # delete coordinate 1
-        a[0] * b[2] - a[2] * b[0],  # delete coordinate 2
-        a[0] * b[1] - a[1] * b[0],  # delete coordinate 3
-    ]
-    scale = max(1, *(abs(x) for x in a + b))
-    err = 10 * scale * (v1.err + v2.err) + mp.ldexp(scale * scale, -(mp.mp.prec - 12))
-    vals = [abs(m) for m in minors]
-    if max(vals) - min(vals) > err:
+    p, a, b = mp.mp.prec, [x._mpf_ for x in v1.coords], [x._mpf_ for x in v2.coords]
+    # the minors deleting coordinate 1, 2 and 3
+    minors = [mpf_sub(mpf_mul(a[i], b[j], p, _RND), mpf_mul(a[j], b[i], p, _RND), p, _RND)
+              for i, j in ((1, 2), (0, 2), (0, 1))]
+    scale = _max1([mpf_abs(x, p, _RND) for x in a + b])
+    # 10 * scale is the int 10 when scale is the int 1
+    ten = from_int(10) if scale is None else mpf_mul_int(scale, 10, p, _RND)
+    err = mpf_add(mpf_mul(ten, mpf_add(v1.err._mpf_, v2.err._mpf_, p, _RND), p, _RND),
+                  mpf_shift(mpf_mul(scale, scale, p, _RND) if scale else fone, -(p - 12)), p, _RND)
+    vals = [mpf_abs(m, p, _RND) for m in minors]
+    hi = reduce(lambda m, v: v if mpf_gt(v, m) else m, vals)  # as max() and min() pick
+    lo = reduce(lambda m, v: v if mpf_lt(v, m) else m, vals)
+    if mpf_gt(mpf_sub(hi, lo, p, _RND), err):
         raise InternalInconsistencyError(
-            f"minors disagree beyond tolerance: {[mp.nstr(v, 12) for v in vals]} (tol {mp.nstr(err, 6)})")
+            f"minors disagree beyond tolerance: {[mp.nstr(mp.make_mpf(v), 12) for v in vals]} (tol {mp.nstr(mp.make_mpf(err), 6)})")
     det = vals[2]  # first-two-coordinates minor, per the stated convention
-    if det <= 8 * err:
+    if mpf_le(det, mpf_mul_int(err, 8, p, _RND)):
         raise DependentUnitsError("regulator determinant below the error floor")
-    return det, err
+    return mp.make_mpf(det), mp.make_mpf(err)
 
 
 def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> RegulatorReport:
@@ -205,16 +241,18 @@ def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> R
     all numeric error upward; False is inconclusive, never a disproof."""
     if disc <= 16:
         raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
-    rel_reg = mp.mpf(rel_reg)
-    if not rel_reg > 0:
+    rel_reg = mp.mpf(rel_reg, prec=mp.mp.prec)
+    if not mpf_gt(r := rel_reg._mpf_, fzero):
         raise InvalidParamsError("relative regulator must be positive")
-    with mp.workprec(max(prec, 64)):
-        L = mp.log(mp.mpf(disc) / 4)
-        pad = mp.ldexp(1, -(mp.mp.prec - 16))
-        ratio = rel_reg / L ** 2
-        ratio_hi = (rel_reg + mp.mpf(rel_reg_err)) / (L * (1 - pad)) ** 2 * (1 + pad)
-        certified = bool(ratio_hi < mp.mpf(1) / 8 - mp.ldexp(1, -_MARGIN_BITS))
-        return RegulatorReport(rel_reg, ratio, certified)
+    q = max(prec, 64)
+    L = mpf_log(mpf_div(from_int(disc, q, _RND), from_int(4), q, _RND), q, _RND)
+    pad = mpf_shift(fone, -(q - 16))
+    ratio = mpf_div(r, mpf_pow_int(L, 2, q, _RND), q, _RND)
+    den = mpf_pow_int(mpf_mul(L, mpf_sub(fone, pad, q, _RND), q, _RND), 2, q, _RND)
+    ratio_hi = mpf_mul(mpf_div(mpf_add(r, mp.mpf(rel_reg_err, prec=q)._mpf_, q, _RND), den, q, _RND),
+                       mpf_add(pad, fone, q, _RND), q, _RND)
+    certified = mpf_lt(ratio_hi, mpf_sub(_EIGHTH._mpf_, mpf_shift(fone, -_MARGIN_BITS), q, _RND))
+    return RegulatorReport(rel_reg, mp.make_mpf(ratio), certified)
 
 
 def report_to_json(rep: RegulatorReport, digits: int = 40) -> str:

@@ -17,6 +17,11 @@ and return the same tuples. So are `reference_lll`, `reference_least`,
 `reference_exp_act` and `reference_dual_weight`: the certified kernel's
 generic loops from before it was written out for three columns, which the
 written-out kernel must match bit for bit.
+
+The member's front stages are the last exception: `ReferenceLogVector`
+and the other `reference_*` routines at the end of this file are the
+mpmath-operator code that units.py, shapes.py and masses.py replaced
+with calls on raw libmp tuples, which must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -636,3 +641,255 @@ def reference_dual_weight(basis) -> float:
         total += math.hypot(*m[k]) * math.hypot(
             p[1] * q[2] + p[2] * q[1], p[2] * q[0] + p[0] * q[2], p[0] * q[1] + p[1] * q[0])
     return 2 * total
+
+
+# ---------------------------------------------------------------------------
+# The member's front stages as mpmath operator code. units.LogVector and
+# its arithmetic, log_embed, relative_regulator_with_error and
+# certify_fundamental, shapes.omega, corner, to_plane, reduce_fundamental
+# and shape_from_units, and masses.make_simplex, hex_domain,
+# embed_order_lattice and _root compute on mpmath's raw tuples; these are
+# their mpmath-operator forms, which the tuple code must match bit for bit.
+# The error classes are the package's own; log_embed's memo of the
+# order's log vectors is left out, so a reference call always computes.
+# ---------------------------------------------------------------------------
+
+
+def _reference_round_slack(coords) -> mp.mpf:
+    return mp.ldexp(max(1, *(abs(x) for x in coords)), -(mp.mp.prec - 2))
+
+
+class ReferenceLogVector:
+    """units.LogVector with mpmath operators."""
+
+    def __init__(self, x1, x2, x3, err):
+        from cubicunits.errors import InvalidParamsError
+
+        self.x1, self.x2, self.x3, self.err = x1, x2, x3, err
+        s = abs(self.x1 + self.x2 + self.x3)
+        if s > 3 * self.err and s > mp.ldexp(1, -24) * max(1, abs(self.x1), abs(self.x2), abs(self.x3)):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(3 * self.err, 8)}")
+
+    @property
+    def coords(self):
+        return (self.x1, self.x2, self.x3)
+
+    def __add__(self, o):
+        x = (self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3)
+        return ReferenceLogVector(*x, self.err + o.err + _reference_round_slack(x))
+
+    def __sub__(self, o):
+        x = (self.x1 - o.x1, self.x2 - o.x2, self.x3 - o.x3)
+        return ReferenceLogVector(*x, self.err + o.err + _reference_round_slack(x))
+
+    def __neg__(self):
+        x = (-self.x1, -self.x2, -self.x3)
+        return ReferenceLogVector(*x, self.err + _reference_round_slack(x))
+
+    def scaled(self, c):
+        x = (c * self.x1, c * self.x2, c * self.x3)
+        return ReferenceLogVector(*x, abs(c) * self.err + _reference_round_slack(x))
+
+    def norm(self) -> mp.mpf:
+        return mp.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+
+
+def reference_log_embed(order, a: int, b: int):
+    """units.log_embed with mpmath operators, without the order's memo."""
+    from cubicunits.cubics import norm_linear_form
+    from cubicunits.errors import InvalidParamsError, PrecisionExhaustedError
+    from cubicunits.precision import PrecisionPolicy
+    from cubicunits.roots import refine_root
+
+    if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
+        raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
+    roots = list(order.roots)
+    pol = order.policy
+    target = pol.target_bits
+    while True:
+        bits = max(r.prec for r in roots)
+        with mp.workprec(bits):
+            ms = [a * r.value - b for r in roots]
+            errs = [abs(a) * r.err for r in roots]
+            if all(m != 0 and abs(m) > 256 * e for m, e in zip(ms, errs)):
+                coords = [mp.log(abs(m)) for m in ms]
+                err = max(
+                    2 * e / abs(m) + mp.ldexp(max(1, abs(c)), -(bits - 8))
+                    for m, e, c in zip(ms, errs, coords)
+                )
+                return ReferenceLogVector(*coords, err)
+        if 2 * target > pol.max_bits:
+            raise PrecisionExhaustedError(
+                f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
+        target *= 2
+        sub = PrecisionPolicy(target, pol.max_bits)
+        roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
+
+
+def reference_relative_regulator_with_error(v1, v2):
+    """units.relative_regulator_with_error with mpmath operators."""
+    from cubicunits.errors import DependentUnitsError, InternalInconsistencyError
+
+    a = (v1.x1, v1.x2, v1.x3)
+    b = (v2.x1, v2.x2, v2.x3)
+    minors = [
+        a[1] * b[2] - a[2] * b[1],  # delete coordinate 1
+        a[0] * b[2] - a[2] * b[0],  # delete coordinate 2
+        a[0] * b[1] - a[1] * b[0],  # delete coordinate 3
+    ]
+    scale = max(1, *(abs(x) for x in a + b))
+    err = 10 * scale * (v1.err + v2.err) + mp.ldexp(scale * scale, -(mp.mp.prec - 12))
+    vals = [abs(m) for m in minors]
+    if max(vals) - min(vals) > err:
+        raise InternalInconsistencyError(
+            f"minors disagree beyond tolerance: {[mp.nstr(v, 12) for v in vals]} (tol {mp.nstr(err, 6)})")
+    det = vals[2]  # first-two-coordinates minor, per the stated convention
+    if det <= 8 * err:
+        raise DependentUnitsError("regulator determinant below the error floor")
+    return det, err
+
+
+def reference_certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192):
+    """units.certify_fundamental with mpmath operators; returns (rel_reg,
+    cusick_ratio, certified)."""
+    from cubicunits.errors import InvalidParamsError, OutOfRegimeError
+
+    if disc <= 16:
+        raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
+    rel_reg = mp.mpf(rel_reg)
+    if not rel_reg > 0:
+        raise InvalidParamsError("relative regulator must be positive")
+    with mp.workprec(max(prec, 64)):
+        L = mp.log(mp.mpf(disc) / 4)
+        pad = mp.ldexp(1, -(mp.mp.prec - 16))
+        ratio = rel_reg / L ** 2
+        ratio_hi = (rel_reg + mp.mpf(rel_reg_err)) / (L * (1 - pad)) ** 2 * (1 + pad)
+        certified = bool(ratio_hi < mp.mpf(1) / 8 - mp.ldexp(1, -32))
+        return rel_reg, ratio, certified
+
+
+def reference_omega(prec=None) -> mp.mpc:
+    """shapes.omega with mpmath operators (a falsy prec reads the ambient)."""
+    with mp.workprec(prec or mp.mp.prec):
+        return mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
+
+
+def reference_corner(prec=None) -> mp.mpc:
+    with mp.workprec(prec or mp.mp.prec):
+        return 1 + reference_omega(prec)
+
+
+def reference_to_plane(v, prec=None) -> mp.mpc:
+    """shapes.to_plane with mpmath operators."""
+    from cubicunits.errors import InvalidParamsError
+
+    prec = prec or mp.mp.prec
+    s = abs(v.x1 + v.x2 + v.x3)
+    scale = max(1, abs(v.x1), abs(v.x2), abs(v.x3))
+    if s > max(9 * v.err, mp.ldexp(scale, -16)):
+        raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(s, 8)}")
+    with mp.workprec(prec):
+        return -v.x1 - v.x2 * (1 + reference_omega(prec))
+
+
+def reference_reduce_fundamental(tau, prec=None):
+    """shapes.reduce_fundamental with mpmath operators; returns (tau, word)."""
+    from cubicunits.errors import InternalInconsistencyError, InvalidParamsError
+
+    prec = prec or mp.mp.prec
+    with mp.workprec(prec):
+        tau = mp.mpc(tau)
+        if not tau.imag > 0:
+            raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(tau, 12)}")
+        tol = mp.ldexp(1, -max(24, (2 * prec) // 3))
+        word = []
+        for _ in range(100000):
+            n = int(mp.floor(tau.real + mp.mpf(1) / 2))
+            if n != 0:
+                tau -= n
+                word.append(f"T{-n}")
+            if abs(tau) < 1 - tol:
+                tau = -1 / tau
+                word.append("S")
+            else:
+                break
+        else:
+            raise InternalInconsistencyError("reduction did not terminate")
+        # ties: left vertical edge -> right; arc with Re < 0 -> Re > 0
+        if abs(tau.real + mp.mpf(1) / 2) <= tol:
+            tau += 1
+            word.append("T1")
+        if abs(abs(tau) - 1) <= tol and tau.real < -tol:
+            tau = -1 / tau
+            word.append("S")
+        return tau, tuple(word)
+
+
+def reference_shape_from_units(v1, v2, prec=None):
+    """shapes.shape_from_units with mpmath operators; returns (tau, word)."""
+    from cubicunits.errors import DependentUnitsError
+
+    prec = prec or mp.mp.prec
+    with mp.workprec(prec):
+        z1 = reference_to_plane(v1, prec)
+        z2 = reference_to_plane(v2, prec)
+        if abs(z1) == 0:
+            raise DependentUnitsError("first vector maps to 0")
+        tau = z2 / z1
+        # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
+        scale = (v2.err + abs(tau) * v1.err) / abs(z1)
+        tol = 4 * scale + mp.ldexp(1 + abs(tau), -(prec - 16))
+        word = []
+        if abs(tau.imag) <= tol:
+            raise DependentUnitsError(
+                f"quotient {mp.nstr(tau, 10)} is real within tolerance: dependent units")
+        if tau.imag < 0:
+            tau = mp.conj(tau)
+            word.append("reflect")
+        red, red_word = reference_reduce_fundamental(tau, prec)
+        return red, tuple(word) + red_word
+
+
+def reference_make_simplex(v1, v2):
+    """masses.make_simplex with mpmath operators; returns the three alphas."""
+    from cubicunits.errors import DependentUnitsError
+
+    a1 = v1
+    a2 = v2 - v1
+    a3 = -v2
+    cross = a1.x1 * a2.x2 - a1.x2 * a2.x1
+    scale = max(a1.norm(), a2.norm(), mp.mpf(1))
+    if abs(cross) <= 8 * (v1.err + v2.err) * scale:
+        raise DependentUnitsError("simplex vectors do not span the plane")
+    return a1, a2, a3
+
+
+def reference_hex_domain(alphas):
+    """masses.hex_domain with mpmath operators, on the three alphas;
+    returns (vertices, ceiling, ceiling_err)."""
+    import itertools
+
+    terms = [None] + [[[w * x for x in alpha.coords] for alpha in alphas]
+                      for w in (mp.mpf(1) / 3, mp.mpf(2) / 3)]
+    verts = []
+    for perm in itertools.permutations(range(3)):
+        a, b = (terms[p][i] for i, p in enumerate(perm) if p)
+        verts.append(tuple(x + y for x, y in zip(a, b)))
+    ceiling = max(max(v) for v in verts)
+    err = sum(a.err for a in alphas)
+    return tuple(verts), ceiling, err
+
+
+def reference_embedding_columns(order, prec: int):
+    """The mpf entries masses.embed_order_lattice reads exactly, with
+    mpmath operators."""
+    with mp.workprec(prec + 32):
+        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
+        return [[scale * r.value ** j for r in order.roots] for j in range(3)]
+
+
+def reference_root(n: int, exp: int, prec: int) -> mp.mpf:
+    """masses._root through mpmath's own square root."""
+    from mpmath.libmp import from_int, mpf_shift, mpf_sqrt, round_nearest
+
+    return mp.make_mpf(mpf_shift(mpf_sqrt(from_int(n), prec, round_nearest), exp))

@@ -330,8 +330,40 @@ def test_certify_golden(capsys):
     assert d["disc"] == "1006027054081"
     assert d["units_kept"] == [[1, 0], [1, -1]]
     assert d["units_dropped"] == [{"reason": "norm=2003", "unit": [1, 1]}]
-    assert d["report"]["certified"] is True
-    assert d["report"]["rel_reg"].startswith("47.7378195596830821")
+    assert d["report"] == {
+        "certified": True, "margin_bits": 32,
+        "rel_reg": "47.73781955968308210458417306654155254364",
+        "cusick_ratio": "0.06927549204855537263440038734389760577391"}
+
+
+# two_unit (1, 1, 2, 3) and the seed kind (x^3 - 3x - 1 along x(x + 1)) at
+# t = 10^3, 10^12 and 10^24, with each member's candidate units: the full
+# 40-digit reports, recorded before the regulator and the certificate moved
+# to raw mpmath tuples
+CERTIFY_GOLDEN = [
+    ("2013", "-5039", "3026", ["1,1", "2,3"],
+     "57.40277931735648309086172957904636859894", "0.07502936397096600410798403802210288631043"),
+    ("2000000000013", "-5000000000039", "3000000000026", ["1,1", "2,3"],
+     "801.7780566742960672854678705334663391113", "0.06563572912149895510299752271569080537505"),
+    ("2000000000000000000000013", "-5000000000000000000000039",
+     "3000000000000000000000026", ["1,1", "2,3"],
+     "3130.502769165550034813350066542625427246", "0.06406786456074990273313096289536664772808"),
+    ("1000", "997", "-1", ["1,0", "1,-1"],
+     "47.69637315234856345114167197607457637787", "0.06927867030535697531773278775257914051403"),
+    ("1000000000000", "999999999997", "-1", ["1,0", "1,-1"],
+     "763.4733279088064819006831385195255279541", "0.06409786413279216614826237168924343598260"),
+    ("1000000000000000000000000", "999999999999999999999997", "-1", ["1,0", "1,-1"],
+     "3053.893311635557438421528786420822143555", "0.06329136903127849429261673937039941848763"),
+]
+
+
+@pytest.mark.parametrize("p2,p1,p0,cand,rel_reg,ratio", CERTIFY_GOLDEN)
+def test_certify_golden_families(capsys, p2, p1, p0, cand, rel_reg, ratio):
+    poly = json.dumps({"p2": p2, "p1": p1, "p0": p0})
+    assert main(["certify", "--poly", poly, *(a for u in cand for a in ("--unit", u))]) == EXIT_OK
+    d = json.loads(capsys.readouterr().out)
+    assert d["report"] == {"certified": True, "margin_bits": 32,
+                           "rel_reg": rel_reg, "cusick_ratio": ratio}
 
 
 def test_certify_domain_error_reported(capsys):
@@ -439,6 +471,18 @@ def test_in_process_calls_match_separate_processes(capsys):
                               env=env, stdout=subprocess.PIPE, check=True, timeout=120)
         assert proc.stdout.decode("ascii") == out
     assert in_process[3].splitlines()[0].endswith(",ceil_w,mass_h10")
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 uses the pool, so importing the CLI loads neither
+    # concurrent.futures nor multiprocessing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cubicunits.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          stdout=subprocess.PIPE, check=True, timeout=120)
+    assert proc.stdout.decode("ascii").strip() == "[]"
 
 
 def test_mass_stage_runs_without_numpy(capsys):

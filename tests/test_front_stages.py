@@ -1,0 +1,286 @@
+"""The member's front stages on raw mpmath tuples, against their
+mpmath-operator forms in tests/oracles.py.
+
+units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
+certify_fundamental, shapes' omega, corner, to_plane, reduce_fundamental
+and shape_from_units, and masses' make_simplex, hex_domain,
+embed_order_lattice and _root call mpmath's libmp functions directly. Each
+must give every field's raw tuple, every reduction word, and the class and
+text of every error that the operator code gives, over three families,
+every decade 10^3..10^24 of both signs, five precisions and three ambient
+precisions set directly on mp.mp.
+"""
+
+from types import SimpleNamespace
+
+import mpmath as mp
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubicunits import cubics, masses, shapes, units
+from cubicunits.cli import _Member
+from cubicunits.cubics import MonicCubic, is_irreducible, is_totally_real
+from cubicunits.errors import InvalidParamsError
+
+from . import oracles as O
+
+FAMILIES = {
+    "one_unit": '{"kind":"one_unit","a":"1","b":"1"}',
+    "two_unit": '{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}',
+    "seed": '{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},"a":"1","b":"0","c":"1","d":"-1"}',
+}
+DECADES = [s * 10 ** k for k in range(3, 25) for s in (1, -1)]
+BITS = (64, 96, 128, 192, 384)
+AMBIENT = (16, 53, 300)
+
+
+@pytest.fixture(autouse=True)
+def _restore_ambient():
+    prec = mp.mp.prec
+    yield
+    mp.mp.prec = prec
+
+
+def raw(x):
+    """x with every mpf, mpc and log vector replaced by its raw tuples."""
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    if hasattr(x, "_mpc_"):
+        return x._mpc_
+    if hasattr(x, "err"):
+        return raw((x.x1, x.x2, x.x3, x.err))
+    if isinstance(x, (tuple, list)):
+        return tuple(raw(v) for v in x)
+    return x
+
+
+def outcome(fn, *args):
+    """('ok', raw result) or ('error', class name, text)."""
+    try:
+        return "ok", raw(fn(*args))
+    except Exception as e:  # the class and text are what is compared
+        return "error", type(e).__name__, str(e)
+
+
+def reference_vector(v):
+    with mp.workprec(4096):  # the check passes wherever the vector's does
+        return O.ReferenceLogVector(v.x1, v.x2, v.x3, v.err)
+
+
+def _shape(sp):
+    return sp.tau, sp.reduction_word
+
+
+def _simplex(phi):
+    return phi.alpha1, phi.alpha2, phi.alpha3
+
+
+def _hexagon(hd):
+    return hd.vertices, hd.ceiling, hd.ceiling_err
+
+
+def _certificate_of(rep):
+    return rep.rel_reg, rep.cusick_ratio, rep.certified
+
+
+def _certificate(v1, v2, disc, bits, regulator, certify):
+    # the reference returns the report's three fields as a tuple
+    reg, err = regulator(v1, v2)
+    rep = certify(reg, disc, err, bits)
+    return _certificate_of(rep) if hasattr(rep, "rel_reg") else rep
+
+
+def check_vectors(v, r, disc, bits):
+    """Every ambient-reading stage on the unit pair v (LogVector) against
+    the operator code on r (ReferenceLogVector), at the ambient precision."""
+    third = mp.mpf(1) / 3
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -b,
+               lambda a, b: a.scaled(3), lambda a, b: b.scaled(-2),
+               lambda a, b: a.scaled(third), lambda a, b: b.norm()):
+        assert outcome(op, *v) == outcome(op, *r)
+    assert outcome(_certificate, *v, disc, bits, units.relative_regulator_with_error,
+                   units.certify_fundamental) == outcome(
+        _certificate, *r, disc, bits, O.reference_relative_regulator_with_error,
+        O.reference_certify_fundamental)
+    for prec in (bits, None):
+        got = outcome(lambda a, b: _shape(shapes.shape_from_units(a, b, prec)), *v)
+        assert got == outcome(O.reference_shape_from_units, *v, prec)
+        assert outcome(shapes.to_plane, v[1], prec) == outcome(O.reference_to_plane, v[1], prec)
+    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b)), *v)
+    assert got == outcome(O.reference_make_simplex, *r)
+    if got[0] == "ok":
+        assert outcome(lambda a, b: _hexagon(masses.hex_domain(masses.make_simplex(a, b))), *v) \
+            == outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b)), *r)
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_front_stages_match_the_operator_code(family, bits):
+    for t in DECADES:
+        order = _Member.of_family(FAMILIES[family], t, bits).order
+        order._lattices.clear()
+        basis = masses.embed_order_lattice(order, bits)
+        assert basis == masses.LatticeBasis3.from_columns(O.reference_embedding_columns(order, bits))
+        pairs = order.units[:2]
+        for amb in AMBIENT:
+            mp.mp.prec = amb
+            order._logs.clear()  # log_embed computes again at this ambient precision
+            got = [outcome(units.log_embed, order, a, b) for a, b in pairs]
+            assert got == [outcome(O.reference_log_embed, order, a, b) for a, b in pairs]
+            v = [units.log_embed(order, a, b) for a, b in pairs]
+            check_vectors(v, [reference_vector(x) for x in v], order.disc, bits)
+
+
+def _one_unit_logs(t=10 ** 12, bits=192):
+    return _Member.of_family(FAMILIES["one_unit"], t, bits).logs
+
+
+@pytest.mark.parametrize("amb", AMBIENT)
+def test_error_paths_match_the_operator_code(amb):
+    mp.mp.prec = amb
+    v1, v2 = _one_unit_logs()
+    r1 = reference_vector(v1)
+    mpf = mp.mpf
+    # dependent vectors
+    d, rd = v1.scaled(2), r1.scaled(2)
+    assert outcome(units.relative_regulator_with_error, v1, d) == outcome(
+        O.reference_relative_regulator_with_error, r1, rd)
+    assert outcome(masses.make_simplex, v1, d) == outcome(O.reference_make_simplex, r1, rd)
+    assert outcome(lambda a, b: _shape(shapes.shape_from_units(a, b, 192)), v1, d) == outcome(
+        O.reference_shape_from_units, v1, d, 192)
+    zero = units.LogVector(mpf(0), mpf(0), mpf(0), mpf(0))
+    assert outcome(lambda a, b: _shape(shapes.shape_from_units(a, b)), zero, v1) == outcome(
+        O.reference_shape_from_units, zero, v1)
+    # off-plane input: the LogVector check, and to_plane's own on a bare triple
+    assert outcome(units.LogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)) == outcome(
+        O.ReferenceLogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30))
+    off = SimpleNamespace(x1=mpf(1), x2=mpf(2), x3=mpf(-2), err=mpf(1e-30))
+    assert outcome(shapes.to_plane, off, 64) == outcome(O.reference_to_plane, off, 64)
+    assert outcome(shapes.to_plane, off, 64)[2].startswith("input is off the trace-zero plane")
+    # minors that disagree: the first vector sums to 1e-8, inside LogVector's
+    # 2^-24 relative slack but, from 53 bits on, far outside the regulator's
+    # tolerance
+    with mp.workprec(64):
+        a = units.LogVector(mpf(1), mpf(2), mpf(-3) + mpf(1e-8), mpf(1e-30))
+        b = units.LogVector(mpf(2), mpf(-5), mpf(3), mpf(1e-30))
+    got = outcome(units.relative_regulator_with_error, a, b)
+    assert amb < 53 or got[:2] == ("error", "InternalInconsistencyError")
+    assert got == outcome(O.reference_relative_regulator_with_error,
+                          reference_vector(a), reference_vector(b))
+    # certification outside its regime, and a non-positive regulator
+    for args in ((mpf(1), 16), (mpf(1), -23), (mpf(0), 49), (-1, 49), (mpf(2), 49, mpf(0), 64)):
+        assert outcome(lambda *x: _certificate_of(units.certify_fundamental(*x)), *args) \
+            == outcome(O.reference_certify_fundamental, *args)
+    # the lower half plane
+    for tau in (mp.mpc(0.3, -1), mp.mpc(0.3, 0), mpf(2)):
+        assert outcome(lambda z: _shape(shapes.reduce_fundamental(z, 64)), tau) == outcome(
+            O.reference_reduce_fundamental, tau, 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-40, 40), st.floats(1e-6, 40), st.sampled_from((8, 24, 53, 64, 192, 384)),
+       st.sampled_from(AMBIENT))
+def test_reduce_fundamental_matches_the_operator_code(x, y, prec, amb):
+    mp.mp.prec = amb
+    tau = mp.mpc(x, y)
+    assert outcome(lambda z: _shape(shapes.reduce_fundamental(z, prec)), tau) == outcome(
+        O.reference_reduce_fundamental, tau, prec)
+    # points on the left edge and on the arc meet the tie rules
+    with mp.workprec(prec):
+        edge, arc = mp.mpc(-0.5, y + 0.5), mp.expjpi(mp.mpf(0.5) + mp.mpf(y % 1) / 6)
+    for z in (edge, arc):
+        assert outcome(lambda w: _shape(shapes.reduce_fundamental(w, prec)), z) == outcome(
+            O.reference_reduce_fundamental, z, prec)
+
+
+@pytest.mark.parametrize("prec", [None, 8, 16, 53, 64, 192, 384])
+@pytest.mark.parametrize("amb", AMBIENT)
+def test_omega_and_corner_match_the_operator_code(prec, amb):
+    mp.mp.prec = amb
+    assert shapes.omega(prec)._mpc_ == O.reference_omega(prec)._mpc_
+    assert shapes.corner(prec)._mpc_ == O.reference_corner(prec)._mpc_
+
+
+# ---------------------------------------------------------------------------
+# An explicit precision below 8 bits is an error, not the ambient precision
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", [0, -5, 7])
+def test_shape_precision_below_eight_bits_is_rejected(prec):
+    v1, v2 = _one_unit_logs()
+    calls = [lambda: shapes.shape_from_units(v1, v2, prec), lambda: shapes.to_plane(v1, prec),
+             lambda: shapes.reduce_fundamental(mp.mpc(0.1, 2), prec),
+             lambda: shapes.omega(prec), lambda: shapes.corner(prec)]
+    for call in calls:
+        with pytest.raises(InvalidParamsError, match=f"at least 8 bits, got {prec}$"):
+            call()
+
+
+def test_shape_precision_none_reads_the_ambient_precision():
+    v1, v2 = _one_unit_logs()
+    with mp.workprec(53):
+        ambient = shapes.shape_from_units(v1, v2)
+    assert ambient == shapes.shape_from_units(v1, v2, 53)
+    assert shapes.reduce_fundamental(mp.mpc(0.1, 2), 8).reduced  # 8 bits is allowed
+
+
+# ---------------------------------------------------------------------------
+# masses._root: mpf_sqrt's steps with math.isqrt for its sqrtrem
+# ---------------------------------------------------------------------------
+
+_ROOT_INTEGERS = st.one_of(
+    st.sampled_from((0, 1, 2, 3, 4)),
+    st.integers(0, 2 ** 600).map(lambda n: n * n),
+    st.integers(0, 1200).map(lambda k: 1 << k),
+    st.integers(0, 2 ** 1200),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROOT_INTEGERS, st.integers(-600, 600), st.sampled_from((53, 192, 384)))
+def test_root_matches_mpf_sqrt(n, exp, prec):
+    assert masses._root(n, exp, prec)._mpf_ == O.reference_root(n, exp, prec)._mpf_
+
+
+def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
+    # every (n, exp, prec) a height and a mass sweep ask _root for
+    seen = []
+    root = masses._root
+
+    def recording_root(n, exp, prec):
+        seen.append((n, exp, prec))
+        return root(n, exp, prec)
+
+    monkeypatch.setattr(masses, "_root", recording_root)
+    for family in sorted(FAMILIES):
+        for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (-10 ** 9, 384)):
+            m = _Member.of_family(FAMILIES[family], t, bits)
+            m.ht
+            masses.mass_above_height(m.order, m.phi, [10.0, 100.0], 600)
+    assert len(seen) > 100
+    for n, exp, prec in seen:
+        assert root(n, exp, prec)._mpf_ == O.reference_root(n, exp, prec)._mpf_
+
+
+# ---------------------------------------------------------------------------
+# Each member is validated once
+# ---------------------------------------------------------------------------
+
+
+def test_validation_is_kept_on_the_cubic(monkeypatch):
+    # the CLI tests irreducibility and total reality, then build_order,
+    # refined_roots and the root isolation ask again: one computation each
+    calls = []
+    no_int_root = cubics._no_int_root
+    monkeypatch.setattr(cubics, "_no_int_root", lambda g: calls.append("irr") or no_int_root(g))
+    m = _Member.of_family(FAMILIES["seed"], 10 ** 6, 192)
+    assert is_irreducible(m.f) and is_totally_real(m.f)
+    m.order
+    assert calls == ["irr"] and {"_irreducible", "_real"} <= set(vars(m.f))
+    assert m.order.disc == O.disc_oracle(m.f.p2, m.f.p1, m.f.p0)
+    # the memo takes no part in equality, hashing or repr
+    g = MonicCubic(m.f.p2, m.f.p1, m.f.p0)
+    assert g == m.f and hash(g) == hash(m.f) and repr(g) == repr(m.f)
+    assert not is_irreducible(MonicCubic(0, -1, 0)) and not is_totally_real(MonicCubic(0, 0, -2))
