@@ -270,7 +270,7 @@ def _scan_row(payload) -> str:
             cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi).ceiling)]
             if with_mass:
                 cells += map(_fmt_frac, masses.mass_above_height(
-                    m.order, m.phi, [float(h) for h in heights], samples))
+                    m.order, [float(h) for h in heights], samples))
     except CubicUnitsError as e:
         cells = [str(t), type(e).__name__]
     return ",".join(cells + [""] * (ncols - len(cells)))
@@ -287,7 +287,7 @@ def _mass_rows(payload) -> str:
         big_r = mp.mpf(r_cap)
         tight_k = next((k for k in range(100, -1, -1)
                         if masses.check_tight(hd, ht, big_r, Fraction(k, 100))), 0)
-        fracs = masses.mass_above_height(m.order, m.phi, [float(h) for h in heights], samples)
+        fracs = masses.mass_above_height(m.order, [float(h) for h in heights], samples)
         return "\n".join(",".join([
             str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h, _fmt_frac(frac),
             f"{tight_k / 100:.2f}",

@@ -23,6 +23,9 @@ and one mpf square root at the caller's precision gives the minimum. A
 second enumeration over the same reduction gives the least norm among the
 vectors not parallel to that minimiser (_second_minimum).
 
+The mass stage reads the order alone: its hexagon is that of the simplex
+make_simplex builds from the log vectors of the order's first two
+verified units, so no caller hands it a simplex that would need checking.
 The mass scan runs in two steps per height. First the unit rows: the
 unit eps1^i eps2^j has log vector y = i alpha1 + j alpha2 and exactly
 known norm |exp(x) eps|^2 = disc^{-1/3} sum_k e^{2(x_k + y_k)}. Along a
@@ -583,43 +586,11 @@ def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
     return [(coord[u], coord[v]) for u, row in enumerate(rows, -top) for v in row]
 
 
-def _alpha_in_unit_log_lattice(alpha: LogVector, order: CubicOrderData) -> bool:
-    """Whether alpha is an integer combination of the log vectors of the
-    order's verified units (i.e. lies in psi of the certified unit group).
-    A simplex from make_simplex(v1, v2) has alpha1 = v1 and -alpha3 = v2 up
-    to its rounding, which alpha's err records, so alpha that is w itself,
-    for w a unit's memoised log vector, is accepted before any mpf
-    arithmetic, alpha equal to +-w within the two error bounds next; any
-    other alpha is solved for in the units' basis."""
-    ws = [log_embed(order, a, b) for a, b in order.units[:2]]
-    if any(alpha is w for w in ws):
-        return True
-    if any(all(abs(x - s * y) <= alpha.err + w.err for x, y in zip(alpha.coords, w.coords))
-           for w in ws for s in (1, -1)):
-        return True
-    if len(ws) == 2:
-        det = ws[0].x1 * ws[1].x2 - ws[0].x2 * ws[1].x1
-        scale = max(max(w.norm() for w in ws), mp.mpf(1))
-        if abs(det) > mp.ldexp(scale * scale, -30):
-            c1 = (alpha.x1 * ws[1].x2 - alpha.x2 * ws[1].x1) / det
-            c2 = (ws[0].x1 * alpha.x2 - ws[0].x2 * alpha.x1) / det
-            n1, n2 = mp.nint(c1), mp.nint(c2)
-            resid = abs(alpha.x3 - (n1 * ws[0].x3 + n2 * ws[1].x3))
-            return bool(abs(c1 - n1) <= mp.ldexp(1, -20)
-                        and abs(c2 - n2) <= mp.ldexp(1, -20)
-                        and resid <= mp.ldexp(scale, -20))
-    tol = mp.ldexp(max(1, alpha.norm()), -20)
-    return any(
-        max(abs(alpha.coords[k] - s * w.coords[k]) for k in range(3)) <= tol
-        for w in ws for s in (1, -1))
-
-
 _STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
 
 
 def mass_above_height(
     order: CubicOrderData,
-    phi: SimplexSet,
     heights: tuple[float, ...] | list[float],
     samples: int = 10000,
 ) -> tuple[Fraction, ...]:
@@ -645,19 +616,20 @@ def mass_above_height(
     A vector w with |exp(p) w| < 1/H has |exp(x) w| < B - m_B, so w = n v1
     with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|.
 
-    Only the unit rows and the walk read the height, so everything else is
-    built once per call, after checking at the order's bits that phi comes
-    from the order's units: every height shares one grid, one cover and one
-    certified norm per centre.
+    The hexagon is the order's own: its simplex is make_simplex of the log
+    vectors of the first two verified units, at the ambient precision, as
+    the CLI's ceil_w reads it; every other step reads only the order's
+    bits. Only the unit rows and the walk read the height, so everything
+    else is built once per call: every height shares one grid, one cover
+    and one certified norm per centre.
     """
     if not heights or any(not h > 1 for h in heights):  # NaN fails this too
         raise InvalidParamsError("need at least one height threshold, each above 1")
+    if len(order.units) < 2:
+        raise InvalidParamsError("the member has fewer than two verified units")
     k, rows = _hexagon_rows(samples)
     bits = _bits(order)
-    with mp.workprec(bits):
-        if not all(_alpha_in_unit_log_lattice(alpha, order)
-                   for alpha in (phi.alpha1, -phi.alpha3)):
-            raise InvalidParamsError("simplex must come from the verified units of the order")
+    phi = make_simplex(*(log_embed(order, a, b) for a, b in order.units[:2]))
     cover, certified_norm = _cover(phi, k, rows), _certified_norm(order, phi, k)
     unit_rows = _unit_rows(order, phi, k, rows)
     top = 2 * k // 3

@@ -21,7 +21,7 @@ from mpmath.libmp import (
     mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_int)
 
 from .errors import DependentUnitsError, InternalInconsistencyError, InvalidParamsError
-from .units import _RND, LogVector, _max1
+from .units import _RND, LogVector, _max1, _sum_slack
 
 __all__ = [
     "ShapePoint",
@@ -90,7 +90,8 @@ def _plane(v: LogVector, p: int, q: int):
     s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
     edge = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -16)
     err9 = mpf_mul_int(v.err._mpf_, 9, p, _RND)
-    if mpf_gt(s, edge if mpf_gt(edge, err9) else err9):  # s > max(9 err, edge)
+    # s > max(9 err, edge) + what the sum's own rounding can move it
+    if mpf_gt(s, mpf_add(edge if mpf_gt(edge, err9) else err9, _sum_slack(x, p), p, _RND)):
         raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(mp.make_mpf(s), 8)}")
     # -x1 - x2 (1 + omega): mpf - mpc is mpc_sub((x, 0), z)
     return mpc_sub((mpf_neg(x[0], q, _RND), fzero), mpc_mul_mpf(_omega(q)[1], x[1], q, _RND), q, _RND)

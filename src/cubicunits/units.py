@@ -59,6 +59,14 @@ def _max1(xs):
     return reduce(lambda m, x: x if mpf_gt(x, m or fone) else m, xs, None)
 
 
+def _sum_slack(x, p: int):
+    # 2^(2-p) (|x1| + |x2| + |x3|), each step rounded at p bits, for raw
+    # tuples x: twice what the two roundings of x1 + x2 + x3 at p bits (to
+    # nearest, each within 2^-p of its result) can move the sum
+    a = [mpf_abs(t, p, _RND) for t in x]
+    return mpf_shift(mpf_add(mpf_add(a[0], a[1], p, _RND), a[2], p, _RND), 2 - p)
+
+
 @dataclass(frozen=True)
 class LogVector:
     """Point of the trace-zero plane {x1+x2+x3=0}, up to the shared error
@@ -71,12 +79,15 @@ class LogVector:
 
     def __post_init__(self):
         # 2^-24 * max(1, |x_i|) is exact, as each |x_i| has at most p bits,
-        # so mpf_shift gives the product mpf_mul would round
+        # so mpf_shift gives the product mpf_mul would round; a sum beyond
+        # both must also clear what its own rounding can move it
         p, x = mp.mp.prec, [t._mpf_ for t in self.coords]
         s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
         err3 = mpf_mul_int(self.err._mpf_, 3, p, _RND)
-        if mpf_gt(s, err3) and mpf_gt(s, mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -24)):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
+        if mpf_gt(s, err3):
+            edge = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -24)
+            if mpf_gt(s, mpf_add(err3 if mpf_gt(err3, edge) else edge, _sum_slack(x, p), p, _RND)):
+                raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
 
     @property
     def coords(self):

@@ -659,6 +659,11 @@ def _reference_round_slack(coords) -> mp.mpf:
     return mp.ldexp(max(1, *(abs(x) for x in coords)), -(mp.mp.prec - 2))
 
 
+def _reference_sum_slack(coords) -> mp.mpf:
+    # what the two roundings of the coordinates' sum can move it, twice over
+    return mp.ldexp(abs(coords[0]) + abs(coords[1]) + abs(coords[2]), 2 - mp.mp.prec)
+
+
 class ReferenceLogVector:
     """units.LogVector with mpmath operators."""
 
@@ -667,7 +672,9 @@ class ReferenceLogVector:
 
         self.x1, self.x2, self.x3, self.err = x1, x2, x3, err
         s = abs(self.x1 + self.x2 + self.x3)
-        if s > 3 * self.err and s > mp.ldexp(1, -24) * max(1, abs(self.x1), abs(self.x2), abs(self.x3)):
+        slack = _reference_sum_slack(self.coords)
+        if (s > 3 * self.err + slack
+                and s > mp.ldexp(1, -24) * max(1, abs(self.x1), abs(self.x2), abs(self.x3)) + slack):
             raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(3 * self.err, 8)}")
 
     @property
@@ -786,7 +793,7 @@ def reference_to_plane(v, prec=None) -> mp.mpc:
     prec = prec or mp.mp.prec
     s = abs(v.x1 + v.x2 + v.x3)
     scale = max(1, abs(v.x1), abs(v.x2), abs(v.x3))
-    if s > max(9 * v.err, mp.ldexp(scale, -16)):
+    if s > max(9 * v.err, mp.ldexp(scale, -16)) + _reference_sum_slack((v.x1, v.x2, v.x3)):
         raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(s, 8)}")
     with mp.workprec(prec):
         return -v.x1 - v.x2 * (1 + reference_omega(prec))

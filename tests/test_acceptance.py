@@ -274,8 +274,7 @@ def test_ac6_mass_escape(capfd):
     for t in (10**3, 10**5, 10**7, 10**9):
         f = build_one_unit(OneUnitParams(1, 1), t)
         order = build_order(f, [(1, 1), (1, 0)])
-        v1, v2 = log_embed(order, 1, 1), log_embed(order, 1, 0)
-        fracs += mass_above_height(order, make_simplex(v1, v2), (10.0,), samples=600)
+        fracs += mass_above_height(order, (10.0,), samples=600)
     monotone = all(fracs[i + 1] >= fracs[i] for i in range(3))
     ok = monotone and fracs[-1] >= Fraction(4, 5)
 
@@ -291,7 +290,7 @@ def test_ac6_mass_escape(capfd):
         tight = check_tight(hex_domain(phi), ht, 2, Fraction(1, 3))
         tight_all = tight_all and tight
         if tight:
-            frac, = mass_above_height(order, phi, (10.0,), samples=600)
+            frac, = mass_above_height(order, (10.0,), samples=600)
             bound_all = bound_all and frac >= bound
     ok = ok and tight_all and bound_all
     _verdict(capfd, 6, ok, "fractions " + " <= ".join(str(f) for f in fracs)

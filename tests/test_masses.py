@@ -359,7 +359,7 @@ def test_exp_act_rounds_each_entry_once(kind, t):
 
 
 def test_prereduced_once_per_mass_call(monkeypatch):
-    order, phi = mass_member("one_unit", 1000)
+    order, _ = mass_member("one_unit", 1000)
     embeds = []
 
     def counting(*args, **kwargs):
@@ -367,7 +367,8 @@ def test_prereduced_once_per_mass_call(monkeypatch):
         return embed_order_lattice(*args, **kwargs)
 
     monkeypatch.setattr(masses, "embed_order_lattice", counting)
-    mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=600)
+    with mp.workprec(256):
+        mass_above_height(order, (10.0, 9.99, 100.0), samples=600)
     assert len(embeds) == 2  # one reduction: the coarse and the fine embedding
     # the reduction reads no ambient precision
     base = masses._prereduced(order)
@@ -630,8 +631,9 @@ def big_order_and_simplex():
 
 
 def test_mass_above_height_frozen():
-    order, phi = big_order_and_simplex()
-    m10, m100, m1e9 = mass_above_height(order, phi, (10.0, 100.0, 1e9), samples=60)
+    order, _ = big_order_and_simplex()
+    with mp.workprec(220):  # the stage's simplex, as big_order_and_simplex makes it
+        m10, m100, m1e9 = mass_above_height(order, (10.0, 100.0, 1e9), samples=60)
     assert m10 == Fraction(76, 91)
     assert m100 <= m10
     # the orbit's height is bounded by ht * e^ceiling, far below 1e9
@@ -639,7 +641,7 @@ def test_mass_above_height_frozen():
 
 
 def test_mass_above_height_guards(monkeypatch):
-    order, phi = big_order_and_simplex()
+    order, _ = big_order_and_simplex()
     kernel = []
 
     def counting(*args, **kwargs):
@@ -650,10 +652,8 @@ def test_mass_above_height_guards(monkeypatch):
     # every height is checked before any kernel call: NaN fails "above 1"
     for heights in ((1.0,), (10.0, float("nan")), ()):
         with pytest.raises(InvalidParamsError):
-            mass_above_height(order, phi, heights, samples=10)
+            mass_above_height(order, heights, samples=10)
     assert not kernel
-    with pytest.raises(InvalidParamsError):
-        mass_above_height(order, regular_simplex(), (10.0,), samples=10)
 
 
 def mass_member(kind, t):
@@ -667,7 +667,8 @@ def mass_member(kind, t):
     order = build_order(f, cand)
     v1, v2 = (log_embed(order, *u) for u in order.units[:2])
     # at the ambient 53 bits, one_unit at t=10^9 has a grid point whose
-    # height tie sits inside the simplex's rounding error
+    # height tie sits inside the simplex's rounding error; the tests run the
+    # mass stage under the same workprec(256), so its own simplex is this one
     with mp.workprec(256):
         return order, make_simplex(v1, v2)
 
@@ -705,7 +706,8 @@ def test_mass_sweep_matches_per_point_oracle(kind, t, samples, heights):
             hcut = 1 / mp.mpf(height)
         assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
         expected.append(Fraction(sum(s < hcut for s, _ in norms), len(points)))
-    assert mass_above_height(order, phi, heights, samples=samples) == tuple(expected)
+    with mp.workprec(256):
+        assert mass_above_height(order, heights, samples=samples) == tuple(expected)
 
 
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
@@ -827,9 +829,10 @@ def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
     # same points as the slow per-row reference, and the unit rows return
     # the same (u, vmin, vmax, lo, hi) tuples
     counts = replaying_row_loops(monkeypatch)
-    order, phi = mass_member(kind, t)
-    for samples in (300, 3000, 10 ** 4):
-        mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=samples)
+    order, _ = mass_member(kind, t)
+    with mp.workprec(256):
+        for samples in (300, 3000, 10 ** 4):
+            mass_above_height(order, (10.0, 9.99, 100.0), samples=samples)
     assert counts["unit rows"] == 9
     assert counts["verdict"] and counts["wide"] and counts["wide marking"]
 
@@ -873,10 +876,11 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
     # reductions (the kernel's and _prereduced's), first and second
     # enumerations and dual weights are repr-identical to the generic loops
     counts = replaying_kernel(monkeypatch)
-    order, phi = family_order(kind, t)
+    order, _ = family_order(kind, t)
     for samples in (600, 10 ** 4):
         try:
-            mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=samples)
+            with mp.workprec(256):
+                mass_above_height(order, (10.0, 9.99, 100.0), samples=samples)
         except PrecisionExhaustedError:
             pass
     centres = counts["exp_act"]
@@ -916,14 +920,16 @@ def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
     # same fractions
     order, phi = mass_member(kind, t)
     heights = (10.0, 100.0)
-    expected = mass_above_height(order, phi, heights, samples=300)
+    with mp.workprec(256):
+        expected = mass_above_height(order, heights, samples=300)
     monkeypatch.setattr(masses, "_UNIT_HEADROOM", 0.0)
     k, rows = masses._hexagon_rows(300)
     state = [bytearray(len(row)) for row in rows]
     masses._unit_rows(order, phi, k, rows)(state, 10.0)
     assert not any(b"".join(state))
     calls = recording_wide_covers(monkeypatch)
-    assert mass_above_height(order, phi, heights, samples=300) == expected
+    with mp.workprec(256):
+        assert mass_above_height(order, heights, samples=300) == expected
     assert calls and not any(marked for *_, marked in calls)
 
 
@@ -942,7 +948,8 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
     # rounding of x and the alphas' errors in x and in d
     calls = recording_wide_covers(monkeypatch)
     order, phi = mass_member(kind, t)
-    mass_above_height(order, phi, heights, samples=samples)
+    with mp.workprec(256):
+        mass_above_height(order, heights, samples=samples)
     assert any(marked for *_, marked in calls)
     bits = masses._bits(order)
     base = masses._prereduced(order)
@@ -974,15 +981,14 @@ def test_wide_covers_cut_kernel_calls_at_high_t(monkeypatch):
     # vector at each point leave 5 centres to the kernel; when only centres
     # whose shortest vector was a certified unit monomial covered wide, 15
     member = cli._Member.of_family(TWO_UNIT, 10 ** 24, 192)
-    order, phi = member.order, member.phi
     kernel, _ = counting_sweep(monkeypatch)
-    fractions = mass_above_height(order, phi, (10.0, 9.99, 100.0), samples=600)
+    fractions = mass_above_height(member.order, (10.0, 9.99, 100.0), samples=600)
     assert fractions == (Fraction(592, 601), Fraction(592, 601), Fraction(574, 601))
     assert len(kernel) == 5
 
 
 def test_mass_sweep_enumeration_count(monkeypatch):
-    order, phi = mass_member("one_unit", 1000)
+    order, _ = mass_member("one_unit", 1000)
     calls = []
 
     def counting(*args, **kwargs):
@@ -990,7 +996,8 @@ def test_mass_sweep_enumeration_count(monkeypatch):
         return shortest_vector_norm(*args, **kwargs)
 
     monkeypatch.setattr(masses, "shortest_vector_norm", counting)
-    mass_above_height(order, phi, (10.0,), samples=2000)
+    with mp.workprec(256):
+        mass_above_height(order, (10.0,), samples=2000)
     # one enumeration per point the unit rows leave open would be 1149
     # calls; with the wide covers the one-sided cover makes 9, with
     # plain one-sided covers only it made 70, and the sup-ball cover
@@ -1066,14 +1073,15 @@ def test_unit_rows_match_monomial_oracle(kind, t):
 
 @pytest.mark.parametrize("t, prec", [(10 ** 3, 16), (10 ** 15, 20)])
 def test_mass_is_independent_of_ambient_precision(t, prec):
-    # the simplex-membership check runs at the order's bits, so a genuine
-    # simplex is accepted, and gives the same fraction, at any ambient
-    # precision; each order is fresh, so the check runs under each one
+    # the stage builds its simplex at the ambient precision and reads only
+    # the order's bits elsewhere: a coarser simplex only widens the error
+    # of the alphas, which the covers and margins charge, so here the
+    # fraction is the same from 16 bits up; each order is fresh
     fractions = set()
     for ambient in (prec, 20, 53):
-        order, phi = mass_member("one_unit", t)
+        order, _ = mass_member("one_unit", t)
         with mp.workprec(ambient):
-            fractions.add(mass_above_height(order, phi, (10.0,), samples=60))
+            fractions.add(mass_above_height(order, (10.0,), samples=60))
     assert len(fractions) == 1
 
 
@@ -1102,10 +1110,10 @@ def counting_sweep(monkeypatch):
 @pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
 def test_heights_share_certified_centres(monkeypatch, kind, t):
     heights = (10.0, 9.99, 100.0)
-    fresh = [mass_above_height(*mass_member(kind, t), (h,), samples=600)[0] for h in heights]
-    kernel, asked = counting_sweep(monkeypatch)
-    order, phi = mass_member(kind, t)
-    assert mass_above_height(order, phi, heights, samples=600) == tuple(fresh)
+    with mp.workprec(256):
+        fresh = [mass_above_height(mass_member(kind, t)[0], (h,), samples=600)[0] for h in heights]
+        kernel, asked = counting_sweep(monkeypatch)
+        assert mass_above_height(mass_member(kind, t)[0], heights, samples=600) == tuple(fresh)
     # one enumeration per distinct centre, though later heights ask again
     assert len(kernel) == len(set(asked)) < len(asked)
 
@@ -1283,25 +1291,48 @@ def test_hex_domain_equals_the_three_term_sums(kind, ambient):
     assert hd.ceiling._mpf_ == ceiling._mpf_
 
 
-@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
-def test_simplex_check_accepts_unit_combinations_only(monkeypatch, kind):
-    order, _ = mass_member(kind, 10 ** 9)
-    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
-    regular = regular_simplex()
-    with mp.workprec(masses._bits(order)):
-        for alpha in (v1 + v2, v2.scaled(2) - v1):
-            assert masses._alpha_in_unit_log_lattice(alpha, order)
-        for alpha in (regular.alpha1, regular.alpha2, regular.alpha3, v1.scaled(mp.mpf(1) / 2)):
-            assert not masses._alpha_in_unit_log_lattice(alpha, order)
+def _raw_simplex(phi):
+    return [(*(x._mpf_ for x in alpha.coords), alpha.err._mpf_)
+            for alpha in (phi.alpha1, phi.alpha2, phi.alpha3)]
 
-    # a simplex made from the units at the ambient 53 bits, as the CLI makes
-    # it, is accepted without solving for its coefficients
-    def no_solve(x):
-        raise AssertionError("solved for the coefficients of a unit's own log vector")
 
-    with mp.workprec(53):
-        phi = make_simplex(v1, v2)
-    monkeypatch.setattr(masses.mp, "nint", no_solve)
-    with mp.workprec(masses._bits(order)):
-        assert all(masses._alpha_in_unit_log_lattice(alpha, order)
-                   for alpha in (phi.alpha1, -phi.alpha3))
+@pytest.mark.parametrize("ambient", [53, 256])
+def test_mass_stage_builds_the_members_own_simplex(monkeypatch, ambient):
+    # a scan-family row with mass makes two simplices: the member's own
+    # (_Member.phi, for ceil_w) and the mass stage's; at the ambient
+    # precision either way, they agree raw tuple for raw tuple
+    made = []
+
+    def recording(v1, v2):
+        made.append(make_simplex(v1, v2))
+        return made[-1]
+
+    monkeypatch.setattr(masses, "make_simplex", recording)
+    with mp.workprec(ambient):
+        row = cli._scan_row((TWO_UNIT, 10 ** 6, 192, 600, ["10", "100"], True))
+        member = cli._Member.of_family(TWO_UNIT, 10 ** 6, 192)
+        own = member.phi
+    assert row.split(",")[1] == "ok" and all(row.split(",")[-2:])
+    assert len(made) == 3 and made[2] is own
+    assert _raw_simplex(made[0]) == _raw_simplex(made[1]) == _raw_simplex(own)
+
+
+def test_mass_above_height_needs_two_units(monkeypatch):
+    # x^3 - 3x - 1 along x(x - 3) at t = 5: theta - 3 fails the norm check,
+    # so the order has one verified unit, and the stage raises before it
+    # embeds a unit or calls the kernel
+    seed_rank1 = ('{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},'
+                  '"a":"1","b":"0","c":"1","d":"3"}')
+    order = cli._Member.of_family(seed_rank1, 5, 192).order
+    assert len(order.units) == 1
+    calls = []
+
+    def never(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("reached past the unit count")
+
+    for name in ("log_embed", "make_simplex", "shortest_vector_norm", "_certified_norm"):
+        monkeypatch.setattr(masses, name, never)
+    with pytest.raises(InvalidParamsError, match="fewer than two verified units"):
+        mass_above_height(order, (10.0,), samples=60)
+    assert not calls

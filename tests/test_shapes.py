@@ -1,6 +1,7 @@
 """Plane identification, Gauss reduction, and limit-shape formulas."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -11,7 +12,9 @@ from cubicunits import (
     DependentUnitsError,
     InvalidParamsError,
     LogVector,
+    OneUnitParams,
     ShapePoint,
+    build_one_unit,
     build_order,
     corner,
     corner_distance,
@@ -62,6 +65,26 @@ def test_to_plane_frozen():
         assert abs(to_plane(vec(-1, 0, 1), 200) - 1) < mp.ldexp(1, -180)
         assert abs(to_plane(vec(0, -1, 1), 200) - (1 + w)) < mp.ldexp(1, -180)
         assert abs(to_plane(vec(1, 1, -2), 200) - (-2 - w)) < mp.ldexp(1, -180)
+
+
+@pytest.mark.parametrize("ambient", [8, 12])
+def test_plane_check_charges_its_own_sum(ambient):
+    # one_unit (1, 1) at t = 10^12: v1 is about (27.6, -1e-12, -27.6) at 192
+    # bits, and its sum rounded at 8 or 12 bits is off by far more than 9 err
+    # or 2^-16 max|x_i|, but within what its two roundings can move it
+    order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)])
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    exact = to_plane(v1, 192)
+    with mp.workprec(ambient):
+        z = to_plane(v1)
+        off = SimpleNamespace(x1=v1.x1 + 1, x2=v1.x2, x3=v1.x3, err=v1.err)
+        with pytest.raises(InvalidParamsError, match="off the trace-zero plane"):
+            to_plane(off)
+    assert abs(z - exact) <= mp.ldexp(abs(exact), 2 - ambient)
+    try:
+        shape_from_units(v1, v2, ambient)
+    except DependentUnitsError:  # below 17 bits its own tolerance exceeds 1
+        pass
 
 
 @settings(max_examples=60)

@@ -57,6 +57,20 @@ def test_log_vector_trace_zero_guard():
         LogVector(mp.mpf(1), mp.mpf(1), mp.mpf(1), mp.mpf(1e-30))
 
 
+@pytest.mark.parametrize("ambient", [16, 20])
+def test_log_vector_trace_check_charges_its_own_sum(ambient):
+    # one_unit (1, 1) at t = 10^12: v1's coordinates are 192-bit values up to
+    # about 28 in size, and their sum rounded at 16 or 20 bits is off by far
+    # more than 3 err or 2^-24 max|x_i|, but within what its two roundings
+    # can move it; an off-plane sum beyond that still raises
+    order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)])
+    v1 = log_embed(order, *order.units[0])
+    with mp.workprec(ambient):
+        assert LogVector(v1.x1, v1.x2, v1.x3, v1.err).coords == v1.coords
+        with pytest.raises(InvalidParamsError, match="coordinates sum to"):
+            LogVector(v1.x1 + 1, v1.x2, v1.x3, v1.err)
+
+
 def test_log_embed_basics():
     order = simplest_order(1000)
     v = log_embed(order, 1, 0)
