@@ -52,7 +52,6 @@ from .masses import (
     SimplexSet,
     check_tight,
     embed_order_lattice,
-    exp_act,
     hex_domain,
     hexagon_grid,
     lattice_height,
@@ -74,17 +73,7 @@ from .ratios import (
     tilde_D,
     tilde_T,
 )
-from .roots import (
-    AsymptoticRoots,
-    IsolatedRoot,
-    NewtonHypotheses,
-    RootPrediction,
-    asymptotic_roots,
-    asymptotic_threshold,
-    newton_hypotheses,
-    refine_root,
-    refined_roots,
-)
+from .roots import IsolatedRoot, refine_root, refined_roots
 from .shapes import (
     ShapePoint,
     corner,
@@ -128,7 +117,7 @@ __all__ = [
     "is_mutually_cubic_pair", "recipe_pairs", "simplest_cubic",
     # masses
     "HexDomain", "LatticeBasis3", "SimplexSet", "check_tight",
-    "embed_order_lattice", "exp_act", "hex_domain", "hexagon_grid",
+    "embed_order_lattice", "hex_domain", "hexagon_grid",
     "lattice_height", "make_simplex", "mass_above_height",
     "shortest_vector_norm",
     # precision
@@ -138,9 +127,7 @@ __all__ = [
     "mobius_T", "orbit", "orbit_csv_rows", "ratio_estimate", "tilde_D",
     "tilde_T",
     # roots
-    "AsymptoticRoots", "IsolatedRoot", "NewtonHypotheses", "RootPrediction",
-    "asymptotic_roots", "asymptotic_threshold", "newton_hypotheses",
-    "refine_root", "refined_roots",
+    "IsolatedRoot", "refine_root", "refined_roots",
     # shapes
     "ShapePoint", "corner", "corner_distance", "curve_gamma",
     "cusick_angle_cos", "limit_shape_z", "omega", "reduce_fundamental",

@@ -29,7 +29,6 @@ __all__ = [
     "poly_to_json",
     "poly_from_json",
     "isolating_intervals",
-    "sign_at",
 ]
 
 
@@ -56,14 +55,6 @@ class MonicCubic:
     def __call__(self, x):
         # Horner; works for int, Fraction, mpf, anything with ring ops.
         return ((x + self.p2) * x + self.p1) * x + self.p0
-
-    def deriv(self, x):
-        """f'(x) = 3x^2 + 2*p2*x + p1."""
-        return (3 * x + 2 * self.p2) * x + self.p1
-
-    def deriv2(self, x):
-        """f''(x) = 6x + 2*p2."""
-        return 6 * x + 2 * self.p2
 
     def __str__(self):
         def term(c, mon):

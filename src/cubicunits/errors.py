@@ -4,6 +4,9 @@ Kept in one place so callers can catch coarse categories without importing
 every module.
 """
 
+__all__ = ["CubicUnitsError", "InvalidParamsError", "InternalInconsistencyError", "DomainError",
+           "DependentUnitsError", "OutOfRegimeError", "PrecisionExhaustedError", "OrbitCapError"]
+
 
 class CubicUnitsError(Exception):
     """Base class for everything raised on purpose by this package."""

@@ -67,7 +67,8 @@ and v1's image per centre, so each centre is enumerated at most once
 however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
-rounded outward; only the verdicts compare in mpf.
+rounded outward. Its verdicts compare exact dyadics on integers, and
+each cover radius is the float log of one correctly rounded value.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import (
     fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-    mpf_le, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+    mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, mpf_shift, mpf_sub, round_nearest,
+    to_float)
 
 from .errors import (
     DependentUnitsError,
@@ -98,7 +100,6 @@ __all__ = [
     "SimplexSet",
     "HexDomain",
     "embed_order_lattice",
-    "exp_act",
     "shortest_vector_norm",
     "lattice_height",
     "make_simplex",
@@ -120,8 +121,7 @@ _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 @dataclass(frozen=True)
 class LatticeBasis3:
     """A 3x3 real basis as its exact integer image, column j being
-    2^exp * cols[j]. `column(j)` and `mat` are exact mpf views of the same
-    entries."""
+    2^exp * cols[j]."""
 
     cols: tuple[tuple[int, int, int], ...]
     exp: int
@@ -132,17 +132,6 @@ class LatticeBasis3:
         int or float, each a dyadic rational), read exactly."""
         ints, e = _dyadic([v for c in cols for v in c])
         return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e)
-
-    def column(self, j: int) -> list:
-        return [mp.make_mpf(from_man_exp(v, self.exp)) for v in self.cols[j]]
-
-    @property
-    def mat(self) -> mp.matrix:
-        m = mp.matrix(3, 3)
-        for j in range(3):
-            for i, v in enumerate(self.column(j)):
-                m[i, j] = v
-        return m
 
     @cached_property
     def _minimum(self):
@@ -233,14 +222,9 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     return order._lattices.setdefault(prec, basis)
 
 
-def exp_act(x, basis: LatticeBasis3) -> LatticeBasis3:
-    """Action of the diagonal flow: row i of the basis scales by e^{x_i},
-    for x three coordinates (mpf), at the ambient precision (_exp_act)."""
-    return _exp_act([xi._mpf_ for xi in x], basis, mp.mp.prec)
-
-
 def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
-    """exp_act for x three raw mpf tuples, at p bits.
+    """Action of the diagonal flow: row i of the basis scales by e^{x_i},
+    for x three raw mpf tuples, at p bits.
 
     e^{x_i} is one mpf exp, and entry (i, j) of the result is the exact
     product of its mantissa with the integer entry cols[j][i], rounded once
@@ -589,6 +573,41 @@ def hexagon_grid(samples: int) -> list[tuple[Fraction, Fraction]]:
 _STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
 
 
+@dataclass(frozen=True)
+class _Alphas:
+    """alpha1 and alpha2 of a simplex, read once for the mass sweep:
+    ints[j][m] 2^e is coordinate m of alpha_{j+1} exactly (one _dyadic
+    image), floats[j][m] its float64, errs their error bounds (raw mpf)
+    and err the float64 of the larger."""
+
+    ints: tuple[list[int], list[int]]
+    e: int
+    floats: tuple[list[float], list[float]]
+    errs: tuple
+    err: float
+
+    @classmethod
+    def of(cls, phi: SimplexSet) -> "_Alphas":
+        one, two = phi.alpha1, phi.alpha2
+        ints, e = _dyadic(one.coords + two.coords)
+        return cls((ints[:3], ints[3:]), e, ([float(c) for c in one.coords], [float(c) for c in two.coords]),
+                   (one.err._mpf_, two.err._mpf_), float(max(one.err, two.err)))
+
+
+def _radius(n: int, e: int, sg: int) -> float | None:
+    """sg log x for the dyadic x = n 2^e if sg (x - 1) > 0, compared
+    exactly, else None. x is rounded once to a float64 for the log (to
+    nearest, so within a relative 2^-53, or inf past the float range),
+    within what _cover allows for r's error."""
+    one, n = (1 << -e, n) if e < 0 else (1, n << e)
+    if sg * (n - one) <= 0:
+        return None
+    try:
+        return sg * math.log(n / one)  # int division rounds correctly
+    except OverflowError:  # only x > 1 can be that large
+        return math.inf
+
+
 def mass_above_height(
     order: CubicOrderData,
     heights: tuple[float, ...] | list[float],
@@ -607,7 +626,9 @@ def mass_above_height(
     the offset above the radius for escape, none below minus the radius for
     no escape. A non-unit can still be short, so the kernel keeps both
     verdicts. A centre in doubt covers nothing this way, and a point no
-    verdict covers raises. The count is exact for the decisions made.
+    verdict covers raises. The count is exact for the decisions made, and
+    each verdict compares the exact dyadic (s -+ margin) H or (B - m_B) H
+    with 1 (_radius).
 
     While points stay open, a centre x also gives B - m_B, below the least
     norm of a vector not parallel to its shortest vector v1, and a second,
@@ -618,39 +639,41 @@ def mass_above_height(
 
     The hexagon is the order's own: its simplex is make_simplex of the log
     vectors of the first two verified units, at the ambient precision, as
-    the CLI's ceil_w reads it; every other step reads only the order's
-    bits. Only the unit rows and the walk read the height, so everything
-    else is built once per call: every height shares one grid, one cover
-    and one certified norm per centre.
+    the CLI's ceil_w reads it, and the unit rows, the cover and the
+    certified norm share one read of its alphas (_Alphas); every other
+    step reads only the order's bits. Only the unit rows and the walk read
+    the height, so everything else is built once per call: every height
+    shares one grid, one cover and one certified norm per centre. No point
+    has infinite height, so H = inf has fraction 0.
     """
     if not heights or any(not h > 1 for h in heights):  # NaN fails this too
         raise InvalidParamsError("need at least one height threshold, each above 1")
     if len(order.units) < 2:
         raise InvalidParamsError("the member has fewer than two verified units")
     k, rows = _hexagon_rows(samples)
-    bits = _bits(order)
-    phi = make_simplex(*(log_embed(order, a, b) for a, b in order.units[:2]))
-    cover, certified_norm = _cover(phi, k, rows), _certified_norm(order, phi, k)
-    unit_rows = _unit_rows(order, phi, k, rows)
+    alphas = _Alphas.of(make_simplex(*(log_embed(order, a, b) for a, b in order.units[:2])))
+    cover, certified_norm = _cover(alphas, k, rows), _certified_norm(order, alphas, k)
+    unit_rows = _unit_rows(order, alphas, k, rows)
     top = 2 * k // 3
     fractions = []
     for height in heights:
+        if height == math.inf:
+            fractions.append(Fraction(0))
+            continue
         state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
         unit_rows(state, height)
-        with mp.workprec(bits):
-            h = mp.mpf(height)
-            for a, b in _open_points(state, rows, top):
-                _, _, low, high, floor = certified_norm(a, b)
-                # each radius is a float log of a float product: both round
-                # once, within what _cover charges to r
-                if (v := low * h) > 1:
-                    cover(state, a, b, math.log(float(v)), _STAYS)
-                elif (v := high * h) < 1:
-                    cover(state, a, b, -math.log(float(v)), _ESCAPES)
-                if any(0 in row for row in state):  # a wide cover marks open points only
-                    wide, v1 = floor()
-                    if (v := wide * h) > 1:
-                        cover(state, a, b, math.log(float(v)), _STAYS, v1, height)
+        hn, hd = float(height).as_integer_ratio()
+        hx = 1 - hd.bit_length()  # H = hn 2^hx
+        for a, b in _open_points(state, rows, top):
+            s, margin, e, floor = certified_norm(a, b)
+            if (r := _radius((s - margin) * hn, e + hx, 1)) is not None:
+                cover(state, a, b, r, _STAYS)
+            elif (r := _radius((s + margin) * hn, e + hx, -1)) is not None:
+                cover(state, a, b, r, _ESCAPES)
+            if any(0 in row for row in state):  # a wide cover marks open points only
+                wide, we, v1 = floor()
+                if (r := _radius(wide * hn, we + hx, 1)) is not None:
+                    cover(state, a, b, r, _STAYS, v1, height)
         for u, row in enumerate(state, -top):
             if 0 in row:
                 point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
@@ -693,7 +716,7 @@ def _open_points(state: list[bytearray], rows: tuple[range, ...], top: int):
                 pos = level.find(0, pos + 1)
 
 
-def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: tuple[range, ...]):
+def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range, ...]):
     """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark
     _ESCAPES on every grid point where some unit monomial is certified
     shorter than 1/height, and return, per row u of the extended grid (u
@@ -735,7 +758,8 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: tuple[range
     alphas and c to float64 and the two-term dot product. Each w_m = exp(2
     z_m) is then off by a relative e^{2 delta} - 1, plus the exp call
     (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (computed at
-    the order's precision, then rounded: eps) and the product (eps/2);
+    the order's precision through libmp, then rounded: eps) and the
+    product (eps/2);
     cutoff = (1/H)^2 is off by 3 eps/2. The alphas have trace zero, so some z_m >= 0 and
     the exact sum is at least 1, which bounds what underflow drops. So the
     true squared norm over the cutoff is within a factor 1 + err, err = 3
@@ -744,18 +768,18 @@ def _unit_rows(order: CubicOrderData, phi: SimplexSet, k: int, rows: tuple[range
     _UNIT_HEADROOM), with err <= _UNIT_HEADROOM. An exponential that
     overflows fails the test.
     """
-    a1 = [float(c) for c in phi.alpha1.coords]
-    a2 = [float(c) for c in phi.alpha2.coords]
-    with mp.workprec(_bits(order)):
-        dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
-    alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
+    a1, a2 = alphas.floats
+    # disc^(-1/3) as mp.power(mp.mpf(disc), mp.mpf(-1) / 3) gives it at bits
+    bits = _bits(order)
+    dscale = to_float(mpf_pow(from_int(order.disc, bits, _RND), mpf_neg(_thirds(bits)[0]), bits, _RND),
+                      rnd=_RND)
     det = a1[0] * a2[1] - a1[1] * a2[0]
     top = 2 * k // 3
 
     (x0, x1, x2), (y0, y1, y2) = a1, a2
     q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
 
-    grow = 3 * (alpha_err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
+    grow = 3 * (alphas.err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
     # the at most two coordinates that bound v above (alpha2_m > 0), and
     # below (< 0); a lone one is taken twice
     ups = [(x, y) for x, y in zip(a1, a2) if y > 0]
@@ -870,7 +894,7 @@ def _round_shift(v: int, n: int) -> int:
     return (v + (1 << (n - 1)) - 1 + ((v >> n) & 1)) >> n
 
 
-def _cover(phi: SimplexSet, k: int, rows: tuple[range, ...]):
+def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
     """cover(state, a, b, r, mark, v1=None, height=None): set `mark` on the
     centre (a, b) and on every grid point x + d whose offset d from it the
     verdict decides: sg d_i below r on every coordinate i, with sg = +1 for
@@ -916,20 +940,19 @@ def _cover(phi: SimplexSet, k: int, rows: tuple[range, ...]):
     at 2^300, so every term is a normal float: q_m is 0 or in [2^-600, 2],
     e^{2 d_m} in [e^-201, e^401], as d_m >= -r and the d_m sum to zero.
     """
-    def image(alpha):
-        ints, e = _dyadic(alpha.coords[:2])
-        n = -e - _COVER_BITS  # the image is round(v 2^-n) per coordinate v 2^e
-        x1, x2 = (v << -n if n <= 0 else _round_shift(v, n) for v in ints)
+    n = -alphas.e - _COVER_BITS  # the image is round(v 2^-n) per coordinate v 2^e
+
+    def image(ints):
+        x1, x2 = (v << -n if n <= 0 else _round_shift(v, n) for v in ints[:2])
         return x1, x2, -x1 - x2
 
     top = 2 * k // 3
-    img1, img2 = image(phi.alpha1), image(phi.alpha2)
+    img1, img2 = map(image, alphas.ints)
     det = abs(img1[0] * img2[1] - img1[1] * img2[0])
     bmax = max(abs(q) for q in img2)
-    slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -_COVER_BITS
+    slack = 6 * alphas.err + 3 * 2.0 ** -_COVER_BITS
     # no two grid points are farther apart than (8/3) max|alpha_k|
-    diameter = 3 * max(abs(float(c)) for alpha in (phi.alpha1, phi.alpha2)
-                       for c in alpha.coords)
+    diameter = 3 * max(abs(c) for floats in alphas.floats for c in floats)
     (a0, a1, a2), (b0, b1, b2) = ([math.ldexp(q, 1 - _COVER_BITS) / k for q in img]
                                   for img in (img1, img2))
     spread = slack + 3 * _EPS * diameter  # the error of each float64 d_m
@@ -1046,19 +1069,18 @@ def _dual_weight(basis: LatticeBasis3) -> float:
 _MARGIN_ROUND = 1 + 2.0 ** -40
 
 
-def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
-    """norm(a, b): (s, margin, s - margin, s + margin, floor) with
-    |lambda_1(exp(x) L) - s| <= margin at the exact hexagon point x = (a
-    alpha1 + b alpha2) / k, the two bounds rounded once at the order's bits
-    (so each height's verdict pays only its two products), and
-    floor() -> (B - m_B, v1): a value below the least norm of a lattice
-    vector not parallel to the kernel's shortest vector v1, and v1 as the
-    wide cover reads it (_cover), (q_0, q_1, q_2, x_err). floor computes on
-    its first call, since a centre that leaves no point open has no use for
-    it. Memoised per (a, b), since no height enters it.
+def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
+    """norm(a, b): (s, margin, e, floor) with |lambda_1(exp(x) L) - s 2^e|
+    <= margin 2^e at the exact hexagon point x = (a alpha1 + b alpha2) / k,
+    s and margin exact integers, and floor() -> (w, f, v1): w 2^f = B -
+    m_B, a value below the least norm of a lattice vector not parallel to
+    the kernel's shortest vector v1, and v1 as the wide cover reads it
+    (_cover), (q_0, q_1, q_2, x_err). floor computes on its first call,
+    since a centre that leaves no point open has no use for it. Memoised
+    per (a, b), since no height enters it.
 
-    Works at the order's own precision. The alphas are read once, as exact
-    dyadic images, so x_i = n_i 2^e / k with exact integer numerators n_i;
+    Works at the order's own precision. The alphas come as exact dyadic
+    images (_Alphas), so x_i = n_i 2^e / k with exact integer numerators n_i;
     their sum, the exact trace, is checked against x's error as LogVector
     checks its coordinates. Each coordinate of x is one integer quotient
     rounded to nearest, off by at most a relative 2^-bits, and x.err
@@ -1074,33 +1096,34 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
     any set of coefficient vectors; the kernel rounds its exact minimum
     twice (2^-(bits-1)); and 4 x.err s charges the error of x. The margin
     is s (8 D 2^-bits + 4 x.err): the second 4 D 2^-bits (D > 5, as |m_k|
-    |d_k| >= <m_k, d_k> = 1) covers the kernel's rounding, D's own float
-    rounding and the mpf roundings of the margin and of the verdicts (s -+
-    margin) H at bits. The bracket is summed in float64, in units of 2^f
-    with f at least the exponent of every alpha error term and at least
-    -bits, so no term overflows; about ten roundings of nonnegative terms
+    |d_k| >= <m_k, d_k> = 1) covers the kernel's rounding and D's own float
+    rounding; what it also charged for mpf roundings of the margin and of
+    the verdicts is now slack, as the margin is the exact product of s and
+    the float bracket and every verdict is exact. The bracket is summed in
+    float64, in units of 2^f with f at least the exponent of every alpha
+    error term and at least -bits, so no term overflows; about ten roundings of nonnegative terms
     are charged by the factor _MARGIN_ROUND, and 2^-1000 units bound what
     underflow drops. Instead of a precision ladder, a tie inside that
     margin covers nothing and in the end asks for a finer order.
 
     The least norm B over the coefficient vectors not parallel to v1's
-    (_second_minimum) takes the same relative margin, so B - m_B = B (1 -
-    margin / s). v1's own image w 2^e has every coordinate within 8 D
-    2^-bits |w| 2^e of exp(x~) v1's, x~ the rounded centre (the bound above,
+    (_second_minimum), rounded twice at bits as s is, takes the same
+    relative margin, so B - m_B = B (1 - margin / s), exactly. v1's own
+    image w 2^e has every coordinate within 8 D 2^-bits |w| 2^e of exp(x~)
+    v1's, x~ the rounded centre (the bound above,
     coordinate by coordinate); the integer gap is at least 8 D 2^-bits |w|,
     so (max(|w_m| - gap, 0) 2^e)^2 is at most (exp(x~) v1)_m^2, and q_m is
     its float64, within a relative eps, or 0 below 2^-600. x_err is x's
     error per coordinate as a float, with 2^-1000 for what underflow drops.
     """
     bits = _bits(order)
-    (n1, e1), (n2, e2) = _dyadic(phi.alpha1.coords), _dyadic(phi.alpha2.coords)
-    e = min(e1, e2)  # x_i = (a p1_i + b p2_i) 2^e / k
-    p1, p2 = [v << (e1 - e) for v in n1], [v << (e2 - e) for v in n2]
+    (p1, p2), e = alphas.ints, alphas.e  # x_i = (a p1_i + b p2_i) 2^e / k
     t1, t2 = sum(p1), sum(p2)  # the alphas' exact traces, times 2^-e
-    with mp.workprec(bits):
-        errs = [phi.alpha1.err / k, phi.alpha2.err / k]
-        f = max([-bits] + [mp.frexp(v)[1] for v in errs if v])
-        c1, c2 = (float(mp.ldexp(v, -f)) for v in errs)  # each at most 1
+    # each alpha error over k as mpf division rounds it at bits, read in
+    # units of 2^f as a float64 (each at most 1)
+    errs = [mpf_div(v, from_int(k), bits, _RND) for v in alphas.errs]
+    f = max([-bits] + [x + bc for _, m, x, bc in errs if m])
+    c1, c2 = (to_float(mpf_shift(v, -f), rnd=_RND) for v in errs)
     base = _prereduced(order)
     memo = {}
 
@@ -1115,16 +1138,15 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
             raise InvalidParamsError(f"centre coordinates sum to {trace:.8g}, beyond 3*err")
         moved = _exp_act([mpf_shift(from_rational(n, k, bits, round_nearest), e) for n in ns],
                          base, bits)
-        s = shortest_vector_norm(moved, bits)
+        _, man, sx, _ = shortest_vector_norm(moved, bits)._mpf_  # s = man 2^sx
         weight = _dual_weight(moved)
         rel = (math.ldexp(weight, 3 - bits - f) + 4 * x_err) * _MARGIN_ROUND
-        rel = mp.ldexp(rel + 2.0 ** -1000, f)
-        with mp.workprec(bits):
-            margin = s * rel
-            low, high = s - margin, s + margin
+        r, one = (rel + 2.0 ** -1000).as_integer_ratio()  # margin / s = r / one, exactly
+        r, one = (r << f, one) if f >= 0 else (r, one << -f)
+        shift = one.bit_length() - 1  # one = 2^shift
 
         @cache
-        def floor() -> tuple[mp.mpf, tuple[float, float, float, float]]:
+        def floor() -> tuple[int, int, tuple[float, float, float, float]]:
             (red, *_), (n, (d0, d1, d2)) = moved._minimum
             (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = red
             num, den = weight.as_integer_ratio()
@@ -1135,10 +1157,9 @@ def _certified_norm(order: CubicOrderData, phi: SimplexSet, k: int):
                 w = max(abs(w) - gap, 0)
                 q = _scaled_float(w * w, -2 * moved.exp)
                 squares.append(q if q >= 2.0 ** -600 else 0.0)
-            second = _root(_second_minimum(moved), moved.exp, bits)
-            with mp.workprec(bits):
-                return second - second * rel, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
+            _, bman, bx, _ = _root(_second_minimum(moved), moved.exp, bits)._mpf_
+            return bman * (one - r), bx - shift, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
 
-        return memo.setdefault((a, b), (s, margin, low, high, floor))
+        return memo.setdefault((a, b), (man * one, man * r, sx - shift, floor))
 
     return norm

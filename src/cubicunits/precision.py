@@ -10,7 +10,7 @@ import mpmath as mp
 
 from .errors import InvalidParamsError
 
-__all__ = ["PrecisionPolicy", "DEFAULT_POLICY", "mpf_to_fraction", "fraction_to_mpf"]
+__all__ = ["PrecisionPolicy", "DEFAULT_POLICY"]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,7 @@ each step is one integer division (Brent and Zimmermann, Modern Computer
 Arithmetic, section 4.2). The enclosure [x-eps, x+eps], clipped to the
 exact bracket, is accepted only with an exact sign change at its ends, so
 the returned interval is unconditionally correct; x itself is the
-returned value, so eps bounds its error with no rounding. Asymptotic
-predictions for the constructed families are exact rational Newton steps
-from the designed anchor points, with the theorem's hypotheses checked
-as finite inequalities.
+returned value, so eps bounds its error with no rounding.
 """
 
 from __future__ import annotations
@@ -30,22 +27,14 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up, to_rational
 
-from . import families
 from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_intervals, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
 from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf
 
 __all__ = [
     "IsolatedRoot",
-    "PrecisionPolicy",
     "refine_root",
     "refined_roots",
-    "newton_hypotheses",
-    "NewtonHypotheses",
-    "RootPrediction",
-    "AsymptoticRoots",
-    "asymptotic_roots",
-    "asymptotic_threshold",
 ]
 
 
@@ -264,103 +253,3 @@ def refined_roots(f: MonicCubic, pol: PrecisionPolicy = DEFAULT_POLICY) -> list[
         raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(brackets)} for {f}")
     return [refine_root(f, lo, hi, pol) for lo, hi in brackets]
 
-
-# ---------------------------------------------------------------------------
-# Family asymptotics: anchored Newton predictions with checkable hypotheses.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NewtonHypotheses:
-    """Finite-t proxies for the root-approximation theorem's hypotheses at
-    an anchor alpha: nonzero derivative, small Newton ratio |h/h'|, and the
-    second-order product small uniformly on [alpha-1, alpha+1] (h'' of a
-    cubic is linear, so its sup there is attained at an endpoint)."""
-
-    deriv_nonzero: bool
-    ratio: Fraction  # |h(alpha)/h'(alpha)|, 0 if derivative vanished
-    ratio_small: bool  # ratio <= 1/4
-    product: Fraction  # ratio * sup|h''|/|h'(alpha)|
-    product_small: bool  # product <= 1/8
-
-    @property
-    def all_ok(self) -> bool:
-        return self.deriv_nonzero and self.ratio_small and self.product_small
-
-
-def newton_hypotheses(f: MonicCubic, alpha: Fraction) -> NewtonHypotheses:
-    alpha = Fraction(alpha)
-    d = f.deriv(alpha)
-    if d == 0:
-        return NewtonHypotheses(False, Fraction(0), False, Fraction(0), False)
-    ratio = abs(Fraction(f(alpha)) / d)
-    sup_dd = max(abs(f.deriv2(alpha - 1)), abs(f.deriv2(alpha + 1)))
-    product = ratio * Fraction(sup_dd) / abs(d)
-    return NewtonHypotheses(True, ratio, ratio <= Fraction(1, 4),
-                            product, product <= Fraction(1, 8))
-
-
-@dataclass(frozen=True)
-class RootPrediction:
-    value: Fraction  # exact anchored Newton step alpha - h(alpha)/h'(alpha)
-    tag: str  # order-of-magnitude description of the true root
-    anchor: Fraction | None  # None for the trace-completed third root
-
-
-@dataclass(frozen=True)
-class AsymptoticRoots:
-    predictions: tuple[RootPrediction, RootPrediction, RootPrediction]
-    reliable: bool  # |t| above threshold AND all hypothesis checks passed
-    threshold: int
-    hypotheses: tuple[NewtonHypotheses, ...]
-
-
-def asymptotic_threshold(params) -> int:
-    """|t| >= 16*(|a|+|b|+|c|+|d|)^3 before predictions are marked reliable.
-    Engineering heuristic (the theorem's constants are not effective); the
-    one-unit family counts as (a, b, 1, 0)."""
-    if isinstance(params, families.OneUnitParams):
-        s = abs(params.a) + abs(params.b) + 1
-    else:
-        s = abs(params.a) + abs(params.b) + abs(params.c) + abs(params.d)
-    return 16 * s ** 3
-
-
-def asymptotic_roots(params, t: int) -> AsymptoticRoots:
-    """Predicted roots for a family member, with magnitude tags.
-
-    One-unit params: anchors 0 and b/a; third root ~ -(a*t).
-    Two-unit params: anchors b/a and d/c; third root ~ -(a*c*t).
-    The anchored predictions are exact rationals; the third is completed
-    from the trace. Below threshold (or with failing hypothesis checks)
-    the same numbers come back flagged unreliable rather than raising.
-    """
-    if isinstance(params, families.OneUnitParams):
-        f = families.build_one_unit(params, t)
-        anchors = [Fraction(0), Fraction(params.b, params.a)]
-        tags = [
-            f"Theta(1/|t*b|) near 0 (b={params.b})",
-            f"{params.b}/{params.a} + Theta(1/(a^2 b^2 t))",
-            f"-(a*t) + O(1) = -({params.a}*{t}) + O(1)",
-        ]
-    elif isinstance(params, families.TwoUnitParams):
-        f = families.build_two_unit(params, t)
-        anchors = [Fraction(params.b, params.a), Fraction(params.d, params.c)]
-        tags = [
-            f"{params.b}/{params.a} + Theta(1/(a^3(bc-ad)t))",
-            f"{params.d}/{params.c} + Theta(1/(c^3(bc-ad)t))",
-            f"-(a*c*t) + O(1) = -({params.a}*{params.c}*{t}) + O(1)",
-        ]
-    else:
-        raise DomainError(f"no asymptotic model for {type(params).__name__}")
-
-    hyps = tuple(newton_hypotheses(f, al) for al in anchors)
-    preds = []
-    for al, tag, hy in zip(anchors, tags, hyps):
-        step = Fraction(f(al)) / f.deriv(al) if hy.deriv_nonzero else Fraction(0)
-        preds.append(RootPrediction(al - step, tag, al))
-    third = -f.p2 - preds[0].value - preds[1].value
-    preds.append(RootPrediction(third, tags[2], None))
-    preds.sort(key=lambda p: p.value)  # ascending, matching refined_roots
-    reliable = abs(t) >= asymptotic_threshold(params) and all(h.all_ok for h in hyps)
-    return AsymptoticRoots(tuple(preds), reliable, asymptotic_threshold(params), hyps)

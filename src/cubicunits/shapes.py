@@ -31,7 +31,6 @@ __all__ = [
     "shape_from_units",
     "reduce_fundamental",
     "limit_shape_z",
-    "curve_range",
     "curve_gamma",
     "cusick_angle_cos",
     "same_shape",
@@ -137,6 +136,17 @@ def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
     return ShapePoint(mp.make_mpc(z), True, tuple(word))
 
 
+# The roundings of the quotient at q bits, u = 2^-q, move it by at most
+# 2^(_QUOTIENT_ROUNDING - q) |tau|. _plane rounds -x1, x2/2, their sum,
+# sqrt(3)/2 and x2 sqrt(3)/2, each to nearest, so |dz| <= (3/4) u M + (1/2)
+# u |Re z| + u |Im z| for M = max(|x1|, |x2|); a trace-zero x has M <=
+# (2/sqrt(3)) |z|, so |dz| <= 2.1 u |z|, and the quotient of two such z
+# is off by at most 4.3 u |tau|. mpc_div adds under 0.51 u |tau| (products
+# exact, sums at q + 10 bits, one rounding at q): under 5 u |tau| in all,
+# so 2^(3-q) |tau| covers it.
+_QUOTIENT_ROUNDING = 3
+
+
 def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> ShapePoint:
     """Reduced shape of the lattice spanned by v1, v2: the quotient
     to_plane(v2)/to_plane(v1) normalized into the upper half plane
@@ -150,7 +160,7 @@ def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> S
     r = mpc_abs(tau, q, _RND)
     # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
     scale = mpf_div(mpf_add(v2.err._mpf_, mpf_mul(r, v1.err._mpf_, q, _RND), q, _RND), r1, q, _RND)
-    tol = mpf_add(mpf_mul_int(scale, 4, q, _RND), mpf_shift(mpf_add(r, fone, q, _RND), -(q - 16)), q, _RND)
+    tol = mpf_add(mpf_mul_int(scale, 4, q, _RND), mpf_shift(r, _QUOTIENT_ROUNDING - q), q, _RND)
     word = ()
     if mpf_le(mpf_abs(tau[1], q, _RND), tol):
         raise DependentUnitsError(

@@ -18,6 +18,10 @@ and return the same tuples. So are `reference_lll`, `reference_least`,
 generic loops from before it was written out for three columns, which the
 written-out kernel must match bit for bit.
 
+`exp_act` and `basis_columns` are plumbing, not references: the
+package's private flow action at explicit bits, and a basis's exact
+columns as mpf values.
+
 The member's front stages are the last exception: `ReferenceLogVector`
 and the other `reference_*` routines at the end of this file are the
 mpmath-operator code that units.py, shapes.py and masses.py replaced
@@ -546,8 +550,24 @@ def _reference_dot(x, y) -> int:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+def exp_act(x, basis, prec: int):
+    """The diagonal flow's action on basis, for x three mpf coordinates, at
+    prec bits: masses._exp_act on the raw tuples."""
+    from cubicunits import masses
+
+    return masses._exp_act([v._mpf_ for v in x], basis, prec)
+
+
+def basis_columns(basis) -> list[list]:
+    """The columns of a LatticeBasis3 as exact mpf values, 2^exp cols[j]."""
+    from mpmath.libmp import from_man_exp
+
+    return [[mp.make_mpf(from_man_exp(v, basis.exp)) for v in c] for c in basis.cols]
+
+
 def reference_exp_act(x, basis):
-    """masses.exp_act with a generic (j, i) loop over the entries."""
+    """masses._exp_act at the ambient precision, for x three mpf
+    coordinates, with a generic (j, i) loop over the entries."""
     from mpmath.libmp import mpf_exp, round_nearest
 
     from cubicunits.masses import LatticeBasis3
@@ -845,7 +865,7 @@ def reference_shape_from_units(v1, v2, prec=None):
         tau = z2 / z1
         # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
         scale = (v2.err + abs(tau) * v1.err) / abs(z1)
-        tol = 4 * scale + mp.ldexp(1 + abs(tau), -(prec - 16))
+        tol = 4 * scale + mp.ldexp(abs(tau), 3 - prec)  # the quotient's own roundings
         word = []
         if abs(tau.imag) <= tol:
             raise DependentUnitsError(

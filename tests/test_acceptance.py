@@ -35,7 +35,6 @@ from cubicunits import (
     discriminant,
     embed_order_lattice,
     eval_scaled,
-    exp_act,
     hex_domain,
     is_admissible_one_unit,
     is_admissible_two_unit,
@@ -60,7 +59,7 @@ from cubicunits import (
 )
 from cubicunits.errors import InvalidParamsError
 
-from .oracles import disc_from_roots, disc_oracle, floor_power, norm_from_roots
+from .oracles import disc_from_roots, disc_oracle, exp_act, floor_power, norm_from_roots
 
 
 def _verdict(capfd, num: int, ok: bool, detail: str) -> None:
@@ -423,7 +422,7 @@ def _suite_height_periodicity(rng: random.Random) -> int:
         with mp.workprec(prec):
             base = embed_order_lattice(order, prec)
             ref = lattice_height(base, prec)
-            moved = exp_act(x.coords, base)
+            moved = exp_act(x.coords, base, prec)
             if abs(lattice_height(moved, prec) - ref) > ref * mp.ldexp(1, -40):
                 failures += 1
     return failures

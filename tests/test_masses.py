@@ -31,7 +31,6 @@ from cubicunits import (
     build_two_unit,
     check_tight,
     embed_order_lattice,
-    exp_act,
     extend_seed,
     hex_domain,
     hexagon_grid,
@@ -45,6 +44,8 @@ from cubicunits import (
 from cubicunits import cli, masses, units
 from cubicunits.precision import mpf_to_fraction
 from .oracles import (
+    basis_columns,
+    exp_act,
     reference_cover,
     reference_dual_weight,
     reference_exp_act,
@@ -80,12 +81,12 @@ def regular_simplex():
 def test_embed_order_lattice_unimodular():
     with mp.workprec(260):
         basis = embed_order_lattice(SEED_ORDER)
-        det = mp.det(basis.mat)
+        det = mp.det(mp.matrix(basis_columns(basis)))
         # the bound embed_order_lattice checks, at the order's target bits
         assert abs(abs(det) - 1) <= mp.ldexp(1, -(SEED_ORDER.policy.target_bits // 2))
         # column 0 is disc^{-1/6} * (1,1,1)
         s = mp.power(mp.mpf(SEED_ORDER.disc), mp.mpf(-1) / 6)
-        for x in basis.column(0):
+        for x in basis_columns(basis)[0]:
             assert abs(x - s) < mp.ldexp(1, -150)
 
 
@@ -103,7 +104,7 @@ def test_shortest_vector_is_lattice_invariant():
         base = embed_order_lattice(SEED_ORDER)
         ref = shortest_vector_norm(base)
         # unimodular column operations do not change the lattice
-        m = mp.matrix(base.mat)
+        m = mp.matrix(basis_columns(base)).T
         for j in range(3):
             m[j, 0] = m[j, 0] + 3 * m[j, 1] - 2 * m[j, 2]
         for j in range(3):
@@ -122,7 +123,12 @@ def exact_basis(cols):
 
 
 def reference_norm(basis, prec=1024):
-    return reference_shortest_vector_norm([basis.column(j) for j in range(3)], prec)
+    return reference_shortest_vector_norm(basis_columns(basis), prec)
+
+
+def exact(n, e):
+    # the dyadic n 2^e as an mpf, exactly
+    return mp.make_mpf(from_man_exp(n, e))
 
 
 def det3(cols):
@@ -202,7 +208,7 @@ def test_second_minimum_matches_reference_on_transformed_bases(basis):
     # minimiser, against an independent mpf enumeration; on the near-tied
     # bases the two minima are not parallel, so the second is the first
     second = masses._second_minimum(basis)
-    ref = reference_second_minimum([basis.column(j) for j in range(3)], 1024)
+    ref = reference_second_minimum(basis_columns(basis), 1024)
     with mp.workprec(1024):
         assert abs(mp.ldexp(mp.sqrt(second), basis.exp) - ref) <= ref * mp.ldexp(1, -200)
 
@@ -239,9 +245,8 @@ def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along
         assert repr((n, c)) == repr(reference_least(reduction))
         assert repr(raised(masses._least, reduction, c)) == repr(raised(reference_least, reduction, c))
     x = [mp.ldexp(v, -36) for v in xs]  # |x_i| up to 16
+    moved = exp_act(x, basis, prec)
     with mp.workprec(prec):
-        moved = exp_act(x, basis)
-        assert moved == masses._exp_act([v._mpf_ for v in x], basis, prec)
         assert repr(moved) == repr(reference_exp_act(x, basis))
     assert repr(masses._dual_weight(moved)) == repr(reference_dual_weight(moved))
 
@@ -283,7 +288,7 @@ def test_kernel_matches_reference_on_moved_family_bases(kind, e, index):
     with mp.workprec(192):
         x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
              + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
-        moved = exp_act(x.coords, embed_order_lattice(order))
+        moved = exp_act(x.coords, embed_order_lattice(order), 192)
     s = shortest_vector_norm(moved, 192)
     ref = reference_norm(moved)
     with mp.workprec(1024):
@@ -322,18 +327,19 @@ def test_certified_norm_charges_the_kernel_error(kind, t):
     base = masses._prereduced(order)
     fine = raw_embedding(order, 768)
     k, rows = masses._hexagon_rows(60)
-    norm = masses._certified_norm(order, phi, k)
+    norm = masses._certified_norm(order, masses._Alphas.of(phi), k)
     points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
     for a, b in points[::4]:
         x = centre(phi, a, b, k, bits)
         with mp.workprec(bits):
-            moved = exp_act(x.coords, base)
+            moved = exp_act(x.coords, base, bits)
             s = shortest_vector_norm(moved, bits)
             term = s * mp.ldexp(masses._dual_weight(moved), 3 - bits)
-            s_ref, margin, *_ = norm(a, b)
+            n_s, n_m, e, _ = norm(a, b)
+            s_ref, margin = exact(n_s, e), exact(n_m, e)
             assert s_ref == s and margin >= term
         with mp.workprec(768):
-            s768 = reference_norm(exp_act(x.coords, fine), 1024)
+            s768 = reference_norm(exp_act(x.coords, fine, 768), 1024)
             assert abs(s - s768) <= term
 
 
@@ -349,11 +355,10 @@ def test_exp_act_rounds_each_entry_once(kind, t):
     points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
     for a, b in points[::9]:
         x = centre(phi, a, b, k, bits)
-        with mp.workprec(bits):
-            moved = exp_act(x.coords, base)
+        moved = exp_act(x.coords, base, bits)
         with mp.workprec(768):
             for j in range(3):
-                for i, (m, v) in enumerate(zip(moved.column(j), base.column(j))):
+                for i, (m, v) in enumerate(zip(basis_columns(moved)[j], basis_columns(base)[j])):
                     ref = mp.exp(x.coords[i]) * v
                     assert abs(m - ref) <= abs(ref) * mp.ldexp(1, -(bits - 2))
 
@@ -390,8 +395,9 @@ def test_exp_act_preserves_determinant():
     with mp.workprec(200):
         base = embed_order_lattice(SEED_ORDER)
         x = vec("0.7", "-0.2", "-0.5")
-        moved = exp_act(x.coords, base)
-        assert abs(abs(mp.det(moved.mat)) - abs(mp.det(base.mat))) < mp.ldexp(1, -150)
+        moved = exp_act(x.coords, base, 200)
+        det_moved, det_base = (mp.det(mp.matrix(basis_columns(b))) for b in (moved, base))
+        assert abs(abs(det_moved) - abs(det_base)) < mp.ldexp(1, -150)
 
 
 def test_height_is_periodic_under_unit_flow():
@@ -401,7 +407,7 @@ def test_height_is_periodic_under_unit_flow():
         ref = lattice_height(base)
         for unit in SEED_ORDER.units:
             v = log_embed(SEED_ORDER, *unit)
-            moved = exp_act(v.coords, base)
+            moved = exp_act(v.coords, base, 200)
             assert abs(lattice_height(moved) - ref) < ref * mp.ldexp(1, -40)
 
 
@@ -681,7 +687,7 @@ def per_point_norm(order, phi, point, base):
         u, v = point
         x = (phi.alpha1.scaled(mp.mpf(u.numerator) / u.denominator)
              + phi.alpha2.scaled(mp.mpf(v.numerator) / v.denominator))
-        s = shortest_vector_norm(exp_act(x.coords, base), bits)
+        s = shortest_vector_norm(exp_act(x.coords, base, bits), bits)
         return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
 
 
@@ -728,7 +734,7 @@ def test_cover_marks_the_one_sided_region(kind, t):
     eps = sys.float_info.epsilon
     slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -64
     size = max(abs(float(c)) for alpha in alphas for c in alpha)
-    cover = masses._cover(phi, k, rows)
+    cover = masses._cover(masses._Alphas.of(phi), k, rows)
     grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
     for a, b in [(0, 0), (5, -3), (-7, 2), (top, rows[-1].start)]:
         for r in (size / 20, size / 4, size / 2, 1e9):
@@ -759,8 +765,8 @@ def recording_wide_covers(monkeypatch):
     calls = []
     make_cover = masses._cover
 
-    def recording(phi, k, rows):
-        cover, top = make_cover(phi, k, rows), 2 * k // 3
+    def recording(alphas, k, rows):
+        cover, top = make_cover(alphas, k, rows), 2 * k // 3
 
         def recorded(state, a, b, r, mark, v1=None, height=None):
             before = [bytes(marks) for marks in state]
@@ -780,9 +786,15 @@ def replaying_row_loops(monkeypatch):
     # run every cover and unit-rows call of the sweep also through the slow
     # reference row loops, on a copy of the state it was given, and require
     # the same states, the same unit-row tuples and the same raise; counts
-    # the calls replayed, by kind
+    # the calls replayed, by kind. The reference loops read the simplex the
+    # sweep built, not the sweep's one read of its alphas
     counts = collections.Counter()
-    make_cover, make_unit_rows = masses._cover, masses._unit_rows
+    make_cover, make_unit_rows, make_simplex = masses._cover, masses._unit_rows, masses.make_simplex
+    made = []
+
+    def recording_simplex(*args):
+        made.append(make_simplex(*args))
+        return made[-1]
 
     def outcome(call, state, *args):
         try:
@@ -790,8 +802,8 @@ def replaying_row_loops(monkeypatch):
         except InternalInconsistencyError:
             return "raised"
 
-    def cover_pair(phi, k, rows):
-        fast, slow = make_cover(phi, k, rows), reference_cover(phi, k, rows)
+    def cover_pair(alphas, k, rows):
+        fast, slow = make_cover(alphas, k, rows), reference_cover(made[-1], k, rows)
 
         def replayed(state, *args):
             before = [bytes(marks) for marks in state]
@@ -805,8 +817,9 @@ def replaying_row_loops(monkeypatch):
                 raise InternalInconsistencyError("two certified verdicts disagree")
         return replayed
 
-    def unit_rows_pair(order, phi, k, rows):
-        fast, slow = make_unit_rows(order, phi, k, rows), reference_unit_rows(order, phi, k, rows)
+    def unit_rows_pair(order, alphas, k, rows):
+        fast = make_unit_rows(order, alphas, k, rows)
+        slow = reference_unit_rows(order, made[-1], k, rows)
 
         def replayed(state, height):
             copy = [bytearray(marks) for marks in state]
@@ -816,6 +829,7 @@ def replaying_row_loops(monkeypatch):
             return got
         return replayed
 
+    monkeypatch.setattr(masses, "make_simplex", recording_simplex)
     monkeypatch.setattr(masses, "_cover", cover_pair)
     monkeypatch.setattr(masses, "_unit_rows", unit_rows_pair)
     return counts
@@ -900,8 +914,7 @@ def test_planted_opposite_mark_raises_on_a_fine_grid(kind):
     r = 3 * max(abs(float(c)) for c in phi.alpha1.coords) / k
     for mark in (masses._STAYS, masses._ESCAPES):
         other = masses._STAYS + masses._ESCAPES - mark
-        for make in (masses._cover, reference_cover):
-            cover = make(phi, k, rows)
+        for cover in (masses._cover(masses._Alphas.of(phi), k, rows), reference_cover(phi, k, rows)):
             state = [bytearray(len(row)) for row in rows]
             cover(state, 5, -3, r, mark)
             region = [(u, i) for u, marks in enumerate(state) for i, m in enumerate(marks) if m]
@@ -925,7 +938,7 @@ def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
     monkeypatch.setattr(masses, "_UNIT_HEADROOM", 0.0)
     k, rows = masses._hexagon_rows(300)
     state = [bytearray(len(row)) for row in rows]
-    masses._unit_rows(order, phi, k, rows)(state, 10.0)
+    masses._unit_rows(order, masses._Alphas.of(phi), k, rows)(state, 10.0)
     assert not any(b"".join(state))
     calls = recording_wide_covers(monkeypatch)
     with mp.workprec(256):
@@ -957,8 +970,7 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
     alphas = list(zip(phi.alpha1.coords, phi.alpha2.coords))
     for a, b, height, marked in calls:
         x = centre(phi, a, b, k, bits)
-        with mp.workprec(bits):
-            moved = exp_act(x.coords, base)
+        moved = exp_act(x.coords, base, bits)
         (red, *_), (n, c) = moved._minimum
         image = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
         with mp.workprec(256):
@@ -1044,7 +1056,7 @@ def test_unit_rows_match_monomial_oracle(kind, t):
     order, phi = mass_member(kind, t)
     k, rows = masses._hexagon_rows(300)
     top = 2 * k // 3
-    unit_rows = masses._unit_rows(order, phi, k, rows)
+    unit_rows = masses._unit_rows(order, masses._Alphas.of(phi), k, rows)
     for height in (10.0, 100.0):
         found = short_monomials(order, phi, k, rows, height)
         state = [bytearray(len(row)) for row in rows]
@@ -1085,6 +1097,44 @@ def test_mass_is_independent_of_ambient_precision(t, prec):
     assert len(fractions) == 1
 
 
+# mass_above_height's fractions (over 601) at H = 10, 9.99 and 100 and 600
+# samples, as the sweep gave them while it still entered mp.workprec, at an
+# ambient 16, 53 and 300 bits alike, except that at 16 bits the members
+# named in the second entry raised PrecisionExhaustedError
+NO_WORKPREC = {
+    ("one_unit", 10 ** 3): ((250, 252, 0), True),
+    ("one_unit", 10 ** 9): ((565, 565, 448), False),
+    ("one_unit", 10 ** 21): ((586, 586, 565), False),
+    ("two_unit", 10 ** 3): ((280, 280, 0), False),
+    ("two_unit", 10 ** 9): ((553, 555, 448), True),
+    ("two_unit", 10 ** 21): ((586, 586, 565), False),
+    ("seed", 10 ** 3): ((250, 250, 0), True),
+    ("seed", 10 ** 9): ((565, 565, 448), False),
+    ("seed", 10 ** 21): ((586, 586, 565), False),
+}
+
+
+@pytest.mark.parametrize("kind, t", list(NO_WORKPREC))
+@pytest.mark.parametrize("ambient", [16, 53, 300])
+def test_mass_sweep_enters_no_workprec(monkeypatch, kind, t, ambient):
+    # with the member's units embedded first, the sweep runs with
+    # mp.workprec raising and the ambient precision set directly
+    order = family_order(kind, t)[0]
+
+    def no_workprec(*args, **kwargs):
+        raise AssertionError("the mass sweep entered mp.workprec")
+
+    monkeypatch.setattr(mp, "workprec", no_workprec)
+    monkeypatch.setattr(mp.mp, "prec", ambient)
+    counts, raised_at_16 = NO_WORKPREC[kind, t]
+    if ambient == 16 and raised_at_16:
+        with pytest.raises(PrecisionExhaustedError):
+            mass_above_height(order, (10.0, 9.99, 100.0), samples=600)
+    else:
+        got = mass_above_height(order, (10.0, 9.99, 100.0), samples=600)
+        assert got == tuple(Fraction(n, 601) for n in counts)
+
+
 def counting_sweep(monkeypatch):
     # record every kernel call and every centre the certified norm is asked for
     kernel, asked = [], []
@@ -1094,8 +1144,8 @@ def counting_sweep(monkeypatch):
         kernel.append(1)
         return shortest_vector_norm(*args, **kwargs)
 
-    def norm_recording(order, phi, k):
-        norm = certified_norm(order, phi, k)
+    def norm_recording(order, alphas, k):
+        norm = certified_norm(order, alphas, k)
 
         def recorded(a, b):
             asked.append((a, b))
@@ -1139,13 +1189,13 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
     assert masses._bits(order) == bits
     base = masses._prereduced(order)
     k, rows = masses._hexagon_rows(60)
-    norm = masses._certified_norm(order, phi, k)
+    norm = masses._certified_norm(order, masses._Alphas.of(phi), k)
     points = [(u, v) for u, row in enumerate(rows, -2 * k // 3) for v in row]
     for a, b in points[::7]:
         x = centre(phi, a, b, k, bits)
-        with mp.workprec(bits):
-            weight = masses._dual_weight(exp_act(x.coords, base))
-        s, margin, *_ = norm(a, b)
+        weight = masses._dual_weight(exp_act(x.coords, base, bits))
+        n_s, n_m, e, _ = norm(a, b)
+        s, margin = exact(n_s, e), exact(n_m, e)
         with mp.workprec(2 * bits):
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
                      + mp.ldexp(max(abs(c) for c in x.coords), 1 - bits))

@@ -1,4 +1,4 @@
-"""Certified root refinement from exact brackets, plus family asymptotics."""
+"""Certified root refinement from exact brackets."""
 
 import math
 from fractions import Fraction
@@ -17,15 +17,12 @@ from cubicunits import (
     OneUnitParams,
     PrecisionPolicy,
     TwoUnitParams,
-    asymptotic_roots,
-    asymptotic_threshold,
     build_one_unit,
     build_two_unit,
     eval_scaled,
     extend_seed,
     is_totally_real,
     isolating_intervals,
-    newton_hypotheses,
     refine_root,
     refined_roots,
     simplest_cubic,
@@ -334,69 +331,3 @@ def test_the_bisection_fallback_is_centred_on_its_window(monkeypatch):
             assert r.hi - r.lo <= Fraction(2, 1 << 16)
             assert sign_at(f, r.lo) != sign_at(f, r.hi)
             _assert_centred(r)
-
-
-# ---------------------------------------------------------------------------
-# Newton hypothesis checks and asymptotic predictions
-# ---------------------------------------------------------------------------
-
-
-def test_newton_hypotheses_simplest_cubic():
-    t = 1000
-    f = simplest_cubic(t)
-    good = newton_hypotheses(f, Fraction(t + 1))
-    assert good.all_ok
-    assert good.ratio < Fraction(3, t)
-    bad = newton_hypotheses(f, Fraction(t))
-    assert not bad.all_ok  # anchor t is a unit distance off, ratio ~ 1
-
-
-def test_newton_hypotheses_zero_derivative():
-    h = newton_hypotheses(MonicCubic(0, -3, 0), Fraction(1))
-    assert not h.deriv_nonzero and not h.all_ok
-
-
-def test_asymptotic_threshold():
-    assert asymptotic_threshold(OneUnitParams(1, 1)) == 16 * 27
-    assert asymptotic_threshold(TwoUnitParams(3, 1, 2, 1)) == 16 * 343
-
-
-def test_asymptotic_roots_one_unit():
-    p = OneUnitParams(1, 1)
-    t = 10 ** 6
-    res = asymptotic_roots(p, t)
-    assert res.reliable
-    preds = [pr.value for pr in res.predictions]
-    assert preds == sorted(preds)
-    actual = refined_roots(build_one_unit(p, t))
-    for pv, r in zip(preds, actual):
-        with mp.workprec(220):
-            assert abs(mp.mpf(pv.numerator) / pv.denominator - r.value) < 1e-8
-    # magnitude tags travel with the sorted predictions
-    small = min(res.predictions, key=lambda pr: abs(pr.value))
-    assert "near 0" in small.tag
-
-
-def test_asymptotic_roots_below_threshold():
-    res = asymptotic_roots(OneUnitParams(1, 1), 100)
-    assert not res.reliable
-    assert res.threshold == 432
-
-
-def test_asymptotic_roots_two_unit():
-    p = TwoUnitParams(3, 1, 2, 1)
-    t = 10 ** 8
-    res = asymptotic_roots(p, t)
-    assert res.reliable
-    anchored = [pr for pr in res.predictions if pr.anchor is not None]
-    assert sorted(pr.anchor for pr in anchored) == [Fraction(1, 3), Fraction(1, 2)]
-    actual = refined_roots(build_two_unit(p, t))
-    for pv, r in zip([pr.value for pr in res.predictions], actual):
-        with mp.workprec(260):
-            assert abs(mp.mpf(pv.numerator) / pv.denominator - r.value) < mp.mpf("1e-6") * max(1, abs(r.value))
-
-
-def test_asymptotic_roots_rejects_unknown_params():
-    with pytest.raises(DomainError):
-        asymptotic_roots("simplest", 10)
-

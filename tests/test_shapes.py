@@ -29,6 +29,7 @@ from cubicunits import (
     simplest_cubic,
     to_plane,
 )
+from cubicunits import shapes
 from cubicunits.shapes import curve_range
 
 
@@ -192,6 +193,33 @@ def test_shape_from_units_dependent():
         shape_from_units(v1, v1.scaled(2), 200)
     with pytest.raises(DependentUnitsError):
         shape_from_units(v1, -v1, 200)
+
+
+def one_unit_logs(t):
+    order = build_order(build_one_unit(OneUnitParams(1, 1), t), [(1, 1), (1, 0)])
+    return [log_embed(order, *u) for u in order.units[:2]]
+
+
+@pytest.mark.parametrize("q", [8, 12, 16, 17])
+def test_low_width_shape_matches_the_192_bit_shape(q):
+    # one_unit (1, 1) at t = 10^12: the dependence tolerance charges the
+    # quotient's own roundings, 2^(c-q) |tau| with c = _QUOTIENT_ROUNDING,
+    # so these independent units are no longer called dependent below 18
+    # bits, and the shape is the 192-bit one within 2^(c-q)
+    v1, v2 = one_unit_logs(10 ** 12)
+    ref = shape_from_units(v1, v2, 192)
+    p = shape_from_units(v1, v2, q)
+    with mp.workprec(256):
+        assert same_shape(p, ref, mp.ldexp(1, shapes._QUOTIENT_ROUNDING - q))
+
+
+@pytest.mark.parametrize("q", [*range(8, 25), 53, 64, 192, 384])
+def test_a_unit_and_its_double_are_dependent_at_every_width(q):
+    v1 = one_unit_logs(10 ** 12)[0]
+    with mp.workprec(256):
+        v2 = v1.scaled(2)  # exact: doubling keeps the mantissas
+    with pytest.raises(DependentUnitsError):
+        shape_from_units(v1, v2, q)
 
 
 def test_limit_shape_frozen_endpoints():
