@@ -16,12 +16,17 @@ by the mantissas of three mpf exponentials, rounding each entry once.
 The kernel reads that image directly, and a float64 Lenstra-Lenstra-Lovasz
 preconditioner (lazy size reduction from the exact Gram matrix, as in
 Nguyen and Stehle's L^2) reduces it by exact integer column operations.
-The same float64 Gram-Schmidt data then prune a complete Fincke-Pohst
-enumeration, with a relative pad whose derived error bound must fit it
-(_ENUM_PAD). The surviving candidates' squared norms are exact integers,
-and one mpf square root at the caller's precision gives the minimum. A
-second enumeration over the same reduction gives the least norm among the
-vectors not parallel to that minimiser (_second_minimum).
+The kernel then completes the reduction on integers alone: sorted by exact
+squared norm, the columns take every move that shortens one of them by
+adding the shorter columns with coefficients in {0, +-1}, until none
+does. That basis is Minkowski-reduced, as in dimension 3 those
+coefficients cover Minkowski's conditions, and in dimension at most 4 a
+Minkowski-reduced basis reaches the successive minima (Nguyen and
+Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
+2009). So the first two columns' exact integer norms are lambda_1^2 and
+lambda_2^2, the first column is a shortest vector, and one mpf square
+root at the caller's precision gives the minimum. No float error enters
+the minima, so no float error bound has to hold for them.
 
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
@@ -39,7 +44,7 @@ each row searches a short computed range of (i, j); and as the grid
 point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
 the extended grid, one interval per extended row serves every (row,
 monomial) pair. Then the centre walk visits only the points still
-open, coarse to fine, and gives each one a certified enumeration,
+open, coarse to fine, and gives each one a certified kernel call,
 lambda_1 within [s - m, s + m], which decides every point with min_i d_i >
 -log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape):
 moving x by d scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d)
@@ -63,8 +68,8 @@ PrecisionExhaustedError.
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
 certified norm, with its memo of s -+ margin and, once asked for, B - m_B
-and v1's image per centre, so each centre is enumerated at most once
-however many heights ask. A certified
+and v1's image per centre, so each centre reaches the kernel at most
+once however many heights ask. A certified
 centre's set-up is integers and floats: x's exact integer numerators
 (and their exact trace), three mpf exponentials, and a float64 margin
 rounded outward. Its verdicts compare exact dyadics on integers, and
@@ -134,12 +139,41 @@ class LatticeBasis3:
         return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e)
 
     @cached_property
-    def _minimum(self):
-        """(reduction, (n, c)): the integer columns LLL-reduced with their
-        float64 Gram-Schmidt data (_lll), and the least exact squared norm n
-        over them with a coefficient vector c attaining it (_least)."""
-        reduction = _lll(self.cols)
-        return reduction, _least(reduction)
+    def _minimum(self) -> tuple[list[int], int, int]:
+        """(b0, n0, n1): a shortest nonzero vector b0 of the integer
+        columns' lattice and the exact squared minima n0 = lambda_1^2 and
+        n1 = lambda_2^2, in units of 2^(2 exp).
+
+        The columns are LLL-reduced (_lll), sorted by exact squared norm
+        and then Minkowski-reduced on integers: while |b1 + s b0| < |b1|
+        or |b2 + s (x b0 + y b1)| < |b2| for a sign s and (x, y) in {(1,
+        0), (0, 1), (1, 1), (1, -1)}, the shorter vector replaces b1 or
+        b2 and the columns are sorted again. Each move is unimodular and
+        lowers an integer norm, so the loop ends, and an LLL-reduced start
+        leaves few moves, if any. A sorted basis that passes every such
+        test satisfies Minkowski's conditions, which in dimension 3 need
+        only coefficients in {0, +-1}, and a Minkowski-reduced basis of
+        dimension at most 4 reaches the successive minima, |b_i| =
+        lambda_(i+1) (Nguyen and Stehle, "Low-dimensional lattice basis
+        reduction revisited", ACM TALG 2009). The sums are exact integers,
+        so no float error enters the minima."""
+        cols = _lll(self.cols)
+        while True:
+            (n0, b0), (n1, b1), (n2, b2) = sorted((_dot(c, c), c) for c in cols)
+            g01 = _dot(b0, b1)
+            if 2 * abs(g01) > n0:  # |b1 - sg(g01) b0| < |b1|
+                s = 1 if g01 > 0 else -1
+                cols = b0, [p - s * q for p, q in zip(b1, b0)], b2
+                continue
+            g02, g12 = _dot(b0, b2), _dot(b1, b2)
+            # |b2 + s (x b0 + y b1)|^2 - |b2|^2 is least at s = -sg(x g02 + y g12)
+            d, x, y, g = min((n0 - 2 * abs(g02), 1, 0, g02), (n1 - 2 * abs(g12), 0, 1, g12),
+                             (n0 + n1 + 2 * g01 - 2 * abs(g02 + g12), 1, 1, g02 + g12),
+                             (n0 + n1 - 2 * g01 - 2 * abs(g02 - g12), 1, -1, g02 - g12))
+            if d >= 0:
+                return b0, n0, n1
+            s = -1 if g > 0 else 1
+            cols = b0, b1, [r + s * (x * p + y * q) for p, q, r in zip(b0, b1, b2)]
 
 
 @dataclass(frozen=True)
@@ -248,25 +282,28 @@ def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
 def _scaled_float(n: int, shift: int) -> float:
     """n * 2^-shift as a float64, also for n beyond the float range: n is
     floored to its 64 leading bits, then rounded to nearest, so the result
-    is within a relative 2^-53 + 2^-63 (+ 2^-116) of n 2^-shift. For the
-    enumeration (_lll, _least) that is the Gram input error of _ENUM_PAD's
-    bound, whose extra 2^-63 = u / 1024 the pad's factor of about 2^8
-    absorbs; in the certified margin it is among the roundings
-    _MARGIN_ROUND covers."""
+    is within a relative 2^-53 + 2^-63 (+ 2^-116) of n 2^-shift. _lll
+    steers by such floats, and only its speed depends on them: the minima
+    are certified on integers (LatticeBasis3._minimum). In the certified
+    margin it is among the roundings _MARGIN_ROUND covers."""
     x = n.bit_length() - 64
     return math.ldexp(float(n >> x), x - shift) if x > 0 else math.ldexp(float(n), -shift)
 
 
 def _lll(cols):
-    """LLL (delta 0.99) of three integer columns: the reduced columns, and
-    their float64 Gram-Schmidt data B_l = |b*_l|^2 and mu[k][j], scaled
-    by 2^-shift, with shift. Entries past the third ride along.
+    """LLL (delta 0.99) of three integer columns: the reduced columns, as
+    lists. Entries past the third ride along.
 
     Column operations are exact; float64 only steers them. Row k of the
     Gram-Schmidt data is recomputed from the exact Gram row after every
     size reduction of column k, until all its |mu| <= 0.51 (the lazy size
     reduction of Nguyen and Stehle's L^2), so entries spanning hundreds of
-    bits lose nothing to cancellation.
+    bits lose nothing to cancellation. No float enters a result: the
+    output is a basis of the same lattice whatever the floats did, and
+    the kernel certifies its minima on integers by completing the
+    reduction to a Minkowski-reduced one (LatticeBasis3._minimum; Nguyen
+    and Stehle, "Low-dimensional lattice basis reduction revisited", ACM
+    TALG 2009).
 
     Written out for three columns, rows k = 1 and 2 each in their own
     branch, with every exact dot product spelled out. Each float sum has
@@ -274,13 +311,12 @@ def _lll(cols):
     """
     b0, b1, b2 = (list(c) for c in cols)
     shift = 2 * max(map(abs, (*b0[:3], *b1[:3], *b2[:3]))).bit_length()
+    # r_kj = mu_kj B_j and r_kk = B_k = |b*_k|^2, scaled by 2^-shift
     r00 = _scaled_float(b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2], shift)
-    mu10 = mu20 = mu21 = r11 = r22 = 0.0  # r_kj = mu_kj B_j, r_kk = B_k
     k = 1
     for _ in range(10 ** 4):
         if k == 3:
-            return [b0, b1, b2], [r00, r11, r22], [
-                [0.0, 0.0, 0.0], [mu10, 0.0, 0.0], [mu20, mu21, 0.0]], shift
+            return [b0, b1, b2]
         if r00 <= 0:
             raise InternalInconsistencyError("degenerate basis in reduction")
         if k == 1:
@@ -322,126 +358,17 @@ def _lll(cols):
     raise InternalInconsistencyError("basis reduction did not terminate")
 
 
-# Relative pad on the float64 Fincke-Pohst bound. The enumeration prunes
-# with the float64 Gram-Schmidt data (B_l, mu_jl) that _lll computed from
-# the exact Gram matrix G; the Cholesky backward error puts them within a
-# relative eta = 16 u max_l G_ll / B_l of the exact values, u = 2^-53
-# (G is read by _scaled_float, within a relative u + 2^-63 per entry).
-# Every node the argument relies on (the minimiser's path, and each
-# candidate kept) has |z_l| = |c_l + y_l| <= zeta_l = sqrt(R0 / B_l) and
-# |c_l| <= a_l (a_2 = zeta_2, a_1 = zeta_1 + |mu_21| a_2, a_0 = zeta_0 +
-# |mu_10| a_1 + |mu_20| a_2), where R0 is the starting bound. So y_l =
-# sum_{j>l} mu_jl c_j is off by at most (2u + u + eta) m_l with m_l =
-# sum_{j>l} |mu_jl| a_j, z_l by that plus u zeta_l, and the partial norm
-# sum_l B_l z_l^2 (three products and two sums per level) by at most
-#     e = 64 (u + eta) (R0 + sqrt(R0) sum_l m_l sqrt(B_l)),
-# second-order terms included. With e <= pad * min_l B_l / 3, and
-# lambda_1^2 >= min_l B_l, the running bound (1 + pad) * (least float
-# norm found) stays >= lambda_1^2 + e, so the minimiser is never pruned
-# and survives the final filter; e also keeps every range endpoint within
-# far less than one integer of its exact value, which the one integer of
-# slack on each side covers. For an LLL-reduced basis e is below 2^-39 R0,
-# so the pad leaves a factor of about 2^8; a basis whose bound does not
-# fit raises instead of guessing.
-_ENUM_PAD = 2.0 ** -30
-
-
-def _parallel(c, d) -> bool:
-    """Whether the integer vectors c and d are parallel (exact)."""
-    return not (c[1] * d[2] - c[2] * d[1] or c[2] * d[0] - c[0] * d[2]
-                or c[0] * d[1] - c[1] * d[0])
-
-
-def _fincke_pohst(bsq, mu, bound, skip=None):
-    """Coefficient vectors (c0, c1, c2), top nonzero entry positive and not
-    parallel to `skip`, whose float64 norm sum_l bsq[l] (c_l + sum_{j>l}
-    mu[j][l] c_j)^2 is within a factor 1 + _ENUM_PAD of the least found;
-    `bound` must exceed that least norm by the pad.
-
-    On a level (c1, c2) the norm is a parabola in c0 with its vertex at
-    -y0, which the float y0 has within far less than 1/2 (the bound that
-    keeps each range end within one integer), so only the three c0 nearest
-    the float vertex are tried: they hold the level's least exact norm, and
-    its least once the one c0 parallel to skip is left out. The level (0,
-    0) holds the multiples of the first column, whose least is c0 = 1."""
-    b0, b1, b2 = bsq
-    found = []
-    for c2 in range(int(math.sqrt(bound / b2)) + 2):
-        t2 = b2 * c2 * c2
-        if t2 > bound:
-            break
-        y1 = mu[2][1] * c2
-        h1 = math.sqrt((bound - t2) / b1)
-        lo1 = 0 if c2 == 0 else math.floor(-y1 - h1) - 1
-        for c1 in range(lo1, math.ceil(-y1 + h1) + 2):
-            z1 = c1 + y1
-            t1 = t2 + b1 * z1 * z1
-            if t1 > bound:
-                continue
-            y0 = mu[1][0] * c1 + mu[2][0] * c2
-            near = round(-y0)
-            for c0 in ((1,) if c1 == c2 == 0 else (near - 1, near, near + 1)):
-                z0 = c0 + y0
-                t0 = t1 + b0 * z0 * z0
-                if t0 <= bound and not (skip and _parallel((c0, c1, c2), skip)):
-                    found.append((t0, (c0, c1, c2)))
-                    bound = min(bound, t0 * (1 + _ENUM_PAD))
-    return [c for t0, c in found if t0 <= bound]
-
-
-def _least(reduction, skip=None) -> tuple[int, tuple[int, int, int]]:
-    """(n, c): the least exact squared norm n = |sum_l c_l red_l|^2 over the
-    nonzero coefficient vectors c not parallel to `skip` (every one when
-    skip is None; else skip must be a shortest vector's), and a c that
-    attains it, for reduction = (red, bsq, mu, shift) from _lll. The
-    Fincke-Pohst bound is the least squared reduced column not parallel to
-    skip, padded by _ENUM_PAD, and must pass the derived float error check
-    at _ENUM_PAD with min_l B_l, a lower bound on lambda_1^2. With skip, the
-    least norm sought is at least lambda_2^2 (a vector not parallel to a
-    shortest one is, with it, independent), and lambda_2^2 >= min(B_1,
-    B_2), as of two independent vectors one has a nonzero coefficient past
-    the first; so min(B_1, B_2) takes min_l B_l's place there.
-
-    Written out for three columns: the diagonal of the exact Gram matrix,
-    read as _scaled_float reads it, and each candidate's exact norm. The
-    result is the lexicographically least (n, c) over the candidates."""
-    red, bsq, mu, shift = reduction
-    b0, b1, b2 = bsq
-    (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = red
-    g0, g1, g2 = (_scaled_float(n, shift) for n in (
-        p0 * p0 + p1 * p1 + p2 * p2, q0 * q0 + q1 * q1 + q2 * q2, w0 * w0 + w1 * w1 + w2 * w2))
-    if skip is None:
-        least = min(g0, g1, g2)
-    else:  # leave out the one column, if any, whose coefficients (e_l) are parallel to skip
-        s0, s1, s2 = skip
-        least = (min(g1, g2) if not (s1 or s2) else min(g0, g2) if not (s0 or s2)
-                 else min(g0, g1) if not (s0 or s1) else min(g0, g1, g2))
-    bound = (1 + _ENUM_PAD) * least
-    eta = 16 * 2.0 ** -53 * max(g0 / b0, g1 / b1, g2 / b2)
-    z1, z2 = math.sqrt(bound / b1), math.sqrt(bound / b2)
-    m1 = abs(mu[2][1]) * z2
-    m0 = abs(mu[1][0]) * (z1 + m1) + abs(mu[2][0]) * z2
-    err = 64 * (2.0 ** -53 + eta) * (
-        bound + math.sqrt(bound) * (m1 * math.sqrt(b1) + m0 * math.sqrt(b0)))
-    if not err <= _ENUM_PAD * (min(b1, b2) if skip else min(b0, b1, b2)) / 3:
-        raise InternalInconsistencyError("float enumeration error exceeds its pad")
-    return min(((c0 * p0 + c1 * q0 + c2 * w0) ** 2 + (c0 * p1 + c1 * q1 + c2 * w1) ** 2
-                + (c0 * p2 + c1 * q2 + c2 * w2) ** 2, (c0, c1, c2))
-               for c0, c1, c2 in _fincke_pohst(bsq, mu, bound, skip))
-
-
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """Certified euclidean length of a shortest nonzero lattice vector.
 
-    The integer columns of the basis's exact image are LLL-reduced in
-    exact arithmetic (_lll); a float64 Fincke-Pohst enumeration over their
-    Gram-Schmidt data, padded by _ENUM_PAD, keeps every coefficient vector
-    that can be shortest, and the least exact integer norm among those is
-    the true minimum of the lattice the columns span, rounded twice at
-    prec bits (to mpf, square root). The reduction and the minimiser stay
-    on the basis (LatticeBasis3._minimum), for _second_minimum.
+    The integer columns of the basis's exact image are LLL-reduced, then
+    Minkowski-reduced, in exact arithmetic (LatticeBasis3._minimum), so
+    the first reduced column's exact integer norm is lambda_1^2 of the
+    lattice the columns span; its square root is rounded once at prec
+    bits. The reduced basis stays on the basis, where _certified_norm
+    reads lambda_2^2 and the shortest vector.
     """
-    return _root(basis._minimum[1][0], basis.exp, prec)
+    return _root(basis._minimum[1], basis.exp, prec)
 
 
 def _root(n: int, exp: int, prec: int) -> mp.mpf:
@@ -463,17 +390,11 @@ def _root(n: int, exp: int, prec: int) -> mp.mpf:
     return mp.make_mpf(from_man_exp(r, (e - shift) // 2 + exp, prec, _RND))
 
 
-def _second_minimum(basis: LatticeBasis3) -> int:
-    """The least exact squared norm, in units of 2^(2 exp), among the
-    lattice vectors not parallel to the kernel's minimiser: a second
-    padded enumeration over the same reduction (_least)."""
-    reduction, (_, c) = basis._minimum
-    return _least(reduction, c)[0]
-
-
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
-    """ht = 1 / (length of the shortest nonzero vector)."""
-    return 1 / shortest_vector_norm(basis, prec)
+    """ht = 1 / (length of the shortest nonzero vector), the reciprocal
+    rounded at prec bits, as the square root is; the ambient precision
+    plays no part."""
+    return mp.make_mpf(mpf_div(fone, shortest_vector_norm(basis, prec)._mpf_, prec, _RND))
 
 
 def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
@@ -621,7 +542,7 @@ def mass_above_height(
     escaped, one convex interval per row and monomial. The centre walk
     then visits only the points still open (_open_points), in descending
     2-adic valuation of gcd(a, b), then grid order, and settles each with
-    one certified enumeration (_certified_norm), whose verdict covers every
+    one certified kernel call (_certified_norm), whose verdict covers every
     grid point in the one-sided region it proves (_cover): no coordinate of
     the offset above the radius for escape, none below minus the radius for
     no escape. A non-unit can still be short, so the kernel keeps both
@@ -1039,7 +960,7 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     bits = _bits(order)
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = embed_order_lattice(order, bits).cols
     # each reduced column carries its coefficients (u, v, w) over the columns
-    red = _lll([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])[0]
+    red = _lll([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])
     lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(x).bit_length()
                for x0, x1, x2, u, v, w in red
                for x, a, b, c in ((x0, a0, b0, c0), (x1, a1, b1, c1), (x2, a2, b2, c2)) if x)
@@ -1106,9 +1027,13 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
     underflow drops. Instead of a precision ladder, a tie inside that
     margin covers nothing and in the end asks for a finer order.
 
-    The least norm B over the coefficient vectors not parallel to v1's
-    (_second_minimum), rounded twice at bits as s is, takes the same
-    relative margin, so B - m_B = B (1 - margin / s), exactly. v1's own
+    The least norm B over the coefficient vectors not parallel to v1's is
+    lambda_2 of M: two independent vectors reach lambda_2, and one of them
+    is not parallel to v1. The kernel's Minkowski-reduced basis
+    (LatticeBasis3._minimum; Nguyen and Stehle, ACM TALG 2009) has v1 as
+    its first column and lambda_2^2 as its second column's exact integer
+    norm, so no second search runs. B, rounded at bits as s is, takes the
+    same relative margin, so B - m_B = B (1 - margin / s), exactly. v1's own
     image w 2^e has every coordinate within 8 D 2^-bits |w| 2^e of exp(x~)
     v1's, x~ the rounded centre (the bound above,
     coordinate by coordinate); the integer gap is at least 8 D 2^-bits |w|,
@@ -1147,17 +1072,15 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
 
         @cache
         def floor() -> tuple[int, int, tuple[float, float, float, float]]:
-            (red, *_), (n, (d0, d1, d2)) = moved._minimum
-            (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = red
+            v1, n1, n2 = moved._minimum
             num, den = weight.as_integer_ratio()
-            gap = -(-num * (math.isqrt(n) + 1) // (den << (bits - 3)))
+            gap = -(-num * (math.isqrt(n1) + 1) // (den << (bits - 3)))
             squares = []
-            for w in (d0 * x0 + d1 * y0 + d2 * z0, d0 * x1 + d1 * y1 + d2 * z1,
-                      d0 * x2 + d1 * y2 + d2 * z2):  # v1's image
+            for w in v1:  # v1's image
                 w = max(abs(w) - gap, 0)
                 q = _scaled_float(w * w, -2 * moved.exp)
                 squares.append(q if q >= 2.0 ** -600 else 0.0)
-            _, bman, bx, _ = _root(_second_minimum(moved), moved.exp, bits)._mpf_
+            _, bman, bx, _ = _root(n2, moved.exp, bits)._mpf_
             return bman * (one - r), bx - shift, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
 
         return memo.setdefault((a, b), (man * one, man * r, sx - shift, floor))

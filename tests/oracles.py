@@ -13,10 +13,19 @@ The mass sweep's two row loops are the exception: `reference_cover` and
 `masses._unit_rows` had before their rows became a few integer or float
 operations each. They read the package's constants and its exact dyadic
 reader, since they check only that the faster rows mark the same points
-and return the same tuples. So are `reference_lll`, `reference_least`,
-`reference_exp_act` and `reference_dual_weight`: the certified kernel's
-generic loops from before it was written out for three columns, which the
-written-out kernel must match bit for bit.
+and return the same tuples. So are `reference_lll`, `reference_exp_act`
+and `reference_dual_weight`: the certified kernel's generic loops from
+before it was written out for three columns, which the written-out kernel
+must match bit for bit. `reference_minima` computes the minima as the
+kernel did before: two float64-pruned Fincke-Pohst enumerations over
+`reference_lll`'s Gram-Schmidt data with a derived float error pad. The
+kernel now reads lambda_1^2, lambda_2^2 and a shortest vector from an
+exact Minkowski reduction instead: a sorted basis that no move by the
+shorter columns with coefficients in {0, +-1} shortens is
+Minkowski-reduced in dimension 3, and such a basis reaches the
+successive minima in dimension at most 4 (Nguyen and Stehle,
+"Low-dimensional lattice basis reduction revisited", ACM TALG 2009). The
+two must agree exactly on integers.
 
 `exp_act` and `basis_columns` are plumbing, not references: the
 package's private flow action at explicit bits, and a basis's exact
@@ -537,8 +546,7 @@ def reference_unit_rows(order, phi, k: int, rows):
 # kernel was written out for three columns: the same integer and float
 # operations in the same order, so the written-out kernel must return
 # repr-identical results. `_reference_scaled_float` and `_reference_dot`
-# are the helpers they read; the enumeration itself (masses._fincke_pohst)
-# and its constants are shared.
+# are the helpers they read.
 
 
 def _reference_scaled_float(n: int, shift: int) -> float:
@@ -588,7 +596,9 @@ def reference_exp_act(x, basis):
 
 
 def reference_lll(cols):
-    """masses._lll with generic loops over k and j."""
+    """masses._lll with generic loops over k and j, returning the float64
+    Gram-Schmidt data beside the columns: (b, [B_l], mu, shift), the
+    floats scaled by 2^-shift."""
     from cubicunits.errors import InternalInconsistencyError
 
     _scaled_float, _dot = _reference_scaled_float, _reference_dot
@@ -627,10 +637,66 @@ def reference_lll(cols):
     raise InternalInconsistencyError("basis reduction did not terminate")
 
 
-def reference_least(reduction, skip=None):
-    """masses._least with generator sums over the columns."""
+# The kernel's minima as the package computed them before its exact
+# Minkowski reduction (masses.LatticeBasis3._minimum): a float64-pruned
+# Fincke-Pohst enumeration over reference_lll's Gram-Schmidt data, whose
+# candidates' exact integer norms decide. Its soundness rests on a relative
+# pad on the bound (_ENUM_PAD) and a derived bound on the float error
+# (_least), checked per call; a basis whose bound does not fit raises.
+# For an LLL-reduced basis that error is below 2^-39 of the bound.
+_ENUM_PAD = 2.0 ** -30
+
+
+def _parallel(c, d) -> bool:
+    """Whether the integer vectors c and d are parallel (exact)."""
+    return not (c[1] * d[2] - c[2] * d[1] or c[2] * d[0] - c[0] * d[2]
+                or c[0] * d[1] - c[1] * d[0])
+
+
+def _fincke_pohst(bsq, mu, bound, skip=None):
+    """Coefficient vectors (c0, c1, c2), top nonzero entry positive and not
+    parallel to `skip`, whose float64 norm sum_l bsq[l] (c_l + sum_{j>l}
+    mu[j][l] c_j)^2 is within a factor 1 + _ENUM_PAD of the least found;
+    `bound` must exceed that least norm by the pad. On a level (c1, c2) the
+    norm is a parabola in c0, so only the three c0 nearest the float vertex
+    are tried; the level (0, 0) holds the multiples of the first column,
+    whose least is c0 = 1."""
+    b0, b1, b2 = bsq
+    found = []
+    for c2 in range(int(math.sqrt(bound / b2)) + 2):
+        t2 = b2 * c2 * c2
+        if t2 > bound:
+            break
+        y1 = mu[2][1] * c2
+        h1 = math.sqrt((bound - t2) / b1)
+        lo1 = 0 if c2 == 0 else math.floor(-y1 - h1) - 1
+        for c1 in range(lo1, math.ceil(-y1 + h1) + 2):
+            z1 = c1 + y1
+            t1 = t2 + b1 * z1 * z1
+            if t1 > bound:
+                continue
+            y0 = mu[1][0] * c1 + mu[2][0] * c2
+            near = round(-y0)
+            for c0 in ((1,) if c1 == c2 == 0 else (near - 1, near, near + 1)):
+                z0 = c0 + y0
+                t0 = t1 + b0 * z0 * z0
+                if t0 <= bound and not (skip and _parallel((c0, c1, c2), skip)):
+                    found.append((t0, (c0, c1, c2)))
+                    bound = min(bound, t0 * (1 + _ENUM_PAD))
+    return [c for t0, c in found if t0 <= bound]
+
+
+def _least(reduction, skip=None):
+    """(n, c): the least exact squared norm n over the nonzero coefficient
+    vectors c not parallel to `skip` (a shortest vector's, or None), and a
+    c attaining it, for reduction = (red, bsq, mu, shift) from
+    reference_lll. The bound is the least squared reduced column not
+    parallel to skip, padded by _ENUM_PAD; the enumeration's derived float
+    error e = 64 (u + eta) (R0 + sqrt(R0) sum_l m_l sqrt(B_l)), with eta =
+    16 u max_l G_ll / B_l the Cholesky backward error, must fit the pad
+    times min_l B_l / 3 (min(B_1, B_2) with skip, a lower bound on
+    lambda_2^2), or the call raises."""
     from cubicunits.errors import InternalInconsistencyError
-    from cubicunits.masses import _ENUM_PAD, _fincke_pohst, _parallel
 
     _scaled_float, _dot = _reference_scaled_float, _reference_dot
     red, bsq, mu, shift = reduction
@@ -649,6 +715,18 @@ def reference_least(reduction, skip=None):
     return min((_dot(v, v), c) for v, c in (
         ([sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)], c)
         for c in _fincke_pohst(bsq, mu, bound, skip)))
+
+
+def reference_minima(cols):
+    """(v1, n1, n2) for three integer columns: a shortest vector v1 and
+    the exact squared minima n1 = lambda_1^2 and n2 = lambda_2^2, the
+    latter as the least norm among the vectors not parallel to v1, from
+    two padded enumerations over reference_lll's reduction."""
+    reduction = reference_lll(cols)
+    n1, c = _least(reduction)
+    n2, _ = _least(reduction, c)
+    v1 = [sum(ck * col[i] for ck, col in zip(c, reduction[0])) for i in range(3)]
+    return v1, n1, n2
 
 
 def reference_dual_weight(basis) -> float:

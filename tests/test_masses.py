@@ -1,7 +1,9 @@
 """Lattice embeddings, certified heights, hexagon domains, mass estimates."""
 
 import collections
+import contextlib
 import functools
+import io
 import itertools
 import math
 import random
@@ -49,8 +51,8 @@ from .oracles import (
     reference_cover,
     reference_dual_weight,
     reference_exp_act,
-    reference_least,
     reference_lll,
+    reference_minima,
     reference_second_minimum,
     reference_shortest_vector_norm,
     reference_unit_rows,
@@ -192,8 +194,7 @@ def test_kernel_matches_reference_on_transformed_bases(basis, prec):
 
 def test_kernel_keeps_near_tied_minima():
     # |b0 + b1|^2 exceeds |b0|^2 = 1 by about 2^-71, and the float64 norms
-    # rank b0 + b1 first; only the enumeration pad keeps b0 for the exact
-    # comparison
+    # rank b0 + b1 first; only the exact integer norms keep b0
     b1 = [Fraction(-592790373841831080403, 2 ** 70),
           Fraction(1023858520050342276513, 2 ** 70), 0]
     assert 1 < (1 + b1[0]) ** 2 + b1[1] ** 2 < 1 + Fraction(1, 2 ** 60)
@@ -204,21 +205,124 @@ def test_kernel_keeps_near_tied_minima():
 @settings(max_examples=150, deadline=None)
 @given(transformed_bases())
 def test_second_minimum_matches_reference_on_transformed_bases(basis):
-    # the least exact norm among vectors not parallel to the kernel's
-    # minimiser, against an independent mpf enumeration; on the near-tied
-    # bases the two minima are not parallel, so the second is the first
-    second = masses._second_minimum(basis)
+    # the kernel's lambda_2^2, against the least norm among vectors not
+    # parallel to a shortest one from an independent mpf enumeration; on
+    # the near-tied bases the two minima are not parallel, so the second
+    # is the first
+    second = basis._minimum[2]
     ref = reference_second_minimum(basis_columns(basis), 1024)
     with mp.workprec(1024):
         assert abs(mp.ldexp(mp.sqrt(second), basis.exp) - ref) <= ref * mp.ldexp(1, -200)
 
 
 def test_second_minimum_skips_only_the_shortest_line():
-    # columns e0 (shortest), 3 e0 + 2^40 e1 and 5 e1 + 2^60 e2: the answer is
-    # 2^40, and about 2^40 sqrt(pad) = 2^25 of its translates by multiples
-    # of e0 lie within the enumeration's pad of it
+    # columns e0 (shortest), 3 e0 + 2^40 e1 and 5 e1 + 2^60 e2: lambda_2 is
+    # 2^40, and about 2^25 of its translates by multiples of e0 lie within
+    # a relative 2^-30 of it
     basis = exact_basis([[1, 0, 0], [3, 2 ** 40, 0], [0, 5, 2 ** 60]])
-    assert masses._second_minimum(basis) == 2 ** 80
+    v1, n1, n2 = basis._minimum
+    assert (n1, n2) == (1, 2 ** 80) and v1 in ([1, 0, 0], [-1, 0, 0])
+
+
+def minkowski_failures(cols) -> int:
+    # how many of the sorted columns' Minkowski conditions with
+    # coefficients in {0, +-1} fail: |b1 + x b0| >= |b1| and |b2 + x b0 +
+    # y b1| >= |b2|
+    dot = masses._dot
+    b0, b1, b2 = sorted(cols, key=lambda c: dot(c, c))
+    sums = [(b1, [p + x * q for p, q in zip(b1, b0)]) for x in (-1, 1)]
+    sums += [(b2, [r + x * p + y * q for p, q, r in zip(b0, b1, b2)])
+             for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+    return sum(dot(v, v) < dot(b, b) for b, v in sums)
+
+
+def assert_minima_match(basis, reference):
+    # lambda_1^2 and lambda_2^2 exactly, and the shortest vector up to sign
+    # where it is unique up to sign (lambda_1 < lambda_2)
+    v1, n1, n2 = basis._minimum
+    r1, rn1, rn2 = reference
+    assert (n1, n2) == (rn1, rn2)
+    assert masses._dot(v1, v1) == n1
+    if n1 < n2:
+        assert v1 in (r1, [-x for x in r1])
+
+
+def skewed_lattices(count: int, seed: int) -> list[LatticeBasis3]:
+    # random 40-bit integer bases with row i scaled by 2^e_i, e_i <= 60,
+    # as the diagonal flow skews a lattice
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        e = [rng.randint(0, 60) for _ in range(3)]
+        cols = [[rng.randint(-2 ** 40, 2 ** 40) << e[i] for i in range(3)] for _ in range(3)]
+        if det3(cols):
+            out.append(LatticeBasis3(tuple(map(tuple, cols)), 0))
+    return out
+
+
+def test_minima_match_the_padded_enumeration_on_skewed_lattices():
+    # the exact Minkowski reduction gives the minima and the shortest vector
+    # of two padded float64 enumerations, on 3000 lattices of which 114
+    # leave LLL's output short of Minkowski's conditions; on every 50th,
+    # also those of an all-mpf enumeration at 1024 bits
+    lattices = skewed_lattices(3000, 25)
+    assert sum(minkowski_failures(masses._lll(b.cols)) > 0 for b in lattices) >= 50
+    for i, basis in enumerate(lattices):
+        assert_minima_match(basis, reference_minima(basis.cols))
+        if i % 50 == 0:
+            _, n1, n2 = basis._minimum
+            cols = basis_columns(basis)
+            ref1 = reference_shortest_vector_norm(cols, 1024)
+            ref2 = reference_second_minimum(cols, 1024)
+            with mp.workprec(1024):
+                assert abs(mp.sqrt(n1) - ref1) <= ref1 * mp.ldexp(1, -200)
+                assert abs(mp.sqrt(n2) - ref2) <= ref2 * mp.ldexp(1, -200)
+
+
+def test_minima_complete_what_lll_leaves():
+    # LLL's sorted output has squared norms 449, 451 and 509 here and fails
+    # a Minkowski condition; the minima are 446 and 449, so skipping the
+    # completion gets both wrong
+    cols = [[9, 9, 17], [1, 11, -20], [20, -9, 18]]
+    assert sorted(masses._dot(c, c) for c in masses._lll(cols)) == [449, 451, 509]
+    assert minkowski_failures(masses._lll(cols))
+    basis = LatticeBasis3(tuple(map(tuple, cols)), 0)
+    assert basis._minimum[1:] == (446, 449)
+    assert_minima_match(basis, reference_minima(cols))
+    with mp.workprec(64):
+        assert shortest_vector_norm(basis, 64) == mp.sqrt(446)
+
+
+def test_minima_match_the_padded_enumeration_on_benchmark_centres(monkeypatch):
+    # every centre the mass sweep moves the lattice to, over the two mass
+    # workloads of the benchmark at seeds 0 and 3: the kernel's minima and
+    # shortest vector against two padded enumerations; on every tenth
+    # centre, also against an all-mpf enumeration at 1024 bits
+    from perfbench.workloads import members
+
+    moved, exp_act = [], masses._exp_act
+
+    def recording(*args):
+        moved.append(exp_act(*args))
+        return moved[-1]
+
+    monkeypatch.setattr(masses, "_exp_act", recording)
+    for workload in ("mass_dense", "profile_high_t"):
+        for seed in (0, 3):
+            for member in members(workload, seed):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(member.argv()) == 0
+    # as many as the benchmark's traced masses.enum_calls: 18 and 130 at
+    # seed 0, 15 and 74 at seed 3
+    assert len(moved) == 237
+    for i, basis in enumerate(moved):
+        assert_minima_match(basis, reference_minima(basis.cols))
+        if i % 10 == 0:
+            cols = basis_columns(basis)
+            with mp.workprec(1024):
+                for n, ref in zip(basis._minimum[1:], (reference_shortest_vector_norm(cols, 1024),
+                                                       reference_second_minimum(cols, 1024))):
+                    assert abs(mp.ldexp(mp.sqrt(n), basis.exp) - ref) <= ref * mp.ldexp(1, -200)
 
 
 def raised(call, *args):
@@ -235,15 +339,10 @@ def raised(call, *args):
 def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along, prec, xs):
     # the written-out kernel returns repr-identical results to the generic
     # loops it replaced: _lll also with _prereduced's ride-along entries,
-    # _least with and without skip, _exp_act at prec and _dual_weight
+    # _exp_act at prec and _dual_weight
     cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
             for j, c in enumerate(basis.cols)]
-    reduction = masses._lll(cols)
-    assert repr(reduction) == repr(reference_lll(cols))
-    if not ride_along:
-        n, c = masses._least(reduction)
-        assert repr((n, c)) == repr(reference_least(reduction))
-        assert repr(raised(masses._least, reduction, c)) == repr(raised(reference_least, reduction, c))
+    assert repr(masses._lll(cols)) == repr(reference_lll(cols)[0])
     x = [mp.ldexp(v, -36) for v in xs]  # |x_i| up to 16
     moved = exp_act(x, basis, prec)
     with mp.workprec(prec):
@@ -252,11 +351,10 @@ def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along
 
 
 @settings(max_examples=60, deadline=None)
-@given(transformed_bases(), st.integers(0, 3), st.booleans(), st.integers(40, 200))
-def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along, drop):
+@given(transformed_bases(), st.integers(0, 3), st.booleans())
+def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along):
     # a zero column (where < 3) or a repeated first column (where = 3) is
-    # a degenerate basis; B_2 shrunk by 2^-drop puts the enumeration's
-    # derived float error over its pad. Both raise, as in the generic loops
+    # a degenerate basis, which raises, as in the generic loops
     cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
             for j, c in enumerate(basis.cols)]
     if where < 3:
@@ -266,12 +364,6 @@ def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along, dr
     for lll in (masses._lll, reference_lll):
         with pytest.raises(InternalInconsistencyError, match="degenerate basis"):
             lll(cols)
-    red, bsq, mu, shift = basis._minimum[0]
-    skewed = (red, [bsq[0], bsq[1], bsq[2] * 2.0 ** -drop], mu, shift)
-    for least in (masses._least, reference_least):
-        for skip in (None, basis._minimum[1][1]):
-            with pytest.raises(InternalInconsistencyError, match="exceeds its pad"):
-                least(skewed, skip)
 
 
 @functools.lru_cache(maxsize=None)
@@ -852,7 +944,7 @@ def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
 
 
 def replaying_kernel(monkeypatch):
-    # run every _lll, _least, _exp_act and _dual_weight call of the sweep
+    # run every _lll, _exp_act and _dual_weight call of the sweep
     # also through the generic loops the kernel replaced, and require
     # repr-identical results or the same raise; counts the calls replayed,
     # by kind
@@ -874,9 +966,7 @@ def replaying_kernel(monkeypatch):
             return got
         monkeypatch.setattr(masses, name, replayed)
 
-    replay("_lll", lambda cols: f"lll{len(cols[0])}", reference_lll)
-    replay("_least", lambda reduction, skip=None: "least" if skip is None else "least skip",
-           reference_least)
+    replay("_lll", lambda cols: f"lll{len(cols[0])}", lambda cols: reference_lll(cols)[0])
     replay("_exp_act", lambda *args: "exp_act", exp_act_at)
     replay("_dual_weight", lambda basis: "dual_weight", reference_dual_weight)
     return counts
@@ -887,8 +977,8 @@ def replaying_kernel(monkeypatch):
 def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
     # every kernel call of sweeps at 600 and 10^4 samples and three heights
     # (a near-tie pair among them), undecided points included: the moves,
-    # reductions (the kernel's and _prereduced's), first and second
-    # enumerations and dual weights are repr-identical to the generic loops
+    # reductions (the kernel's and _prereduced's) and dual weights are
+    # repr-identical to the generic loops, one kernel reduction per centre
     counts = replaying_kernel(monkeypatch)
     order, _ = family_order(kind, t)
     for samples in (600, 10 ** 4):
@@ -898,8 +988,7 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
         except PrecisionExhaustedError:
             pass
     centres = counts["exp_act"]
-    assert counts["lll6"] == 2 and counts["dual_weight"] == centres > 0
-    assert counts["lll3"] >= centres and counts["least"] >= centres and counts["least skip"]
+    assert counts["lll6"] == 2 and counts["dual_weight"] == counts["lll3"] == centres > 0
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
@@ -971,8 +1060,7 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
     for a, b, height, marked in calls:
         x = centre(phi, a, b, k, bits)
         moved = exp_act(x.coords, base, bits)
-        (red, *_), (n, c) = moved._minimum
-        image = [sum(ck * col[i] for ck, col in zip(c, red)) for i in range(3)]
+        image, n, _ = moved._minimum
         with mp.workprec(256):
             gap = mp.ldexp(masses._dual_weight(moved), 3 - bits) * mp.sqrt(n)
             low = [mp.ldexp(max(abs(w) - gap, 0), moved.exp) for w in image]
@@ -1157,15 +1245,40 @@ def counting_sweep(monkeypatch):
     return kernel, asked
 
 
+def test_lattice_height_reads_no_ambient_precision():
+    # the reciprocal is rounded at prec bits, as the square root is: the
+    # same 191-bit mantissa whatever the ambient precision
+    basis = embed_order_lattice(mass_member("one_unit", 10 ** 12)[0])
+    hts = []
+    for ambient in (16, 53, 192):
+        mp.mp.prec = ambient
+        try:
+            hts.append(lattice_height(basis, 192))
+        finally:
+            mp.mp.prec = 53
+    assert hts[0]._mpf_ == hts[1]._mpf_ == hts[2]._mpf_ and hts[0]._mpf_[3] == 191
+    with mp.workprec(192):
+        assert hts[0] == 1 / shortest_vector_norm(basis, 192)
+
+
 @pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
 def test_heights_share_certified_centres(monkeypatch, kind, t):
     heights = (10.0, 9.99, 100.0)
+    moves, exp_act = [], masses._exp_act
+
+    def counting(*args):
+        moves.append(1)
+        return exp_act(*args)
+
     with mp.workprec(256):
         fresh = [mass_above_height(mass_member(kind, t)[0], (h,), samples=600)[0] for h in heights]
         kernel, asked = counting_sweep(monkeypatch)
+        monkeypatch.setattr(masses, "_exp_act", counting)
         assert mass_above_height(mass_member(kind, t)[0], heights, samples=600) == tuple(fresh)
-    # one enumeration per distinct centre, though later heights ask again
-    assert len(kernel) == len(set(asked)) < len(asked)
+    # one kernel call per distinct centre, though later heights ask again,
+    # and each through masses.shortest_vector_norm, the name the benchmark
+    # counts: as many as the centres moved
+    assert len(kernel) == len(moves) == len(set(asked)) < len(asked)
 
 
 def policy_member(kind, t, bits):
