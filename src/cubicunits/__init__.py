@@ -79,13 +79,13 @@ from .shapes import (
     corner,
     corner_distance,
     curve_gamma,
+    curve_point,
     cusick_angle_cos,
     limit_shape_z,
     omega,
     reduce_fundamental,
     same_shape,
     shape_from_units,
-    to_plane,
 )
 from .units import (
     CubicOrderData,
@@ -129,9 +129,9 @@ __all__ = [
     # roots
     "IsolatedRoot", "refine_root", "refined_roots",
     # shapes
-    "ShapePoint", "corner", "corner_distance", "curve_gamma",
+    "ShapePoint", "corner", "corner_distance", "curve_gamma", "curve_point",
     "cusick_angle_cos", "limit_shape_z", "omega", "reduce_fundamental",
-    "same_shape", "shape_from_units", "to_plane",
+    "same_shape", "shape_from_units",
     # units
     "CubicOrderData", "LogVector", "RegulatorReport", "build_order",
     "certify_fundamental", "log_embed",

@@ -355,8 +355,7 @@ def cmd_emit_curves(args) -> int:
     with mp.workprec(prec):
         for j in range(steps + 1):
             r = rmax * Fraction(j, steps)
-            z = shapes.curve_gamma(at, bt, r, prec)
-            sp = shapes.reduce_fundamental(z, prec)
+            sp = shapes.curve_point(at, bt, r, prec)
             lines.append(",".join([_fmt_frac(r), _fmt(sp.tau.real), _fmt(sp.tau.imag),
                                    _bool(sp.reduced)]))
     _emit(lines, args.out)
@@ -432,9 +431,8 @@ def cmd_verify(args) -> int:
         hi = _audit_point(cfg, t, 2 * cfg.precision_bits)
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
-            ok = lo["certified"] == hi["certified"] and all(
-                abs(lo[k] - hi[k]) <= mp.mpf("1e-12") * (1 + abs(hi[k]))
-                for k in ("reg", "ht", "tau"))
+            ok = lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"]) and all(
+                abs(lo[k] - hi[k]) <= mp.mpf("1e-12") * (1 + abs(hi[k])) for k in ("reg", "ht"))
         lines.append(f"VERIFY t={t}: {'PASS' if ok else 'FAIL'}"
                      f" (status={lo['status']}/{hi['status']})")
         failures += 0 if ok else 1
@@ -449,9 +447,8 @@ def _audit_point(cfg: ScanConfig, t: int, bits: int) -> dict:
         if len(m.order.units) < 2:
             return {"status": "rank<2"}
         reg, rep = m.certificate
-        tau = m.shape.tau
         return {"status": "ok", "certified": rep.certified, "reg": reg,
-                "ht": m.ht, "tau": tau}
+                "shape": m.shape, "ht": m.ht}  # in stage order
     except CubicUnitsError as e:
         return {"status": type(e).__name__}
 

@@ -2,36 +2,36 @@
 
 A pair of independent log vectors spans a rank-2 lattice in the trace-zero
 plane; a fixed similarity identifies that plane with C, and the lattice
-class becomes a point tau of the upper half plane, reduced here to the
-standard fundamental domain of SL2(Z) with explicit boundary conventions.
-The limit-shape formulas for the constructed families are evaluated
-directly so scans can be compared against their theoretical targets.
+class becomes the root tau of the pair's Gram matrix, an integer binary
+quadratic form. Exact Gauss reduction takes it to the standard fundamental
+domain of SL2(Z), where tau is rounded once and carries the data's error
+as its radius. The families' limit shapes have exact rational forms too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_int, fzero, mpc_abs, mpc_add_mpf, mpc_conjugate, mpc_div, mpc_mpf_div, mpc_mul_mpf,
-    mpc_sub, mpc_sub_mpf, mpf_abs, mpf_add, mpf_div, mpf_floor, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, to_int)
+    fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_shift, mpf_sqrt, round_down, round_up)
 
-from .errors import DependentUnitsError, InternalInconsistencyError, InvalidParamsError
-from .units import _RND, LogVector, _max1, _sum_slack
+from .errors import DependentUnitsError, InvalidParamsError
+from .masses import _dyadic
+from .units import _RND, LogVector
 
 __all__ = [
     "ShapePoint",
     "omega",
     "corner",
-    "to_plane",
     "shape_from_units",
     "reduce_fundamental",
     "limit_shape_z",
     "curve_gamma",
+    "curve_point",
     "cusick_angle_cos",
     "same_shape",
     "corner_distance",
@@ -45,149 +45,165 @@ def _bits(prec: int | None) -> int:
     return mp.mp.prec if prec is None else prec
 
 
-# The shape is computed on mpmath's raw tuples: each step is the libmp call,
-# precision and rounding that mpmath's operator for it makes (units.py), so
-# every bit is the operator code's. _RND is mpmath's default rounding.
-_HALF, _MINUS_ONE = mpf_shift(fone, -1), from_int(-1)
-
-
-@cache
-def _omega(q: int):
-    # omega and the corner 1 + omega, raw, as the operator code builds them at q bits
-    w = tuple(mpf_div(x, from_int(2), q, _RND) for x in (mpf_neg(fone, q, _RND), mpf_sqrt(from_int(3), q, _RND)))
-    return w, mpc_add_mpf(w, fone, q, _RND)
-
-
 def omega(prec: int | None = None) -> mp.mpc:
     """Primitive cube root of unity in the upper half plane, (-1+sqrt(3)i)/2.
     Computed at `prec` bits (ambient precision when omitted)."""
-    return mp.make_mpc(_omega(_bits(prec))[0])
+    q = _bits(prec)
+    w = (mpf_neg(fone, q, _RND), mpf_sqrt(from_int(3), q, _RND))
+    return mp.make_mpc(tuple(mpf_div(x, from_int(2), q, _RND) for x in w))
 
 
 def corner(prec: int | None = None) -> mp.mpc:
     """The corner of the fundamental domain at e^{i pi/3} = 1 + omega."""
-    return mp.make_mpc(_omega(_bits(prec))[1])
+    return mp.make_mpc((mpf_shift(fone, -1), omega(prec)._mpc_[1]))  # 1 - 1/2 is exact
 
 
 @dataclass(frozen=True)
 class ShapePoint:
+    """A reduced point, the moves that reached it, and its radius: the true
+    point lies within radius of tau, up to the gluing of edges and arc."""
     tau: mp.mpc
     reduced: bool
     reduction_word: tuple[str, ...] = ()
+    radius: mp.mpf = mp.mpf(0)
 
 
-def to_plane(v: LogVector, prec: int | None = None) -> mp.mpc:
-    """The similarity from the trace-zero plane to C determined by
-    (-1,0,1) -> 1 and (0,-1,1) -> 1+omega. Writing v = a*(-1,0,1) +
-    b*(0,-1,1) gives a = -v1, b = -v2, so the image is -v1 - v2*(1+omega).
-    The plane check runs at the ambient precision, the image at prec bits."""
-    return mp.make_mpc(_plane(v, mp.mp.prec, _bits(prec)))
+# A radius is an upper bound: it is computed at _RB bits, each step rounded
+# toward the side that keeps it one.
+_RB, _UP, _DOWN = 32, round_up, round_down
 
 
-def _plane(v: LogVector, p: int, q: int):
-    x = [t._mpf_ for t in (v.x1, v.x2, v.x3)]
-    s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
-    edge = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -16)
-    err9 = mpf_mul_int(v.err._mpf_, 9, p, _RND)
-    # s > max(9 err, edge) + what the sum's own rounding can move it
-    if mpf_gt(s, mpf_add(edge if mpf_gt(edge, err9) else err9, _sum_slack(x, p), p, _RND)):
-        raise InvalidParamsError(f"input is off the trace-zero plane by {mp.nstr(mp.make_mpf(s), 8)}")
-    # -x1 - x2 (1 + omega): mpf - mpc is mpc_sub((x, 0), z)
-    return mpc_sub((mpf_neg(x[0], q, _RND), fzero), mpc_mul_mpf(_omega(q)[1], x[1], q, _RND), q, _RND)
+def _tau(a: int, b: int, c: int, q: int):
+    # the root (-b + i sqrt(4ac - b^2)) / (2a) of the form, raw, each part
+    # rounded once at q bits: Im's floor at k fraction bits has q + 4 bits or
+    # more, and a sticky bit marks it inexact, so its one rounding is correct
+    n, d = 4 * a * c - b * b, 4 * a * a
+    k = max(0, q + 4 - (n.bit_length() - d.bit_length()) // 2)
+    s = math.isqrt((n << 2 * k) // d)
+    im = from_man_exp(2 * s + (s * s * d != n << 2 * k), -k - 1, q, _RND)
+    return mpf_div(from_int(-b), from_int(2 * a), q, _RND), im
+
+
+def _radius(a: int, c: int, u, q: int | None, errs):
+    # tau's two output roundings at q bits (none for q None), 2^-q |tau|
+    # together, with |tau| = sqrt(c/a); for a member's form, whose errs =
+    # (e, err1, err2) are its scale 2^e and its vectors' errors, also the
+    # data's 4 (err2' + |tau| err1') / |z1'| on the basis u1 = u0 v1 + u1 v2,
+    # u2 = u2 v1 + u3 v2 of the form: each coordinate of u_i is off by
+    # err_i' = |u_{2i-2}| err1 + |u_{2i-1}| err2 at most, the plane map at
+    # most doubles that, |d(z2/z1)| <= (|dz2| + |tau| |dz1|) / |z1| to first
+    # order, and the other 2 covers the rest
+    size = mpf_sqrt(mpf_div(from_int(c, _RB, _UP), from_int(a, _RB, _DOWN), _RB, _UP), _RB, _UP)
+    r = fzero if q is None else mpf_shift(size, -q)
+    if errs is None:
+        return r
+    e, err1, err2 = errs
+    e1, e2 = (mpf_add(mpf_mul_int(err1, abs(s), _RB, _UP), mpf_mul_int(err2, abs(t), _RB, _UP), _RB, _UP)
+              for s, t in (u[:2], u[2:]))
+    data = mpf_add(e2, mpf_mul(size, e1, _RB, _UP), _RB, _UP)
+    data = mpf_div(data, mpf_sqrt(from_int(a, _RB, _DOWN), _RB, _DOWN), _RB, _UP)
+    return mpf_add(r, mpf_shift(data, 2 - e), _RB, _UP)
+
+
+# Exact Gauss reduction of a positive definite integer form (a, b, c) to
+# |b| <= a <= c, that is |Re tau| <= 1/2 and |tau| >= 1 (Cohen, A Course in
+# Computational Algebraic Number Theory, GTM 138, 5.3-5.4): each S lowers
+# the integer a, so the loop ends. The moves are appended to word ('T<n>'
+# is tau -> tau + n, 'S' is tau -> -1/tau), and u tracks the basis that
+# spans the reduced form. Boundary conventions: Re = +1/2 is chosen over
+# -1/2, and on the arc |tau| = 1 the representative with Re >= 0. They
+# apply only where the enclosure meets the left edge or the left half of
+# the arc: its radius is a member's, and 0 for an exact form, whose ties
+# are therefore exact.
+def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint:
+    u = [1, 0, 0, 1]
+    while True:
+        n = (a - b) // (2 * a)  # floor(Re tau + 1/2)
+        if n:  # tau -> tau - n
+            b, c = b + 2 * a * n, (a * n + b) * n + c
+            u[2], u[3] = u[2] - n * u[0], u[3] - n * u[1]
+            word.append(f"T{-n}")
+        if c >= a:
+            break
+        a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]  # tau -> -1/tau
+        word.append("S")
+    # the tie radius r, 0 for an exact form; libmp adds and multiplies raw
+    # mpfs exactly at precision 0, so both comparisons below are exact
+    r = fzero if errs is None else _radius(a, c, u, q, errs)
+    r1 = mpf_add(fone, r)
+    if mpf_le(from_int(a - b), mpf_mul(from_int(2 * a), r)):  # Re tau + 1/2 <= r: the left edge goes right
+        b, c = b - 2 * a, a - b + c
+        u[2], u[3] = u[2] + u[0], u[3] + u[1]
+        word.append("T1")
+    elif b > 0 and mpf_le(from_int(c), mpf_mul(from_int(a), mpf_mul(r1, r1))):  # Re tau < 0, |tau| <= 1 + r
+        a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]
+        word.append("S")
+    return ShapePoint(mp.make_mpc(_tau(a, b, c, q)), True, tuple(word), mp.make_mpf(_radius(a, c, u, q, errs)))
 
 
 def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
-    """Gauss reduction to |Re| <= 1/2, |tau| >= 1.
+    """Gauss reduction to |Re| <= 1/2, |tau| >= 1, of tau rounded to prec
+    bits, and then exact: its form (1, -2x, x^2 + y^2), tau = x + iy, is
+    reduced on integers, so its ties are exactly on the boundary.
 
     Boundary conventions (needed for reproducible output): Re = +1/2 is
     chosen over -1/2, and on the arc |tau| = 1 the representative with
     Re >= 0. The moves are recorded: 'T<n>' is tau -> tau + n, 'S' is
-    tau -> -1/tau.
+    tau -> -1/tau. The radius is the output rounding.
     """
     q = _bits(prec)
     with mp.workprec(q):  # tau enters as mp.mpc rounds it
         z = mp.mpc(tau)._mpc_
     if not mpf_gt(z[1], fzero):
         raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(mp.make_mpc(z), 12)}")
-    tol = mpf_shift(fone, -max(24, (2 * q) // 3))
-    word = []
-    for _ in range(100000):
-        n = to_int(mpf_floor(mpf_add(z[0], _HALF, q, _RND), q, _RND))
-        if n != 0:
-            z = mpc_sub_mpf(z, from_int(n), q, _RND)
-            word.append(f"T{-n}")
-        r = mpc_abs(z, q, _RND)
-        if mpf_lt(r, mpf_sub(fone, tol, q, _RND)):
-            z = mpc_mpf_div(_MINUS_ONE, z, q, _RND)
-            word.append("S")
-        else:
-            break
-    else:
-        raise InternalInconsistencyError("reduction did not terminate")
-    # ties: left vertical edge -> right; arc with Re < 0 -> Re > 0
-    if mpf_le(mpf_abs(mpf_add(z[0], _HALF, q, _RND), q, _RND), tol):
-        z = mpc_add_mpf(z, fone, q, _RND)
-        word.append("T1")
-        r = mpc_abs(z, q, _RND)
-    if (mpf_lt(z[0], mpf_neg(tol, q, _RND))
-            and mpf_le(mpf_abs(mpf_sub(r, fone, q, _RND), q, _RND), tol)):
-        z = mpc_mpf_div(_MINUS_ONE, z, q, _RND)
-        word.append("S")
-    return ShapePoint(mp.make_mpc(z), True, tuple(word))
-
-
-# The roundings of the quotient at q bits, u = 2^-q, move it by at most
-# 2^(_QUOTIENT_ROUNDING - q) |tau|. _plane rounds -x1, x2/2, their sum,
-# sqrt(3)/2 and x2 sqrt(3)/2, each to nearest, so |dz| <= (3/4) u M + (1/2)
-# u |Re z| + u |Im z| for M = max(|x1|, |x2|); a trace-zero x has M <=
-# (2/sqrt(3)) |z|, so |dz| <= 2.1 u |z|, and the quotient of two such z
-# is off by at most 4.3 u |tau|. mpc_div adds under 0.51 u |tau| (products
-# exact, sums at q + 10 bits, one rounding at q): under 5 u |tau| in all,
-# so 2^(3-q) |tau| covers it.
-_QUOTIENT_ROUNDING = 3
+    (x, y), e = _dyadic(z)
+    s = max(0, -e)  # the form times 4^s is integral
+    return _reduce(1 << 2 * s, -x << (e + 2 * s + 1), (x * x + y * y) << 2 * (e + s), q, [])
 
 
 def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> ShapePoint:
-    """Reduced shape of the lattice spanned by v1, v2: the quotient
-    to_plane(v2)/to_plane(v1) normalized into the upper half plane
-    (conjugating when it lands below; the shape ignores orientation) and
-    Gauss-reduced."""
+    """Reduced shape of the lattice spanned by v1, v2: tau = z2/z1 for the
+    plane map z(v) = -x1 - x2 (1 + omega), taking (-1,0,1) -> 1 and
+    (0,-1,1) -> 1+omega, conjugated into the upper half plane when it lands
+    below (the shape ignores orientation; the word starts 'reflect'), and
+    reduced exactly. The units are dependent when Im tau is within the
+    data's radius."""
     q = _bits(prec)
-    z1, z2 = _plane(v1, q, q), _plane(v2, q, q)
-    if (r1 := mpc_abs(z1, q, _RND)) == fzero:
-        raise DependentUnitsError("first vector maps to 0")
-    tau = mpc_div(z2, z1, q, _RND)
-    r = mpc_abs(tau, q, _RND)
-    # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
-    scale = mpf_div(mpf_add(v2.err._mpf_, mpf_mul(r, v1.err._mpf_, q, _RND), q, _RND), r1, q, _RND)
-    tol = mpf_add(mpf_mul_int(scale, 4, q, _RND), mpf_shift(r, _QUOTIENT_ROUNDING - q), q, _RND)
-    word = ()
-    if mpf_le(mpf_abs(tau[1], q, _RND), tol):
-        raise DependentUnitsError(
-            f"quotient {mp.nstr(mp.make_mpc(tau), 10)} is real within tolerance: dependent units")
-    if mpf_lt(tau[1], fzero):
-        tau = mpc_conjugate(tau, q, _RND)
-        word = ("reflect",)
-    red = reduce_fundamental(mp.make_mpc(tau), q)
-    return ShapePoint(red.tau, True, word + red.reduction_word)
+    # x1, x2 of both vectors are integers times 2^e; |z|^2 = x1^2 + x1 x2 +
+    # x2^2, tau is the root of (|z1|^2, -2 Re(z2 conj(z1)), |z2|^2), and
+    # 4ac - b^2 = 3 det^2, so Im tau = sqrt(3) |det| / (2a) with the sign of det
+    (x1, x2, y1, y2), e = _dyadic((v1.x1, v1.x2, v2.x1, v2.x2))
+    a, c = x1 * x1 + x1 * x2 + x2 * x2, y1 * y1 + y1 * y2 + y2 * y2
+    b, det = -(2 * x1 * y1 + x1 * y2 + x2 * y1 + 2 * x2 * y2), x1 * y2 - x2 * y1
+    errs = (e, v1.err._mpf_, v2.err._mpf_)
+    # dependent when Im tau is within the data's radius on this basis: the
+    # determinant is exact, and tau is not rounded here
+    r = _radius(a, c, (1, 0, 0, 1), None, errs) if det else fzero
+    if mpf_le(from_int(3 * det * det), mpf_mul(from_int(4 * a * a), mpf_mul(r, r))):  # 4a^2 (Im^2 <= r^2)
+        raise DependentUnitsError("Im(tau) is within its radius of 0: dependent units")
+    return _reduce(a, b, c, q, ["reflect"] if det < 0 else [], errs)
+
+
+def _limit_form(a_tilde, b_tilde) -> tuple[int, int, int]:
+    # the form of the limit lattice spanned by den = (1+a) + (a-b) w and num
+    # = (1+2a) + (1+b+2a) w, w = omega: (|den|^2, -2 Re(num conj(den)),
+    # |num|^2) with |p + q w|^2 = p^2 - pq + q^2, times the square of a
+    # common denominator
+    at, bt = Fraction(a_tilde), Fraction(b_tilde)
+    if not (0 <= at <= bt and at <= Fraction(1, 3) and bt <= 1):
+        raise InvalidParamsError(f"exponents out of regime: a~={at}, b~={bt}")
+    d = at.denominator * bt.denominator
+    p1, q1, p2, q2 = (int(x * d) for x in (1 + at, at - bt, 1 + 2 * at, 1 + bt + 2 * at))
+    return p1 * p1 - p1 * q1 + q1 * q1, p1 * q2 + p2 * q1 - 2 * (p1 * p2 + q1 * q2), p2 * p2 - p2 * q2 + q2 * q2
 
 
 def limit_shape_z(a_tilde, b_tilde, prec: int = 96) -> mp.mpc:
     """Limit shape of the one-unit family whose parameter growth exponents
-    are (a_tilde, b_tilde):
+    are (a_tilde, b_tilde), unreduced, rounded once from its exact form:
         z = (1+2a + (1+b+2a) w) / (1+a + (a-b) w),  w = e^{2 pi i/3}.
     Valid for 0 <= a_tilde <= min(b_tilde, 1/3), b_tilde <= 1 (closed ends
     so curves can hit their boundary)."""
-    at, bt = Fraction(a_tilde), Fraction(b_tilde)
-    if not (0 <= at <= bt and at <= Fraction(1, 3) and bt <= 1):
-        raise InvalidParamsError(f"exponents out of regime: a~={at}, b~={bt}")
-    with mp.workprec(prec):
-        w = omega(prec)
-        a = mp.mpf(at.numerator) / at.denominator
-        b = mp.mpf(bt.numerator) / bt.denominator
-        num = (1 + 2 * a) + (1 + b + 2 * a) * w
-        den = (1 + a) + (a - b) * w
-        return num / den
+    return mp.make_mpc(_tau(*_limit_form(a_tilde, b_tilde), _bits(prec)))
 
 
 def curve_range(a_tilde, b_tilde) -> Fraction | None:
@@ -198,29 +214,35 @@ def curve_range(a_tilde, b_tilde) -> Fraction | None:
     return min(bounds, default=None)
 
 
-def curve_gamma(a_tilde, b_tilde, r, prec: int = 96) -> mp.mpc:
-    """gamma(r) = limit shape at scaled exponents (r*a~, r*b~); the scan of
-    r over [0, curve_range(a~, b~)] draws the family's curve on the surface."""
+def _curve_exponents(a_tilde, b_tilde, r) -> tuple[Fraction, Fraction]:
+    # the scaled exponents (r*a~, r*b~), for r in [0, curve_range(a~, b~)]
     at, bt, rr = Fraction(a_tilde), Fraction(b_tilde), Fraction(r)
     if rr < 0:
         raise InvalidParamsError("r must be >= 0")
     rmax = curve_range(at, bt)
     if rmax is not None and rr > rmax:
         raise InvalidParamsError(f"r={rr} beyond the curve range [0, {rmax}]")
-    return limit_shape_z(rr * at, rr * bt, prec)
+    return rr * at, rr * bt
+
+
+def curve_gamma(a_tilde, b_tilde, r, prec: int = 96) -> mp.mpc:
+    """gamma(r) = limit shape at scaled exponents (r*a~, r*b~); the scan of
+    r over [0, curve_range(a~, b~)] draws the family's curve on the surface."""
+    return limit_shape_z(*_curve_exponents(a_tilde, b_tilde, r), prec)
+
+
+def curve_point(a_tilde, b_tilde, r, prec: int = 96) -> ShapePoint:
+    """gamma(r) reduced: the exact form of its lattice goes through the
+    exact reduction, so a point on the boundary meets its convention."""
+    return _reduce(*_limit_form(*_curve_exponents(a_tilde, b_tilde, r)), _bits(prec), [])
 
 
 def cusick_angle_cos(alpha):
     """cos of the lattice angle for the slow-growth one-unit scans:
     (1 - 2a - 2a^2)/(2 + 2a + 2a^2), decreasing from 1/2 at a=0 toward
     -1/2 as a -> 1. Exact when alpha is exact."""
-    if isinstance(alpha, (int, Fraction)) or isinstance(alpha, float):
-        a = Fraction(alpha)
-        if not 0 <= a < 1:
-            raise InvalidParamsError(f"alpha must be in [0,1), got {alpha}")
-        return Fraction(1 - 2 * a - 2 * a * a, 1) / (2 + 2 * a + 2 * a * a)
-    a = mp.mpf(alpha)
-    if not (0 <= a < 1):
+    a = Fraction(alpha) if isinstance(alpha, (int, Fraction, float)) else mp.mpf(alpha)
+    if not 0 <= a < 1:
         raise InvalidParamsError(f"alpha must be in [0,1), got {alpha}")
     return (1 - 2 * a - 2 * a * a) / (2 + 2 * a + 2 * a * a)
 
@@ -230,17 +252,21 @@ def corner_distance(tau) -> mp.mpf:
     e^{i pi/3} and its translate e^{2 pi i/3} are the same point of the
     surface and reduction may return a neighborhood of either."""
     t = mp.mpc(tau.tau if isinstance(tau, ShapePoint) else tau)
-    p = corner()
-    return min(abs(t - p), abs(t - (p - 1)))
+    return min(abs(t - p) for p in (corner(), omega()))
 
 
 def same_shape(p, q, tol=None) -> bool:
     """Equality of reduced points modulo the boundary identifications and
     the mirror symmetry. Candidates: q, q+-1 (vertical edges), -1/q (arc),
-    and the mirror -conj of each."""
-    tp = p.tau if isinstance(p, ShapePoint) else mp.mpc(p)
-    tq = q.tau if isinstance(q, ShapePoint) else mp.mpc(q)
-    tol = tol if tol is not None else mp.ldexp(1, -(mp.mp.prec // 2))
-    cands = [tq, tq + 1, tq - 1, -1 / tq]
-    cands += [-mp.conj(c) for c in cands]
-    return any(abs(tp - c) <= tol for c in cands)
+    and the mirror -conj of each. Two ShapePoints default to the sum of
+    their radii, anything else to 2^-(prec/2) at the ambient precision; a
+    positive tolerance is compared at bits that resolve it."""
+    tp, tq = (x.tau if isinstance(x, ShapePoint) else mp.mpc(x) for x in (p, q))
+    if tol is None:
+        points = isinstance(p, ShapePoint) and isinstance(q, ShapePoint)
+        tol = mp.make_mpf(mpf_add(p.radius._mpf_, q.radius._mpf_, _RB, _UP)) if points else mp.ldexp(1, -(mp.mp.prec // 2))
+    bits = max(53, 24 + max(mp.mag(tp), mp.mag(tq), 0) - mp.mag(tol)) if tol > 0 else mp.mp.prec
+    with mp.workprec(bits):
+        cands = [tq, tq + 1, tq - 1, -1 / tq]
+        cands += [-mp.conj(c) for c in cands]
+        return any(abs(tp - c) <= tol for c in cands)

@@ -27,14 +27,17 @@ successive minima in dimension at most 4 (Nguyen and Stehle,
 "Low-dimensional lattice basis reduction revisited", ACM TALG 2009). The
 two must agree exactly on integers.
 
-`exp_act` and `basis_columns` are plumbing, not references: the
-package's private flow action at explicit bits, and a basis's exact
-columns as mpf values.
+`exp_act`, `basis_columns` and `replay` are plumbing, not references:
+the package's private flow action at explicit bits, a basis's exact
+columns as mpf values, and a shape's reduction word applied to a point.
 
 The member's front stages are the last exception: `ReferenceLogVector`
 and the other `reference_*` routines at the end of this file are the
 mpmath-operator code that units.py, shapes.py and masses.py replaced
-with calls on raw libmp tuples, which must match it bit for bit.
+with calls on raw libmp tuples, which must match it bit for bit. The
+shape is not among them: it comes from an exact integer form, checked
+against the same member at 768 bits, the plane map of
+`reference_to_plane` and the domain of `reference_convention`.
 """
 
 from __future__ import annotations
@@ -744,12 +747,13 @@ def reference_dual_weight(basis) -> float:
 # ---------------------------------------------------------------------------
 # The member's front stages as mpmath operator code. units.LogVector and
 # its arithmetic, log_embed, relative_regulator_with_error and
-# certify_fundamental, shapes.omega, corner, to_plane, reduce_fundamental
-# and shape_from_units, and masses.make_simplex, hex_domain,
-# embed_order_lattice and _root compute on mpmath's raw tuples; these are
-# their mpmath-operator forms, which the tuple code must match bit for bit.
-# The error classes are the package's own; log_embed's memo of the
-# order's log vectors is left out, so a reference call always computes.
+# certify_fundamental, shapes.omega and corner, and masses.make_simplex,
+# hex_domain, embed_order_lattice and _root compute on mpmath's raw tuples;
+# these are their mpmath-operator forms, which the tuple code must match
+# bit for bit. The error classes are the package's own; log_embed's memo
+# of the order's log vectors is left out, so a reference call always
+# computes. The shape is checked against truth instead: reference_to_plane
+# is its independent plane map, and reference_convention its domain.
 # ---------------------------------------------------------------------------
 
 
@@ -885,7 +889,9 @@ def reference_corner(prec=None) -> mp.mpc:
 
 
 def reference_to_plane(v, prec=None) -> mp.mpc:
-    """shapes.to_plane with mpmath operators."""
+    """The plane map of the shape, (-1,0,1) -> 1 and (0,-1,1) -> 1+omega,
+    with mpmath operators: shape_from_units reads only its Gram matrix, so
+    this is an independent check of that form."""
     from cubicunits.errors import InvalidParamsError
 
     prec = prec or mp.mp.prec
@@ -897,62 +903,31 @@ def reference_to_plane(v, prec=None) -> mp.mpc:
         return -v.x1 - v.x2 * (1 + reference_omega(prec))
 
 
-def reference_reduce_fundamental(tau, prec=None):
-    """shapes.reduce_fundamental with mpmath operators; returns (tau, word)."""
-    from cubicunits.errors import InternalInconsistencyError, InvalidParamsError
-
-    prec = prec or mp.mp.prec
-    with mp.workprec(prec):
-        tau = mp.mpc(tau)
-        if not tau.imag > 0:
-            raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(tau, 12)}")
-        tol = mp.ldexp(1, -max(24, (2 * prec) // 3))
-        word = []
-        for _ in range(100000):
-            n = int(mp.floor(tau.real + mp.mpf(1) / 2))
-            if n != 0:
-                tau -= n
-                word.append(f"T{-n}")
-            if abs(tau) < 1 - tol:
-                tau = -1 / tau
-                word.append("S")
-            else:
-                break
-        else:
-            raise InternalInconsistencyError("reduction did not terminate")
-        # ties: left vertical edge -> right; arc with Re < 0 -> Re > 0
-        if abs(tau.real + mp.mpf(1) / 2) <= tol:
-            tau += 1
-            word.append("T1")
-        if abs(abs(tau) - 1) <= tol and tau.real < -tol:
-            tau = -1 / tau
-            word.append("S")
-        return tau, tuple(word)
-
-
-def reference_shape_from_units(v1, v2, prec=None):
-    """shapes.shape_from_units with mpmath operators; returns (tau, word)."""
-    from cubicunits.errors import DependentUnitsError
-
-    prec = prec or mp.mp.prec
-    with mp.workprec(prec):
-        z1 = reference_to_plane(v1, prec)
-        z2 = reference_to_plane(v2, prec)
-        if abs(z1) == 0:
-            raise DependentUnitsError("first vector maps to 0")
-        tau = z2 / z1
-        # error: |d(z2/z1)| <= (|dz2| + |tau||dz1|)/|z1|; plane map has O(1) norm
-        scale = (v2.err + abs(tau) * v1.err) / abs(z1)
-        tol = 4 * scale + mp.ldexp(abs(tau), 3 - prec)  # the quotient's own roundings
-        word = []
-        if abs(tau.imag) <= tol:
-            raise DependentUnitsError(
-                f"quotient {mp.nstr(tau, 10)} is real within tolerance: dependent units")
-        if tau.imag < 0:
+def replay(tau, word):
+    """Re-apply a recorded reduction word to check it really is the path,
+    at the ambient precision."""
+    for mv in word:
+        if mv == "reflect":
             tau = mp.conj(tau)
-            word.append("reflect")
-        red, red_word = reference_reduce_fundamental(tau, prec)
-        return red, tuple(word) + red_word
+        elif mv == "S":
+            tau = -1 / tau
+        elif mv.startswith("T"):
+            tau = tau + int(mv[1:])
+        else:
+            raise AssertionError(f"unknown move {mv!r}")
+    return tau
+
+
+def reference_convention(sp) -> bool:
+    """Whether a printed shape is the convention's representative of the
+    closed fundamental domain: within its radius r of the domain, and its
+    enclosure misses the left edge and, where Re < 0, the arc. The miss is
+    checked at r/2, since the tie is settled on the exact form and the
+    printed point is off it by its own rounding, a part of r."""
+    with mp.workprec(1024):
+        x, size, r = sp.tau.real, abs(sp.tau), sp.radius
+        return (r / 2 < x + mp.mpf(1) / 2 and x <= mp.mpf(1) / 2 + r and size >= 1 - r
+                and (x >= 0 or size - 1 > r / 2))
 
 
 def reference_make_simplex(v1, v2):

@@ -54,12 +54,12 @@ from cubicunits import (
     simplest_cubic,
     tilde_D,
     tilde_T,
-    to_plane,
     LogVector,
 )
 from cubicunits.errors import InvalidParamsError
 
-from .oracles import disc_from_roots, disc_oracle, exp_act, floor_power, norm_from_roots
+from .oracles import (
+    disc_from_roots, disc_oracle, exp_act, floor_power, norm_from_roots, reference_to_plane)
 
 
 def _verdict(capfd, num: int, ok: bool, detail: str) -> None:
@@ -234,7 +234,7 @@ def _slow_growth_errors(num: int, den: int, t: int):
     va, vb = log_embed(order, 1, b), log_embed(order, 1, 0)
     target = cusick_angle_cos(Fraction(num, den))
     with mp.workprec(220):
-        tau = to_plane(vb) / to_plane(va)
+        tau = reference_to_plane(vb) / reference_to_plane(va)
         if mp.im(tau) < 0:
             tau = mp.conj(tau)
         e_abs = abs(abs(tau) - 1)
@@ -396,8 +396,10 @@ def _suite_reduction_invariance(rng: random.Random) -> int:
             word = [rng.choice(["S", -3, -2, -1, 1, 2, 3])
                     for _ in range(rng.randint(1, 5))]
             moved = _apply_word(tau, word)
+            # the word is applied with rounding, so the two points differ by
+            # more than the radii of their reductions
             if not same_shape(reduce_fundamental(tau, 200),
-                              reduce_fundamental(moved, 200)):
+                              reduce_fundamental(moved, 200), mp.ldexp(1, -100)):
                 failures += 1
     return failures
 

@@ -391,6 +391,21 @@ def test_verify_passes(capsys):
     assert out[2] == "verified 2 rows, 0 failures"
 
 
+@pytest.mark.parametrize("family, schedule, bits", [
+    (ONE_UNIT, "list:1000000000000", "64"),
+    ('{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}', "geom:-1000:-1000000000000000000000000:10", "64"),
+    ('{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}', "geom:-1000:-1000000000000000000000000:10", "96"),
+], ids=["one_unit-t12-64", "two_unit-negative-64", "two_unit-negative-96"])
+def test_verify_compares_shapes_as_points_of_the_surface(family, schedule, bits, capsys):
+    # one_unit (1, 1) at t = 10^12 lies 3.6e-14 inside the left edge; at 64
+    # bits its radius reaches the edge, so it prints the right edge's side,
+    # and at 128 bits the left one: the same point of the surface
+    spots = len(parse_schedule(schedule))
+    assert main(["verify", "--family", family, "--schedule", schedule, "--spots", str(spots),
+                 "--precision-bits", bits]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"verified {spots} rows, 0 failures"
+
+
 def test_verify_rank_below_two(capsys):
     assert main(["verify", "--family", SEED_RANK1, "--schedule", "list:5",
                  "--samples", "60"]) == EXIT_OK

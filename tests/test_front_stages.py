@@ -1,17 +1,17 @@
 """The member's front stages on raw mpmath tuples, against their
-mpmath-operator forms in tests/oracles.py.
+mpmath-operator forms in tests/oracles.py, and the shape against truth.
 
 units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
-certify_fundamental, shapes' omega, corner, to_plane, reduce_fundamental
-and shape_from_units, and masses' make_simplex, hex_domain,
-embed_order_lattice and _root call mpmath's libmp functions directly. Each
-must give every field's raw tuple, every reduction word, and the class and
-text of every error that the operator code gives, over three families,
-every decade 10^3..10^24 of both signs, five precisions and three ambient
-precisions set directly on mp.mp.
+certify_fundamental, shapes' omega and corner, and masses' make_simplex,
+hex_domain, embed_order_lattice and _root call mpmath's libmp functions
+directly. Each must give every field's raw tuple and the class and text of
+every error that the operator code gives, over three families, every
+decade 10^3..10^24 of both signs, five precisions and three ambient
+precisions set directly on mp.mp. The shape comes from an exact integer
+form instead, so it is checked against the same member at 768 bits: it
+must lie within its radius of that shape, and be the convention's
+representative of the closed fundamental domain.
 """
-
-from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -68,10 +68,6 @@ def reference_vector(v):
         return O.ReferenceLogVector(v.x1, v.x2, v.x3, v.err)
 
 
-def _shape(sp):
-    return sp.tau, sp.reduction_word
-
-
 def _simplex(phi):
     return phi.alpha1, phi.alpha2, phi.alpha3
 
@@ -103,10 +99,6 @@ def check_vectors(v, r, disc, bits):
                    units.certify_fundamental) == outcome(
         _certificate, *r, disc, bits, O.reference_relative_regulator_with_error,
         O.reference_certify_fundamental)
-    for prec in (bits, None):
-        got = outcome(lambda a, b: _shape(shapes.shape_from_units(a, b, prec)), *v)
-        assert got == outcome(O.reference_shape_from_units, *v, prec)
-        assert outcome(shapes.to_plane, v[1], prec) == outcome(O.reference_to_plane, v[1], prec)
     got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b)), *v)
     assert got == outcome(O.reference_make_simplex, *r)
     if got[0] == "ok":
@@ -147,17 +139,12 @@ def test_error_paths_match_the_operator_code(amb):
     assert outcome(units.relative_regulator_with_error, v1, d) == outcome(
         O.reference_relative_regulator_with_error, r1, rd)
     assert outcome(masses.make_simplex, v1, d) == outcome(O.reference_make_simplex, r1, rd)
-    assert outcome(lambda a, b: _shape(shapes.shape_from_units(a, b, 192)), v1, d) == outcome(
-        O.reference_shape_from_units, v1, d, 192)
     zero = units.LogVector(mpf(0), mpf(0), mpf(0), mpf(0))
-    assert outcome(lambda a, b: _shape(shapes.shape_from_units(a, b)), zero, v1) == outcome(
-        O.reference_shape_from_units, zero, v1)
-    # off-plane input: the LogVector check, and to_plane's own on a bare triple
+    for pair in ((v1, d), (zero, v1), (v1, zero)):
+        assert outcome(shapes.shape_from_units, *pair)[:2] == ("error", "DependentUnitsError")
+    # off-plane input: the LogVector check
     assert outcome(units.LogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)) == outcome(
         O.ReferenceLogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30))
-    off = SimpleNamespace(x1=mpf(1), x2=mpf(2), x3=mpf(-2), err=mpf(1e-30))
-    assert outcome(shapes.to_plane, off, 64) == outcome(O.reference_to_plane, off, 64)
-    assert outcome(shapes.to_plane, off, 64)[2].startswith("input is off the trace-zero plane")
     # minors that disagree: the first vector sums to 1e-8, inside LogVector's
     # 2^-24 relative slack but, from 53 bits on, far outside the regulator's
     # tolerance
@@ -174,24 +161,8 @@ def test_error_paths_match_the_operator_code(amb):
             == outcome(O.reference_certify_fundamental, *args)
     # the lower half plane
     for tau in (mp.mpc(0.3, -1), mp.mpc(0.3, 0), mpf(2)):
-        assert outcome(lambda z: _shape(shapes.reduce_fundamental(z, 64)), tau) == outcome(
-            O.reference_reduce_fundamental, tau, 64)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(-40, 40), st.floats(1e-6, 40), st.sampled_from((8, 24, 53, 64, 192, 384)),
-       st.sampled_from(AMBIENT))
-def test_reduce_fundamental_matches_the_operator_code(x, y, prec, amb):
-    mp.mp.prec = amb
-    tau = mp.mpc(x, y)
-    assert outcome(lambda z: _shape(shapes.reduce_fundamental(z, prec)), tau) == outcome(
-        O.reference_reduce_fundamental, tau, prec)
-    # points on the left edge and on the arc meet the tie rules
-    with mp.workprec(prec):
-        edge, arc = mp.mpc(-0.5, y + 0.5), mp.expjpi(mp.mpf(0.5) + mp.mpf(y % 1) / 6)
-    for z in (edge, arc):
-        assert outcome(lambda w: _shape(shapes.reduce_fundamental(w, prec)), z) == outcome(
-            O.reference_reduce_fundamental, z, prec)
+        got = outcome(shapes.reduce_fundamental, tau, 64)
+        assert got[:2] == ("error", "InvalidParamsError") and got[2].startswith("need Im(tau) > 0")
 
 
 @pytest.mark.parametrize("prec", [None, 8, 16, 53, 64, 192, 384])
@@ -203,6 +174,43 @@ def test_omega_and_corner_match_the_operator_code(prec, amb):
 
 
 # ---------------------------------------------------------------------------
+# The shape against truth: the same member at 768 bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def truth():
+    return {(family, t): _Member.of_family(FAMILIES[family], t, 768).shape
+            for family in FAMILIES for t in DECADES}
+
+
+def glued_distance(z, w):
+    # |z - w| up to the gluing of the domain's vertical edges (w +- 1) and
+    # of its arc (-1/w), but not the mirror
+    with mp.workprec(1024):
+        return min(abs(z - c) for c in (w, w + 1, w - 1, -1 / w))
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_shape_lies_within_its_radius_of_the_768_bit_shape(bits, truth):
+    # each printed shape is the convention's representative, lies within
+    # its radius of the truth, and is the reference plane map's quotient
+    # of the same log vectors carried by its own word
+    for family in sorted(FAMILIES):
+        for t in DECADES:
+            v = _Member.of_family(FAMILIES[family], t, bits).logs
+            sp, ref = shapes.shape_from_units(*v, bits), truth[family, t]
+            assert O.reference_convention(sp), (family, t)
+            assert glued_distance(sp.tau, ref.tau) <= sp.radius + ref.radius, (family, t)
+            with mp.workprec(4 * bits):
+                z = O.reference_to_plane(v[1]) / O.reference_to_plane(v[0])
+                flip = sp.reduction_word[:1] == ("reflect",)
+                assert flip == (z.imag < 0)
+                z = O.replay(mp.conj(z) if flip else z, sp.reduction_word[flip:])
+                assert abs(z - sp.tau) <= sp.radius, (family, t)
+
+
+# ---------------------------------------------------------------------------
 # An explicit precision below 8 bits is an error, not the ambient precision
 # ---------------------------------------------------------------------------
 
@@ -210,7 +218,7 @@ def test_omega_and_corner_match_the_operator_code(prec, amb):
 @pytest.mark.parametrize("prec", [0, -5, 7])
 def test_shape_precision_below_eight_bits_is_rejected(prec):
     v1, v2 = _one_unit_logs()
-    calls = [lambda: shapes.shape_from_units(v1, v2, prec), lambda: shapes.to_plane(v1, prec),
+    calls = [lambda: shapes.shape_from_units(v1, v2, prec),
              lambda: shapes.reduce_fundamental(mp.mpc(0.1, 2), prec),
              lambda: shapes.omega(prec), lambda: shapes.corner(prec)]
     for call in calls:
