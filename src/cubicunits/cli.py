@@ -247,7 +247,7 @@ class _Member:
 
     @cached_property
     def phi(self) -> masses.SimplexSet:
-        return masses.make_simplex(*self.logs)
+        return masses._order_simplex(self.order, *self.logs)
 
 
 def _scan_row(payload) -> str:

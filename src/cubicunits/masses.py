@@ -31,6 +31,20 @@ the minima, so no float error bound has to hold for them.
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
 verified units, so no caller hands it a simplex that would need checking.
+The hexagon is a fundamental domain of the compact orbit, the torus R^2 /
+Lambda, Lambda = Z alpha1 + Z alpha2 the lattice of unit log vectors, and
+the sweep keeps its state on that torus: one mark per cell (a mod k, b mod
+k) of the grid points (a alpha1 + b alpha2) / k. A verdict holds at every
+translate. The unit eps = eps1^i eps2^j, with log vector y = i alpha1 +
+j alpha2, maps the order onto itself, so diag(eps) L = L M with M
+unimodular, and exp(y) = D diag(eps) with D the diagonal matrix of the
+signs of eps's embedding. So exp(x + y) L = D exp(x) L M is the lattice
+D exp(x) L, and D is an isometry: lambda_1, lambda_2 and the absolute
+coordinates of a shortest vector are the same at every translate. Each
+cover and unit row therefore marks its cells modulo k, wrapping where it
+crosses the hexagon's edge, and the identified edges and vertices of the
+hexagon share one mark.
+
 The mass scan runs in two steps per height. First the unit rows: the
 unit eps1^i eps2^j has log vector y = i alpha1 + j alpha2 and exactly
 known norm |exp(x) eps|^2 = disc^{-1/3} sum_k e^{2(x_k + y_k)}. Along a
@@ -42,28 +56,30 @@ point between them escaped. Only monomials whose region, inside x_k +
 y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
 each row searches a short computed range of (i, j); and as the grid
 point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
-the extended grid, one interval per extended row serves every (row,
-monomial) pair. Then the centre walk visits only the points still
-open, coarse to fine, and gives each one a certified kernel call,
-lambda_1 within [s - m, s + m], which decides every point with min_i d_i >
--log((s - m) H) (no escape) or max_i d_i < -log((s + m) H) (escape):
-moving x by d scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d)
-v| lies between e^{min d_i} and e^{max d_i} times |exp(x) v|. In the
-trace-zero plane each such region is a triangle with 3/2 the
-area of the sup-ball hexagon |d_i| < r inside it. The centres are all
-moved from one basis of L that each call reduces once. Each centre (a
-alpha1 + b alpha2) / k is formed from exact dyadic images of the alphas,
-rounded once per coordinate. The offset between two grid points depends
-only on their index difference, which the cover reads exactly from the
-same images, so each centre marks one interval per grid row. With B -
-m_B below the norm of every vector not parallel to the centre's shortest
-vector v1, the centre also marks "height at most H" on the open points p
-= x + d with min_i d_i > -log((B - m_B) H) where a float64 test, whose
-derived error bound must fit a stated headroom, certifies |exp(p) v1| >=
-1/H: a vector shorter than 1/H at p is shorter than B - m_B at x, so it
-is n v1 for an integer n != 0, and no shorter than v1. A centre in doubt
-covers nothing, and a point no verdict covers raises
-PrecisionExhaustedError.
+the extended grid, one interval per extended row marks its cells of the
+torus. Then the centre walk visits only the points still open: the
+origin, the two deep holes (one vertex from each of the hexagon's two
+classes of glued vertices, where the origin's covers reach last), then
+coarse to fine. It gives each one a
+certified kernel call, lambda_1 within [s - m, s + m], which decides
+every point with min_i d_i > -log((s - m) H) (no escape) or max_i d_i <
+-log((s + m) H) (escape): moving x by d scales coordinate i of exp(x) v
+by e^{d_i}, so |exp(x + d) v| lies between e^{min d_i} and e^{max d_i}
+times |exp(x) v|. In the trace-zero plane each such region is a triangle
+with 3/2 the area of the sup-ball hexagon |d_i| < r inside it. The
+centres are all moved from one basis of L that each call reduces once.
+Each centre (a alpha1 + b alpha2) / k is formed from exact dyadic images
+of the alphas, rounded once per coordinate. The offset between two grid
+points depends only on their index difference, which the cover reads
+exactly from the same images, so each centre marks one interval per
+extended row. With B - m_B below the norm of every vector not parallel
+to the centre's shortest vector v1, the centre also marks "height at
+most H" on the open points p = x + d with min_i d_i > -log((B - m_B) H)
+where a float64 test, whose derived error bound must fit a stated
+headroom, certifies |exp(p) v1| >= 1/H: a vector shorter than 1/H at p
+is shorter than B - m_B at x, so it is n v1 for an integer n != 0, and no
+shorter than v1. A centre in doubt covers nothing, and a cell no verdict
+covers raises PrecisionExhaustedError.
 
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
@@ -416,6 +432,17 @@ def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
     return SimplexSet(a1, a2, a3)
 
 
+def _order_simplex(order: CubicOrderData, v1: LogVector, v2: LogVector) -> SimplexSet:
+    """make_simplex(v1, v2) for the log vectors v1 and v2 of the order's
+    first two verified units, at the ambient precision; the order memoises
+    it, keyed by that precision, so a member's ceiling and its mass stage
+    share one."""
+    p = mp.mp.prec
+    if p not in order._simplices:
+        order._simplices[p] = make_simplex(v1, v2)
+    return order._simplices[p]
+
+
 @cache
 def _thirds(p: int):
     # 1/3 and 2/3, each as mp.mpf(k) / 3 rounds it at p bits
@@ -537,23 +564,28 @@ def mass_above_height(
     """For each height H in `heights`, in order, the proportion of hexagon
     sample points x with ht(exp(x) L) > H.
 
-    Each height first runs the unit rows (_unit_rows): every grid point
-    where some unit monomial is certified shorter than 1/H is marked
-    escaped, one convex interval per row and monomial. The centre walk
-    then visits only the points still open (_open_points), in descending
-    2-adic valuation of gcd(a, b), then grid order, and settles each with
-    one certified kernel call (_certified_norm), whose verdict covers every
-    grid point in the one-sided region it proves (_cover): no coordinate of
-    the offset above the radius for escape, none below minus the radius for
-    no escape. A non-unit can still be short, so the kernel keeps both
-    verdicts. A centre in doubt covers nothing this way, and a point no
-    verdict covers raises. The count is exact for the decisions made, and
-    each verdict compares the exact dyadic (s -+ margin) H or (B - m_B) H
-    with 1 (_radius).
+    The state is the torus: k rows of k cells, the grid point (a, b) in cell
+    (a mod k, b mod k). Moving by a unit's log vector changes the lattice by
+    an isometry (see the module docstring), so one verdict decides every
+    grid point of its cell. Each height first runs the unit rows
+    (_unit_rows): every cell where some unit monomial is certified shorter
+    than 1/H is marked escaped, one convex interval per extended row. The
+    centre walk then visits only the points whose cell is still open
+    (_open_points): the origin, the deep holes (2m, m) and (m, 2m), then
+    descending 2-adic valuation of gcd(a, b), then grid order. It settles
+    each with one certified kernel call (_certified_norm), whose verdict
+    covers every cell in the one-sided region it proves (_cover): no
+    coordinate of the offset above the radius for escape, none below minus
+    the radius for no escape. A non-unit can still be short, so the kernel
+    keeps both verdicts. A centre in doubt covers nothing this way, and an
+    open cell raises, naming its first hexagon point. The count reads each
+    hexagon row's cells, so a cell counts once per hexagon point in it, and
+    it is exact for the decisions made; each verdict compares the exact
+    dyadic (s -+ margin) H or (B - m_B) H with 1 (_radius).
 
     While points stay open, a centre x also gives B - m_B, below the least
     norm of a vector not parallel to its shortest vector v1, and a second,
-    wider cover marks "at most H" on each open point p = x + d with min_i
+    wider cover marks "at most H" on each open cell at p = x + d with min_i
     d_i > -log((B - m_B) H) where v1 is certified long: |exp(p) v1| >= 1/H.
     A vector w with |exp(p) w| < 1/H has |exp(x) w| < B - m_B, so w = n v1
     with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|.
@@ -564,62 +596,91 @@ def mass_above_height(
     certified norm share one read of its alphas (_Alphas); every other
     step reads only the order's bits. Only the unit rows and the walk read
     the height, so everything else is built once per call: every height
-    shares one grid, one cover and one certified norm per centre. No point
-    has infinite height, so H = inf has fraction 0.
+    shares one grid, one cover and one certified norm per centre. The
+    simplex is the order's own memo (_order_simplex), which the CLI's
+    ceil_w made already. No point has infinite height, so H = inf has
+    fraction 0.
     """
     if not heights or any(not h > 1 for h in heights):  # NaN fails this too
         raise InvalidParamsError("need at least one height threshold, each above 1")
     if len(order.units) < 2:
         raise InvalidParamsError("the member has fewer than two verified units")
     k, rows = _hexagon_rows(samples)
-    alphas = _Alphas.of(make_simplex(*(log_embed(order, a, b) for a, b in order.units[:2])))
-    cover, certified_norm = _cover(alphas, k, rows), _certified_norm(order, alphas, k)
-    unit_rows = _unit_rows(order, alphas, k, rows)
+    alphas = _Alphas.of(_order_simplex(order, *(log_embed(order, a, b) for a, b in order.units[:2])))
+    cover, certified_norm = _cover(alphas, k), _certified_norm(order, alphas, k)
+    unit_rows = _unit_rows(order, alphas, k)
     top = 2 * k // 3
     fractions = []
     for height in heights:
         if height == math.inf:
             fractions.append(Fraction(0))
             continue
-        state = [bytearray(len(row)) for row in rows]  # 0 while a point is open
+        # state[a % k][b % k] is the torus cell of grid point (a, b), 0 while open
+        state = [bytearray(k) for _ in range(k)]
         unit_rows(state, height)
         hn, hd = float(height).as_integer_ratio()
         hx = 1 - hd.bit_length()  # H = hn 2^hx
-        for a, b in _open_points(state, rows, top):
+        for a, b in _open_points(state, rows):
             s, margin, e, floor = certified_norm(a, b)
             if (r := _radius((s - margin) * hn, e + hx, 1)) is not None:
                 cover(state, a, b, r, _STAYS)
             elif (r := _radius((s + margin) * hn, e + hx, -1)) is not None:
                 cover(state, a, b, r, _ESCAPES)
-            if any(0 in row for row in state):  # a wide cover marks open points only
+            if any(0 in marks for marks in state):  # a wide cover marks open cells only
                 wide, we, v1 = floor()
                 if (r := _radius(wide * hn, we + hx, 1)) is not None:
                     cover(state, a, b, r, _STAYS, v1, height)
-        for u, row in enumerate(state, -top):
-            if 0 in row:
-                point = (Fraction(u, k), Fraction(rows[u + top][row.index(0)], k))
-                raise PrecisionExhaustedError(
-                    f"height vs {height} undecidable within error bounds near {point}; "
-                    "rebuild the order with a finer precision policy")
-        fractions.append(Fraction(sum(row.count(_ESCAPES) for row in state), sum(map(len, rows))))
+        if any(0 in marks for marks in state):
+            point = next((Fraction(u, k), Fraction(v, k)) for u, row in enumerate(rows, -top)
+                         for v in row if not state[u % k][v % k])
+            raise PrecisionExhaustedError(
+                f"height vs {height} undecidable within error bounds near {point}; "
+                "rebuild the order with a finer precision policy")
+        escaped = 0
+        for u, row in enumerate(rows, -top):
+            marks = state[u % k]
+            for start, stop in _slices(row.start, row.stop - 1, k):
+                escaped += marks.count(_ESCAPES, start, stop)
+            if len(row) > k:  # k + 1 points: the two ends share a cell
+                escaped += marks[row.start % k] == _ESCAPES
+        fractions.append(Fraction(escaped, sum(map(len, rows))))
     return tuple(fractions)
 
 
-def _open_points(state: list[bytearray], rows: tuple[range, ...], top: int):
-    """The grid points (a, b) still open (state 0) when the walk reaches
-    them, in descending 2-adic valuation of gcd(a, b): the origin, then
-    each level s = 2^j, row-major within a level. The state is read as the
-    walk goes, so a point marked after an earlier visit is skipped. A row
-    with no open point is passed over before its level's points are
-    sliced out; within a row, bytearray.find on them jumps over decided
-    runs."""
-    if not state[top][-rows[top].start]:
-        yield 0, 0
+def _slices(lo: int, hi: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The torus cells of the points lo..hi (lo <= hi) of an extended row,
+    as slices (start, stop) of a torus row of length k: the whole row when
+    hi - lo >= k - 1, else one slice, or two where the interval wraps."""
+    if hi - lo >= k - 1:
+        return ((0, k),)
+    start = lo % k
+    stop = start + hi - lo + 1
+    return ((start, stop),) if stop <= k else ((start, k), (0, stop - k))
+
+
+def _open_points(state: list[bytearray], rows: tuple[range, ...]):
+    """The grid points (a, b) whose torus cell is still open (state 0) when
+    the walk reaches them: the origin, then the deep holes (2m, m) and (m,
+    2m), k = 3m, then each level s = 2^j of the 2-adic valuation of gcd(a,
+    b), highest first, row-major within a level. The deep holes are one
+    vertex from each of the hexagon's two classes of three vertices, which
+    the torus glues into one point each; in the hexagon's own norm they lie
+    farthest from the origin's translates, where the origin's covers reach
+    last. The state is read as the walk goes, so a point whose cell was
+    marked after an earlier visit is skipped. A row whose torus row has no
+    open cell is passed over before its level's points are sliced out of
+    the row's cells, read in v order; bytearray.find on them jumps over
+    decided runs."""
+    k = len(state)
+    top, m = 2 * k // 3, k // 3
+    for a, b in ((0, 0), (2 * m, m), (m, 2 * m)):
+        if not state[a % k][b % k]:
+            yield a, b
     s = 1 << top.bit_length()  # above every |a|, |b| <= top
     while s > 1:
         s >>= 1
         for a in range(-(top // s) * s, top + 1, s):
-            row, marks = rows[a + top], state[a + top]
+            row, marks = rows[a + top], state[a % k]
             if 0 not in marks:  # marks are never cleared: the row stays decided
                 continue
             # the lowest set bit of gcd(a, b) is s: b any multiple of s when
@@ -628,18 +689,19 @@ def _open_points(state: list[bytearray], rows: tuple[range, ...], top: int):
             if not (a | b) & s:
                 b += s
             first, step = b - row.start, s if a & s else 2 * s
-            level = marks[first::step]
+            start = row.start % k  # the row's at most k + 1 cells, in v order
+            level = (marks + marks)[start + first:start + len(row):step]
             pos = level.find(0)
             while pos >= 0:
-                i = first + pos * step
-                if not marks[i]:
-                    yield a, row.start + i
+                v = b + pos * step
+                if not marks[v % k]:
+                    yield a, v
                 pos = level.find(0, pos + 1)
 
 
-def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range, ...]):
+def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     """unit_rows(state, height) -> [(u, vmin, vmax, lo, hi)]: mark
-    _ESCAPES on every grid point where some unit monomial is certified
+    _ESCAPES on every torus cell where some unit monomial is certified
     shorter than 1/height, and return, per row u of the extended grid (u
     alpha1 + v alpha2) / k (u and v any integers) that the search reaches,
     the bounds vmin < v < vmax it searched and the certified interval
@@ -648,28 +710,28 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range
     The unit monomial eps = eps1^i eps2^j has log vector y = i alpha1 + j
     alpha2 and exactly known norm |exp(x) eps|^2 = disc^{-1/3} sum_m
     exp(2 (x + y)_m). At the grid point (a, b), x + y is the extended point
-    (a + ik, b + jk), so the grid point escapes by eps exactly when that
-    extended point lies in the one set E = {z : disc^{-1/3} sum_m exp(2 z_m)
-    < 1/H^2}. E lies inside the triangle z_m < R = log(disc^{1/3} / H^2) / 2
-    on every m, and vmin < v < vmax bounds that triangle on row u (widened
-    by a relative and an absolute 2^-20), so only monomials that put some
-    grid point of a row inside those bounds can be short there, and every
-    other one is long. Along a row the sum is convex in v (three
+    (a + ik, b + jk), a point of the same torus cell, so the cell escapes
+    by eps exactly when that extended point lies in the one set E = {z :
+    disc^{-1/3} sum_m exp(2 z_m) < 1/H^2}. E lies inside the triangle z_m <
+    R = log(disc^{1/3} / H^2) / 2 on every m, and vmin < v < vmax bounds
+    that triangle on row u (widened by a relative and an absolute 2^-20),
+    so only monomials that put some grid point of a row inside those
+    bounds can be short there, and every other one is long. Along a row the sum is convex in v (three
     exponentials of functions affine in v), so E meets each row in one
     interval: float64 Newton from each end of the bounds finds its ends,
     which are rounded inward to integers and certified by the float test
     below; by convexity that certifies every point between them. An end
     that fails the test steps inward; after three failures the row is
-    left to the kernel. The widest rows go first, and a row whose grid
-    rows a = u - ik are all marked already is not solved.
+    left to the kernel. The widest rows go first, and a row whose torus
+    row u mod k is all marked already is not solved.
 
-    Each row costs a few float operations. Once per member: the one or
-    two grid rows of each residue class of u mod k, and the split of the
-    coordinates by the sign of alpha2_m, so vmax (vmin) is the least
+    Each row costs a few float operations. Once per member: the split of
+    the coordinates by the sign of alpha2_m, so vmax (vmin) is the least
     (greatest) of at most two bounds (wide - s alpha1_m) k / alpha2_m.
     Once per row: s alpha1_m, which Newton's offsets and each end's test
-    share. A certified interval is marked by slicing one preallocated
-    buffer into each translate b = v - jk that meets a grid row.
+    share. A certified interval lo..hi marks the cells v mod k of torus row
+    u mod k, as one or two slices of one preallocated buffer (_slices), or
+    the whole row when it holds k points or more.
 
     The test at the extended point c = (s, t) = (u, v) / k, in float64
     with eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from
@@ -695,7 +757,6 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range
     dscale = to_float(mpf_pow(from_int(order.disc, bits, _RND), mpf_neg(_thirds(bits)[0]), bits, _RND),
                       rnd=_RND)
     det = a1[0] * a2[1] - a1[1] * a2[0]
-    top = 2 * k // 3
 
     (x0, x1, x2), (y0, y1, y2) = a1, a2
     q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
@@ -706,10 +767,7 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range
     ups = [(x, y) for x, y in zip(a1, a2) if y > 0]
     downs = [(x, y) for x, y in zip(a1, a2) if y < 0]
     (xa, ya), (xb, yb), (xc, yc), (xd, yd) = ups * (3 - len(ups)) + downs * (3 - len(downs))
-    # classes[c]: the grid rows a + top, a = u - ik, of the extended rows u
-    # with u + top = c mod k (c, and c + k if the grid has it, as 2 top < 2k)
-    classes = [(c, c + k) if c + k <= 2 * top else (c,) for c in range(k)]
-    fill = memoryview(bytes([_ESCAPES]) * max(map(len, rows)))
+    fill = memoryview(bytes([_ESCAPES]) * k)
 
     def end(c0, c1, c2, v, sg, stop):
         """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
@@ -754,12 +812,12 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range
             vmin, vmax = (vd if vd > vc else vc), (vb if vb < va else va)
             if vmin < vmax:
                 spans.append((u, vmin, vmax))
-        # widest first: a row whose grid rows are all marked already is skipped
+        # widest first: a row whose torus row is all marked already is skipped
         spans.sort(key=lambda b: b[1] - b[2])
         for u, vmin, vmax in spans:
-            grid = classes[(u + top) % k]
+            marks = state[u % k]
             lo, hi = 0, -1
-            if 0 in state[grid[0]] or len(grid) > 1 and 0 in state[grid[1]]:
+            if 0 in marks:
                 s = u / k
                 sx0, sx1, sx2 = s * x0, s * x1, s * x2
                 c0, c1, c2 = 2.0 * (sx0 - big_r), 2.0 * (sx1 - big_r), 2.0 * (sx2 - big_r)
@@ -786,18 +844,9 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int, rows: tuple[range
                         else:
                             lo, hi = 0, -1
                             break
-            if lo <= hi:
-                # mark every grid point (a, v - jk), a = u - ik, lo <= v <= hi
-                for i in grid:
-                    marks, start, n = state[i], rows[i].start, len(rows[i])
-                    if hi - lo >= k - 1:  # the translates by jk cover every b
-                        marks[:] = fill[:n]
-                        continue
-                    # b = v - jk meets the row for jk in [lo - start - n + 1, hi - start]
-                    for jk in range(-((start + n - 1 - lo) // k) * k, hi - start + 1, k):
-                        first, stop = lo - jk - start, hi - jk + 1 - start
-                        first, stop = (first if first > 0 else 0), (stop if stop < n else n)
-                        marks[first:stop] = fill[:stop - first]
+            if lo <= hi:  # the torus cells of the extended points (u, lo..hi)
+                for start, stop in _slices(lo, hi, k):
+                    marks[start:stop] = fill[:stop - start]
             out.append((u, vmin, vmax, lo, hi))
         return out
 
@@ -815,38 +864,45 @@ def _round_shift(v: int, n: int) -> int:
     return (v + (1 << (n - 1)) - 1 + ((v >> n) & 1)) >> n
 
 
-def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
+def _cover(alphas: _Alphas, k: int):
     """cover(state, a, b, r, mark, v1=None, height=None): set `mark` on the
-    centre (a, b) and on every grid point x + d whose offset d from it the
-    verdict decides: sg d_i below r on every coordinate i, with sg = +1 for
-    _ESCAPES (no coordinate grows by r) and -1 for _STAYS (none shrinks by
-    r). r is a float that exceeds a proven radius by at most a relative 2
-    eps and an absolute 2 eps.
+    centre's torus cell (a mod k, b mod k) and on the cell of every point x
+    + d of the extended grid whose offset d from it the verdict decides: sg
+    d_i below r on every coordinate i, with sg = +1 for _ESCAPES (no
+    coordinate grows by r) and -1 for _STAYS (none shrinks by r). r is a
+    float that exceeds a proven radius by at most a relative 2 eps and an
+    absolute 2 eps. The verdict holds at x + d, so at every translate of
+    it, which is the cell.
 
     Grid points at offset (da, db) are (da alpha1 + db alpha2) / k apart,
     whatever the centre. A and B are the alphas' integer images, rounded in
     the first two coordinates and with trace zero, so each coordinate of
     A 2^-S is within e = 2 alpha_err + 2^-S of the exact alpha's, S =
-    _COVER_BITS; as |da| + |db| <= (8/3) k on the grid, sg (da A_i + db
-    B_i) <= R proves sg d_i below R 2^-S / k + (8/3) e. That set is a
-    triangle in (da, db): the three sums cancel, so each lies in [-2R, R],
-    |da| <= 2R max|B_i| / |det(A, B)|, and each grid row meets it in one
+    _COVER_BITS; the rows and their intervals are clipped to |da| + |db| <=
+    (8/3) k, so sg (da A_i + db B_i) <= R proves sg d_i below R 2^-S / k +
+    (8/3) e. Two points of the hexagon are at most 2k apart, so the clip
+    keeps every offset between them, and the hexagon centred on x, which
+    holds a translate of every cell, lies within k. That set is a triangle
+    in (da, db): the three sums cancel, so each lies in [-2R, R], |da| <=
+    2R max|B_i| / |det(A, B)|, and each extended row meets it in one
     interval of db, bounded above by the coordinates with sg B_i > 0 and
-    below by those with sg B_i < 0. Two certified verdicts on a point
-    agree, so a covered point is overwritten with its own mark; a
-    disagreement is a bug.
+    below by those with sg B_i < 0. The interval's cells are one or two
+    slices of the torus row (a + da) mod k, or the whole row (_slices).
+    Two certified verdicts on a cell agree, so a covered cell is
+    overwritten with its own mark; a disagreement is a bug.
 
     Each call sets up each side of the triangle once, as the least of at
     most two integer constraints db <= (R - da p) // q, so a row's interval
-    is four exact floor divisions and two comparisons. A verdict cover
-    looks for a disagreeing mark with bytearray.find and fills the
-    interval from one preallocated buffer; a wide cover skips a row with
-    no open point before it reads the row's bounds.
+    is four exact floor divisions and a few comparisons. A verdict cover
+    looks for a disagreeing mark in each slice with bytearray.find and
+    fills it from one preallocated buffer; a wide cover skips a row with
+    no open cell before it reads the row's bounds.
 
     Given v1 = (q_0, q_1, q_2, x_err) from _certified_norm's floor() and
-    the height H, the cover is wide: it marks only points in state 0, and
-    of those only the ones where a float64 test certifies |exp(x + d) v1| >=
-    1/H, that is sum_m e^{2 d_m} (exp(x) v1)_m^2 >= 1/H^2. q_m bounds
+    the height H, the cover is wide: it marks only cells in state 0, each
+    tested once per row at its first offset db from the row's lower end,
+    and of those only the ones where a float64 test certifies |exp(x + d)
+    v1| >= 1/H, that is sum_m e^{2 d_m} (exp(x) v1)_m^2 >= 1/H^2. q_m bounds
     (exp(x~) v1)_m^2 from below at the rounded centre x~, within a relative
     eps, and x~ is off from x by at most x_err per coordinate, a factor
     e^{+-2 x_err} on each term. The test reads 2 d_m from the images as
@@ -856,7 +912,7 @@ def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
     e^{2 d_m} (exp(x) v1)_m^2 is off from the float one by a relative e^{2
     delta} - 1, plus the exp call (4 eps), q_m (eps), the product (eps/2)
     and the sum (eps), and the cutoff (1/H)^2 (1 + _UNIT_HEADROOM) by 3 eps:
-    as in _unit_rows, a point passes when the float sum exceeds that cutoff,
+    as in _unit_rows, a cell passes when the float sum exceeds that cutoff,
     with err = 3 delta + 25 eps <= _UNIT_HEADROOM. r is capped at 100 and H
     at 2^300, so every term is a normal float: q_m is 0 or in [2^-600, 2],
     e^{2 d_m} in [e^-201, e^401], as d_m >= -r and the d_m sum to zero.
@@ -867,25 +923,24 @@ def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
         x1, x2 = (v << -n if n <= 0 else _round_shift(v, n) for v in ints[:2])
         return x1, x2, -x1 - x2
 
-    top = 2 * k // 3
+    bound = 8 * k // 3  # |da| + |db| <= (8/3) k, as far as the images' error is charged
     img1, img2 = map(image, alphas.ints)
     det = abs(img1[0] * img2[1] - img1[1] * img2[0])
     bmax = max(abs(q) for q in img2)
     slack = 6 * alphas.err + 3 * 2.0 ** -_COVER_BITS
-    # no two grid points are farther apart than (8/3) max|alpha_k|
+    # no offset within the clip moves a coordinate by more than (8/3) max|alpha_k|
     diameter = 3 * max(abs(c) for floats in alphas.floats for c in floats)
     (a0, a1, a2), (b0, b1, b2) = ([math.ldexp(q, 1 - _COVER_BITS) / k for q in img]
                                   for img in (img1, img2))
     spread = slack + 3 * _EPS * diameter  # the error of each float64 d_m
 
-    width = max(map(len, rows))
-    fills = {mark: memoryview(bytes([mark]) * width) for mark in (_STAYS, _ESCAPES)}
+    fills = {mark: memoryview(bytes([mark]) * k) for mark in (_STAYS, _ESCAPES)}
 
     def cover(state: list[bytearray], a: int, b: int, r: float, mark: int,
               v1: tuple[float, float, float, float] | None = None,
               height: float | None = None) -> None:
         if v1 is None:
-            state[a + top][b - rows[a + top].start] = mark
+            state[a % k][b % k] = mark
         else:
             q0, q1, q2, x_err = v1
             if not (3 * (spread + x_err) + 25 * _EPS <= _UNIT_HEADROOM and height <= 2.0 ** 300):
@@ -900,7 +955,7 @@ def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
         sg = 1 if mark == _ESCAPES else -1
         # da p + db q <= reach on every coordinate; where q = 0 it bounds da alone
         pairs = [(sg * p, sg * q) for p, q in zip(img1, img2)]
-        dhi = 2 * reach * bmax // det
+        dhi = min(2 * reach * bmax // det, bound)
         dlo = -dhi
         for p, q in pairs:
             if q == 0 < p:
@@ -909,39 +964,38 @@ def _cover(alphas: _Alphas, k: int, rows: tuple[range, ...]):
                 dlo = max(dlo, -(reach // -p))
         # each side of the triangle is the least of at most two constraints
         # on db, (reach - da p) // q with q > 0 (a lone one is taken twice):
-        # above for db - b, below for b - db
+        # above for db, below for -db
         above = [(p, q) for p, q in pairs if q > 0]
         below = [(p, -q) for p, q in pairs if q < 0]
         (pa, qa), (pb, qb) = above * (3 - len(above))
         (pc, qc), (pd, qd) = below * (3 - len(below))
         other, fill = _STAYS + _ESCAPES - mark, fills[mark]
-        for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
-            row, marks = rows[u + top], state[u + top]
+        for da in range(dlo, dhi + 1):
+            marks = state[(a + da) % k]
             if v1 is not None and 0 not in marks:
                 continue
-            da = u - a
             ha, hb = (reach - da * pa) // qa, (reach - da * pb) // qb
             la, lb = (reach - da * pc) // qc, (reach - da * pd) // qd
-            first = b - (la if la < lb else lb) - row.start
-            stop = b + (ha if ha < hb else hb) + 1 - row.start
-            first, stop = (first if first > 0 else 0), (stop if stop < len(row) else len(row))
-            if first >= stop:
+            w = bound - abs(da)
+            lo, hi = -(la if la < lb else lb), (ha if ha < hb else hb)
+            lo, hi = (lo if lo > -w else -w), (hi if hi < w else w)
+            if lo > hi:
                 continue
             if v1 is not None:
-                i = marks.find(0, first, stop)
-                if i < 0:
-                    continue
                 g0, g1, g2 = da * a0, da * a1, da * a2
-                while i >= 0:
-                    db = row.start + i - b
-                    if (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
-                            + q2 * math.exp(g2 + db * b2)) > cutoff:
-                        marks[i] = mark
-                    i = marks.find(0, i + 1, stop)
-            elif marks.find(other, first, stop) >= 0:
-                raise InternalInconsistencyError("two certified verdicts disagree")
-            else:
-                marks[first:stop] = fill[:stop - first]
+            for start, stop in _slices(b + lo, b + hi, k):
+                if v1 is not None:
+                    i = marks.find(0, start, stop)
+                    while i >= 0:
+                        db = lo + (i - b - lo) % k  # the cell's offset in lo..hi
+                        if (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
+                                + q2 * math.exp(g2 + db * b2)) > cutoff:
+                            marks[i] = mark
+                        i = marks.find(0, i + 1, stop)
+                elif marks.find(other, start, stop) >= 0:
+                    raise InternalInconsistencyError("two certified verdicts disagree")
+                else:
+                    marks[start:stop] = fill[:stop - start]
 
     return cover
 

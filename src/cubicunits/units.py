@@ -136,11 +136,13 @@ def _vector(x, err, p: int) -> LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and two memos of exact data derived
-    from them, which no later call can change and no ambient precision
-    enters: log_embed's log vectors, keyed by (a, b), and
-    masses.embed_order_lattice's lattice embeddings, keyed by the
-    precision in bits they were built at."""
+    check (with the rejects and why), and three memos of data derived from
+    them, which no later call can change: log_embed's log vectors, keyed
+    by (a, b), and masses.embed_order_lattice's lattice embeddings, keyed
+    by the precision in bits they were built at, which no ambient
+    precision enters; and the simplex of the first two units' log vectors
+    (masses._order_simplex), keyed by the ambient precision it was made
+    at."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -150,6 +152,7 @@ class CubicOrderData:
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lattices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _simplices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

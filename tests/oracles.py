@@ -8,24 +8,24 @@ the integer-root test enumerates the divisors of p0, and the shortest
 lattice vector comes from an all-mpf LLL and Fincke-Pohst enumeration.
 Expected values frozen in the test files were produced by these routines.
 
-The mass sweep's two row loops are the exception: `reference_cover` and
-`reference_unit_rows` keep the slow per-row form that `masses._cover` and
-`masses._unit_rows` had before their rows became a few integer or float
-operations each. They read the package's constants and its exact dyadic
-reader, since they check only that the faster rows mark the same points
-and return the same tuples. So are `reference_lll`, `reference_exp_act`
-and `reference_dual_weight`: the certified kernel's generic loops from
-before it was written out for three columns, which the written-out kernel
-must match bit for bit. `reference_minima` computes the minima as the
-kernel did before: two float64-pruned Fincke-Pohst enumerations over
-`reference_lll`'s Gram-Schmidt data with a derived float error pad. The
-kernel now reads lambda_1^2, lambda_2^2 and a shortest vector from an
-exact Minkowski reduction instead: a sorted basis that no move by the
-shorter columns with coefficients in {0, +-1} shortens is
-Minkowski-reduced in dimension 3, and such a basis reaches the
-successive minima in dimension at most 4 (Nguyen and Stehle,
-"Low-dimensional lattice basis reduction revisited", ACM TALG 2009). The
-two must agree exactly on integers.
+The mass sweep's cover is the exception: `reference_cover` is
+`masses._cover` written point by point on the torus, with no slices. It
+reads the package's constants and its exact dyadic reader, since it
+checks only that the faster rows and their slices mark the same cells.
+The unit rows have no replica: a test checks each interval they certify
+against the same member at 256 bits. So are `reference_lll`,
+`reference_exp_act` and `reference_dual_weight` exceptions: the certified
+kernel's generic loops from before it was written out for three columns,
+which the written-out kernel must match bit for bit. `reference_minima`
+computes the minima as the kernel did before: two float64-pruned
+Fincke-Pohst enumerations over `reference_lll`'s Gram-Schmidt data with
+a derived float error pad. The kernel now reads lambda_1^2, lambda_2^2
+and a shortest vector from an exact Minkowski reduction instead: a
+sorted basis that no move by the shorter columns with coefficients in
+{0, +-1} shortens is Minkowski-reduced in dimension 3, and such a basis
+reaches the successive minima in dimension at most 4 (Nguyen and
+Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
+2009). The two must agree exactly on integers.
 
 `exp_act`, `basis_columns` and `replay` are plumbing, not references:
 the package's private flow action at explicit bits, a basis's exact
@@ -360,9 +360,14 @@ def reference_second_minimum(cols, prec: int) -> mp.mpf:
                            if not parallel(c)))
 
 
-def reference_cover(phi, k: int, rows):
-    """masses._cover with one generator per row bound, a slice copy for the
-    disagreement check and a fresh fill per row."""
+def reference_cover(phi, k: int, glue: int = 0):
+    """masses._cover point by point on the torus: each extended row's
+    bounds are the generic least of its constraints, and each point's
+    cell is checked, marked or tested on its own, in order of db, with no
+    slices; a wide cover tests each open cell once per row, at its first
+    offset db in the row's bounds. The extended point (u, v) has the cell
+    (u mod k, (v - glue floor(u / k)) mod k): glue 0 is the torus, and any
+    other glue plants a wrong one."""
     from cubicunits import masses
     from cubicunits.errors import InternalInconsistencyError
 
@@ -373,7 +378,7 @@ def reference_cover(phi, k: int, rows):
         x1, x2 = (round(v * Fraction(2) ** (e + bits)) for v in ints)
         return x1, x2, -x1 - x2
 
-    top = 2 * k // 3
+    bound = 8 * k // 3
     img1, img2 = image(phi.alpha1), image(phi.alpha2)
     det = abs(img1[0] * img2[1] - img1[1] * img2[0])
     bmax = max(abs(q) for q in img2)
@@ -387,7 +392,7 @@ def reference_cover(phi, k: int, rows):
     def cover(state, a, b, r, mark, v1=None, height=None):
         headroom = masses._UNIT_HEADROOM
         if v1 is None:
-            state[a + top][b - rows[a + top].start] = mark
+            state[a % k][(b - glue * (a // k)) % k] = mark
         else:
             q0, q1, q2, x_err = v1
             if not (3 * (spread + x_err) + 25 * eps <= headroom and height <= 2.0 ** 300):
@@ -400,7 +405,7 @@ def reference_cover(phi, k: int, rows):
             return
         sg = 1 if mark == masses._ESCAPES else -1
         pairs = [(sg * p, sg * q) for p, q in zip(img1, img2)]
-        dhi = 2 * reach * bmax // det
+        dhi = min(2 * reach * bmax // det, bound)
         dlo = -dhi
         for p, q in pairs:
             if q == 0 < p:
@@ -409,140 +414,27 @@ def reference_cover(phi, k: int, rows):
                 dlo = max(dlo, -(reach // -p))
         below = [(p, -q) for p, q in pairs if q < 0]
         above = [(p, q) for p, q in pairs if q > 0]
-        for u in range(max(a + dlo, -top), min(a + dhi, top) + 1):
-            row, marks = rows[u + top], state[u + top]
+        other = masses._STAYS + masses._ESCAPES - mark
+        for da in range(dlo, dhi + 1):
+            marks, shift = state[(a + da) % k], b - glue * ((a + da) // k)
             if v1 is not None and 0 not in marks:
                 continue
-            lo = max(row.start, b - min((reach - (u - a) * p) // q for p, q in below))
-            hi = min(row.stop - 1, b + min((reach - (u - a) * p) // q for p, q in above))
-            if lo > hi:
-                continue
-            first, stop = lo - row.start, hi + 1 - row.start
+            lo = max(abs(da) - bound, -min((reach - da * p) // q for p, q in below))
+            hi = min(bound - abs(da), min((reach - da * p) // q for p, q in above))
             if v1 is not None:
-                g0, g1, g2 = (u - a) * a0, (u - a) * a1, (u - a) * a2
-                i = marks.find(0, first, stop)
-                while i >= 0:
-                    db = row.start + i - b
-                    if (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
-                            + q2 * math.exp(g2 + db * b2)) > cutoff:
+                g0, g1, g2 = da * a0, da * a1, da * a2
+                for db in range(lo, min(hi, lo + k - 1) + 1):
+                    i = (shift + db) % k
+                    if not marks[i] and (q0 * math.exp(g0 + db * b0) + q1 * math.exp(g1 + db * b1)
+                                         + q2 * math.exp(g2 + db * b2)) > cutoff:
                         marks[i] = mark
-                    i = marks.find(0, i + 1, stop)
-            elif masses._STAYS + masses._ESCAPES - mark in marks[first:stop]:
+            elif any(marks[(shift + db) % k] == other for db in range(lo, hi + 1)):
                 raise InternalInconsistencyError("two certified verdicts disagree")
             else:
-                marks[first:stop] = bytes([mark]) * (stop - first)
+                for db in range(lo, hi + 1):
+                    marks[(shift + db) % k] = mark
 
     return cover
-
-
-def reference_unit_rows(order, phi, k: int, rows):
-    """masses._unit_rows with its float test, interval search and marking
-    as separate helpers, each row's constants recomputed per call."""
-    from cubicunits import masses
-
-    eps = masses._EPS
-    a1 = [float(c) for c in phi.alpha1.coords]
-    a2 = [float(c) for c in phi.alpha2.coords]
-    with mp.workprec(masses._bits(order)):
-        dscale = float(mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3))
-    alpha_err = float(max(phi.alpha1.err, phi.alpha2.err))
-    det = a1[0] * a2[1] - a1[1] * a2[0]
-    top = 2 * k // 3
-    (x0, x1, x2), (y0, y1, y2) = a1, a2
-    q0, q1, q2 = (2.0 * y / k for y in a2)
-    grow = 3 * (alpha_err + 3 * eps * max(map(abs, a1 + a2)))
-
-    def short(u, v, cutoff):
-        headroom = masses._UNIT_HEADROOM
-        s, t = u / k, v / k
-        if not (abs(s) + abs(t)) * grow + 25 * eps <= headroom:
-            return False
-        try:
-            total = (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
-                     + math.exp(2.0 * (s * x2 + t * y2)))
-        except OverflowError:
-            return False
-        return dscale * total < cutoff * (1 - headroom)
-
-    def end(c0, c1, c2, v, sg, stop):
-        for _ in range(64):
-            w0, w1, w2 = math.exp(c0 + q0 * v), math.exp(c1 + q1 * v), math.exp(c2 + q2 * v)
-            total = w0 + w1 + w2
-            g = math.log(total)
-            if g <= 0:
-                return v
-            slope = (q0 * w0 + q1 * w1 + q2 * w2) / total
-            if not sg * slope > 0:
-                return None
-            step = g / slope
-            v -= step
-            if sg * (v - stop) < 0:
-                return None
-            if abs(step) < 2.0 ** -10:
-                return v
-        return v
-
-    def bounds(wide):
-        corners = [((wide - 3 * wide * (m == 0)) * a2[1] - (wide - 3 * wide * (m == 1)) * a2[0])
-                   / det for m in range(3)]
-        out = []
-        for u in range(math.floor(min(corners) * k), math.ceil(max(corners) * k) + 1):
-            s = u / k
-            vmin, vmax = -math.inf, math.inf
-            for x, y in zip(a1, a2):
-                if y > 0:
-                    vmax = min(vmax, (wide - s * x) / y * k)
-                elif y < 0:
-                    vmin = max(vmin, (wide - s * x) / y * k)
-            if vmin < vmax:
-                out.append((u, vmin, vmax))
-        return out
-
-    def interval(u, vmin, vmax, big_r, cutoff):
-        s = u / k
-        offsets = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
-        right = end(*offsets, vmax, 1, vmin)
-        left = None if right is None else end(*offsets, vmin, -1, right)
-        if left is None:
-            return 0, -1
-        ends = [math.ceil(left), math.floor(right)]
-        for e, inward in ((1, -1), (0, 1)):
-            for _ in range(3):
-                if ends[0] > ends[1] or short(u, ends[e], cutoff):
-                    break
-                ends[e] += inward
-            else:
-                return 0, -1
-        return ends[0], ends[1]
-
-    def escape(state, u, lo, hi):
-        for a in range(-top + (u + top) % k, top + 1, k):
-            row, marks = rows[a + top], state[a + top]
-            if hi - lo >= k - 1:
-                marks[:] = bytes([masses._ESCAPES]) * len(row)
-                continue
-            for j in range(-((row.stop - 1 - lo) // k), (hi - row.start) // k + 1):
-                first = max(lo - j * k, row.start) - row.start
-                stop = min(hi - j * k, row.stop - 1) + 1 - row.start
-                marks[first:stop] = bytes([masses._ESCAPES]) * (stop - first)
-
-    def unit_rows(state, height):
-        cutoff = (1.0 / float(height)) ** 2
-        out = []
-        if not cutoff > dscale:
-            return out
-        big_r = 0.5 * math.log(cutoff / dscale)
-        wide = big_r * (1 + 2.0 ** -20) + 2.0 ** -20
-        for u, vmin, vmax in sorted(bounds(wide), key=lambda b: b[1] - b[2]):
-            lo, hi = 0, -1
-            if any(0 in state[a + top] for a in range(-top + (u + top) % k, top + 1, k)):
-                lo, hi = interval(u, vmin, vmax, big_r, cutoff)
-                if lo <= hi:
-                    escape(state, u, lo, hi)
-            out.append((u, vmin, vmax, lo, hi))
-        return out
-
-    return unit_rows
 
 
 # The certified kernel's generic loops, as masses had them before the

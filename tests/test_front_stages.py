@@ -266,7 +266,7 @@ def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
         for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (-10 ** 9, 384)):
             m = _Member.of_family(FAMILIES[family], t, bits)
             m.ht
-            masses.mass_above_height(m.order, [10.0, 100.0], 600)
+            masses.mass_above_height(m.order, [10.0, 100.0, 1000.0], 600)
     assert len(seen) > 100
     for n, exp, prec in seen:
         assert root(n, exp, prec)._mpf_ == O.reference_root(n, exp, prec)._mpf_

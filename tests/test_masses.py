@@ -1,5 +1,6 @@
 """Lattice embeddings, certified heights, hexagon domains, mass estimates."""
 
+import bisect
 import collections
 import contextlib
 import functools
@@ -55,7 +56,6 @@ from .oracles import (
     reference_minima,
     reference_second_minimum,
     reference_shortest_vector_norm,
-    reference_unit_rows,
 )
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
@@ -312,9 +312,9 @@ def test_minima_match_the_padded_enumeration_on_benchmark_centres(monkeypatch):
             for member in members(workload, seed):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(member.argv()) == 0
-    # as many as the benchmark's traced masses.enum_calls: 18 and 130 at
-    # seed 0, 15 and 74 at seed 3
-    assert len(moved) == 237
+    # as many as the benchmark's traced masses.enum_calls: 15 and 84 at
+    # seed 0, 14 and 36 at seed 3
+    assert len(moved) == 149
     for i, basis in enumerate(moved):
         assert_minima_match(basis, reference_minima(basis.cols))
         if i % 10 == 0:
@@ -664,39 +664,53 @@ def test_hexagon_grid_count_formula():
 
 
 def centre_order(samples):
-    # the sweep's centre order: a stable sort by the lowest set bit of
-    # gcd(a, b), highest first, with the origin above every level
+    # the sweep's centre order: the origin, the deep holes (2m, m) and
+    # (m, 2m), then the other grid points in a stable sort by the lowest set
+    # bit of gcd(a, b), highest first (the deep holes again among them)
     def level(point):
         low = point[0] | point[1]
-        return low & -low or math.inf
+        return low & -low
 
     k, rows = masses._hexagon_rows(samples)
-    top = 2 * k // 3
-    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
-    return rows, top, sorted(grid, key=level, reverse=True)
+    top, m = 2 * k // 3, k // 3
+    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row if (u, v) != (0, 0)]
+    return k, rows, [(0, 0), (2 * m, m), (m, 2 * m)] + sorted(grid, key=level, reverse=True)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 7, 60, 300, 600, 1000, 10000, 12345])
 def test_centres_descend_by_level_then_row_major(samples):
-    # at an empty state the open-point walk visits every grid point
-    rows, top, order = centre_order(samples)
-    state = [bytearray(len(row)) for row in rows]
-    assert list(masses._open_points(state, rows, top)) == order
+    # at an empty state the open-point walk visits the origin, the two deep
+    # holes, then every grid point by level; when each visit settles its
+    # torus cell, the walk settles each of the k^2 cells once, at the first
+    # of its grid points in that order
+    k, rows, order = centre_order(samples)
+    state = [bytearray(k) for _ in range(k)]
+    assert list(masses._open_points(state, rows)) == order
+    settled = []
+    for a, b in masses._open_points(state, rows):
+        assert not state[a % k][b % k]
+        state[a % k][b % k] = masses._STAYS
+        settled.append((a, b))
+    first = {}
+    for a, b in order:
+        first.setdefault((a % k, b % k), (a, b))
+    assert settled == list(first.values()) and len(settled) == k * k
 
 
 @pytest.mark.parametrize("samples, seed", [(60, 0), (300, 1), (1000, 2), (10000, 3)])
 def test_open_point_walk_skips_marks_written_between_visits(samples, seed):
-    # random marks before the walk and after every visit (sometimes on the
-    # visited point, sometimes a run of a row, anywhere): the walk yields
-    # exactly the points still open when the centre order reaches them
+    # random marks on the torus before the walk and after every visit
+    # (sometimes on the visited cell, sometimes a run of a torus row,
+    # anywhere): the walk yields exactly the points whose cell is still
+    # open when the centre order reaches them
     rng = random.Random(seed)
-    rows, top, order = centre_order(samples)
-    state = [bytearray(rng.random() < 0.3 for _ in row) for row in rows]
+    k, rows, order = centre_order(samples)
+    state = [bytearray(rng.random() < 0.3 for _ in range(k)) for _ in range(k)]
 
     def is_open(point):
-        return not state[point[0] + top][point[1] - rows[point[0] + top].start]
+        return not state[point[0] % k][point[1] % k]
 
-    walk = masses._open_points(state, rows, top)
+    walk = masses._open_points(state, rows)
     visited = 0
     for point in order:
         if not is_open(point):
@@ -704,12 +718,12 @@ def test_open_point_walk_skips_marks_written_between_visits(samples, seed):
         assert next(walk) == point
         visited += 1
         for _ in range(rng.randrange(3)):
-            u = rng.randrange(len(rows))
-            lo = rng.randrange(len(rows[u]))
-            hi = min(len(rows[u]), lo + rng.randrange(1, 6))
+            u = rng.randrange(k)
+            lo = rng.randrange(k)
+            hi = min(k, lo + rng.randrange(1, 6))
             state[u][lo:hi] = bytes([rng.choice((masses._STAYS, masses._ESCAPES))]) * (hi - lo)
         if rng.random() < 0.5:
-            state[point[0] + top][point[1] - rows[point[0] + top].start] = masses._STAYS
+            state[point[0] % k][point[1] % k] = masses._STAYS
     assert next(walk, None) is None
     assert visited > 1
 
@@ -783,6 +797,22 @@ def per_point_norm(order, phi, point, base):
         return s, s * mp.ldexp(1, -(bits - 32)) + 4 * x.err * s
 
 
+def per_point_fractions(kind, t, samples, heights):
+    # (order, phi, the fraction of grid points above each height, each point
+    # decided by its own enumeration)
+    order, phi = mass_member(kind, t)
+    base = embed_order_lattice(order)
+    points = hexagon_grid(samples)
+    norms = [per_point_norm(order, phi, p, base) for p in points]
+    expected = []
+    for height in heights:
+        with mp.workprec(512):
+            hcut = 1 / mp.mpf(height)
+        assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
+        expected.append(Fraction(sum(s < hcut for s, _ in norms), len(points)))
+    return order, phi, tuple(expected)
+
+
 @pytest.mark.parametrize("kind, t, samples, heights", [
     *(pytest.param(kind, t, 300, (10.0, 100.0), id=f"{t}-{kind}")
       for t in (10 ** 3, 10 ** 9) for kind in ("one_unit", "two_unit", "seed")),
@@ -794,58 +824,105 @@ def per_point_norm(order, phi, point, base):
 def test_mass_sweep_matches_per_point_oracle(kind, t, samples, heights):
     # every grid point, whether the sweep settled it by a unit row, by an
     # enumeration or by any kind of cover, against its own enumeration
-    order, phi = mass_member(kind, t)
-    base = embed_order_lattice(order)
-    points = hexagon_grid(samples)
-    norms = [per_point_norm(order, phi, p, base) for p in points]
-    expected = []
-    for height in heights:
-        with mp.workprec(512):
-            hcut = 1 / mp.mpf(height)
-        assert all(abs(s - hcut) > margin for s, margin in norms), "oracle undecided"
-        expected.append(Fraction(sum(s < hcut for s, _ in norms), len(points)))
+    order, _, expected = per_point_fractions(kind, t, samples, heights)
     with mp.workprec(256):
-        assert mass_above_height(order, heights, samples=samples) == tuple(expected)
+        assert mass_above_height(order, heights, samples=samples) == expected
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+def test_lambda_1_is_the_same_at_every_translate(kind):
+    # the sweep keeps one mark per point of the torus R^2 / Lambda, Lambda
+    # the lattice of unit log vectors: moving x by i alpha1 + j alpha2
+    # multiplies the lattice by the unit eps1^i eps2^j, which maps the order
+    # onto itself, so the two moved lattices differ by a diagonal matrix of
+    # signs, an isometry. So the kernel's certified enclosures of lambda_1
+    # at (a, b) and at (a + k, b), (a, b + k) and (a + k, b + k) overlap, at
+    # every decade of both signs and k = 24 and 102. Glued by (k, 1)
+    # instead, as a wrong torus would glue them, they miss each other
+    def enclosure(norm, a, b):
+        s, margin, e, _ = norm(a, b)
+        return Fraction(s - margin) * Fraction(2) ** e, Fraction(s + margin) * Fraction(2) ** e
+
+    missed = 0
+    for t in (sg * 10 ** e for e in range(3, 25) for sg in (1, -1)):
+        order, phi = family_order(kind, t)
+        for k in (24, 102):
+            m = k // 3
+            norm = masses._certified_norm(order, masses._Alphas.of(phi), k)
+            for a, b in ((0, 0), (2 * m, m), (m, 2 * m), (-m, 1), (5, -7)):
+                lows, highs = zip(*(enclosure(norm, a + da, b + db)
+                                    for da, db in ((0, 0), (k, 0), (0, k), (k, k))))
+                assert max(lows) <= min(highs), (kind, t, k, a, b)
+                (lo, hi), (wrong_lo, wrong_hi) = enclosure(norm, a, b), enclosure(norm, a + k, b + 1)
+                missed += wrong_hi < lo or hi < wrong_lo
+    assert missed > 100
+
+
+@pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 3), ("one_unit", 10 ** 9)])
+def test_a_cover_glued_by_k_1_fails_the_per_point_oracle(monkeypatch, kind, t):
+    # the sweep with the point-by-point reference cover agrees with the
+    # per-point oracle; planted with a cover that glues the extended point
+    # (u + k, v + 1), not (u + k, v), to (u, v), it does not: it gives other
+    # fractions, clashes or leaves a point open
+    heights = (10.0, 100.0)
+    order, phi, expected = per_point_fractions(kind, t, 300, heights)
+    for glue, agrees in ((0, True), (1, False)):
+        monkeypatch.setattr(masses, "_cover", lambda alphas, k: reference_cover(phi, k, glue))
+        try:
+            with mp.workprec(256):
+                got = mass_above_height(order, heights, samples=300)
+        except (InternalInconsistencyError, PrecisionExhaustedError):
+            got = None
+        assert (got == expected) == agrees
 
 
 @pytest.mark.parametrize("kind, t", [("one_unit", 10 ** 3), ("two_unit", 10 ** 9),
                                      ("one_unit", 10 ** 21)])
 def test_cover_marks_the_one_sided_region(kind, t):
-    # against the exact alphas: a verdict marks only points whose offset d
-    # from the centre has sg d_i <= r on every coordinate (sg = +1 for
-    # escape, -1 for stays), and every point that clears r by the charged
-    # error. The margin doubles that error, to also cover the float
-    # rounding of the reach and the 2^-64 rounding of the integer images.
-    # At 10^21, alpha2's first coordinate (about -1e-21) rounds to 0 in
-    # its image, so one coordinate bounds the rows alone.
+    # against the exact alphas, on the torus: a verdict marks only cells
+    # with an offset d from the centre, |da| + |db| <= (8/3) k, that has sg
+    # d_i <= r on every coordinate (sg = +1 for escape, -1 for stays), and
+    # every cell with such an offset that clears r by the charged error.
+    # The margin doubles that error, to also cover the float rounding of
+    # the reach and the 2^-64 rounding of the integer images. At 10^21,
+    # alpha2's first coordinate (about -1e-21) rounds to 0 in its image,
+    # so one coordinate bounds the rows alone.
     order, phi = mass_member(kind, t)
     k, rows = masses._hexagon_rows(300)
-    top = 2 * k // 3
+    top, bound = 2 * k // 3, 8 * k // 3
     alphas = [[mpf_to_fraction(c) for c in alpha.coords] for alpha in (phi.alpha1, phi.alpha2)]
     assert (t < 10 ** 20) == all(abs(c) >= 2 ** -64 for c in alphas[1])
     eps = sys.float_info.epsilon
     slack = 6 * float(max(phi.alpha1.err, phi.alpha2.err)) + 3 * 2.0 ** -64
     size = max(abs(float(c)) for alpha in alphas for c in alpha)
-    cover = masses._cover(masses._Alphas.of(phi), k, rows)
-    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row]
+    cover = masses._cover(masses._Alphas.of(phi), k)
+    # per sign sg, every offset in reach as (max_i sg d_i, da, db, max_i
+    # |d_i|), in ascending order
+    offsets = {1: [], -1: []}
+    for da in range(-bound, bound + 1):
+        for db in range(abs(da) - bound, bound - abs(da) + 1):
+            d = [(da * p + db * q) / k for p, q in zip(*alphas)]
+            for sg in (1, -1):
+                offsets[sg].append((max(sg * x for x in d), da, db, max(map(abs, d))))
+    for sg in (1, -1):
+        offsets[sg].sort()
+    worsts = {sg: [w for w, *_ in offsets[sg]] for sg in (1, -1)}
     for a, b in [(0, 0), (5, -3), (-7, 2), (top, rows[-1].start)]:
         for r in (size / 20, size / 4, size / 2, 1e9):
             margin = Fraction(2 * (8 * eps * r + 4 * eps + slack)) + Fraction(1, k << 64)
             for mark, sg in ((masses._ESCAPES, 1), (masses._STAYS, -1)):
-                state = [bytearray(len(row)) for row in rows]
+                state = [bytearray(k) for _ in range(k)]
                 cover(state, a, b, r, mark)
-                beyond = False  # a marked point outside the sup-ball |d_i| <= r
-                for u, v in grid:
-                    got = state[u + top][v - rows[u + top].start]
-                    d = [((u - a) * p + (v - b) * q) / k for p, q in zip(*alphas)]
-                    worst = max(sg * di for di in d)
-                    assert got in (0, mark)
-                    assert got or (u, v) != (a, b)
-                    if got and (u, v) != (a, b):
-                        assert worst <= Fraction(r)
-                    if worst <= Fraction(r) - margin:
-                        assert got
-                    beyond |= bool(got) and max(map(abs, d)) > r
+                assert all(set(marks) <= {0, mark} for marks in state)
+                centre = (a % k, b % k)
+                marked = {(u, i) for u in range(k) for i in range(k) if state[u][i]}
+                within = offsets[sg][:bisect.bisect_right(worsts[sg], Fraction(r))]
+                clear = offsets[sg][:bisect.bisect_right(worsts[sg], Fraction(r) - margin)]
+                reached = {centre} | {((a + da) % k, (b + db) % k) for _, da, db, _ in within}
+                sure = {centre} | {((a + da) % k, (b + db) % k) for _, da, db, _ in clear}
+                assert sure <= marked <= reached
+                # a surely marked offset outside the sup-ball |d_i| <= r
+                beyond = any(size_d > r for *_, size_d in clear)
                 assert beyond or (a, b) != (0, 0) or r not in (size / 4, size / 2)
                 if r >= size / 4:
                     with pytest.raises(InternalInconsistencyError):
@@ -853,21 +930,20 @@ def test_cover_marks_the_one_sided_region(kind, t):
 
 
 def recording_wide_covers(monkeypatch):
-    # (a, b, height, newly marked grid points) for every wide cover call
+    # (a, b, height, newly marked torus cells) for every wide cover call
     calls = []
     make_cover = masses._cover
 
-    def recording(alphas, k, rows):
-        cover, top = make_cover(alphas, k, rows), 2 * k // 3
+    def recording(alphas, k):
+        cover = make_cover(alphas, k)
 
         def recorded(state, a, b, r, mark, v1=None, height=None):
             before = [bytes(marks) for marks in state]
             cover(state, a, b, r, mark, v1, height)
             if v1 is not None:
                 calls.append((a, b, height, [
-                    (u, row.start + i)
-                    for u, (row, old, new) in enumerate(zip(rows, before, state), -top)
-                    for i in range(len(row)) if old[i] != new[i]]))
+                    (u, i) for u, (old, new) in enumerate(zip(before, state))
+                    for i in range(k) if old[i] != new[i]]))
         return recorded
 
     monkeypatch.setattr(masses, "_cover", recording)
@@ -875,11 +951,15 @@ def recording_wide_covers(monkeypatch):
 
 
 def replaying_row_loops(monkeypatch):
-    # run every cover and unit-rows call of the sweep also through the slow
-    # reference row loops, on a copy of the state it was given, and require
-    # the same states, the same unit-row tuples and the same raise; counts
-    # the calls replayed, by kind. The reference loops read the simplex the
-    # sweep built, not the sweep's one read of its alphas
+    # run every cover call of the sweep also through the point-by-point
+    # reference, on a copy of the state it was given, and require the same
+    # state and the same raise; check every unit-rows call against the
+    # truth: it marks exactly the cells of the intervals it returns, each on
+    # a torus row that had an open cell, and both ends of each interval
+    # (so, by convexity, every point between them) are short at 256 bits,
+    # with the alphas' error charged. Counts the calls replayed, by kind.
+    # Both read the simplex the sweep built, not the sweep's one read of
+    # its alphas
     counts = collections.Counter()
     make_cover, make_unit_rows, make_simplex = masses._cover, masses._unit_rows, masses.make_simplex
     made = []
@@ -894,8 +974,8 @@ def replaying_row_loops(monkeypatch):
         except InternalInconsistencyError:
             return "raised"
 
-    def cover_pair(alphas, k, rows):
-        fast, slow = make_cover(alphas, k, rows), reference_cover(made[-1], k, rows)
+    def cover_pair(alphas, k):
+        fast, slow = make_cover(alphas, k), reference_cover(made[-1], k)
 
         def replayed(state, *args):
             before = [bytes(marks) for marks in state]
@@ -909,38 +989,56 @@ def replaying_row_loops(monkeypatch):
                 raise InternalInconsistencyError("two certified verdicts disagree")
         return replayed
 
-    def unit_rows_pair(order, alphas, k, rows):
-        fast = make_unit_rows(order, alphas, k, rows)
-        slow = reference_unit_rows(order, made[-1], k, rows)
+    def unit_rows_checked(order, alphas, k):
+        fast, phi = make_unit_rows(order, alphas, k), made[-1]
+        with mp.workprec(256):
+            dscale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 3)
+        err = max(phi.alpha1.err, phi.alpha2.err)
 
-        def replayed(state, height):
-            copy = [bytearray(marks) for marks in state]
-            got, want = fast(state, height), slow(copy, height)
-            assert got == want and state == copy
+        def short(u, v, height):
+            # an upper bound on the squared norm at the extended point (u, v)
+            with mp.workprec(256):
+                z = [(u * p + v * q + (abs(u) + abs(v)) * err) / k
+                     for p, q in zip(phi.alpha1.coords, phi.alpha2.coords)]
+                return dscale * sum(mp.exp(2 * c) for c in z) < 1 / mp.mpf(height) ** 2
+
+        def checked(state, height):
+            want = [bytearray(marks) for marks in state]
+            got = fast(state, height)
+            for u, _, _, lo, hi in got:
+                if lo <= hi:
+                    assert 0 in want[u % k] and short(u, lo, height) and short(u, hi, height)
+                    for v in range(lo, hi + 1):
+                        want[u % k][v % k] = masses._ESCAPES
+                    counts["unit intervals"] += 1
+            assert state == want
             counts["unit rows"] += 1
             return got
-        return replayed
+        return checked
 
     monkeypatch.setattr(masses, "make_simplex", recording_simplex)
     monkeypatch.setattr(masses, "_cover", cover_pair)
-    monkeypatch.setattr(masses, "_unit_rows", unit_rows_pair)
+    monkeypatch.setattr(masses, "_unit_rows", unit_rows_checked)
     return counts
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 9, 10 ** 21])
 def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
-    # every verdict cover, wide cover and unit-rows call of sweeps at three
-    # grid sizes and three heights (a near-tie pair among them) marks the
-    # same points as the slow per-row reference, and the unit rows return
-    # the same (u, vmin, vmax, lo, hi) tuples
+    # every verdict cover and wide cover of sweeps at three grid sizes and
+    # three heights (a near-tie pair among them) marks the same cells as the
+    # point-by-point reference, and every interval the unit rows certify is
+    # short at 256 bits and marks exactly its cells
     counts = replaying_row_loops(monkeypatch)
     order, _ = mass_member(kind, t)
     with mp.workprec(256):
         for samples in (300, 3000, 10 ** 4):
             mass_above_height(order, (10.0, 9.99, 100.0), samples=samples)
-    assert counts["unit rows"] == 9
-    assert counts["verdict"] and counts["wide"] and counts["wide marking"]
+    assert counts["unit rows"] == 9 and counts["unit intervals"] and counts["verdict"]
+    # the unit rows and the first verdicts leave no cell that a wide cover
+    # marks on these three; at 10^21 the origin's cover settles every sweep
+    if (kind, t) not in {("seed", 10 ** 9), ("one_unit", 10 ** 21), ("seed", 10 ** 21)}:
+        assert counts["wide marking"]
 
 
 def replaying_kernel(monkeypatch):
@@ -993,23 +1091,22 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
 def test_planted_opposite_mark_raises_on_a_fine_grid(kind):
-    # on a 10^4-sample grid, a verdict cover whose region holds a point
+    # on a 10^4-sample grid, a verdict cover whose region holds a cell
     # already marked with the opposite verdict raises, in the fast rows and
-    # in the reference alike; the point is the region's farthest row from
-    # the centre, found by the same cover on an open grid
+    # in the reference alike; the cell is in the region's farthest torus
+    # row from the centre's, found by the same cover on an open torus
     order, phi = mass_member(kind, 10 ** 6)
-    k, rows = masses._hexagon_rows(10 ** 4)
-    top = 2 * k // 3
+    k, _ = masses._hexagon_rows(10 ** 4)
     r = 3 * max(abs(float(c)) for c in phi.alpha1.coords) / k
     for mark in (masses._STAYS, masses._ESCAPES):
         other = masses._STAYS + masses._ESCAPES - mark
-        for cover in (masses._cover(masses._Alphas.of(phi), k, rows), reference_cover(phi, k, rows)):
-            state = [bytearray(len(row)) for row in rows]
+        for cover in (masses._cover(masses._Alphas.of(phi), k), reference_cover(phi, k)):
+            state = [bytearray(k) for _ in range(k)]
             cover(state, 5, -3, r, mark)
             region = [(u, i) for u, marks in enumerate(state) for i, m in enumerate(marks) if m]
             assert len(region) > 1 and all(state[u][i] == mark for u, i in region)
-            u, i = max(region, key=lambda p: abs(p[0] - top - 5))  # far from the centre
-            state = [bytearray(len(row)) for row in rows]
+            u, i = max(region, key=lambda p: min((p[0] - 5) % k, (5 - p[0]) % k))  # far from the centre
+            state = [bytearray(k) for _ in range(k)]
             state[u][i] = other
             with pytest.raises(InternalInconsistencyError):
                 cover(state, 5, -3, r, mark)
@@ -1025,9 +1122,9 @@ def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
     with mp.workprec(256):
         expected = mass_above_height(order, heights, samples=300)
     monkeypatch.setattr(masses, "_UNIT_HEADROOM", 0.0)
-    k, rows = masses._hexagon_rows(300)
-    state = [bytearray(len(row)) for row in rows]
-    masses._unit_rows(order, masses._Alphas.of(phi), k, rows)(state, 10.0)
+    k, _ = masses._hexagon_rows(300)
+    state = [bytearray(k) for _ in range(k)]
+    masses._unit_rows(order, masses._Alphas.of(phi), k)(state, 10.0)
     assert not any(b"".join(state))
     calls = recording_wide_covers(monkeypatch)
     with mp.workprec(256):
@@ -1038,16 +1135,18 @@ def test_doubtful_points_fall_back_to_the_kernel(monkeypatch, kind, t):
 @pytest.mark.parametrize("kind, t, samples, heights", [
     ("one_unit", 10 ** 3, 2000, (10.0,)),
     ("two_unit", 10 ** 9, 600, (10.0, 100.0)),
-    # at 600 samples no wide cover marks a point here
-    ("one_unit", 10 ** 21, 2000, (10.0, 100.0)),
+    # at 10^21 the origin's cover and the unit rows leave one_unit and seed
+    # no open cell, so no wide cover marks one there
+    ("two_unit", 10 ** 21, 2000, (10.0, 100.0)),
     # without the v1 test, some wide covers here would mark points where v1 is short
     ("one_unit", 10 ** 9, 300, (10.0, 100.0)),
 ])
 def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, heights):
-    # every point p = x + d a wide cover marks has |exp(p) v1| >= 1/H, for v1
-    # the shortest vector at the centre x, at 256 bits with every error
-    # charged: each coordinate of v1's image within 8 D 2^-bits |v1|, the
-    # rounding of x and the alphas' errors in x and in d
+    # every torus cell a wide cover marks has a point p = x + d, d = (da
+    # alpha1 + db alpha2) / k with |da| + |db| <= (8/3) k, where |exp(p) v1|
+    # >= 1/H, for v1 the shortest vector at the centre x, at 256 bits with
+    # every error charged: each coordinate of v1's image within 8 D 2^-bits
+    # |v1|, the rounding of x and the alphas' errors in x and in d
     calls = recording_wide_covers(monkeypatch)
     order, phi = mass_member(kind, t)
     with mp.workprec(256):
@@ -1056,6 +1155,7 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
     bits = masses._bits(order)
     base = masses._prereduced(order)
     k, _ = masses._hexagon_rows(samples)
+    bound = 8 * k // 3
     alphas = list(zip(phi.alpha1.coords, phi.alpha2.coords))
     for a, b, height, marked in calls:
         x = centre(phi, a, b, k, bits)
@@ -1066,25 +1166,33 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
             low = [mp.ldexp(max(abs(w) - gap, 0), moved.exp) for w in image]
             x_err = ((abs(a) * phi.alpha1.err + abs(b) * phi.alpha2.err) / k
                      + mp.ldexp(max(map(abs, x.coords)), 1 - bits))
-            for u, v in marked:
-                da, db = u - a, v - b
+
+            def long_at(da, db):
                 err = x_err + (abs(da) * phi.alpha1.err + abs(db) * phi.alpha2.err) / k
                 d = [(da * p + db * q) / k for p, q in alphas]
                 norm2 = sum(mp.exp(2 * (dm - err - mp.ldexp(1, -240))) * w ** 2
                             for dm, w in zip(d, low))
-                assert norm2 >= 1 / mp.mpf(height) ** 2, (kind, t, a, b, u, v)
+                return norm2 >= 1 / mp.mpf(height) ** 2
+
+            for u, i in marked:
+                da0, db0 = (u - a) % k - k * (bound // k + 1), (i - b) % k - k * (bound // k + 1)
+                translates = sorted(((da, db) for da in range(da0, bound + 1, k)
+                                     for db in range(db0, bound + 1, k)
+                                     if abs(da) + abs(db) <= bound), key=lambda o: abs(o[0]) + abs(o[1]))
+                assert any(long_at(da, db) for da, db in translates), (kind, t, a, b, u, i)
 
 
 def test_wide_covers_cut_kernel_calls_at_high_t(monkeypatch):
     # the two_unit member at t = 10^24 as mass-profile builds it (its simplex
     # at the ambient 53 bits): wide covers that test the centre's shortest
-    # vector at each point leave 5 centres to the kernel; when only centres
-    # whose shortest vector was a certified unit monomial covered wide, 15
+    # vector at each point leave 3 centres to the kernel on the torus (5
+    # when each hexagon point had its own mark); when only centres whose
+    # shortest vector was a certified unit monomial covered wide, 15
     member = cli._Member.of_family(TWO_UNIT, 10 ** 24, 192)
     kernel, _ = counting_sweep(monkeypatch)
     fractions = mass_above_height(member.order, (10.0, 9.99, 100.0), samples=600)
     assert fractions == (Fraction(592, 601), Fraction(592, 601), Fraction(574, 601))
-    assert len(kernel) == 5
+    assert len(kernel) == 3
 
 
 def test_mass_sweep_enumeration_count(monkeypatch):
@@ -1099,10 +1207,10 @@ def test_mass_sweep_enumeration_count(monkeypatch):
     with mp.workprec(256):
         mass_above_height(order, (10.0,), samples=2000)
     # one enumeration per point the unit rows leave open would be 1149
-    # calls; with the wide covers the one-sided cover makes 9, with
-    # plain one-sided covers only it made 70, and the sup-ball cover
-    # before it 88
-    assert len(calls) <= 12
+    # calls; on the torus, deep holes first, the sweep makes 6; with one
+    # mark per hexagon point it made 9, with plain one-sided covers only
+    # 70, and the sup-ball cover before it 88
+    assert len(calls) <= 6
 
 
 def short_monomials(order, phi, k, rows, height, window=12):
@@ -1137,22 +1245,21 @@ def short_monomials(order, phi, k, rows, height, window=12):
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 6])
 def test_unit_rows_match_monomial_oracle(kind, t):
-    # the unit rows mark exactly the grid points where some unit monomial of
-    # a wide window is short, and no monomial outside the per-row ranges
-    # they search is short anywhere; every monomial they search lies in the
-    # window, so the window sees all of them
+    # the unit rows mark exactly the torus cells of the grid points where
+    # some unit monomial of a wide window is short, and no monomial outside
+    # the per-row ranges they search is short anywhere; every monomial they
+    # search lies in the window, so the window sees all of them
     order, phi = mass_member(kind, t)
     k, rows = masses._hexagon_rows(300)
     top = 2 * k // 3
-    unit_rows = masses._unit_rows(order, masses._Alphas.of(phi), k, rows)
+    unit_rows = masses._unit_rows(order, masses._Alphas.of(phi), k)
     for height in (10.0, 100.0):
         found = short_monomials(order, phi, k, rows, height)
-        state = [bytearray(len(row)) for row in rows]
+        state = [bytearray(k) for _ in range(k)]
         searched = unit_rows(state, height)
         assert all(set(marks) <= {0, masses._ESCAPES} for marks in state)
-        marked = {(u, v) for u, row in enumerate(rows, -top) for v in row
-                  if state[u + top][v - row.start]}
-        assert marked == {(u, v) for u, v, _, _ in found}
+        marked = {(u, i) for u in range(k) for i in range(k) if state[u][i]}
+        assert marked == {(u % k, v % k) for u, v, _, _ in found}
         bounds = {row_u: (vmin, vmax) for row_u, vmin, vmax, _, _ in searched}
         for u, v, i, j in found:
             vmin, vmax = bounds[u + i * k]
@@ -1461,23 +1568,35 @@ def _raw_simplex(phi):
 
 @pytest.mark.parametrize("ambient", [53, 256])
 def test_mass_stage_builds_the_members_own_simplex(monkeypatch, ambient):
-    # a scan-family row with mass makes two simplices: the member's own
-    # (_Member.phi, for ceil_w) and the mass stage's; at the ambient
-    # precision either way, they agree raw tuple for raw tuple
-    made = []
+    # a scan-family row with mass makes one simplex: the member's own
+    # (_Member.phi, for ceil_w), which the order keeps per ambient
+    # precision and the mass stage reads again; a fresh member makes its
+    # own, raw tuple for raw tuple the same, and a second read at another
+    # precision makes another
+    made, read = [], []
+    alphas_of = masses._Alphas.of.__func__
 
     def recording(v1, v2):
         made.append(make_simplex(v1, v2))
         return made[-1]
 
+    def reading(cls, phi):
+        read.append(phi)
+        return alphas_of(cls, phi)
+
     monkeypatch.setattr(masses, "make_simplex", recording)
+    monkeypatch.setattr(masses._Alphas, "of", classmethod(reading))
     with mp.workprec(ambient):
         row = cli._scan_row((TWO_UNIT, 10 ** 6, 192, 600, ["10", "100"], True))
         member = cli._Member.of_family(TWO_UNIT, 10 ** 6, 192)
         own = member.phi
     assert row.split(",")[1] == "ok" and all(row.split(",")[-2:])
-    assert len(made) == 3 and made[2] is own
-    assert _raw_simplex(made[0]) == _raw_simplex(made[1]) == _raw_simplex(own)
+    assert len(made) == 2 and made[1] is own and read == made[:1]
+    assert _raw_simplex(made[0]) == _raw_simplex(own)
+    with mp.workprec(ambient):
+        assert masses._order_simplex(member.order, *member.logs) is own
+    with mp.workprec(ambient + 1):
+        assert masses._order_simplex(member.order, *member.logs) is not own
 
 
 def test_mass_above_height_needs_two_units(monkeypatch):
