@@ -31,7 +31,7 @@ from .errors import (
     OrbitCapError,
     PrecisionExhaustedError,
 )
-from .precision import PrecisionPolicy
+from .precision import ROW_BITS, PrecisionPolicy, mpf_to_fraction
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,8 +61,9 @@ class ScanConfig:
     tight_r_cap: str = "2"  # the R in the (R, r)-tightness report
 
 
-def _fmt(x, digits: int = 17) -> str:
-    return mp.nstr(mp.mpf(x), digits)
+def _fmt(x, prec: int = ROW_BITS) -> str:
+    # 17 digits of x rounded to prec bits
+    return mp.nstr(mp.mpf(x, prec=prec), 17)
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -168,7 +169,7 @@ def build_scan_config(args) -> ScanConfig:
             raise ConfigError(f"bad height {h!r}") from e
     r_cap = args.tight_r_cap or cfg.get("tight_r_cap", "2")
     try:
-        if not mp.mpf(r_cap) >= 1:  # parsed as the tight_r column parses it
+        if not mp.mpf(r_cap, prec=ROW_BITS) >= 1:  # parsed as the tight_r column parses it
             raise ConfigError(f"tight_r_cap must be at least 1, got {r_cap}")
     except ValueError as e:
         raise ConfigError(f"bad tight_r_cap {r_cap!r}") from e
@@ -234,7 +235,7 @@ class _Member:
 
     @cached_property
     def certificate(self) -> tuple[mp.mpf, units.RegulatorReport]:
-        reg, err = units.relative_regulator_with_error(*self.logs)
+        reg, err = units.relative_regulator_with_error(*self.logs, ROW_BITS)
         return reg, units.certify_fundamental(reg, self.order.disc, err, prec=self.bits)
 
     @cached_property
@@ -267,7 +268,7 @@ def _scan_row(payload) -> str:
             cells += [_fmt(reg), _fmt(rep.cusick_ratio), _bool(rep.certified)]
             sp = m.shape
             cells += [_fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]
-            cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi).ceiling)]
+            cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi, ROW_BITS).ceiling)]
             if with_mass:
                 cells += map(_fmt_frac, masses.mass_above_height(
                     m.order, [float(h) for h in heights], samples))
@@ -283,10 +284,10 @@ def _mass_rows(payload) -> str:
         m = _Member.of_family(family_json, t, bits)
         m.logs  # below rank 2 this raises; the units are embedded before the height
         ht = m.ht
-        hd = masses.hex_domain(m.phi)
-        big_r = mp.mpf(r_cap)
+        hd = masses.hex_domain(m.phi, ROW_BITS)
+        big_r = mp.mpf(r_cap, prec=ROW_BITS)
         tight_k = next((k for k in range(100, -1, -1)
-                        if masses.check_tight(hd, ht, big_r, Fraction(k, 100))), 0)
+                        if masses.check_tight(hd, ht, big_r, Fraction(k, 100), ROW_BITS)), 0)
         fracs = masses.mass_above_height(m.order, [float(h) for h in heights], samples)
         return "\n".join(",".join([
             str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h, _fmt_frac(frac),
@@ -352,12 +353,11 @@ def cmd_emit_curves(args) -> int:
     prec = _check_bits(96 if args.precision_bits is None else args.precision_bits)
     rmax = shapes.curve_range(at, bt) or Fraction(1)  # constant curve: unit span
     lines = ["r,re,im,reduced"]
-    with mp.workprec(prec):
-        for j in range(steps + 1):
-            r = rmax * Fraction(j, steps)
-            sp = shapes.curve_point(at, bt, r, prec)
-            lines.append(",".join([_fmt_frac(r), _fmt(sp.tau.real), _fmt(sp.tau.imag),
-                                   _bool(sp.reduced)]))
+    for j in range(steps + 1):
+        r = rmax * Fraction(j, steps)
+        sp = shapes.curve_point(at, bt, r, prec)
+        lines.append(",".join([_fmt_frac(r), _fmt(sp.tau.real, prec), _fmt(sp.tau.imag, prec),
+                               _bool(sp.reduced)]))
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -432,7 +432,8 @@ def cmd_verify(args) -> int:
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
             ok = lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"]) and all(
-                abs(lo[k] - hi[k]) <= mp.mpf("1e-12") * (1 + abs(hi[k])) for k in ("reg", "ht"))
+                abs(x - y) <= Fraction(1, 10 ** 12) * (1 + abs(y))  # exactly
+                for x, y in ((mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k])) for k in ("reg", "ht")))
         lines.append(f"VERIFY t={t}: {'PASS' if ok else 'FAIL'}"
                      f" (status={lo['status']}/{hi['status']})")
         failures += 0 if ok else 1

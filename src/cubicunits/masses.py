@@ -104,8 +104,8 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import (
     fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-    mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, mpf_shift, mpf_sub, round_nearest,
-    to_float)
+    mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
+    round_nearest, to_float)
 
 from .errors import (
     DependentUnitsError,
@@ -113,7 +113,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import fraction_to_mpf
+from .precision import ROW_BITS, dyadic, fraction_to_mpf
 from .units import _RND, CubicOrderData, LogVector, _max1, log_embed
 
 __all__ = [
@@ -151,7 +151,7 @@ class LatticeBasis3:
     def from_columns(cls, cols) -> "LatticeBasis3":
         """The basis whose column j holds the finite entries cols[j] (mpf,
         int or float, each a dyadic rational), read exactly."""
-        ints, e = _dyadic([v for c in cols for v in c])
+        ints, e = dyadic([v for c in cols for v in c])
         return cls(tuple(tuple(ints[3 * j:3 * j + 3]) for j in range(3)), e)
 
     @cached_property
@@ -208,36 +208,6 @@ class HexDomain:
     ceiling_err: mp.mpf
 
 
-def _dyadic(values) -> tuple[list[int], int]:
-    """(ints, e) with values[i] = ints[i] * 2^e exactly, e the least 2-adic
-    valuation among the nonzero values; each value is a finite mpf, int or
-    float. An mpf is read from its own sign, mantissa and exponent, an int
-    as itself times 2^0 and a float from its exact integer ratio, so no
-    value is rounded and the ambient precision plays no part (a raw mpf
-    tuple too); each is written m 2^x with m odd (or 0), and m is shifted
-    left by x - e. A non-finite value raises InvalidParamsError."""
-    parts = []
-    for v in values:
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                raise InvalidParamsError(f"cannot read {v} as a dyadic rational")
-            m, d = v.as_integer_ratio()  # d is a power of two
-            x = 1 - d.bit_length()
-        elif isinstance(v, int):
-            m, x = v, 0
-        else:
-            sign, m, x, bc = v if type(v) is tuple else v._mpf_
-            if not m and bc:  # inf and nan carry a zero mantissa
-                raise InvalidParamsError(f"cannot read {v} as a dyadic rational")
-            m = -m if sign else m
-        if m:  # strip m's trailing zero bits (an mpf's mantissa has none)
-            z = (m & -m).bit_length() - 1
-            m, x = m >> z, x + z
-        parts.append((m, x))
-    e = min((x for m, x in parts if m), default=0)
-    return [m << (x - e) if m else 0 for m, x in parts], e
-
-
 def _dot(x, y) -> int:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
@@ -248,9 +218,9 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     and kept as its exact integer image; the image's exact determinant n
     2^e must be 1 up to 2^-(prec // 2) in absolute value, which is checked
     on integers, scaled by a power of two. It reads only the order's
-    stored roots and discriminant, never the ambient precision, so the order
-    memoises each embedding, keyed by prec: the height and the mass stage's
-    coarse reduction share the one at the order's bits."""
+    stored roots and discriminant, so the order memoises each embedding,
+    keyed by prec: the height and the mass stage's coarse reduction share
+    the one at the order's bits."""
     if prec is None:
         prec = order.policy.target_bits
     elif prec < 8:
@@ -408,39 +378,50 @@ def _root(n: int, exp: int, prec: int) -> mp.mpf:
 
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """ht = 1 / (length of the shortest nonzero vector), the reciprocal
-    rounded at prec bits, as the square root is; the ambient precision
-    plays no part."""
+    rounded at prec bits, as the square root is."""
     return mp.make_mpf(mpf_div(fone, shortest_vector_norm(basis, prec)._mpf_, prec, _RND))
 
 
-def make_simplex(v1: LogVector, v2: LogVector) -> SimplexSet:
+def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     """The triple (v1, v2 - v1, -v2): sums to zero, spans the same lattice
     as (v1, v2), and its hexagonal fundamental domain drives the mass
-    predictions."""
-    # raw tuples at the ambient precision, each step as mpmath's operator
-    # takes it (units.py)
-    p = mp.mp.prec
+    predictions. The two derived alphas are rounded once to prec bits
+    (_rounded); the span check computes at prec bits, and charges the
+    errors of a1 and a2."""
+    # raw tuples at prec bits, each step as mpmath's operator takes it
+    # (units.py)
+    p = prec
     a1 = v1
-    a2 = v2 - v1
-    a3 = -v2
+    a2 = _rounded(v2 - v1, mpf_add(v2.err._mpf_, v1.err._mpf_, p, _RND), p)
+    a3 = _rounded(-v2, v2.err._mpf_, p)
     cross = mpf_sub(mpf_mul(a1.x1._mpf_, a2.x2._mpf_, p, _RND), mpf_mul(a1.x2._mpf_, a2.x1._mpf_, p, _RND), p, _RND)
-    # max(a1.norm(), a2.norm(), mp.mpf(1)): only its value enters
-    scale = _max1([a1.norm()._mpf_, a2.norm()._mpf_]) or fone
-    errs = mpf_mul_int(mpf_add(v1.err._mpf_, v2.err._mpf_, p, _RND), 8, p, _RND)
+    norms = []  # |a1| and |a2|
+    for a in (a1, a2):
+        sq = [mpf_pow_int(x._mpf_, 2, p, _RND) for x in a.coords]
+        norms.append(mpf_sqrt(mpf_add(mpf_add(sq[0], sq[1], p, _RND), sq[2], p, _RND), p, _RND))
+    scale = _max1(norms) or fone  # max(|a1|, |a2|, 1): only its value enters
+    # a2.err charges a2's own rounding at p bits
+    errs = mpf_mul_int(mpf_add(a1.err._mpf_, a2.err._mpf_, p, _RND), 8, p, _RND)
     if mpf_le(mpf_abs(cross, p, _RND), mpf_mul(errs, scale, p, _RND)):
         raise DependentUnitsError("simplex vectors do not span the plane")
     return SimplexSet(a1, a2, a3)
 
 
+def _rounded(v: LogVector, err, p: int) -> LogVector:
+    # v's coordinates rounded once at p bits, charged the raw error err plus
+    # 2^-(p-2) max(1, |x_i|), which covers that rounding
+    x = [mpf_pos(t._mpf_, p, _RND) for t in v.coords]
+    slack = mpf_shift(_max1([mpf_abs(t) for t in x]) or fone, -(p - 2))
+    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(mpf_add(err, slack, p, _RND)))
+
+
 def _order_simplex(order: CubicOrderData, v1: LogVector, v2: LogVector) -> SimplexSet:
-    """make_simplex(v1, v2) for the log vectors v1 and v2 of the order's
-    first two verified units, at the ambient precision; the order memoises
-    it, keyed by that precision, so a member's ceiling and its mass stage
-    share one."""
-    p = mp.mp.prec
-    if p not in order._simplices:
-        order._simplices[p] = make_simplex(v1, v2)
-    return order._simplices[p]
+    """make_simplex(v1, v2, ROW_BITS) for the log vectors v1 and v2 of the
+    order's first two verified units; the order memoises it as one entry,
+    so a member's ceiling and its mass stage share one."""
+    if not order._simplex:
+        order._simplex.append(make_simplex(v1, v2, ROW_BITS))
+    return order._simplex[0]
 
 
 @cache
@@ -449,14 +430,14 @@ def _thirds(p: int):
     return tuple(mpf_div(from_int(k), from_int(3), p, _RND) for k in (1, 2))
 
 
-def hex_domain(phi: SimplexSet) -> HexDomain:
+def hex_domain(phi: SimplexSet, prec: int) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
     ceiling is the largest coordinate over all vertices. The six vertices
     share 18 distinct products (weight 1/3 or 2/3 times a coordinate),
-    each rounded once to the ambient precision, and each vertex coordinate
-    is one correctly rounded sum of two of them; raw tuples throughout."""
-    p = mp.mp.prec
+    each rounded once to prec bits, and each vertex coordinate is one
+    correctly rounded sum of two of them; raw tuples throughout."""
+    p = prec
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
     # terms[k][i]: weight k/3 times alpha_i; the zero-weight term is left
     # out, as adding an exact zero returns the other unchanged
@@ -473,18 +454,19 @@ def hex_domain(phi: SimplexSet) -> HexDomain:
     return HexDomain(tuple(tuple(map(mp.make_mpf, v)) for v in verts), mp.make_mpf(ceiling), mp.make_mpf(err))
 
 
-def check_tight(hd: HexDomain, ht, big_r, r) -> bool:
+def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
     """Whether exp(r * ceiling) <= ht * R holds with certified slack for
-    the hexagon hd (`hex_domain`), at the ambient precision: the ceiling
-    is read as hd.ceiling + hd.ceiling_err, so a True answer survives the
-    recorded numeric error, and any doubt reports False."""
-    big_r, r = (fraction_to_mpf(x, mp.mp.prec) if isinstance(x, Fraction) else mp.mpf(x)
-                for x in (big_r, r))
+    the hexagon hd (`hex_domain`), each step rounded at prec bits: the
+    ceiling is read as hd.ceiling + hd.ceiling_err, so a True answer
+    survives the recorded numeric error, and any doubt reports False."""
+    ht, big_r, r = (fraction_to_mpf(x, prec) if isinstance(x, Fraction) else mp.mpf(x, prec=prec)
+                    for x in (ht, big_r, r))
     if big_r < 1 or not (0 <= r <= 1):
         raise InvalidParamsError("need R >= 1 and r in [0, 1]")
-    lhs = mp.exp(r * (hd.ceiling + hd.ceiling_err))
-    rhs = mp.mpf(ht) * big_r * (1 - mp.ldexp(1, -40))
-    return bool(lhs <= rhs)
+    p = prec
+    lhs = mpf_exp(mpf_mul(r._mpf_, mpf_add(hd.ceiling._mpf_, hd.ceiling_err._mpf_, p, _RND), p, _RND), p, _RND)
+    rhs = mpf_mul(mpf_mul(ht._mpf_, big_r._mpf_, p, _RND), mpf_sub(fone, mpf_shift(fone, -40), p, _RND), p, _RND)
+    return mpf_le(lhs, rhs)
 
 
 @lru_cache(maxsize=16)
@@ -524,7 +506,7 @@ _STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
 @dataclass(frozen=True)
 class _Alphas:
     """alpha1 and alpha2 of a simplex, read once for the mass sweep:
-    ints[j][m] 2^e is coordinate m of alpha_{j+1} exactly (one _dyadic
+    ints[j][m] 2^e is coordinate m of alpha_{j+1} exactly (one dyadic
     image), floats[j][m] its float64, errs their error bounds (raw mpf)
     and err the float64 of the larger."""
 
@@ -537,7 +519,7 @@ class _Alphas:
     @classmethod
     def of(cls, phi: SimplexSet) -> "_Alphas":
         one, two = phi.alpha1, phi.alpha2
-        ints, e = _dyadic(one.coords + two.coords)
+        ints, e = dyadic(one.coords + two.coords)
         return cls((ints[:3], ints[3:]), e, ([float(c) for c in one.coords], [float(c) for c in two.coords]),
                    (one.err._mpf_, two.err._mpf_), float(max(one.err, two.err)))
 
@@ -577,11 +559,15 @@ def mass_above_height(
     covers every cell in the one-sided region it proves (_cover): no
     coordinate of the offset above the radius for escape, none below minus
     the radius for no escape. A non-unit can still be short, so the kernel
-    keeps both verdicts. A centre in doubt covers nothing this way, and an
-    open cell raises, naming its first hexagon point. The count reads each
-    hexagon row's cells, so a cell counts once per hexagon point in it, and
-    it is exact for the decisions made; each verdict compares the exact
-    dyadic (s -+ margin) H or (B - m_B) H with 1 (_radius).
+    keeps both verdicts. A centre in doubt covers nothing this way; its
+    cell is recorded as in doubt at that height, and the walk visits no
+    other point of it, since every point of a cell is the same lattice up
+    to isometry. A cell in doubt still counts as open, and another
+    centre's cover may yet decide it. An open cell raises, naming its
+    first hexagon point. The count reads each hexagon row's cells, so a
+    cell counts once per hexagon point in it, and it is exact for the
+    decisions made; each verdict compares the exact dyadic (s -+ margin)
+    H or (B - m_B) H with 1 (_radius).
 
     While points stay open, a centre x also gives B - m_B, below the least
     norm of a vector not parallel to its shortest vector v1, and a second,
@@ -591,8 +577,8 @@ def mass_above_height(
     with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|.
 
     The hexagon is the order's own: its simplex is make_simplex of the log
-    vectors of the first two verified units, at the ambient precision, as
-    the CLI's ceil_w reads it, and the unit rows, the cover and the
+    vectors of the first two verified units, at the rows' width ROW_BITS,
+    as the CLI's ceil_w reads it, and the unit rows, the cover and the
     certified norm share one read of its alphas (_Alphas); every other
     step reads only the order's bits. Only the unit rows and the walk read
     the height, so everything else is built once per call: every height
@@ -620,7 +606,8 @@ def mass_above_height(
         unit_rows(state, height)
         hn, hd = float(height).as_integer_ratio()
         hx = 1 - hd.bit_length()  # H = hn 2^hx
-        for a, b in _open_points(state, rows):
+        doubt = set()  # the cells (a mod k, b mod k) of centres that decided nothing
+        for a, b in _open_points(state, rows, doubt):
             s, margin, e, floor = certified_norm(a, b)
             if (r := _radius((s - margin) * hn, e + hx, 1)) is not None:
                 cover(state, a, b, r, _STAYS)
@@ -630,6 +617,8 @@ def mass_above_height(
                 wide, we, v1 = floor()
                 if (r := _radius(wide * hn, we + hx, 1)) is not None:
                     cover(state, a, b, r, _STAYS, v1, height)
+            if not state[a % k][b % k]:
+                doubt.add((a % k, b % k))
         if any(0 in marks for marks in state):
             point = next((Fraction(u, k), Fraction(v, k)) for u, row in enumerate(rows, -top)
                          for v in row if not state[u % k][v % k])
@@ -658,16 +647,17 @@ def _slices(lo: int, hi: int, k: int) -> tuple[tuple[int, int], ...]:
     return ((start, stop),) if stop <= k else ((start, k), (0, stop - k))
 
 
-def _open_points(state: list[bytearray], rows: tuple[range, ...]):
-    """The grid points (a, b) whose torus cell is still open (state 0) when
-    the walk reaches them: the origin, then the deep holes (2m, m) and (m,
-    2m), k = 3m, then each level s = 2^j of the 2-adic valuation of gcd(a,
-    b), highest first, row-major within a level. The deep holes are one
-    vertex from each of the hexagon's two classes of three vertices, which
-    the torus glues into one point each; in the hexagon's own norm they lie
-    farthest from the origin's translates, where the origin's covers reach
-    last. The state is read as the walk goes, so a point whose cell was
-    marked after an earlier visit is skipped. A row whose torus row has no
+def _open_points(state: list[bytearray], rows: tuple[range, ...], doubt: set):
+    """The grid points (a, b) whose torus cell is still open (state 0), and
+    not in doubt, when the walk reaches them: the origin, then the deep
+    holes (2m, m) and (m, 2m), k = 3m, then each level s = 2^j of the
+    2-adic valuation of gcd(a, b), highest first, row-major within a level.
+    The deep holes are one vertex from each of the hexagon's two classes of
+    three vertices, which the torus glues into one point each; in the
+    hexagon's own norm they lie farthest from the origin's translates,
+    where the origin's covers reach last. The state and the cells in doubt
+    are read as the walk goes, so a point whose cell was marked, or put in
+    doubt, after an earlier visit is skipped. A row whose torus row has no
     open cell is passed over before its level's points are sliced out of
     the row's cells, read in v order; bytearray.find on them jumps over
     decided runs."""
@@ -694,7 +684,7 @@ def _open_points(state: list[bytearray], rows: tuple[range, ...]):
             pos = level.find(0)
             while pos >= 0:
                 v = b + pos * step
-                if not marks[v % k]:
+                if not marks[v % k] and (a % k, v % k) not in doubt:
                     yield a, v
                 pos = level.find(0, pos + 1)
 
@@ -1009,7 +999,6 @@ def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     relative 2^-(bits+29) of its value from the stored roots: reducing at
     the order's bits finds the transform U and the bits its sums cancel,
     and U is applied exactly to an embedding carrying that many more bits.
-    No step reads the ambient precision.
     """
     bits = _bits(order)
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = embed_order_lattice(order, bits).cols

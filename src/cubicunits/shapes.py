@@ -20,7 +20,7 @@ from mpmath.libmp import (
     mpf_shift, mpf_sqrt, round_down, round_up)
 
 from .errors import DependentUnitsError, InvalidParamsError
-from .masses import _dyadic
+from .precision import dyadic
 from .units import _RND, LogVector
 
 __all__ = [
@@ -38,22 +38,22 @@ __all__ = [
 ]
 
 
-def _bits(prec: int | None) -> int:
-    # the working precision: the ambient one when prec is None
-    if prec is not None and prec < 8:
+def _bits(prec: int) -> int:
+    # the working precision, checked
+    if prec < 8:
         raise InvalidParamsError(f"shape precision must be at least 8 bits, got {prec}")
-    return mp.mp.prec if prec is None else prec
+    return prec
 
 
-def omega(prec: int | None = None) -> mp.mpc:
+def omega(prec: int = 53) -> mp.mpc:
     """Primitive cube root of unity in the upper half plane, (-1+sqrt(3)i)/2.
-    Computed at `prec` bits (ambient precision when omitted)."""
+    Computed at `prec` bits."""
     q = _bits(prec)
     w = (mpf_neg(fone, q, _RND), mpf_sqrt(from_int(3), q, _RND))
     return mp.make_mpc(tuple(mpf_div(x, from_int(2), q, _RND) for x in w))
 
 
-def corner(prec: int | None = None) -> mp.mpc:
+def corner(prec: int = 53) -> mp.mpc:
     """The corner of the fundamental domain at e^{i pi/3} = 1 + omega."""
     return mp.make_mpc((mpf_shift(fone, -1), omega(prec)._mpc_[1]))  # 1 - 1/2 is exact
 
@@ -141,7 +141,7 @@ def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint
     return ShapePoint(mp.make_mpc(_tau(a, b, c, q)), True, tuple(word), mp.make_mpf(_radius(a, c, u, q, errs)))
 
 
-def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
+def reduce_fundamental(tau, prec: int = 53) -> ShapePoint:
     """Gauss reduction to |Re| <= 1/2, |tau| >= 1, of tau rounded to prec
     bits, and then exact: its form (1, -2x, x^2 + y^2), tau = x + iy, is
     reduced on integers, so its ties are exactly on the boundary.
@@ -156,12 +156,12 @@ def reduce_fundamental(tau, prec: int | None = None) -> ShapePoint:
         z = mp.mpc(tau)._mpc_
     if not mpf_gt(z[1], fzero):
         raise InvalidParamsError(f"need Im(tau) > 0, got {mp.nstr(mp.make_mpc(z), 12)}")
-    (x, y), e = _dyadic(z)
+    (x, y), e = dyadic(z)
     s = max(0, -e)  # the form times 4^s is integral
     return _reduce(1 << 2 * s, -x << (e + 2 * s + 1), (x * x + y * y) << 2 * (e + s), q, [])
 
 
-def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> ShapePoint:
+def shape_from_units(v1: LogVector, v2: LogVector, prec: int = 53) -> ShapePoint:
     """Reduced shape of the lattice spanned by v1, v2: tau = z2/z1 for the
     plane map z(v) = -x1 - x2 (1 + omega), taking (-1,0,1) -> 1 and
     (0,-1,1) -> 1+omega, conjugated into the upper half plane when it lands
@@ -172,7 +172,7 @@ def shape_from_units(v1: LogVector, v2: LogVector, prec: int | None = None) -> S
     # x1, x2 of both vectors are integers times 2^e; |z|^2 = x1^2 + x1 x2 +
     # x2^2, tau is the root of (|z1|^2, -2 Re(z2 conj(z1)), |z2|^2), and
     # 4ac - b^2 = 3 det^2, so Im tau = sqrt(3) |det| / (2a) with the sign of det
-    (x1, x2, y1, y2), e = _dyadic((v1.x1, v1.x2, v2.x1, v2.x2))
+    (x1, x2, y1, y2), e = dyadic((v1.x1, v1.x2, v2.x1, v2.x2))
     a, c = x1 * x1 + x1 * x2 + x2 * x2, y1 * y1 + y1 * y2 + y2 * y2
     b, det = -(2 * x1 * y1 + x1 * y2 + x2 * y1 + 2 * x2 * y2), x1 * y2 - x2 * y1
     errs = (e, v1.err._mpf_, v2.err._mpf_)
@@ -247,25 +247,27 @@ def cusick_angle_cos(alpha):
     return (1 - 2 * a - 2 * a * a) / (2 + 2 * a + 2 * a * a)
 
 
-def corner_distance(tau) -> mp.mpf:
-    """Distance from a reduced point to the corner class: the corner
-    e^{i pi/3} and its translate e^{2 pi i/3} are the same point of the
-    surface and reduction may return a neighborhood of either."""
-    t = mp.mpc(tau.tau if isinstance(tau, ShapePoint) else tau)
-    return min(abs(t - p) for p in (corner(), omega()))
+def corner_distance(tau, prec: int = 53) -> mp.mpf:
+    """Distance from a reduced point to the corner class, at prec bits: the
+    corner e^{i pi/3} and its translate e^{2 pi i/3} are the same point of
+    the surface and reduction may return a neighborhood of either."""
+    with mp.workprec(_bits(prec)):
+        t = mp.mpc(tau.tau if isinstance(tau, ShapePoint) else tau)
+        return min(abs(t - p) for p in (corner(prec), omega(prec)))
 
 
 def same_shape(p, q, tol=None) -> bool:
     """Equality of reduced points modulo the boundary identifications and
     the mirror symmetry. Candidates: q, q+-1 (vertical edges), -1/q (arc),
     and the mirror -conj of each. Two ShapePoints default to the sum of
-    their radii, anything else to 2^-(prec/2) at the ambient precision; a
-    positive tolerance is compared at bits that resolve it."""
-    tp, tq = (x.tau if isinstance(x, ShapePoint) else mp.mpc(x) for x in (p, q))
+    their radii, anything else to 2^-26; a positive tolerance is compared
+    at bits that resolve it, a zero one at 53 bits."""
+    # a number that is no ShapePoint enters exactly, as mp.convert reads it
+    tp, tq = (x.tau if isinstance(x, ShapePoint) else mp.convert(x) for x in (p, q))
     if tol is None:
         points = isinstance(p, ShapePoint) and isinstance(q, ShapePoint)
-        tol = mp.make_mpf(mpf_add(p.radius._mpf_, q.radius._mpf_, _RB, _UP)) if points else mp.ldexp(1, -(mp.mp.prec // 2))
-    bits = max(53, 24 + max(mp.mag(tp), mp.mag(tq), 0) - mp.mag(tol)) if tol > 0 else mp.mp.prec
+        tol = mp.make_mpf(mpf_add(p.radius._mpf_, q.radius._mpf_, _RB, _UP)) if points else mp.ldexp(1, -26)
+    bits = max(53, 24 + max(mp.mag(tp), mp.mag(tq), 0) - mp.mag(tol)) if tol > 0 else 53
     with mp.workprec(bits):
         cands = [tq, tq + 1, tq - 1, -1 / tq]
         cands += [-mp.conj(c) for c in cands]

@@ -15,8 +15,8 @@ from math import gcd
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub, round_nearest as _RND)
+    fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt,
+    mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest as _RND)
 
 from .cubics import MonicCubic, discriminant, is_irreducible, is_totally_real, norm_linear_form
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     OutOfRegimeError,
     PrecisionExhaustedError,
 )
-from .precision import DEFAULT_POLICY, PrecisionPolicy
+from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic
 from .roots import IsolatedRoot, refine_root, refined_roots
 
 __all__ = [
@@ -48,8 +48,9 @@ _MARGIN_BITS = 32
 # The routines below compute on mpmath's raw tuples: each step is the libmp
 # call, precision and rounding that mpmath's operator for it makes (-x and
 # abs(x) round, int * x is mpf_mul_int, x ** 2 is mpf_pow_int, a sum()
-# rounds its first term), so every bit is the operator code's. _RND is
-# mpmath's default rounding, to nearest.
+# rounds its first term), at the precision the caller names, so every bit
+# is the operator code's. At precision 0, libmp adds, subtracts and
+# multiplies exactly. _RND is mpmath's default rounding, to nearest.
 _EIGHTH = mp.mpf(0.125)
 
 
@@ -59,18 +60,11 @@ def _max1(xs):
     return reduce(lambda m, x: x if mpf_gt(x, m or fone) else m, xs, None)
 
 
-def _sum_slack(x, p: int):
-    # 2^(2-p) (|x1| + |x2| + |x3|), each step rounded at p bits, for raw
-    # tuples x: twice what the two roundings of x1 + x2 + x3 at p bits (to
-    # nearest, each within 2^-p of its result) can move the sum
-    a = [mpf_abs(t, p, _RND) for t in x]
-    return mpf_shift(mpf_add(mpf_add(a[0], a[1], p, _RND), a[2], p, _RND), 2 - p)
-
-
 @dataclass(frozen=True)
 class LogVector:
     """Point of the trace-zero plane {x1+x2+x3=0}, up to the shared error
-    bound err on each coordinate."""
+    bound err on each coordinate. Its arithmetic is exact: +, -, negation
+    and scaled(c) round nothing, and add or scale err exactly."""
 
     x1: mp.mpf
     x2: mp.mpf
@@ -78,24 +72,17 @@ class LogVector:
     err: mp.mpf
 
     def __post_init__(self):
-        # 2^-24 * max(1, |x_i|) is exact, as each |x_i| has at most p bits,
-        # so mpf_shift gives the product mpf_mul would round; a sum beyond
-        # both must also clear what its own rounding can move it
-        p, x = mp.mp.prec, [t._mpf_ for t in self.coords]
-        s = mpf_abs(mpf_add(mpf_add(x[0], x[1], p, _RND), x[2], p, _RND), p, _RND)
-        err3 = mpf_mul_int(self.err._mpf_, 3, p, _RND)
-        if mpf_gt(s, err3):
-            edge = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -24)
-            if mpf_gt(s, mpf_add(err3 if mpf_gt(err3, edge) else edge, _sum_slack(x, p), p, _RND)):
-                raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
+        # the exact coordinate sum must be within 3 err, or within the
+        # exact 2^-24 max(1, |x_i|)
+        x = [t._mpf_ for t in self.coords]
+        s = mpf_abs(mpf_add(mpf_add(x[0], x[1]), x[2]))
+        err3 = mpf_mul(self.err._mpf_, from_int(3))
+        if mpf_gt(s, err3) and mpf_gt(s, mpf_shift(_max1([mpf_abs(t) for t in x]) or fone, -24)):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
 
     @property
     def coords(self):
         return (self.x1, self.x2, self.x3)
-
-    # mpmath rounds every operation (negation included) to the ambient
-    # precision, so each derived vector charges that rounding to err; the
-    # bound stays honest even for arithmetic done at low precision.
 
     def __add__(self, o: "LogVector") -> "LogVector":
         return self._combine(o, mpf_add)
@@ -104,32 +91,21 @@ class LogVector:
         return self._combine(o, mpf_sub)
 
     def _combine(self, o, op) -> "LogVector":
-        p = mp.mp.prec
-        x = [op(s._mpf_, t._mpf_, p, _RND) for s, t in zip(self.coords, o.coords)]
-        return _vector(x, mpf_add(self.err._mpf_, o.err._mpf_, p, _RND), p)
+        x = [op(s._mpf_, t._mpf_) for s, t in zip(self.coords, o.coords)]
+        return _vector(x, mpf_add(self.err._mpf_, o.err._mpf_))
 
     def __neg__(self) -> "LogVector":
-        p = mp.mp.prec
-        return _vector([mpf_neg(s._mpf_, p, _RND) for s in self.coords], self.err._mpf_, p)
+        return _vector([mpf_neg(s._mpf_) for s in self.coords], self.err._mpf_)
 
     def scaled(self, c) -> "LogVector":
-        # c and abs(c) enter as mpmath converts them; for an int c, mpf_mul
-        # rounds the same exact product that mpf_mul_int does
-        p = mp.mp.prec
-        c, ac = mp.convert(c)._mpf_, mp.convert(abs(c))._mpf_
-        x = [mpf_mul(c, s._mpf_, p, _RND) for s in self.coords]
-        return _vector(x, mpf_mul(ac, self.err._mpf_, p, _RND), p)
-
-    def norm(self) -> mp.mpf:
-        p = mp.mp.prec
-        sq = [mpf_pow_int(s._mpf_, 2, p, _RND) for s in self.coords]
-        return mp.make_mpf(mpf_sqrt(mpf_add(mpf_add(sq[0], sq[1], p, _RND), sq[2], p, _RND), p, _RND))
+        (n,), e = dyadic([c])  # c, an int, float or mpf, read exactly
+        c = from_man_exp(n, e)
+        return _vector([mpf_mul(c, s._mpf_) for s in self.coords], mpf_mul(mpf_abs(c), self.err._mpf_))
 
 
-def _vector(x, err, p: int) -> LogVector:
-    # the vector with raw coordinates x, charged err plus their rounding slack
-    slack = mpf_shift(_max1([mpf_abs(t, p, _RND) for t in x]) or fone, -(p - 2))
-    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(mpf_add(err, slack, p, _RND)))
+def _vector(x, err) -> LogVector:
+    # the vector with raw coordinates x and raw error err
+    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(err))
 
 
 @dataclass(frozen=True)
@@ -138,11 +114,10 @@ class CubicOrderData:
     roots, discriminant, the unit parameters that survived the exact norm
     check (with the rejects and why), and three memos of data derived from
     them, which no later call can change: log_embed's log vectors, keyed
-    by (a, b), and masses.embed_order_lattice's lattice embeddings, keyed
-    by the precision in bits they were built at, which no ambient
-    precision enters; and the simplex of the first two units' log vectors
-    (masses._order_simplex), keyed by the ambient precision it was made
-    at."""
+    by (a, b); masses.embed_order_lattice's lattice embeddings, keyed by
+    the precision in bits they were built at; and, as its one entry, the
+    simplex of the first two units' log vectors (masses._order_simplex),
+    made at the rows' width ROW_BITS."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -152,7 +127,7 @@ class CubicOrderData:
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lattices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _simplices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _simplex: list = field(default_factory=list, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -191,8 +166,8 @@ def build_order(f: MonicCubic, candidate_units, pol: PrecisionPolicy = DEFAULT_P
 def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     """psi(a*theta - b) = (log|a*theta_i - b|)_i, with a propagated error
     bound. Escalates root precision if some |a*theta_i - b| is too close
-    to zero to take a trustworthy log. No step uses the ambient precision,
-    so the order memoises the result, keyed by (a, b)."""
+    to zero to take a trustworthy log. Every step rounds at the roots'
+    bits, so the order memoises the result, keyed by (a, b)."""
     if (a, b) in order._logs:
         return order._logs[a, b]
     if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
@@ -212,8 +187,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
                              mpf_shift(_max1([mpf_abs(c, bits, _RND)]) or fone, -(bits - 8)), bits, _RND)
                      for am, e, c in zip(ams, errs, coords)]
             err = reduce(lambda m, t: t if mpf_gt(t, m) else m, terms)
-            with mp.workprec(bits):  # the LogVector check runs at bits
-                return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), mp.make_mpf(err)))
+            return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), mp.make_mpf(err)))
         if 2 * target > pol.max_bits:
             raise PrecisionExhaustedError(
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
@@ -222,12 +196,12 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
         roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
 
 
-def relative_regulator_with_error(v1: LogVector, v2: LogVector):
-    """|2x2 minor| of the embedding pair, plus an error bound. All three
-    coordinate-deletion minors must agree (rows sum to ~0); disagreement
-    beyond tolerance is an internal error, near-zero determinant means the
-    units are dependent."""
-    p, a, b = mp.mp.prec, [x._mpf_ for x in v1.coords], [x._mpf_ for x in v2.coords]
+def relative_regulator_with_error(v1: LogVector, v2: LogVector, prec: int):
+    """|2x2 minor| of the embedding pair, plus an error bound, each step
+    rounded at prec bits. All three coordinate-deletion minors must agree
+    (rows sum to ~0); disagreement beyond tolerance is an internal error,
+    near-zero determinant means the units are dependent."""
+    p, a, b = prec, [x._mpf_ for x in v1.coords], [x._mpf_ for x in v2.coords]
     # the minors deleting coordinate 1, 2 and 3
     minors = [mpf_sub(mpf_mul(a[i], b[j], p, _RND), mpf_mul(a[j], b[i], p, _RND), p, _RND)
               for i, j in ((1, 2), (0, 2), (0, 1))]
@@ -252,13 +226,15 @@ def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> R
     """Cusick test: a pair of independent units with relative regulator
     R' satisfying R'/log^2(disc/4) < 1/8 is a fundamental pair. certified
     means the inequality holds with margin 2^-_MARGIN_BITS after pushing
-    all numeric error upward; False is inconclusive, never a disproof."""
+    all numeric error upward; False is inconclusive, never a disproof.
+    Every step, the reading of rel_reg included, rounds at max(prec, 64)
+    bits."""
     if disc <= 16:
         raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
-    rel_reg = mp.mpf(rel_reg, prec=mp.mp.prec)
+    q = max(prec, 64)
+    rel_reg = mp.mpf(rel_reg, prec=q)
     if not mpf_gt(r := rel_reg._mpf_, fzero):
         raise InvalidParamsError("relative regulator must be positive")
-    q = max(prec, 64)
     L = mpf_log(mpf_div(from_int(disc, q, _RND), from_int(4), q, _RND), q, _RND)
     pad = mpf_shift(fone, -(q - 16))
     ratio = mpf_div(r, mpf_pow_int(L, 2, q, _RND), q, _RND)

@@ -370,11 +370,12 @@ def reference_cover(phi, k: int, glue: int = 0):
     other glue plants a wrong one."""
     from cubicunits import masses
     from cubicunits.errors import InternalInconsistencyError
+    from cubicunits.precision import dyadic
 
     eps, bits = masses._EPS, masses._COVER_BITS
 
     def image(alpha):
-        ints, e = masses._dyadic(alpha.coords[:2])
+        ints, e = dyadic(alpha.coords[:2])
         x1, x2 = (round(v * Fraction(2) ** (e + bits)) for v in ints)
         return x1, x2, -x1 - x2
 
@@ -658,41 +659,40 @@ def _reference_sum_slack(coords) -> mp.mpf:
     return mp.ldexp(abs(coords[0]) + abs(coords[1]) + abs(coords[2]), 2 - mp.mp.prec)
 
 
+def _exact_abs(x) -> mp.mpf:
+    return mp.fneg(x, exact=True) if x < 0 else x
+
+
 class ReferenceLogVector:
-    """units.LogVector with mpmath operators."""
+    """units.LogVector with mpmath operators, each one exact."""
 
     def __init__(self, x1, x2, x3, err):
         from cubicunits.errors import InvalidParamsError
 
         self.x1, self.x2, self.x3, self.err = x1, x2, x3, err
-        s = abs(self.x1 + self.x2 + self.x3)
-        slack = _reference_sum_slack(self.coords)
-        if (s > 3 * self.err + slack
-                and s > mp.ldexp(1, -24) * max(1, abs(self.x1), abs(self.x2), abs(self.x3)) + slack):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(3 * self.err, 8)}")
+        s = _exact_abs(mp.fadd(mp.fadd(x1, x2, exact=True), x3, exact=True))
+        err3 = mp.fmul(3, err, exact=True)
+        if s > err3 and s > mp.ldexp(max(1, *map(_exact_abs, self.coords)), -24):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(err3, 8)}")
 
     @property
     def coords(self):
         return (self.x1, self.x2, self.x3)
 
     def __add__(self, o):
-        x = (self.x1 + o.x1, self.x2 + o.x2, self.x3 + o.x3)
-        return ReferenceLogVector(*x, self.err + o.err + _reference_round_slack(x))
+        return ReferenceLogVector(*(mp.fadd(x, y, exact=True) for x, y in zip(self.coords, o.coords)),
+                                  mp.fadd(self.err, o.err, exact=True))
 
     def __sub__(self, o):
-        x = (self.x1 - o.x1, self.x2 - o.x2, self.x3 - o.x3)
-        return ReferenceLogVector(*x, self.err + o.err + _reference_round_slack(x))
+        return ReferenceLogVector(*(mp.fsub(x, y, exact=True) for x, y in zip(self.coords, o.coords)),
+                                  mp.fadd(self.err, o.err, exact=True))
 
     def __neg__(self):
-        x = (-self.x1, -self.x2, -self.x3)
-        return ReferenceLogVector(*x, self.err + _reference_round_slack(x))
+        return ReferenceLogVector(*(mp.fneg(x, exact=True) for x in self.coords), self.err)
 
     def scaled(self, c):
-        x = (c * self.x1, c * self.x2, c * self.x3)
-        return ReferenceLogVector(*x, abs(c) * self.err + _reference_round_slack(x))
-
-    def norm(self) -> mp.mpf:
-        return mp.sqrt(self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2)
+        return ReferenceLogVector(*(mp.fmul(c, x, exact=True) for x in self.coords),
+                                  mp.fmul(_exact_abs(mp.mpf(c)), self.err, exact=True))
 
 
 def reference_log_embed(order, a: int, b: int):
@@ -727,8 +727,13 @@ def reference_log_embed(order, a: int, b: int):
         roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
 
 
-def reference_relative_regulator_with_error(v1, v2):
+def reference_relative_regulator_with_error(v1, v2, prec: int):
     """units.relative_regulator_with_error with mpmath operators."""
+    with mp.workprec(prec):
+        return _reference_regulator(v1, v2)
+
+
+def _reference_regulator(v1, v2):
     from cubicunits.errors import DependentUnitsError, InternalInconsistencyError
 
     a = (v1.x1, v1.x2, v1.x3)
@@ -757,10 +762,10 @@ def reference_certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int =
 
     if disc <= 16:
         raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
-    rel_reg = mp.mpf(rel_reg)
-    if not rel_reg > 0:
-        raise InvalidParamsError("relative regulator must be positive")
     with mp.workprec(max(prec, 64)):
+        rel_reg = mp.mpf(rel_reg)
+        if not rel_reg > 0:
+            raise InvalidParamsError("relative regulator must be positive")
         L = mp.log(mp.mpf(disc) / 4)
         pad = mp.ldexp(1, -(mp.mp.prec - 16))
         ratio = rel_reg / L ** 2
@@ -769,14 +774,14 @@ def reference_certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int =
         return rel_reg, ratio, certified
 
 
-def reference_omega(prec=None) -> mp.mpc:
-    """shapes.omega with mpmath operators (a falsy prec reads the ambient)."""
-    with mp.workprec(prec or mp.mp.prec):
+def reference_omega(prec: int = 53) -> mp.mpc:
+    """shapes.omega with mpmath operators."""
+    with mp.workprec(prec):
         return mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
 
 
-def reference_corner(prec=None) -> mp.mpc:
-    with mp.workprec(prec or mp.mp.prec):
+def reference_corner(prec: int = 53) -> mp.mpc:
+    with mp.workprec(prec):
         return 1 + reference_omega(prec)
 
 
@@ -822,23 +827,35 @@ def reference_convention(sp) -> bool:
                 and (x >= 0 or size - 1 > r / 2))
 
 
-def reference_make_simplex(v1, v2):
+def _reference_rounded(v, err):
+    # v rounded at the ambient precision, charged err and the rounding slack
+    x = tuple(+c for c in v.coords)
+    return ReferenceLogVector(*x, err + _reference_round_slack(x))
+
+
+def reference_make_simplex(v1, v2, prec: int):
     """masses.make_simplex with mpmath operators; returns the three alphas."""
     from cubicunits.errors import DependentUnitsError
 
-    a1 = v1
-    a2 = v2 - v1
-    a3 = -v2
-    cross = a1.x1 * a2.x2 - a1.x2 * a2.x1
-    scale = max(a1.norm(), a2.norm(), mp.mpf(1))
-    if abs(cross) <= 8 * (v1.err + v2.err) * scale:
-        raise DependentUnitsError("simplex vectors do not span the plane")
-    return a1, a2, a3
+    with mp.workprec(prec):
+        a1 = v1
+        a2 = _reference_rounded(v2 - v1, v2.err + v1.err)
+        a3 = _reference_rounded(-v2, v2.err)
+        cross = a1.x1 * a2.x2 - a1.x2 * a2.x1
+        scale = max(*(mp.sqrt(a.x1 ** 2 + a.x2 ** 2 + a.x3 ** 2) for a in (a1, a2)), mp.mpf(1))
+        if abs(cross) <= 8 * (a1.err + a2.err) * scale:
+            raise DependentUnitsError("simplex vectors do not span the plane")
+        return a1, a2, a3
 
 
-def reference_hex_domain(alphas):
+def reference_hex_domain(alphas, prec: int):
     """masses.hex_domain with mpmath operators, on the three alphas;
     returns (vertices, ceiling, ceiling_err)."""
+    with mp.workprec(prec):
+        return _reference_hexagon(alphas)
+
+
+def _reference_hexagon(alphas):
     import itertools
 
     terms = [None] + [[[w * x for x in alpha.coords] for alpha in alphas]

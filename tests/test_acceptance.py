@@ -57,6 +57,7 @@ from cubicunits import (
     LogVector,
 )
 from cubicunits.errors import InvalidParamsError
+from cubicunits.precision import ROW_BITS
 
 from .oracles import (
     disc_from_roots, disc_oracle, exp_act, floor_power, norm_from_roots, reference_to_plane)
@@ -166,8 +167,7 @@ def test_ac2_cusick_ratio_approaches_sixteenth(capfd):
     for t in (10**3, 10**6, 10**9, 10**12):
         order = _simplest_order(t)
         v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-        with mp.workprec(220):
-            reg, err = relative_regulator_with_error(v1, v2)
+        reg, err = relative_regulator_with_error(v1, v2, 220)
         rep = certify_fundamental(reg, order.disc, err)
         ratios.append(rep.cusick_ratio)
         certified.append(rep.certified)
@@ -284,9 +284,9 @@ def test_ac6_mass_escape(capfd):
         p = TwoUnitParams(b * b + b + 1, b, b + 1, 1)
         order = build_order(build_two_unit(p, b**3), [(p.a, p.b), (p.c, p.d)])
         v1, v2 = log_embed(order, p.a, p.b), log_embed(order, p.c, p.d)
-        phi = make_simplex(v1, v2)
+        phi = make_simplex(v1, v2, ROW_BITS)
         ht = lattice_height(embed_order_lattice(order))
-        tight = check_tight(hex_domain(phi), ht, 2, Fraction(1, 3))
+        tight = check_tight(hex_domain(phi, ROW_BITS), ht, 2, Fraction(1, 3), ROW_BITS)
         tight_all = tight_all and tight
         if tight:
             frac, = mass_above_height(order, (10.0,), samples=600)
@@ -435,8 +435,8 @@ def _suite_minor_agreement(rng: random.Random) -> int:
     order = _simplest_order(1000)
     v1 = log_embed(order, 1, 0)
     v2 = log_embed(order, 1, -1)
+    base_reg, base_err = relative_regulator_with_error(v1, v2, 220)
     with mp.workprec(220):
-        base_reg, base_err = relative_regulator_with_error(v1, v2)
         for _ in range(1000):
             while True:
                 n1, n2 = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -447,7 +447,7 @@ def _suite_minor_agreement(rng: random.Random) -> int:
             u = v1.scaled(n1) + v2.scaled(n2)
             w = v1.scaled(m1) + v2.scaled(m2)
             try:
-                reg, err = relative_regulator_with_error(u, w)
+                reg, err = relative_regulator_with_error(u, w, 220)
             except Exception:
                 failures += 1
                 continue
@@ -479,7 +479,7 @@ def _suite_hexagon_covolume(rng: random.Random) -> int:
                 continue
             v1 = LogVector(mp.mpf(a1), mp.mpf(a2), -mp.mpf(a1) - a2, tiny)
             v2 = LogVector(mp.mpf(b1), mp.mpf(b2), -mp.mpf(b1) - b2, tiny)
-            hd = hex_domain(make_simplex(v1, v2))
+            hd = hex_domain(make_simplex(v1, v2, 200), 200)
             proj = [(v[0], v[1]) for v in hd.vertices]
             proj.sort(key=lambda p: mp.atan2(p[1], p[0]))
             if abs(_shoelace(proj) - cross) > cross * mp.ldexp(1, -50):

@@ -281,9 +281,9 @@ def test_mass_profile_builds_the_hexagon_once_per_row(monkeypatch, capsys):
     # it must read the one hexagon, not rebuild it for each
     built = []
 
-    def counting(phi):
+    def counting(phi, prec):
         built.append(phi)
-        return hex_domain(phi)
+        return hex_domain(phi, prec)
 
     monkeypatch.setattr(masses, "hex_domain", counting)
     assert main(["mass-profile", "--family", ONE_UNIT, "--schedule", "list:1000000",
@@ -404,6 +404,30 @@ def test_verify_compares_shapes_as_points_of_the_surface(family, schedule, bits,
     assert main(["verify", "--family", family, "--schedule", schedule, "--spots", str(spots),
                  "--precision-bits", bits]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == f"verified {spots} rows, 0 failures"
+
+
+@pytest.mark.parametrize("key", ["reg", "ht"])
+@pytest.mark.parametrize("rel, verdict", [(2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "PASS")])
+def test_verify_compares_reg_and_ht_within_1e_12(monkeypatch, capsys, key, rel, verdict):
+    # the doubled-precision row's regulator or height moved by a relative
+    # rel: verify compares the two exactly, within 1e-12 (1 + |hi|)
+    import mpmath as mp
+
+    from cubicunits import cli
+
+    audit = cli._audit_point
+
+    def moved(cfg, t, bits):
+        row = audit(cfg, t, bits)
+        if bits > cfg.precision_bits:
+            with mp.workprec(256):
+                row[key] = row[key] * (1 + mp.mpf(rel))
+        return row
+
+    monkeypatch.setattr(cli, "_audit_point", moved)
+    code = main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000", "--spots", "1"])
+    assert capsys.readouterr().out.splitlines()[0] == f"VERIFY t=1000: {verdict} (status=ok/ok)"
+    assert code == (EXIT_OK if verdict == "PASS" else 1)
 
 
 def test_verify_rank_below_two(capsys):

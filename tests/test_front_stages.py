@@ -6,8 +6,9 @@ certify_fundamental, shapes' omega and corner, and masses' make_simplex,
 hex_domain, embed_order_lattice and _root call mpmath's libmp functions
 directly. Each must give every field's raw tuple and the class and text of
 every error that the operator code gives, over three families, every
-decade 10^3..10^24 of both signs, five precisions and three ambient
-precisions set directly on mp.mp. The shape comes from an exact integer
+decade 10^3..10^24 of both signs, five precisions and three widths, each
+passed to the stages with another ambient precision set directly on mp.mp,
+which no stage reads. The shape comes from an exact integer
 form instead, so it is checked against the same member at 768 bits: it
 must lie within its radius of that shape, and be the convention's
 representative of the closed fundamental domain.
@@ -33,6 +34,8 @@ FAMILIES = {
 DECADES = [s * 10 ** k for k in range(3, 25) for s in (1, -1)]
 BITS = (64, 96, 128, 192, 384)
 AMBIENT = (16, 53, 300)
+# each width a stage is asked for, with the ambient precision set meanwhile
+OTHER = {16: 300, 53: 16, 300: 53}
 
 
 @pytest.fixture(autouse=True)
@@ -80,30 +83,31 @@ def _certificate_of(rep):
     return rep.rel_reg, rep.cusick_ratio, rep.certified
 
 
-def _certificate(v1, v2, disc, bits, regulator, certify):
+def _certificate(v1, v2, disc, bits, width, regulator, certify):
     # the reference returns the report's three fields as a tuple
-    reg, err = regulator(v1, v2)
+    reg, err = regulator(v1, v2, width)
     rep = certify(reg, disc, err, bits)
     return _certificate_of(rep) if hasattr(rep, "rel_reg") else rep
 
 
-def check_vectors(v, r, disc, bits):
-    """Every ambient-reading stage on the unit pair v (LogVector) against
-    the operator code on r (ReferenceLogVector), at the ambient precision."""
+def check_vectors(v, r, disc, bits, width):
+    """Every stage that takes a width, on the unit pair v (LogVector),
+    against the operator code on r (ReferenceLogVector), at that width; the
+    exact arithmetic takes none."""
     third = mp.mpf(1) / 3
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -b,
                lambda a, b: a.scaled(3), lambda a, b: b.scaled(-2),
-               lambda a, b: a.scaled(third), lambda a, b: b.norm()):
+               lambda a, b: a.scaled(third)):
         assert outcome(op, *v) == outcome(op, *r)
-    assert outcome(_certificate, *v, disc, bits, units.relative_regulator_with_error,
+    assert outcome(_certificate, *v, disc, bits, width, units.relative_regulator_with_error,
                    units.certify_fundamental) == outcome(
-        _certificate, *r, disc, bits, O.reference_relative_regulator_with_error,
+        _certificate, *r, disc, bits, width, O.reference_relative_regulator_with_error,
         O.reference_certify_fundamental)
-    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b)), *v)
-    assert got == outcome(O.reference_make_simplex, *r)
+    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, width)), *v)
+    assert got == outcome(O.reference_make_simplex, *r, width)
     if got[0] == "ok":
-        assert outcome(lambda a, b: _hexagon(masses.hex_domain(masses.make_simplex(a, b))), *v) \
-            == outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b)), *r)
+        assert outcome(lambda a, b: _hexagon(masses.hex_domain(masses.make_simplex(a, b, width), width)), *v) \
+            == outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b, width), width), *r)
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -115,13 +119,13 @@ def test_front_stages_match_the_operator_code(family, bits):
         basis = masses.embed_order_lattice(order, bits)
         assert basis == masses.LatticeBasis3.from_columns(O.reference_embedding_columns(order, bits))
         pairs = order.units[:2]
-        for amb in AMBIENT:
-            mp.mp.prec = amb
+        for width in AMBIENT:
+            mp.mp.prec = OTHER[width]
             order._logs.clear()  # log_embed computes again at this ambient precision
             got = [outcome(units.log_embed, order, a, b) for a, b in pairs]
             assert got == [outcome(O.reference_log_embed, order, a, b) for a, b in pairs]
             v = [units.log_embed(order, a, b) for a, b in pairs]
-            check_vectors(v, [reference_vector(x) for x in v], order.disc, bits)
+            check_vectors(v, [reference_vector(x) for x in v], order.disc, bits, width)
 
 
 def _one_unit_logs(t=10 ** 12, bits=192):
@@ -130,15 +134,18 @@ def _one_unit_logs(t=10 ** 12, bits=192):
 
 @pytest.mark.parametrize("amb", AMBIENT)
 def test_error_paths_match_the_operator_code(amb):
-    mp.mp.prec = amb
+    # each stage at amb bits, with another ambient precision set meanwhile
+    mp.mp.prec = OTHER[amb]
     v1, v2 = _one_unit_logs()
     r1 = reference_vector(v1)
     mpf = mp.mpf
     # dependent vectors
     d, rd = v1.scaled(2), r1.scaled(2)
-    assert outcome(units.relative_regulator_with_error, v1, d) == outcome(
-        O.reference_relative_regulator_with_error, r1, rd)
-    assert outcome(masses.make_simplex, v1, d) == outcome(O.reference_make_simplex, r1, rd)
+    assert outcome(units.relative_regulator_with_error, v1, d, amb) == outcome(
+        O.reference_relative_regulator_with_error, r1, rd, amb)
+    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, amb)), v1, d)
+    assert got[:2] == ("error", "DependentUnitsError")
+    assert got == outcome(O.reference_make_simplex, r1, rd, amb)
     zero = units.LogVector(mpf(0), mpf(0), mpf(0), mpf(0))
     for pair in ((v1, d), (zero, v1), (v1, zero)):
         assert outcome(shapes.shape_from_units, *pair)[:2] == ("error", "DependentUnitsError")
@@ -151,10 +158,10 @@ def test_error_paths_match_the_operator_code(amb):
     with mp.workprec(64):
         a = units.LogVector(mpf(1), mpf(2), mpf(-3) + mpf(1e-8), mpf(1e-30))
         b = units.LogVector(mpf(2), mpf(-5), mpf(3), mpf(1e-30))
-    got = outcome(units.relative_regulator_with_error, a, b)
+    got = outcome(units.relative_regulator_with_error, a, b, amb)
     assert amb < 53 or got[:2] == ("error", "InternalInconsistencyError")
     assert got == outcome(O.reference_relative_regulator_with_error,
-                          reference_vector(a), reference_vector(b))
+                          reference_vector(a), reference_vector(b), amb)
     # certification outside its regime, and a non-positive regulator
     for args in ((mpf(1), 16), (mpf(1), -23), (mpf(0), 49), (-1, 49), (mpf(2), 49, mpf(0), 64)):
         assert outcome(lambda *x: _certificate_of(units.certify_fundamental(*x)), *args) \
@@ -168,9 +175,11 @@ def test_error_paths_match_the_operator_code(amb):
 @pytest.mark.parametrize("prec", [None, 8, 16, 53, 64, 192, 384])
 @pytest.mark.parametrize("amb", AMBIENT)
 def test_omega_and_corner_match_the_operator_code(prec, amb):
+    # None omits prec: the default is 53 bits, whatever the ambient precision
     mp.mp.prec = amb
-    assert shapes.omega(prec)._mpc_ == O.reference_omega(prec)._mpc_
-    assert shapes.corner(prec)._mpc_ == O.reference_corner(prec)._mpc_
+    args, ref = ((), 53) if prec is None else ((prec,), prec)
+    assert shapes.omega(*args)._mpc_ == O.reference_omega(ref)._mpc_
+    assert shapes.corner(*args)._mpc_ == O.reference_corner(ref)._mpc_
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +220,7 @@ def test_shape_lies_within_its_radius_of_the_768_bit_shape(bits, truth):
 
 
 # ---------------------------------------------------------------------------
-# An explicit precision below 8 bits is an error, not the ambient precision
+# An explicit precision below 8 bits is an error; an omitted one is 53 bits
 # ---------------------------------------------------------------------------
 
 
@@ -226,12 +235,15 @@ def test_shape_precision_below_eight_bits_is_rejected(prec):
             call()
 
 
-def test_shape_precision_none_reads_the_ambient_precision():
+@pytest.mark.parametrize("amb", AMBIENT)
+def test_shape_precision_defaults_to_53_bits(amb):
     v1, v2 = _one_unit_logs()
-    with mp.workprec(53):
-        ambient = shapes.shape_from_units(v1, v2)
-    assert ambient == shapes.shape_from_units(v1, v2, 53)
-    assert shapes.reduce_fundamental(mp.mpc(0.1, 2), 8).reduced  # 8 bits is allowed
+    tau = mp.mpc(0.1, 2)
+    mp.mp.prec = amb
+    assert shapes.shape_from_units(v1, v2) == shapes.shape_from_units(v1, v2, 53)
+    assert shapes.reduce_fundamental(tau) == shapes.reduce_fundamental(tau, 53)
+    assert shapes.corner_distance(tau) == shapes.corner_distance(tau, 53)
+    assert shapes.reduce_fundamental(tau, 8).reduced  # 8 bits is allowed
 
 
 # ---------------------------------------------------------------------------

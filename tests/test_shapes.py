@@ -185,7 +185,7 @@ def test_an_exact_corner_prints_the_corner_at_every_width(q):
     member = _Member.of_family('{"kind":"two_unit","a":"1","b":"3","c":"-1","d":"-4"}', 6203, q)
     p = shape_from_units(*member.logs, q)
     with mp.workprec(2 * q):
-        assert p.tau.real > 0 and corner_distance(p) <= p.radius and reference_convention(p)
+        assert p.tau.real > 0 and corner_distance(p, 2 * q) <= p.radius and reference_convention(p)
 
 
 def test_shape_from_units_dependent():
@@ -286,9 +286,9 @@ def test_cusick_angle_cos_exact():
 
 def test_corner_distance_values():
     with mp.workprec(200):
-        assert corner_distance(corner(200)) < mp.ldexp(1, -190)
-        assert corner_distance(omega(200)) < mp.ldexp(1, -190)
-        d = corner_distance(mp.mpc(0, 1))
+        assert corner_distance(corner(200), 200) < mp.ldexp(1, -190)
+        assert corner_distance(omega(200), 200) < mp.ldexp(1, -190)
+        d = corner_distance(mp.mpc(0, 1), 200)
         assert abs(d - 2 * mp.sin(mp.pi / 12)) < mp.mpf("1e-30")
 
 

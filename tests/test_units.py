@@ -26,6 +26,8 @@ from cubicunits import (
     simplest_cubic,
 )
 
+from cubicunits.precision import mpf_to_fraction
+
 from .oracles import roots_oracle
 
 
@@ -60,9 +62,9 @@ def test_log_vector_trace_zero_guard():
 @pytest.mark.parametrize("ambient", [16, 20])
 def test_log_vector_trace_check_charges_its_own_sum(ambient):
     # one_unit (1, 1) at t = 10^12: v1's coordinates are 192-bit values up to
-    # about 28 in size, and their sum rounded at 16 or 20 bits is off by far
-    # more than 3 err or 2^-24 max|x_i|, but within what its two roundings
-    # can move it; an off-plane sum beyond that still raises
+    # about 28 in size, and their sum rounded at 16 or 20 bits would be off
+    # by far more than 3 err or 2^-24 max|x_i|; the check sums them exactly,
+    # whatever the ambient precision, and an off-plane sum still raises
     order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)])
     v1 = log_embed(order, *order.units[0])
     with mp.workprec(ambient):
@@ -102,37 +104,49 @@ def test_log_embed_is_memoised_per_order():
 def test_log_vector_arithmetic():
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-    with mp.workprec(300):
-        s = v1 + v2
-        assert abs(s.x1 - (v1.x1 + v2.x1)) == 0
-        # err grows by the errs plus the ambient rounding slack, nothing more
-        assert v1.err + v2.err <= s.err <= v1.err + v2.err + mp.ldexp(1, -280)
-        n = -v1
-        assert n.x3 == -v1.x3 and v1.err <= n.err <= v1.err + mp.ldexp(1, -280)
-        d = v1.scaled(3) - v1
-        assert abs(d.x2 - 2 * v1.x2) <= mp.ldexp(1, -100)
+    s = v1 + v2
+    assert [mpf_to_fraction(x) for x in s.coords + (s.err,)] == [
+        mpf_to_fraction(x) + mpf_to_fraction(y) for x, y in zip(v1.coords + (v1.err,), v2.coords + (v2.err,))]
+    n = -v1
+    assert [mpf_to_fraction(x) for x in n.coords] == [-mpf_to_fraction(x) for x in v1.coords]
+    assert n.err == v1.err
+    d = v1.scaled(3) - v1
+    assert [mpf_to_fraction(x) for x in d.coords] == [2 * mpf_to_fraction(x) for x in v1.coords]
+    assert mpf_to_fraction(d.err) == 4 * mpf_to_fraction(v1.err)
 
 
-def test_log_vector_low_precision_ops_fatten_err():
-    # at 53-bit ambient precision the stored 200+-bit coords get rounded;
-    # the error bound must absorb that instead of silently lying
+@pytest.mark.parametrize("ambient", [16, 53, 300])
+def test_log_vector_arithmetic_is_exact_at_any_ambient_precision(ambient):
+    # +, -, negation and scaled(c) for an int, float or mpf c round nothing
+    # and carry err exactly, whatever the ambient precision; the 200+-bit
+    # coordinates of log_embed keep every bit
     order = simplest_order(1000)
-    v1 = log_embed(order, 1, 0)
-    doubled = v1.scaled(2)
-    assert doubled.err > mp.ldexp(1, -55)
-    with mp.workprec(300):
-        true_gap = abs(doubled.x1 - 2 * v1.x1)
-    assert true_gap <= doubled.err
+    v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
+    exact = [[mpf_to_fraction(x) for x in v.coords + (v.err,)] for v in (v1, v2)]
+    c = mp.mpf("0.1")  # a 53-bit mpf
+    saved = mp.mp.prec
+    mp.mp.prec = ambient
+    try:
+        got = [v1 + v2, v1 - v2, -v1, v1.scaled(3), v1.scaled(-0.5), v1.scaled(c)]
+    finally:
+        mp.mp.prec = saved
+    (x, e), (y, f) = (([*q[:3]], q[3]) for q in exact)
+    cf = mpf_to_fraction(c)
+    want = [([a + b for a, b in zip(x, y)], e + f), ([a - b for a, b in zip(x, y)], e + f),
+            ([-a for a in x], e), ([3 * a for a in x], 3 * e),
+            ([-a / 2 for a in x], e / 2), ([cf * a for a in x], cf * e)]
+    for v, (coords, err) in zip(got, want):
+        assert [mpf_to_fraction(a) for a in v.coords] == coords
+        assert mpf_to_fraction(v.err) == err
 
 
 def test_relative_regulator_frozen_t1000():
     order = simplest_order(1000)
     assert order.disc == 1006027054081
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-    with mp.workprec(200):
-        reg, err = relative_regulator_with_error(v1, v2)
-        assert abs(reg - mp.mpf("47.7378195596830792436")) < mp.mpf("1e-12")
-        assert err < mp.mpf("1e-30")
+    reg, err = relative_regulator_with_error(v1, v2, 200)
+    assert abs(reg - mp.mpf("47.7378195596830792436")) < mp.mpf("1e-12")
+    assert err < mp.mpf("1e-30")
 
 
 def test_relative_regulator_matches_root_oracle():
@@ -140,8 +154,8 @@ def test_relative_regulator_matches_root_oracle():
         f = simplest_cubic(t)
         order = build_order(f, [(1, 0), (1, -1)])
         v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
+        reg = relative_regulator_with_error(v1, v2, 260)[0]
         with mp.workprec(260):
-            reg = relative_regulator_with_error(v1, v2)[0]
             rts = sorted(r.real for r in roots_oracle(f.p2, f.p1, f.p0))
             x = [mp.log(abs(r)) for r in rts]
             y = [mp.log(abs(r + 1)) for r in rts]
@@ -153,18 +167,17 @@ def test_dependent_units_detected():
     order = simplest_order(50)
     v1 = log_embed(order, 1, 0)
     with pytest.raises(DependentUnitsError):
-        relative_regulator_with_error(v1, v1)[0]
+        relative_regulator_with_error(v1, v1, 53)[0]
     # -theta has the same absolute values, hence a dependent log vector
     vneg = log_embed(order, -1, 0)
     with pytest.raises(DependentUnitsError):
-        relative_regulator_with_error(v1, vneg)[0]
+        relative_regulator_with_error(v1, vneg, 53)[0]
 
 
 def test_certify_fundamental_frozen():
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-    with mp.workprec(200):
-        reg, err = relative_regulator_with_error(v1, v2)
+    reg, err = relative_regulator_with_error(v1, v2, 200)
     rep = certify_fundamental(reg, order.disc, err)
     assert rep.certified
     assert abs(rep.cusick_ratio - mp.mpf("0.0692754920485553726")) < mp.mpf("1e-12")
@@ -208,8 +221,7 @@ def test_report_to_json():
 def test_simplest_cubic_pairs_certify(t):
     order = simplest_order(t)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-    with mp.workprec(200):
-        reg, err = relative_regulator_with_error(v1, v2)
+    reg, err = relative_regulator_with_error(v1, v2, 200)
     assert certify_fundamental(reg, order.disc, err).certified
 
 
@@ -224,6 +236,5 @@ def test_one_unit_members_give_independent_units(b, t):
         return  # reducible-adjacent corner; build_order explains in dropped
     v1 = log_embed(order, 1, b)
     v2 = log_embed(order, 1, 0)
-    with mp.workprec(200):
-        reg = relative_regulator_with_error(v1, v2)[0]
+    reg = relative_regulator_with_error(v1, v2, 200)[0]
     assert reg > 0
