@@ -13,20 +13,19 @@ certified value exact or from mpf. A basis is carried as its exact
 integer image, three integer columns times one power of two: the
 embedding is rounded into it once, and the flow multiplies its columns
 by the mantissas of three mpf exponentials, rounding each entry once.
-The kernel reads that image directly, and a float64 Lenstra-Lenstra-Lovasz
-preconditioner (lazy size reduction from the exact Gram matrix, as in
-Nguyen and Stehle's L^2) reduces it by exact integer column operations.
-The kernel then completes the reduction on integers alone: sorted by exact
-squared norm, the columns take every move that shortens one of them by
-adding the shorter columns with coefficients in {0, +-1}, until none
-does. That basis is Minkowski-reduced, as in dimension 3 those
-coefficients cover Minkowski's conditions, and in dimension at most 4 a
-Minkowski-reduced basis reaches the successive minima (Nguyen and
-Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
-2009). So the first two columns' exact integer norms are lambda_1^2 and
-lambda_2^2, the first column is a shortest vector, and one mpf square
-root at the caller's precision gives the minimum. No float error enters
-the minima, so no float error bound has to hold for them.
+The kernel reads that image directly and reduces it in one exact greedy
+loop on integers: sorted by exact squared norm, the columns take Gauss's
+step, the rounded exact Gram solve of the longest against the other two,
+or a move by the shorter columns with coefficients in {0, +-1}, whichever
+first shortens one of them, until none does. That basis is
+Minkowski-reduced, as in dimension 3 those coefficients cover
+Minkowski's conditions, and in dimension at most 4 a Minkowski-reduced
+basis reaches the successive minima (Nguyen and Stehle, "Low-dimensional
+lattice basis reduction revisited", ACM TALG 2009). So the first two
+columns' exact integer norms are lambda_1^2 and lambda_2^2, the first
+column is a shortest vector, and one mpf square root at the caller's
+precision gives the minimum. No float enters the reduction, so no float
+error bound has to hold for the minima.
 
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
@@ -158,38 +157,10 @@ class LatticeBasis3:
     def _minimum(self) -> tuple[list[int], int, int]:
         """(b0, n0, n1): a shortest nonzero vector b0 of the integer
         columns' lattice and the exact squared minima n0 = lambda_1^2 and
-        n1 = lambda_2^2, in units of 2^(2 exp).
-
-        The columns are LLL-reduced (_lll), sorted by exact squared norm
-        and then Minkowski-reduced on integers: while |b1 + s b0| < |b1|
-        or |b2 + s (x b0 + y b1)| < |b2| for a sign s and (x, y) in {(1,
-        0), (0, 1), (1, 1), (1, -1)}, the shorter vector replaces b1 or
-        b2 and the columns are sorted again. Each move is unimodular and
-        lowers an integer norm, so the loop ends, and an LLL-reduced start
-        leaves few moves, if any. A sorted basis that passes every such
-        test satisfies Minkowski's conditions, which in dimension 3 need
-        only coefficients in {0, +-1}, and a Minkowski-reduced basis of
-        dimension at most 4 reaches the successive minima, |b_i| =
-        lambda_(i+1) (Nguyen and Stehle, "Low-dimensional lattice basis
-        reduction revisited", ACM TALG 2009). The sums are exact integers,
-        so no float error enters the minima."""
-        cols = _lll(self.cols)
-        while True:
-            (n0, b0), (n1, b1), (n2, b2) = sorted((_dot(c, c), c) for c in cols)
-            g01 = _dot(b0, b1)
-            if 2 * abs(g01) > n0:  # |b1 - sg(g01) b0| < |b1|
-                s = 1 if g01 > 0 else -1
-                cols = b0, [p - s * q for p, q in zip(b1, b0)], b2
-                continue
-            g02, g12 = _dot(b0, b2), _dot(b1, b2)
-            # |b2 + s (x b0 + y b1)|^2 - |b2|^2 is least at s = -sg(x g02 + y g12)
-            d, x, y, g = min((n0 - 2 * abs(g02), 1, 0, g02), (n1 - 2 * abs(g12), 0, 1, g12),
-                             (n0 + n1 + 2 * g01 - 2 * abs(g02 + g12), 1, 1, g02 + g12),
-                             (n0 + n1 - 2 * g01 - 2 * abs(g02 - g12), 1, -1, g02 - g12))
-            if d >= 0:
-                return b0, n0, n1
-            s = -1 if g > 0 else 1
-            cols = b0, b1, [r + s * (x * p + y * q) for p, q, r in zip(b0, b1, b2)]
+        n1 = lambda_2^2, in units of 2^(2 exp), from one exact greedy
+        reduction of the columns (_reduce). No float enters the minima."""
+        (n0, b0), (n1, _), _ = _reduce(self.cols)
+        return b0, n0, n1
 
 
 @dataclass(frozen=True)
@@ -210,6 +181,56 @@ class HexDomain:
 
 def _dot(x, y) -> int:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
+def _reduce(cols) -> list[tuple[int, list[int]]]:
+    """The greedy reduction of three integer columns, on integers alone:
+    the reduced columns as (exact squared norm, column) pairs, sorted.
+    Entries past the third ride along and enter no norm.
+
+    Sorted by exact squared norm, the columns take the first move that
+    makes one of them strictly shorter: b1 - q b0 with q the nearest
+    integer to <b0, b1> / |b0|^2 (Gauss's step); b2 - x b0 - y b1 with (x,
+    y) the nearest integers to the exact solution of the 2x2 Gram system
+    of b2 against b0 and b1; or b2 + s (x b0 + y b1) for a sign s and (x,
+    y) in {(1, 0), (0, 1), (1, 1), (1, -1)}. Each move is unimodular and
+    lowers an integer norm, so the loop ends. A sorted basis that no move
+    shortens satisfies Minkowski's conditions, which in dimension 3 need
+    only coefficients in {0, +-1}, and a Minkowski-reduced basis of
+    dimension at most 4 reaches the successive minima, |b_i| =
+    lambda_(i+1) (Nguyen and Stehle, "Low-dimensional lattice basis
+    reduction revisited", ACM TALG 2009; Semaev, "A 3-dimensional lattice
+    reduction algorithm", CaLC 2001). Columns that span less than the
+    space reach a zero column, which raises: a Gauss-reduced b0, b1 leave
+    b2 in their plane at most 3/4 of |b1|^2 after the Gram step."""
+    ranked = sorted((_dot(c, c), list(c)) for c in cols)
+    while True:
+        (n0, b0), (n1, b1), (n2, b2) = ranked
+        if not n0:
+            raise InternalInconsistencyError("degenerate basis in reduction")
+        g01 = _dot(b0, b1)
+        q = (2 * g01 + n0) // (2 * n0)
+        d = q * (q * n0 - 2 * g01)  # |b1 - q b0|^2 - |b1|^2
+        if d < 0:
+            ranked[1] = n1 + d, [u - q * v for u, v in zip(b1, b0)]
+            ranked.sort()
+            continue
+        g02, g12 = _dot(b0, b2), _dot(b1, b2)
+        det = n0 * n1 - g01 * g01  # > 0, as |g01| <= n0 / 2 here
+        x = (2 * (g02 * n1 - g12 * g01) + det) // (2 * det)
+        y = (2 * (g12 * n0 - g02 * g01) + det) // (2 * det)
+        # d = |b2 - x b0 - y b1|^2 - |b2|^2, first for the Gram step's (x, y),
+        # then for the best move by +-1: it is least at sg(x, y) = sg(x g02 + y g12)
+        d = x * (x * n0 + 2 * y * g01 - 2 * g02) + y * (y * n1 - 2 * g12)
+        if d >= 0:
+            d, x, y, g = min((n0 - 2 * abs(g02), 1, 0, g02), (n1 - 2 * abs(g12), 0, 1, g12),
+                             (n0 + n1 + 2 * g01 - 2 * abs(g02 + g12), 1, 1, g02 + g12),
+                             (n0 + n1 - 2 * g01 - 2 * abs(g02 - g12), 1, -1, g02 - g12))
+            if d >= 0:
+                return ranked
+            x, y = (x, y) if g > 0 else (-x, -y)
+        ranked[2] = n2 + d, [w - x * u - y * v for u, v, w in zip(b0, b1, b2)]
+        ranked.sort()
 
 
 def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
@@ -268,112 +289,24 @@ def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
 def _scaled_float(n: int, shift: int) -> float:
     """n * 2^-shift as a float64, also for n beyond the float range: n is
     floored to its 64 leading bits, then rounded to nearest, so the result
-    is within a relative 2^-53 + 2^-63 (+ 2^-116) of n 2^-shift. _lll
-    steers by such floats, and only its speed depends on them: the minima
-    are certified on integers (LatticeBasis3._minimum). In the certified
-    margin it is among the roundings _MARGIN_ROUND covers."""
+    is within a relative 2^-53 + 2^-63 (+ 2^-116) of n 2^-shift. The
+    dual weight and the certified margin read such floats, among the
+    roundings _MARGIN_ROUND covers; the minima never do."""
     x = n.bit_length() - 64
     return math.ldexp(float(n >> x), x - shift) if x > 0 else math.ldexp(float(n), -shift)
-
-
-def _lll(cols):
-    """LLL (delta 0.99) of three integer columns: the reduced columns, as
-    lists. Entries past the third ride along.
-
-    Column operations are exact; float64 only steers them. Row k of the
-    Gram-Schmidt data is recomputed from the exact Gram row after every
-    size reduction of column k, until all its |mu| <= 0.51 (the lazy size
-    reduction of Nguyen and Stehle's L^2), so entries spanning hundreds of
-    bits lose nothing to cancellation. No float enters a result: the
-    output is a basis of the same lattice whatever the floats did, and
-    the kernel certifies its minima on integers by completing the
-    reduction to a Minkowski-reduced one (LatticeBasis3._minimum; Nguyen
-    and Stehle, "Low-dimensional lattice basis reduction revisited", ACM
-    TALG 2009).
-
-    Written out for three columns, rows k = 1 and 2 each in their own
-    branch, with every exact dot product spelled out. Each float sum has
-    at most two terms, so every float is the one a loop over k and j gives.
-    """
-    b0, b1, b2 = (list(c) for c in cols)
-    shift = 2 * max(map(abs, (*b0[:3], *b1[:3], *b2[:3]))).bit_length()
-    # r_kj = mu_kj B_j and r_kk = B_k = |b*_k|^2, scaled by 2^-shift
-    r00 = _scaled_float(b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2], shift)
-    k = 1
-    for _ in range(10 ** 4):
-        if k == 3:
-            return [b0, b1, b2]
-        if r00 <= 0:
-            raise InternalInconsistencyError("degenerate basis in reduction")
-        if k == 1:
-            r10 = _scaled_float(b1[0] * b0[0] + b1[1] * b0[1] + b1[2] * b0[2], shift)
-            mu10 = r10 / r00
-            if abs(mu10) > 0.51:
-                q = round(mu10)
-                if q:
-                    b1 = [s - q * t for s, t in zip(b1, b0)]
-                continue
-            r11 = (_scaled_float(b1[0] * b1[0] + b1[1] * b1[1] + b1[2] * b1[2], shift)
-                   - mu10 * r10)
-            if r11 + mu10 ** 2 * r00 < 0.99 * r00:
-                b0, b1 = b1, b0
-                r00 = _scaled_float(b0[0] * b0[0] + b0[1] * b0[1] + b0[2] * b0[2], shift)
-            else:
-                k = 2
-            continue
-        r20 = _scaled_float(b2[0] * b0[0] + b2[1] * b0[1] + b2[2] * b0[2], shift)
-        mu20 = r20 / r00
-        r21 = _scaled_float(b2[0] * b1[0] + b2[1] * b1[1] + b2[2] * b1[2], shift) - mu10 * r20
-        mu21 = r21 / r11
-        if (abs(mu21) if abs(mu21) > abs(mu20) else abs(mu20)) > 0.51:  # as max() picks
-            q = round(mu21)
-            if q:
-                b2 = [s - q * t for s, t in zip(b2, b1)]
-                mu20 -= q * mu10
-            q = round(mu20)
-            if q:
-                b2 = [s - q * t for s, t in zip(b2, b0)]
-            continue
-        r22 = (_scaled_float(b2[0] * b2[0] + b2[1] * b2[1] + b2[2] * b2[2], shift)
-               - (mu20 * r20 + mu21 * r21))
-        if r22 + mu21 ** 2 * r11 < 0.99 * r11:
-            b1, b2 = b2, b1
-            k = 1
-        else:
-            k = 3
-    raise InternalInconsistencyError("basis reduction did not terminate")
 
 
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """Certified euclidean length of a shortest nonzero lattice vector.
 
-    The integer columns of the basis's exact image are LLL-reduced, then
-    Minkowski-reduced, in exact arithmetic (LatticeBasis3._minimum), so
-    the first reduced column's exact integer norm is lambda_1^2 of the
-    lattice the columns span; its square root is rounded once at prec
-    bits. The reduced basis stays on the basis, where _certified_norm
-    reads lambda_2^2 and the shortest vector.
+    The integer columns of the basis's exact image are reduced greedily in
+    exact arithmetic (LatticeBasis3._minimum), so the first reduced
+    column's exact integer norm is lambda_1^2 of the lattice the columns
+    span; its square root is rounded once at prec bits (to nearest). The
+    reduced basis stays on the basis, where _certified_norm reads
+    lambda_2^2 and the shortest vector.
     """
-    return _root(basis._minimum[1], basis.exp, prec)
-
-
-def _root(n: int, exp: int, prec: int) -> mp.mpf:
-    """sqrt(n) 2^exp for an integer n >= 0, rounded once at prec bits (to
-    nearest), as mp.ldexp(mp.sqrt(n), exp) gives it at that precision."""
-    # mpf_sqrt's own steps on from_int(n), with math.isqrt for its sqrtrem
-    _, man, e, bc = from_int(n)
-    if not man:
-        return mp.make_mpf(fzero)
-    if e & 1:
-        man, e, bc = man << 1, e - 1, bc + 1
-    elif man == 1:
-        return mp.make_mpf((0, 1, e // 2 + exp, 1))
-    shift = max(4, 2 * prec - bc + 4)
-    shift += shift & 1
-    r = math.isqrt(man << shift)
-    if man << shift != r * r:  # perturb up on a nonzero remainder
-        r, shift = (r << 1) + 1, shift + 2
-    return mp.make_mpf(from_man_exp(r, (e - shift) // 2 + exp, prec, _RND))
+    return mp.make_mpf(mpf_sqrt(from_man_exp(basis._minimum[1], 2 * basis.exp), prec, round_nearest))
 
 
 def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
@@ -417,11 +350,12 @@ def _rounded(v: LogVector, err, p: int) -> LogVector:
 
 def _order_simplex(order: CubicOrderData, v1: LogVector, v2: LogVector) -> SimplexSet:
     """make_simplex(v1, v2, ROW_BITS) for the log vectors v1 and v2 of the
-    order's first two verified units; the order memoises it as one entry,
-    so a member's ceiling and its mass stage share one."""
-    if not order._simplex:
-        order._simplex.append(make_simplex(v1, v2, ROW_BITS))
-    return order._simplex[0]
+    order's first two verified units; the order memoises it keyed by the
+    width ROW_BITS it is made at, so a member's ceiling and its mass stage
+    share one, and a call at another width makes its own."""
+    if ROW_BITS not in order._simplex:
+        order._simplex[ROW_BITS] = make_simplex(v1, v2, ROW_BITS)
+    return order._simplex[ROW_BITS]
 
 
 @cache
@@ -995,15 +929,17 @@ def _bits(order: CubicOrderData) -> int:
 
 
 def _prereduced(order: CubicOrderData) -> LatticeBasis3:
-    """The order lattice in an LLL-reduced basis, each entry within a
-    relative 2^-(bits+29) of its value from the stored roots: reducing at
-    the order's bits finds the transform U and the bits its sums cancel,
-    and U is applied exactly to an embedding carrying that many more bits.
+    """The order lattice in a reduced basis, each entry within a relative
+    2^-(bits+29) of its value from the stored roots: the greedy reduction
+    (_reduce) at the order's bits finds the transform U, carried by three
+    ride-along coefficient entries per column, and the bits its sums
+    cancel, and U is applied exactly to an embedding carrying that many
+    more bits.
     """
     bits = _bits(order)
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = embed_order_lattice(order, bits).cols
     # each reduced column carries its coefficients (u, v, w) over the columns
-    red = _lll([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])
+    red = [c for _, c in _reduce([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])]
     lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(x).bit_length()
                for x0, x1, x2, u, v, w in red
                for x, a, b, c in ((x0, a0, b0, c0), (x1, a1, b1, c1), (x2, a2, b2, c2)) if x)
@@ -1072,11 +1008,12 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
 
     The least norm B over the coefficient vectors not parallel to v1's is
     lambda_2 of M: two independent vectors reach lambda_2, and one of them
-    is not parallel to v1. The kernel's Minkowski-reduced basis
-    (LatticeBasis3._minimum; Nguyen and Stehle, ACM TALG 2009) has v1 as
+    is not parallel to v1. The kernel's greedy reduction
+    (LatticeBasis3._minimum, _reduce) ends Minkowski-reduced, with v1 as
     its first column and lambda_2^2 as its second column's exact integer
-    norm, so no second search runs. B, rounded at bits as s is, takes the
-    same relative margin, so B - m_B = B (1 - margin / s), exactly. v1's own
+    norm, so no second search runs. B, one mpf square root rounded at bits
+    as s is, takes the same relative margin, so B - m_B = B (1 - margin /
+    s), exactly. v1's own
     image w 2^e has every coordinate within 8 D 2^-bits |w| 2^e of exp(x~)
     v1's, x~ the rounded centre (the bound above,
     coordinate by coordinate); the integer gap is at least 8 D 2^-bits |w|,
@@ -1123,7 +1060,7 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
                 w = max(abs(w) - gap, 0)
                 q = _scaled_float(w * w, -2 * moved.exp)
                 squares.append(q if q >= 2.0 ** -600 else 0.0)
-            _, bman, bx, _ = _root(n2, moved.exp, bits)._mpf_
+            _, bman, bx, _ = mpf_sqrt(from_man_exp(n2, 2 * moved.exp), bits, round_nearest)
             return bman * (one - r), bx - shift, (*squares, math.ldexp(x_err, f) + 2.0 ** -1000)
 
         return memo.setdefault((a, b), (man * one, man * r, sx - shift, floor))

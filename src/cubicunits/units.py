@@ -115,9 +115,9 @@ class CubicOrderData:
     check (with the rejects and why), and three memos of data derived from
     them, which no later call can change: log_embed's log vectors, keyed
     by (a, b); masses.embed_order_lattice's lattice embeddings, keyed by
-    the precision in bits they were built at; and, as its one entry, the
-    simplex of the first two units' log vectors (masses._order_simplex),
-    made at the rows' width ROW_BITS."""
+    the precision in bits they were built at; and the simplex of the first
+    two units' log vectors (masses._order_simplex), keyed by the width it
+    was made at, the rows' ROW_BITS."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -127,7 +127,7 @@ class CubicOrderData:
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _lattices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _simplex: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _simplex: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

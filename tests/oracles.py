@@ -13,19 +13,21 @@ The mass sweep's cover is the exception: `reference_cover` is
 reads the package's constants and its exact dyadic reader, since it
 checks only that the faster rows and their slices mark the same cells.
 The unit rows have no replica: a test checks each interval they certify
-against the same member at 256 bits. So are `reference_lll`,
-`reference_exp_act` and `reference_dual_weight` exceptions: the certified
-kernel's generic loops from before it was written out for three columns,
-which the written-out kernel must match bit for bit. `reference_minima`
-computes the minima as the kernel did before: two float64-pruned
-Fincke-Pohst enumerations over `reference_lll`'s Gram-Schmidt data with
-a derived float error pad. The kernel now reads lambda_1^2, lambda_2^2
-and a shortest vector from an exact Minkowski reduction instead: a
-sorted basis that no move by the shorter columns with coefficients in
-{0, +-1} shortens is Minkowski-reduced in dimension 3, and such a basis
-reaches the successive minima in dimension at most 4 (Nguyen and
-Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
-2009). The two must agree exactly on integers.
+against the same member at 256 bits. So are `reference_exp_act` and
+`reference_dual_weight` exceptions: the certified kernel's generic loops
+from before it was written out for three columns, which the written-out
+kernel must match bit for bit. `reference_lll` is the float64-steered
+LLL the kernel once ran before its exact completion, and
+`reference_minima` computes the minima as the kernel did before that:
+two float64-pruned Fincke-Pohst enumerations over `reference_lll`'s
+Gram-Schmidt data with a derived float error pad. The kernel now reads
+lambda_1^2, lambda_2^2 and a shortest vector from one exact greedy
+reduction instead: a sorted basis that no move by the shorter columns
+with coefficients in {0, +-1} shortens is Minkowski-reduced in
+dimension 3, and such a basis reaches the successive minima in
+dimension at most 4 (Nguyen and Stehle, "Low-dimensional lattice basis
+reduction revisited", ACM TALG 2009). The two must agree exactly on
+integers.
 
 `exp_act`, `basis_columns` and `replay` are plumbing, not references:
 the package's private flow action at explicit bits, a basis's exact
@@ -492,7 +494,8 @@ def reference_exp_act(x, basis):
 
 
 def reference_lll(cols):
-    """masses._lll with generic loops over k and j, returning the float64
+    """LLL (delta 0.99) steered by float64, as the kernel once ran it, with
+    generic loops over k and j, returning the float64
     Gram-Schmidt data beside the columns: (b, [B_l], mu, shift), the
     floats scaled by 2^-shift."""
     from cubicunits.errors import InternalInconsistencyError
@@ -534,7 +537,7 @@ def reference_lll(cols):
 
 
 # The kernel's minima as the package computed them before its exact
-# Minkowski reduction (masses.LatticeBasis3._minimum): a float64-pruned
+# reduction (masses.LatticeBasis3._minimum): a float64-pruned
 # Fincke-Pohst enumeration over reference_lll's Gram-Schmidt data, whose
 # candidates' exact integer norms decide. Its soundness rests on a relative
 # pad on the bound (_ENUM_PAD) and a derived bound on the float error
@@ -641,8 +644,9 @@ def reference_dual_weight(basis) -> float:
 # The member's front stages as mpmath operator code. units.LogVector and
 # its arithmetic, log_embed, relative_regulator_with_error and
 # certify_fundamental, shapes.omega and corner, and masses.make_simplex,
-# hex_domain, embed_order_lattice and _root compute on mpmath's raw tuples;
-# these are their mpmath-operator forms, which the tuple code must match
+# hex_domain, embed_order_lattice and shortest_vector_norm compute on
+# mpmath's raw tuples; these are their mpmath-operator forms, which the
+# tuple code must match
 # bit for bit. The error classes are the package's own; log_embed's memo
 # of the order's log vectors is left out, so a reference call always
 # computes. The shape is checked against truth instead: reference_to_plane
@@ -878,7 +882,8 @@ def reference_embedding_columns(order, prec: int):
 
 
 def reference_root(n: int, exp: int, prec: int) -> mp.mpf:
-    """masses._root through mpmath's own square root."""
+    """sqrt(n) 2^exp rounded at prec bits, as the kernel's minimum is,
+    through mpmath's own square root of the integer n."""
     from mpmath.libmp import from_int, mpf_shift, mpf_sqrt, round_nearest
 
     return mp.make_mpf(mpf_shift(mpf_sqrt(from_int(n), prec, round_nearest), exp))

@@ -3,8 +3,8 @@ mpmath-operator forms in tests/oracles.py, and the shape against truth.
 
 units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
 certify_fundamental, shapes' omega and corner, and masses' make_simplex,
-hex_domain, embed_order_lattice and _root call mpmath's libmp functions
-directly. Each must give every field's raw tuple and the class and text of
+hex_domain, embed_order_lattice and shortest_vector_norm call mpmath's
+libmp functions directly. Each must give every field's raw tuple and the class and text of
 every error that the operator code gives, over three families, every
 decade 10^3..10^24 of both signs, five precisions and three widths, each
 passed to the stages with another ambient precision set directly on mp.mp,
@@ -16,8 +16,9 @@ representative of the closed fundamental domain.
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from cubicunits import cubics, masses, shapes, units
 from cubicunits.cli import _Member
@@ -247,41 +248,48 @@ def test_shape_precision_defaults_to_53_bits(amb):
 
 
 # ---------------------------------------------------------------------------
-# masses._root: mpf_sqrt's steps with math.isqrt for its sqrtrem
+# masses.shortest_vector_norm: the exact lambda_1^2's square root, rounded once
 # ---------------------------------------------------------------------------
 
-_ROOT_INTEGERS = st.one_of(
-    st.sampled_from((0, 1, 2, 3, 4)),
-    st.integers(0, 2 ** 600).map(lambda n: n * n),
-    st.integers(0, 1200).map(lambda k: 1 << k),
-    st.integers(0, 2 ** 1200),
-)
+_ENTRIES = st.one_of(st.integers(-4, 4), st.integers(-2 ** 600, 2 ** 600))
+
+
+def _root_of_minimum(basis, prec):
+    return O.reference_root(basis._minimum[1], basis.exp, prec)._mpf_
 
 
 @settings(max_examples=500, deadline=None)
-@given(_ROOT_INTEGERS, st.integers(-600, 600), st.sampled_from((53, 192, 384)))
-def test_root_matches_mpf_sqrt(n, exp, prec):
-    assert masses._root(n, exp, prec)._mpf_ == O.reference_root(n, exp, prec)._mpf_
+@given(st.lists(_ENTRIES, min_size=9, max_size=9), st.integers(-600, 600),
+       st.sampled_from((53, 192, 384)))
+def test_root_matches_mpf_sqrt(entries, exp, prec):
+    # exact, perfect-square and rounded roots up to 2^1200, scaled by 2^exp
+    cols = tuple(tuple(entries[3 * j:3 * j + 3]) for j in range(3))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cols
+    assume(a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0))
+    basis = masses.LatticeBasis3(cols, exp)
+    assert masses.shortest_vector_norm(basis, prec)._mpf_ == _root_of_minimum(basis, prec)
 
 
 def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
-    # every (n, exp, prec) a height and a mass sweep ask _root for
-    seen = []
-    root = masses._root
-
-    def recording_root(n, exp, prec):
-        seen.append((n, exp, prec))
-        return root(n, exp, prec)
-
-    monkeypatch.setattr(masses, "_root", recording_root)
+    # every square root of an exact minimum that a height and a mass sweep
+    # take: lambda_1 for the height and each centre, lambda_2 for a wide
+    # cover's B
+    bases, roots = [], []
+    norm, sqrt = masses.shortest_vector_norm, masses.mpf_sqrt
+    monkeypatch.setattr(masses, "shortest_vector_norm",
+                        lambda basis, prec: bases.append(basis) or norm(basis, prec))
+    monkeypatch.setattr(masses, "mpf_sqrt",
+                        lambda x, prec, rnd: roots.append((x, prec, sqrt(x, prec, rnd))) or roots[-1][2])
     for family in sorted(FAMILIES):
         for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (-10 ** 9, 384)):
             m = _Member.of_family(FAMILIES[family], t, bits)
             m.ht
             masses.mass_above_height(m.order, [10.0, 100.0, 1000.0], 600)
-    assert len(seen) > 100
-    for n, exp, prec in seen:
-        assert root(n, exp, prec)._mpf_ == O.reference_root(n, exp, prec)._mpf_
+    minima = {from_man_exp(n, 2 * b.exp): (n, b.exp) for b in bases for n in b._minimum[1:]}
+    checked = [(minima[x], prec, r) for x, prec, r in roots if x in minima]
+    assert len(checked) > 100
+    for (n, exp), prec, r in checked:
+        assert r == O.reference_root(n, exp, prec)._mpf_
 
 
 # ---------------------------------------------------------------------------

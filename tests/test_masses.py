@@ -272,14 +272,15 @@ def skewed_lattices(count: int, seed: int) -> list[LatticeBasis3]:
 
 
 def test_minima_match_the_padded_enumeration_on_skewed_lattices():
-    # the exact Minkowski reduction gives the minima and the shortest vector
+    # the exact greedy reduction gives the minima and the shortest vector
     # of two padded float64 enumerations, on 3000 lattices of which 114
-    # leave LLL's output short of Minkowski's conditions; on every 50th,
-    # also those of an all-mpf enumeration at 1024 bits
+    # leave LLL's output short of Minkowski's conditions, and its basis
+    # meets every one of those conditions; on every 50th, also the minima
+    # of an all-mpf enumeration at 1024 bits
     lattices = skewed_lattices(3000, 25)
-    assert sum(minkowski_failures(masses._lll(b.cols)) > 0 for b in lattices) >= 50
     for i, basis in enumerate(lattices):
         assert_minima_match(basis, reference_minima(basis.cols))
+        assert minkowski_failures([c for _, c in masses._reduce(basis.cols)]) == 0
         if i % 50 == 0:
             _, n1, n2 = basis._minimum
             cols = basis_columns(basis)
@@ -292,11 +293,12 @@ def test_minima_match_the_padded_enumeration_on_skewed_lattices():
 
 def test_minima_complete_what_lll_leaves():
     # LLL's sorted output has squared norms 449, 451 and 509 here and fails
-    # a Minkowski condition; the minima are 446 and 449, so skipping the
-    # completion gets both wrong
+    # a Minkowski condition; the minima are 446 and 449, which the greedy
+    # reduction gets wrong, (449, 451), without its moves by +-1
     cols = [[9, 9, 17], [1, 11, -20], [20, -9, 18]]
-    assert sorted(masses._dot(c, c) for c in masses._lll(cols)) == [449, 451, 509]
-    assert minkowski_failures(masses._lll(cols))
+    lll = reference_lll(cols)[0]
+    assert sorted(masses._dot(c, c) for c in lll) == [449, 451, 509]
+    assert minkowski_failures(lll)
     basis = LatticeBasis3(tuple(map(tuple, cols)), 0)
     assert basis._minimum[1:] == (446, 449)
     assert_minima_match(basis, reference_minima(cols))
@@ -349,11 +351,16 @@ def raised(call, *args):
        st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=3, max_size=3))
 def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along, prec, xs):
     # the written-out kernel returns repr-identical results to the generic
-    # loops it replaced: _lll also with _prereduced's ride-along entries,
-    # _exp_act at prec and _dual_weight
+    # loops it replaced, _exp_act at prec and _dual_weight; _prereduced's
+    # ride-along entries leave the reduction as it is without them, and
+    # each reduced column's are its coefficients over the columns
     cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
             for j, c in enumerate(basis.cols)]
-    assert repr(masses._lll(cols)) == repr(reference_lll(cols)[0])
+    red = masses._reduce(cols)
+    assert [(n, c[:3]) for n, c in red] == masses._reduce(basis.cols)
+    if ride_along:
+        assert all(c[:3] == [sum(u * col[i] for u, col in zip(c[3:], basis.cols)) for i in range(3)]
+                   for _, c in red)
     x = [mp.ldexp(v, -36) for v in xs]  # |x_i| up to 16
     moved = exp_act(x, basis, prec)
     with mp.workprec(prec):
@@ -365,16 +372,17 @@ def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along
 @given(transformed_bases(), st.integers(0, 3), st.booleans())
 def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along):
     # a zero column (where < 3) or a repeated first column (where = 3) is
-    # a degenerate basis, which raises, as in the generic loops
+    # a degenerate basis, which raises from the kernel's minimum, also with
+    # _prereduced's ride-along entries, as in the generic loops
     cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
             for j, c in enumerate(basis.cols)]
     if where < 3:
         cols[where] = [0] * len(cols[where])
     else:
         cols[1] = list(cols[0])
-    for lll in (masses._lll, reference_lll):
+    for reduce in (lambda c: LatticeBasis3(tuple(map(tuple, c)), 0)._minimum, reference_lll):
         with pytest.raises(InternalInconsistencyError, match="degenerate basis"):
-            lll(cols)
+            reduce(cols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1070,11 +1078,16 @@ def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
 
 
 def replaying_kernel(monkeypatch):
-    # run every _lll, _exp_act and _dual_weight call of the sweep
-    # also through the generic loops the kernel replaced, and require
-    # repr-identical results or the same raise; counts the calls replayed,
-    # by kind
+    # run every _exp_act and _dual_weight call of the sweep also through
+    # the generic loops the kernel replaced, and require repr-identical
+    # results or the same raise; counts the calls replayed, by kind, and
+    # the greedy reductions, by column length
     counts = collections.Counter()
+    reduce = masses._reduce
+
+    def counted(cols):
+        counts[f"reduce{len(cols[0])}"] += 1
+        return reduce(cols)
 
     def exp_act_at(x, basis, p):
         with mp.workprec(p):
@@ -1092,7 +1105,7 @@ def replaying_kernel(monkeypatch):
             return got
         monkeypatch.setattr(masses, name, replayed)
 
-    replay("_lll", lambda cols: f"lll{len(cols[0])}", lambda cols: reference_lll(cols)[0])
+    monkeypatch.setattr(masses, "_reduce", counted)
     replay("_exp_act", lambda *args: "exp_act", exp_act_at)
     replay("_dual_weight", lambda basis: "dual_weight", reference_dual_weight)
     return counts
@@ -1102,9 +1115,9 @@ def replaying_kernel(monkeypatch):
 @pytest.mark.parametrize("t", [10 ** 3, 10 ** 12, 10 ** 24, -10 ** 9])
 def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
     # every kernel call of sweeps at 600 and 10^4 samples and three heights
-    # (a near-tie pair among them), undecided points included: the moves,
-    # reductions (the kernel's and _prereduced's) and dual weights are
-    # repr-identical to the generic loops, one kernel reduction per centre
+    # (a near-tie pair among them), undecided points included: the moves
+    # and dual weights are repr-identical to the generic loops, with one
+    # greedy reduction per centre and one in _prereduced per sweep
     counts = replaying_kernel(monkeypatch)
     order, _ = mass_member(kind, t)  # fresh: the order keeps the simplex the stage makes
     for samples in (600, 10 ** 4):
@@ -1114,7 +1127,7 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
         except PrecisionExhaustedError:
             pass
     centres = counts["exp_act"]
-    assert counts["lll6"] == 2 and counts["dual_weight"] == counts["lll3"] == centres > 0
+    assert counts["reduce6"] == 2 and counts["dual_weight"] == counts["reduce3"] == centres > 0
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
@@ -1641,6 +1654,32 @@ def test_mass_stage_builds_the_members_own_simplex(monkeypatch, ambient):
         with mp.workprec(other):
             assert masses._order_simplex(member.order, *member.logs) is own
     assert len(made) == 2
+
+
+def test_order_simplex_is_kept_per_width(monkeypatch):
+    # a mass call at ROW_BITS, then ROW_BITS patched to 256 on the same
+    # order: the next mass call reads a simplex made at 256 bits, not the
+    # one kept from the first, and each width keeps its own
+    order, _ = mass_member("one_unit", 10 ** 3)
+    logs = [log_embed(order, *u) for u in order.units[:2]]
+    read = []
+    alphas_of = masses._Alphas.of.__func__
+
+    def reading(cls, phi):
+        read.append(phi)
+        return alphas_of(cls, phi)
+
+    monkeypatch.setattr(masses._Alphas, "of", classmethod(reading))
+    mass_above_height(order, (10.0,), samples=300)
+    monkeypatch.setattr(masses, "ROW_BITS", 256)
+    mass_above_height(order, (10.0,), samples=300)
+    coarse, fine = read
+    assert _raw_simplex(coarse) == _raw_simplex(make_simplex(*logs, ROW_BITS))
+    assert _raw_simplex(fine) == _raw_simplex(make_simplex(*logs, 256))
+    assert _raw_simplex(fine) != _raw_simplex(coarse)
+    assert masses._order_simplex(order, *logs) is fine
+    monkeypatch.setattr(masses, "ROW_BITS", ROW_BITS)
+    assert masses._order_simplex(order, *logs) is coarse
 
 
 def test_mass_above_height_needs_two_units(monkeypatch):
