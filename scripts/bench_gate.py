@@ -6,14 +6,14 @@ true) and holds the result to the gate's own thresholds:
 
   all            --workload all: failed members at most 0 in 18 on
                  mass_dense and wide_t, at most 4 in 18 on profile_high_t
-  profile        profile_high_t, traced: masses.enum_calls at most 75,
+  profile        profile_high_t, traced: masses.enum_calls at most 68,
                  failed members at most 4 in 18
   profile-seed3  profile_high_t at seed 3, traced: masses.enum_calls at
-                 most 36, no member failed
-  dense          mass_dense, traced: masses.enum_calls at most 15, no
+                 most 25, no member failed
+  dense          mass_dense, traced: masses.enum_calls at most 10, no
                  member failed
   dense-seed3    mass_dense at seed 3, traced: masses.enum_calls at most
-                 14, no member failed
+                 6, no member failed
   wide           wide_t, traced: roots.bits_max at most 339,
                  roots.refine_calls at most 198, no
                  units.log_embed_escalations, no member failed
@@ -51,10 +51,10 @@ def _enumerations(limit: int, cap: int):
 GATES = {
     "all": lambda d: {f"{w} failed at most {FAILED_CAPS[w]} in 18": _failed_at_most(r, FAILED_CAPS[w])
                       for w, r in d["workloads"].items()},
-    "profile": _enumerations(75, 4),
-    "profile-seed3": _enumerations(36, 0),
-    "dense": _enumerations(15, 0),
-    "dense-seed3": _enumerations(14, 0),
+    "profile": _enumerations(68, 4),
+    "profile-seed3": _enumerations(25, 0),
+    "dense": _enumerations(10, 0),
+    "dense-seed3": _enumerations(6, 0),
     "wide": lambda d: {"roots.bits_max <= 339": _metric(d, "roots.bits_max") <= 339,
                        "roots.refine_calls <= 198": _metric(d, "roots.refine_calls") <= 198,
                        "units.log_embed_escalations == 0": _metric(d, "units.log_embed_escalations") == 0,

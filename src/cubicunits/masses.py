@@ -56,17 +56,17 @@ y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
 each row searches a short computed range of (i, j); and as the grid
 point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
 the extended grid, one interval per extended row marks its cells of the
-torus. Then the centre walk visits only the points still open: the
-origin, the two deep holes (one vertex from each of the hexagon's two
-classes of glued vertices, where the origin's covers reach last), then
-coarse to fine. It gives each one a
-certified kernel call, lambda_1 within [s - m, s + m], which decides
-every point with min_i d_i > -log((s - m) H) (no escape) or max_i d_i <
--log((s + m) H) (escape): moving x by d scales coordinate i of exp(x) v
-by e^{d_i}, so |exp(x + d) v| lies between e^{min d_i} and e^{max d_i}
-times |exp(x) v|. In the trace-zero plane each such region is a triangle
-with 3/2 the area of the sup-ball hexagon |d_i| < r inside it. The
-centres are all moved from one basis of L that each call reduces once.
+torus. Then the centre walk visits only the points still open: the two
+deep holes (one vertex from each of the hexagon's two classes of glued
+vertices, where the origin's covers reach last), the origin, then coarse
+to fine. It gives each one a certified kernel call, lambda_1 within [s -
+m, s + m], which decides every point with min_i d_i > -log((s - m) H)
+(no escape) or max_i d_i < -log((s + m) H) (escape): moving x by d
+scales coordinate i of exp(x) v by e^{d_i}, so |exp(x + d) v| lies
+between e^{min d_i} and e^{max d_i} times |exp(x) v|. In the trace-zero
+plane each such region is a triangle with 3/2 the area of the sup-ball
+hexagon |d_i| < r inside it. The centres are all moved from one basis of
+L that each call reduces once.
 Each centre (a alpha1 + b alpha2) / k is formed from exact dyadic images
 of the alphas, rounded once per coordinate. The offset between two grid
 points depends only on their index difference, which the cover reads
@@ -77,8 +77,15 @@ most H" on the open points p = x + d with min_i d_i > -log((B - m_B) H)
 where a float64 test, whose derived error bound must fit a stated
 headroom, certifies |exp(p) v1| >= 1/H: a vector shorter than 1/H at p
 is shorter than B - m_B at x, so it is n v1 for an integer n != 0, and no
-shorter than v1. A centre in doubt covers nothing, and a cell no verdict
-covers raises PrecisionExhaustedError.
+shorter than v1. That proof reads nothing of the centre's own verdict,
+so the origin comes even when the unit rows decided its cell, and then
+runs this wide cover alone: its v1 is the unit 1 and its B - m_B the
+order lattice's own lambda_2, so it settles the band just outside the
+unit rows' escape set, out to radius log((B - m_B) H) around every unit
+translate at once. It comes after the deep holes, whose cells its wide
+cover would otherwise mark before their larger covers ran. A centre in
+doubt covers nothing, and a cell no verdict covers raises
+PrecisionExhaustedError.
 
 Only the unit rows and the walk read the height, so one call takes every
 height of a member and builds the rest once: the grid, the cover and the
@@ -487,7 +494,7 @@ def mass_above_height(
     (_unit_rows): every cell where some unit monomial is certified shorter
     than 1/H is marked escaped, one convex interval per extended row. The
     centre walk then visits only the points whose cell is still open
-    (_open_points): the origin, the deep holes (2m, m) and (m, 2m), then
+    (_open_points): the deep holes (2m, m) and (m, 2m), the origin, then
     descending 2-adic valuation of gcd(a, b), then grid order. It settles
     each with one certified kernel call (_certified_norm), whose verdict
     covers every cell in the one-sided region it proves (_cover): no
@@ -508,7 +515,11 @@ def mass_above_height(
     wider cover marks "at most H" on each open cell at p = x + d with min_i
     d_i > -log((B - m_B) H) where v1 is certified long: |exp(p) v1| >= 1/H.
     A vector w with |exp(p) w| < 1/H has |exp(x) w| < B - m_B, so w = n v1
-    with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|.
+    with n != 0 (v1 is primitive), and |exp(p) w| >= |exp(p) v1|. That
+    reads nothing of x's own verdict, so the walk's one decided centre,
+    the origin, runs this wide cover alone; at the origin v1 is the unit
+    1, and the cover settles the band the unit rows leave around every
+    unit translate.
 
     The hexagon is the order's own: its simplex is make_simplex of the log
     vectors of the first two verified units, at the rows' width ROW_BITS,
@@ -543,10 +554,11 @@ def mass_above_height(
         doubt = set()  # the cells (a mod k, b mod k) of centres that decided nothing
         for a, b in _open_points(state, rows, doubt):
             s, margin, e, floor = certified_norm(a, b)
-            if (r := _radius((s - margin) * hn, e + hx, 1)) is not None:
-                cover(state, a, b, r, _STAYS)
-            elif (r := _radius((s + margin) * hn, e + hx, -1)) is not None:
-                cover(state, a, b, r, _ESCAPES)
+            if not state[a % k][b % k]:  # only the origin comes decided: its wide cover alone
+                if (r := _radius((s - margin) * hn, e + hx, 1)) is not None:
+                    cover(state, a, b, r, _STAYS)
+                elif (r := _radius((s + margin) * hn, e + hx, -1)) is not None:
+                    cover(state, a, b, r, _ESCAPES)
             if any(0 in marks for marks in state):  # a wide cover marks open cells only
                 wide, we, v1 = floor()
                 if (r := _radius(wide * hn, we + hx, 1)) is not None:
@@ -583,23 +595,29 @@ def _slices(lo: int, hi: int, k: int) -> tuple[tuple[int, int], ...]:
 
 def _open_points(state: list[bytearray], rows: tuple[range, ...], doubt: set):
     """The grid points (a, b) whose torus cell is still open (state 0), and
-    not in doubt, when the walk reaches them: the origin, then the deep
-    holes (2m, m) and (m, 2m), k = 3m, then each level s = 2^j of the
-    2-adic valuation of gcd(a, b), highest first, row-major within a level.
-    The deep holes are one vertex from each of the hexagon's two classes of
-    three vertices, which the torus glues into one point each; in the
-    hexagon's own norm they lie farthest from the origin's translates,
-    where the origin's covers reach last. The state and the cells in doubt
-    are read as the walk goes, so a point whose cell was marked, or put in
-    doubt, after an earlier visit is skipped. A row whose torus row has no
-    open cell is passed over before its level's points are sliced out of
-    the row's cells, read in v order; bytearray.find on them jumps over
-    decided runs."""
+    not in doubt, when the walk reaches them: the deep holes (2m, m) and
+    (m, 2m), k = 3m, then the origin, then each level s = 2^j of the 2-adic
+    valuation of gcd(a, b), highest first, row-major within a level, which
+    never holds the origin. The deep holes are one vertex from each of the
+    hexagon's two classes of three vertices, which the torus glues into one
+    point each; in the hexagon's own norm they lie farthest from the
+    origin's translates, where the origin's covers reach last. The origin
+    is the anchor: it comes once, while any cell is open, even when its own
+    cell is decided, since its wide cover alone settles the band the unit
+    rows leave; it comes after the deep holes, whose cells that cover would
+    otherwise mark before their own wider covers ran. The state and the
+    cells in doubt are read as the walk goes, so a point whose cell was
+    marked, or put in doubt, after an earlier visit is skipped. A row whose
+    torus row has no open cell is passed over before its level's points are
+    sliced out of the row's cells, read in v order; bytearray.find on them
+    jumps over decided runs."""
     k = len(state)
     top, m = 2 * k // 3, k // 3
-    for a, b in ((0, 0), (2 * m, m), (m, 2 * m)):
+    for a, b in ((2 * m, m), (m, 2 * m)):
         if not state[a % k][b % k]:
             yield a, b
+    if any(0 in marks for marks in state):
+        yield 0, 0
     s = 1 << top.bit_length()  # above every |a|, |b| <= top
     while s > 1:
         s >>= 1

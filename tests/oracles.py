@@ -13,7 +13,10 @@ The mass sweep's cover is the exception: `reference_cover` is
 reads the package's constants and its exact dyadic reader, since it
 checks only that the faster rows and their slices mark the same cells.
 The unit rows have no replica: a test checks each interval they certify
-against the same member at 256 bits. So are `reference_exp_act` and
+against the same member at 256 bits. The centre walk has one:
+`reference_open_points` is the walk as it was before the origin came
+after the deep holes, which the sweep must match in every fraction and
+exception with no more kernel calls. So are `reference_exp_act` and
 `reference_dual_weight` exceptions: the certified kernel's generic loops
 from before it was written out for three columns, which the written-out
 kernel must match bit for bit. `reference_lll` is the float64-steered
@@ -438,6 +441,34 @@ def reference_cover(phi, k: int, glue: int = 0):
                     marks[(shift + db) % k] = mark
 
     return cover
+
+
+def centre_order(k: int, rows, anchors):
+    """The anchors, then every other grid point of the hexagon rows (rows[u
+    + 2k/3] the range of v in row u) in a stable sort by the lowest set bit
+    of gcd(a, b), highest first, row-major within a level: the origin never
+    among them, the deep holes again."""
+    top = 2 * k // 3
+
+    def level(point):
+        low = point[0] | point[1]
+        return low & -low
+
+    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row if (u, v) != (0, 0)]
+    return list(anchors) + sorted(grid, key=level, reverse=True)
+
+
+def reference_open_points(state, rows, doubt):
+    """masses._open_points before the origin became the walk's anchor:
+    the origin, the deep holes (2m, m) and (m, 2m), k = 3m, then the
+    levels (centre_order), each point yielded while its torus cell is open
+    and not in doubt, read when the walk reaches it. It never visits a
+    cell that is decided already."""
+    k = len(state)
+    m = k // 3
+    for a, b in centre_order(k, rows, [(0, 0), (2 * m, m), (m, 2 * m)]):
+        if not state[a % k][b % k] and (a % k, b % k) not in doubt:
+            yield a, b
 
 
 # The certified kernel's generic loops, as masses had them before the

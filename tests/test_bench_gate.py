@@ -33,14 +33,14 @@ AT_THRESHOLD = {
              "workloads": {"mass_dense": single(), "wide_t": single(), "profile_high_t": single(4)}},
             [("workloads", "mass_dense", "failed", 1), ("workloads", "wide_t", "failed", 1),
              ("workloads", "profile_high_t", "failed", 5)]),
-    "profile": (single(4, **{"masses.enum_calls": 75}),
-                [("metrics", "masses.enum_calls", "value", 76), ("failed", 5)]),
-    "profile-seed3": (single(**{"masses.enum_calls": 36}),
-                      [("metrics", "masses.enum_calls", "value", 37), ("failed", 1)]),
-    "dense": (single(**{"masses.enum_calls": 15}),
-              [("metrics", "masses.enum_calls", "value", 16), ("failed", 1)]),
-    "dense-seed3": (single(**{"masses.enum_calls": 14}),
-                    [("metrics", "masses.enum_calls", "value", 15), ("failed", 1)]),
+    "profile": (single(4, **{"masses.enum_calls": 68}),
+                [("metrics", "masses.enum_calls", "value", 69), ("failed", 5)]),
+    "profile-seed3": (single(**{"masses.enum_calls": 25}),
+                      [("metrics", "masses.enum_calls", "value", 26), ("failed", 1)]),
+    "dense": (single(**{"masses.enum_calls": 10}),
+              [("metrics", "masses.enum_calls", "value", 11), ("failed", 1)]),
+    "dense-seed3": (single(**{"masses.enum_calls": 6}),
+                    [("metrics", "masses.enum_calls", "value", 7), ("failed", 1)]),
     "wide": (single(**{"roots.bits_max": 339, "roots.refine_calls": 198,
                        "units.log_embed_escalations": 0}),
              [("metrics", "roots.bits_max", "value", 340),

@@ -281,7 +281,8 @@ def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
     monkeypatch.setattr(masses, "mpf_sqrt",
                         lambda x, prec, rnd: roots.append((x, prec, sqrt(x, prec, rnd))) or roots[-1][2])
     for family in sorted(FAMILIES):
-        for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (-10 ** 9, 384)):
+        for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (10 ** 9, 192), (-10 ** 9, 384),
+                        (-10 ** 15, 192), (10 ** 21, 192)):
             m = _Member.of_family(FAMILIES[family], t, bits)
             m.ht
             masses.mass_above_height(m.order, [10.0, 100.0, 1000.0], 600)

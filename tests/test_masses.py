@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_nearest
 
 from cubicunits import (
+    CubicUnitsError,
     DependentUnitsError,
     InternalInconsistencyError,
     InvalidParamsError,
@@ -49,18 +50,22 @@ from cubicunits import cli, masses, units
 from cubicunits.precision import ROW_BITS, dyadic, mpf_to_fraction
 from .oracles import (
     basis_columns,
+    centre_order,
     exp_act,
     reference_cover,
     reference_dual_weight,
     reference_exp_act,
     reference_lll,
     reference_minima,
+    reference_open_points,
     reference_second_minimum,
     reference_shortest_vector_norm,
 )
 
 SEED_ORDER = build_order(simplest_cubic(1000), [(1, 0), (1, -1)])
+ONE_UNIT = '{"kind":"one_unit","a":"1","b":"1"}'
 TWO_UNIT = '{"kind":"two_unit","a":"1","b":"1","c":"2","d":"3"}'
+SEED = '{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},"a":"1","b":"0","c":"1","d":"-1"}'
 
 
 def vec(x1, x2, x3, err="1e-40"):
@@ -325,9 +330,9 @@ def test_minima_match_the_padded_enumeration_on_benchmark_centres(monkeypatch):
             for member in members(workload, seed):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(member.argv()) == 0
-    # as many as the benchmark's traced masses.enum_calls: 15 and 75 at
-    # seed 0, 14 and 36 at seed 3
-    assert len(moved) == 140
+    # as many as the benchmark's traced masses.enum_calls: 10 and 68 at
+    # seed 0, 6 and 25 at seed 3
+    assert len(moved) == 109
     for i, basis in enumerate(moved):
         assert_minima_match(basis, reference_minima(basis.cols))
         if i % 10 == 0:
@@ -697,29 +702,29 @@ def test_hexagon_grid_count_formula():
         assert all(p[0].denominator <= 3 * m for p in pts)
 
 
-def centre_order(samples):
-    # the sweep's centre order: the origin, the deep holes (2m, m) and
-    # (m, 2m), then the other grid points in a stable sort by the lowest set
-    # bit of gcd(a, b), highest first (the deep holes again among them)
-    def level(point):
-        low = point[0] | point[1]
-        return low & -low
-
+def walk_order(samples):
+    # the sweep's centre order: the deep holes (2m, m) and (m, 2m), the
+    # origin, then the other grid points by level (the deep holes again
+    # among them, the origin never)
     k, rows = masses._hexagon_rows(samples)
-    top, m = 2 * k // 3, k // 3
-    grid = [(u, v) for u, row in enumerate(rows, -top) for v in row if (u, v) != (0, 0)]
-    return k, rows, [(0, 0), (2 * m, m), (m, 2 * m)] + sorted(grid, key=level, reverse=True)
+    m = k // 3
+    return k, rows, centre_order(k, rows, [(2 * m, m), (m, 2 * m), (0, 0)])
+
+
+def any_open(state):
+    return any(0 in marks for marks in state)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 7, 60, 300, 600, 1000, 10000, 12345])
 def test_centres_descend_by_level_then_row_major(samples):
-    # at an empty state the open-point walk visits the origin, the two deep
-    # holes, then every grid point by level; when each visit settles its
-    # torus cell, the walk settles each of the k^2 cells once, at the first
-    # of its grid points in that order
-    k, rows, order = centre_order(samples)
+    # at an empty state the open-point walk visits the two deep holes, the
+    # origin, then every grid point by level, never the origin again; when
+    # each visit settles its torus cell, the walk settles each of the k^2
+    # cells once, at the first of its grid points in that order
+    k, rows, order = walk_order(samples)
     state = [bytearray(k) for _ in range(k)]
     assert list(masses._open_points(state, rows, set())) == order
+    assert order.count((0, 0)) == 1
     settled = []
     for a, b in masses._open_points(state, rows, set()):
         assert not state[a % k][b % k]
@@ -731,19 +736,63 @@ def test_centres_descend_by_level_then_row_major(samples):
     assert settled == list(first.values()) and len(settled) == k * k
 
 
+@pytest.mark.parametrize("samples", [1, 7, 600, 10000])
+def test_origin_comes_once_after_the_deep_holes(samples):
+    # the origin is the walk's anchor: it comes right after the deep holes
+    # whenever some cell is open, even when its own cell is decided, and
+    # never twice; with no cell open it does not come
+    k, rows, order = walk_order(samples)
+    holes = order[:2]
+    state = [bytearray(k) for _ in range(k)]
+    state[0][0] = masses._ESCAPES
+    # no other grid point shares the origin's cell, so the walk is unchanged
+    assert list(masses._open_points(state, rows, set())) == order
+    # the deep holes decided as well: the origin comes first
+    for a, b in holes:
+        state[a % k][b % k] = masses._STAYS
+    assert list(masses._open_points(state, rows, set()))[:1] == [(0, 0)]
+    # only the deep holes' cells open, and each visit settles its cell:
+    # when the origin's turn comes no cell is open, so it does not come
+    state = [bytearray([masses._STAYS]) * k for _ in range(k)]
+    for a, b in holes:
+        state[a % k][b % k] = 0
+    walk = []
+    for a, b in masses._open_points(state, rows, set()):
+        walk.append((a, b))
+        state[a % k][b % k] = masses._STAYS
+    assert walk == holes and not any_open(state)
+    assert list(masses._open_points(state, rows, set())) == []
+    # a cell in doubt is open: it brings the origin, and no other point of
+    # that cell
+    anchors = {(a % k, b % k) for a, b in order[:3]}
+    u, v = next(p for p in reversed(order) if (p[0] % k, p[1] % k) not in anchors)
+    state[u % k][v % k] = 0
+    assert list(masses._open_points(state, rows, {(u % k, v % k)})) == [(0, 0)]
+    # the origin's cell open, every other one decided: the origin comes
+    # once, and the levels never yield it again
+    state = [bytearray([masses._STAYS]) * k for _ in range(k)]
+    state[0][0] = 0
+    assert list(masses._open_points(state, rows, set())) == [(0, 0)]
+
+
 @pytest.mark.parametrize("samples, seed", [(60, 0), (300, 1), (1000, 2), (10000, 3)])
 def test_open_point_walk_skips_marks_written_between_visits(samples, seed):
     # random marks on the torus before the walk and after every visit
     # (sometimes on the visited cell, sometimes a run of a torus row,
     # anywhere), and the visited cell sometimes put in doubt instead: the
     # walk yields exactly the points whose cell is still open, and not in
-    # doubt, when the centre order reaches them
+    # doubt, when the centre order reaches them, and the origin after the
+    # deep holes while any cell is open, its own cell decided (odd seeds)
+    # or not
     rng = random.Random(seed)
-    k, rows, order = centre_order(samples)
+    k, rows, order = walk_order(samples)
     state = [bytearray(rng.random() < 0.3 for _ in range(k)) for _ in range(k)]
+    state[0][0] = masses._ESCAPES if seed % 2 else 0
     doubt = set()
 
     def is_open(point):
+        if point == (0, 0):
+            return any_open(state)
         return not state[point[0] % k][point[1] % k] and (point[0] % k, point[1] % k) not in doubt
 
     walk = masses._open_points(state, rows, doubt)
@@ -1226,14 +1275,62 @@ def test_wide_cover_marks_only_where_v1_is_long(monkeypatch, kind, t, samples, h
 def test_wide_covers_cut_kernel_calls_at_high_t(monkeypatch):
     # the two_unit member at t = 10^24 as mass-profile builds it (its simplex
     # at the rows' 53 bits): wide covers that test the centre's shortest
-    # vector at each point leave 3 centres to the kernel on the torus (5
-    # when each hexagon point had its own mark); when only centres whose
-    # shortest vector was a certified unit monomial covered wide, 15
+    # vector at each point leave 2 centres to the kernel on the torus (3
+    # before the origin's wide cover ran after the deep holes', 5 when each
+    # hexagon point had its own mark); when only centres whose shortest
+    # vector was a certified unit monomial covered wide, 15
     member = cli._Member.of_family(TWO_UNIT, 10 ** 24, 192)
     kernel, _ = counting_sweep(monkeypatch)
     fractions = mass_above_height(member.order, (10.0, 9.99, 100.0), samples=600)
     assert fractions == (Fraction(592, 601), Fraction(592, 601), Fraction(574, 601))
-    assert len(kernel) == 3
+    assert len(kernel) == 2
+
+
+def test_origin_anchor_settles_the_band_outside_the_escape_set(monkeypatch):
+    # one_unit (1, 1) at t = 10^3, 10000 samples, H = 10, as mass_dense
+    # runs it: the unit rows decide the origin's cell, and its wide cover,
+    # after the deep holes', settles most of the band just outside their
+    # escape set. The walk that skipped a decided origin made 8 kernel calls
+    order = cli._Member.of_family(ONE_UNIT, 10 ** 3, 192).order
+    kernel, asked = counting_sweep(monkeypatch)
+    assert mass_above_height(order, (10.0,), samples=10000) == (Fraction(4861, 10507),)
+    assert len(kernel) <= 3 and (0, 0) in asked
+    del kernel[:]
+    monkeypatch.setattr(masses, "_open_points", reference_open_points)
+    assert mass_above_height(order, (10.0,), samples=10000) == (Fraction(4861, 10507),)
+    assert len(kernel) == 8
+
+
+def sweep_outcome(family, t, heights, samples):
+    # the member's fractions, or the class of the error its build or its
+    # sweep raised
+    try:
+        return mass_above_height(cli._Member.of_family(family, t, 192).order, heights, samples=samples)
+    except CubicUnitsError as exc:
+        return type(exc)
+
+
+def test_origin_anchor_matches_the_reference_walk(monkeypatch):
+    # 30 seeded members (three families, both signs of t, five decades
+    # each, two at the power of ten and three at a seeded offset, 600 and
+    # 10000 samples in turn): the sweep gives the fractions, or the error,
+    # of the walk that visited the origin first and never a decided cell,
+    # with no more kernel calls
+    rng = random.Random(30)
+    members = [(family, sg * (10 ** e + (rng.randrange(1, 10 ** e // 100) if i % 3 else 0)),
+                (600, 10000)[i % 2])
+               for family in (ONE_UNIT, TWO_UNIT, SEED) for sg in (1, -1)
+               for i, e in enumerate(sorted(rng.sample(range(3, 24), 5)))]
+    heights = (10.0, 9.99, 100.0)
+    kernel, _ = counting_sweep(monkeypatch)
+    outcomes, calls = [], []
+    for walk in (masses._open_points, reference_open_points):
+        monkeypatch.setattr(masses, "_open_points", walk)
+        del kernel[:]
+        outcomes.append([sweep_outcome(family, t, heights, samples) for family, t, samples in members])
+        calls.append(len(kernel))
+    assert outcomes[0] == outcomes[1] and PrecisionExhaustedError in outcomes[0]
+    assert calls[0] <= calls[1]
 
 
 def test_mass_sweep_enumeration_count(monkeypatch):
@@ -1248,10 +1345,11 @@ def test_mass_sweep_enumeration_count(monkeypatch):
     with fine_simplex():
         mass_above_height(order, (10.0,), samples=2000)
     # one enumeration per point the unit rows leave open would be 1149
-    # calls; on the torus, deep holes first, the sweep makes 6; with one
-    # mark per hexagon point it made 9, with plain one-sided covers only
-    # 70, and the sup-ball cover before it 88
-    assert len(calls) <= 6
+    # calls; on the torus, deep holes first and then the origin, decided
+    # or not, the sweep makes 3; when it skipped a decided origin it made
+    # 6, with one mark per hexagon point 9, with plain one-sided covers
+    # only 70, and the sup-ball cover before it 88
+    assert len(calls) <= 3
 
 
 def short_monomials(order, phi, k, rows, height, window=12):
