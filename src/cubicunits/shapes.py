@@ -71,6 +71,7 @@ class ShapePoint:
 # A radius is an upper bound: it is computed at _RB bits, each step rounded
 # toward the side that keeps it one.
 _RB, _UP, _DOWN = 32, round_up, round_down
+_HALF = mpf_shift(fone, -1)
 
 
 def _tau(a: int, b: int, c: int, q: int):
@@ -114,7 +115,11 @@ def _radius(a: int, c: int, u, q: int | None, errs):
 # -1/2, and on the arc |tau| = 1 the representative with Re >= 0. They
 # apply only where the enclosure meets the left edge or the left half of
 # the arc: its radius is a member's, and 0 for an exact form, whose ties
-# are therefore exact.
+# are therefore exact. The printed point is off the exact one by its
+# rounding, so the move is made also where the printed point is within r/2
+# of the left edge or the left half of the arc (on them, for an exact
+# form); after a move the radius grows, where it must, to the printed
+# point's distance from the domain.
 def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint:
     u = [1, 0, 0, 1]
     while True:
@@ -128,17 +133,30 @@ def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint
         a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]  # tau -> -1/tau
         word.append("S")
     # the tie radius r, 0 for an exact form; libmp adds and multiplies raw
-    # mpfs exactly at precision 0, so both comparisons below are exact
+    # mpfs exactly at precision 0, so the comparisons below are exact
     r = fzero if errs is None else _radius(a, c, u, q, errs)
     r1 = mpf_add(fone, r)
-    if mpf_le(from_int(a - b), mpf_mul(from_int(2 * a), r)):  # Re tau + 1/2 <= r: the left edge goes right
+    tau = _tau(a, b, c, q)
+    x, y = tau
+    h = mpf_shift(r, -1)
+    h1 = mpf_add(fone, h)
+    if (mpf_le(from_int(a - b), mpf_mul(from_int(2 * a), r))  # Re tau + 1/2 <= r: the left edge goes right
+            or mpf_le(mpf_add(x, _HALF), h)):  # printed Re + 1/2 <= r/2
         b, c = b - 2 * a, a - b + c
         u[2], u[3] = u[2] + u[0], u[3] + u[1]
         word.append("T1")
-    elif b > 0 and mpf_le(from_int(c), mpf_mul(from_int(a), mpf_mul(r1, r1))):  # Re tau < 0, |tau| <= 1 + r
+    elif b > 0 and (mpf_le(from_int(c), mpf_mul(from_int(a), mpf_mul(r1, r1)))  # Re tau < 0, |tau| <= 1 + r
+                    or mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(h1, h1))):  # printed |tau| <= 1 + r/2
         a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]
         word.append("S")
-    return ShapePoint(mp.make_mpc(_tau(a, b, c, q)), True, tuple(word), mp.make_mpf(_radius(a, c, u, q, errs)))
+    else:
+        return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(_radius(a, c, u, q, errs)))
+    tau = _tau(a, b, c, q)
+    x, y = tau
+    size2 = mpf_add(mpf_mul(x, x), mpf_mul(y, y))
+    inside = mpf_div(mpf_add(fone, mpf_neg(size2)), mpf_add(fone, mpf_sqrt(size2, _RB, _DOWN)), _RB, _UP)  # 1 - |tau|
+    radius = max((_radius(a, c, u, q, errs), mpf_add(x, mpf_neg(_HALF)), inside), key=mp.make_mpf)
+    return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(radius))
 
 
 def reduce_fundamental(tau, prec: int = 53) -> ShapePoint:
