@@ -15,7 +15,9 @@ true) and holds the result to the gate's own thresholds:
   dense-seed3    mass_dense at seed 3, traced: masses.enum_calls at most
                  6, no member failed
   wide           wide_t, traced: roots.bits_max at most 339,
-                 roots.refine_calls at most 198, no
+                 roots.refine_calls exactly 198 (one traced refine_root
+                 per root of the 66 members, so a pipeline that stopped
+                 going through refine_root, and read 0, fails), no
                  units.log_embed_escalations, no member failed
   no-failures    any single workload: no member failed
 
@@ -56,7 +58,7 @@ GATES = {
     "dense": _enumerations(10, 0),
     "dense-seed3": _enumerations(6, 0),
     "wide": lambda d: {"roots.bits_max <= 339": _metric(d, "roots.bits_max") <= 339,
-                       "roots.refine_calls <= 198": _metric(d, "roots.refine_calls") <= 198,
+                       "roots.refine_calls == 198": _metric(d, "roots.refine_calls") == 198,
                        "units.log_embed_escalations == 0": _metric(d, "units.log_embed_escalations") == 0,
                        "no member failed": d["failed"] == 0},
     "no-failures": lambda d: {"no member failed": d["failed"] == 0},

@@ -2,9 +2,11 @@
 
 Everything in this module is exact: big integers and Fractions only, no
 floating point. Irreducibility and root isolation both reduce to the
-sign of an integer, a^3 f(b/a), at rational points chosen from the
-critical points of f; the isolating intervals are cut at those points
-in closed form, with no bisection. The numeric side (isolated root
+sign of an integer, a^3 f(b/a) (`eval_scaled`, the one exact evaluator
+here and in `roots`), at rational points chosen from the critical points
+of f; the isolating intervals are cut at those points in closed form,
+with no bisection, and the integer-root search runs false position on
+the monotone runs between them. The numeric side (isolated root
 refinement, logs, shapes) lives elsewhere and consumes these polynomials.
 """
 
@@ -69,14 +71,19 @@ class MonicCubic:
 
 
 def eval_scaled(f: MonicCubic, b: int, a: int) -> int:
-    """a^3 * f(b/a), exactly, as an integer.
+    """a^3 * f(b/a), exactly, as an integer, in Horner form.
 
     This is the quantity whose value +-1 decides whether a*theta - b is a
-    unit of Z[theta] (up to sign, see norm_linear_form).
+    unit of Z[theta] (up to sign, see norm_linear_form). A power-of-two a,
+    as at every float, every dyadic Newton iterate and every integer, takes
+    shifts in place of the powers of a.
     """
     if a == 0:
         raise InvalidParamsError("eval_scaled requires a != 0")
-    return b * b * b + f.p2 * b * b * a + f.p1 * b * a * a + f.p0 * a * a * a
+    if a > 0 and not a & (a - 1):  # a = 2^k: shifts replace the powers of a
+        k = a.bit_length() - 1
+        return ((b + (f.p2 << k)) * b + (f.p1 << 2 * k)) * b + (f.p0 << 3 * k)
+    return ((b + f.p2 * a) * b + f.p1 * a * a) * b + f.p0 * a * a * a
 
 
 def norm_linear_form(f: MonicCubic, a: int, b: int) -> int:
@@ -182,16 +189,48 @@ def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
 
 
 def _has_int_root(f: MonicCubic, lo: int, hi: int, d: int) -> bool:
-    """Whether f has a root in the integers lo..hi, where d*f is increasing."""
-    if lo > hi or d * f(lo) > 0 or d * f(hi) < 0:
+    """Whether f has a root in the integers lo..hi, where d*f is increasing.
+
+    Exact false position on g = d*f with the Illinois modification (Dowell
+    and Jarratt, BIT 11, 1971): the secant through the ends, rounded to
+    the nearest integer strictly inside, is the next point, and an end
+    kept twice in a row has its weight halved, so neither end sticks. A
+    step that keeps more than half the run is followed by one bisection
+    step, so the search never costs more than about twice bisection's.
+    """
+    if lo > hi:
         return False
-    while lo < hi:  # first k with d*f(k) >= 0
-        mid = (lo + hi) // 2
-        if d * f(mid) < 0:
-            lo = mid + 1
+    glo = d * eval_scaled(f, lo, 1)
+    if glo >= 0:
+        return glo == 0
+    ghi = d * eval_scaled(f, hi, 1)
+    if ghi <= 0:
+        return ghi == 0
+    wlo, whi = glo, ghi  # the ends' weights: g there, halved while kept
+    moved, bisect = 0, False  # the end moved last: -1 lo, 1 hi
+    while hi - lo > 1:
+        if bisect:
+            k = (lo + hi) // 2
+        else:  # nearest integer to lo - wlo (hi - lo)/(whi - wlo)
+            den = whi - wlo
+            k = lo + (-2 * wlo * (hi - lo) + den) // (2 * den)
+            k = min(max(k, lo + 1), hi - 1)
+        g = d * eval_scaled(f, k, 1)
+        if g == 0:
+            return True
+        width, side = hi - lo, 1 if g > 0 else -1
+        if side < 0:
+            lo, wlo = k, g
         else:
-            hi = mid
-    return f(lo) == 0
+            hi, whi = k, g
+        if not bisect:  # Illinois: the end a secant step kept twice is halved
+            if side == moved < 0:
+                whi >>= 1
+            elif side == moved > 0:
+                wlo = -(-wlo >> 1)
+            moved = side
+        bisect = not bisect and 2 * (hi - lo) > width
+    return False
 
 
 def is_irreducible(f: MonicCubic) -> bool:
@@ -199,7 +238,8 @@ def is_irreducible(f: MonicCubic) -> bool:
 
     The integers split into at most three runs on which f is monotone,
     cut at integer brackets of the critical points; each run is searched
-    by bisection on the sign of f(k). No divisor enumeration of p0.
+    by exact false position on f(k) (`_has_int_root`). No divisor
+    enumeration of p0.
     """
     return f._irreducible
 

@@ -5,16 +5,18 @@ the Cauchy interval cut at two rational separators near the critical
 points of f, which lie strictly between the roots), and each is refined
 on its own. Refinement only has to find a good iterate; the certificate
 does not trust it. The iterate comes from float64 Newton inside the exact
-bracket (each iterate's exact sign narrows the bracket; a step that
-leaves it first tries the float next to the end it left through, and one
-that leaves it again or stalls is replaced by a split), then fixed-point
-Newton on exact integers: each
-iterate is a dyadic X/2^P whose X has the working precision's bits, and
-each step is one integer division (Brent and Zimmermann, Modern Computer
-Arithmetic, section 4.2). The enclosure [x-eps, x+eps], clipped to the
-exact bracket, is accepted only with an exact sign change at its ends, so
-the returned interval is unconditionally correct; x itself is the
-returned value, so eps bounds its error with no rounding.
+bracket, started from the root of f's exact second-order model at the
+bracket's separator end (for the outer roots that start lies beyond the
+root, where Newton does not overshoot). Each iterate's exact sign
+narrows the bracket; an iterate outside it first tries the float next
+to the end it left through, and one that leaves it again or stalls is
+replaced by a split. Then comes fixed-point Newton on exact integers:
+each iterate is a dyadic X/2^P whose X has the working precision's
+bits, and each step is one integer division (Brent and Zimmermann,
+Modern Computer Arithmetic, section 4.2). The enclosure [x-eps, x+eps],
+clipped to the exact bracket, is accepted only with an exact sign change
+at its ends, so the returned interval is unconditionally correct; x
+itself is the returned value, so eps bounds its error with no rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up, to_rational
@@ -70,7 +73,7 @@ _SEED_TOL = 2.0 ** -50  # relative float64 step at which the seed has converged
 # 1/2; splitting the bracket beats both.
 _SEED_PULL = 0.45
 _TINY = math.ulp(0.0)
-_HUGE = sys.float_info.max
+_HUGE_INT = int(sys.float_info.max)
 
 
 def _split(a: float, b: float) -> float:
@@ -85,44 +88,102 @@ def _split(a: float, b: float) -> float:
     return a + (b - a) * 0.5
 
 
+def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
+    """(x, lo, hi): the root of f's second-order model at one end q of the
+    bracket, as a float (nan where the model gives none), and the bracket,
+    narrowed when it spans the inflection point -p2/3.
+
+    f(q + h) = f(q) + f'(q) h + (3q + p2) h^2 + h^3 exactly, so the model
+    drops only h^3, which is under a third of the quadratic term while
+    |h| < |q + p2/3|. q is the end of the bracket on the root's side of
+    the inflection point -p2/3 nearest to it: the separator end of an
+    outer bracket, and for the middle one the end that the exact sign at
+    -p2/3 picks (that sign also narrows the bracket). At an outer
+    bracket's separator f(q + h) = h^3 at the model root, whose sign puts
+    it beyond the root, on the side where f f'' > 0 and Newton does not
+    overshoot. The model's coefficients are exact integers at the scale of
+    q's denominator, and the start is its least root in the direction of
+    the bracket, rounded once.
+    """
+    p2 = f.p2
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if 3 * hn <= -p2 * hd:  # hi <= -p2/3
+        (n, m), step = (hn, hd), -1
+    elif 3 * ln >= -p2 * ld:  # lo >= -p2/3
+        (n, m), step = (ln, ld), 1
+    else:
+        v = eval_scaled(f, -p2, 3)
+        if v == 0:
+            return -p2 / 3, lo, hi
+        if (v > 0) == (slo > 0):
+            lo, (n, m), step = Fraction(-p2, 3), (hn, hd), -1
+        else:
+            hi, (n, m), step = Fraction(-p2, 3), (ln, ld), 1
+    # m^3 times the model at q = n/m plus step w/m: F + G w + A w^2, F > 0
+    F = eval_scaled(f, n, m)
+    sign = step if F > 0 else -step
+    F, G, A = abs(F), sign * ((3 * n + 2 * p2 * m) * n + f.p1 * m * m), sign * step * (3 * n + p2 * m)
+    disc = G * G - 4 * A * F
+    if G < 0 and disc >= 0:
+        num, den = 2 * F, isqrt(disc) - G
+    elif A < 0:
+        num, den = G + isqrt(disc), -2 * A
+    else:
+        return math.nan, lo, hi
+    try:
+        return (n * den + step * num) / (m * den), lo, hi
+    except OverflowError:
+        return math.nan, lo, hi
+
+
 def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     """Float64 Newton inside the exact bracket [lo, hi] around a simple root.
 
-    An iterate x = n/d is a dyadic rational, so d^3 f(x) and d^2 f'(x) are
-    exact integers: their sign moves one end of the bracket to x, and their
-    quotient, rounded once, is the Newton step (no float64 coefficients,
-    so no cancellation). The first iterate splits the bracket (`_split`),
-    so a bracket that spans many scales, as one reaching out to the Cauchy
-    bound does, starts at its geometric mean, not near its far end. A step that leaves the bracket through an end is
-    replaced, once per end, by the float next to that end inside it (a
-    root within an ulp of the end is then bracketed by one evaluation);
-    any other step that leaves the bracket, or shrinks too slowly, is
-    replaced by a split. Returns (seed, lo, hi) with the narrowed exact
-    bracket, or (None, lo, hi) if the root lies beyond float64 range.
+    The first iterate is the root of f's second-order model at an end of
+    the bracket (`_model_start`). An iterate x = n/d is a dyadic rational,
+    so d^3 f(x) and d^2 f'(x) are exact integers: their sign moves one end
+    of the bracket to x, and their quotient, rounded once, is the Newton
+    step (no float64 coefficients, so no cancellation). An iterate that
+    lies outside the bracket is replaced, once per end, by the float next
+    to the end it lies beyond (a root within an ulp of the end is then
+    bracketed by one evaluation); any other iterate outside it, or a step
+    that shrinks too slowly, is replaced by a split (`_split`), so a
+    bracket that spans many scales, as one reaching out to the Cauchy
+    bound does, is cut at its geometric mean, not near its far end.
+    Returns (seed, lo, hi) with the narrowed exact bracket, or
+    (None, lo, hi) if the root lies beyond float64 range.
     """
-    if lo < -_HUGE:  # one exact sign brings the bracket into float range
-        if sign_at(f, Fraction(-_HUGE)) != slo:
+    if lo < -_HUGE_INT:  # one exact sign brings the bracket into float range
+        if sign_at(f, Fraction(-_HUGE_INT)) != slo:
             return None, lo, hi
-        lo = -_HUGE
-    if hi > _HUGE:
-        if sign_at(f, Fraction(_HUGE)) != -slo:
+        lo = Fraction(-_HUGE_INT)
+    if hi > _HUGE_INT:
+        if sign_at(f, Fraction(_HUGE_INT)) != -slo:
             return None, lo, hi
-        hi = _HUGE
-    a, b = float(lo), float(hi)  # a < x < b in floats implies lo < x < hi
-    x = _split(a, b)
+        hi = Fraction(_HUGE_INT)
+    x, lo, hi = _model_start(f, lo, hi, slo)
+    a0, b0 = a, b = float(lo), float(hi)  # a < x < b in floats implies lo < x < hi
     last = math.inf
     nudged = set()  # the ends whose inner neighbour was tried: -1 for a, 1 for b
     for _ in range(_SEED_STEPS):
         if not a < x < b:
-            break
+            side = -1 if x <= a else 1 if x >= b else 0
+            if side and side not in nudged:
+                nudged.add(side)
+                x = math.nextafter(a, b) if side < 0 else math.nextafter(b, a)
+            else:
+                x = _split(a, b)
+            last = math.inf
+            if not a < x < b:
+                break
         n, d = x.as_integer_ratio()
         v = eval_scaled(f, n, d)
         if v == 0:
             break
         if (v > 0) == (slo > 0):
-            a = lo = x
+            a = x
         else:
-            b = hi = x
+            b = x
         try:
             dx = v / (((3 * n + 2 * f.p2 * d) * n + f.p1 * d * d) * d)
         except (ZeroDivisionError, OverflowError):
@@ -130,15 +191,11 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
         x -= dx
         if abs(dx) <= abs(x) * _SEED_TOL:
             break
-        side = -1 if x <= a else 1 if x >= b else 0
-        if side == 0 and abs(dx) <= last * _SEED_PULL:
+        if abs(dx) <= last * _SEED_PULL:
             last = abs(dx)
-        elif side and side not in nudged:
-            nudged.add(side)
-            x, last = math.nextafter(a, b) if side < 0 else math.nextafter(b, a), math.inf
-        else:
+        elif a < x < b:  # a step that shrinks too slowly
             x, last = _split(a, b), math.inf
-    return x, Fraction(lo), Fraction(hi)
+    return x, Fraction(a) if a > a0 else lo, Fraction(b) if b < b0 else hi
 
 
 def _newton(f: MonicCubic, x: int, q: int, bits: int, target: int):

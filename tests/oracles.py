@@ -4,8 +4,9 @@ Nothing here imports the package's own formulas: the discriminant oracle
 goes through an exact Sylvester resultant (fraction-free Bareiss
 elimination), the numeric oracles go through mpmath's generic polynomial
 root finder, root isolation goes through a Sturm chain over Fractions,
-the integer-root test enumerates the divisors of p0, and the shortest
-lattice vector comes from an all-mpf LLL and Fincke-Pohst enumeration.
+the integer-root test enumerates the divisors of p0 (for large p0 it
+searches the integers with the Sturm chain), and the shortest lattice
+vector comes from an all-mpf LLL and Fincke-Pohst enumeration.
 Expected values frozen in the test files were produced by these routines.
 
 The mass sweep's cover is the exception: `reference_cover` is
@@ -233,15 +234,34 @@ def sturm_distinct_real_roots(p2: int, p1: int, p0: int) -> int:
 
 def has_integer_root(p2: int, p1: int, p0: int) -> bool:
     """Rational root theorem: an integer root of a monic cubic is 0 or a
-    divisor of p0, with either sign."""
+    divisor of p0, with either sign. Beyond |p0| = 10^6 the divisors are
+    too many to try, and the Sturm chain searches the integers instead:
+    an interval (a, b] of the Cauchy interval is halved while it holds a
+    real root, down to unit intervals, whose only integer is b."""
     if p0 == 0:
         return True
     n = abs(p0)
-    for d in range(1, n + 1):
-        if n % d == 0:
-            for k in (d, -d):
-                if ((k + p2) * k + p1) * k + p0 == 0:
-                    return True
+    if n <= 10 ** 6:
+        for d in range(1, n + 1):
+            if n % d == 0:
+                for k in (d, -d):
+                    if ((k + p2) * k + p1) * k + p0 == 0:
+                        return True
+        return False
+    chain = _sturm_chain(p2, p1, p0)
+    B = 1 + max(abs(p2), abs(p1), n)
+    stack = [(-B, B, _sign_variations(chain, Fraction(-B)), _sign_variations(chain, Fraction(B)))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if ((b + p2) * b + p1) * b + p0 == 0:
+                return True
+            continue
+        m = (a + b) // 2
+        vm = _sign_variations(chain, Fraction(m))
+        stack += [(a, m, va, vm), (m, b, vm, vb)]
     return False
 
 

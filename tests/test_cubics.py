@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 from cubicunits import (
     InvalidParamsError,
     MonicCubic,
+    OneUnitParams,
+    TwoUnitParams,
+    build_one_unit,
+    build_two_unit,
     discriminant,
     eval_scaled,
+    extend_seed,
     is_irreducible,
     is_totally_real,
     isolating_intervals,
@@ -19,6 +24,7 @@ from cubicunits import (
     poly_to_json,
     scale_root,
 )
+from cubicunits import cubics as cubics_module
 from cubicunits.cubics import sign_at
 
 from .oracles import (
@@ -226,6 +232,7 @@ def test_isolation_matches_sturm_oracle_small_exhaustive():
 def test_is_irreducible_false_on_constructed_reducible(k, q2, q1):
     # (x - k)(x^2 + q2 x + q1)
     f = MonicCubic(q2 - k, q1 - k * q2, -k * q1)
+    assert has_integer_root(f.p2, f.p1, f.p0)
     assert not is_irreducible(f)
 
 
@@ -235,6 +242,69 @@ def test_is_irreducible_matches_rational_root_theorem():
             for p0 in range(-12, 13):
                 f = MonicCubic(p2, p1, p0)
                 assert is_irreducible(f) == (not has_integer_root(p2, p1, p0)), f
+
+
+_DIGITS_20 = st.integers(min_value=-10 ** 20, max_value=10 ** 20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DIGITS_20, _DIGITS_20, _DIGITS_20)
+def test_is_irreducible_matches_the_oracle_on_random_cubics(p2, p1, p0):
+    assert is_irreducible(MonicCubic(p2, p1, p0)) == (not has_integer_root(p2, p1, p0))
+
+
+def _family_member(kind: str, t: int) -> MonicCubic:
+    if kind == "one_unit":
+        return build_one_unit(OneUnitParams(1, 1), t)
+    if kind == "two_unit":
+        return build_two_unit(TwoUnitParams(1, 1, 2, 3), t)
+    return extend_seed(MonicCubic(0, -3, -1), 1, 0, 1, -1, t)  # the simplest cubics
+
+
+def _counting_evaluations(monkeypatch) -> list[int]:
+    """A counter of the exact evaluations at integers, by eval_scaled or
+    by calling the cubic on an int."""
+    count = [0]
+    evaluate, call = cubics_module.eval_scaled, MonicCubic.__call__
+
+    def counting(*args):
+        count[0] += 1
+        return evaluate(*args)
+
+    def counting_call(f, x):
+        count[0] += isinstance(x, int)
+        return call(f, x)
+
+    monkeypatch.setattr(cubics_module, "eval_scaled", counting)
+    monkeypatch.setattr(MonicCubic, "__call__", counting_call)
+    return count
+
+
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+def test_integer_root_search_is_cheap_on_family_members(monkeypatch, kind):
+    # false position with the Illinois halving; bisection took 166 to 246
+    # evaluations on the worst member of each family
+    members = [_family_member(kind, sign * 10 ** e) for e in range(3, 25) for sign in (1, -1)]
+    count = _counting_evaluations(monkeypatch)
+    for f in members:
+        count[0] = 0
+        assert is_irreducible(f)
+        assert count[0] <= 40, (f, count[0])
+
+
+def test_integer_root_search_on_a_crawling_run_stays_near_bisection(monkeypatch):
+    # x^3 - N on [0, 2^61]: the root 2^20 + eps sits near the low end of a
+    # convex run, so the plain secant through the ends lands at lo + 1 time
+    # after time; the Illinois halving and the bisection step after a step
+    # that keeps more than half the run bound the search by bisection's
+    f, lo, hi = MonicCubic(0, 0, -(2 ** 60 + 1)), 0, 2 ** 61
+    count = _counting_evaluations(monkeypatch)
+    assert not cubics_module._has_int_root(f, lo, hi, 1)
+    assert count[0] <= 2 * math.ceil(math.log2(hi - lo)) + 4
+    count[0] = 0
+    g = MonicCubic(0, 0, -(2 ** 60))  # the root 2^20 is an integer
+    assert cubics_module._has_int_root(g, lo, hi, 1)
+    assert count[0] <= 2 * math.ceil(math.log2(hi - lo)) + 4
 
 
 def test_poly_json_roundtrip():

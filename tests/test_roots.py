@@ -27,7 +27,7 @@ from cubicunits import (
     refined_roots,
     simplest_cubic,
 )
-from cubicunits import roots
+from cubicunits import cubics, roots
 from cubicunits.cubics import sign_at
 from cubicunits.precision import mpf_to_fraction
 
@@ -206,26 +206,43 @@ def test_float_seed_steps_aside_only_beyond_float64_range():
     _assert_enclosures_hold_bisected_roots(f)
 
 
-@pytest.mark.parametrize("t", [10 ** 16, 10 ** 24, -10 ** 16, -10 ** 24])
+@pytest.mark.parametrize("t", [sign * 10 ** e for e in range(3, 25) for sign in (1, -1)])
 def test_float_seed_spends_few_exact_signs(monkeypatch, t):
-    # one_unit's large root lies within an ulp of its bracket end, and
-    # every Newton step towards it lands beyond that end: the float next
-    # to the end brackets it at once. When each such step became a
-    # midpoint split, that root took 49 exact signs at t = 10^16 and 10^24
-    # and 27 and 49 at -10^16 and -10^24, and the member 49 to 72 in all
-    signs = []
+    # Each root starts from the root of f's exact second-order model at
+    # its bracket's separator end (the middle root after one exact sign at
+    # -p2/3), and Newton from there converges at once. When the start was
+    # a split of the bracket, the worst root of the three families took 15
+    # to 17 exact signs. Every exact evaluation goes through eval_scaled,
+    # sign_at's included, so each one is counted.
+    cases = [(kind, f, lo, hi, sign_at(f, lo)) for kind in ("one_unit", "two_unit", "seed")
+             for f in [_member(kind, t)] for lo, hi in isolating_intervals(f)]
+    count = [0]
 
     def counting(*args):
-        signs[-1] += 1
+        count[0] += 1
         return eval_scaled(*args)
 
     monkeypatch.setattr(roots, "eval_scaled", counting)
-    f = _member("one_unit", t)
-    for lo, hi in isolating_intervals(f):
-        signs.append(0)
-        assert roots._float_seed(f, lo, hi, sign_at(f, lo))[0] is not None
-    large = signs[0] if t > 0 else signs[2]
-    assert large <= 3 and sum(signs) <= 24, signs
+    monkeypatch.setattr(cubics, "eval_scaled", counting)
+    for kind, f, lo, hi, slo in cases:
+        count[0] = 0
+        assert roots._float_seed(f, lo, hi, slo)[0] is not None
+        assert count[0] <= 6, (kind, lo, hi, count[0])
+
+
+def test_the_model_start_lands_beyond_each_outer_root():
+    # at a separator q, f(q + h) = h^3 at the model's root, whose sign puts
+    # it beyond r1 (f < 0 there) and beyond r3 (f > 0), where f f'' > 0 and
+    # float Newton moves monotonically towards the root; rounded once to a
+    # float, the start is beyond the root or within an ulp of it
+    for kind, t in _FAMILY_MEMBERS:
+        f = _member(kind, t)
+        (lo1, hi1), _, (lo3, hi3) = isolating_intervals(f)
+        x1, _, _ = roots._model_start(f, lo1, hi1, sign_at(f, lo1))
+        x3, _, _ = roots._model_start(f, lo3, hi3, sign_at(f, lo3))
+        assert sign_at(f, Fraction(math.nextafter(x1, -math.inf))) < 0, (kind, t)
+        assert sign_at(f, Fraction(math.nextafter(x3, math.inf))) > 0, (kind, t)
+        assert x1 < hi1 and x3 > lo3, (kind, t)
 
 
 def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():

@@ -1,6 +1,7 @@
 """Unit vetting, log embeddings, regulators, and Cusick certification."""
 
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from cubicunits import (
     MonicCubic,
     OneUnitParams,
     OutOfRegimeError,
+    PrecisionPolicy,
     RegulatorReport,
     build_one_unit,
     build_order,
@@ -26,6 +28,8 @@ from cubicunits import (
     simplest_cubic,
 )
 
+from cubicunits import units
+from cubicunits.cubics import sign_at
 from cubicunits.precision import mpf_to_fraction
 
 from .oracles import roots_oracle
@@ -51,6 +55,37 @@ def test_build_order_domain_errors():
         build_order(MonicCubic(0, 0, -2), [(1, 0)])  # one real root
     with pytest.raises(DomainError):
         build_order(MonicCubic(0, -1, 0), [(1, 0)])  # reducible
+
+
+@pytest.mark.parametrize("t, climbs", [(10 ** 6, [32] * 3), (10 ** 12, [32] * 3 + [64] * 3)])
+def test_log_embed_climbs_the_ladder_from_the_narrowed_windows(monkeypatch, t, climbs):
+    # At 16 bits each root's err is 2^-16, and |theta_i - 1| (or |theta_i|)
+    # is about 1/t at one root: the log needs 256 err below it, so
+    # log_embed re-refines all three roots from their certified windows,
+    # at 32 bits for t = 10^6 and at 32 and then 64 for t = 10^12
+    f = build_one_unit(OneUnitParams(1, 1), t)
+    order = build_order(f, [(1, 1), (1, 0)], PrecisionPolicy(16, 4096))
+    exact = build_order(f, [(1, 1), (1, 0)], PrecisionPolicy(384, 4096))
+    refined, refine = [], units.refine_root
+
+    def recording(f, lo, hi, pol):
+        r = refine(f, lo, hi, pol)
+        refined.append((pol.target_bits, lo, hi, r))
+        return r
+
+    monkeypatch.setattr(units, "refine_root", recording)
+    for a, b in order.units:
+        refined.clear()
+        v = log_embed(order, a, b)
+        assert [target for target, *_ in refined] == climbs
+        for target, lo, hi, r in refined:
+            value, err = mpf_to_fraction(r.value), mpf_to_fraction(r.err)
+            assert lo <= r.lo <= r.hi <= hi and err <= Fraction(1, 1 << target)
+            assert value - err <= r.lo <= r.hi <= value + err
+            assert r.lo == r.hi or sign_at(f, r.lo) * sign_at(f, r.hi) < 0
+        w = log_embed(exact, a, b)
+        for x, y in zip(v.coords, w.coords):
+            assert abs(mpf_to_fraction(x) - mpf_to_fraction(y)) <= mpf_to_fraction(v.err) + mpf_to_fraction(w.err)
 
 
 def test_log_vector_trace_zero_guard():
