@@ -74,15 +74,10 @@ def eval_scaled(f: MonicCubic, b: int, a: int) -> int:
     """a^3 * f(b/a), exactly, as an integer, in Horner form.
 
     This is the quantity whose value +-1 decides whether a*theta - b is a
-    unit of Z[theta] (up to sign, see norm_linear_form). A power-of-two a,
-    as at every float, every dyadic Newton iterate and every integer, takes
-    shifts in place of the powers of a.
+    unit of Z[theta] (up to sign, see norm_linear_form).
     """
     if a == 0:
         raise InvalidParamsError("eval_scaled requires a != 0")
-    if a > 0 and not a & (a - 1):  # a = 2^k: shifts replace the powers of a
-        k = a.bit_length() - 1
-        return ((b + (f.p2 << k)) * b + (f.p1 << 2 * k)) * b + (f.p0 << 3 * k)
     return ((b + f.p2 * a) * b + f.p1 * a * a) * b + f.p0 * a * a * a
 
 
@@ -191,12 +186,11 @@ def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
 def _has_int_root(f: MonicCubic, lo: int, hi: int, d: int) -> bool:
     """Whether f has a root in the integers lo..hi, where d*f is increasing.
 
-    Exact false position on g = d*f with the Illinois modification (Dowell
-    and Jarratt, BIT 11, 1971): the secant through the ends, rounded to
-    the nearest integer strictly inside, is the next point, and an end
-    kept twice in a row has its weight halved, so neither end sticks. A
+    Exact false position on g = d*f: the secant through the ends, rounded
+    to the nearest integer strictly inside, is the next point. A secant
     step that keeps more than half the run is followed by one bisection
-    step, so the search never costs more than about twice bisection's.
+    step, so an end that sticks cannot make the search cost more than
+    about twice bisection's.
     """
     if lo > hi:
         return False
@@ -206,29 +200,22 @@ def _has_int_root(f: MonicCubic, lo: int, hi: int, d: int) -> bool:
     ghi = d * eval_scaled(f, hi, 1)
     if ghi <= 0:
         return ghi == 0
-    wlo, whi = glo, ghi  # the ends' weights: g there, halved while kept
-    moved, bisect = 0, False  # the end moved last: -1 lo, 1 hi
+    bisect = False
     while hi - lo > 1:
         if bisect:
             k = (lo + hi) // 2
-        else:  # nearest integer to lo - wlo (hi - lo)/(whi - wlo)
-            den = whi - wlo
-            k = lo + (-2 * wlo * (hi - lo) + den) // (2 * den)
+        else:  # nearest integer to lo - glo (hi - lo)/(ghi - glo)
+            den = ghi - glo
+            k = lo + (-2 * glo * (hi - lo) + den) // (2 * den)
             k = min(max(k, lo + 1), hi - 1)
         g = d * eval_scaled(f, k, 1)
         if g == 0:
             return True
-        width, side = hi - lo, 1 if g > 0 else -1
-        if side < 0:
-            lo, wlo = k, g
+        width = hi - lo
+        if g < 0:
+            lo, glo = k, g
         else:
-            hi, whi = k, g
-        if not bisect:  # Illinois: the end a secant step kept twice is halved
-            if side == moved < 0:
-                whi >>= 1
-            elif side == moved > 0:
-                wlo = -(-wlo >> 1)
-            moved = side
+            hi, ghi = k, g
         bisect = not bisect and 2 * (hi - lo) > width
     return False
 

@@ -195,6 +195,9 @@ def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
             last = abs(dx)
         elif a < x < b:  # a step that shrinks too slowly
             x, last = _split(a, b), math.inf
+    else:  # the steps ran out: the seed still lies inside the bracket
+        if not a < x < b:
+            x = _split(a, b)
     return x, Fraction(a) if a > a0 else lo, Fraction(b) if b < b0 else hi
 
 

@@ -282,8 +282,9 @@ def _counting_evaluations(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
 def test_integer_root_search_is_cheap_on_family_members(monkeypatch, kind):
-    # false position with the Illinois halving; bisection took 166 to 246
-    # evaluations on the worst member of each family
+    # false position with a bisection step after any step that keeps more
+    # than half the run; bisection alone took 166 to 246 evaluations on
+    # the worst member of each family
     members = [_family_member(kind, sign * 10 ** e) for e in range(3, 25) for sign in (1, -1)]
     count = _counting_evaluations(monkeypatch)
     for f in members:
@@ -295,8 +296,8 @@ def test_integer_root_search_is_cheap_on_family_members(monkeypatch, kind):
 def test_integer_root_search_on_a_crawling_run_stays_near_bisection(monkeypatch):
     # x^3 - N on [0, 2^61]: the root 2^20 + eps sits near the low end of a
     # convex run, so the plain secant through the ends lands at lo + 1 time
-    # after time; the Illinois halving and the bisection step after a step
-    # that keeps more than half the run bound the search by bisection's
+    # after time; the bisection step after a step that keeps more than
+    # half the run bounds the search by about twice bisection's
     f, lo, hi = MonicCubic(0, 0, -(2 ** 60 + 1)), 0, 2 ** 61
     count = _counting_evaluations(monkeypatch)
     assert not cubics_module._has_int_root(f, lo, hi, 1)

@@ -224,10 +224,32 @@ def test_float_seed_spends_few_exact_signs(monkeypatch, t):
 
     monkeypatch.setattr(roots, "eval_scaled", counting)
     monkeypatch.setattr(cubics, "eval_scaled", counting)
+    signs = {"one_unit": [], "two_unit": [], "seed": []}
     for kind, f, lo, hi, slo in cases:
         count[0] = 0
         assert roots._float_seed(f, lo, hi, slo)[0] is not None
         assert count[0] <= 6, (kind, lo, hi, count[0])
+        signs[kind].append(count[0])
+    if abs(t) in (10 ** 16, 10 ** 24):
+        # one_unit's large root lies within an ulp of its bracket end, and
+        # every Newton step towards it lands beyond that end: the float
+        # next to the end brackets it at once. When each such step became
+        # a midpoint split, that root took 49 exact signs at t = 10^16 and
+        # 10^24 and 27 and 49 at -10^16 and -10^24, and the member 49 to 72
+        one = signs["one_unit"]
+        large = one[0] if t > 0 else one[2]
+        assert large <= 3 and sum(one) <= 24, one
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_float_seed_returns_an_iterate_inside_the_bracket_when_its_steps_run_out(monkeypatch, steps):
+    # x^3 - 2 on (-3, 3]: the model gives no start, and the Newton step
+    # from the split near 0, where f' is tiny, leaves the bracket; the
+    # seed handed to the exact Newton still lies inside it
+    monkeypatch.setattr(roots, "_SEED_STEPS", steps)
+    f = MonicCubic(0, 0, -2)
+    x, lo, hi = roots._float_seed(f, Fraction(-3), Fraction(3), -1)
+    assert -3 <= lo < x < hi <= 3
 
 
 def test_the_model_start_lands_beyond_each_outer_root():
