@@ -244,7 +244,7 @@ class _Member:
 
     @cached_property
     def ht(self) -> mp.mpf:
-        return masses.lattice_height(masses.embed_order_lattice(self.order), self.bits)
+        return masses.lattice_height(self.order, self.bits)
 
     @cached_property
     def phi(self) -> masses.SimplexSet:
@@ -289,10 +289,9 @@ def _mass_rows(payload) -> str:
         tight_k = next((k for k in range(100, -1, -1)
                         if masses.check_tight(hd, ht, big_r, Fraction(k, 100), ROW_BITS)), 0)
         fracs = masses.mass_above_height(m.order, [float(h) for h in heights], samples)
-        return "\n".join(",".join([
-            str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling), h, _fmt_frac(frac),
-            f"{tight_k / 100:.2f}",
-        ]) for h, frac in zip(heights, fracs))
+        head = ",".join([str(t), str(m.order.disc), _fmt(ht), _fmt(hd.ceiling)])
+        return "\n".join(",".join([head, h, _fmt_frac(frac), f"{tight_k / 100:.2f}"])
+                         for h, frac in zip(heights, fracs))
     except CubicUnitsError as e:
         return "\n".join(",".join([str(t), type(e).__name__, "", "", h, "", ""])
                          for h in heights)
@@ -431,9 +430,12 @@ def cmd_verify(args) -> int:
         hi = _audit_point(cfg, t, 2 * cfg.precision_bits)
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
-            ok = lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"]) and all(
-                abs(x - y) <= Fraction(1, 10 ** 12) * (1 + abs(y))  # exactly
-                for x, y in ((mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k])) for k in ("reg", "ht")))
+            # exactly: reg within 1e-12 (1 + |reg|), ht within one rounding at the lower width
+            (reg_lo, reg_hi), (ht_lo, ht_hi) = ((mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k]))
+                                                for k in ("reg", "ht"))
+            ok = (lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"])
+                  and abs(reg_lo - reg_hi) <= Fraction(1, 10 ** 12) * (1 + abs(reg_hi))
+                  and abs(ht_lo - ht_hi) <= Fraction(2) ** (1 - cfg.precision_bits) * abs(ht_hi))
         lines.append(f"VERIFY t={t}: {'PASS' if ok else 'FAIL'}"
                      f" (status={lo['status']}/{hi['status']})")
         failures += 0 if ok else 1

@@ -13,19 +13,29 @@ certified value exact or from mpf. A basis is carried as its exact
 integer image, three integer columns times one power of two: the
 embedding is rounded into it once, and the flow multiplies its columns
 by the mantissas of three mpf exponentials, rounding each entry once.
-The kernel reads that image directly and reduces it in one exact greedy
-loop on integers: sorted by exact squared norm, the columns take Gauss's
-step, the rounded exact Gram solve of the longest against the other two,
-or a move by the shorter columns with coefficients in {0, +-1}, whichever
-first shortens one of them, until none does. That basis is
-Minkowski-reduced, as in dimension 3 those coefficients cover
-Minkowski's conditions, and in dimension at most 4 a Minkowski-reduced
-basis reaches the successive minima (Nguyen and Stehle, "Low-dimensional
-lattice basis reduction revisited", ACM TALG 2009). So the first two
-columns' exact integer norms are lambda_1^2 and lambda_2^2, the first
-column is a shortest vector, and one mpf square root at the caller's
-precision gives the minimum. No float enters the reduction, so no float
-error bound has to hold for the minima.
+The kernel forms that image's exact integer Gram matrix and reduces it
+in one exact greedy loop on integers, which reads only inner products
+and carries the unimodular transform: sorted by exact squared norm, the
+basis vectors take Gauss's step, the rounded exact Gram solve of the
+longest against the other two, or a move by the shorter vectors with
+coefficients in {0, +-1}, whichever first shortens one of them, until
+none does. That basis is Minkowski-reduced, as in dimension 3 those
+coefficients cover Minkowski's conditions, and in dimension at most 4 a
+Minkowski-reduced basis reaches the successive minima (Nguyen and
+Stehle, "Low-dimensional lattice basis reduction revisited", ACM TALG
+2009). So the first two vectors' exact integer norms are lambda_1^2 and
+lambda_2^2, the first is a shortest vector, and one mpf square root at
+the caller's precision gives the minimum. No float enters the
+reduction, so no float error bound has to hold for the minima.
+
+The same reduction serves the order's own height. The lattice's Gram
+matrix in the power basis is disc^(-1/3) T, T_ij = Tr(theta^(i+j)) the
+exact integer trace form, built from the coefficients by Newton's
+identities and of determinant disc (Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138, 4.4). So ht = (disc / n0^3)^(1/6), n0
+the minimum of T, one exact integer root rounded once: it depends on no
+root, no embedding and no working precision. T's transform also
+pre-reduces the embedding the mass stage moves (_prereduced).
 
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
@@ -165,9 +175,13 @@ class LatticeBasis3:
         """(b0, n0, n1): a shortest nonzero vector b0 of the integer
         columns' lattice and the exact squared minima n0 = lambda_1^2 and
         n1 = lambda_2^2, in units of 2^(2 exp), from one exact greedy
-        reduction of the columns (_reduce). No float enters the minima."""
-        (n0, b0), (n1, _), _ = _reduce(self.cols)
-        return b0, n0, n1
+        reduction of the columns' Gram matrix (_reduce); b0 = M u0 for the
+        first reduced coefficient vector u0. No float enters the minima."""
+        a, b, c = self.cols
+        ab, ac, bc = _dot(a, b), _dot(a, c), _dot(b, c)
+        (n0, (x, y, z)), (n1, _), _ = _reduce(((_dot(a, a), ab, ac), (ab, _dot(b, b), bc),
+                                               (ac, bc, _dot(c, c))))
+        return [x * p + y * q + z * r for p, q, r in zip(a, b, c)], n0, n1
 
 
 @dataclass(frozen=True)
@@ -190,39 +204,59 @@ def _dot(x, y) -> int:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
-def _reduce(cols) -> list[tuple[int, list[int]]]:
-    """The greedy reduction of three integer columns, on integers alone:
-    the reduced columns as (exact squared norm, column) pairs, sorted.
-    Entries past the third ride along and enter no norm.
+def _det3(rows) -> int:
+    # the determinant of a 3x3 integer matrix, by cofactors along row 0
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
-    Sorted by exact squared norm, the columns take the first move that
+
+def _less(w, x: int, u) -> list[int]:
+    # w - x u
+    return [w[0] - x * u[0], w[1] - x * u[1], w[2] - x * u[2]]
+
+
+def _less2(w, x: int, u, y: int, v) -> list[int]:
+    # w - x u - y v
+    return [w[0] - x * u[0] - y * v[0], w[1] - x * u[1] - y * v[1], w[2] - x * u[2] - y * v[2]]
+
+
+def _reduce(gram) -> list[tuple[int, list[int]]]:
+    """The greedy reduction of the basis with the exact integer Gram
+    matrix gram (3x3, symmetric), on integers alone: the reduced basis
+    vectors as (exact squared norm, coefficient vector over the given
+    basis) pairs, sorted. Each vector b = B u also carries w = gram u, so
+    <b, b'> = <u, w'> costs three products, as it would on the columns.
+
+    Sorted by exact squared norm, the vectors take the first move that
     makes one of them strictly shorter: b1 - q b0 with q the nearest
     integer to <b0, b1> / |b0|^2 (Gauss's step); b2 - x b0 - y b1 with (x,
     y) the nearest integers to the exact solution of the 2x2 Gram system
     of b2 against b0 and b1; or b2 + s (x b0 + y b1) for a sign s and (x,
-    y) in {(1, 0), (0, 1), (1, 1), (1, -1)}. Each move is unimodular and
-    lowers an integer norm, so the loop ends. A sorted basis that no move
-    shortens satisfies Minkowski's conditions, which in dimension 3 need
-    only coefficients in {0, +-1}, and a Minkowski-reduced basis of
-    dimension at most 4 reaches the successive minima, |b_i| =
-    lambda_(i+1) (Nguyen and Stehle, "Low-dimensional lattice basis
-    reduction revisited", ACM TALG 2009; Semaev, "A 3-dimensional lattice
-    reduction algorithm", CaLC 2001). Columns that span less than the
-    space reach a zero column, which raises: a Gauss-reduced b0, b1 leave
-    b2 in their plane at most 3/4 of |b1|^2 after the Gram step."""
-    ranked = sorted((_dot(c, c), list(c)) for c in cols)
+    y) in {(1, 0), (0, 1), (1, 1), (1, -1)}. The moves read only inner
+    products; each is unimodular and lowers an integer norm, so the loop
+    ends. A sorted basis that no move shortens satisfies Minkowski's
+    conditions, which in dimension 3 need only coefficients in {0, +-1},
+    and a Minkowski-reduced basis of dimension at most 4 reaches the
+    successive minima, |b_i| = lambda_(i+1) (Nguyen and Stehle,
+    "Low-dimensional lattice basis reduction revisited", ACM TALG 2009;
+    Semaev, "A 3-dimensional lattice reduction algorithm", CaLC 2001).
+    A degenerate form reaches a zero vector, which raises: a Gauss-reduced
+    b0, b1 leave b2 in their plane at most 3/4 of |b1|^2 after the Gram
+    step."""
+    (a, b, c), (d, e, f), (g, h, i) = gram
+    ranked = sorted([(a, [1, 0, 0], [a, b, c]), (e, [0, 1, 0], [d, e, f]), (i, [0, 0, 1], [g, h, i])])
     while True:
-        (n0, b0), (n1, b1), (n2, b2) = ranked
+        (n0, u0, w0), (n1, u1, w1), (n2, u2, w2) = ranked
         if not n0:
             raise InternalInconsistencyError("degenerate basis in reduction")
-        g01 = _dot(b0, b1)
+        g01 = _dot(u0, w1)
         q = (2 * g01 + n0) // (2 * n0)
         d = q * (q * n0 - 2 * g01)  # |b1 - q b0|^2 - |b1|^2
         if d < 0:
-            ranked[1] = n1 + d, [u - q * v for u, v in zip(b1, b0)]
+            ranked[1] = n1 + d, _less(u1, q, u0), _less(w1, q, w0)
             ranked.sort()
             continue
-        g02, g12 = _dot(b0, b2), _dot(b1, b2)
+        g02, g12 = _dot(u0, w2), _dot(u1, w2)
         det = n0 * n1 - g01 * g01  # > 0, as |g01| <= n0 / 2 here
         x = (2 * (g02 * n1 - g12 * g01) + det) // (2 * det)
         y = (2 * (g12 * n0 - g02 * g01) + det) // (2 * det)
@@ -234,10 +268,34 @@ def _reduce(cols) -> list[tuple[int, list[int]]]:
                              (n0 + n1 + 2 * g01 - 2 * abs(g02 + g12), 1, 1, g02 + g12),
                              (n0 + n1 - 2 * g01 - 2 * abs(g02 - g12), 1, -1, g02 - g12))
             if d >= 0:
-                return ranked
+                return [(n, u) for n, u, _ in ranked]
             x, y = (x, y) if g > 0 else (-x, -y)
-        ranked[2] = n2 + d, [w - x * u - y * v for u, v, w in zip(b0, b1, b2)]
+        ranked[2] = n2 + d, _less2(u2, x, u0, y, u1), _less2(w2, x, w0, y, w1)
         ranked.sort()
+
+
+def _trace_form(f) -> tuple[tuple[int, int, int], ...]:
+    """T_ij = Tr(theta^(i+j)) = s_(i+j), the power sums of f's roots by
+    Newton's identities: the Gram matrix of the order's power basis
+    embedded in R^3, times disc^(1/3)."""
+    p2, p1, p0 = f.p2, f.p1, f.p0
+    s1 = -p2
+    s2 = -p2 * s1 - 2 * p1
+    s3 = -p2 * s2 - p1 * s1 - 3 * p0
+    s4 = -p2 * s3 - p1 * s2 - p0 * s1
+    return (3, s1, s2), (s1, s2, s3), (s2, s3, s4)
+
+
+def _reduced_trace_form(order: CubicOrderData) -> list[tuple[int, list[int]]]:
+    """The order's trace form reduced (_reduce): its minima n0 <= n1 <= n2,
+    lambda_i^2 = disc^(-1/3) n_(i-1), with the coefficient vectors over the
+    power basis that reach them. det T is the discriminant, which is
+    checked."""
+    form = _trace_form(order.f)
+    if _det3(form) != order.disc:
+        raise InternalInconsistencyError(f"trace form of {order.f} has determinant {_det3(form)}, "
+                                         f"not the discriminant {order.disc}")
+    return _reduce(form)
 
 
 def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
@@ -247,8 +305,9 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     2^e must be 1 up to 2^-(prec // 2) in absolute value, which is checked
     on integers, scaled by a power of two. It reads only the order's
     stored roots and discriminant, so the order memoises each embedding,
-    keyed by prec: the height and the mass stage's coarse reduction share
-    the one at the order's bits."""
+    keyed by prec. Only the mass stage reads it (_prereduced): the height
+    comes from the exact trace form (lattice_height) and reads no
+    embedding."""
     if prec is None:
         prec = order.policy.target_bits
     elif prec < 8:
@@ -259,9 +318,7 @@ def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> Latti
     scale = mpf_pow(from_int(order.disc, w, _RND), mpf_div(from_int(-1), from_int(6), w, _RND), w, _RND)
     basis = LatticeBasis3.from_columns([[mpf_mul(scale, mpf_pow_int(r.value._mpf_, j, w, _RND), w, _RND)
                                          for r in order.roots] for j in range(3)])
-    u, v, w = basis.cols
-    cross = (v[1] * w[2] - v[2] * w[1], v[2] * w[0] - v[0] * w[2], v[0] * w[1] - v[1] * w[0])
-    n, e, h = _dot(u, cross), 3 * basis.exp, prec // 2  # det = n 2^e
+    n, e, h = _det3(basis.cols), 3 * basis.exp, prec // 2  # det = n 2^e
     z = max(0, -e)  # | |det| - 1 | > 2^-h, times 2^(h + z): all integers
     if abs((abs(n) << (e + h + z)) - (1 << (h + z))) > 1 << z:
         det = fraction_to_mpf(n * Fraction(2) ** e, 64)
@@ -306,20 +363,52 @@ def _scaled_float(n: int, shift: int) -> float:
 def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     """Certified euclidean length of a shortest nonzero lattice vector.
 
-    The integer columns of the basis's exact image are reduced greedily in
-    exact arithmetic (LatticeBasis3._minimum), so the first reduced
-    column's exact integer norm is lambda_1^2 of the lattice the columns
+    The Gram matrix of the basis's exact integer image is reduced greedily
+    in exact arithmetic (LatticeBasis3._minimum), so the first reduced
+    vector's exact integer norm is lambda_1^2 of the lattice the columns
     span; its square root is rounded once at prec bits (to nearest). The
-    reduced basis stays on the basis, where _certified_norm reads
-    lambda_2^2 and the shortest vector.
+    minima stay on the basis, where _certified_norm reads lambda_2^2 and
+    the shortest vector.
     """
     return mp.make_mpf(mpf_sqrt(from_man_exp(basis._minimum[1], 2 * basis.exp), prec, round_nearest))
 
 
-def lattice_height(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
-    """ht = 1 / (length of the shortest nonzero vector), the reciprocal
-    rounded at prec bits, as the square root is."""
-    return mp.make_mpf(mpf_div(fone, shortest_vector_norm(basis, prec)._mpf_, prec, _RND))
+def _icbrt(n: int) -> int:
+    # floor(n^(1/3)) for n > 0: Newton's iteration on integers decreases to
+    # it from any start above the root and stops there. The start is the
+    # float cube root of n's leading bits m = n >> 3s (m < 2^903), raised by
+    # a relative 2^-30, which covers the float's error, and by 2 >
+    # cbrt(m + 1) - cbrt(m), so it lies above cbrt(n) < cbrt(m + 1) 2^s
+    s = max(0, n.bit_length() - 900) // 3
+    x = (int((n >> 3 * s) ** (1 / 3) * (1 + 2.0 ** -30)) + 2) << s
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def lattice_height(order: CubicOrderData, prec: int | None = None) -> mp.mpf:
+    """ht = 1 / lambda_1 of the order lattice, correctly rounded at prec
+    bits (to nearest; prec defaults to the order's target bits).
+
+    The lattice's Gram matrix in the power basis is disc^(-1/3) T, T the
+    exact integer trace form (_trace_form), so ht = (disc / n0^3)^(1/6)
+    with n0 the minimum of T on Z^3 - 0, from one exact reduction of T
+    (_reduced_trace_form). The sixth root's floor at k fraction bits has
+    prec + 4 bits or more and is exact on integers, and a sticky bit marks
+    it inexact, so its one rounding is correct (as shapes._tau rounds Im
+    tau). It reads no root, no embedding and no ambient precision."""
+    if prec is None:
+        prec = order.policy.target_bits
+    elif prec < 8:
+        raise InvalidParamsError(f"height precision must be at least 8 bits, got {prec}")
+    disc, n0 = order.disc, _reduced_trace_form(order)[0][0]
+    cube = n0 ** 3
+    k = max(0, prec + 4 - (disc.bit_length() - 3 * n0.bit_length()) // 6)
+    num = disc << 6 * k
+    s = _icbrt(math.isqrt(num // cube))  # floor((num / cube)^(1/6))
+    return mp.make_mpf(from_man_exp(2 * s + (s ** 6 * cube != num), -k - 1, prec, _RND))
 
 
 def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
@@ -948,24 +1037,20 @@ def _bits(order: CubicOrderData) -> int:
 
 def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     """The order lattice in a reduced basis, each entry within a relative
-    2^-(bits+29) of its value from the stored roots: the greedy reduction
-    (_reduce) at the order's bits finds the transform U, carried by three
-    ride-along coefficient entries per column, and the bits its sums
-    cancel, and U is applied exactly to an embedding carrying that many
-    more bits.
+    2^-(bits+29) of its value from the stored roots: the exact reduction
+    of the trace form (_reduced_trace_form) gives the transform U, the
+    embedding at the order's bits the bits U's sums cancel, and U is
+    applied exactly to an embedding carrying that many more bits.
     """
     bits = _bits(order)
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = embed_order_lattice(order, bits).cols
-    # each reduced column carries its coefficients (u, v, w) over the columns
-    red = [c for _, c in _reduce([[a0, a1, a2, 1, 0, 0], [b0, b1, b2, 0, 1, 0], [c0, c1, c2, 0, 0, 1]])]
-    lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(x).bit_length()
-               for x0, x1, x2, u, v, w in red
-               for x, a, b, c in ((x0, a0, b0, c0), (x1, a1, b1, c1), (x2, a2, b2, c2)) if x)
+    red = [u for _, u in _reduced_trace_form(order)]
+    rows = list(zip(*embed_order_lattice(order, bits).cols))
+    lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(u * a + v * b + w * c).bit_length()
+               for u, v, w in red for a, b, c in rows if u * a + v * b + w * c)
     fine = embed_order_lattice(order, bits + lost)
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = fine.cols
-    moved = tuple((u * a0 + v * b0 + w * c0, u * a1 + v * b1 + w * c1, u * a2 + v * b2 + w * c2)
-                  for _, _, _, u, v, w in red)
-    return LatticeBasis3(moved, fine.exp)
+    rows = list(zip(*fine.cols))
+    return LatticeBasis3(tuple(tuple(u * a + v * b + w * c for a, b, c in rows) for u, v, w in red),
+                         fine.exp)
 
 
 def _dual_weight(basis: LatticeBasis3) -> float:
@@ -1028,7 +1113,7 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
     lambda_2 of M: two independent vectors reach lambda_2, and one of them
     is not parallel to v1. The kernel's greedy reduction
     (LatticeBasis3._minimum, _reduce) ends Minkowski-reduced, with v1 as
-    its first column and lambda_2^2 as its second column's exact integer
+    its first vector and lambda_2^2 as its second vector's exact integer
     norm, so no second search runs. B, one mpf square root rounded at bits
     as s is, takes the same relative margin, so B - m_B = B (1 - margin /
     s), exactly. v1's own

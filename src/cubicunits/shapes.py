@@ -149,8 +149,8 @@ def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint
                     or mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(h1, h1))):  # printed |tau| <= 1 + r/2
         a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]
         word.append("S")
-    else:
-        return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(_radius(a, c, u, q, errs)))
+    else:  # no move: a member's radius is r, an exact form's its rounding alone
+        return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(r if errs else _radius(a, c, u, q, None)))
     tau = _tau(a, b, c, q)
     x, y = tau
     size2 = mpf_add(mpf_mul(x, x), mpf_mul(y, y))

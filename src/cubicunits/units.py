@@ -115,7 +115,9 @@ class CubicOrderData:
     check (with the rejects and why), and three memos of data derived from
     them, which no later call can change: log_embed's log vectors, keyed
     by (a, b); masses.embed_order_lattice's lattice embeddings, keyed by
-    the precision in bits they were built at; and the simplex of the first
+    the precision in bits they were built at, which only the mass stage
+    reads (the height comes from the exact trace form and reads neither
+    the roots nor an embedding); and the simplex of the first
     two units' log vectors (masses._order_simplex), keyed by the width it
     was made at, the rows' ROW_BITS."""
 

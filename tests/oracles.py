@@ -31,7 +31,9 @@ with coefficients in {0, +-1} shortens is Minkowski-reduced in
 dimension 3, and such a basis reaches the successive minima in
 dimension at most 4 (Nguyen and Stehle, "Low-dimensional lattice basis
 reduction revisited", ACM TALG 2009). The two must agree exactly on
-integers.
+integers. `reference_reduce` is that reduction as it ran on the columns
+themselves, before it took their Gram matrix; the Gram form must reach
+its minima and its shortest vector.
 
 `exp_act`, `basis_columns` and `replay` are plumbing, not references:
 the package's private flow action at explicit bits, a basis's exact
@@ -585,6 +587,44 @@ def reference_lll(cols):
         else:
             k += 1
     raise InternalInconsistencyError("basis reduction did not terminate")
+
+
+def reference_reduce(cols):
+    """The greedy reduction on the columns themselves, as masses._reduce
+    ran before it took the Gram matrix: the reduced columns as (exact
+    squared norm, column) pairs, sorted, with ties in the norm broken by
+    the columns' entries. The same moves, read off the columns' own inner
+    products, so the Gram form must reach the same minima and, where
+    lambda_1 < lambda_2, the same shortest vector up to sign."""
+    from cubicunits.errors import InternalInconsistencyError
+
+    _dot = _reference_dot
+    ranked = sorted((_dot(c, c), list(c)) for c in cols)
+    while True:
+        (n0, b0), (n1, b1), (n2, b2) = ranked
+        if not n0:
+            raise InternalInconsistencyError("degenerate basis in reduction")
+        g01 = _dot(b0, b1)
+        q = (2 * g01 + n0) // (2 * n0)
+        d = q * (q * n0 - 2 * g01)
+        if d < 0:
+            ranked[1] = n1 + d, [u - q * v for u, v in zip(b1, b0)]
+            ranked.sort()
+            continue
+        g02, g12 = _dot(b0, b2), _dot(b1, b2)
+        det = n0 * n1 - g01 * g01
+        x = (2 * (g02 * n1 - g12 * g01) + det) // (2 * det)
+        y = (2 * (g12 * n0 - g02 * g01) + det) // (2 * det)
+        d = x * (x * n0 + 2 * y * g01 - 2 * g02) + y * (y * n1 - 2 * g12)
+        if d >= 0:
+            d, x, y, g = min((n0 - 2 * abs(g02), 1, 0, g02), (n1 - 2 * abs(g12), 0, 1, g12),
+                             (n0 + n1 + 2 * g01 - 2 * abs(g02 + g12), 1, 1, g02 + g12),
+                             (n0 + n1 - 2 * g01 - 2 * abs(g02 - g12), 1, -1, g02 - g12))
+            if d >= 0:
+                return ranked
+            x, y = (x, y) if g > 0 else (-x, -y)
+        ranked[2] = n2 + d, [w - x * u - y * v for u, v, w in zip(b0, b1, b2)]
+        ranked.sort()
 
 
 # The kernel's minima as the package computed them before its exact

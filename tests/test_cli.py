@@ -406,11 +406,9 @@ def test_verify_compares_shapes_as_points_of_the_surface(family, schedule, bits,
     assert capsys.readouterr().out.splitlines()[-1] == f"verified {spots} rows, 0 failures"
 
 
-@pytest.mark.parametrize("key", ["reg", "ht"])
-@pytest.mark.parametrize("rel, verdict", [(2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "PASS")])
-def test_verify_compares_reg_and_ht_within_1e_12(monkeypatch, capsys, key, rel, verdict):
-    # the doubled-precision row's regulator or height moved by a relative
-    # rel: verify compares the two exactly, within 1e-12 (1 + |hi|)
+def moved_verdict(monkeypatch, capsys, key, rel) -> str:
+    # verify's verdict on one_unit (1, 1) at t = 1000 and 192 bits, with the
+    # 384-bit row's value under key moved by a relative rel
     import mpmath as mp
 
     from cubicunits import cli
@@ -420,14 +418,58 @@ def test_verify_compares_reg_and_ht_within_1e_12(monkeypatch, capsys, key, rel, 
     def moved(cfg, t, bits):
         row = audit(cfg, t, bits)
         if bits > cfg.precision_bits:
-            with mp.workprec(256):
+            with mp.workprec(512):
                 row[key] = row[key] * (1 + mp.mpf(rel))
         return row
 
     monkeypatch.setattr(cli, "_audit_point", moved)
     code = main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000", "--spots", "1"])
-    assert capsys.readouterr().out.splitlines()[0] == f"VERIFY t=1000: {verdict} (status=ok/ok)"
+    line = capsys.readouterr().out.splitlines()[0]
+    verdict = line.removeprefix("VERIFY t=1000: ").removesuffix(" (status=ok/ok)")
     assert code == (EXIT_OK if verdict == "PASS" else 1)
+    return verdict
+
+
+@pytest.mark.parametrize("key", ["reg"])
+@pytest.mark.parametrize("rel, verdict", [(2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "PASS")])
+def test_verify_compares_reg_and_ht_within_1e_12(monkeypatch, capsys, key, rel, verdict):
+    # the doubled-precision row's regulator moved by a relative rel: verify
+    # compares the two exactly, within 1e-12 (1 + |hi|); the height has its
+    # own tolerance (test_verify_compares_ht_within_one_rounding)
+    assert moved_verdict(monkeypatch, capsys, key, rel) == verdict
+
+
+@pytest.mark.parametrize("rel, verdict", [
+    (2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "FAIL"), (1e-57, "FAIL"), (-1e-57, "FAIL"),
+    (1e-60, "PASS"), (-1e-60, "PASS")])
+def test_verify_compares_ht_within_one_rounding(monkeypatch, capsys, rel, verdict):
+    # the doubled-precision row's height moved by a relative rel: verify
+    # compares the two exactly, within one rounding at the lower width,
+    # 2^(1-192) |hi| ~ 3.2e-58 |hi|; each height is correctly rounded, so
+    # unmoved they differ by at most 2^-192 |hi| ~ 1.6e-58 |hi|
+    assert moved_verdict(monkeypatch, capsys, "ht", rel) == verdict
+
+
+def test_verify_fails_a_planted_height_bias(monkeypatch, capsys):
+    # a relative bias of 1e-30 in the height at 192 bits, far inside the
+    # regulator's 1e-12 but far outside one rounding, fails every spot
+    import mpmath as mp
+
+    from cubicunits import masses
+
+    height = masses.lattice_height
+
+    def biased(order, prec=None):
+        ht = height(order, prec)
+        if prec == 192:
+            with mp.workprec(256):
+                return ht * (1 + mp.mpf("1e-30"))
+        return ht
+
+    monkeypatch.setattr(masses, "lattice_height", biased)
+    assert main(["verify", "--family", ONE_UNIT, "--schedule", "geom:1000:1000000000000000000000000:10",
+                 "--spots", "22"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verified 22 rows, 22 failures"
 
 
 def test_verify_rank_below_two(capsys):

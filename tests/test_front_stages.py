@@ -271,9 +271,9 @@ def test_root_matches_mpf_sqrt(entries, exp, prec):
 
 
 def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
-    # every square root of an exact minimum that a height and a mass sweep
-    # take: lambda_1 for the height and each centre, lambda_2 for a wide
-    # cover's B
+    # every square root of an exact minimum that a mass sweep takes:
+    # lambda_1 for each centre, lambda_2 for a wide cover's B (the height
+    # takes none: it is one exact sixth root of the trace form's minimum)
     bases, roots = [], []
     norm, sqrt = masses.shortest_vector_norm, masses.mpf_sqrt
     monkeypatch.setattr(masses, "shortest_vector_norm",
@@ -284,11 +284,10 @@ def test_root_matches_mpf_sqrt_on_sweep_minima(monkeypatch):
         for t, bits in ((10 ** 3, 192), (10 ** 6, 128), (10 ** 9, 192), (-10 ** 9, 384),
                         (-10 ** 15, 192), (10 ** 21, 192)):
             m = _Member.of_family(FAMILIES[family], t, bits)
-            m.ht
             masses.mass_above_height(m.order, [10.0, 100.0, 1000.0], 600)
     minima = {from_man_exp(n, 2 * b.exp): (n, b.exp) for b in bases for n in b._minimum[1:]}
     checked = [(minima[x], prec, r) for x, prec, r in roots if x in minima]
-    assert len(checked) > 100
+    assert len(checked) > 90
     for (n, exp), prec, r in checked:
         assert r == O.reference_root(n, exp, prec)._mpf_
 

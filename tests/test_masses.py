@@ -35,6 +35,7 @@ from cubicunits import (
     build_order,
     build_two_unit,
     check_tight,
+    discriminant,
     embed_order_lattice,
     extend_seed,
     hex_domain,
@@ -49,9 +50,11 @@ from cubicunits import (
 from cubicunits import cli, masses, units
 from cubicunits.precision import ROW_BITS, dyadic, mpf_to_fraction
 from .oracles import (
+    bareiss_det,
     basis_columns,
     centre_order,
     exp_act,
+    iroot,
     reference_cover,
     reference_dual_weight,
     reference_exp_act,
@@ -59,6 +62,7 @@ from .oracles import (
     reference_minima,
     reference_open_points,
     reference_second_minimum,
+    reference_reduce,
     reference_shortest_vector_norm,
 )
 
@@ -114,7 +118,6 @@ def test_shortest_vector_identity_and_diagonal():
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)])) - 1) < mp.ldexp(1, -80)
         b = basis_from_cols([(2, 0, 0), (0, mp.mpf(1) / 2, 0), (0, 0, 1)])
         assert abs(shortest_vector_norm(b) - mp.mpf(1) / 2) < mp.ldexp(1, -80)
-        assert abs(lattice_height(b) - 2) < mp.ldexp(1, -78)
 
 
 def test_shortest_vector_is_lattice_invariant():
@@ -252,6 +255,26 @@ def minkowski_failures(cols) -> int:
     return sum(dot(v, v) < dot(b, b) for b, v in sums)
 
 
+def gram_reduced(basis):
+    # masses._reduce on the columns' Gram matrix, each coefficient vector
+    # mapped back to its column: (exact squared norm, column) pairs
+    cols = basis.cols
+    red = masses._reduce([[masses._dot(a, b) for b in cols] for a in cols])
+    return [(n, [sum(x * c[i] for x, c in zip(u, cols)) for i in range(3)]) for n, u in red]
+
+
+def assert_matches_the_column_form(basis):
+    # the Gram form reaches the column form's minima, each coefficient
+    # vector's column has its norm, and where lambda_1 < lambda_2 its
+    # shortest vector is the column form's up to sign
+    red, ref = gram_reduced(basis), reference_reduce(basis.cols)
+    assert [n for n, _ in red] == [n for n, _ in ref]
+    assert all(masses._dot(c, c) == n for n, c in red)
+    (n1, v1), (n2, _), _ = red
+    if n1 < n2:
+        assert v1 in (ref[0][1], [-x for x in ref[0][1]])
+
+
 def assert_minima_match(basis, reference):
     # lambda_1^2 and lambda_2^2 exactly, and the shortest vector up to sign
     # where it is unique up to sign (lambda_1 < lambda_2)
@@ -280,12 +303,14 @@ def test_minima_match_the_padded_enumeration_on_skewed_lattices():
     # the exact greedy reduction gives the minima and the shortest vector
     # of two padded float64 enumerations, on 3000 lattices of which 114
     # leave LLL's output short of Minkowski's conditions, and its basis
-    # meets every one of those conditions; on every 50th, also the minima
-    # of an all-mpf enumeration at 1024 bits
+    # meets every one of those conditions; its Gram form reaches the column
+    # form's minima and shortest vector; on every 50th, also the minima of
+    # an all-mpf enumeration at 1024 bits
     lattices = skewed_lattices(3000, 25)
     for i, basis in enumerate(lattices):
         assert_minima_match(basis, reference_minima(basis.cols))
-        assert minkowski_failures([c for _, c in masses._reduce(basis.cols)]) == 0
+        assert minkowski_failures([c for _, c in gram_reduced(basis)]) == 0
+        assert_matches_the_column_form(basis)
         if i % 50 == 0:
             _, n1, n2 = basis._minimum
             cols = basis_columns(basis)
@@ -314,8 +339,9 @@ def test_minima_complete_what_lll_leaves():
 def test_minima_match_the_padded_enumeration_on_benchmark_centres(monkeypatch):
     # every centre the mass sweep moves the lattice to, over the two mass
     # workloads of the benchmark at seeds 0 and 3: the kernel's minima and
-    # shortest vector against two padded enumerations; on every tenth
-    # centre, also against an all-mpf enumeration at 1024 bits
+    # shortest vector against two padded enumerations and the column form
+    # of the reduction; on every tenth centre, also against an all-mpf
+    # enumeration at 1024 bits
     from perfbench.workloads import members
 
     moved, exp_act = [], masses._exp_act
@@ -335,6 +361,7 @@ def test_minima_match_the_padded_enumeration_on_benchmark_centres(monkeypatch):
     assert len(moved) == 109
     for i, basis in enumerate(moved):
         assert_minima_match(basis, reference_minima(basis.cols))
+        assert_matches_the_column_form(basis)
         if i % 10 == 0:
             cols = basis_columns(basis)
             with mp.workprec(1024):
@@ -352,20 +379,13 @@ def raised(call, *args):
 
 
 @settings(max_examples=150, deadline=None)
-@given(transformed_bases(), st.booleans(), st.integers(64, 256),
+@given(transformed_bases(), st.integers(64, 256),
        st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=3, max_size=3))
-def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along, prec, xs):
+def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, prec, xs):
     # the written-out kernel returns repr-identical results to the generic
-    # loops it replaced, _exp_act at prec and _dual_weight; _prereduced's
-    # ride-along entries leave the reduction as it is without them, and
-    # each reduced column's are its coefficients over the columns
-    cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
-            for j, c in enumerate(basis.cols)]
-    red = masses._reduce(cols)
-    assert [(n, c[:3]) for n, c in red] == masses._reduce(basis.cols)
-    if ride_along:
-        assert all(c[:3] == [sum(u * col[i] for u, col in zip(c[3:], basis.cols)) for i in range(3)]
-                   for _, c in red)
+    # loops it replaced, _exp_act at prec and _dual_weight; the Gram form of
+    # the reduction matches the column form (reference_reduce)
+    assert_matches_the_column_form(basis)
     x = [mp.ldexp(v, -36) for v in xs]  # |x_i| up to 16
     moved = exp_act(x, basis, prec)
     with mp.workprec(prec):
@@ -374,18 +394,19 @@ def test_kernel_matches_its_generic_loops_on_transformed_bases(basis, ride_along
 
 
 @settings(max_examples=60, deadline=None)
-@given(transformed_bases(), st.integers(0, 3), st.booleans())
-def test_kernel_still_raises_like_its_generic_loops(basis, where, ride_along):
+@given(transformed_bases(), st.integers(0, 3))
+def test_kernel_still_raises_like_its_generic_loops(basis, where):
     # a zero column (where < 3) or a repeated first column (where = 3) is
-    # a degenerate basis, which raises from the kernel's minimum, also with
-    # _prereduced's ride-along entries, as in the generic loops
-    cols = [list(c) + ([int(i == j) for i in range(3)] if ride_along else [])
-            for j, c in enumerate(basis.cols)]
+    # a degenerate basis, which raises from the kernel's minimum, through
+    # the Gram form of the reduction, as in the column form and the generic
+    # loops
+    cols = [list(c) for c in basis.cols]
     if where < 3:
-        cols[where] = [0] * len(cols[where])
+        cols[where] = [0, 0, 0]
     else:
         cols[1] = list(cols[0])
-    for reduce in (lambda c: LatticeBasis3(tuple(map(tuple, c)), 0)._minimum, reference_lll):
+    for reduce in (lambda c: LatticeBasis3(tuple(map(tuple, c)), 0)._minimum, reference_reduce,
+                   reference_lll):
         with pytest.raises(InternalInconsistencyError, match="degenerate basis"):
             reduce(cols)
 
@@ -502,7 +523,7 @@ def test_order_height_is_disc_sixth_over_sqrt3():
     for t in (7, 1000, 10 ** 6):
         order = build_order(simplest_cubic(t), [(1, 0), (1, -1)])
         with mp.workprec(220):
-            ht = lattice_height(embed_order_lattice(order))
+            ht = lattice_height(order)
             expect = mp.power(mp.mpf(order.disc), mp.mpf(1) / 6) / mp.sqrt(3)
             assert abs(ht - expect) < expect * mp.ldexp(1, -60)
 
@@ -520,11 +541,67 @@ def test_height_is_periodic_under_unit_flow():
     # exp(psi(u)) maps the order lattice to itself, so height is unchanged
     with mp.workprec(200):
         base = embed_order_lattice(SEED_ORDER)
-        ref = lattice_height(base)
+        ref = lattice_height(SEED_ORDER, 200)
         for unit in SEED_ORDER.units:
             v = log_embed(SEED_ORDER, *unit)
             moved = exp_act(v.coords, base, 200)
-            assert abs(lattice_height(moved) - ref) < ref * mp.ldexp(1, -40)
+            assert abs(1 / shortest_vector_norm(moved, 200) - ref) < ref * mp.ldexp(1, -40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.integers(-10 ** 40, 10 ** 40)] * 3)
+def test_trace_form_determinant_is_the_discriminant(p2, p1, p0):
+    # Newton's identities give T_ij = Tr(theta^(i+j)) with det T = disc, of
+    # any signature
+    f = MonicCubic(p2, p1, p0)
+    form = masses._trace_form(f)
+    assert form[0][0] == 3 and all(form[i][j] == form[j][i] for i in range(3) for j in range(3))
+    assert bareiss_det([list(r) for r in form]) == masses._det3(form) == discriminant(f)
+
+
+@functools.lru_cache(maxsize=None)
+def order_at_1024_bits(family, t):
+    return cli._Member.of_family(family, t, 1024).order
+
+
+DECADES = [sign * 10 ** e for sign in (1, -1) for e in range(3, 25)]
+
+
+@pytest.mark.parametrize("family", [ONE_UNIT, TWO_UNIT, SEED], ids=["one_unit", "two_unit", "seed"])
+def test_lattice_height_matches_a_1024_bit_embedding(family):
+    # the height from the trace form is 1 / lambda_1 of the order's
+    # 1024-bit embedding within one rounding at each width, at every decade
+    # of both signs
+    for t in DECADES:
+        order = order_at_1024_bits(family, t)
+        with mp.workprec(1024):
+            ref = 1 / shortest_vector_norm(embed_order_lattice(order, 1024), 1024)
+            for prec in (64, 96, 192, 384):
+                assert abs(lattice_height(order, prec) - ref) <= ref * mp.ldexp(1, 1 - prec)
+
+
+@pytest.mark.parametrize("family", [ONE_UNIT, TWO_UNIT, SEED], ids=["one_unit", "two_unit", "seed"])
+def test_lattice_height_is_correctly_rounded(family):
+    # ht -+ half an ulp at prec bits brackets (disc / n0^3)^(1/6), checked on
+    # integers: with ht = m 2^e, m of prec bits, (2m -+ 1)^6 2^(6(e-1)) n0^3
+    # against disc
+    for t in DECADES:
+        order = order_at_1024_bits(family, t)
+        (n0, u), *_ = masses._reduced_trace_form(order)
+        t_form = masses._trace_form(order.f)
+        assert sum(u[i] * t_form[i][j] * u[j] for i in range(3) for j in range(3)) == n0
+        for prec in (8, 53, 64, 96, 192, 384, 4096):
+            _, man, exp, bc = lattice_height(order, prec)._mpf_
+            m, e = man << (prec - bc), exp - (prec - bc) - 1
+            lo, hi = ((2 * m + s) ** 6 * n0 ** 3 for s in (-1, 1))
+            disc = order.disc << max(0, -6 * e)
+            lo, hi = (x << max(0, 6 * e) for x in (lo, hi))
+            assert lo <= disc <= hi
+
+
+@given(st.integers(1, 2 ** 3000))
+def test_integer_cube_root_is_the_floor(n):
+    assert masses._icbrt(n) == iroot(n, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1129,14 +1206,18 @@ def test_row_loops_match_the_reference_on_real_sweeps(monkeypatch, kind, t):
 def replaying_kernel(monkeypatch):
     # run every _exp_act and _dual_weight call of the sweep also through
     # the generic loops the kernel replaced, and require repr-identical
-    # results or the same raise; counts the calls replayed, by kind, and
-    # the greedy reductions, by column length
+    # results or the same raise; counts the calls replayed, by kind, the
+    # greedy reductions, and those of the order's trace form
     counts = collections.Counter()
-    reduce = masses._reduce
+    reduce, trace_form = masses._reduce, masses._reduced_trace_form
 
-    def counted(cols):
-        counts[f"reduce{len(cols[0])}"] += 1
-        return reduce(cols)
+    def counted(gram):
+        counts["reduce"] += 1
+        return reduce(gram)
+
+    def trace_counted(order):
+        counts["trace_form"] += 1
+        return trace_form(order)
 
     def exp_act_at(x, basis, p):
         with mp.workprec(p):
@@ -1155,6 +1236,7 @@ def replaying_kernel(monkeypatch):
         monkeypatch.setattr(masses, name, replayed)
 
     monkeypatch.setattr(masses, "_reduce", counted)
+    monkeypatch.setattr(masses, "_reduced_trace_form", trace_counted)
     replay("_exp_act", lambda *args: "exp_act", exp_act_at)
     replay("_dual_weight", lambda basis: "dual_weight", reference_dual_weight)
     return counts
@@ -1166,7 +1248,8 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
     # every kernel call of sweeps at 600 and 10^4 samples and three heights
     # (a near-tie pair among them), undecided points included: the moves
     # and dual weights are repr-identical to the generic loops, with one
-    # greedy reduction per centre and one in _prereduced per sweep
+    # greedy reduction per centre and one of the trace form in _prereduced
+    # per sweep
     counts = replaying_kernel(monkeypatch)
     order, _ = mass_member(kind, t)  # fresh: the order keeps the simplex the stage makes
     for samples in (600, 10 ** 4):
@@ -1176,7 +1259,8 @@ def test_kernel_matches_its_generic_loops_on_real_sweeps(monkeypatch, kind, t):
         except PrecisionExhaustedError:
             pass
     centres = counts["exp_act"]
-    assert counts["reduce6"] == 2 and counts["dual_weight"] == counts["reduce3"] == centres > 0
+    assert counts["trace_form"] == 2 and counts["reduce"] == centres + 2
+    assert counts["dual_weight"] == centres > 0
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit"])
@@ -1489,19 +1573,20 @@ def counting_sweep(monkeypatch):
 
 
 def test_lattice_height_reads_no_ambient_precision():
-    # the reciprocal is rounded at prec bits, as the square root is: the
-    # same 191-bit mantissa whatever the ambient precision
-    basis = embed_order_lattice(mass_member("one_unit", 10 ** 12)[0])
+    # the height is rounded once at prec bits from integers: the same
+    # mantissa of at most 192 bits whatever the ambient precision, and it
+    # reads no root and no embedding
+    order = mass_member("one_unit", 10 ** 12)[0]
     hts = []
     for ambient in (16, 53, 192):
         mp.mp.prec = ambient
         try:
-            hts.append(lattice_height(basis, 192))
+            hts.append(lattice_height(order, 192))
         finally:
             mp.mp.prec = 53
-    assert hts[0]._mpf_ == hts[1]._mpf_ == hts[2]._mpf_ and hts[0]._mpf_[3] == 191
-    with mp.workprec(192):
-        assert hts[0] == 1 / shortest_vector_norm(basis, 192)
+    assert hts[0]._mpf_ == hts[1]._mpf_ == hts[2]._mpf_ and hts[0]._mpf_[3] <= 192
+    rootless = units.CubicOrderData(order.f, (), order.disc, order.units, order.dropped, order.policy)
+    assert lattice_height(rootless, 192) == hts[0] and not rootless._lattices
 
 
 @pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
@@ -1645,8 +1730,9 @@ def test_one_mass_row_builds_its_embedding_twice(monkeypatch, capsys):
 
 
 def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
-    # at 128 bits the height embeds at 128 and the mass stage at 192: two
-    # entries, each the embedding a fresh order builds
+    # at 128 bits the mass stage embeds at 192 and its fine embedding above
+    # that, each the embedding a fresh order builds; the height embeds at
+    # no width
     orders = []
     build = units.build_order
 
@@ -1659,8 +1745,8 @@ def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
                      "--samples", "60", "--H", "10", "--precision-bits", "128"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("1000,")
     (order,) = orders
-    assert {128, 192} <= set(order._lattices)
-    for bits in (128, 192):
+    assert 192 in order._lattices and min(order._lattices) == 192 and len(order._lattices) == 2
+    for bits in order._lattices:
         fresh = build(order.f, order.units, order.policy)
         assert order._lattices[bits] == embed_order_lattice(fresh, bits)
 

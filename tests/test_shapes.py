@@ -306,3 +306,21 @@ def test_same_shape_identifications():
         assert not same_shape(mp.mpc(0, 1), corner(100), mp.mpf("1e-6"))
         p = ShapePoint(mp.mpc(0, "1.5"), True)
         assert same_shape(p, mp.mpc(0, "1.5"))
+
+
+def test_a_member_shape_evaluates_its_radius_twice(monkeypatch):
+    # the dependence check and the tie radius; with no boundary move the
+    # tie radius is the shape's radius, which is not evaluated again
+    from cubicunits import shapes
+
+    order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 6), [(1, 1), (1, 0)])
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    radius, calls = shapes._radius, []
+
+    def counted(*args):
+        calls.append(radius(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(shapes, "_radius", counted)
+    sp = shape_from_units(v1, v2, 53)
+    assert len(calls) == 2 and sp.radius == mp.make_mpf(calls[-1])
