@@ -36,10 +36,8 @@ from .families import (
     TwoUnitParams,
     build_one_unit,
     build_two_unit,
-    decreasing_order_seed,
     extend_seed,
     family_from_json,
-    family_to_json,
     is_admissible_one_unit,
     is_admissible_two_unit,
     is_mutually_cubic_pair,
@@ -112,9 +110,9 @@ __all__ = [
     "OutOfRegimeError", "PrecisionExhaustedError",
     # families
     "OneUnitParams", "TwoUnitParams", "build_one_unit", "build_two_unit",
-    "decreasing_order_seed", "extend_seed", "family_from_json",
-    "family_to_json", "is_admissible_one_unit", "is_admissible_two_unit",
-    "is_mutually_cubic_pair", "recipe_pairs", "simplest_cubic",
+    "extend_seed", "family_from_json", "is_admissible_one_unit",
+    "is_admissible_two_unit", "is_mutually_cubic_pair", "recipe_pairs",
+    "simplest_cubic",
     # masses
     "HexDomain", "LatticeBasis3", "SimplexSet", "check_tight",
     "embed_order_lattice", "hex_domain", "hexagon_grid",

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
-from .cubics import MonicCubic, eval_scaled, poly_from_json, poly_to_json
+from .cubics import MonicCubic, eval_scaled, poly_from_json
 from .errors import InternalInconsistencyError, InvalidParamsError
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "extend_seed",
     "recipe_pairs",
     "simplest_cubic",
-    "decreasing_order_seed",
-    "family_to_json",
     "family_from_json",
 ]
 
@@ -184,38 +182,10 @@ def simplest_cubic(t: int) -> MonicCubic:
     return f
 
 
-def decreasing_order_seed(t: int, n: int) -> MonicCubic:
-    """x^3 + t*(2^n x - 1)*(2^(n-1) x - 1): scaling the root by 2 maps the
-    (t, n) member to the (8t, n-1) member, which drives the shrinking-order
-    escape construction. n >= 1."""
-    if n < 1:
-        raise InvalidParamsError("need n >= 1")
-    return extend_seed(MonicCubic(0, 0, 0), 2 ** n, 1, 2 ** (n - 1), 1, t)
-
-
 # ---------------------------------------------------------------------------
 # Family descriptors: {"kind": ..., params..., "t": "..."} with decimal
 # strings for anything that can be astronomically large.
 # ---------------------------------------------------------------------------
-
-
-def family_to_json(params, t: int, seed: MonicCubic | None = None, abcd=None) -> str:
-    if isinstance(params, OneUnitParams):
-        d = {"kind": "one_unit", "a": str(params.a), "b": str(params.b),
-             "eps1": params.eps1, "eps2": params.eps2, "t": str(t)}
-    elif isinstance(params, TwoUnitParams):
-        d = {"kind": "two_unit", "a": str(params.a), "b": str(params.b),
-             "c": str(params.c), "d": str(params.d),
-             "eps1": params.eps1, "eps2": params.eps2, "t": str(t)}
-    elif params == "seed":
-        if seed is None or abcd is None:
-            raise InvalidParamsError("seed descriptor needs the seed cubic and (a,b,c,d)")
-        a, b, c, d4 = abcd
-        d = {"kind": "seed", "h": json.loads(poly_to_json(seed)),
-             "a": str(a), "b": str(b), "c": str(c), "d": str(d4), "t": str(t)}
-    else:
-        raise InvalidParamsError(f"cannot describe {params!r}")
-    return json.dumps(d)
 
 
 def family_from_json(s: str | dict):

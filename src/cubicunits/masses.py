@@ -10,9 +10,11 @@ the hexagon through check_tight.
 
 Heights are certified, with all search work in float64 and every
 certified value exact or from mpf. A basis is carried as its exact
-integer image, three integer columns times one power of two: the
-embedding is rounded into it once, and the flow multiplies its columns
-by the mantissas of three mpf exponentials, rounding each entry once.
+integer image, three integer columns times one power of two. Each entry
+of the embedding is an exact integer, a polynomial in a root's dyadic
+image, times one correctly rounded integer sixth root of disc, rounded
+once; the flow multiplies its columns by the mantissas of three mpf
+exponentials, rounding each entry once.
 The kernel forms that image's exact integer Gram matrix and reduces it
 in one exact greedy loop on integers, which reads only inner products
 and carries the unimodular transform: sorted by exact squared norm, the
@@ -34,8 +36,10 @@ exact integer trace form, built from the coefficients by Newton's
 identities and of determinant disc (Cohen, A Course in Computational
 Algebraic Number Theory, GTM 138, 4.4). So ht = (disc / n0^3)^(1/6), n0
 the minimum of T, one exact integer root rounded once: it depends on no
-root, no embedding and no working precision. T's transform also
-pre-reduces the embedding the mass stage moves (_prereduced).
+root, no embedding and no working precision. The mass stage moves the
+lattice in T's reduced basis, whose coefficient vectors it evaluates
+exactly at the stored roots (_prereduced), so no sum of the reduction
+cancels a rounded bit.
 
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
@@ -120,8 +124,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import (
     fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-    mpf_le, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
-    round_nearest, to_float)
+    mpf_le, mpf_mul, mpf_mul_int, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float)
 
 from .errors import (
     DependentUnitsError,
@@ -298,33 +301,60 @@ def _reduced_trace_form(order: CubicOrderData) -> list[tuple[int, list[int]]]:
     return _reduce(form)
 
 
-def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
-    """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i,
-    computed at prec + 32 bits (prec defaults to the order's target bits)
-    and kept as its exact integer image; the image's exact determinant n
-    2^e must be 1 up to 2^-(prec // 2) in absolute value, which is checked
-    on integers, scaled by a power of two. It reads only the order's
-    stored roots and discriminant, so the order memoises each embedding,
-    keyed by prec. Only the mass stage reads it (_prereduced): the height
-    comes from the exact trace form (lattice_height) and reads no
-    embedding."""
-    if prec is None:
-        prec = order.policy.target_bits
-    elif prec < 8:
-        raise InvalidParamsError(f"embedding precision must be at least 8 bits, got {prec}")
-    if prec in order._lattices:
-        return order._lattices[prec]
-    w = prec + 32  # each step as mpmath's operators take it at w bits
-    scale = mpf_pow(from_int(order.disc, w, _RND), mpf_div(from_int(-1), from_int(6), w, _RND), w, _RND)
-    basis = LatticeBasis3.from_columns([[mpf_mul(scale, mpf_pow_int(r.value._mpf_, j, w, _RND), w, _RND)
-                                         for r in order.roots] for j in range(3)])
+def _rounded_basis(scales, rows, exp: int, p: int) -> LatticeBasis3:
+    """The basis whose entry (i, j) is man_i rows[i][j] 2^(f_i + exp), for
+    scales[i] = (man_i, f_i): each product of integers is rounded once to p
+    bits (to nearest, ties up), so it is within a relative 2^-p of its
+    exact value, and the nine entries are written at their least exponent."""
+    entries = []  # (q, s), row-major: entry (i, j) of the result is q 2^s
+    for (man, f), row in zip(scales, rows):
+        for c in row:
+            v = man * c
+            n = v.bit_length() - p  # bit_length reads |v|
+            entries.append(((v + (1 << (n - 1))) >> n, f + n) if n > 0 else (v, f))
+    e = min([s for q, s in entries if q], default=0)
+    q = [m << (s - e) if m else 0 for m, s in entries]
+    return LatticeBasis3(((q[0], q[3], q[6]), (q[1], q[4], q[7]), (q[2], q[5], q[8])), exp + e)
+
+
+def _embedding(order: CubicOrderData, coeffs, prec: int) -> LatticeBasis3:
+    """The order lattice in the basis g_k(theta) for the coefficient
+    vectors coeffs[k] = (u0, u1, u2) over the power basis, g_k(x) = u0 + u1
+    x + u2 x^2: column k is disc^(-1/6) (g_k(theta_i))_i, each entry within
+    a relative 2^-(prec+30) of its value at the stored roots.
+
+    g_k is evaluated exactly on the roots' dyadic images, so a combination
+    that cancels loses no bits. disc^(-1/6) is one correctly rounded
+    integer sixth root at w = prec + 32 bits (_sixth_root), and each entry
+    is its exact product with the integer g_k(theta_i), rounded once at w
+    bits (_rounded_basis): two relative errors of at most 2^-w each. The
+    image's exact determinant n 2^e must be +-1 up to 2^-(prec // 2),
+    which is checked on integers, scaled by a power of two."""
+    w = prec + 32
+    (one, *ms), e = dyadic([1, *(r.value for r in order.roots)])  # theta_i = m_i / one
+    _, man, f, _ = _sixth_root(1, order.disc, w)
+    rows = [[u0 * one * one + u1 * m * one + u2 * m * m for u0, u1, u2 in coeffs] for m in ms]
+    basis = _rounded_basis([(man, f)] * 3, rows, 2 * e, w)
     n, e, h = _det3(basis.cols), 3 * basis.exp, prec // 2  # det = n 2^e
     z = max(0, -e)  # | |det| - 1 | > 2^-h, times 2^(h + z): all integers
     if abs((abs(n) << (e + h + z)) - (1 << (h + z))) > 1 << z:
         det = fraction_to_mpf(n * Fraction(2) ** e, 64)
         raise InternalInconsistencyError(
             f"embedding determinant {mp.nstr(det, 12)} is not unimodular")
-    return order._lattices.setdefault(prec, basis)
+    return basis
+
+
+def embed_order_lattice(order: CubicOrderData, prec: int | None = None) -> LatticeBasis3:
+    """Unimodular embedding: column j is disc^{-1/6} * (theta_i^j)_i, the
+    power basis's case of _embedding at prec bits (prec defaults to the
+    order's target bits). The pipeline builds its embedding through
+    _prereduced and the height reads none; this name stays as the call
+    site the benchmark's tracer patches."""
+    if prec is None:
+        prec = order.policy.target_bits
+    elif prec < 8:
+        raise InvalidParamsError(f"embedding precision must be at least 8 bits, got {prec}")
+    return _embedding(order, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), prec)
 
 
 def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
@@ -333,21 +363,10 @@ def _exp_act(x, basis: LatticeBasis3, p: int) -> LatticeBasis3:
 
     e^{x_i} is one mpf exp, and entry (i, j) of the result is the exact
     product of its mantissa with the integer entry cols[j][i], rounded once
-    to p bits (to nearest, ties up), so it is within a relative 2^-p of
-    e^{x_i} (rounded) times the entry. The nine entries are then written
-    at their least exponent.
+    to p bits (_rounded_basis), so it is within a relative 2^-p of e^{x_i}
+    (rounded) times the entry.
     """
-    entries = []  # (q, s), row-major: entry (i, j) of the result is q 2^s
-    for t, row in zip(x, zip(*basis.cols)):
-        _, man, f, _ = mpf_exp(t, p, round_nearest)
-        for c in row:
-            v = man * c
-            n = v.bit_length() - p  # bit_length reads |v|
-            entries.append(((v + (1 << (n - 1))) >> n, f + n) if n > 0 else (v, f))
-    e = min([s for q, s in entries if q], default=0)
-    q = [m << (s - e) if m else 0 for m, s in entries]
-    return LatticeBasis3(((q[0], q[3], q[6]), (q[1], q[4], q[7]), (q[2], q[5], q[8])),
-                         basis.exp + e)
+    return _rounded_basis([mpf_exp(t, p, round_nearest)[1:3] for t in x], zip(*basis.cols), basis.exp, p)
 
 
 def _scaled_float(n: int, shift: int) -> float:
@@ -388,6 +407,18 @@ def _icbrt(n: int) -> int:
         x = y
 
 
+def _sixth_root(num: int, den: int, prec: int):
+    """(num / den)^(1/6) for integers num, den > 0, correctly rounded at prec
+    bits (to nearest), as a raw mpf. Its floor at k fraction bits has prec
+    + 4 bits or more and is exact on integers, and a sticky bit marks it
+    inexact, so its one rounding is correct (as shapes._tau rounds Im
+    tau)."""
+    k = max(0, prec + 4 - (num.bit_length() - den.bit_length()) // 6)
+    num <<= 6 * k
+    s = _icbrt(math.isqrt(num // den))  # floor((num / den)^(1/6))
+    return from_man_exp(2 * s + (s ** 6 * den != num), -k - 1, prec, _RND)
+
+
 def lattice_height(order: CubicOrderData, prec: int | None = None) -> mp.mpf:
     """ht = 1 / lambda_1 of the order lattice, correctly rounded at prec
     bits (to nearest; prec defaults to the order's target bits).
@@ -395,20 +426,13 @@ def lattice_height(order: CubicOrderData, prec: int | None = None) -> mp.mpf:
     The lattice's Gram matrix in the power basis is disc^(-1/3) T, T the
     exact integer trace form (_trace_form), so ht = (disc / n0^3)^(1/6)
     with n0 the minimum of T on Z^3 - 0, from one exact reduction of T
-    (_reduced_trace_form). The sixth root's floor at k fraction bits has
-    prec + 4 bits or more and is exact on integers, and a sticky bit marks
-    it inexact, so its one rounding is correct (as shapes._tau rounds Im
-    tau). It reads no root, no embedding and no ambient precision."""
+    (_reduced_trace_form) and one integer sixth root (_sixth_root). It
+    reads no root, no embedding and no ambient precision."""
     if prec is None:
         prec = order.policy.target_bits
     elif prec < 8:
         raise InvalidParamsError(f"height precision must be at least 8 bits, got {prec}")
-    disc, n0 = order.disc, _reduced_trace_form(order)[0][0]
-    cube = n0 ** 3
-    k = max(0, prec + 4 - (disc.bit_length() - 3 * n0.bit_length()) // 6)
-    num = disc << 6 * k
-    s = _icbrt(math.isqrt(num // cube))  # floor((num / cube)^(1/6))
-    return mp.make_mpf(from_man_exp(2 * s + (s ** 6 * cube != num), -k - 1, prec, _RND))
+    return mp.make_mpf(_sixth_root(order.disc, _reduced_trace_form(order)[0][0] ** 3, prec))
 
 
 def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
@@ -426,7 +450,7 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     cross = mpf_sub(mpf_mul(a1.x1._mpf_, a2.x2._mpf_, p, _RND), mpf_mul(a1.x2._mpf_, a2.x1._mpf_, p, _RND), p, _RND)
     norms = []  # |a1| and |a2|
     for a in (a1, a2):
-        sq = [mpf_pow_int(x._mpf_, 2, p, _RND) for x in a.coords]
+        sq = [mpf_mul(x._mpf_, x._mpf_, p, _RND) for x in a.coords]  # x ** 2 rounds x x once
         norms.append(mpf_sqrt(mpf_add(mpf_add(sq[0], sq[1], p, _RND), sq[2], p, _RND), p, _RND))
     scale = _max1(norms) or fone  # max(|a1|, |a2|, 1): only its value enters
     # a2.err charges a2's own rounding at p bits
@@ -771,9 +795,9 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     max(|alpha1_m|, |alpha2_m|); 3 eps (|s| + |t|) A covers rounding the
     alphas and c to float64 and the two-term dot product. Each w_m = exp(2
     z_m) is then off by a relative e^{2 delta} - 1, plus the exp call
-    (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (computed at
-    the order's precision through libmp, then rounded: eps) and the
-    product (eps/2);
+    (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (one
+    correctly rounded sixth root, _sixth_root: eps/2, budgeted at eps) and
+    the product (eps/2);
     cutoff = (1/H)^2 is off by 3 eps/2. The alphas have trace zero, so some z_m >= 0 and
     the exact sum is at least 1, which bounds what underflow drops. So the
     true squared norm over the cutoff is within a factor 1 + err, err = 3
@@ -783,10 +807,7 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     overflows fails the test.
     """
     a1, a2 = alphas.floats
-    # disc^(-1/3) as mp.power(mp.mpf(disc), mp.mpf(-1) / 3) gives it at bits
-    bits = _bits(order)
-    dscale = to_float(mpf_pow(from_int(order.disc, bits, _RND), mpf_neg(_thirds(bits)[0]), bits, _RND),
-                      rnd=_RND)
+    dscale = to_float(_sixth_root(1, order.disc ** 2, 53))  # disc^(-1/3), correctly rounded
     det = a1[0] * a2[1] - a1[1] * a2[0]
 
     (x0, x1, x2), (y0, y1, y2) = a1, a2
@@ -1037,20 +1058,11 @@ def _bits(order: CubicOrderData) -> int:
 
 def _prereduced(order: CubicOrderData) -> LatticeBasis3:
     """The order lattice in a reduced basis, each entry within a relative
-    2^-(bits+29) of its value from the stored roots: the exact reduction
-    of the trace form (_reduced_trace_form) gives the transform U, the
-    embedding at the order's bits the bits U's sums cancel, and U is
-    applied exactly to an embedding carrying that many more bits.
-    """
-    bits = _bits(order)
-    red = [u for _, u in _reduced_trace_form(order)]
-    rows = list(zip(*embed_order_lattice(order, bits).cols))
-    lost = max((abs(u * a) + abs(v * b) + abs(w * c)).bit_length() - abs(u * a + v * b + w * c).bit_length()
-               for u, v, w in red for a, b, c in rows if u * a + v * b + w * c)
-    fine = embed_order_lattice(order, bits + lost)
-    rows = list(zip(*fine.cols))
-    return LatticeBasis3(tuple(tuple(u * a + v * b + w * c for a, b, c in rows) for u, v, w in red),
-                         fine.exp)
+    2^-(bits+30) of its value at the stored roots: the exact reduction of
+    the trace form (_reduced_trace_form) gives the coefficient vectors,
+    and _embedding evaluates them exactly on the roots at the order's
+    bits."""
+    return _embedding(order, [u for _, u in _reduced_trace_form(order)], _bits(order))
 
 
 def _dual_weight(basis: LatticeBasis3) -> float:
@@ -1088,8 +1100,9 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
     checks its coordinates. Each coordinate of x is one integer quotient
     rounded to nearest, off by at most a relative 2^-bits, and x.err
     charges that, as 2^(1-bits) max|x_i|, and (|a| alpha1.err + |b|
-    alpha2.err) / k. `base` is within 2^-(bits+29) of L entrywise
-    (_prereduced, read when norm is made); _exp_act, given the rounded
+    alpha2.err) / k. Each entry of `base` is within a relative
+    2^-(bits+30) of its value at the stored roots (_prereduced, read when
+    norm is made); _exp_act, given the rounded
     coordinates as raw mpf tuples, rounds each entry once and its exp is
     good to an ulp, so every entry of the moved basis M is
     within a relative delta = 2^-(bits-2) of exp(x) L's. A lattice vector

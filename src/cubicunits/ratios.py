@@ -207,12 +207,9 @@ class RatioEstimate:
     in_window: bool
 
 
-def ratio_estimate(seq: list[McrPair], t_values: list[int] | None = None,
-                   prec: int = 96) -> RatioEstimate:
+def ratio_estimate(seq: list[McrPair], prec: int = 96) -> RatioEstimate:
     if not seq:
         raise InvalidParamsError("empty sequence")
-    if t_values is not None and len(t_values) != len(seq):
-        raise InvalidParamsError("t_values must match the sequence length")
 
     tail = seq[-1]
     a_deg = abs(tail.a) <= 1

@@ -112,14 +112,12 @@ def _vector(x, err) -> LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and three memos of data derived from
+    check (with the rejects and why), and two memos of data derived from
     them, which no later call can change: log_embed's log vectors, keyed
-    by (a, b); masses.embed_order_lattice's lattice embeddings, keyed by
-    the precision in bits they were built at, which only the mass stage
-    reads (the height comes from the exact trace form and reads neither
-    the roots nor an embedding); and the simplex of the first
-    two units' log vectors (masses._order_simplex), keyed by the width it
-    was made at, the rows' ROW_BITS."""
+    by (a, b), and the simplex of the first two units' log vectors
+    (masses._order_simplex), keyed by the width it was made at, the rows'
+    ROW_BITS. The lattice embedding is built once per mass call and is not
+    kept."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -128,7 +126,6 @@ class CubicOrderData:
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
     _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _lattices: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _simplex: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -167,16 +164,18 @@ def build_order(f: MonicCubic, candidate_units, pol: PrecisionPolicy = DEFAULT_P
 
 def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     """psi(a*theta - b) = (log|a*theta_i - b|)_i, with a propagated error
-    bound. Escalates root precision if some |a*theta_i - b| is too close
-    to zero to take a trustworthy log. Every step rounds at the roots'
-    bits, so the order memoises the result, keyed by (a, b)."""
+    bound. While some |a*theta_i - b| is too close to zero to take a
+    trustworthy log, the roots are refined at the next rung of the order's
+    precision ladder, up to max_bits itself. Every step rounds at the
+    roots' bits, so the order memoises the result, keyed by (a, b)."""
     if (a, b) in order._logs:
         return order._logs[a, b]
     if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
         raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
     roots = list(order.roots)
     pol = order.policy
-    target = pol.target_bits
+    rungs = pol.ladder()
+    next(rungs)  # the stored roots' rung
     while True:
         bits = max(r.prec for r in roots)
         ms = [mpf_sub(mpf_mul_int(r.value._mpf_, a, bits, _RND), from_int(b), bits, _RND) for r in roots]
@@ -190,10 +189,10 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
                      for am, e, c in zip(ams, errs, coords)]
             err = reduce(lambda m, t: t if mpf_gt(t, m) else m, terms)
             return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), mp.make_mpf(err)))
-        if 2 * target > pol.max_bits:
+        target = next(rungs, None)
+        if target is None:
             raise PrecisionExhaustedError(
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
-        target *= 2
         sub = PrecisionPolicy(target, pol.max_bits)
         roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
 

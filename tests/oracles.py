@@ -735,9 +735,8 @@ def reference_dual_weight(basis) -> float:
 # The member's front stages as mpmath operator code. units.LogVector and
 # its arithmetic, log_embed, relative_regulator_with_error and
 # certify_fundamental, shapes.omega and corner, and masses.make_simplex,
-# hex_domain, embed_order_lattice and shortest_vector_norm compute on
-# mpmath's raw tuples; these are their mpmath-operator forms, which the
-# tuple code must match
+# hex_domain and shortest_vector_norm compute on mpmath's raw tuples;
+# these are their mpmath-operator forms, which the tuple code must match
 # bit for bit. The error classes are the package's own; log_embed's memo
 # of the order's log vectors is left out, so a reference call always
 # computes. The shape is checked against truth instead: reference_to_plane
@@ -801,7 +800,8 @@ def reference_log_embed(order, a: int, b: int):
         raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
     roots = list(order.roots)
     pol = order.policy
-    target = pol.target_bits
+    rungs = pol.ladder()
+    next(rungs)  # the stored roots' rung
     while True:
         bits = max(r.prec for r in roots)
         with mp.workprec(bits):
@@ -814,10 +814,10 @@ def reference_log_embed(order, a: int, b: int):
                     for m, e, c in zip(ms, errs, coords)
                 )
                 return ReferenceLogVector(*coords, err)
-        if 2 * target > pol.max_bits:
+        target = next(rungs, None)
+        if target is None:
             raise PrecisionExhaustedError(
                 f"|{a}*theta-{b}| indistinguishable from 0 at {pol.max_bits} bits")
-        target *= 2
         sub = PrecisionPolicy(target, pol.max_bits)
         roots = [refine_root(order.f, r.lo, r.hi, sub) for r in roots]
 
@@ -962,14 +962,6 @@ def _reference_hexagon(alphas):
     ceiling = max(max(v) for v in verts)
     err = sum(a.err for a in alphas)
     return tuple(verts), ceiling, err
-
-
-def reference_embedding_columns(order, prec: int):
-    """The mpf entries masses.embed_order_lattice reads exactly, with
-    mpmath operators."""
-    with mp.workprec(prec + 32):
-        scale = mp.power(mp.mpf(order.disc), mp.mpf(-1) / 6)
-        return [[scale * r.value ** j for r in order.roots] for j in range(3)]
 
 
 def reference_root(n: int, exp: int, prec: int) -> mp.mpf:

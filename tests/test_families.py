@@ -1,5 +1,6 @@
 """Family builders: admissibility, closed forms, and the perturbation identity."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,15 +15,14 @@ from cubicunits import (
     TwoUnitParams,
     build_one_unit,
     build_two_unit,
-    decreasing_order_seed,
     discriminant,
     eval_scaled,
     extend_seed,
     family_from_json,
-    family_to_json,
     is_admissible_one_unit,
     is_admissible_two_unit,
     is_mutually_cubic_pair,
+    poly_to_json,
     recipe_pairs,
     scale_root,
     simplest_cubic,
@@ -120,14 +120,18 @@ def test_simplest_cubic_frozen():
         assert discriminant(simplest_cubic(t)) == (t * t + 3 * t + 9) ** 2
 
 
+def decreasing_order_member(t: int, n: int) -> MonicCubic:
+    # x^3 + t (2^n x - 1) (2^(n-1) x - 1): the seed kind with h = x^3
+    return extend_seed(MonicCubic(0, 0, 0), 2 ** n, 1, 2 ** (n - 1), 1, t)
+
+
 def test_decreasing_order_scale_identity():
-    # doubling the root sends the (t, n) member to the (8t, n-1) member
+    # doubling the root sends the (t, n) member to the (8t, n-1) member,
+    # which drives the shrinking-order escape construction
     for t in (1, 3, 50):
         for n in (2, 3, 6):
-            g = scale_root(decreasing_order_seed(t, n), 2)
-            assert g == decreasing_order_seed(8 * t, n - 1)
-    with pytest.raises(InvalidParamsError):
-        decreasing_order_seed(1, 0)
+            g = scale_root(decreasing_order_member(t, n), 2)
+            assert g == decreasing_order_member(8 * t, n - 1)
 
 
 def test_extend_seed_errors():
@@ -242,7 +246,7 @@ def test_difference_of_members_factors(t1, t2):
 def test_family_json_roundtrip_one_unit():
     p = OneUnitParams(7, 2, 1, 1)
     t = 10 ** 24
-    blob = family_to_json(p, t)
+    blob = json.dumps({"kind": "one_unit", "a": "7", "b": "2", "eps1": 1, "eps2": 1, "t": str(t)})
     p2, t2, f = family_from_json(blob)
     assert p2 == p and t2 == t
     assert f == build_one_unit(p, t)
@@ -250,7 +254,8 @@ def test_family_json_roundtrip_one_unit():
 
 def test_family_json_roundtrip_two_unit():
     p = TwoUnitParams(3, 1, 2, 1, 1, 1)
-    blob = family_to_json(p, 12)
+    blob = json.dumps({"kind": "two_unit", "a": "3", "b": "1", "c": "2", "d": "1",
+                       "eps1": 1, "eps2": 1, "t": "12"})
     p2, t2, f = family_from_json(blob)
     assert p2 == p and t2 == 12
     assert f == MonicCubic(72, -60, 12)
@@ -258,7 +263,8 @@ def test_family_json_roundtrip_two_unit():
 
 def test_family_json_roundtrip_seed():
     h = MonicCubic(0, -3, -1)
-    blob = family_to_json("seed", 5, seed=h, abcd=(1, 0, 1, -1))
+    blob = json.dumps({"kind": "seed", "h": json.loads(poly_to_json(h)),
+                       "a": "1", "b": "0", "c": "1", "d": "-1", "t": "5"})
     (h2, abcd), t, f = family_from_json(blob)
     assert h2 == h and abcd == (1, 0, 1, -1) and t == 5
     assert f == extend_seed(h, 1, 0, 1, -1, 5)

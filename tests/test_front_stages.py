@@ -3,13 +3,15 @@ mpmath-operator forms in tests/oracles.py, and the shape against truth.
 
 units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
 certify_fundamental, shapes' omega and corner, and masses' make_simplex,
-hex_domain, embed_order_lattice and shortest_vector_norm call mpmath's
-libmp functions directly. Each must give every field's raw tuple and the class and text of
+hex_domain and shortest_vector_norm call mpmath's libmp functions
+directly. Each must give every field's raw tuple and the class and text of
 every error that the operator code gives, over three families, every
 decade 10^3..10^24 of both signs, five precisions and three widths, each
 passed to the stages with another ambient precision set directly on mp.mp,
-which no stage reads. The shape comes from an exact integer
-form instead, so it is checked against the same member at 768 bits: it
+which no stage reads. The lattice embedding and the shape come from exact
+integers instead. Every entry of the embedding must lie within its stated
+relative error of its value at the stored roots, computed at four times
+the bits. The shape is checked against the same member at 768 bits: it
 must lie within its radius of that shape, and be the convention's
 representative of the closed fundamental domain.
 """
@@ -24,6 +26,7 @@ from cubicunits import cubics, masses, shapes, units
 from cubicunits.cli import _Member
 from cubicunits.cubics import MonicCubic, is_irreducible, is_totally_real
 from cubicunits.errors import InvalidParamsError
+from cubicunits.precision import mpf_to_fraction
 
 from . import oracles as O
 
@@ -111,14 +114,33 @@ def check_vectors(v, r, disc, bits, width):
             == outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b, width), width), *r)
 
 
+def check_embedding(order, bits):
+    """Every entry of embed_order_lattice(order, bits), and of the mass
+    stage's _prereduced(order) at the order's own bits, lies within a
+    relative 2^-(prec+29) of disc^(-1/6) g_k(theta_i) at the stored roots,
+    g_k the column's coefficient vector over the power basis: g_k(theta_i)
+    exact, the rest at 4 prec bits."""
+    thetas = [mpf_to_fraction(r.value) for r in order.roots]
+    power = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    reduced = [u for _, u in masses._reduced_trace_form(order)]
+    for basis, coeffs, prec in ((masses.embed_order_lattice(order, bits), power, bits),
+                                (masses._prereduced(order), reduced, masses._bits(order))):
+        with mp.workprec(4 * prec):
+            scale = mp.power(order.disc, mp.mpf(-1) / 6)
+            for col, (u0, u1, u2) in zip(basis.cols, coeffs):
+                for entry, x in zip(col, thetas):
+                    g = u0 + u1 * x + u2 * x * x
+                    ref = scale * g.numerator / g.denominator
+                    got = mp.make_mpf(from_man_exp(entry, basis.exp))
+                    assert abs(got - ref) <= abs(ref) * mp.ldexp(1, -(prec + 29)), (order.f, prec)
+
+
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_front_stages_match_the_operator_code(family, bits):
     for t in DECADES:
         order = _Member.of_family(FAMILIES[family], t, bits).order
-        order._lattices.clear()
-        basis = masses.embed_order_lattice(order, bits)
-        assert basis == masses.LatticeBasis3.from_columns(O.reference_embedding_columns(order, bits))
+        check_embedding(order, bits)
         pairs = order.units[:2]
         for width in AMBIENT:
             mp.mp.prec = OTHER[width]

@@ -500,18 +500,20 @@ def test_exp_act_rounds_each_entry_once(kind, t):
                     assert abs(m - ref) <= abs(ref) * mp.ldexp(1, -(bits - 2))
 
 
+def embedding_calls(monkeypatch) -> list[int]:
+    """The precision of every masses._embedding call from now on."""
+    calls, embedding = [], masses._embedding
+    monkeypatch.setattr(masses, "_embedding",
+                        lambda order, coeffs, prec: calls.append(prec) or embedding(order, coeffs, prec))
+    return calls
+
+
 def test_prereduced_once_per_mass_call(monkeypatch):
     order, _ = mass_member("one_unit", 1000)
-    embeds = []
-
-    def counting(*args, **kwargs):
-        embeds.append(1)
-        return embed_order_lattice(*args, **kwargs)
-
-    monkeypatch.setattr(masses, "embed_order_lattice", counting)
+    embeds = embedding_calls(monkeypatch)
     with mp.workprec(256):
         mass_above_height(order, (10.0, 9.99, 100.0), samples=600)
-    assert len(embeds) == 2  # one reduction: the coarse and the fine embedding
+    assert embeds == [masses._bits(order)]  # one embedding, in the reduced basis
     # the reduction reads no ambient precision
     base = masses._prereduced(order)
     with mp.workprec(30):
@@ -1586,7 +1588,7 @@ def test_lattice_height_reads_no_ambient_precision():
             mp.mp.prec = 53
     assert hts[0]._mpf_ == hts[1]._mpf_ == hts[2]._mpf_ and hts[0]._mpf_[3] <= 192
     rootless = units.CubicOrderData(order.f, (), order.disc, order.units, order.dropped, order.policy)
-    assert lattice_height(rootless, 192) == hts[0] and not rootless._lattices
+    assert lattice_height(rootless, 192) == hts[0]
 
 
 @pytest.mark.parametrize("kind, t", [("two_unit", 10 ** 9), ("one_unit", 10 ** 15)])
@@ -1666,7 +1668,7 @@ def test_float_margin_bounds_the_mpf_margin(kind, t, bits):
 
 
 # ---------------------------------------------------------------------------
-# exact reads: dyadic images, the embedding memo, the hexagon, the simplex
+# exact reads: dyadic images, the hexagon, the simplex
 # ---------------------------------------------------------------------------
 
 
@@ -1712,27 +1714,19 @@ def test_dyadic_rejects_non_finite_values(bad):
         dyadic([mp.mpf(1), 3, bad])
 
 
-def test_one_mass_row_builds_its_embedding_twice(monkeypatch, capsys):
-    # the height and the mass stage's coarse reduction share the embedding
-    # at the order's bits; the reduction's finer one is the second build
-    builds = []
-    from_columns = LatticeBasis3.from_columns.__func__
-
-    def counting(cls, cols):
-        builds.append(1)
-        return from_columns(cls, cols)
-
-    monkeypatch.setattr(LatticeBasis3, "from_columns", classmethod(counting))
+def test_one_mass_row_builds_its_embedding_once(monkeypatch, capsys):
+    # the mass stage builds one embedding, in the reduced basis; the height
+    # builds none
+    embeds = embedding_calls(monkeypatch)
     assert cli.main(["scan-family", "--family", TWO_UNIT, "--schedule", "list:1000",
                      "--samples", "60", "--H", "10"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("1000,ok,")
-    assert len(builds) == 2
+    assert embeds == [192]
 
 
-def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
-    # at 128 bits the mass stage embeds at 192 and its fine embedding above
-    # that, each the embedding a fresh order builds; the height embeds at
-    # no width
+def test_mass_stage_embeds_at_its_own_bits(monkeypatch, capsys):
+    # at 128 bits the mass stage embeds once, at 192 bits; the basis reads
+    # only the order's data, so a fresh order gives the same one
     orders = []
     build = units.build_order
 
@@ -1741,14 +1735,13 @@ def test_embedding_memo_keys_by_precision(monkeypatch, capsys):
         return orders[-1]
 
     monkeypatch.setattr(units, "build_order", recording)
+    embeds = embedding_calls(monkeypatch)
     assert cli.main(["mass-profile", "--family", TWO_UNIT, "--schedule", "list:1000",
                      "--samples", "60", "--H", "10", "--precision-bits", "128"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[1].startswith("1000,")
     (order,) = orders
-    assert 192 in order._lattices and min(order._lattices) == 192 and len(order._lattices) == 2
-    for bits in order._lattices:
-        fresh = build(order.f, order.units, order.policy)
-        assert order._lattices[bits] == embed_order_lattice(fresh, bits)
+    assert embeds == [192] and masses._bits(order) == 192
+    assert masses._prereduced(order) == masses._prereduced(build(order.f, order.units, order.policy))
 
 
 def test_embedding_rejects_an_explicit_precision_below_8_bits():
@@ -1758,9 +1751,7 @@ def test_embedding_rejects_an_explicit_precision_below_8_bits():
     for prec in (0, 7, -64):
         with pytest.raises(InvalidParamsError):
             embed_order_lattice(order, prec)
-    assert not order._lattices
-    assert embed_order_lattice(order, None) is embed_order_lattice(order)
-    assert list(order._lattices) == [order.policy.target_bits]
+    assert embed_order_lattice(order, None) == embed_order_lattice(order, order.policy.target_bits)
     assert embed_order_lattice(order, 8).exp < 0
 
 

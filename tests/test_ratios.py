@@ -186,8 +186,6 @@ def test_ratio_estimate_chain_approaches_T_fixed_point():
 def test_ratio_estimate_guards():
     with pytest.raises(InvalidParamsError):
         ratio_estimate([])
-    with pytest.raises(InvalidParamsError):
-        ratio_estimate([McrPair(7, 2)], t_values=[1, 2])
 
 
 def test_orbit_csv_rows():

@@ -17,6 +17,7 @@ from cubicunits import (
     MonicCubic,
     OneUnitParams,
     OutOfRegimeError,
+    PrecisionExhaustedError,
     PrecisionPolicy,
     RegulatorReport,
     build_one_unit,
@@ -86,6 +87,27 @@ def test_log_embed_climbs_the_ladder_from_the_narrowed_windows(monkeypatch, t, c
         w = log_embed(exact, a, b)
         for x, y in zip(v.coords, w.coords):
             assert abs(mpf_to_fraction(x) - mpf_to_fraction(y)) <= mpf_to_fraction(v.err) + mpf_to_fraction(w.err)
+
+
+@pytest.mark.parametrize("max_bits, climbs", [(100, [100] * 3), (87, [87] * 3)])
+def test_log_embed_climbs_to_max_bits_itself(monkeypatch, max_bits, climbs):
+    # one_unit (1, 1) at t = 10^24: the logs need a rung above 87.7 bits.
+    # The ladder of PrecisionPolicy(64, max_bits) is 64, max_bits, so its
+    # last rung decides at 100 bits and raises at 87, naming the rung it
+    # tried
+    f = build_one_unit(OneUnitParams(1, 1), 10 ** 24)
+    order = build_order(f, [(1, 1), (1, 0)], PrecisionPolicy(64, max_bits))
+    refined, refine = [], units.refine_root
+    monkeypatch.setattr(units, "refine_root",
+                        lambda f, lo, hi, pol: refined.append(pol.target_bits) or refine(f, lo, hi, pol))
+    for a, b in order.units:
+        refined.clear()
+        if max_bits == 100:
+            log_embed(order, a, b)
+        else:
+            with pytest.raises(PrecisionExhaustedError, match=f"from 0 at {max_bits} bits$"):
+                log_embed(order, a, b)
+        assert refined == climbs
 
 
 def test_log_vector_trace_zero_guard():
