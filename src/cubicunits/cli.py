@@ -430,11 +430,13 @@ def cmd_verify(args) -> int:
         hi = _audit_point(cfg, t, 2 * cfg.precision_bits)
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
-            # exactly: reg within 1e-12 (1 + |reg|), ht within one rounding at the lower width
-            (reg_lo, reg_hi), (ht_lo, ht_hi) = ((mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k]))
-                                                for k in ("reg", "ht"))
+            # exactly: reg within 1e-12 (1 + |reg|) and within the two widths'
+            # error bounds, ht within one rounding at the lower width
+            (reg_lo, reg_hi), (err_lo, err_hi), (ht_lo, ht_hi) = (
+                (mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k])) for k in ("reg", "reg_err", "ht"))
             ok = (lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"])
                   and abs(reg_lo - reg_hi) <= Fraction(1, 10 ** 12) * (1 + abs(reg_hi))
+                  and abs(reg_lo - reg_hi) <= err_lo + err_hi
                   and abs(ht_lo - ht_hi) <= Fraction(2) ** (1 - cfg.precision_bits) * abs(ht_hi))
         lines.append(f"VERIFY t={t}: {'PASS' if ok else 'FAIL'}"
                      f" (status={lo['status']}/{hi['status']})")
@@ -449,8 +451,9 @@ def _audit_point(cfg: ScanConfig, t: int, bits: int) -> dict:
         m = _Member.of_family(cfg.family_json, t, bits)
         if len(m.order.units) < 2:
             return {"status": "rank<2"}
-        reg, rep = m.certificate
-        return {"status": "ok", "certified": rep.certified, "reg": reg,
+        certified = m.certificate[1].certified
+        reg, err = units.relative_regulator_with_error(*m.logs, bits)
+        return {"status": "ok", "certified": certified, "reg": reg, "reg_err": err,
                 "shape": m.shape, "ht": m.ht}  # in stage order
     except CubicUnitsError as e:
         return {"status": type(e).__name__}

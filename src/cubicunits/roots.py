@@ -4,25 +4,24 @@ The brackets are exact and need no search (`cubics.isolating_intervals`:
 the Cauchy interval cut at two rational separators near the critical
 points of f, which lie strictly between the roots), and each is refined
 on its own. Refinement only has to find a good iterate; the certificate
-does not trust it. The iterate comes from float64 Newton inside the exact
-bracket, started from the root of f's exact second-order model at the
-bracket's separator end (for the outer roots that start lies beyond the
-root, where Newton does not overshoot). Each iterate's exact sign
-narrows the bracket; an iterate outside it first tries the float next
-to the end it left through, and one that leaves it again or stalls is
-replaced by a split. Then comes fixed-point Newton on exact integers:
-each iterate is a dyadic X/2^P whose X has the working precision's
-bits, and each step is one integer division (Brent and Zimmermann,
-Modern Computer Arithmetic, section 4.2). The enclosure [x-eps, x+eps],
-clipped to the exact bracket, is accepted only with an exact sign change
-at its ends, so the returned interval is unconditionally correct; x
-itself is the returned value, so eps bounds its error with no rounding.
+does not trust it. Newton runs on exact integers (Brent and Zimmermann,
+Modern Computer Arithmetic, section 4.2) from the root of f's exact
+second-order model at the bracket's separator end, rounded once to a
+float (for the outer roots that start lies beyond the root, where Newton
+does not overshoot): each iterate is a dyadic X/2^P whose X has the
+working precision's bits, and each step is one integer division. Where
+the model gives no start, Newton starts from an exact split of the
+bracket. The enclosure [x-eps, x+eps], clipped to the exact bracket, is
+accepted only with an exact sign change at its ends, so the returned
+interval is unconditionally correct; x itself is the returned value, so
+eps bounds its error with no rounding. A window without that sign
+change sends the root to exact bisection, at the same splits, and then
+to the next, doubled precision.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -66,32 +65,35 @@ def _centred(lo: Fraction, hi: Fraction, prec: int) -> tuple[mp.mpf, mp.mpf]:
     return mp.make_mpf(mid), mp.make_mpf(rad)
 
 
-_SEED_STEPS = 100  # float64 iterations; each one shrinks the exact bracket
-_SEED_TOL = 2.0 ** -50  # relative float64 step at which the seed has converged
-# A Newton step is kept only if it is below this share of the last kept one.
-# Far from a root the cubic term pulls 2/3 per step and a near-double root
-# 1/2; splitting the bracket beats both.
-_SEED_PULL = 0.45
-_TINY = math.ulp(0.0)
-_HUGE_INT = int(sys.float_info.max)
+def _exponent(x: Fraction) -> int:
+    """e with 2^e <= x < 2^(e+1), for x > 0."""
+    n, d = x.as_integer_ratio()
+    e = n.bit_length() - d.bit_length()
+    return e - (n << max(-e, 0) < d << max(e, 0))
 
 
-def _split(a: float, b: float) -> float:
-    """A float strictly between a < b when there is one (else a or b):
-    0 across a sign change, the geometric mean across a scale gap (an end
-    at 0 counts as the least subnormal), the midpoint otherwise."""
-    if a < 0 < b:
-        return 0.0
-    small, big = sorted((abs(a), abs(b)))
-    if big > 4 * small:
-        return math.copysign(math.sqrt(max(small, _TINY)) * math.sqrt(big), a + b)
-    return a + (b - a) * 0.5
+def _split(lo: Fraction, hi: Fraction) -> Fraction:
+    """An exact rational strictly between lo < hi: 0 across a sign change,
+    a power of two between the ends when one is more than 4 times the
+    other (halfway between their exponents, an end at 0 counting as
+    2^-1074), the midpoint otherwise. A bracket reaching out to the Cauchy
+    bound is so cut near its geometric mean, not near its far end."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    small, big = sorted((abs(lo), abs(hi)))
+    if big <= 4 * small:
+        return (lo + hi) / 2
+    eb = _exponent(big)
+    k = min(((_exponent(small) if small else -1074) + eb) // 2, eb - 1)
+    return Fraction(2) ** k if hi > 0 else -Fraction(2) ** k
 
 
 def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     """(x, lo, hi): the root of f's second-order model at one end q of the
-    bracket, as a float (nan where the model gives none), and the bracket,
-    narrowed when it spans the inflection point -p2/3.
+    bracket, rounded once to a float (exactly -p2/3 where f vanishes
+    there; None where the model has no root that way or its root lies
+    beyond float64 range), and the bracket, narrowed when it spans the
+    inflection point -p2/3.
 
     f(q + h) = f(q) + f'(q) h + (3q + p2) h^2 + h^3 exactly, so the model
     drops only h^3, which is under a third of the quadratic term while
@@ -114,7 +116,7 @@ def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     else:
         v = eval_scaled(f, -p2, 3)
         if v == 0:
-            return -p2 / 3, lo, hi
+            return Fraction(-p2, 3), lo, hi
         if (v > 0) == (slo > 0):
             lo, (n, m), step = Fraction(-p2, 3), (hn, hd), -1
         else:
@@ -129,76 +131,11 @@ def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     elif A < 0:
         num, den = G + isqrt(disc), -2 * A
     else:
-        return math.nan, lo, hi
+        return None, lo, hi
     try:
         return (n * den + step * num) / (m * den), lo, hi
     except OverflowError:
-        return math.nan, lo, hi
-
-
-def _float_seed(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
-    """Float64 Newton inside the exact bracket [lo, hi] around a simple root.
-
-    The first iterate is the root of f's second-order model at an end of
-    the bracket (`_model_start`). An iterate x = n/d is a dyadic rational,
-    so d^3 f(x) and d^2 f'(x) are exact integers: their sign moves one end
-    of the bracket to x, and their quotient, rounded once, is the Newton
-    step (no float64 coefficients, so no cancellation). An iterate that
-    lies outside the bracket is replaced, once per end, by the float next
-    to the end it lies beyond (a root within an ulp of the end is then
-    bracketed by one evaluation); any other iterate outside it, or a step
-    that shrinks too slowly, is replaced by a split (`_split`), so a
-    bracket that spans many scales, as one reaching out to the Cauchy
-    bound does, is cut at its geometric mean, not near its far end.
-    Returns (seed, lo, hi) with the narrowed exact bracket, or
-    (None, lo, hi) if the root lies beyond float64 range.
-    """
-    if lo < -_HUGE_INT:  # one exact sign brings the bracket into float range
-        if sign_at(f, Fraction(-_HUGE_INT)) != slo:
-            return None, lo, hi
-        lo = Fraction(-_HUGE_INT)
-    if hi > _HUGE_INT:
-        if sign_at(f, Fraction(_HUGE_INT)) != -slo:
-            return None, lo, hi
-        hi = Fraction(_HUGE_INT)
-    x, lo, hi = _model_start(f, lo, hi, slo)
-    a0, b0 = a, b = float(lo), float(hi)  # a < x < b in floats implies lo < x < hi
-    last = math.inf
-    nudged = set()  # the ends whose inner neighbour was tried: -1 for a, 1 for b
-    for _ in range(_SEED_STEPS):
-        if not a < x < b:
-            side = -1 if x <= a else 1 if x >= b else 0
-            if side and side not in nudged:
-                nudged.add(side)
-                x = math.nextafter(a, b) if side < 0 else math.nextafter(b, a)
-            else:
-                x = _split(a, b)
-            last = math.inf
-            if not a < x < b:
-                break
-        n, d = x.as_integer_ratio()
-        v = eval_scaled(f, n, d)
-        if v == 0:
-            break
-        if (v > 0) == (slo > 0):
-            a = x
-        else:
-            b = x
-        try:
-            dx = v / (((3 * n + 2 * f.p2 * d) * n + f.p1 * d * d) * d)
-        except (ZeroDivisionError, OverflowError):
-            dx = math.nan
-        x -= dx
-        if abs(dx) <= abs(x) * _SEED_TOL:
-            break
-        if abs(dx) <= last * _SEED_PULL:
-            last = abs(dx)
-        elif a < x < b:  # a step that shrinks too slowly
-            x, last = _split(a, b), math.inf
-    else:  # the steps ran out: the seed still lies inside the bracket
-        if not a < x < b:
-            x = _split(a, b)
-    return x, Fraction(a) if a > a0 else lo, Fraction(b) if b < b0 else hi
+        return None, lo, hi
 
 
 def _newton(f: MonicCubic, x: int, q: int, bits: int, target: int):
@@ -245,18 +182,20 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
     """Shrink the exact bracket [lo, hi], which holds exactly one simple
     root of f, to an enclosure of absolute radius <= 2^-target_bits.
 
-    The iterate: a float64 Newton seed kept inside the exact bracket
-    (`_float_seed`), or the bracket midpoint for a root beyond float64
-    range, then Newton on exact integers (`_newton`): each iterate is a
-    dyadic X/2^P with as many significant bits as the working precision,
-    until a step is below 2^-(target+4). The certificate does not trust
-    the iterate: the window (X +- 2^(P - target))/2^P is clipped to the
-    exact bracket by integer cross-multiplication (the bracket holds
-    exactly one root, and an end of it can lie within 2^-target of the
-    root), and accepted only with an exact sign change at its ends. value
-    is X/2^P exactly and err is 2^-target, so the window is centred on
-    value. Otherwise exact bisection narrows the bracket and the next rung
-    of `pol.ladder()` doubles the working precision.
+    The iterate: Newton on exact integers (`_newton`) from the root of
+    f's second-order model at an end of the bracket (`_model_start`), or
+    from the exact split of the bracket (`_split`) where the model gives
+    none; each iterate is a dyadic X/2^P with as many significant bits as
+    the working precision, until a step is below 2^-(target+4). The
+    certificate does not trust the iterate: the window (X +- 2^(P -
+    target))/2^P is clipped to the exact bracket by integer
+    cross-multiplication (the bracket holds exactly one root, and an end
+    of it can lie within 2^-target of the root), and accepted only with an
+    exact sign change at its ends. value is X/2^P exactly and err is
+    2^-target, so the window is centred on value. Otherwise exact
+    bisection at `_split` narrows the bracket, and the next rung of
+    `pol.ladder()` doubles the working precision and starts Newton from
+    the narrowed bracket's split.
     """
     slo = sign_at(f, lo)
     if slo == 0:  # exact rational root at the endpoint: width-0 enclosure
@@ -266,9 +205,10 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
     eps_fr = Fraction(1, 1 << target)
     # working precision must absorb the root magnitude (err bound is absolute)
     mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
-    seed, lo, hi = _float_seed(f, lo, hi, slo)
+    start, lo, hi = _model_start(f, lo, hi, slo)
     for bits in pol.ladder(start_extra=mag_bits + 64):
-        start = seed if seed is not None and math.isfinite(seed) else (lo + hi) / 2
+        if start is None:
+            start = _split(lo, hi)
         found = _newton(f, *start.as_integer_ratio(), bits, target)
         if found is not None:
             x, p = found
@@ -285,9 +225,11 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
                     v = mp.make_mpf(from_man_exp(x, -p))
                     return IsolatedRoot(cand_lo, cand_hi, v, mp.ldexp(1, -target), bits)
         # Newton failed to certify at this precision: tighten the exact
-        # bracket by bisection (always sound) and escalate.
+        # bracket by bisection (always sound) and escalate; the next rung
+        # starts from the narrowed bracket.
+        start = None
         for _ in range(64):
-            mid = (lo + hi) / 2
+            mid = _split(lo, hi)
             sm = sign_at(f, mid)
             if sm == 0:
                 v = fraction_to_mpf(mid, bits)

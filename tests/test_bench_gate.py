@@ -79,6 +79,19 @@ def test_gate_fails_each_planted_over_threshold_line(gate_script, gate, tmp_path
         assert gate_script.main([gate, str(out)]) == code
 
 
+@pytest.mark.parametrize("gate, workload", [("profile", "profile_high_t"), ("dense", "mass_dense"),
+                                            ("wide", "wide_t")])
+def test_single_workload_gates_read_their_entry_of_an_all_result(gate_script, gate, workload):
+    # one traced --workload all pass feeds the profile, dense and wide
+    # gates: each reads its own workload's entry and no other
+    entry, overs = AT_THRESHOLD[gate]
+    others = {w: single(18) for w in ("mass_dense", "wide_t", "profile_high_t") if w != workload}
+    result = {"correct": True, "attempted": 54, "failed": 36, "workloads": {workload: entry, **others}}
+    assert gate_script.failures(gate, result) == []
+    for path in overs + [("correct", False)]:
+        assert len(gate_script.failures(gate, planted(result, ("workloads", workload, *path)))) == 1, path
+
+
 def test_ci_runs_every_gate_and_no_inline_one(gate_script):
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert set(re.findall(r"scripts/bench_gate\.py (\S+)", workflow)) == set(gate_script.GATES)

@@ -406,9 +406,10 @@ def test_verify_compares_shapes_as_points_of_the_surface(family, schedule, bits,
     assert capsys.readouterr().out.splitlines()[-1] == f"verified {spots} rows, 0 failures"
 
 
-def moved_verdict(monkeypatch, capsys, key, rel) -> str:
+def moved_verdict(monkeypatch, capsys, key, rel, reg_err=None) -> str:
     # verify's verdict on one_unit (1, 1) at t = 1000 and 192 bits, with the
-    # 384-bit row's value under key moved by a relative rel
+    # 384-bit row's value under key moved by a relative rel (and its
+    # regulator's error bound set to reg_err, if given)
     import mpmath as mp
 
     from cubicunits import cli
@@ -420,6 +421,8 @@ def moved_verdict(monkeypatch, capsys, key, rel) -> str:
         if bits > cfg.precision_bits:
             with mp.workprec(512):
                 row[key] = row[key] * (1 + mp.mpf(rel))
+            if reg_err is not None:
+                row["reg_err"] = mp.mpf(reg_err)
         return row
 
     monkeypatch.setattr(cli, "_audit_point", moved)
@@ -433,10 +436,47 @@ def moved_verdict(monkeypatch, capsys, key, rel) -> str:
 @pytest.mark.parametrize("key", ["reg"])
 @pytest.mark.parametrize("rel, verdict", [(2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "PASS")])
 def test_verify_compares_reg_and_ht_within_1e_12(monkeypatch, capsys, key, rel, verdict):
-    # the doubled-precision row's regulator moved by a relative rel: verify
-    # compares the two exactly, within 1e-12 (1 + |hi|); the height has its
-    # own tolerance (test_verify_compares_ht_within_one_rounding)
-    assert moved_verdict(monkeypatch, capsys, key, rel) == verdict
+    # the doubled-precision row's regulator moved by a relative rel, its
+    # error bound widened past the move: verify compares the two exactly,
+    # within 1e-12 (1 + |hi|); the height has its own tolerance
+    # (test_verify_compares_ht_within_one_rounding)
+    assert moved_verdict(monkeypatch, capsys, key, rel, reg_err=1) == verdict
+
+
+@pytest.mark.parametrize("rel, verdict", [(1e-50, "FAIL"), (-1e-50, "FAIL"), (1e-55, "PASS")])
+def test_verify_compares_reg_within_both_error_bounds(monkeypatch, capsys, rel, verdict):
+    # the doubled-precision row's regulator moved by a relative rel, far
+    # inside 1e-12: the 192-bit regulator's error bound is 1.6e-54 of it
+    # and the 384-bit one's 2.5e-112, and verify compares the two exactly
+    # within their sum
+    assert moved_verdict(monkeypatch, capsys, "reg", rel) == verdict
+
+
+def test_verify_audits_the_regulator_at_each_width(monkeypatch, capsys):
+    # both log vectors at 192 bits off by one relative factor 1 + 2^-60:
+    # the shape, a point of the modular surface, cannot show a common
+    # factor, and the regulator moves by 2^-59 of itself, far inside 1e-12
+    # and below the rows' 53-bit rounding, but far outside the 192-bit
+    # regulator's error bound
+    import mpmath as mp
+
+    from cubicunits import cli, units
+
+    logs = cli._Member.logs.func
+
+    def planted(self):
+        if self.bits != 192:
+            return logs(self)
+        with mp.workprec(256):
+            return tuple(units.LogVector(*(x * (1 + mp.ldexp(1, -60)) for x in v.coords), v.err)
+                         for v in logs(self))
+
+    monkeypatch.setattr(cli._Member, "logs", property(planted))
+    assert main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000,1000000000000",
+                 "--spots", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "VERIFY t=1000: FAIL (status=ok/ok)", "VERIFY t=1000000000000: FAIL (status=ok/ok)",
+        "verified 2 rows, 2 failures"]
 
 
 @pytest.mark.parametrize("rel, verdict", [

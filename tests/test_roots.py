@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicunits import (
@@ -194,27 +194,27 @@ def test_huge_coefficient_enclosures_hold_the_bisected_root(e, m, c):
 
 
 def test_float_seed_steps_aside_only_beyond_float64_range():
-    # p1 = -3*10^400 does not fit a float64, but every root does: all are seeded
-    f = MonicCubic(0, -3 * 10 ** 400, 1)
-    for lo, hi in isolating_intervals(f):
-        assert roots._float_seed(f, lo, hi, sign_at(f, lo))[0] is not None
-    _assert_enclosures_hold_bisected_roots(f)
-    # the root near -3*10^400 does not: it takes the midpoint start
-    f = MonicCubic(3 * 10 ** 400, 1, -1)
-    seeds = [roots._float_seed(f, lo, hi, sign_at(f, lo))[0] for lo, hi in isolating_intervals(f)]
-    assert seeds[0] is None and None not in seeds[1:]
-    _assert_enclosures_hold_bisected_roots(f)
+    # p1 = -3*10^400 does not fit a float64, but every root does; the root
+    # of the second near -3*10^400 does not, and starts from the exact split
+    for f in (MonicCubic(0, -3 * 10 ** 400, 1), MonicCubic(3 * 10 ** 400, 1, -1)):
+        _assert_enclosures_hold_bisected_roots(f)
+
+
+# refine_root's own exact evaluations per root, by width, at most
+_EVAL_BUDGET = {64: 11, 192: 12, 1024: 14}
 
 
 @pytest.mark.parametrize("t", [sign * 10 ** e for e in range(3, 25) for sign in (1, -1)])
 def test_float_seed_spends_few_exact_signs(monkeypatch, t):
-    # Each root starts from the root of f's exact second-order model at
-    # its bracket's separator end (the middle root after one exact sign at
-    # -p2/3), and Newton from there converges at once. When the start was
-    # a split of the bracket, the worst root of the three families took 15
-    # to 17 exact signs. Every exact evaluation goes through eval_scaled,
-    # sign_at's included, so each one is counted.
-    cases = [(kind, f, lo, hi, sign_at(f, lo)) for kind in ("one_unit", "two_unit", "seed")
+    # Each root's Newton starts from the float rounding of the root of f's
+    # exact second-order model at its bracket's separator end (the middle
+    # root after one exact sign at -p2/3) and converges at once: the sign
+    # at lo, the model, one evaluation per Newton step and the two window
+    # ends. Started from the exact split of the bracket instead, Newton
+    # costs the worst root of the three families 50 to 57. Every exact
+    # evaluation goes through eval_scaled, sign_at's included, so each one
+    # is counted.
+    cases = [(kind, f, lo, hi) for kind in ("one_unit", "two_unit", "seed")
              for f in [_member(kind, t)] for lo, hi in isolating_intervals(f)]
     count = [0]
 
@@ -224,38 +224,51 @@ def test_float_seed_spends_few_exact_signs(monkeypatch, t):
 
     monkeypatch.setattr(roots, "eval_scaled", counting)
     monkeypatch.setattr(cubics, "eval_scaled", counting)
-    signs = {"one_unit": [], "two_unit": [], "seed": []}
-    for kind, f, lo, hi, slo in cases:
-        count[0] = 0
-        assert roots._float_seed(f, lo, hi, slo)[0] is not None
-        assert count[0] <= 6, (kind, lo, hi, count[0])
-        signs[kind].append(count[0])
-    if abs(t) in (10 ** 16, 10 ** 24):
-        # one_unit's large root lies within an ulp of its bracket end, and
-        # every Newton step towards it lands beyond that end: the float
-        # next to the end brackets it at once. When each such step became
-        # a midpoint split, that root took 49 exact signs at t = 10^16 and
-        # 10^24 and 27 and 49 at -10^16 and -10^24, and the member 49 to 72
-        one = signs["one_unit"]
-        large = one[0] if t > 0 else one[2]
-        assert large <= 3 and sum(one) <= 24, one
+    for bits, budget in _EVAL_BUDGET.items():
+        pol = PrecisionPolicy(bits, 4 * bits)
+        evals = {"one_unit": [], "two_unit": [], "seed": []}
+        for kind, f, lo, hi in cases:
+            count[0] = 0
+            refine_root(f, lo, hi, pol)
+            assert count[0] <= budget, (kind, bits, lo, hi, count[0])
+            evals[kind].append(count[0])
+        if abs(t) in (10 ** 16, 10 ** 24):
+            # one_unit's large root lies within an ulp of its bracket's
+            # Cauchy end, and its model start lies beyond that end, where
+            # f f'' > 0: Newton comes back to the root with no split
+            one = evals["one_unit"]
+            assert (one[0] if t > 0 else one[2]) <= budget, (bits, one)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2])
-def test_float_seed_returns_an_iterate_inside_the_bracket_when_its_steps_run_out(monkeypatch, steps):
-    # x^3 - 2 on (-3, 3]: the model gives no start, and the Newton step
-    # from the split near 0, where f' is tiny, leaves the bracket; the
-    # seed handed to the exact Newton still lies inside it
-    monkeypatch.setattr(roots, "_SEED_STEPS", steps)
-    f = MonicCubic(0, 0, -2)
-    x, lo, hi = roots._float_seed(f, Fraction(-3), Fraction(3), -1)
-    assert -3 <= lo < x < hi <= 3
+_WIDE_RATIONALS = st.builds(lambda q, e: q * Fraction(2) ** e,
+                            st.fractions(max_denominator=10 ** 30), st.integers(-1500, 1500))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WIDE_RATIONALS, _WIDE_RATIONALS)
+@example(Fraction(0), Fraction(1, 2 ** 2000))
+@example(Fraction(-(2 ** 1100)), Fraction(0))
+@example(Fraction(1), Fraction(4))
+@example(Fraction(1), Fraction(5))
+def test_the_exact_split_lies_strictly_inside_the_bracket(a, b):
+    assume(a != b)
+    lo, hi = sorted((a, b))
+    x = roots._split(lo, hi)
+    assert lo < x < hi
+    small, big = sorted((abs(lo), abs(hi)))
+    if lo < 0 < hi:
+        assert x == 0
+    elif big > 4 * small:  # a power of two
+        n, d = abs(x).as_integer_ratio()
+        assert n & (n - 1) == 0 and d & (d - 1) == 0 and (n == 1 or d == 1)
+    else:
+        assert x == (lo + hi) / 2
 
 
 def test_the_model_start_lands_beyond_each_outer_root():
     # at a separator q, f(q + h) = h^3 at the model's root, whose sign puts
     # it beyond r1 (f < 0 there) and beyond r3 (f > 0), where f f'' > 0 and
-    # float Newton moves monotonically towards the root; rounded once to a
+    # Newton moves monotonically towards the root; rounded once to a
     # float, the start is beyond the root or within an ulp of it
     for kind, t in _FAMILY_MEMBERS:
         f = _member(kind, t)
@@ -284,13 +297,25 @@ def test_a_bracket_end_within_eps_of_the_root_certifies_at_the_first_rung():
 
 
 @pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
-def test_family_roots_certify_at_the_first_rung(kind):
-    # The first rung runs at target + (root magnitude bits) + 64 bits, below
-    # 2*(target + 64) for every t <= 10^24; the second rung is at least that.
-    second = 2 * (DEFAULT_POLICY.target_bits + 64)
-    for e in range(3, 25):
-        for r in refined_roots(_member(kind, 10 ** e)):
-            assert r.prec < second, (e, r)
+def test_family_roots_certify_at_the_first_rung(monkeypatch, kind):
+    # Every root certifies with one Newton run from its model start, at
+    # every decade of both signs and every width: the first rung runs at
+    # target + (root magnitude bits) + 64 bits, below 2*(target + 64) for
+    # every |t| <= 10^24; the second rung is at least that.
+    calls, newton = [0], roots._newton
+
+    def counting(*args):
+        calls[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(roots, "_newton", counting)
+    for bits in (64, 192, 1024):
+        pol = PrecisionPolicy(bits, 4 * bits)
+        for t in (sign * 10 ** e for e in range(3, 25) for sign in (1, -1)):
+            calls[0] = 0
+            for r in refined_roots(_member(kind, t), pol):
+                assert r.prec < 2 * (bits + 64), (bits, t, r)
+            assert calls[0] == 3, (bits, t, calls[0])
 
 
 _FAMILY_MEMBERS = [(kind, sign * 10 ** e) for kind in ("one_unit", "two_unit", "seed")
@@ -339,8 +364,9 @@ def test_refined_roots_are_centred_on_their_windows():
 
 
 def test_a_root_beyond_float64_starts_the_integer_loop_at_the_bracket_midpoint(monkeypatch):
-    # x^3 + 3*10^400 x^2 + x - 1: the root near -3*10^400 has no float64
-    # seed, so Newton starts from the exact midpoint of its bracket
+    # x^3 + 3*10^400 x^2 + x - 1: the model root near -3*10^400 overflows a
+    # float64, so Newton starts from the exact split of the bracket, whose
+    # ends are within a factor 4 of each other: its exact midpoint
     f = MonicCubic(3 * 10 ** 400, 1, -1)
     starts, newton = [], roots._newton
 
@@ -350,8 +376,9 @@ def test_a_root_beyond_float64_starts_the_integer_loop_at_the_bracket_midpoint(m
 
     monkeypatch.setattr(roots, "_newton", recording)
     lo, hi = isolating_intervals(f)[0]
+    assert roots._model_start(f, lo, hi, sign_at(f, lo))[0] is None
     r = refine_root(f, lo, hi)
-    assert starts == [(lo + hi) / 2]
+    assert starts == [roots._split(lo, hi)] == [(lo + hi) / 2]
     mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
     assert r.prec == next(DEFAULT_POLICY.ladder(start_extra=mag_bits + 64))
     assert r.lo < r.hi and sign_at(f, r.lo) != sign_at(f, r.hi)
@@ -359,10 +386,10 @@ def test_a_root_beyond_float64_starts_the_integer_loop_at_the_bracket_midpoint(m
 
 
 def test_the_bisection_fallback_is_centred_on_its_window(monkeypatch):
-    # with no seed and Newton refused, bisection alone narrows each
+    # with no model start and Newton refused, bisection alone narrows each
     # isolating bracket (its separator ends are not dyadic) to 2^-15, and
     # err must bound the distance from the rounded midpoint value
-    monkeypatch.setattr(roots, "_float_seed", lambda f, lo, hi, slo: (None, lo, hi))
+    monkeypatch.setattr(roots, "_model_start", lambda f, lo, hi, slo: (None, lo, hi))
     monkeypatch.setattr(roots, "_newton", lambda *args: None)
     pol = PrecisionPolicy(target_bits=16, max_bits=64)
     for f in (SEED, simplest_cubic(5), _member("two_unit", 10 ** 6)):
