@@ -62,12 +62,10 @@ from .ratios import (
     INFINITY,
     McrPair,
     ProjectiveRatio,
-    RatioEstimate,
     mobius_R,
     mobius_T,
     orbit,
     orbit_csv_rows,
-    ratio_estimate,
     tilde_D,
     tilde_T,
 )
@@ -121,9 +119,8 @@ __all__ = [
     # precision
     "DEFAULT_POLICY", "PrecisionPolicy",
     # ratios
-    "INFINITY", "McrPair", "ProjectiveRatio", "RatioEstimate", "mobius_R",
-    "mobius_T", "orbit", "orbit_csv_rows", "ratio_estimate", "tilde_D",
-    "tilde_T",
+    "INFINITY", "McrPair", "ProjectiveRatio", "mobius_R", "mobius_T",
+    "orbit", "orbit_csv_rows", "tilde_D", "tilde_T",
     # roots
     "IsolatedRoot", "refine_root", "refined_roots",
     # shapes

@@ -431,10 +431,11 @@ def cmd_verify(args) -> int:
         ok = lo["status"] == hi["status"]
         if ok and lo["status"] == "ok":
             # exactly: reg within 1e-12 (1 + |reg|) and within the two widths'
-            # error bounds, ht within one rounding at the lower width
+            # error bounds, ht within one rounding at the lower width; a
+            # certificate may appear at the doubled width, never vanish
             (reg_lo, reg_hi), (err_lo, err_hi), (ht_lo, ht_hi) = (
                 (mpf_to_fraction(lo[k]), mpf_to_fraction(hi[k])) for k in ("reg", "reg_err", "ht"))
-            ok = (lo["certified"] == hi["certified"] and shapes.same_shape(lo["shape"], hi["shape"])
+            ok = (hi["certified"] >= lo["certified"] and shapes.same_shape(lo["shape"], hi["shape"])
                   and abs(reg_lo - reg_hi) <= Fraction(1, 10 ** 12) * (1 + abs(reg_hi))
                   and abs(reg_lo - reg_hi) <= err_lo + err_hi
                   and abs(ht_lo - ht_hi) <= Fraction(2) ** (1 - cfg.precision_bits) * abs(ht_hi))
@@ -451,8 +452,8 @@ def _audit_point(cfg: ScanConfig, t: int, bits: int) -> dict:
         m = _Member.of_family(cfg.family_json, t, bits)
         if len(m.order.units) < 2:
             return {"status": "rank<2"}
-        certified = m.certificate[1].certified
         reg, err = units.relative_regulator_with_error(*m.logs, bits)
+        certified = units.certify_fundamental(reg, m.order.disc, err, prec=bits).certified
         return {"status": "ok", "certified": certified, "reg": reg, "reg_err": err,
                 "shape": m.shape, "ht": m.ht}  # in stage order
     except CubicUnitsError as e:

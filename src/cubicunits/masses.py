@@ -132,7 +132,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import ROW_BITS, dyadic, fraction_to_mpf
+from .precision import ROW_BITS, dyadic, fraction_to_mpf, rational_root
 from .units import _RND, CubicOrderData, LogVector, _max1, log_embed
 
 __all__ = [
@@ -325,14 +325,14 @@ def _embedding(order: CubicOrderData, coeffs, prec: int) -> LatticeBasis3:
 
     g_k is evaluated exactly on the roots' dyadic images, so a combination
     that cancels loses no bits. disc^(-1/6) is one correctly rounded
-    integer sixth root at w = prec + 32 bits (_sixth_root), and each entry
+    integer sixth root at w = prec + 32 bits (rational_root), and each entry
     is its exact product with the integer g_k(theta_i), rounded once at w
     bits (_rounded_basis): two relative errors of at most 2^-w each. The
     image's exact determinant n 2^e must be +-1 up to 2^-(prec // 2),
     which is checked on integers, scaled by a power of two."""
     w = prec + 32
     (one, *ms), e = dyadic([1, *(r.value for r in order.roots)])  # theta_i = m_i / one
-    _, man, f, _ = _sixth_root(1, order.disc, w)
+    _, man, f, _ = rational_root(1, order.disc, 6, w)
     rows = [[u0 * one * one + u1 * m * one + u2 * m * m for u0, u1, u2 in coeffs] for m in ms]
     basis = _rounded_basis([(man, f)] * 3, rows, 2 * e, w)
     n, e, h = _det3(basis.cols), 3 * basis.exp, prec // 2  # det = n 2^e
@@ -392,33 +392,6 @@ def shortest_vector_norm(basis: LatticeBasis3, prec: int = 192) -> mp.mpf:
     return mp.make_mpf(mpf_sqrt(from_man_exp(basis._minimum[1], 2 * basis.exp), prec, round_nearest))
 
 
-def _icbrt(n: int) -> int:
-    # floor(n^(1/3)) for n > 0: Newton's iteration on integers decreases to
-    # it from any start above the root and stops there. The start is the
-    # float cube root of n's leading bits m = n >> 3s (m < 2^903), raised by
-    # a relative 2^-30, which covers the float's error, and by 2 >
-    # cbrt(m + 1) - cbrt(m), so it lies above cbrt(n) < cbrt(m + 1) 2^s
-    s = max(0, n.bit_length() - 900) // 3
-    x = (int((n >> 3 * s) ** (1 / 3) * (1 + 2.0 ** -30)) + 2) << s
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-def _sixth_root(num: int, den: int, prec: int):
-    """(num / den)^(1/6) for integers num, den > 0, correctly rounded at prec
-    bits (to nearest), as a raw mpf. Its floor at k fraction bits has prec
-    + 4 bits or more and is exact on integers, and a sticky bit marks it
-    inexact, so its one rounding is correct (as shapes._tau rounds Im
-    tau)."""
-    k = max(0, prec + 4 - (num.bit_length() - den.bit_length()) // 6)
-    num <<= 6 * k
-    s = _icbrt(math.isqrt(num // den))  # floor((num / den)^(1/6))
-    return from_man_exp(2 * s + (s ** 6 * den != num), -k - 1, prec, _RND)
-
-
 def lattice_height(order: CubicOrderData, prec: int | None = None) -> mp.mpf:
     """ht = 1 / lambda_1 of the order lattice, correctly rounded at prec
     bits (to nearest; prec defaults to the order's target bits).
@@ -426,13 +399,13 @@ def lattice_height(order: CubicOrderData, prec: int | None = None) -> mp.mpf:
     The lattice's Gram matrix in the power basis is disc^(-1/3) T, T the
     exact integer trace form (_trace_form), so ht = (disc / n0^3)^(1/6)
     with n0 the minimum of T on Z^3 - 0, from one exact reduction of T
-    (_reduced_trace_form) and one integer sixth root (_sixth_root). It
+    (_reduced_trace_form) and one integer sixth root (rational_root). It
     reads no root, no embedding and no ambient precision."""
     if prec is None:
         prec = order.policy.target_bits
     elif prec < 8:
         raise InvalidParamsError(f"height precision must be at least 8 bits, got {prec}")
-    return mp.make_mpf(_sixth_root(order.disc, _reduced_trace_form(order)[0][0] ** 3, prec))
+    return mp.make_mpf(rational_root(order.disc, _reduced_trace_form(order)[0][0] ** 3, 6, prec))
 
 
 def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
@@ -796,7 +769,7 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     alphas and c to float64 and the two-term dot product. Each w_m = exp(2
     z_m) is then off by a relative e^{2 delta} - 1, plus the exp call
     (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (one
-    correctly rounded sixth root, _sixth_root: eps/2, budgeted at eps) and
+    correctly rounded sixth root, rational_root: eps/2, budgeted at eps) and
     the product (eps/2);
     cutoff = (1/H)^2 is off by 3 eps/2. The alphas have trace zero, so some z_m >= 0 and
     the exact sum is at least 1, which bounds what underflow drops. So the
@@ -807,7 +780,7 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     overflows fails the test.
     """
     a1, a2 = alphas.floats
-    dscale = to_float(_sixth_root(1, order.disc ** 2, 53))  # disc^(-1/3), correctly rounded
+    dscale = to_float(rational_root(1, order.disc ** 2, 6, 53))  # disc^(-1/3), correctly rounded
     det = a1[0] * a2[1] - a1[1] * a2[0]
 
     (x0, x1, x2), (y0, y1, y2) = a1, a2

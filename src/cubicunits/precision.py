@@ -1,5 +1,6 @@
-"""Precision policy, the CSV rows' named width, and exact readings of
-mpf, int and float values as dyadic rationals."""
+"""Precision policy, the CSV rows' named width, exact readings of mpf, int
+and float values as dyadic rationals, and correctly rounded roots of
+rationals."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InvalidParamsError
 
@@ -88,3 +89,32 @@ def fraction_to_mpf(q: Fraction | int, prec: int) -> mp.mpf:
     """q rounded once to prec bits, to nearest."""
     q = Fraction(q)
     return mp.make_mpf(from_rational(q.numerator, q.denominator, prec, round_nearest))
+
+
+def _icbrt(n: int) -> int:
+    # floor(n^(1/3)) for n > 0: Newton's iteration on integers decreases to
+    # it from any start above the root and stops there. The start is the
+    # float cube root of n's leading bits m = n >> 3s (m < 2^903), raised by
+    # a relative 2^-30, which covers the float's error, and by 2 >
+    # cbrt(m + 1) - cbrt(m), so it lies above cbrt(n) < cbrt(m + 1) 2^s
+    s = max(0, n.bit_length() - 900) // 3
+    x = (int((n >> 3 * s) ** (1 / 3) * (1 + 2.0 ** -30)) + 2) << s
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def rational_root(num: int, den: int, degree: int, prec: int):
+    """(num / den)^(1/degree) for integers num, den > 0 and degree 2 or 6,
+    correctly rounded at prec bits (to nearest), as a raw mpf. Its floor at
+    k fraction bits, from isqrt (and _icbrt for the sixth root), has prec +
+    4 bits or more and is exact on integers, and a sticky bit marks it
+    inexact, so its one rounding is correct."""
+    k = max(0, prec + 4 - (num.bit_length() - den.bit_length()) // degree)
+    num <<= degree * k
+    s = math.isqrt(num // den)  # floor((num / den)^(1/2))
+    if degree == 6:
+        s = _icbrt(s)  # floor((num / den)^(1/6))
+    return from_man_exp(2 * s + (s ** degree * den != num), -k - 1, prec, round_nearest)

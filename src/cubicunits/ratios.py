@@ -8,7 +8,6 @@ Orbits are iterated in exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ import mpmath as mp
 
 from .errors import InvalidParamsError, OrbitCapError
 from .families import is_mutually_cubic_pair
-from .precision import mpf_to_fraction
+from .precision import fraction_to_mpf
 
 __all__ = [
     "ProjectiveRatio",
@@ -27,15 +26,13 @@ __all__ = [
     "tilde_T",
     "tilde_D",
     "orbit",
-    "RatioEstimate",
-    "ratio_estimate",
     "orbit_csv_rows",
 ]
 
 
 class ProjectiveRatio:
-    """A point of P^1(R): an exact Fraction, a high-precision real, or the
-    point at infinity. Infinity is a real value here, not an overflow."""
+    """A point of P^1(Q): an exact Fraction or the point at infinity.
+    Infinity is a real value here, not an overflow."""
 
     __slots__ = ("_val",)
 
@@ -46,13 +43,6 @@ class ProjectiveRatio:
             self._val = value._val
         elif isinstance(value, (int, Fraction)):
             self._val = Fraction(value)
-        elif isinstance(value, mp.mpf):
-            self._val = value
-        elif isinstance(value, float):
-            if math.isinf(value):
-                self._val = None
-            else:
-                self._val = Fraction(value)  # floats are exact dyadics
         else:
             raise InvalidParamsError(f"cannot interpret {value!r} as a projective ratio")
 
@@ -64,32 +54,20 @@ class ProjectiveRatio:
     def is_infinity(self) -> bool:
         return self._val is None
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self._val, Fraction)
-
     def as_fraction(self) -> Fraction:
-        if not self.is_exact:
-            raise InvalidParamsError("not an exact rational")
+        if self.is_infinity:
+            raise InvalidParamsError("infinity is not a rational")
         return self._val
 
     def as_mpf(self, prec: int = 53) -> mp.mpf:
-        if self.is_infinity:
-            return mp.inf
-        with mp.workprec(prec):
-            if isinstance(self._val, Fraction):
-                return mp.mpf(self._val.numerator) / self._val.denominator
-            return +self._val
+        """The value rounded once to prec bits (to nearest); mp.inf at infinity."""
+        return mp.inf if self.is_infinity else fraction_to_mpf(self._val, prec)
 
     def __eq__(self, other):
-        if isinstance(other, ProjectiveRatio):
-            return self._val == other._val
-        if other is None:
-            return False
-        try:
-            return self._val == other if not self.is_infinity else math.isinf(other)
-        except TypeError:
-            return NotImplemented
+        # None is not a ratio here, so INFINITY == None is false
+        if isinstance(other, (int, Fraction, ProjectiveRatio)):
+            return self._val == ProjectiveRatio(other)._val
+        return NotImplemented
 
     def __hash__(self):
         return hash(self._val)
@@ -164,7 +142,7 @@ def tilde_D(p: McrPair) -> McrPair:
 
 
 def orbit(map_name: str, s0, n: int, max_bits: int = 10 ** 6) -> list[ProjectiveRatio]:
-    """[s0, F(s0), ..., F^n(s0)] for F in {T, R}; exact when s0 is exact.
+    """[s0, F(s0), ..., F^n(s0)] for F in {T, R}, in exact arithmetic.
 
     Numerators/denominators grow geometrically under exact iteration; the
     iteration stops with OrbitCapError once they exceed max_bits bits.
@@ -178,65 +156,12 @@ def orbit(map_name: str, s0, n: int, max_bits: int = 10 ** 6) -> list[Projective
     out = [s]
     for k in range(n):
         s = step(s)
-        if s.is_exact:
+        if not s.is_infinity:
             fr = s.as_fraction()
             if fr.numerator.bit_length() > max_bits or fr.denominator.bit_length() > max_bits:
                 raise OrbitCapError(f"orbit entry {k + 1} exceeds {max_bits} bits")
         out.append(s)
     return out
-
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Finite-sample report on log|a_t| / log|b_t|.
-
-    value: the ratio at the largest sampled t (or the 0/infinity symbols).
-    classification: 'finite', 'zero', 'infinity', or
-        'degenerate-regular-triangle' when both coordinates sit at +-1.
-    samples: per-t ratios (mpf; nan where undefined).
-    diffs: successive differences of samples, the trend report.
-    in_window: whether value lies in [1/3, 3] (or is 0/infinity), the box
-        every true limit must land in. Finite data only suggests, never
-        certifies, membership.
-    """
-
-    value: ProjectiveRatio
-    classification: str
-    samples: tuple
-    diffs: tuple
-    in_window: bool
-
-
-def ratio_estimate(seq: list[McrPair], prec: int = 96) -> RatioEstimate:
-    if not seq:
-        raise InvalidParamsError("empty sequence")
-
-    tail = seq[-1]
-    a_deg = abs(tail.a) <= 1
-    b_deg = abs(tail.b) <= 1
-    with mp.workprec(prec):
-        samples = []
-        for p in seq:
-            if abs(p.a) <= 1 and abs(p.b) <= 1:
-                samples.append(mp.nan)
-            elif abs(p.b) <= 1:
-                samples.append(mp.inf)
-            elif abs(p.a) <= 1:
-                samples.append(mp.mpf(0))
-            else:
-                samples.append(mp.log(abs(p.a)) / mp.log(abs(p.b)))
-        diffs = tuple(samples[i + 1] - samples[i] for i in range(len(samples) - 1))
-
-    if a_deg and b_deg:
-        return RatioEstimate(ProjectiveRatio(0), "degenerate-regular-triangle",
-                             tuple(samples), diffs, False)
-    if b_deg:
-        return RatioEstimate(INFINITY, "infinity", tuple(samples), diffs, True)
-    if a_deg:
-        return RatioEstimate(ProjectiveRatio(0), "zero", tuple(samples), diffs, True)
-    value = samples[-1]
-    in_window = bool(Fraction(1, 3) <= mpf_to_fraction(value) <= 3)
-    return RatioEstimate(ProjectiveRatio(value), "finite", tuple(samples), diffs, in_window)
 
 
 def orbit_csv_rows(points: list[ProjectiveRatio], digits: int = 50):
@@ -246,13 +171,10 @@ def orbit_csv_rows(points: list[ProjectiveRatio], digits: int = 50):
     for k, s in enumerate(points):
         if s.is_infinity:
             rows.append((k, "1", "0", "inf"))
-        elif s.is_exact:
+        else:
             fr = s.as_fraction()
             with mp.workprec(int(digits * 3.33) + 32):
                 dec = mp.nstr(mp.mpf(fr.numerator) / fr.denominator, digits,
                               strip_zeros=False)
             rows.append((k, str(fr.numerator), str(fr.denominator), dec))
-        else:
-            v = s.as_mpf(int(digits * 3.33) + 32)
-            rows.append((k, "", "", mp.nstr(v, digits, strip_zeros=False)))
     return rows

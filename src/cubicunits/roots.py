@@ -195,18 +195,26 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
     2^-target, so the window is centred on value. Otherwise exact
     bisection at `_split` narrows the bracket, and the next rung of
     `pol.ladder()` doubles the working precision and starts Newton from
-    the narrowed bracket's split.
+    the narrowed bracket's split. Where the low end, a window end or a
+    split is itself the root, the result is that exact point with err 0,
+    its value at the first rung's working precision.
     """
-    slo = sign_at(f, lo)
-    if slo == 0:  # exact rational root at the endpoint: width-0 enclosure
-        v = fraction_to_mpf(lo, pol.target_bits)
-        return IsolatedRoot(lo, lo, v, mp.mpf(0), pol.target_bits)
     target = pol.target_bits
     eps_fr = Fraction(1, 1 << target)
     # working precision must absorb the root magnitude (err bound is absolute)
     mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
+    first = target + mag_bits + 64  # the first rung's working precision
+
+    def exact(x: Fraction) -> IsolatedRoot:
+        # a rational root of the monic f is an integer of at most mag_bits
+        # bits, so it is exact at the first rung: a width-0 enclosure
+        return IsolatedRoot(x, x, fraction_to_mpf(x, first), mp.mpf(0), first)
+
+    slo = sign_at(f, lo)
+    if slo == 0:
+        return exact(lo)
     start, lo, hi = _model_start(f, lo, hi, slo)
-    for bits in pol.ladder(start_extra=mag_bits + 64):
+    for bits in pol.ladder(start_extra=first - target):
         if start is None:
             start = _split(lo, hi)
         found = _newton(f, *start.as_integer_ratio(), bits, target)
@@ -217,10 +225,8 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
             if (x + e) * b >= a * q and (x - e) * d <= c * q:  # the window meets [lo, hi]
                 cand_lo, sl = _window_end(f, x - e, q, lo, (x - e) * b < a * q)
                 cand_hi, sh = _window_end(f, x + e, q, hi, (x + e) * d > c * q)
-                if sl == 0:
-                    return IsolatedRoot(cand_lo, cand_lo, fraction_to_mpf(cand_lo, bits), mp.mpf(0), bits)
-                if sh == 0:
-                    return IsolatedRoot(cand_hi, cand_hi, fraction_to_mpf(cand_hi, bits), mp.mpf(0), bits)
+                if sl == 0 or sh == 0:
+                    return exact(cand_lo if sl == 0 else cand_hi)
                 if sl != sh:
                     v = mp.make_mpf(from_man_exp(x, -p))
                     return IsolatedRoot(cand_lo, cand_hi, v, mp.ldexp(1, -target), bits)
@@ -232,8 +238,7 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
             mid = _split(lo, hi)
             sm = sign_at(f, mid)
             if sm == 0:
-                v = fraction_to_mpf(mid, bits)
-                return IsolatedRoot(mid, mid, v, mp.mpf(0), bits)
+                return exact(mid)
             if sm == slo:
                 lo = mid
             else:

@@ -10,17 +10,16 @@ as its radius. The families' limit shapes have exact rational forms too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
+    fone, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
     mpf_shift, mpf_sqrt, round_down, round_up)
 
 from .errors import DependentUnitsError, InvalidParamsError
-from .precision import dyadic
+from .precision import dyadic, rational_root
 from .units import _RND, LogVector
 
 __all__ = [
@@ -76,12 +75,8 @@ _HALF = mpf_shift(fone, -1)
 
 def _tau(a: int, b: int, c: int, q: int):
     # the root (-b + i sqrt(4ac - b^2)) / (2a) of the form, raw, each part
-    # rounded once at q bits: Im's floor at k fraction bits has q + 4 bits or
-    # more, and a sticky bit marks it inexact, so its one rounding is correct
-    n, d = 4 * a * c - b * b, 4 * a * a
-    k = max(0, q + 4 - (n.bit_length() - d.bit_length()) // 2)
-    s = math.isqrt((n << 2 * k) // d)
-    im = from_man_exp(2 * s + (s * s * d != n << 2 * k), -k - 1, q, _RND)
+    # rounded once at q bits (Im as the correctly rounded square root)
+    im = rational_root(4 * a * c - b * b, 4 * a * a, 2, q)
     return mpf_div(from_int(-b), from_int(2 * a), q, _RND), im
 
 

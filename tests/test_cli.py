@@ -479,6 +479,44 @@ def test_verify_audits_the_regulator_at_each_width(monkeypatch, capsys):
         "verified 2 rows, 2 failures"]
 
 
+def test_verify_computes_one_regulator_per_spot_and_width(monkeypatch, capsys):
+    # the certificate reads the regulator each width's audit computes, so
+    # each spot takes one regulator at 192 bits and one at 384
+    from cubicunits import units
+
+    widths = []
+    regulator = units.relative_regulator_with_error
+
+    def counted(*args):
+        widths.append(args[-1])
+        return regulator(*args)
+
+    monkeypatch.setattr(units, "relative_regulator_with_error", counted)
+    assert main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000,1000000000000",
+                 "--spots", "2"]) == EXIT_OK
+    assert sorted(widths) == [192, 192, 384, 384]
+
+
+@pytest.mark.parametrize("lo, hi, verdict", [(True, False, "FAIL"), (False, True, "PASS")])
+def test_verify_lets_a_certificate_appear_but_not_vanish(monkeypatch, capsys, lo, hi, verdict):
+    # "certified" is one-sided: false is inconclusive, so the doubled width
+    # may certify a spot the run's width left open, but a spot certified at
+    # the run's width must stay certified
+    from cubicunits import cli
+
+    audit = cli._audit_point
+
+    def planted(cfg, t, bits):
+        row = audit(cfg, t, bits)
+        row["certified"] = lo if bits == cfg.precision_bits else hi
+        return row
+
+    monkeypatch.setattr(cli, "_audit_point", planted)
+    code = main(["verify", "--family", ONE_UNIT, "--schedule", "list:1000", "--spots", "1"])
+    assert capsys.readouterr().out.splitlines()[0] == f"VERIFY t=1000: {verdict} (status=ok/ok)"
+    assert code == (EXIT_OK if verdict == "PASS" else 1)
+
+
 @pytest.mark.parametrize("rel, verdict", [
     (2e-12, "FAIL"), (-2e-12, "FAIL"), (5e-13, "FAIL"), (1e-57, "FAIL"), (-1e-57, "FAIL"),
     (1e-60, "PASS"), (-1e-60, "PASS")])

@@ -47,7 +47,7 @@ from cubicunits import (
     shortest_vector_norm,
     simplest_cubic,
 )
-from cubicunits import cli, masses, units
+from cubicunits import cli, masses, precision, units
 from cubicunits.precision import ROW_BITS, dyadic, mpf_to_fraction
 from .oracles import (
     bareiss_det,
@@ -603,7 +603,24 @@ def test_lattice_height_is_correctly_rounded(family):
 
 @given(st.integers(1, 2 ** 3000))
 def test_integer_cube_root_is_the_floor(n):
-    assert masses._icbrt(n) == iroot(n, 3)
+    assert precision._icbrt(n) == iroot(n, 3)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 2 ** 700), st.integers(1, 2 ** 700), st.sampled_from([2, 6]),
+       st.sampled_from([8, 53, 64, 96, 192, 384, 4096]))
+def test_rational_root_is_correctly_rounded(num, den, degree, prec):
+    # the root of num / den that Im tau (degree 2) and the height's and
+    # embedding's factors (degree 6) share: r -+ half an ulp at prec bits
+    # brackets (num / den)^(1/degree), checked on integers as in
+    # test_lattice_height_is_correctly_rounded
+    _, man, exp, bc = precision.rational_root(num, den, degree, prec)
+    assert bc <= prec
+    m, e = man << (prec - bc), exp - (prec - bc) - 1
+    lo, hi = ((2 * m + s) ** degree * den for s in (-1, 1))
+    lo, hi = (x << max(0, degree * e) for x in (lo, hi))
+    n = num << max(0, -degree * e)
+    assert lo <= n <= hi
 
 
 # ---------------------------------------------------------------------------

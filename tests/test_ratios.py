@@ -18,25 +18,45 @@ from cubicunits import (
     mobius_T,
     orbit,
     orbit_csv_rows,
-    ratio_estimate,
     recipe_pairs,
     tilde_D,
     tilde_T,
 )
+from cubicunits.precision import mpf_to_fraction
 
 
 def test_projective_ratio_basics():
     assert ProjectiveRatio(3).as_fraction() == 3
     assert ProjectiveRatio(Fraction(8, 3)).as_fraction() == Fraction(8, 3)
-    assert ProjectiveRatio(float("inf")).is_infinity
-    assert INFINITY.is_infinity and not INFINITY.is_exact
+    assert ProjectiveRatio(None).is_infinity and INFINITY.is_infinity
     assert ProjectiveRatio(INFINITY) == INFINITY
-    assert ProjectiveRatio(0.5).as_fraction() == Fraction(1, 2)
+    assert ProjectiveRatio(3) == 3 and ProjectiveRatio(Fraction(1, 2)) == Fraction(1, 2)
+    assert INFINITY != ProjectiveRatio(0) and INFINITY != 3
+    # None builds infinity, but it is not a ratio, so infinity does not equal it
+    assert not INFINITY == None and INFINITY != None  # noqa: E711
     with pytest.raises(InvalidParamsError):
         ProjectiveRatio("x")
     with pytest.raises(InvalidParamsError):
         INFINITY.as_fraction()
     assert mp.isinf(INFINITY.as_mpf())
+
+
+@pytest.mark.parametrize("value", [mp.mpf(2), 0.5, float("inf")], ids=["mpf", "float", "float-inf"])
+def test_projective_ratio_refuses_inexact_values(value):
+    # every ratio is an exact rational or infinity; a float or an mpf is
+    # not read, even where it is a dyadic rational
+    with pytest.raises(InvalidParamsError):
+        ProjectiveRatio(value)
+
+
+def test_as_mpf_rounds_the_fraction_once():
+    # (2^54 + 1)/3 at 53 bits: rounding the 55-bit numerator first and then
+    # dividing lands 2/3 of an ulp off; one rounding stays within half an ulp
+    q = Fraction(2 ** 54 + 1, 3)
+    v = ProjectiveRatio(q).as_mpf(53)
+    _, man, exp, bc = v._mpf_
+    assert bc <= 53
+    assert abs(mpf_to_fraction(v) - q) <= Fraction(2) ** (exp + bc - 53) / 2
 
 
 def test_mobius_maps_frozen():
@@ -153,39 +173,26 @@ def test_tilde_D_on_b2b1_pairs(b):
 
 
 # ---------------------------------------------------------------------------
-# ratio estimates
+# pair chains and ratios
 # ---------------------------------------------------------------------------
 
 
-def test_ratio_estimate_classifications():
-    est = ratio_estimate([McrPair(1, 1)])
-    assert est.classification == "degenerate-regular-triangle"
-    assert not est.in_window
-    est = ratio_estimate([McrPair(5, 1)])
-    assert est.classification == "infinity" and est.value.is_infinity
-    est = ratio_estimate([McrPair(1, 5)])
-    assert est.classification == "zero" and est.value == ProjectiveRatio(0)
-
-
 def test_ratio_estimate_chain_approaches_T_fixed_point():
+    # the pairs a tilde_T chain builds realise ratios log|a| / log|b| that
+    # tend to the fixed point (3 + sqrt 5)/2 of T, the link from pairs to
+    # the ratio set; computed at 200 bits
     p = McrPair(7, 2)
     seq = [p]
     for _ in range(8):
         p = tilde_T(p)
         seq.append(p)
-    est = ratio_estimate(seq, prec=200)
-    assert est.classification == "finite"
-    assert est.in_window
     with mp.workprec(200):
+        samples = [mp.log(abs(q.a)) / mp.log(abs(q.b)) for q in seq]
         target = (3 + mp.sqrt(5)) / 2
-        assert abs(est.samples[-1] - target) < mp.mpf("1e-3")
-    # successive samples settle down
-    assert abs(est.diffs[-1]) < abs(est.diffs[0])
-
-
-def test_ratio_estimate_guards():
-    with pytest.raises(InvalidParamsError):
-        ratio_estimate([])
+        assert abs(samples[-1] - target) < mp.mpf("1e-3")
+        assert 1 / mp.mpf(3) <= samples[-1] <= 3  # in the window [1/3, 3]
+        # successive samples settle down
+        assert abs(samples[-1] - samples[-2]) < abs(samples[1] - samples[0])
 
 
 def test_orbit_csv_rows():

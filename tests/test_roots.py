@@ -79,6 +79,20 @@ def test_refine_exact_endpoint_root():
     assert r.err == 0 and r.value == 0
 
 
+@pytest.mark.parametrize("target", [8, 64, 192])
+@pytest.mark.parametrize("lo, hi", [(2 ** 70 + 1, 2 ** 71), (2 ** 70, 2 ** 70 + 1)],
+                         ids=["root-at-low-end", "root-at-high-end"])
+def test_refine_returns_an_integer_root_exactly(target, lo, hi):
+    # the integer root 2^70 + 1 of (x - (2^70 + 1))(x^2 - 2) has 71 bits,
+    # more than the target: it comes back exact with err 0 whether it is
+    # the bracket's low end or Newton's window reaches it at the high end
+    r0 = 2 ** 70 + 1
+    f = MonicCubic(-r0, -2, 2 * r0)
+    r = refine_root(f, Fraction(lo), Fraction(hi), PrecisionPolicy(target, 4096))
+    assert r.lo == r.hi == r0
+    assert r.err == 0 and mpf_to_fraction(r.value) == r0
+
+
 def test_isolation_rejects_complex_roots():
     with pytest.raises(DomainError):
         refined_roots(MonicCubic(0, 0, -2))
