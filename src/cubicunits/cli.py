@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import mpmath as mp
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from . import families, masses, ratios, shapes, units
 from .cubics import is_irreducible, is_totally_real, poly_from_json
@@ -61,9 +62,9 @@ class ScanConfig:
     tight_r_cap: str = "2"  # the R in the (R, r)-tightness report
 
 
-def _fmt(x, prec: int = ROW_BITS) -> str:
-    # 17 digits of x rounded to prec bits
-    return mp.nstr(mp.mpf(x, prec=prec), 17)
+def _fmt(x: mp.mpf, prec: int = ROW_BITS) -> str:
+    # 17 digits of x rounded to nearest at prec bits
+    return to_str(mpf_pos(x._mpf_, prec, round_nearest), 17)
 
 
 def _fmt_frac(q: Fraction) -> str:

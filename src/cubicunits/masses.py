@@ -123,8 +123,8 @@ from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-    mpf_le, mpf_mul, mpf_mul_int, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float)
+    fone, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
+    mpf_le, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float)
 
 from .errors import (
     DependentUnitsError,
@@ -132,8 +132,8 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import ROW_BITS, dyadic, fraction_to_mpf, rational_root
-from .units import _RND, CubicOrderData, LogVector, _max1, log_embed
+from .precision import ROW_BITS, dyadic, exceeds, float_above, fraction_to_mpf, rational_root, up
+from .units import _RND, CubicOrderData, LogVector, log_embed
 
 __all__ = [
     "LatticeBasis3",
@@ -198,9 +198,13 @@ class SimplexSet:
 
 @dataclass(frozen=True)
 class HexDomain:
+    """The hexagon's six vertices and ceiling (mpf values), and
+    ceiling_err, a float64 at or above the ceiling's error from the
+    alphas (the sum of their errors, rounded outward)."""
+
     vertices: tuple
     ceiling: mp.mpf
-    ceiling_err: mp.mpf
+    ceiling_err: float
 
 
 def _dot(x, y) -> int:
@@ -412,33 +416,31 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     """The triple (v1, v2 - v1, -v2): sums to zero, spans the same lattice
     as (v1, v2), and its hexagonal fundamental domain drives the mass
     predictions. The two derived alphas are rounded once to prec bits
-    (_rounded); the span check computes at prec bits, and charges the
-    errors of a1 and a2."""
+    (_rounded); the span check's cross product rounds at prec bits, and
+    its bound charges the errors of a1 and a2 in float64."""
     # raw tuples at prec bits, each step as mpmath's operator takes it
     # (units.py)
     p = prec
     a1 = v1
-    a2 = _rounded(v2 - v1, mpf_add(v2.err._mpf_, v1.err._mpf_, p, _RND), p)
-    a3 = _rounded(-v2, v2.err._mpf_, p)
+    a2 = _rounded(v2 - v1, p)
+    a3 = _rounded(-v2, p)
     cross = mpf_sub(mpf_mul(a1.x1._mpf_, a2.x2._mpf_, p, _RND), mpf_mul(a1.x2._mpf_, a2.x1._mpf_, p, _RND), p, _RND)
-    norms = []  # |a1| and |a2|
+    scale = 1.0  # max(|a1|, |a2|, 1)
     for a in (a1, a2):
-        sq = [mpf_mul(x._mpf_, x._mpf_, p, _RND) for x in a.coords]  # x ** 2 rounds x x once
-        norms.append(mpf_sqrt(mpf_add(mpf_add(sq[0], sq[1], p, _RND), sq[2], p, _RND), p, _RND))
-    scale = _max1(norms) or fone  # max(|a1|, |a2|, 1): only its value enters
+        x = [float_above(mpf_abs(t._mpf_)) for t in a.coords]
+        scale = max(scale, up(math.sqrt(up(up(up(x[0] * x[0]) + up(x[1] * x[1])) + up(x[2] * x[2])))))
     # a2.err charges a2's own rounding at p bits
-    errs = mpf_mul_int(mpf_add(a1.err._mpf_, a2.err._mpf_, p, _RND), 8, p, _RND)
-    if mpf_le(mpf_abs(cross, p, _RND), mpf_mul(errs, scale, p, _RND)):
+    if not exceeds(mpf_abs(cross), up(up(8 * up(a1.err + a2.err)) * scale)):
         raise DependentUnitsError("simplex vectors do not span the plane")
     return SimplexSet(a1, a2, a3)
 
 
-def _rounded(v: LogVector, err, p: int) -> LogVector:
-    # v's coordinates rounded once at p bits, charged the raw error err plus
-    # 2^-(p-2) max(1, |x_i|), which covers that rounding
+def _rounded(v: LogVector, p: int) -> LogVector:
+    # v's coordinates rounded once at p bits, charged v.err plus 2^-(p-2)
+    # max(1, |x_i|), which covers that rounding
     x = [mpf_pos(t._mpf_, p, _RND) for t in v.coords]
-    slack = mpf_shift(_max1([mpf_abs(t) for t in x]) or fone, -(p - 2))
-    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(mpf_add(err, slack, p, _RND)))
+    slack = up(math.ldexp(max(1.0, *(float_above(mpf_abs(t)) for t in x)), 2 - p))
+    return LogVector(*map(mp.make_mpf, x), up(v.err + slack))
 
 
 def _order_simplex(order: CubicOrderData, v1: LogVector, v2: LogVector) -> SimplexSet:
@@ -477,8 +479,8 @@ def hex_domain(phi: SimplexSet, prec: int) -> HexDomain:
     # the first maximal coordinate; sum() starts from the int 0, so it
     # rounds its first term
     ceiling = reduce(lambda m, x: x if mpf_gt(x, m) else m, itertools.chain(*verts))
-    err = reduce(lambda s, a: mpf_add(s, a.err._mpf_, p, _RND), alphas, fzero)
-    return HexDomain(tuple(tuple(map(mp.make_mpf, v)) for v in verts), mp.make_mpf(ceiling), mp.make_mpf(err))
+    err = up(up(phi.alpha1.err + phi.alpha2.err) + phi.alpha3.err)
+    return HexDomain(tuple(tuple(map(mp.make_mpf, v)) for v in verts), mp.make_mpf(ceiling), err)
 
 
 def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
@@ -491,7 +493,8 @@ def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
     if big_r < 1 or not (0 <= r <= 1):
         raise InvalidParamsError("need R >= 1 and r in [0, 1]")
     p = prec
-    lhs = mpf_exp(mpf_mul(r._mpf_, mpf_add(hd.ceiling._mpf_, hd.ceiling_err._mpf_, p, _RND), p, _RND), p, _RND)
+    top = mpf_add(hd.ceiling._mpf_, from_float(hd.ceiling_err), p, _RND)  # the float read exactly
+    lhs = mpf_exp(mpf_mul(r._mpf_, top, p, _RND), p, _RND)
     rhs = mpf_mul(mpf_mul(ht._mpf_, big_r._mpf_, p, _RND), mpf_sub(fone, mpf_shift(fone, -40), p, _RND), p, _RND)
     return mpf_le(lhs, rhs)
 
@@ -534,8 +537,8 @@ _STAYS, _ESCAPES = 1, 2  # sweep verdicts: height at most H, or above H
 class _Alphas:
     """alpha1 and alpha2 of a simplex, read once for the mass sweep:
     ints[j][m] 2^e is coordinate m of alpha_{j+1} exactly (one dyadic
-    image), floats[j][m] its float64, errs their error bounds (raw mpf)
-    and err the float64 of the larger."""
+    image), floats[j][m] its float64, errs their error bounds and err
+    the larger (float64 upper bounds)."""
 
     ints: tuple[list[int], list[int]]
     e: int
@@ -548,7 +551,7 @@ class _Alphas:
         one, two = phi.alpha1, phi.alpha2
         ints, e = dyadic(one.coords + two.coords)
         return cls((ints[:3], ints[3:]), e, ([float(c) for c in one.coords], [float(c) for c in two.coords]),
-                   (one.err._mpf_, two.err._mpf_), float(max(one.err, two.err)))
+                   (one.err, two.err), max(one.err, two.err))
 
 
 def _radius(n: int, e: int, sg: int) -> float | None:
@@ -1113,11 +1116,11 @@ def _certified_norm(order: CubicOrderData, alphas: _Alphas, k: int):
     bits = _bits(order)
     (p1, p2), e = alphas.ints, alphas.e  # x_i = (a p1_i + b p2_i) 2^e / k
     t1, t2 = sum(p1), sum(p2)  # the alphas' exact traces, times 2^-e
-    # each alpha error over k as mpf division rounds it at bits, read in
-    # units of 2^f as a float64 (each at most 1)
-    errs = [mpf_div(v, from_int(k), bits, _RND) for v in alphas.errs]
-    f = max([-bits] + [x + bc for _, m, x, bc in errs if m])
-    c1, c2 = (to_float(mpf_shift(v, -f), rnd=_RND) for v in errs)
+    # each alpha error over k, rounded outward, in units of 2^f (each at
+    # most 1; the 2^-1000 units below bound what underflow drops)
+    errs = [up(v / k) for v in alphas.errs]
+    f = max([-bits] + [math.frexp(v)[1] for v in errs if v])
+    c1, c2 = (math.ldexp(v, -f) for v in errs)
     base = _prereduced(order)
     memo = {}
 

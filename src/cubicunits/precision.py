@@ -1,15 +1,16 @@
 """Precision policy, the CSV rows' named width, exact readings of mpf, int
-and float values as dyadic rationals, and correctly rounded roots of
-rationals."""
+and float values as dyadic rationals, correctly rounded roots of
+rationals, and the float64 error bounds' outward rounding."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_int, from_man_exp, from_rational, round_nearest
 
 from .errors import InvalidParamsError
 
@@ -118,3 +119,64 @@ def rational_root(num: int, den: int, degree: int, prec: int):
     if degree == 6:
         s = _icbrt(s)  # floor((num / den)^(1/6))
     return from_man_exp(2 * s + (s ** degree * den != num), -k - 1, prec, round_nearest)
+
+
+# Every error bound of the front stages is a float64 upper bound, the
+# radius of a ball about its value (van der Hoeven, "Ball arithmetic",
+# 2009). Each float step rounds to nearest, and `up` moves its result to
+# the next float: that lies above the step's exact result, also where the
+# result is subnormal or underflows to 0, so a nonzero bound never becomes
+# 0 and the least one is 2^-1074. Above about 1000 bits the bounds stay
+# near that floor: sound, but looser than the values' own precision.
+_INF = math.inf
+_NORMAL = sys.float_info.min  # 2^-1022: below it a float step can round by a whole ulp
+_nextafter = math.nextafter
+
+
+def up(x: float) -> float:
+    """The float after x, which lies above the exact result of any float
+    operation that rounded to nearest to x."""
+    return _nextafter(x, _INF)
+
+
+def down(x: float) -> float:
+    """The float before x: up's mirror."""
+    return _nextafter(x, -_INF)
+
+
+def float_above(x) -> float:
+    """A float64 at or above the finite mpf, raw mpf tuple or int x (0 for
+    0): its 53 leading bits, rounded toward +inf, are exact as a normal
+    float, and a subnormal one goes to the next float; past the float
+    range, inf."""
+    sign, man, exp, bc = x if type(x) is tuple else (from_int(x) if isinstance(x, int) else x._mpf_)
+    if bc > 53:
+        man, exp = (man >> (bc - 53)) + (not sign), exp + bc - 53
+    try:
+        v = math.ldexp(-man if sign else man, exp)
+    except OverflowError:
+        return -sys.float_info.max if sign else _INF
+    return v if not man or abs(v) >= _NORMAL else up(v)
+
+
+def float_below(x) -> float:
+    """A float64 at or below the nonnegative finite raw mpf tuple x, and at
+    least 0: float_above's mirror."""
+    _, man, exp, bc = x
+    if bc > 53:
+        man, exp = man >> (bc - 53), exp + bc - 53
+    try:
+        v = math.ldexp(man, exp)
+    except OverflowError:
+        return sys.float_info.max
+    return v if v >= _NORMAL else max(down(v), 0.0)
+
+
+def exceeds(x, r: float) -> bool:
+    """x > r exactly, for a raw mpf tuple x and a finite float r: r = n /
+    2^k with integers, compared with x = man 2^exp on integers."""
+    n, d = r.as_integer_ratio()
+    sign, man, exp, _ = x
+    s = exp + d.bit_length() - 1
+    man = -man if sign else man
+    return man << s > n if s >= 0 else man > n << -s

@@ -10,16 +10,15 @@ as its radius. The families' limit shapes have exact rational forms too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (
-    fone, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_mul_int, mpf_neg,
-    mpf_shift, mpf_sqrt, round_down, round_up)
+from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_div, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt
 
 from .errors import DependentUnitsError, InvalidParamsError
-from .precision import dyadic, rational_root
+from .precision import down, dyadic, float_above, float_below, rational_root, up
 from .units import _RND, LogVector
 
 __all__ = [
@@ -59,18 +58,13 @@ def corner(prec: int = 53) -> mp.mpc:
 
 @dataclass(frozen=True)
 class ShapePoint:
-    """A reduced point, the moves that reached it, and its radius: the true
-    point lies within radius of tau, up to the gluing of edges and arc."""
+    """A reduced point, the moves that reached it, and its radius, a
+    float64 upper bound: the true point lies within radius of tau, up to
+    the gluing of edges and arc."""
     tau: mp.mpc
     reduced: bool
     reduction_word: tuple[str, ...] = ()
-    radius: mp.mpf = mp.mpf(0)
-
-
-# A radius is an upper bound: it is computed at _RB bits, each step rounded
-# toward the side that keeps it one.
-_RB, _UP, _DOWN = 32, round_up, round_down
-_HALF = mpf_shift(fone, -1)
+    radius: float = 0.0
 
 
 def _tau(a: int, b: int, c: int, q: int):
@@ -80,7 +74,7 @@ def _tau(a: int, b: int, c: int, q: int):
     return mpf_div(from_int(-b), from_int(2 * a), q, _RND), im
 
 
-def _radius(a: int, c: int, u, q: int | None, errs):
+def _radius(a: int, c: int, u, q: int | None, errs) -> float:
     # tau's two output roundings at q bits (none for q None), 2^-q |tau|
     # together, with |tau| = sqrt(c/a); for a member's form, whose errs =
     # (e, err1, err2) are its scale 2^e and its vectors' errors, also the
@@ -88,17 +82,18 @@ def _radius(a: int, c: int, u, q: int | None, errs):
     # u2 = u2 v1 + u3 v2 of the form: each coordinate of u_i is off by
     # err_i' = |u_{2i-2}| err1 + |u_{2i-1}| err2 at most, the plane map at
     # most doubles that, |d(z2/z1)| <= (|dz2| + |tau| |dz1|) / |z1| to first
-    # order, and the other 2 covers the rest
-    size = mpf_sqrt(mpf_div(from_int(c, _RB, _UP), from_int(a, _RB, _DOWN), _RB, _UP), _RB, _UP)
-    r = fzero if q is None else mpf_shift(size, -q)
+    # order, and the other 2 covers the rest; |z1'| = sqrt(a) 2^e. Each
+    # float step rounds outward (up), and |z1'| is taken from below, as
+    # z1 2^s with z1 near 1, so that no |z1'| leaves the float range
+    size = up(math.sqrt(up(c / a)))  # int / int rounds correctly
+    r = 0.0 if q is None else up(math.ldexp(size, -q))
     if errs is None:
         return r
     e, err1, err2 = errs
-    e1, e2 = (mpf_add(mpf_mul_int(err1, abs(s), _RB, _UP), mpf_mul_int(err2, abs(t), _RB, _UP), _RB, _UP)
-              for s, t in (u[:2], u[2:]))
-    data = mpf_add(e2, mpf_mul(size, e1, _RB, _UP), _RB, _UP)
-    data = mpf_div(data, mpf_sqrt(from_int(a, _RB, _DOWN), _RB, _DOWN), _RB, _UP)
-    return mpf_add(r, mpf_shift(data, 2 - e), _RB, _UP)
+    e1, e2 = (up(up(abs(s) * err1) + up(abs(t) * err2)) for s, t in (u[:2], u[2:]))
+    s = (a.bit_length() + 2 * e) // 2  # a 2^(2e) = A 4^s, A in [1/2, 2)
+    z1 = down(math.sqrt(float_below(from_man_exp(a, 2 * (e - s)))))
+    return up(r + up(math.ldexp(up(4 * up(e2 + up(size * e1)) / z1), -s)))
 
 
 # Exact Gauss reduction of a positive definite integer form (a, b, c) to
@@ -114,7 +109,9 @@ def _radius(a: int, c: int, u, q: int | None, errs):
 # rounding, so the move is made also where the printed point is within r/2
 # of the left edge or the left half of the arc (on them, for an exact
 # form); after a move the radius grows, where it must, to the printed
-# point's distance from the domain.
+# point's distance from the domain. Every test reads r exactly, on
+# integers: r = n / d, and the printed point and r are read at one
+# dyadic scale.
 def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint:
     u = [1, 0, 0, 1]
     while True:
@@ -127,31 +124,31 @@ def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint
             break
         a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]  # tau -> -1/tau
         word.append("S")
-    # the tie radius r, 0 for an exact form; libmp adds and multiplies raw
-    # mpfs exactly at precision 0, so the comparisons below are exact
-    r = fzero if errs is None else _radius(a, c, u, q, errs)
-    r1 = mpf_add(fone, r)
+    # the tie radius r, 0 for an exact form
+    r = 0.0 if errs is None else _radius(a, c, u, q, errs)
+    n, d = r.as_integer_ratio()
     tau = _tau(a, b, c, q)
-    x, y = tau
-    h = mpf_shift(r, -1)
-    h1 = mpf_add(fone, h)
-    if (mpf_le(from_int(a - b), mpf_mul(from_int(2 * a), r))  # Re tau + 1/2 <= r: the left edge goes right
-            or mpf_le(mpf_add(x, _HALF), h)):  # printed Re + 1/2 <= r/2
+    # the printed point (px + i py) 2^e, r = rr 2^e and 1/2 = h 2^e, exactly
+    (px, py, rr, h), e = dyadic((*tau, r, 0.5))
+    if (a - b) * d <= 2 * a * n or 2 * (px + h) <= rr:  # Re tau + 1/2 <= r, or printed Re + 1/2 <= r/2
         b, c = b - 2 * a, a - b + c
         u[2], u[3] = u[2] + u[0], u[3] + u[1]
         word.append("T1")
-    elif b > 0 and (mpf_le(from_int(c), mpf_mul(from_int(a), mpf_mul(r1, r1)))  # Re tau < 0, |tau| <= 1 + r
-                    or mpf_le(mpf_add(mpf_mul(x, x), mpf_mul(y, y)), mpf_mul(h1, h1))):  # printed |tau| <= 1 + r/2
+    elif b > 0 and (c * d * d <= a * (d + n) ** 2  # Re tau < 0, and |tau| <= 1 + r or printed |tau| <= 1 + r/2
+                    or 4 * (px * px + py * py) <= (4 * h + rr) ** 2):
         a, b, c, u = c, -b, a, [u[2], u[3], -u[0], -u[1]]
         word.append("S")
     else:  # no move: a member's radius is r, an exact form's its rounding alone
-        return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(r if errs else _radius(a, c, u, q, None)))
+        return ShapePoint(mp.make_mpc(tau), True, tuple(word), r if errs else _radius(a, c, u, q, None))
     tau = _tau(a, b, c, q)
-    x, y = tau
-    size2 = mpf_add(mpf_mul(x, x), mpf_mul(y, y))
-    inside = mpf_div(mpf_add(fone, mpf_neg(size2)), mpf_add(fone, mpf_sqrt(size2, _RB, _DOWN)), _RB, _UP)  # 1 - |tau|
-    radius = max((_radius(a, c, u, q, errs), mpf_add(x, mpf_neg(_HALF)), inside), key=mp.make_mpf)
-    return ShapePoint(mp.make_mpc(tau), True, tuple(word), mp.make_mpf(radius))
+    (px, py, h), e = dyadic((*tau, 0.5))
+    size2 = from_man_exp(px * px + py * py, 2 * e)  # |tau|^2
+    # Re tau - 1/2, and 1 - |tau| <= (1 - |tau|^2) / (1 + |tau|) where it is positive
+    edge = float_above(from_man_exp(px - h, e))
+    num = (2 * h) ** 2 - px * px - py * py
+    inside = up(float_above(from_man_exp(num, 2 * e)) / down(1 + down(math.sqrt(float_below(size2))))) \
+        if num > 0 else 0.0
+    return ShapePoint(mp.make_mpc(tau), True, tuple(word), max(_radius(a, c, u, q, errs), edge, inside))
 
 
 def reduce_fundamental(tau, prec: int = 53) -> ShapePoint:
@@ -188,11 +185,11 @@ def shape_from_units(v1: LogVector, v2: LogVector, prec: int = 53) -> ShapePoint
     (x1, x2, y1, y2), e = dyadic((v1.x1, v1.x2, v2.x1, v2.x2))
     a, c = x1 * x1 + x1 * x2 + x2 * x2, y1 * y1 + y1 * y2 + y2 * y2
     b, det = -(2 * x1 * y1 + x1 * y2 + x2 * y1 + 2 * x2 * y2), x1 * y2 - x2 * y1
-    errs = (e, v1.err._mpf_, v2.err._mpf_)
+    errs = (e, v1.err, v2.err)
     # dependent when Im tau is within the data's radius on this basis: the
     # determinant is exact, and tau is not rounded here
-    r = _radius(a, c, (1, 0, 0, 1), None, errs) if det else fzero
-    if mpf_le(from_int(3 * det * det), mpf_mul(from_int(4 * a * a), mpf_mul(r, r))):  # 4a^2 (Im^2 <= r^2)
+    n, d = (_radius(a, c, (1, 0, 0, 1), None, errs) if det else 0.0).as_integer_ratio()
+    if 3 * (det * d) ** 2 <= 4 * (a * n) ** 2:  # 4a^2 (Im^2 <= r^2), r = n / d
         raise DependentUnitsError("Im(tau) is within its radius of 0: dependent units")
     return _reduce(a, b, c, q, ["reflect"] if det < 0 else [], errs)
 
@@ -279,7 +276,7 @@ def same_shape(p, q, tol=None) -> bool:
     tp, tq = (x.tau if isinstance(x, ShapePoint) else mp.convert(x) for x in (p, q))
     if tol is None:
         points = isinstance(p, ShapePoint) and isinstance(q, ShapePoint)
-        tol = mp.make_mpf(mpf_add(p.radius._mpf_, q.radius._mpf_, _RB, _UP)) if points else mp.ldexp(1, -26)
+        tol = up(p.radius + q.radius) if points else mp.ldexp(1, -26)
     bits = max(53, 24 + max(mp.mag(tp), mp.mag(tq), 0) - mp.mag(tol)) if tol > 0 else 53
     with mp.workprec(bits):
         cands = [tq, tq + 1, tq - 1, -1 / tq]

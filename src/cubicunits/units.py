@@ -9,13 +9,14 @@ only ever means inconclusive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_log, mpf_lt,
+    fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_log, mpf_lt,
     mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest as _RND)
 
 from .cubics import MonicCubic, discriminant, is_irreducible, is_totally_real, norm_linear_form
@@ -27,7 +28,7 @@ from .errors import (
     OutOfRegimeError,
     PrecisionExhaustedError,
 )
-from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic
+from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic, exceeds, float_above, float_below, up
 from .roots import IsolatedRoot, refine_root, refined_roots
 
 __all__ = [
@@ -45,40 +46,48 @@ __all__ = [
 # certify_fundamental asks the Cusick ratio to clear 1/8 by 2^-_MARGIN_BITS
 _MARGIN_BITS = 32
 
-# The routines below compute on mpmath's raw tuples: each step is the libmp
-# call, precision and rounding that mpmath's operator for it makes (-x and
-# abs(x) round, int * x is mpf_mul_int, x ** 2 is mpf_pow_int, a sum()
-# rounds its first term), at the precision the caller names, so every bit
-# is the operator code's. At precision 0, libmp adds, subtracts and
-# multiplies exactly. _RND is mpmath's default rounding, to nearest.
+# The routines below compute their values on mpmath's raw tuples: each
+# step is the libmp call, precision and rounding that mpmath's operator
+# for it makes (-x and abs(x) round, int * x is mpf_mul_int, x ** 2 is
+# mpf_pow_int, a sum() rounds its first term), at the precision the caller
+# names, so every value bit is the operator code's. At precision 0, libmp
+# adds, subtracts and multiplies exactly. _RND is mpmath's default
+# rounding, to nearest. Their error bounds are float64 upper bounds, each
+# float step rounded outward (precision.up), and each test of a value
+# against a bound is exact (precision.exceeds).
 _EIGHTH = mp.mpf(0.125)
 
 
-def _max1(xs):
-    # the first maximal of (1, *xs) under >, as max() picks it, for raw
-    # tuples xs; None stands for the int 1
-    return reduce(lambda m, x: x if mpf_gt(x, m or fone) else m, xs, None)
+def _show(x: float, digits: int) -> str:
+    # the float x to digits digits, as mp.nstr prints an mpf
+    return mp.nstr(mp.make_mpf(from_float(x)), digits)
 
 
 @dataclass(frozen=True)
 class LogVector:
     """Point of the trace-zero plane {x1+x2+x3=0}, up to the shared error
-    bound err on each coordinate. Its arithmetic is exact: +, -, negation
-    and scaled(c) round nothing, and add or scale err exactly."""
+    bound err on each coordinate: a float64 at or above the coordinates'
+    true error (an mpf or int given is read as the float at or above it,
+    precision.float_above). +, -, negation and scaled(c) are exact on the
+    coordinates and round err outward (precision.up), so (v + w).err is
+    at or above v.err + w.err."""
 
     x1: mp.mpf
     x2: mp.mpf
     x3: mp.mpf
-    err: mp.mpf
+    err: float
 
     def __post_init__(self):
+        if type(self.err) is not float:
+            object.__setattr__(self, "err", float_above(self.err))
         # the exact coordinate sum must be within 3 err, or within the
         # exact 2^-24 max(1, |x_i|)
         x = [t._mpf_ for t in self.coords]
         s = mpf_abs(mpf_add(mpf_add(x[0], x[1]), x[2]))
-        err3 = mpf_mul(self.err._mpf_, from_int(3))
-        if mpf_gt(s, err3) and mpf_gt(s, mpf_shift(_max1([mpf_abs(t) for t in x]) or fone, -24)):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={mp.nstr(mp.make_mpf(err3), 8)}")
+        err3 = up(3 * self.err)
+        s24 = mpf_shift(s, 24)
+        if exceeds(s, err3) and mpf_gt(s24, fone) and all(mpf_gt(s24, mpf_abs(t)) for t in x):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={_show(err3, 8)}")
 
     @property
     def coords(self):
@@ -92,20 +101,20 @@ class LogVector:
 
     def _combine(self, o, op) -> "LogVector":
         x = [op(s._mpf_, t._mpf_) for s, t in zip(self.coords, o.coords)]
-        return _vector(x, mpf_add(self.err._mpf_, o.err._mpf_))
+        return _vector(x, up(self.err + o.err))
 
     def __neg__(self) -> "LogVector":
-        return _vector([mpf_neg(s._mpf_) for s in self.coords], self.err._mpf_)
+        return _vector([mpf_neg(s._mpf_) for s in self.coords], self.err)
 
     def scaled(self, c) -> "LogVector":
         (n,), e = dyadic([c])  # c, an int, float or mpf, read exactly
         c = from_man_exp(n, e)
-        return _vector([mpf_mul(c, s._mpf_) for s in self.coords], mpf_mul(mpf_abs(c), self.err._mpf_))
+        return _vector([mpf_mul(c, s._mpf_) for s in self.coords], up(float_above(mpf_abs(c)) * self.err))
 
 
-def _vector(x, err) -> LogVector:
-    # the vector with raw coordinates x and raw error err
-    return LogVector(*map(mp.make_mpf, x), mp.make_mpf(err))
+def _vector(x, err: float) -> LogVector:
+    # the vector with raw coordinates x and error bound err
+    return LogVector(*map(mp.make_mpf, x), err)
 
 
 @dataclass(frozen=True)
@@ -176,19 +185,19 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     pol = order.policy
     rungs = pol.ladder()
     next(rungs)  # the stored roots' rung
+    fa = float_above(abs(a))
     while True:
         bits = max(r.prec for r in roots)
         ms = [mpf_sub(mpf_mul_int(r.value._mpf_, a, bits, _RND), from_int(b), bits, _RND) for r in roots]
-        errs = [mpf_mul_int(r.err._mpf_, abs(a), bits, _RND) for r in roots]
+        errs = [up(fa * float_above(r.err._mpf_)) for r in roots]  # |a| err_i
         ams = [mpf_abs(m, bits, _RND) for m in ms]
-        if all(m != fzero and mpf_gt(am, mpf_mul_int(e, 256, bits, _RND)) for m, am, e in zip(ms, ams, errs)):
+        if all(exceeds(am, 256 * e) for am, e in zip(ams, errs)):
             coords = [mpf_log(am, bits, _RND) for am in ams]
-            # 2 e / |m| + 2^-(bits - 8) max(1, |c|) per coordinate, and the first maximal
-            terms = [mpf_add(mpf_div(mpf_mul_int(e, 2, bits, _RND), am, bits, _RND),
-                             mpf_shift(_max1([mpf_abs(c, bits, _RND)]) or fone, -(bits - 8)), bits, _RND)
-                     for am, e, c in zip(ams, errs, coords)]
-            err = reduce(lambda m, t: t if mpf_gt(t, m) else m, terms)
-            return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), mp.make_mpf(err)))
+            # the largest of 2 e / |m| + 2^-(bits - 8) max(1, |c|) over the coordinates
+            err = max(up(up(2 * e / float_below(am))
+                         + up(math.ldexp(max(1.0, float_above(mpf_abs(c))), 8 - bits)))
+                      for am, e, c in zip(ams, errs, coords))
+            return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), err))
         target = next(rungs, None)
         if target is None:
             raise PrecisionExhaustedError(
@@ -198,29 +207,28 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
 
 
 def relative_regulator_with_error(v1: LogVector, v2: LogVector, prec: int):
-    """|2x2 minor| of the embedding pair, plus an error bound, each step
-    rounded at prec bits. All three coordinate-deletion minors must agree
+    """|2x2 minor| of the embedding pair, each step rounded at prec bits,
+    plus a float64 error bound. All three coordinate-deletion minors must agree
     (rows sum to ~0); disagreement beyond tolerance is an internal error,
     near-zero determinant means the units are dependent."""
     p, a, b = prec, [x._mpf_ for x in v1.coords], [x._mpf_ for x in v2.coords]
     # the minors deleting coordinate 1, 2 and 3
     minors = [mpf_sub(mpf_mul(a[i], b[j], p, _RND), mpf_mul(a[j], b[i], p, _RND), p, _RND)
               for i, j in ((1, 2), (0, 2), (0, 1))]
-    scale = _max1([mpf_abs(x, p, _RND) for x in a + b])
-    # 10 * scale is the int 10 when scale is the int 1
-    ten = from_int(10) if scale is None else mpf_mul_int(scale, 10, p, _RND)
-    err = mpf_add(mpf_mul(ten, mpf_add(v1.err._mpf_, v2.err._mpf_, p, _RND), p, _RND),
-                  mpf_shift(mpf_mul(scale, scale, p, _RND) if scale else fone, -(p - 12)), p, _RND)
+    # 10 scale (err1 + err2) + 2^-(p - 12) scale^2, scale = max(1, |x_i|)
+    # over both vectors
+    scale = max(1.0, *(float_above(mpf_abs(x)) for x in a + b))
+    err = up(up(up(10 * scale) * up(v1.err + v2.err)) + up(math.ldexp(up(scale * scale), 12 - p)))
     vals = [mpf_abs(m, p, _RND) for m in minors]
     hi = reduce(lambda m, v: v if mpf_gt(v, m) else m, vals)  # as max() and min() pick
     lo = reduce(lambda m, v: v if mpf_lt(v, m) else m, vals)
-    if mpf_gt(mpf_sub(hi, lo, p, _RND), err):
+    if exceeds(mpf_sub(hi, lo, p, _RND), err):
         raise InternalInconsistencyError(
-            f"minors disagree beyond tolerance: {[mp.nstr(mp.make_mpf(v), 12) for v in vals]} (tol {mp.nstr(mp.make_mpf(err), 6)})")
+            f"minors disagree beyond tolerance: {[mp.nstr(mp.make_mpf(v), 12) for v in vals]} (tol {_show(err, 6)})")
     det = vals[2]  # first-two-coordinates minor, per the stated convention
-    if mpf_le(det, mpf_mul_int(err, 8, p, _RND)):
+    if not exceeds(det, 8 * err):
         raise DependentUnitsError("regulator determinant below the error floor")
-    return mp.make_mpf(det), mp.make_mpf(err)
+    return mp.make_mpf(det), err
 
 
 def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> RegulatorReport:

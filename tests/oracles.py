@@ -42,8 +42,10 @@ columns as mpf values, and a shape's reduction word applied to a point.
 The member's front stages are the last exception: `ReferenceLogVector`
 and the other `reference_*` routines at the end of this file are the
 mpmath-operator code that units.py, shapes.py and masses.py replaced
-with calls on raw libmp tuples, which must match it bit for bit. The
-shape is not among them: it comes from an exact integer form, checked
+with calls on raw libmp tuples, which must match it bit for bit in every
+value. Their error bounds are exact `Fraction`s of each bound's formula
+on the same inputs, which the package's float64 bounds must meet from
+above within a relative 2^-40. The shape is not among them: it comes from an exact integer form, checked
 against the same member at 768 bits, the plane map of
 `reference_to_plane` and the domain of `reference_convention`.
 """
@@ -737,15 +739,41 @@ def reference_dual_weight(basis) -> float:
 # certify_fundamental, shapes.omega and corner, and masses.make_simplex,
 # hex_domain and shortest_vector_norm compute on mpmath's raw tuples;
 # these are their mpmath-operator forms, which the tuple code must match
-# bit for bit. The error classes are the package's own; log_embed's memo
-# of the order's log vectors is left out, so a reference call always
+# bit for bit in every value. Every error bound here is the exact
+# Fraction of its formula on the same inputs, where the package rounds a
+# float64 outward. The error classes are the package's own; log_embed's
+# memo of the order's log vectors is left out, so a reference call always
 # computes. The shape is checked against truth instead: reference_to_plane
 # is its independent plane map, and reference_convention its domain.
 # ---------------------------------------------------------------------------
 
 
-def _reference_round_slack(coords) -> mp.mpf:
-    return mp.ldexp(max(1, *(abs(x) for x in coords)), -(mp.mp.prec - 2))
+def exact(x) -> Fraction:
+    """The exact value of a finite mpf, int, float or Fraction."""
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    m, e = x.man_exp  # read from the mpf itself, at no precision
+    return Fraction(m) * Fraction(2) ** e
+
+
+# how far above its exact formula a float64 error bound may lie
+SLACK = 1 + Fraction(1, 2 ** 40)
+
+
+def bounds(got, exact) -> bool:
+    """Whether the float got lies at or above the exact Fraction and at
+    most SLACK times it."""
+    return type(got) is float and exact <= Fraction(got) <= exact * SLACK
+
+
+def _to_mpf(q: Fraction) -> mp.mpf:
+    # q rounded at 53 bits, as an error message prints the package's float
+    with mp.workprec(53):
+        return mp.mpf(q.numerator) / q.denominator
+
+
+def _reference_round_slack(coords) -> Fraction:
+    return Fraction(2) ** (2 - mp.mp.prec) * max(1, *(abs(exact(x)) for x in coords))
 
 
 def _reference_sum_slack(coords) -> mp.mpf:
@@ -758,16 +786,17 @@ def _exact_abs(x) -> mp.mpf:
 
 
 class ReferenceLogVector:
-    """units.LogVector with mpmath operators, each one exact."""
+    """units.LogVector with mpmath operators, each one exact, and err an
+    exact Fraction."""
 
     def __init__(self, x1, x2, x3, err):
         from cubicunits.errors import InvalidParamsError
 
-        self.x1, self.x2, self.x3, self.err = x1, x2, x3, err
+        self.x1, self.x2, self.x3, self.err = x1, x2, x3, exact(err)
         s = _exact_abs(mp.fadd(mp.fadd(x1, x2, exact=True), x3, exact=True))
-        err3 = mp.fmul(3, err, exact=True)
-        if s > err3 and s > mp.ldexp(max(1, *map(_exact_abs, self.coords)), -24):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(err3, 8)}")
+        err3 = 3 * self.err
+        if exact(s) > err3 and s > mp.ldexp(max(1, *map(_exact_abs, self.coords)), -24):
+            raise InvalidParamsError(f"coordinates sum to {mp.nstr(s, 8)}, beyond 3*err={mp.nstr(_to_mpf(err3), 8)}")
 
     @property
     def coords(self):
@@ -775,18 +804,18 @@ class ReferenceLogVector:
 
     def __add__(self, o):
         return ReferenceLogVector(*(mp.fadd(x, y, exact=True) for x, y in zip(self.coords, o.coords)),
-                                  mp.fadd(self.err, o.err, exact=True))
+                                  self.err + o.err)
 
     def __sub__(self, o):
         return ReferenceLogVector(*(mp.fsub(x, y, exact=True) for x, y in zip(self.coords, o.coords)),
-                                  mp.fadd(self.err, o.err, exact=True))
+                                  self.err + o.err)
 
     def __neg__(self):
         return ReferenceLogVector(*(mp.fneg(x, exact=True) for x in self.coords), self.err)
 
     def scaled(self, c):
         return ReferenceLogVector(*(mp.fmul(c, x, exact=True) for x in self.coords),
-                                  mp.fmul(_exact_abs(mp.mpf(c)), self.err, exact=True))
+                                  abs(exact(c)) * self.err)
 
 
 def reference_log_embed(order, a: int, b: int):
@@ -810,7 +839,7 @@ def reference_log_embed(order, a: int, b: int):
             if all(m != 0 and abs(m) > 256 * e for m, e in zip(ms, errs)):
                 coords = [mp.log(abs(m)) for m in ms]
                 err = max(
-                    2 * e / abs(m) + mp.ldexp(max(1, abs(c)), -(bits - 8))
+                    2 * exact(e) / abs(exact(m)) + Fraction(2) ** (8 - bits) * max(1, abs(exact(c)))
                     for m, e, c in zip(ms, errs, coords)
                 )
                 return ReferenceLogVector(*coords, err)
@@ -838,14 +867,14 @@ def _reference_regulator(v1, v2):
         a[0] * b[2] - a[2] * b[0],  # delete coordinate 2
         a[0] * b[1] - a[1] * b[0],  # delete coordinate 3
     ]
-    scale = max(1, *(abs(x) for x in a + b))
-    err = 10 * scale * (v1.err + v2.err) + mp.ldexp(scale * scale, -(mp.mp.prec - 12))
+    scale = max(1, *(abs(exact(x)) for x in a + b))
+    err = 10 * scale * (v1.err + v2.err) + Fraction(2) ** (12 - mp.mp.prec) * scale * scale
     vals = [abs(m) for m in minors]
-    if max(vals) - min(vals) > err:
+    if exact(max(vals) - min(vals)) > err:
         raise InternalInconsistencyError(
-            f"minors disagree beyond tolerance: {[mp.nstr(v, 12) for v in vals]} (tol {mp.nstr(err, 6)})")
+            f"minors disagree beyond tolerance: {[mp.nstr(v, 12) for v in vals]} (tol {mp.nstr(_to_mpf(err), 6)})")
     det = vals[2]  # first-two-coordinates minor, per the stated convention
-    if det <= 8 * err:
+    if exact(det) <= 8 * err:
         raise DependentUnitsError("regulator determinant below the error floor")
     return det, err
 
@@ -915,17 +944,18 @@ def reference_convention(sp) -> bool:
     closed fundamental domain: within its radius r of the domain, and its
     enclosure misses the left edge and, where Re < 0, the arc. The miss is
     checked at r/2, since the tie is settled on the exact form and the
-    printed point is off it by its own rounding, a part of r."""
+    printed point is off it by its own rounding, a part of r (a float,
+    read exactly)."""
     with mp.workprec(1024):
-        x, size, r = sp.tau.real, abs(sp.tau), sp.radius
+        x, size, r = sp.tau.real, abs(sp.tau), mp.mpf(sp.radius)
         return (r / 2 < x + mp.mpf(1) / 2 and x <= mp.mpf(1) / 2 + r and size >= 1 - r
                 and (x >= 0 or size - 1 > r / 2))
 
 
-def _reference_rounded(v, err):
-    # v rounded at the ambient precision, charged err and the rounding slack
+def _reference_rounded(v):
+    # v rounded at the ambient precision, charged v.err and the rounding slack
     x = tuple(+c for c in v.coords)
-    return ReferenceLogVector(*x, err + _reference_round_slack(x))
+    return ReferenceLogVector(*x, v.err + _reference_round_slack(x))
 
 
 def reference_make_simplex(v1, v2, prec: int):
@@ -934,11 +964,12 @@ def reference_make_simplex(v1, v2, prec: int):
 
     with mp.workprec(prec):
         a1 = v1
-        a2 = _reference_rounded(v2 - v1, v2.err + v1.err)
-        a3 = _reference_rounded(-v2, v2.err)
+        a2 = _reference_rounded(v2 - v1)
+        a3 = _reference_rounded(-v2)
         cross = a1.x1 * a2.x2 - a1.x2 * a2.x1
+    with mp.workprec(4 * prec + 64):  # the bound, whose norms are irrational, near exactly
         scale = max(*(mp.sqrt(a.x1 ** 2 + a.x2 ** 2 + a.x3 ** 2) for a in (a1, a2)), mp.mpf(1))
-        if abs(cross) <= 8 * (a1.err + a2.err) * scale:
+        if abs(cross) <= 8 * _to_mpf(a1.err + a2.err) * scale:
             raise DependentUnitsError("simplex vectors do not span the plane")
         return a1, a2, a3
 
@@ -960,7 +991,7 @@ def _reference_hexagon(alphas):
         a, b = (terms[p][i] for i, p in enumerate(perm) if p)
         verts.append(tuple(x + y for x, y in zip(a, b)))
     ceiling = max(max(v) for v in verts)
-    err = sum(a.err for a in alphas)
+    err = alphas[0].err + alphas[1].err + alphas[2].err
     return tuple(verts), ceiling, err
 
 

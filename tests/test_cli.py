@@ -6,13 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from cubicunits.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    _fmt,
     main,
     parse_schedule,
     read_config,
@@ -31,6 +36,16 @@ SEED_RANK1 = ('{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},'
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(-2 ** 400, 2 ** 400), st.integers(-1200, 1200),
+       st.sampled_from([8, 17, 53, 64, 96, 192]))
+def test_fmt_prints_what_nstr_prints(man, exp, prec):
+    # a cell is the 17 digits mp.nstr prints of the value rounded to prec
+    # bits, under mpmath's default rounding, to nearest
+    x = mp.make_mpf(from_man_exp(man, exp))
+    assert _fmt(x, prec) == mp.nstr(mp.mpf(x, prec=prec), 17)
 
 
 def test_parse_schedule_arith():

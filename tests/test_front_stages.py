@@ -4,17 +4,23 @@ mpmath-operator forms in tests/oracles.py, and the shape against truth.
 units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
 certify_fundamental, shapes' omega and corner, and masses' make_simplex,
 hex_domain and shortest_vector_norm call mpmath's libmp functions
-directly. Each must give every field's raw tuple and the class and text of
-every error that the operator code gives, over three families, every
-decade 10^3..10^24 of both signs, five precisions and three widths, each
-passed to the stages with another ambient precision set directly on mp.mp,
-which no stage reads. The lattice embedding and the shape come from exact
+directly. Each must give every value field's raw tuple and the class and
+text of every error that the operator code gives, over three families,
+every decade 10^3..10^24 of both signs, five precisions and three widths,
+each passed to the stages with another ambient precision set directly on
+mp.mp, which no stage reads. Each error bound is a float64 that must lie
+at or above its formula's exact Fraction on the same inputs (the
+reference's), and within a relative 2^-40 of it. The shape's radius is
+checked against its own formula, evaluated near exactly from the reduced
+basis its word replays. The lattice embedding and the shape come from exact
 integers instead. Every entry of the embedding must lie within its stated
 relative error of its value at the stored roots, computed at four times
 the bits. The shape is checked against the same member at 768 bits: it
 must lie within its radius of that shape, and be the convention's
 representative of the closed fundamental domain.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -70,6 +76,18 @@ def outcome(fn, *args):
         return "error", type(e).__name__, str(e)
 
 
+def agree(got, want) -> bool:
+    """Whether a stage's outcome agrees with the reference's: the same
+    error class and text, or every value raw tuple for raw tuple and every
+    float bound over its exact Fraction (oracles.bounds)."""
+    if isinstance(want, Fraction):
+        return O.bounds(got, want)
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(agree(x, y) for x, y in zip(got, want)))
+    return got == want
+
+
 def reference_vector(v):
     with mp.workprec(4096):  # the check passes wherever the vector's does
         return O.ReferenceLogVector(v.x1, v.x2, v.x3, v.err)
@@ -87,31 +105,27 @@ def _certificate_of(rep):
     return rep.rel_reg, rep.cusick_ratio, rep.certified
 
 
-def _certificate(v1, v2, disc, bits, width, regulator, certify):
-    # the reference returns the report's three fields as a tuple
-    reg, err = regulator(v1, v2, width)
-    rep = certify(reg, disc, err, bits)
-    return _certificate_of(rep) if hasattr(rep, "rel_reg") else rep
-
-
 def check_vectors(v, r, disc, bits, width):
     """Every stage that takes a width, on the unit pair v (LogVector),
     against the operator code on r (ReferenceLogVector), at that width; the
-    exact arithmetic takes none."""
+    exact arithmetic takes none. The certificate reads the stage's own
+    float error bound in both."""
     third = mp.mpf(1) / 3
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -b,
                lambda a, b: a.scaled(3), lambda a, b: b.scaled(-2),
                lambda a, b: a.scaled(third)):
-        assert outcome(op, *v) == outcome(op, *r)
-    assert outcome(_certificate, *v, disc, bits, width, units.relative_regulator_with_error,
-                   units.certify_fundamental) == outcome(
-        _certificate, *r, disc, bits, width, O.reference_relative_regulator_with_error,
-        O.reference_certify_fundamental)
-    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, width)), *v)
-    assert got == outcome(O.reference_make_simplex, *r, width)
+        assert agree(outcome(op, *v), outcome(op, *r))
+    got = outcome(units.relative_regulator_with_error, *v, width)
+    assert agree(got, outcome(O.reference_relative_regulator_with_error, *r, width))
     if got[0] == "ok":
-        assert outcome(lambda a, b: _hexagon(masses.hex_domain(masses.make_simplex(a, b, width), width)), *v) \
-            == outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b, width), width), *r)
+        reg, err = units.relative_regulator_with_error(*v, width)
+        assert outcome(lambda: _certificate_of(units.certify_fundamental(reg, disc, err, bits))) \
+            == outcome(O.reference_certify_fundamental, reg, disc, err, bits)
+    got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, width)), *v)
+    assert agree(got, outcome(O.reference_make_simplex, *r, width))
+    if got[0] == "ok":
+        assert agree(outcome(lambda a, b: _hexagon(masses.hex_domain(masses.make_simplex(a, b, width), width)), *v),
+                     outcome(lambda a, b: O.reference_hex_domain(O.reference_make_simplex(a, b, width), width), *r))
 
 
 def check_embedding(order, bits):
@@ -145,8 +159,8 @@ def test_front_stages_match_the_operator_code(family, bits):
         for width in AMBIENT:
             mp.mp.prec = OTHER[width]
             order._logs.clear()  # log_embed computes again at this ambient precision
-            got = [outcome(units.log_embed, order, a, b) for a, b in pairs]
-            assert got == [outcome(O.reference_log_embed, order, a, b) for a, b in pairs]
+            got = tuple(outcome(units.log_embed, order, a, b) for a, b in pairs)
+            assert agree(got, tuple(outcome(O.reference_log_embed, order, a, b) for a, b in pairs))
             v = [units.log_embed(order, a, b) for a, b in pairs]
             check_vectors(v, [reference_vector(x) for x in v], order.disc, bits, width)
 
@@ -164,17 +178,17 @@ def test_error_paths_match_the_operator_code(amb):
     mpf = mp.mpf
     # dependent vectors
     d, rd = v1.scaled(2), r1.scaled(2)
-    assert outcome(units.relative_regulator_with_error, v1, d, amb) == outcome(
-        O.reference_relative_regulator_with_error, r1, rd, amb)
+    assert agree(outcome(units.relative_regulator_with_error, v1, d, amb),
+                 outcome(O.reference_relative_regulator_with_error, r1, rd, amb))
     got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, amb)), v1, d)
     assert got[:2] == ("error", "DependentUnitsError")
-    assert got == outcome(O.reference_make_simplex, r1, rd, amb)
+    assert agree(got, outcome(O.reference_make_simplex, r1, rd, amb))
     zero = units.LogVector(mpf(0), mpf(0), mpf(0), mpf(0))
     for pair in ((v1, d), (zero, v1), (v1, zero)):
         assert outcome(shapes.shape_from_units, *pair)[:2] == ("error", "DependentUnitsError")
     # off-plane input: the LogVector check
-    assert outcome(units.LogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)) == outcome(
-        O.ReferenceLogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30))
+    assert agree(outcome(units.LogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)),
+                 outcome(O.ReferenceLogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)))
     # minors that disagree: the first vector sums to 1e-8, inside LogVector's
     # 2^-24 relative slack but, from 53 bits on, far outside the regulator's
     # tolerance
@@ -183,8 +197,8 @@ def test_error_paths_match_the_operator_code(amb):
         b = units.LogVector(mpf(2), mpf(-5), mpf(3), mpf(1e-30))
     got = outcome(units.relative_regulator_with_error, a, b, amb)
     assert amb < 53 or got[:2] == ("error", "InternalInconsistencyError")
-    assert got == outcome(O.reference_relative_regulator_with_error,
-                          reference_vector(a), reference_vector(b), amb)
+    assert agree(got, outcome(O.reference_relative_regulator_with_error,
+                              reference_vector(a), reference_vector(b), amb))
     # certification outside its regime, and a non-positive regulator
     for args in ((mpf(1), 16), (mpf(1), -23), (mpf(0), 49), (-1, 49), (mpf(2), 49, mpf(0), 64)):
         assert outcome(lambda *x: _certificate_of(units.certify_fundamental(*x)), *args) \
@@ -240,6 +254,42 @@ def test_shape_lies_within_its_radius_of_the_768_bit_shape(bits, truth):
                 assert flip == (z.imag < 0)
                 z = O.replay(mp.conj(z) if flip else z, sp.reduction_word[flip:])
                 assert abs(z - sp.tau) <= sp.radius, (family, t)
+
+
+def radius_formula(v1, v2, sp, q):
+    """The shape's radius on the basis its word reaches, at 4q + 64 bits:
+    2^-q |tau| + 4 (err2' + |tau| err1') / |z1'| (shapes._radius), and
+    the printed point's distances Re tau - 1/2 and 1 - |tau| from the
+    domain, which a boundary move may take instead."""
+    u1, u2 = (1, 0), (0, 1)  # 'T<n>' adds n u1 to u2, 'S' takes (u1, u2) to (u2, -u1)
+    for move in sp.reduction_word:
+        if move == "S":
+            u1, u2 = u2, (-u1[0], -u1[1])
+        elif move.startswith("T"):
+            n = int(move[1:])
+            u2 = (u2[0] + n * u1[0], u2[1] + n * u1[1])
+    with mp.workprec(4 * q + 64):
+        z = [O.reference_to_plane(v) for v in (v1, v2)]
+        z1, z2 = (s * z[0] + t * z[1] for s, t in (u1, u2))
+        e1, e2 = (abs(s) * mp.mpf(v1.err) + abs(t) * mp.mpf(v2.err) for s, t in (u1, u2))
+        size = abs(z2 / z1)
+        edges = (sp.tau.real - mp.mpf(1) / 2, 1 - abs(sp.tau))
+        return mp.ldexp(size, -q) + 4 * (e2 + size * e1) / abs(z1), edges
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_shape_radius_meets_its_formula(bits):
+    # the radius is at or above its formula on the reduced basis, within a
+    # relative 2^-40 of it, unless a boundary move took the printed point's
+    # distance from the domain
+    for family in sorted(FAMILIES):
+        for t in DECADES:
+            v = _Member.of_family(FAMILIES[family], t, bits).logs
+            sp = shapes.shape_from_units(*v, bits)
+            formula, edges = radius_formula(*v, sp, bits)
+            with mp.workprec(4 * bits + 64):
+                assert formula * (1 - mp.ldexp(1, -2 * bits)) <= sp.radius, (family, t)
+                assert sp.radius <= max(formula, *edges) * (1 + mp.ldexp(1, -40)), (family, t)
 
 
 # ---------------------------------------------------------------------------

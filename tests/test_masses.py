@@ -1810,7 +1810,8 @@ def test_hex_domain_equals_the_three_term_sums(kind, width):
 
 
 def _raw_simplex(phi):
-    return [(*(x._mpf_ for x in alpha.coords), alpha.err._mpf_)
+    # each alpha's raw coordinates and its float error bound
+    return [(*(x._mpf_ for x in alpha.coords), alpha.err)
             for alpha in (phi.alpha1, phi.alpha2, phi.alpha3)]
 
 

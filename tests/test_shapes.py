@@ -323,4 +323,15 @@ def test_a_member_shape_evaluates_its_radius_twice(monkeypatch):
 
     monkeypatch.setattr(shapes, "_radius", counted)
     sp = shape_from_units(v1, v2, 53)
-    assert len(calls) == 2 and sp.radius == mp.make_mpf(calls[-1])
+    assert len(calls) == 2 and sp.radius == calls[-1] and type(sp.radius) is float
+
+
+def test_a_shape_radius_keeps_the_scale_of_tiny_vectors():
+    # |z1'| far below the square root of the least normal float still
+    # divides the data's error: the same point, with a radius near
+    # 2^-53 |tau| + 4 (err2' + |tau| err1') / |z1'|, not a dependence
+    for s in (1.0, 1e-200, 1e-300):
+        v1 = LogVector(mp.mpf(s), mp.mpf(-s), mp.mpf(0), 1e-320)
+        v2 = LogVector(mp.mpf(s), mp.mpf(s), mp.mpf(-2 * s), 1e-320)
+        sp = shape_from_units(v1, v2, 53)
+        assert sp.tau == mp.mpc(0, mp.sqrt(3)) and 0 < sp.radius < 2.0 ** -45

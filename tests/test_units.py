@@ -1,12 +1,15 @@
 """Unit vetting, log embeddings, regulators, and Cusick certification."""
 
 import json
+import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_abs
 
 from cubicunits import (
     DependentUnitsError,
@@ -26,14 +29,15 @@ from cubicunits import (
     log_embed,
     relative_regulator_with_error,
     report_to_json,
+    shape_from_units,
     simplest_cubic,
 )
 
 from cubicunits import units
 from cubicunits.cubics import sign_at
-from cubicunits.precision import mpf_to_fraction
+from cubicunits.precision import exceeds, float_above, float_below, mpf_to_fraction, up
 
-from .oracles import roots_oracle
+from .oracles import bounds, roots_oracle
 
 
 def simplest_order(t):
@@ -162,24 +166,26 @@ def test_log_vector_arithmetic():
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
     s = v1 + v2
-    assert [mpf_to_fraction(x) for x in s.coords + (s.err,)] == [
-        mpf_to_fraction(x) + mpf_to_fraction(y) for x, y in zip(v1.coords + (v1.err,), v2.coords + (v2.err,))]
+    assert [mpf_to_fraction(x) for x in s.coords] == [
+        mpf_to_fraction(x) + mpf_to_fraction(y) for x, y in zip(v1.coords, v2.coords)]
+    assert bounds(s.err, Fraction(v1.err) + Fraction(v2.err))
     n = -v1
     assert [mpf_to_fraction(x) for x in n.coords] == [-mpf_to_fraction(x) for x in v1.coords]
     assert n.err == v1.err
     d = v1.scaled(3) - v1
     assert [mpf_to_fraction(x) for x in d.coords] == [2 * mpf_to_fraction(x) for x in v1.coords]
-    assert mpf_to_fraction(d.err) == 4 * mpf_to_fraction(v1.err)
+    assert bounds(d.err, 4 * Fraction(v1.err))
 
 
 @pytest.mark.parametrize("ambient", [16, 53, 300])
 def test_log_vector_arithmetic_is_exact_at_any_ambient_precision(ambient):
-    # +, -, negation and scaled(c) for an int, float or mpf c round nothing
-    # and carry err exactly, whatever the ambient precision; the 200+-bit
+    # +, -, negation and scaled(c) for an int, float or mpf c round no
+    # coordinate, whatever the ambient precision, and round err outward to
+    # a float within a relative 2^-40 of its exact value; the 200+-bit
     # coordinates of log_embed keep every bit
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
-    exact = [[mpf_to_fraction(x) for x in v.coords + (v.err,)] for v in (v1, v2)]
+    exact = [[mpf_to_fraction(x) for x in v.coords] + [Fraction(v.err)] for v in (v1, v2)]
     c = mp.mpf("0.1")  # a 53-bit mpf
     saved = mp.mp.prec
     mp.mp.prec = ambient
@@ -194,7 +200,62 @@ def test_log_vector_arithmetic_is_exact_at_any_ambient_precision(ambient):
             ([-a / 2 for a in x], e / 2), ([cf * a for a in x], cf * e)]
     for v, (coords, err) in zip(got, want):
         assert [mpf_to_fraction(a) for a in v.coords] == coords
-        assert mpf_to_fraction(v.err) == err
+        assert bounds(v.err, err)
+
+
+def test_a_nonzero_error_bound_never_becomes_zero():
+    # the least float, 2^-1074, stays nonzero through + and scaled(c) for
+    # c far below 1, and log_embed and the shape keep a nonzero bound at
+    # 4096 bits, where the roots' errors are far below the float range
+    tiny = 5e-324
+    assert tiny == 2.0 ** -1074
+    v = LogVector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), tiny)
+    for w in (v + v, v - v, -v, v.scaled(1), v.scaled(mp.mpf(1) / 3), v.scaled(2.0 ** -900), v.scaled(0.5)):
+        assert w.err > 0
+    order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)],
+                        PrecisionPolicy(4096, 4096))
+    v1, v2 = (log_embed(order, *u) for u in order.units[:2])
+    assert min(r.prec for r in order.roots) >= 4096
+    assert 0 < v1.err < 2.0 ** -1000 and 0 < v2.err < 2.0 ** -1000  # near the floor
+    sp = shape_from_units(v1, v2, 4096)
+    assert sp.radius > 0
+    reg, err = relative_regulator_with_error(v1, v2, 4096)
+    assert err > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0, max_value=1e290), st.floats(min_value=0, max_value=1e290),
+       st.sampled_from([1, 3, -2, 0.1, mp.mpf(1) / 3, 2.0 ** -1000, 1e10]))
+def test_log_vector_error_bounds_round_outward(e, f, c):
+    # (a + b).err >= a.err + b.err and |c| err <= a.scaled(c).err, exactly,
+    # over the whole float range, subnormals included
+    a = LogVector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), e)
+    b = LogVector(mp.mpf(-2), mp.mpf(5), mp.mpf(-3), f)
+    for s in (a + b, a - b, b - a):
+        assert Fraction(s.err) >= Fraction(e) + Fraction(f)
+    assert Fraction(a.scaled(c).err) >= abs(mpf_to_fraction(c)) * Fraction(e)
+    assert (-a).err == e
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(-2 ** 300, 2 ** 300), st.integers(-1400, 900),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_float_bounds_of_an_mpf_are_exact_where_they_must_be(man, exp, r):
+    # float_above and float_below bracket the exact value, within two
+    # ulps where the result is a normal float, and exceeds compares an
+    # mpf with a float exactly, subnormals included
+    x = from_man_exp(man, exp)
+    q = Fraction(man) * Fraction(2) ** exp
+    above, below = float_above(x), float_below(mpf_abs(x))
+    if above == math.inf:  # past the float range
+        assert q > Fraction(sys.float_info.max)
+    else:
+        assert Fraction(above) >= q
+        if 2.0 ** -1022 <= abs(above) < sys.float_info.max:  # a normal float within the range
+            assert abs(Fraction(above) - q) <= abs(q) * Fraction(1, 2 ** 51)
+    assert 0 <= Fraction(below) <= abs(q)
+    assert exceeds(x, r) == (q > Fraction(r))
+    assert up(r) > r
 
 
 def test_relative_regulator_frozen_t1000():
