@@ -234,10 +234,15 @@ class _Member:
             raise InvalidParamsError("the member has fewer than two verified units")
         return tuple(units.log_embed(self.order, a, b) for a, b in self.order.units[:2])
 
+    def certificate_at(self, prec: int) -> units.RegulatorReport:
+        """The certificate of the regulator at prec bits (not kept)."""
+        reg, err = units.relative_regulator_with_error(*self.logs, prec)
+        return units.certify_fundamental(reg, self.order.disc, err, prec=self.bits)
+
     @cached_property
-    def certificate(self) -> tuple[mp.mpf, units.RegulatorReport]:
-        reg, err = units.relative_regulator_with_error(*self.logs, ROW_BITS)
-        return reg, units.certify_fundamental(reg, self.order.disc, err, prec=self.bits)
+    def certificate(self) -> units.RegulatorReport:
+        """The certificate at the member's bits, for certify and verify."""
+        return self.certificate_at(self.bits)
 
     @cached_property
     def shape(self) -> shapes.ShapePoint:
@@ -265,8 +270,8 @@ def _scan_row(payload) -> str:
         if red:
             cells += [str(m.order.disc), f"{len(m.order.units)}/{len(m.candidates)}"]
         if red and len(m.order.units) >= 2:
-            reg, rep = m.certificate
-            cells += [_fmt(reg), _fmt(rep.cusick_ratio), _bool(rep.certified)]
+            rep = m.certificate_at(ROW_BITS)
+            cells += [_fmt(rep.rel_reg), _fmt(rep.cusick_ratio), _bool(rep.certified)]
             sp = m.shape
             cells += [_fmt(sp.tau.real), _fmt(sp.tau.imag), _bool(sp.reduced)]
             cells += [_fmt(m.ht), _fmt(masses.hex_domain(m.phi, ROW_BITS).ceiling)]
@@ -402,7 +407,7 @@ def cmd_certify(args) -> int:
         out["units_dropped"] = [
             {"unit": [a, b], "reason": why} for (a, b), why in m.order.dropped]
         if len(m.order.units) >= 2:
-            out["report"] = json.loads(units.report_to_json(m.certificate[1]))
+            out["report"] = json.loads(units.report_to_json(m.certificate))
         else:
             out["error"] = "fewer than two verified units"
     except CubicUnitsError as e:
@@ -453,9 +458,8 @@ def _audit_point(cfg: ScanConfig, t: int, bits: int) -> dict:
         m = _Member.of_family(cfg.family_json, t, bits)
         if len(m.order.units) < 2:
             return {"status": "rank<2"}
-        reg, err = units.relative_regulator_with_error(*m.logs, bits)
-        certified = units.certify_fundamental(reg, m.order.disc, err, prec=bits).certified
-        return {"status": "ok", "certified": certified, "reg": reg, "reg_err": err,
+        rep = m.certificate
+        return {"status": "ok", "certified": rep.certified, "reg": rep.rel_reg, "reg_err": rep.rel_reg_err,
                 "shape": m.shape, "ht": m.ht}  # in stage order
     except CubicUnitsError as e:
         return {"status": type(e).__name__}

@@ -28,7 +28,6 @@ __all__ = [
     "is_totally_real",
     "is_irreducible",
     "scale_root",
-    "poly_to_json",
     "poly_from_json",
     "isolating_intervals",
 ]
@@ -249,12 +248,8 @@ def _no_int_root(f: MonicCubic) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: {"p2": "...", "p1": "...", "p0": "..."} decimal strings.
+# Parsing: {"p2": "...", "p1": "...", "p0": "..."} decimal strings.
 # ---------------------------------------------------------------------------
-
-
-def poly_to_json(f: MonicCubic) -> str:
-    return json.dumps({"p2": str(f.p2), "p1": str(f.p1), "p0": str(f.p0)})
 
 
 def poly_from_json(s: str | dict) -> MonicCubic:

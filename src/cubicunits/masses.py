@@ -443,12 +443,13 @@ def _rounded(v: LogVector, p: int) -> LogVector:
     return LogVector(*map(mp.make_mpf, x), up(v.err + slack))
 
 
-def _order_simplex(order: CubicOrderData, v1: LogVector, v2: LogVector) -> SimplexSet:
-    """make_simplex(v1, v2, ROW_BITS) for the log vectors v1 and v2 of the
-    order's first two verified units; the order memoises it keyed by the
-    width ROW_BITS it is made at, so a member's ceiling and its mass stage
-    share one, and a call at another width makes its own."""
+def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:
+    """make_simplex(v1, v2, ROW_BITS) for the log vectors (v1, v2) = logs
+    of the order's first two verified units, embedded only when none are
+    given and none is kept: the order memoises it keyed by the width
+    ROW_BITS, so a member's ceiling and mass stage share one."""
     if ROW_BITS not in order._simplex:
+        v1, v2 = logs or (log_embed(order, a, b) for a, b in order.units[:2])
         order._simplex[ROW_BITS] = make_simplex(v1, v2, ROW_BITS)
     return order._simplex[ROW_BITS]
 
@@ -618,7 +619,7 @@ def mass_above_height(
     the height, so everything else is built once per call: every height
     shares one grid, one cover and one certified norm per centre. The
     simplex is the order's own memo (_order_simplex), which the CLI's
-    ceil_w made already. No point has infinite height, so H = inf has
+    ceil_w made already, embedding no unit here. No point has infinite height, so H = inf has
     fraction 0.
     """
     if not heights or any(not h > 1 for h in heights):  # NaN fails this too
@@ -626,7 +627,7 @@ def mass_above_height(
     if len(order.units) < 2:
         raise InvalidParamsError("the member has fewer than two verified units")
     k, rows = _hexagon_rows(samples)
-    alphas = _Alphas.of(_order_simplex(order, *(log_embed(order, a, b) for a, b in order.units[:2])))
+    alphas = _Alphas.of(_order_simplex(order))
     cover, certified_norm = _cover(alphas, k), _certified_norm(order, alphas, k)
     unit_rows = _unit_rows(order, alphas, k)
     top = 2 * k // 3

@@ -15,20 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import fone, from_int, from_man_exp, fzero, mpf_div, mpf_gt, mpf_neg, mpf_shift, mpf_sqrt
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_gt
 
 from .errors import DependentUnitsError, InvalidParamsError
-from .precision import down, dyadic, float_above, float_below, rational_root, up
+from .precision import down, dyadic, float_above, float_below, mpf_to_fraction, rational_root, up
 from .units import _RND, LogVector
 
 __all__ = [
     "ShapePoint",
-    "omega",
-    "corner",
     "shape_from_units",
     "reduce_fundamental",
     "limit_shape_z",
-    "curve_gamma",
     "curve_point",
     "cusick_angle_cos",
     "same_shape",
@@ -41,19 +38,6 @@ def _bits(prec: int) -> int:
     if prec < 8:
         raise InvalidParamsError(f"shape precision must be at least 8 bits, got {prec}")
     return prec
-
-
-def omega(prec: int = 53) -> mp.mpc:
-    """Primitive cube root of unity in the upper half plane, (-1+sqrt(3)i)/2.
-    Computed at `prec` bits."""
-    q = _bits(prec)
-    w = (mpf_neg(fone, q, _RND), mpf_sqrt(from_int(3), q, _RND))
-    return mp.make_mpc(tuple(mpf_div(x, from_int(2), q, _RND) for x in w))
-
-
-def corner(prec: int = 53) -> mp.mpc:
-    """The corner of the fundamental domain at e^{i pi/3} = 1 + omega."""
-    return mp.make_mpc((mpf_shift(fone, -1), omega(prec)._mpc_[1]))  # 1 - 1/2 is exact
 
 
 @dataclass(frozen=True)
@@ -235,50 +219,50 @@ def _curve_exponents(a_tilde, b_tilde, r) -> tuple[Fraction, Fraction]:
     return rr * at, rr * bt
 
 
-def curve_gamma(a_tilde, b_tilde, r, prec: int = 96) -> mp.mpc:
-    """gamma(r) = limit shape at scaled exponents (r*a~, r*b~); the scan of
-    r over [0, curve_range(a~, b~)] draws the family's curve on the surface."""
-    return limit_shape_z(*_curve_exponents(a_tilde, b_tilde, r), prec)
-
-
 def curve_point(a_tilde, b_tilde, r, prec: int = 96) -> ShapePoint:
     """gamma(r) reduced: the exact form of its lattice goes through the
     exact reduction, so a point on the boundary meets its convention."""
     return _reduce(*_limit_form(*_curve_exponents(a_tilde, b_tilde, r)), _bits(prec), [])
 
 
-def cusick_angle_cos(alpha):
-    """cos of the lattice angle for the slow-growth one-unit scans:
-    (1 - 2a - 2a^2)/(2 + 2a + 2a^2), decreasing from 1/2 at a=0 toward
-    -1/2 as a -> 1. Exact when alpha is exact."""
-    a = Fraction(alpha) if isinstance(alpha, (int, Fraction, float)) else mp.mpf(alpha)
+def cusick_angle_cos(alpha) -> Fraction:
+    """cos of the lattice angle for the slow-growth one-unit scans, -b/2a for
+    the limit form (a, b, c) at (0, x), x = alpha read exactly: (1 - 2x -
+    2x^2)/(2 + 2x + 2x^2), from 1/2 at x = 0 toward -1/2 as x -> 1."""
+    a = alpha if isinstance(alpha, Fraction) else mpf_to_fraction(alpha)
     if not 0 <= a < 1:
         raise InvalidParamsError(f"alpha must be in [0,1), got {alpha}")
-    return (1 - 2 * a - 2 * a * a) / (2 + 2 * a + 2 * a * a)
+    a, b, _ = _limit_form(0, a)
+    return Fraction(-b, 2 * a)
 
 
 def corner_distance(tau, prec: int = 53) -> mp.mpf:
     """Distance from a reduced point to the corner class, at prec bits: the
-    corner e^{i pi/3} and its translate e^{2 pi i/3} are the same point of
-    the surface and reduction may return a neighborhood of either."""
+    corner e^{i pi/3} = limit_shape_z(0, 0) and omega = limit_shape_z(0, 1)
+    are one point of the surface, and reduction may return either."""
     with mp.workprec(_bits(prec)):
         t = mp.mpc(tau.tau if isinstance(tau, ShapePoint) else tau)
-        return min(abs(t - p) for p in (corner(prec), omega(prec)))
+        return min(abs(t - limit_shape_z(0, b, prec)) for b in (0, 1))
 
 
 def same_shape(p, q, tol=None) -> bool:
     """Equality of reduced points modulo the boundary identifications and
-    the mirror symmetry. Candidates: q, q+-1 (vertical edges), -1/q (arc),
-    and the mirror -conj of each. Two ShapePoints default to the sum of
-    their radii, anything else to 2^-26; a positive tolerance is compared
-    at bits that resolve it, a zero one at 53 bits."""
-    # a number that is no ShapePoint enters exactly, as mp.convert reads it
-    tp, tq = (x.tau if isinstance(x, ShapePoint) else mp.convert(x) for x in (p, q))
+    the mirror symmetry: |p - c| <= tol for a candidate c among q, q+-1
+    (vertical edges), -1/q (arc), and the mirror -conj of each. Two
+    ShapePoints default to the sum of their radii, anything else to 2^-26.
+    The points (mpc or ShapePoint) and tol are read exactly, and every
+    candidate is rational, so the test is decided on integers."""
     if tol is None:
         points = isinstance(p, ShapePoint) and isinstance(q, ShapePoint)
-        tol = up(p.radius + q.radius) if points else mp.ldexp(1, -26)
-    bits = max(53, 24 + max(mp.mag(tp), mp.mag(tq), 0) - mp.mag(tol)) if tol > 0 else 53
-    with mp.workprec(bits):
-        cands = [tq, tq + 1, tq - 1, -1 / tq]
-        cands += [-mp.conj(c) for c in cands]
-        return any(abs(tp - c) <= tol for c in cands)
+        tol = up(p.radius + q.radius) if points else math.ldexp(1.0, -26)
+    # p, q, tol and 1 as integers times 2^e
+    zp, zq = ((x.tau if isinstance(x, ShapePoint) else x)._mpc_ for x in (p, q))
+    (px, py, qx, qy, t, h), _ = dyadic((*zp, *zq, tol, 1))
+    # each candidate as (x + i y) / d: q + k, and -1/q = -conj(q) / |q|^2,
+    # with |q|^2 = (qx^2 + qy^2) / h^2 in units of 2^e; s = -1 reads the
+    # mirror -conj(c) = -x + i y
+    cands = [(qx + k * h, qy, 1) for k in (0, 1, -1)]
+    if qx or qy:
+        cands.append((-qx * h * h, qy * h * h, qx * qx + qy * qy))
+    return t >= 0 and any((px * d - s * x) ** 2 + (py * d - y) ** 2 <= (t * d) ** 2
+                          for x, y, d in cands for s in (1, -1))

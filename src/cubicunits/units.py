@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 
@@ -28,7 +29,7 @@ from .errors import (
     OutOfRegimeError,
     PrecisionExhaustedError,
 )
-from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic, exceeds, float_above, float_below, up
+from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic, exceeds, float_above, float_below, mpf_to_fraction, up
 from .roots import IsolatedRoot, refine_root, refined_roots
 
 __all__ = [
@@ -121,12 +122,11 @@ def _vector(x, err: float) -> LogVector:
 class CubicOrderData:
     """A constructed order Z[theta]: defining cubic, validated ascending
     roots, discriminant, the unit parameters that survived the exact norm
-    check (with the rejects and why), and two memos of data derived from
-    them, which no later call can change: log_embed's log vectors, keyed
-    by (a, b), and the simplex of the first two units' log vectors
-    (masses._order_simplex), keyed by the width it was made at, the rows'
-    ROW_BITS. The lattice embedding is built once per mass call and is not
-    kept."""
+    check (with the rejects and why), and a memo of data derived from
+    them, which no later call can change: the simplex of the first two
+    units' log vectors (masses._order_simplex), keyed by the width it was
+    made at, the rows' ROW_BITS. The lattice embedding is built once per
+    mass call and is not kept."""
 
     f: MonicCubic
     roots: tuple[IsolatedRoot, IsolatedRoot, IsolatedRoot]
@@ -134,15 +134,17 @@ class CubicOrderData:
     units: tuple[tuple[int, int], ...]
     dropped: tuple[tuple[tuple[int, int], str], ...]
     policy: PrecisionPolicy
-    _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _simplex: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RegulatorReport:
+    """The relative regulator and the Cusick ratio, each with a float64 error bound."""
     rel_reg: mp.mpf
     cusick_ratio: mp.mpf
     certified: bool
+    rel_reg_err: float = 0.0
+    ratio_err: float = 0.0
 
     def __post_init__(self):
         if self.certified and not self.cusick_ratio < _EIGHTH:
@@ -176,9 +178,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     bound. While some |a*theta_i - b| is too close to zero to take a
     trustworthy log, the roots are refined at the next rung of the order's
     precision ladder, up to max_bits itself. Every step rounds at the
-    roots' bits, so the order memoises the result, keyed by (a, b)."""
-    if (a, b) in order._logs:
-        return order._logs[a, b]
+    roots' bits."""
     if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
         raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
     roots = list(order.roots)
@@ -197,7 +197,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
             err = max(up(up(2 * e / float_below(am))
                          + up(math.ldexp(max(1.0, float_above(mpf_abs(c))), 8 - bits)))
                       for am, e, c in zip(ams, errs, coords))
-            return order._logs.setdefault((a, b), LogVector(*map(mp.make_mpf, coords), err))
+            return LogVector(*map(mp.make_mpf, coords), err)
         target = next(rungs, None)
         if target is None:
             raise PrecisionExhaustedError(
@@ -237,7 +237,7 @@ def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> R
     means the inequality holds with margin 2^-_MARGIN_BITS after pushing
     all numeric error upward; False is inconclusive, never a disproof.
     Every step, the reading of rel_reg included, rounds at max(prec, 64)
-    bits."""
+    bits. The ratio's error bound is ratio_hi - ratio."""
     if disc <= 16:
         raise OutOfRegimeError(f"certification needs disc > 16, got {disc}")
     q = max(prec, 64)
@@ -248,16 +248,35 @@ def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> R
     pad = mpf_shift(fone, -(q - 16))
     ratio = mpf_div(r, mpf_pow_int(L, 2, q, _RND), q, _RND)
     den = mpf_pow_int(mpf_mul(L, mpf_sub(fone, pad, q, _RND), q, _RND), 2, q, _RND)
-    ratio_hi = mpf_mul(mpf_div(mpf_add(r, mp.mpf(rel_reg_err, prec=q)._mpf_, q, _RND), den, q, _RND),
-                       mpf_add(pad, fone, q, _RND), q, _RND)
+    e = mp.mpf(rel_reg_err, prec=q)._mpf_
+    ratio_hi = mpf_mul(mpf_div(mpf_add(r, e, q, _RND), den, q, _RND), mpf_add(pad, fone, q, _RND), q, _RND)
     certified = mpf_lt(ratio_hi, mpf_sub(_EIGHTH._mpf_, mpf_shift(fone, -_MARGIN_BITS), q, _RND))
-    return RegulatorReport(rel_reg, mp.make_mpf(ratio), certified)
+    # ratio_hi - ratio bounds the error below the ratio too: its mirror
+    # (rel_reg - err) / (L (1 + pad))^2 (1 - pad) lies no farther below the
+    # ratio, as A + B >= 2 for A = (1 + pad) / (1 - pad)^2 and B = (1 - pad)
+    # / (1 + pad)^2, whose product exceeds 1
+    return RegulatorReport(rel_reg, mp.make_mpf(ratio), certified, float_above(e),
+                           float_above(mpf_sub(ratio_hi, ratio)))
+
+
+def _backed(x: mp.mpf, err: float, digits: int) -> str:
+    # the positive x to n significant digits, the most up to `digits` with
+    # 5 rel 10^n <= 2 for its relative error rel = err / x: then err <= 2u/5
+    # for the last digit's unit u = 10^(e+1-n), where 10^e <= x < 10^(e+1).
+    # mpmath prints within u/2 + u/1000 of x (it rounds twice), so the
+    # printed value is within u of the value x stands for
+    n, rel = digits, Fraction(err) / mpf_to_fraction(x)
+    while n > 1 and 5 * rel * 10 ** n > 2:
+        n -= 1
+    return mp.nstr(x, n, strip_zeros=False)
 
 
 def report_to_json(rep: RegulatorReport, digits: int = 40) -> str:
+    """The report as JSON, each value to the digits its error bound backs,
+    at most `digits`."""
     return json.dumps({
-        "rel_reg": mp.nstr(rep.rel_reg, digits, strip_zeros=False),
-        "cusick_ratio": mp.nstr(rep.cusick_ratio, digits, strip_zeros=False),
+        "rel_reg": _backed(rep.rel_reg, rep.rel_reg_err, digits),
+        "cusick_ratio": _backed(rep.cusick_ratio, rep.ratio_err, digits),
         "certified": rep.certified,
         "margin_bits": _MARGIN_BITS,
     })

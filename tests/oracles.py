@@ -736,15 +736,15 @@ def reference_dual_weight(basis) -> float:
 # ---------------------------------------------------------------------------
 # The member's front stages as mpmath operator code. units.LogVector and
 # its arithmetic, log_embed, relative_regulator_with_error and
-# certify_fundamental, shapes.omega and corner, and masses.make_simplex,
-# hex_domain and shortest_vector_norm compute on mpmath's raw tuples;
-# these are their mpmath-operator forms, which the tuple code must match
-# bit for bit in every value. Every error bound here is the exact
-# Fraction of its formula on the same inputs, where the package rounds a
-# float64 outward. The error classes are the package's own; log_embed's
-# memo of the order's log vectors is left out, so a reference call always
-# computes. The shape is checked against truth instead: reference_to_plane
-# is its independent plane map, and reference_convention its domain.
+# certify_fundamental, the limit shapes at (0, 1) and (0, 0) (omega and
+# the corner), and masses.make_simplex, hex_domain and
+# shortest_vector_norm compute on mpmath's raw tuples; these are their
+# mpmath-operator forms, which the tuple code must match bit for bit in
+# every value. Every error bound here is the exact Fraction of its formula
+# on the same inputs, where the package rounds a float64 outward. The
+# error classes are the package's own. The shape is checked against truth
+# instead: reference_to_plane is its independent plane map, and
+# reference_convention its domain.
 # ---------------------------------------------------------------------------
 
 
@@ -819,7 +819,7 @@ class ReferenceLogVector:
 
 
 def reference_log_embed(order, a: int, b: int):
-    """units.log_embed with mpmath operators, without the order's memo."""
+    """units.log_embed with mpmath operators."""
     from cubicunits.cubics import norm_linear_form
     from cubicunits.errors import InvalidParamsError, PrecisionExhaustedError
     from cubicunits.precision import PrecisionPolicy
@@ -899,12 +899,15 @@ def reference_certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int =
 
 
 def reference_omega(prec: int = 53) -> mp.mpc:
-    """shapes.omega with mpmath operators."""
+    """omega = e^{2 pi i/3}, shapes.limit_shape_z(0, 1, prec), with mpmath
+    operators."""
     with mp.workprec(prec):
         return mp.mpc(-mp.mpf(1) / 2, mp.sqrt(3) / 2)
 
 
 def reference_corner(prec: int = 53) -> mp.mpc:
+    """The corner e^{i pi/3}, shapes.limit_shape_z(0, 0, prec), with mpmath
+    operators."""
     with mp.workprec(prec):
         return 1 + reference_omega(prec)
 

@@ -26,3 +26,22 @@ def test_each_module_lists_only_its_own_names():
         module = importlib.import_module(f"cubicunits.{name}")
         for public in module.__all__:
             assert getattr(module, public).__module__ == module.__name__, (name, public)
+
+
+# the public lists of the modules whose names have been pruned: a name
+# comes back only with a use beyond its own tests
+PINNED = {
+    "cubics": ["MonicCubic", "eval_scaled", "norm_linear_form", "discriminant", "is_totally_real",
+               "is_irreducible", "scale_root", "poly_from_json", "isolating_intervals"],
+    "shapes": ["ShapePoint", "shape_from_units", "reduce_fundamental", "limit_shape_z", "curve_point",
+               "cusick_angle_cos", "same_shape", "corner_distance"],
+    "units": ["LogVector", "CubicOrderData", "RegulatorReport", "log_embed",
+              "relative_regulator_with_error", "certify_fundamental", "build_order", "report_to_json"],
+}
+
+
+def test_pruned_modules_keep_their_pinned_lists():
+    for name, names in PINNED.items():
+        assert importlib.import_module(f"cubicunits.{name}").__all__ == names, name
+    for gone in ("omega", "corner", "curve_gamma", "poly_to_json"):
+        assert not hasattr(cubicunits, gone), gone

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -18,13 +19,16 @@ from cubicunits.cli import (
     EXIT_OK,
     ConfigError,
     _fmt,
+    _Member,
     main,
     parse_schedule,
     read_config,
 )
 from cubicunits import masses
+from cubicunits.cubics import MonicCubic
 from cubicunits.errors import OrbitCapError
 from cubicunits.masses import hex_domain
+from cubicunits.precision import mpf_to_fraction
 
 ONE_UNIT = '{"kind":"one_unit","a":"1","b":"1"}'
 # x^3 - 3x - 1 along x(x - 3): at t=5 theta - 3 fails the norm check, so the
@@ -347,38 +351,60 @@ def test_certify_golden(capsys):
     assert d["units_dropped"] == [{"reason": "norm=2003", "unit": [1, 1]}]
     assert d["report"] == {
         "certified": True, "margin_bits": 32,
-        "rel_reg": "47.73781955968308210458417306654155254364",
-        "cusick_ratio": "0.06927549204855537263440038734389760577391"}
+        "rel_reg": "47.73781955968307924364580781123161320999",
+        "cusick_ratio": "0.06927549204855536848270441962452536351666"}
 
 
 # two_unit (1, 1, 2, 3) and the seed kind (x^3 - 3x - 1 along x(x + 1)) at
-# t = 10^3, 10^12 and 10^24, with each member's candidate units: the full
-# 40-digit reports, recorded before the regulator and the certificate moved
-# to raw mpmath tuples
+# t = 10^3, 10^12 and 10^24, with each member's candidate units: the reports
+# at the default 192 bits, each value to the digits its error bound backs
 CERTIFY_GOLDEN = [
     ("2013", "-5039", "3026", ["1,1", "2,3"],
-     "57.40277931735648309086172957904636859894", "0.07502936397096600410798403802210288631043"),
+     "57.40277931735648892440574700049396370364", "0.07502936397096601173282559672036972089696"),
     ("2000000000013", "-5000000000039", "3000000000026", ["1,1", "2,3"],
-     "801.7780566742960672854678705334663391113", "0.06563572912149895510299752271569080537505"),
+     "801.7780566742960412681704714622206703649", "0.06563572912149895297315090201599385490338"),
     ("2000000000000000000000013", "-5000000000000000000000039",
      "3000000000000000000000026", ["1,1", "2,3"],
-     "3130.502769165550034813350066542625427246", "0.06406786456074990273313096289536664772808"),
+     "3130.5027691655500018446870006721", "0.064067864560749902058404889863904"),
     ("1000", "997", "-1", ["1,0", "1,-1"],
-     "47.69637315234856345114167197607457637787", "0.06927867030535697531773278775257914051403"),
+     "47.69637315234856836567785331103199511999", "0.06927867030535698245606447437659141088430"),
     ("1000000000000", "999999999997", "-1", ["1,0", "1,-1"],
-     "763.4733279088064819006831385195255279541", "0.06409786413279216614826237168924343598260"),
+     "763.4733279088064204575322187594455740392", "0.06409786413279216098976554465163001867874"),
     ("1000000000000000000000000", "999999999999999999999997", "-1", ["1,0", "1,-1"],
-     "3053.893311635557438421528786420822143555", "0.06329136903127849429261673937039941848763"),
+     "3053.89331163555725408351967404403", "0.0632913690312784904722458977399884"),
 ]
+GOLDEN_IDS = [f"{kind}-10^{k}" for kind in ("two_unit", "seed") for k in (3, 12, 24)]
 
 
-@pytest.mark.parametrize("p2,p1,p0,cand,rel_reg,ratio", CERTIFY_GOLDEN)
+@pytest.mark.parametrize("p2,p1,p0,cand,rel_reg,ratio", CERTIFY_GOLDEN, ids=GOLDEN_IDS)
 def test_certify_golden_families(capsys, p2, p1, p0, cand, rel_reg, ratio):
     poly = json.dumps({"p2": p2, "p1": p1, "p0": p0})
     assert main(["certify", "--poly", poly, *(a for u in cand for a in ("--unit", u))]) == EXIT_OK
     d = json.loads(capsys.readouterr().out)
     assert d["report"] == {"certified": True, "margin_bits": 32,
                            "rel_reg": rel_reg, "cusick_ratio": ratio}
+
+
+README_POLY = ("-1000", "-1003", "-1", ["1,0", "1,-1"])
+
+
+@pytest.mark.parametrize("p2,p1,p0,cand", [README_POLY] + [g[:4] for g in CERTIFY_GOLDEN],
+                         ids=["readme"] + GOLDEN_IDS)
+def test_certify_prints_only_backed_digits(capsys, p2, p1, p0, cand):
+    # at 64, 96 and 192 bits, the 768-bit rel_reg and cusick_ratio lie
+    # within one unit of the last digit certify prints
+    poly = json.dumps({"p2": p2, "p1": p1, "p0": p0})
+    truth = _Member(MonicCubic(int(p2), int(p1), int(p0)),
+                    [tuple(map(int, u.split(","))) for u in cand], 768).certificate
+    for bits in (64, 96, 192):
+        assert main(["certify", "--poly", poly, "--precision-bits", str(bits),
+                     *(a for u in cand for a in ("--unit", u))]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["report"]
+        for key, exact in (("rel_reg", truth.rel_reg), ("cusick_ratio", truth.cusick_ratio)):
+            text = report[key]
+            mantissa, _, exponent = text.partition("e")  # nstr's fixed or scientific form
+            unit = Fraction(10) ** (int(exponent or 0) - len(mantissa.split(".")[1]))
+            assert abs(Fraction(text) - mpf_to_fraction(exact)) <= unit, (bits, key, text)
 
 
 def test_certify_domain_error_reported(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from cubicunits import (
     isolating_intervals,
     norm_linear_form,
     poly_from_json,
-    poly_to_json,
     scale_root,
 )
 from cubicunits import cubics as cubics_module
@@ -308,9 +308,18 @@ def test_integer_root_search_on_a_crawling_run_stays_near_bisection(monkeypatch)
     assert count[0] <= 2 * math.ceil(math.log2(hi - lo)) + 4
 
 
+def poly_json(f: MonicCubic) -> str:
+    # the descriptor form certify reads: decimal strings
+    return json.dumps({"p2": str(f.p2), "p1": str(f.p1), "p0": str(f.p0)})
+
+
 def test_poly_json_roundtrip():
     f = MonicCubic(-(10 ** 30), 7, -1)
-    assert poly_from_json(poly_to_json(f)) == f
+    assert poly_from_json(poly_json(f)) == f
+    assert poly_from_json({"p2": "0", "p1": "-3", "p0": "-1"}) == MonicCubic(0, -3, -1)
+    for bad in ('{"p2": "1", "p1": "2"}', '{"p2": "x", "p1": "2", "p0": "3"}'):
+        with pytest.raises(InvalidParamsError):
+            poly_from_json(bad)
 
 
 @settings(max_examples=50, deadline=None)
@@ -319,4 +328,4 @@ def test_poly_json_roundtrip():
        st.integers(min_value=-10 ** 12, max_value=10 ** 12))
 def test_poly_json_roundtrip_property(p2, p1, p0):
     f = MonicCubic(p2, p1, p0)
-    assert poly_from_json(poly_to_json(f)) == f
+    assert poly_from_json(poly_json(f)) == f

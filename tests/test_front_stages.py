@@ -2,10 +2,11 @@
 mpmath-operator forms in tests/oracles.py, and the shape against truth.
 
 units.LogVector's arithmetic, log_embed, relative_regulator_with_error and
-certify_fundamental, shapes' omega and corner, and masses' make_simplex,
-hex_domain and shortest_vector_norm call mpmath's libmp functions
-directly. Each must give every value field's raw tuple and the class and
-text of every error that the operator code gives, over three families,
+certify_fundamental, the limit shapes at (0, 1) and (0, 0) (omega and the
+corner), and masses' make_simplex, hex_domain and shortest_vector_norm
+call mpmath's libmp functions directly. Each must give every value
+field's raw tuple and the class and text of every error that the
+operator code gives, over three families,
 every decade 10^3..10^24 of both signs, five precisions and three widths,
 each passed to the stages with another ambient precision set directly on
 mp.mp, which no stage reads. Each error bound is a float64 that must lie
@@ -158,7 +159,6 @@ def test_front_stages_match_the_operator_code(family, bits):
         pairs = order.units[:2]
         for width in AMBIENT:
             mp.mp.prec = OTHER[width]
-            order._logs.clear()  # log_embed computes again at this ambient precision
             got = tuple(outcome(units.log_embed, order, a, b) for a, b in pairs)
             assert agree(got, tuple(outcome(O.reference_log_embed, order, a, b) for a, b in pairs))
             v = [units.log_embed(order, a, b) for a, b in pairs]
@@ -212,11 +212,13 @@ def test_error_paths_match_the_operator_code(amb):
 @pytest.mark.parametrize("prec", [None, 8, 16, 53, 64, 192, 384])
 @pytest.mark.parametrize("amb", AMBIENT)
 def test_omega_and_corner_match_the_operator_code(prec, amb):
-    # None omits prec: the default is 53 bits, whatever the ambient precision
+    # the limit shapes at (0, 1) and (0, 0), rounded once from their exact
+    # forms, are omega and the corner bit for bit; None omits prec: the
+    # default is 96 bits, whatever the ambient precision
     mp.mp.prec = amb
-    args, ref = ((), 53) if prec is None else ((prec,), prec)
-    assert shapes.omega(*args)._mpc_ == O.reference_omega(ref)._mpc_
-    assert shapes.corner(*args)._mpc_ == O.reference_corner(ref)._mpc_
+    args, ref = ((), 96) if prec is None else ((prec,), prec)
+    assert shapes.limit_shape_z(0, 1, *args)._mpc_ == O.reference_omega(ref)._mpc_
+    assert shapes.limit_shape_z(0, 0, *args)._mpc_ == O.reference_corner(ref)._mpc_
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +304,7 @@ def test_shape_precision_below_eight_bits_is_rejected(prec):
     v1, v2 = _one_unit_logs()
     calls = [lambda: shapes.shape_from_units(v1, v2, prec),
              lambda: shapes.reduce_fundamental(mp.mpc(0.1, 2), prec),
-             lambda: shapes.omega(prec), lambda: shapes.corner(prec)]
+             lambda: shapes.limit_shape_z(0, 1, prec), lambda: shapes.curve_point(0, 0, 0, prec)]
     for call in calls:
         with pytest.raises(InvalidParamsError, match=f"at least 8 bits, got {prec}$"):
             call()

@@ -1849,6 +1849,26 @@ def test_mass_stage_builds_the_members_own_simplex(monkeypatch, ambient):
     assert len(made) == 2
 
 
+@pytest.mark.parametrize("rows", ["scan", "profile"])
+def test_a_member_embeds_each_unit_once(monkeypatch, rows):
+    # the row embeds the first two units for its columns; the mass stage
+    # reads the simplex the ceiling made, and embeds none
+    calls = []
+    embed = units.log_embed
+
+    def counted(order, a, b):
+        calls.append((a, b))
+        return embed(order, a, b)
+
+    monkeypatch.setattr(units, "log_embed", counted)
+    monkeypatch.setattr(masses, "log_embed", counted)
+    if rows == "scan":
+        row = cli._scan_row((TWO_UNIT, 10 ** 6, 192, 600, ("10", "100"), True))
+    else:
+        row = cli._mass_rows((TWO_UNIT, 10 ** 6, 192, 600, ("10", "100"), "2"))
+    assert "Error" not in row and sorted(calls) == [(1, 1), (2, 3)]
+
+
 def test_order_simplex_is_kept_per_width(monkeypatch):
     # a mass call at ROW_BITS, then ROW_BITS patched to 256 on the same
     # order: the next mass call reads a simplex made at 256 bits, not the

@@ -15,20 +15,18 @@ from cubicunits import (
     ShapePoint,
     build_one_unit,
     build_order,
-    corner,
     corner_distance,
-    curve_gamma,
     curve_point,
     cusick_angle_cos,
     limit_shape_z,
     log_embed,
-    omega,
     reduce_fundamental,
     same_shape,
     shape_from_units,
     simplest_cubic,
 )
 from cubicunits.cli import _Member
+from cubicunits.precision import fraction_to_mpf, mpf_to_fraction
 from cubicunits.shapes import curve_range
 
 from .oracles import reference_convention, reference_to_plane, replay
@@ -36,6 +34,16 @@ from .oracles import reference_convention, reference_to_plane, replay
 
 def vec(x1, x2, x3, err="1e-40"):
     return LogVector(mp.mpf(x1), mp.mpf(x2), mp.mpf(x3), mp.mpf(err))
+
+
+def omega(prec):
+    # the cube root of unity e^{2 pi i/3}, the limit shape at (0, 1)
+    return limit_shape_z(0, 1, prec)
+
+
+def corner(prec):
+    # the corner e^{i pi/3} of the fundamental domain, the limit shape at (0, 0)
+    return limit_shape_z(0, 0, prec)
 
 
 def test_omega_and_corner():
@@ -258,16 +266,16 @@ def test_limit_shape_domain_errors():
             limit_shape_z(*bad)
 
 
-def test_curve_gamma_range():
-    z = curve_gamma(Fraction(1, 3), 1, 1)
-    with mp.workprec(96):
-        assert abs(z - limit_shape_z(Fraction(1, 3), 1)) == 0
+def test_curve_point_range():
+    # r = 1 is the curve's end at (1/3, 1): the reduced limit shape there
+    p = curve_point(Fraction(1, 3), 1, 1)
+    assert p.reduced and same_shape(p, reduce_fundamental(limit_shape_z(Fraction(1, 3), 1), 96))
     with pytest.raises(InvalidParamsError):
-        curve_gamma(Fraction(1, 3), 1, Fraction(11, 10))
+        curve_point(Fraction(1, 3), 1, Fraction(11, 10))
     with pytest.raises(InvalidParamsError):
-        curve_gamma(Fraction(1, 3), 1, -1)
+        curve_point(Fraction(1, 3), 1, -1)
     # the constant curve at the corner has unconstrained r
-    assert abs(curve_gamma(0, 0, 17) - corner(96)) < mp.ldexp(1, -80)
+    assert curve_point(0, 0, 17).tau == corner(96)
 
 
 def test_curve_range():
@@ -282,12 +290,24 @@ def test_cusick_angle_cos_exact():
     assert cusick_angle_cos(0) == Fraction(1, 2)
     assert cusick_angle_cos(Fraction(1, 2)) == Fraction(-1, 7)
     assert cusick_angle_cos(Fraction(9, 10)) == Fraction(-121, 271)
-    v = cusick_angle_cos(mp.mpf("0.5"))
-    assert abs(v + mp.mpf(1) / 7) < mp.ldexp(1, -45)
+    assert cusick_angle_cos(mp.mpf("0.5")) == cusick_angle_cos(0.5) == Fraction(-1, 7)
     with pytest.raises(InvalidParamsError):
         cusick_angle_cos(1)
     with pytest.raises(InvalidParamsError):
         cusick_angle_cos(Fraction(-1, 10))
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.7", "0.999"])
+def test_cusick_angle_cos_reads_an_mpf_exactly(alpha):
+    # an mpf alpha, made at 53 bits, is read exactly whatever the ambient
+    # precision: the cosine is the closed form at the mpf's own value
+    x = mp.mpf(alpha, prec=53)
+    values = set()
+    for ambient in (16, 53, 300):
+        with mp.workprec(ambient):
+            values.add(cusick_angle_cos(x))
+    a = mpf_to_fraction(x)
+    assert values == {(1 - 2 * a - 2 * a * a) / (2 + 2 * a + 2 * a * a)}
 
 
 def test_corner_distance_values():
@@ -335,3 +355,35 @@ def test_a_shape_radius_keeps_the_scale_of_tiny_vectors():
         v2 = LogVector(mp.mpf(s), mp.mpf(s), mp.mpf(-2 * s), 1e-320)
         sp = shape_from_units(v1, v2, 53)
         assert sp.tau == mp.mpc(0, mp.sqrt(3)) and 0 < sp.radius < 2.0 ** -45
+
+
+@pytest.mark.parametrize("num", [1, 5, 7, 11])
+def test_same_shape_accepts_a_pair_exactly_tol_apart(num):
+    # p = q + 1 + (3 + 4i) s with a 120-bit Re q and the dyadic tol = 5s:
+    # the glued candidate q + 1 is exactly tol from p, and a nudge of 2^-200
+    # past it is not within tol, whatever the ambient precision
+    s = mp.ldexp(1, -30)
+    with mp.workprec(400):
+        qx = fraction_to_mpf(Fraction(num, 13), 120)
+        q = mp.mpc(qx, 2)
+        p = mp.mpc(qx + 1 + 3 * s, 2 + 4 * s)
+        far = mp.mpc(qx + 1 + 3 * s + mp.ldexp(1, -200), 2 + 4 * s)
+        mirrored = -mp.conj(p)
+    for ambient in (16, 53):
+        with mp.workprec(ambient):
+            assert same_shape(p, q, 5 * s) and same_shape(mirrored, q, 5 * s)
+            assert not same_shape(far, q, 5 * s)
+
+
+def test_same_shape_reads_the_arc_exactly():
+    # -1/q for q = 1 + i is (-1 + i)/2: a point (3 + 4i) s from it is within
+    # 5s and no nearer; a ShapePoint's default tolerance is the radii's sum
+    s = mp.ldexp(1, -40)
+    with mp.workprec(200):
+        p = mp.mpc(mp.mpf(-1) / 2 + 3 * s, mp.mpf(1) / 2 + 4 * s)
+        below = 5 * s - mp.ldexp(1, -100)
+    assert same_shape(p, mp.mpc(1, 1), 5 * s)
+    assert not same_shape(p, mp.mpc(1, 1), below)
+    assert same_shape(ShapePoint(p, True, (), 3 * s), ShapePoint(mp.mpc(1, 1), True, (), 2 * s))
+    assert not same_shape(p, mp.mpc(1, 1), -1)
+

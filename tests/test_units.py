@@ -148,20 +148,6 @@ def test_log_embed_basics():
         log_embed(order, 0, 1)
 
 
-def test_log_embed_is_memoised_per_order():
-    order = simplest_order(1000)
-    v = log_embed(order, 1, 0)
-    assert log_embed(order, 1, 0) is v
-    # the memo holds what a fresh order computes at any ambient precision
-    fresh = simplest_order(1000)
-    with mp.workprec(30):
-        w = log_embed(fresh, 1, 0)
-    assert w is not v and w == v
-    assert fresh == order  # the memo takes no part in comparing orders
-    with pytest.raises(InvalidParamsError):
-        log_embed(order, 1, 1)  # failures are not memoised as results
-
-
 def test_log_vector_arithmetic():
     order = simplest_order(1000)
     v1, v2 = log_embed(order, 1, 0), log_embed(order, 1, -1)
@@ -332,6 +318,18 @@ def test_report_to_json():
     assert set(d) == {"rel_reg", "cusick_ratio", "certified", "margin_bits"}
     assert d["certified"] is True
     assert d["rel_reg"].startswith("1.5")
+
+
+def test_report_to_json_prints_the_digits_its_bounds_back():
+    # an error of 1e-6 on 1.5 is a relative 6.7e-7, so 5 digits, whose last
+    # unit 1e-4 holds the error up to 2/5 of it; the ratio's relative error
+    # is the same, and with no error every value gets all 40 digits
+    rep = certify_fundamental(mp.mpf(1.5), 10 ** 9, 1e-6)
+    assert rep.rel_reg_err == 1e-6 and rep.ratio_err > 0
+    d = json.loads(report_to_json(rep))
+    assert d["rel_reg"] == "1.5000" and len(d["cusick_ratio"].lstrip("0.")) == 5
+    d = json.loads(report_to_json(units.RegulatorReport(mp.mpf(1.5), mp.mpf(0.03125), False)))
+    assert d["rel_reg"] == "1." + "5" + "0" * 38 and d["cusick_ratio"].startswith("0.03125000")
 
 
 @settings(max_examples=12, deadline=None)
