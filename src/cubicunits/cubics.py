@@ -140,8 +140,9 @@ def _root_bound(f: MonicCubic) -> int:
     return 1 + max(abs(f.p2), abs(f.p1), abs(f.p0))
 
 
-def _separators(f: MonicCubic, D: int) -> tuple[Fraction, Fraction]:
-    """For disc > 0: rationals q1 <= -p2/3 <= q2 with f(q1) > 0 > f(q2).
+def _separators(f: MonicCubic, D: int) -> tuple[tuple[Fraction, int], tuple[Fraction, int]]:
+    """For disc > 0: rationals q1 <= -p2/3 <= q2 with f(q1) > 0 > f(q2),
+    each with eval_scaled of f at it (its den^3 f(q)).
 
     -p2/3 is the mean of the roots r1 < r2 < r3, so q1 < r3 and q2 > r1;
     the signs then force r1 < q1 < r2 < q2 < r3. The q_i are the critical
@@ -152,10 +153,31 @@ def _separators(f: MonicCubic, D: int) -> tuple[Fraction, Fraction]:
     while True:
         s = isqrt(D << (2 * k))  # floor(2^k sqrt(D))
         q1 = Fraction((-f.p2 << k) - s, 3 << k)
-        q2 = Fraction((-f.p2 << k) + s, 3 << k)
-        if sign_at(f, q1) > 0 > sign_at(f, q2):
-            return q1, q2
+        v1 = eval_scaled(f, q1.numerator, q1.denominator)
+        if v1 > 0:
+            q2 = Fraction((-f.p2 << k) + s, 3 << k)
+            v2 = eval_scaled(f, q2.numerator, q2.denominator)
+            if v2 < 0:
+                return (q1, v1), (q2, v2)
         k = 2 * k + 1
+
+
+def _isolating_ends(f: MonicCubic) -> tuple[tuple[Fraction, int | None], ...]:
+    """The ends of isolating_intervals, ascending, each with eval_scaled of
+    f at it (den^3 f(end), over the end's own reduced denominator) where
+    the cuts' search evaluated it, at the separators, and None elsewhere."""
+    B = Fraction(_root_bound(f))
+    disc = discriminant(f)
+    D = f.p2 * f.p2 - 3 * f.p1
+    if disc > 0:
+        cuts = _separators(f, D)
+    elif disc == 0 and D:
+        # (x - a)^2 (x - b): D = (a - b)^2 and 9p0 - p1p2 = 2a(a - b)^2
+        a = (9 * f.p0 - f.p1 * f.p2) // (2 * D)
+        cuts = ((Fraction(-f.p2 - a, 2), None),)  # (a + b)/2, as b = -p2 - 2a
+    else:  # one simple real root, or (x - r)^3 when disc = D = 0
+        cuts = ()
+    return ((-B, None), *cuts, (B, None))
 
 
 def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
@@ -167,18 +189,7 @@ def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
     q1 < q2 when disc > 0, at the midpoint of the two integer roots when
     one of them is double, and nowhere when f has one distinct real root.
     f is nonzero at every end, with a strict sign change when disc > 0."""
-    B = Fraction(_root_bound(f))
-    disc = discriminant(f)
-    D = f.p2 * f.p2 - 3 * f.p1
-    if disc > 0:
-        cuts = _separators(f, D)
-    elif disc == 0 and D:
-        # (x - a)^2 (x - b): D = (a - b)^2 and 9p0 - p1p2 = 2a(a - b)^2
-        a = (9 * f.p0 - f.p1 * f.p2) // (2 * D)
-        cuts = (Fraction(-f.p2 - a, 2),)  # (a + b)/2, as b = -p2 - 2a
-    else:  # one simple real root, or (x - r)^3 when disc = D = 0
-        cuts = ()
-    ends = (-B, *cuts, B)
+    ends = [x for x, _ in _isolating_ends(f)]
     return list(zip(ends, ends[1:]))
 
 

@@ -118,13 +118,13 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-    mpf_le, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float)
+    fone, from_float, from_man_exp, from_rational, mpf_add, mpf_exp, mpf_le, mpf_mul, mpf_shift, mpf_sqrt,
+    mpf_sub, round_nearest, to_float)
 
 from .errors import (
     DependentUnitsError,
@@ -132,8 +132,8 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import ROW_BITS, dyadic, exceeds, float_above, fraction_to_mpf, rational_root, up
-from .units import _RND, CubicOrderData, LogVector, log_embed
+from .precision import ROW_BITS, above, dyadic, fraction_to_mpf, greater, rational_root, round_dyadic, up
+from .units import _RND, CubicOrderData, LogVector, _aligned, _joined, _mpf, _sum, log_embed
 
 __all__ = [
     "LatticeBasis3",
@@ -198,13 +198,19 @@ class SimplexSet:
 
 @dataclass(frozen=True)
 class HexDomain:
-    """The hexagon's six vertices and ceiling (mpf values), and
-    ceiling_err, a float64 at or above the ceiling's error from the
-    alphas (the sum of their errors, rounded outward)."""
+    """The hexagon's six vertices, each three coordinates as dyadic pairs
+    (m, x) for m 2^x (`corners`; `vertices` is their mpf view, made on
+    each read), its ceiling (an mpf), and ceiling_err, a float64 at or
+    above the ceiling's error from the alphas (the sum of their errors,
+    rounded outward)."""
 
-    vertices: tuple
+    corners: tuple
     ceiling: mp.mpf
     ceiling_err: float
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(tuple(_mpf(*c) for c in corner) for corner in self.corners)
 
 
 def _dot(x, y) -> int:
@@ -416,31 +422,34 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     """The triple (v1, v2 - v1, -v2): sums to zero, spans the same lattice
     as (v1, v2), and its hexagonal fundamental domain drives the mass
     predictions. The two derived alphas are rounded once to prec bits
-    (_rounded); the span check's cross product rounds at prec bits, and
-    its bound charges the errors of a1 and a2 in float64."""
-    # raw tuples at prec bits, each step as mpmath's operator takes it
-    # (units.py)
+    (_rounded); the span check's cross product is the alphas' integer
+    products and their difference, each rounded once at prec bits
+    (precision.round_dyadic), and its bound charges the errors of a1 and
+    a2 in float64."""
     p = prec
     a1 = v1
     a2 = _rounded(v2 - v1, p)
     a3 = _rounded(-v2, p)
-    cross = mpf_sub(mpf_mul(a1.x1._mpf_, a2.x2._mpf_, p, _RND), mpf_mul(a1.x2._mpf_, a2.x1._mpf_, p, _RND), p, _RND)
+    (x1, x2, _), (y1, y2, _), e = a1.ints, a2.ints, a1.exp + a2.exp
+    cross, c = _sum(round_dyadic(x1 * y2, e, p), round_dyadic(-x2 * y1, e, p), p)  # cross 2^c
     scale = 1.0  # max(|a1|, |a2|, 1)
     for a in (a1, a2):
-        x = [float_above(mpf_abs(t._mpf_)) for t in a.coords]
+        x = [above(abs(n), a.exp) for n in a.ints]
         scale = max(scale, up(math.sqrt(up(up(up(x[0] * x[0]) + up(x[1] * x[1])) + up(x[2] * x[2])))))
     # a2.err charges a2's own rounding at p bits
-    if not exceeds(mpf_abs(cross), up(up(8 * up(a1.err + a2.err)) * scale)):
+    if not greater(abs(cross), c, up(up(8 * up(a1.err + a2.err)) * scale)):
         raise DependentUnitsError("simplex vectors do not span the plane")
     return SimplexSet(a1, a2, a3)
 
 
 def _rounded(v: LogVector, p: int) -> LogVector:
     # v's coordinates rounded once at p bits, charged v.err plus 2^-(p-2)
-    # max(1, |x_i|), which covers that rounding
-    x = [mpf_pos(t._mpf_, p, _RND) for t in v.coords]
-    slack = up(math.ldexp(max(1.0, *(float_above(mpf_abs(t)) for t in x)), 2 - p))
-    return LogVector(*map(mp.make_mpf, x), up(v.err + slack))
+    # max(1, |x_i|), which covers that rounding; the largest |x_i| is the
+    # rounding of the largest coordinate's, as rounding is monotone
+    parts = [round_dyadic(n, v.exp, p) for n in v.ints]
+    big = max(range(3), key=lambda i: abs(v.ints[i]))
+    slack = up(math.ldexp(max(1.0, above(abs(parts[big][0]), parts[big][1])), 2 - p))
+    return _joined(parts, up(v.err + slack))
 
 
 def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:
@@ -455,33 +464,36 @@ def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:
 
 
 @cache
-def _thirds(p: int):
-    # 1/3 and 2/3, each as mp.mpf(k) / 3 rounds it at p bits
-    return tuple(mpf_div(from_int(k), from_int(3), p, _RND) for k in (1, 2))
+def _third(p: int) -> tuple[int, int]:
+    # 1/3 rounded at p bits, as mp.mpf(1) / 3 rounds it, as a dyadic pair
+    _, man, exp, _ = fraction_to_mpf(Fraction(1, 3), p)._mpf_
+    return man, exp
 
 
 def hex_domain(phi: SimplexSet, prec: int) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
     ceiling is the largest coordinate over all vertices. The six vertices
-    share 18 distinct products (weight 1/3 or 2/3 times a coordinate),
-    each rounded once to prec bits, and each vertex coordinate is one
-    correctly rounded sum of two of them; raw tuples throughout."""
+    share 18 distinct products (weight 1/3 or 2/3, each rounded at prec
+    bits, times a coordinate), each rounded once to prec bits, and each
+    vertex coordinate is one correctly rounded sum of two of them, all on
+    the alphas' ints (precision.round_dyadic). 2/3 rounds to twice the
+    rounded 1/3 at every width, so the 2/3 products are the 1/3 products
+    doubled: nine products are taken."""
     p = prec
+    w, x = _third(p)
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
     # terms[k][i]: weight k/3 times alpha_i; the zero-weight term is left
     # out, as adding an exact zero returns the other unchanged
-    terms = [None] + [[[mpf_mul(w, x._mpf_, p, _RND) for x in alpha.coords] for alpha in alphas]
-                      for w in _thirds(p)]
-    verts = []
+    third = [[round_dyadic(w * n, x + alpha.exp, p) for n in alpha.ints] for alpha in alphas]
+    terms = (None, third, [[(m, y + 1) for m, y in coords] for coords in third])
+    corners = []
     for perm in itertools.permutations(range(3)):
         a, b = (terms[k][i] for i, k in enumerate(perm) if k)
-        verts.append([mpf_add(x, y, p, _RND) for x, y in zip(a, b)])
-    # the first maximal coordinate; sum() starts from the int 0, so it
-    # rounds its first term
-    ceiling = reduce(lambda m, x: x if mpf_gt(x, m) else m, itertools.chain(*verts))
+        corners.append((_sum(a[0], b[0], p), _sum(a[1], b[1], p), _sum(a[2], b[2], p)))
+    ints, e = _aligned(list(itertools.chain(*corners)))
     err = up(up(phi.alpha1.err + phi.alpha2.err) + phi.alpha3.err)
-    return HexDomain(tuple(tuple(map(mp.make_mpf, v)) for v in verts), mp.make_mpf(ceiling), err)
+    return HexDomain(tuple(corners), _mpf(max(ints), e), err)
 
 
 def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
@@ -550,9 +562,12 @@ class _Alphas:
     @classmethod
     def of(cls, phi: SimplexSet) -> "_Alphas":
         one, two = phi.alpha1, phi.alpha2
-        ints, e = dyadic(one.coords + two.coords)
-        return cls((ints[:3], ints[3:]), e, ([float(c) for c in one.coords], [float(c) for c in two.coords]),
-                   (one.err, two.err), max(one.err, two.err))
+        # the two images at the least exponent of a nonzero one
+        e = min((v.exp for v in (one, two) if any(v.ints)), default=0)
+        ints = tuple([n << v.exp - e for n in v.ints] for v in (one, two))
+        # each coordinate rounded to nearest as a float64, as float() of its mpf
+        floats = tuple([math.ldexp(*round_dyadic(n, v.exp, 53)) for n in v.ints] for v in (one, two))
+        return cls(ints, e, floats, (one.err, two.err), max(one.err, two.err))
 
 
 def _radius(n: int, e: int, sg: int) -> float | None:

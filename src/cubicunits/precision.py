@@ -1,6 +1,7 @@
 """Precision policy, the CSV rows' named width, exact readings of mpf, int
-and float values as dyadic rationals, correctly rounded roots of
-rationals, and the float64 error bounds' outward rounding."""
+and float values as dyadic rationals, the rounding of a dyadic to p bits,
+correctly rounded roots of rationals, and the float64 error bounds'
+outward rounding."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .errors import InvalidParamsError
 
@@ -144,19 +145,27 @@ def down(x: float) -> float:
     return _nextafter(x, -_INF)
 
 
-def float_above(x) -> float:
-    """A float64 at or above the finite mpf, raw mpf tuple or int x (0 for
-    0): its 53 leading bits, rounded toward +inf, are exact as a normal
-    float, and a subnormal one goes to the next float; past the float
-    range, inf."""
-    sign, man, exp, bc = x if type(x) is tuple else (from_int(x) if isinstance(x, int) else x._mpf_)
-    if bc > 53:
-        man, exp = (man >> (bc - 53)) + (not sign), exp + bc - 53
+def above(n: int, e: int = 0) -> float:
+    """A float64 at or above the dyadic n 2^e: its 53 leading bits,
+    rounded toward +inf, are exact as a normal float, and a subnormal one
+    goes to the next float; past the float range, inf (or the least
+    float, for n < 0). It depends on the value alone."""
+    s = n.bit_length() - 53
+    if s > 0:
+        n, e = -(-n >> s), e + s
     try:
-        v = math.ldexp(-man if sign else man, exp)
+        v = math.ldexp(n, e)
     except OverflowError:
-        return -sys.float_info.max if sign else _INF
-    return v if not man or abs(v) >= _NORMAL else up(v)
+        return -sys.float_info.max if n < 0 else _INF
+    return v if not n or abs(v) >= _NORMAL else up(v)
+
+
+def float_above(x) -> float:
+    """`above` for the finite mpf, raw mpf tuple or int x (0 for 0)."""
+    if isinstance(x, int):
+        return above(x)
+    sign, man, exp, _ = x if type(x) is tuple else x._mpf_
+    return above(-man if sign else man, exp)
 
 
 def float_below(x) -> float:
@@ -172,11 +181,37 @@ def float_below(x) -> float:
     return v if v >= _NORMAL else max(down(v), 0.0)
 
 
+def greater(n: int, e: int, r: float) -> bool:
+    """n 2^e > r exactly, for integers n, e and a finite float r: r = m /
+    2^k with integers, compared with n 2^e on integers."""
+    m, d = r.as_integer_ratio()
+    s = e + d.bit_length() - 1
+    return n << s > m if s >= 0 else n > m << -s
+
+
 def exceeds(x, r: float) -> bool:
-    """x > r exactly, for a raw mpf tuple x and a finite float r: r = n /
-    2^k with integers, compared with x = man 2^exp on integers."""
-    n, d = r.as_integer_ratio()
+    """x > r exactly, for a raw mpf tuple x and a finite float r (`greater`)."""
     sign, man, exp, _ = x
-    s = exp + d.bit_length() - 1
-    man = -man if sign else man
-    return man << s > n if s >= 0 else man > n << -s
+    return greater(-man if sign else man, exp, r)
+
+
+def round_dyadic(n: int, e: int, p: int) -> tuple[int, int]:
+    """(m, x) with m 2^x the dyadic n 2^e rounded to p >= 1 significant
+    bits, to nearest with ties to even, as libmp's round_nearest rounds a
+    value (libmpf.normalize); m is odd, or 0 for n = 0, so (m, x) is also
+    the canonical image `dyadic` reads. An mpf operation at p bits, on
+    operands of at most p bits each, is its exact result rounded so: a
+    product, sum or difference of integers at a shared exponent, rounded
+    here, has the operator's bits."""
+    if not n:
+        return 0, 0
+    m = -n if n < 0 else n
+    s = m.bit_length() - p
+    if s > 0:
+        t = m >> (s - 1)  # the kept bits and the half bit
+        carry = t & 1 and (t & 2 or m != t << (s - 1))  # past half, or a tie to an odd m
+        m, e = (t >> 1) + bool(carry), e + s
+    if not m & 1:  # strip trailing zero bits (a carry can leave some)
+        z = (m & -m).bit_length() - 1
+        m, e = m >> z, e + z
+    return (-m if n < 0 else m), e

@@ -29,7 +29,7 @@ from math import isqrt
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up, to_rational
 
-from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_intervals, sign_at
+from .cubics import MonicCubic, _isolating_ends, discriminant, eval_scaled, is_totally_real, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
 from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf
 
@@ -88,12 +88,14 @@ def _split(lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(2) ** k if hi > 0 else -Fraction(2) ** k
 
 
-def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
+def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int,
+                 flo: int | None = None, fhi: int | None = None):
     """(x, lo, hi): the root of f's second-order model at one end q of the
     bracket, rounded once to a float (exactly -p2/3 where f vanishes
     there; None where the model has no root that way or its root lies
     beyond float64 range), and the bracket, narrowed when it spans the
-    inflection point -p2/3.
+    inflection point -p2/3. flo and fhi, where given, are eval_scaled of f
+    at lo and at hi, so that q is not evaluated again.
 
     f(q + h) = f(q) + f'(q) h + (3q + p2) h^2 + h^3 exactly, so the model
     drops only h^3, which is under a third of the quadratic term while
@@ -110,19 +112,20 @@ def _model_start(f: MonicCubic, lo: Fraction, hi: Fraction, slo: int):
     p2 = f.p2
     (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
     if 3 * hn <= -p2 * hd:  # hi <= -p2/3
-        (n, m), step = (hn, hd), -1
+        (n, m), F, step = (hn, hd), fhi, -1
     elif 3 * ln >= -p2 * ld:  # lo >= -p2/3
-        (n, m), step = (ln, ld), 1
+        (n, m), F, step = (ln, ld), flo, 1
     else:
         v = eval_scaled(f, -p2, 3)
         if v == 0:
             return Fraction(-p2, 3), lo, hi
         if (v > 0) == (slo > 0):
-            lo, (n, m), step = Fraction(-p2, 3), (hn, hd), -1
+            lo, (n, m), F, step = Fraction(-p2, 3), (hn, hd), fhi, -1
         else:
-            hi, (n, m), step = Fraction(-p2, 3), (ln, ld), 1
+            hi, (n, m), F, step = Fraction(-p2, 3), (ln, ld), flo, 1
     # m^3 times the model at q = n/m plus step w/m: F + G w + A w^2, F > 0
-    F = eval_scaled(f, n, m)
+    if F is None:
+        F = eval_scaled(f, n, m)
     sign = step if F > 0 else -step
     F, G, A = abs(F), sign * ((3 * n + 2 * p2 * m) * n + f.p1 * m * m), sign * step * (3 * n + p2 * m)
     disc = G * G - 4 * A * F
@@ -168,17 +171,18 @@ def _newton(f: MonicCubic, x: int, q: int, bits: int, target: int):
     return None
 
 
-def _window_end(f: MonicCubic, n: int, q: int, end: Fraction, outside: bool):
+def _window_end(f: MonicCubic, n: int, q: int, end: Fraction, outside: bool, sign: int | None):
     """(point, sign of f there) for the window end n/q, clipped to the
-    bracket end `end` when n/q lies outside it."""
+    bracket end `end` when n/q lies outside it; sign is f's sign at `end`
+    where it is known, and None otherwise."""
     if outside:
-        return end, sign_at(f, end)
+        return end, sign_at(f, end) if sign is None else sign
     v = eval_scaled(f, n, q)
     return Fraction(n, q), (v > 0) - (v < 0)
 
 
 def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
-                pol: PrecisionPolicy = DEFAULT_POLICY) -> IsolatedRoot:
+                pol: PrecisionPolicy = DEFAULT_POLICY, values: tuple[int, int] | None = None) -> IsolatedRoot:
     """Shrink the exact bracket [lo, hi], which holds exactly one simple
     root of f, to an enclosure of absolute radius <= 2^-target_bits.
 
@@ -198,6 +202,12 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
     the narrowed bracket's split. Where the low end, a window end or a
     split is itself the root, the result is that exact point with err 0,
     its value at the first rung's working precision.
+
+    values, where the caller has them, are eval_scaled of f at lo and at
+    hi (den^3 f over each end's reduced denominator), with f(lo) f(hi) <
+    0; refined_roots passes those its isolation computed, so that no end
+    of a bracket is evaluated twice. Without them, f is evaluated at lo,
+    and at hi only where a window is clipped to it.
     """
     target = pol.target_bits
     eps_fr = Fraction(1, 1 << target)
@@ -210,10 +220,17 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
         # bits, so it is exact at the first rung: a width-0 enclosure
         return IsolatedRoot(x, x, fraction_to_mpf(x, first), mp.mpf(0), first)
 
-    slo = sign_at(f, lo)
+    flo, fhi = values or (eval_scaled(f, *lo.as_integer_ratio()), None)
+    slo = (flo > 0) - (flo < 0)
     if slo == 0:
         return exact(lo)
-    start, lo, hi = _model_start(f, lo, hi, slo)
+    start, lo, narrowed = _model_start(f, lo, hi, slo, flo, fhi)
+    # f has the sign slo at lo, and shi at hi where it is known: -slo once
+    # hi has moved
+    if narrowed != hi:
+        hi, shi = narrowed, -slo
+    else:
+        shi = None if fhi is None else (fhi > 0) - (fhi < 0)
     for bits in pol.ladder(start_extra=first - target):
         if start is None:
             start = _split(lo, hi)
@@ -223,8 +240,8 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
             q, e = 1 << p, 1 << (p - target)
             (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
             if (x + e) * b >= a * q and (x - e) * d <= c * q:  # the window meets [lo, hi]
-                cand_lo, sl = _window_end(f, x - e, q, lo, (x - e) * b < a * q)
-                cand_hi, sh = _window_end(f, x + e, q, hi, (x + e) * d > c * q)
+                cand_lo, sl = _window_end(f, x - e, q, lo, (x - e) * b < a * q, slo)
+                cand_hi, sh = _window_end(f, x + e, q, hi, (x + e) * d > c * q, shi)
                 if sl == 0 or sh == 0:
                     return exact(cand_lo if sl == 0 else cand_hi)
                 if sl != sh:
@@ -242,7 +259,7 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
             if sm == slo:
                 lo = mid
             else:
-                hi = mid
+                hi, shi = mid, sm
             if hi - lo <= 2 * eps_fr:
                 return IsolatedRoot(lo, hi, *_centred(lo, hi, bits), bits)
     raise PrecisionExhaustedError(f"could not certify root of {f} to 2^-{target} within {pol.max_bits} bits")
@@ -250,13 +267,14 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
 
 def refined_roots(f: MonicCubic, pol: PrecisionPolicy = DEFAULT_POLICY) -> list[IsolatedRoot]:
     """The three real roots, ascending, each refined from its exact
-    isolating bracket. f must have three distinct real roots."""
+    isolating bracket. f must have three distinct real roots. f is
+    evaluated once at each end of a bracket: the separators' values come
+    from the isolation, and each refinement reads its ends' values."""
     if not is_totally_real(f):
         raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
-    brackets = isolating_intervals(f)
-    if any(sign_at(f, lo) * sign_at(f, hi) >= 0 for lo, hi in brackets):
+    ends = [(x, eval_scaled(f, *x.as_integer_ratio()) if v is None else v) for x, v in _isolating_ends(f)]
+    if any(u * v >= 0 for (_, u), (_, v) in zip(ends, ends[1:])):
         raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
-    if len(brackets) != 3:
-        raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(brackets)} for {f}")
-    return [refine_root(f, lo, hi, pol) for lo, hi in brackets]
-
+    if len(ends) != 4:
+        raise InternalInconsistencyError(f"expected 3 real roots, isolated {len(ends) - 1} for {f}")
+    return [refine_root(f, lo, hi, pol, (u, v)) for (lo, u), (hi, v) in zip(ends, ends[1:])]

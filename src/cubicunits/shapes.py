@@ -163,10 +163,13 @@ def shape_from_units(v1: LogVector, v2: LogVector, prec: int = 53) -> ShapePoint
     reduced exactly. The units are dependent when Im tau is within the
     data's radius."""
     q = _bits(prec)
-    # x1, x2 of both vectors are integers times 2^e; |z|^2 = x1^2 + x1 x2 +
-    # x2^2, tau is the root of (|z1|^2, -2 Re(z2 conj(z1)), |z2|^2), and
-    # 4ac - b^2 = 3 det^2, so Im tau = sqrt(3) |det| / (2a) with the sign of det
-    (x1, x2, y1, y2), e = dyadic((v1.x1, v1.x2, v2.x1, v2.x2))
+    # x1, x2 of both vectors are their ints at the lesser exponent e;
+    # |z|^2 = x1^2 + x1 x2 + x2^2, tau is the root of (|z1|^2, -2 Re(z2
+    # conj(z1)), |z2|^2), and 4ac - b^2 = 3 det^2, so Im tau = sqrt(3) |det|
+    # / (2a) with the sign of det. The form and det scale by a power of 4
+    # with e, and nothing below depends on it but through their ratios
+    e = min(v1.exp, v2.exp)
+    (x1, x2, _), (y1, y2, _) = ([n << v.exp - e for n in v.ints] for v in (v1, v2))
     a, c = x1 * x1 + x1 * x2 + x2 * x2, y1 * y1 + y1 * y2 + y2 * y2
     b, det = -(2 * x1 * y1 + x1 * y2 + x2 * y1 + 2 * x2 * y2), x1 * y2 - x2 * y1
     errs = (e, v1.err, v2.err)

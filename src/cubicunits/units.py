@@ -12,13 +12,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from math import gcd
 
 import mpmath as mp
 from mpmath.libmp import (
-    fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_log, mpf_lt,
-    mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_shift, mpf_sub, round_nearest as _RND)
+    fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div, mpf_gt, mpf_log, mpf_lt, mpf_mul,
+    mpf_pow_int, mpf_shift, mpf_sub, round_nearest as _RND)
 
 from .cubics import MonicCubic, discriminant, is_irreducible, is_totally_real, norm_linear_form
 from .errors import (
@@ -29,7 +28,9 @@ from .errors import (
     OutOfRegimeError,
     PrecisionExhaustedError,
 )
-from .precision import DEFAULT_POLICY, PrecisionPolicy, dyadic, exceeds, float_above, float_below, mpf_to_fraction, up
+from .precision import (
+    DEFAULT_POLICY, PrecisionPolicy, above, dyadic, float_above, float_below, greater, mpf_to_fraction,
+    round_dyadic, up)
 from .roots import IsolatedRoot, refine_root, refined_roots
 
 __all__ = [
@@ -47,15 +48,18 @@ __all__ = [
 # certify_fundamental asks the Cusick ratio to clear 1/8 by 2^-_MARGIN_BITS
 _MARGIN_BITS = 32
 
-# The routines below compute their values on mpmath's raw tuples: each
-# step is the libmp call, precision and rounding that mpmath's operator
-# for it makes (-x and abs(x) round, int * x is mpf_mul_int, x ** 2 is
-# mpf_pow_int, a sum() rounds its first term), at the precision the caller
-# names, so every value bit is the operator code's. At precision 0, libmp
-# adds, subtracts and multiplies exactly. _RND is mpmath's default
-# rounding, to nearest. Their error bounds are float64 upper bounds, each
-# float step rounded outward (precision.up), and each test of a value
-# against a bound is exact (precision.exceeds).
+# A log vector is its exact integer image, three ints at one shared
+# exponent, and the routines below compute on such images: each rounded
+# step is an exact integer product, sum or difference, rounded once by
+# precision.round_dyadic to the precision the caller names, which gives
+# the bits mpmath's operator for that step gives at that precision (an mpf
+# product or sum of operands of at most p bits is its exact value rounded
+# to nearest, ties to even). A value is a dyadic pair (m, x) for m 2^x;
+# mpf values are made only for what a caller reads as one. Only the logs
+# of log_embed and certify_fundamental's steps run on libmp's raw tuples.
+# The error bounds are float64 upper bounds, each float step rounded
+# outward (precision.up), and each test of a value against a bound is
+# exact (precision.greater).
 _EIGHTH = mp.mpf(0.125)
 
 
@@ -64,58 +68,127 @@ def _show(x: float, digits: int) -> str:
     return mp.nstr(mp.make_mpf(from_float(x)), digits)
 
 
-@dataclass(frozen=True)
+def _mpf(m: int, x: int) -> mp.mpf:
+    # the dyadic m 2^x as an mpf, exactly
+    return mp.make_mpf(from_man_exp(m, x))
+
+
+def _sum(s: tuple[int, int], t: tuple[int, int], p: int) -> tuple[int, int]:
+    # the dyadic pairs s + t, rounded once to p bits
+    (m, x), (n, y) = s, t
+    return round_dyadic((m << x - y) + n, y, p) if x >= y else round_dyadic(m + (n << y - x), x, p)
+
+
+def _aligned(values) -> tuple[list[int], int]:
+    # (ints, e): the dyadic pairs values as ints at their least exponent e
+    e = min(x for _, x in values)
+    return [m << x - e for m, x in values], e
+
+
 class LogVector:
     """Point of the trace-zero plane {x1+x2+x3=0}, up to the shared error
-    bound err on each coordinate: a float64 at or above the coordinates'
-    true error (an mpf or int given is read as the float at or above it,
-    precision.float_above). +, -, negation and scaled(c) are exact on the
-    coordinates and round err outward (precision.up), so (v + w).err is
-    at or above v.err + w.err."""
+    bound err on each coordinate, held as its exact integer image: the
+    coordinates are ints[i] 2^exp, the canonical image precision.dyadic
+    reads (exp the least 2-adic valuation of a nonzero coordinate, 0 for
+    the zero vector). err is a float64 at or above the coordinates' true
+    error (an mpf or int given is read as the float at or above it,
+    precision.float_above).
 
-    x1: mp.mpf
-    x2: mp.mpf
-    x3: mp.mpf
-    err: float
+    LogVector(x1, x2, x3, err) reads each coordinate, an mpf, int or float,
+    exactly, and x1, x2, x3 and coords are mpf views of the image, made on
+    each read. +, -, negation and scaled(c) are exact integer operations on
+    the image and round err outward (precision.up), so (v + w).err is at
+    or above v.err + w.err. Every vector, however made, passes the trace
+    check: the exact coordinate sum is within 3 err, or within the exact
+    2^-24 max(1, |x_i|)."""
 
-    def __post_init__(self):
-        if type(self.err) is not float:
-            object.__setattr__(self, "err", float_above(self.err))
-        # the exact coordinate sum must be within 3 err, or within the
-        # exact 2^-24 max(1, |x_i|)
-        x = [t._mpf_ for t in self.coords]
-        s = mpf_abs(mpf_add(mpf_add(x[0], x[1]), x[2]))
-        err3 = up(3 * self.err)
-        s24 = mpf_shift(s, 24)
-        if exceeds(s, err3) and mpf_gt(s24, fone) and all(mpf_gt(s24, mpf_abs(t)) for t in x):
-            raise InvalidParamsError(f"coordinates sum to {mp.nstr(mp.make_mpf(s), 8)}, beyond 3*err={_show(err3, 8)}")
+    __slots__ = ("ints", "exp", "err")
+
+    def __init__(self, x1, x2, x3, err):
+        ints, e = dyadic((x1, x2, x3))
+        _fill(self, tuple(ints), e, err if type(err) is float else float_above(err))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LogVector is immutable: cannot set {name}")
+
+    @property
+    def x1(self) -> mp.mpf:
+        return _mpf(self.ints[0], self.exp)
+
+    @property
+    def x2(self) -> mp.mpf:
+        return _mpf(self.ints[1], self.exp)
+
+    @property
+    def x3(self) -> mp.mpf:
+        return _mpf(self.ints[2], self.exp)
 
     @property
     def coords(self):
-        return (self.x1, self.x2, self.x3)
+        return tuple(_mpf(n, self.exp) for n in self.ints)
+
+    def __eq__(self, o) -> bool:
+        if not isinstance(o, LogVector):
+            return NotImplemented
+        return (self.ints, self.exp, self.err) == (o.ints, o.exp, o.err)
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.exp, self.err))
+
+    def __repr__(self) -> str:
+        return f"LogVector(x1={self.x1!r}, x2={self.x2!r}, x3={self.x3!r}, err={self.err!r})"
 
     def __add__(self, o: "LogVector") -> "LogVector":
-        return self._combine(o, mpf_add)
+        return self._combine(o, 1)
 
     def __sub__(self, o: "LogVector") -> "LogVector":
-        return self._combine(o, mpf_sub)
+        return self._combine(o, -1)
 
-    def _combine(self, o, op) -> "LogVector":
-        x = [op(s._mpf_, t._mpf_) for s, t in zip(self.coords, o.coords)]
-        return _vector(x, up(self.err + o.err))
+    def _combine(self, o, sign: int) -> "LogVector":
+        d, err = o.exp - self.exp, up(self.err + o.err)
+        if d >= 0:
+            return _vector([x + sign * (y << d) for x, y in zip(self.ints, o.ints)], self.exp, err)
+        return _vector([(x << -d) + sign * y for x, y in zip(self.ints, o.ints)], o.exp, err)
 
     def __neg__(self) -> "LogVector":
-        return _vector([mpf_neg(s._mpf_) for s in self.coords], self.err)
+        return _vector([-x for x in self.ints], self.exp, self.err)
 
     def scaled(self, c) -> "LogVector":
         (n,), e = dyadic([c])  # c, an int, float or mpf, read exactly
-        c = from_man_exp(n, e)
-        return _vector([mpf_mul(c, s._mpf_) for s in self.coords], up(float_above(mpf_abs(c)) * self.err))
+        return _vector([n * x for x in self.ints], self.exp + e, up(above(abs(n), e) * self.err))
 
 
-def _vector(x, err: float) -> LogVector:
-    # the vector with raw coordinates x and error bound err
-    return LogVector(*map(mp.make_mpf, x), err)
+def _fill(v: LogVector, ints: tuple[int, int, int], e: int, err: float) -> None:
+    # set v's fields to the canonical image ints 2^e and err, after the
+    # trace check
+    s = abs(ints[0] + ints[1] + ints[2])
+    err3 = up(3 * err)
+    if (s << 24 > max(abs(ints[0]), abs(ints[1]), abs(ints[2])) and greater(s, e + 24, 1.0)
+            and greater(s, e, err3)):
+        raise InvalidParamsError(f"coordinates sum to {mp.nstr(_mpf(s, e), 8)}, beyond 3*err={_show(err3, 8)}")
+    for name, value in (("ints", ints), ("exp", e), ("err", err)):
+        object.__setattr__(v, name, value)
+
+
+def _vector(ints, e: int, err: float) -> LogVector:
+    # the vector with coordinates ints[i] 2^e, brought to its canonical
+    # image, and error bound err
+    z = ints[0] | ints[1] | ints[2]  # its lowest set bit is their least one
+    if not z:
+        e = 0
+    elif not z & 1:
+        k = (z & -z).bit_length() - 1
+        ints, e = [x >> k for x in ints], e + k
+    v = object.__new__(LogVector)
+    _fill(v, tuple(ints), e, err)
+    return v
+
+
+def _joined(parts, err: float) -> LogVector:
+    # the vector whose coordinates are the dyadic pairs parts, and error
+    # bound err
+    e = min((x for m, x in parts if m), default=0)
+    return _vector([m << x - e if m else 0 for m, x in parts], e, err)
 
 
 @dataclass(frozen=True)
@@ -185,19 +258,26 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     pol = order.policy
     rungs = pol.ladder()
     next(rungs)  # the stored roots' rung
-    fa = float_above(abs(a))
+    fa = above(abs(a))
     while True:
         bits = max(r.prec for r in roots)
-        ms = [mpf_sub(mpf_mul_int(r.value._mpf_, a, bits, _RND), from_int(b), bits, _RND) for r in roots]
-        errs = [up(fa * float_above(r.err._mpf_)) for r in roots]  # |a| err_i
-        ams = [mpf_abs(m, bits, _RND) for m in ms]
-        if all(exceeds(am, 256 * e) for am, e in zip(ams, errs)):
+        ams, errs = [], []  # |a theta_i - b| as raw tuples, and a bound on each one's error
+        for r in roots:
+            sign, man, exp, _ = r.value._mpf_
+            # a theta_i - b, as mpmath's int * x - b rounds each step
+            m, x = _sum(round_dyadic(-a * man if sign else a * man, exp, bits), (-b, 0), bits)
+            e = up(fa * float_above(r.err._mpf_))  # |a| err_i
+            if not greater(abs(m), x, 256 * e):
+                break
+            ams.append((0, abs(m), x, abs(m).bit_length()))
+            errs.append(e)
+        else:
             coords = [mpf_log(am, bits, _RND) for am in ams]
             # the largest of 2 e / |m| + 2^-(bits - 8) max(1, |c|) over the coordinates
             err = max(up(up(2 * e / float_below(am))
-                         + up(math.ldexp(max(1.0, float_above(mpf_abs(c))), 8 - bits)))
+                         + up(math.ldexp(max(1.0, above(c[1], c[2])), 8 - bits)))
                       for am, e, c in zip(ams, errs, coords))
-            return LogVector(*map(mp.make_mpf, coords), err)
+            return _joined([(-c[1] if c[0] else c[1], c[2]) for c in coords], err)
         target = next(rungs, None)
         if target is None:
             raise PrecisionExhaustedError(
@@ -210,25 +290,27 @@ def relative_regulator_with_error(v1: LogVector, v2: LogVector, prec: int):
     """|2x2 minor| of the embedding pair, each step rounded at prec bits,
     plus a float64 error bound. All three coordinate-deletion minors must agree
     (rows sum to ~0); disagreement beyond tolerance is an internal error,
-    near-zero determinant means the units are dependent."""
-    p, a, b = prec, [x._mpf_ for x in v1.coords], [x._mpf_ for x in v2.coords]
-    # the minors deleting coordinate 1, 2 and 3
-    minors = [mpf_sub(mpf_mul(a[i], b[j], p, _RND), mpf_mul(a[j], b[i], p, _RND), p, _RND)
-              for i, j in ((1, 2), (0, 2), (0, 1))]
+    near-zero determinant means the units are dependent. The minors are
+    products and differences of the vectors' ints, each rounded once
+    (precision.round_dyadic)."""
+    p, a, b, e = prec, v1.ints, v2.ints, v1.exp + v2.exp
+    # the minors deleting coordinate 1, 2 and 3, in absolute value
+    vals = []
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        m, x = _sum(round_dyadic(a[i] * b[j], e, p), round_dyadic(-a[j] * b[i], e, p), p)
+        vals.append((abs(m), x))
     # 10 scale (err1 + err2) + 2^-(p - 12) scale^2, scale = max(1, |x_i|)
     # over both vectors
-    scale = max(1.0, *(float_above(mpf_abs(x)) for x in a + b))
+    scale = max(1.0, above(max(map(abs, a)), v1.exp), above(max(map(abs, b)), v2.exp))
     err = up(up(up(10 * scale) * up(v1.err + v2.err)) + up(math.ldexp(up(scale * scale), 12 - p)))
-    vals = [mpf_abs(m, p, _RND) for m in minors]
-    hi = reduce(lambda m, v: v if mpf_gt(v, m) else m, vals)  # as max() and min() pick
-    lo = reduce(lambda m, v: v if mpf_lt(v, m) else m, vals)
-    if exceeds(mpf_sub(hi, lo, p, _RND), err):
+    ints, e = _aligned(vals)
+    if greater(*round_dyadic(max(ints) - min(ints), e, p), err):
         raise InternalInconsistencyError(
-            f"minors disagree beyond tolerance: {[mp.nstr(mp.make_mpf(v), 12) for v in vals]} (tol {_show(err, 6)})")
+            f"minors disagree beyond tolerance: {[mp.nstr(_mpf(*v), 12) for v in vals]} (tol {_show(err, 6)})")
     det = vals[2]  # first-two-coordinates minor, per the stated convention
-    if not exceeds(det, 8 * err):
+    if not greater(*det, 8 * err):
         raise DependentUnitsError("regulator determinant below the error floor")
-    return mp.make_mpf(det), err
+    return _mpf(*det), err
 
 
 def certify_fundamental(rel_reg, disc: int, rel_reg_err=0, prec: int = 192) -> RegulatorReport:

@@ -274,6 +274,26 @@ def test_scan_family_no_mass(capsys):
     assert len(out[1].split(",")) == 16
 
 
+def _scan_goldens():
+    # tests/golden/scan_no_mass.txt: blocks headed "== <bits> <schedule>
+    # <family>", each followed by the CSV that scan-family --no-mass prints
+    blocks, text = [], (Path(__file__).parent / "golden" / "scan_no_mass.txt").read_text(encoding="ascii")
+    for block in text.split("== ")[1:]:
+        head, *rows = block.splitlines()
+        bits, schedule, family = head.split(" ", 2)
+        blocks.append(pytest.param(bits, schedule, family, rows, id=f"{json.loads(family)['kind']}-{bits}-{schedule}"))
+    return blocks
+
+
+@pytest.mark.parametrize("bits,schedule,family,rows", _scan_goldens())
+def test_scan_family_no_mass_golden(capsys, bits, schedule, family, rows):
+    # every byte of the rows of the three families at t = +-10^3, +-10^6,
+    # ..., +-10^24, at 64 and 192 bits
+    assert main(["scan-family", "--family", family, "--schedule", schedule,
+                 "--precision-bits", bits, "--no-mass"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == rows
+
+
 def test_mass_profile_golden(capsys):
     assert main(["mass-profile", "--family", ONE_UNIT,
                  "--schedule", "list:1000000", "--samples", "60",

@@ -254,6 +254,31 @@ def test_float_seed_spends_few_exact_signs(monkeypatch, t):
             assert (one[0] if t > 0 else one[2]) <= budget, (bits, one)
 
 
+@pytest.mark.parametrize("kind", ["one_unit", "two_unit", "seed"])
+@pytest.mark.parametrize("t", [sign * 10 ** e for e in (3, 12, 24) for sign in (1, -1)])
+def test_refined_roots_evaluates_each_bracket_end_once(monkeypatch, kind, t):
+    # the isolation fixes f at -B, q1, q2 and B; the bracket check, each
+    # refinement's sign at lo, its model start and its clipped window ends
+    # read those values, so no end is evaluated twice, and each root is
+    # refined once
+    f = _member(kind, t)
+    is_totally_real(f)  # kept on f, as the pipeline has it by now
+    ends = {x for bracket in isolating_intervals(f) for x in bracket}
+    points, refined = [], []
+
+    def counting(g, b, a):
+        points.append(Fraction(b, a))
+        return eval_scaled(g, b, a)
+
+    refine = roots.refine_root
+    monkeypatch.setattr(roots, "eval_scaled", counting)
+    monkeypatch.setattr(cubics, "eval_scaled", counting)
+    monkeypatch.setattr(roots, "refine_root", lambda *args: refined.append(args[1:3]) or refine(*args))
+    refined_roots(f)
+    assert len(ends) == 4 and len(refined) == 3
+    assert {x: points.count(x) for x in ends} == dict.fromkeys(ends, 1), (kind, t)
+
+
 _WIDE_RATIONALS = st.builds(lambda q, e: q * Fraction(2) ** e,
                             st.fractions(max_denominator=10 ** 30), st.integers(-1500, 1500))
 
@@ -403,7 +428,7 @@ def test_the_bisection_fallback_is_centred_on_its_window(monkeypatch):
     # with no model start and Newton refused, bisection alone narrows each
     # isolating bracket (its separator ends are not dyadic) to 2^-15, and
     # err must bound the distance from the rounded midpoint value
-    monkeypatch.setattr(roots, "_model_start", lambda f, lo, hi, slo: (None, lo, hi))
+    monkeypatch.setattr(roots, "_model_start", lambda f, lo, hi, slo, *values: (None, lo, hi))
     monkeypatch.setattr(roots, "_newton", lambda *args: None)
     pol = PrecisionPolicy(target_bits=16, max_bits=64)
     for f in (SEED, simplest_cubic(5), _member("two_unit", 10 ** 6)):
