@@ -44,6 +44,13 @@ cancels a rounded bit.
 The mass stage reads the order alone: its hexagon is that of the simplex
 make_simplex builds from the log vectors of the order's first two
 verified units, so no caller hands it a simplex that would need checking.
+A log vector is its exact integer image (units.LogVector: three ints at
+one shared exponent), and the simplex, the hexagon and the sweep's read
+of the alphas (_Alphas) work on those ints: each rounded step is an exact
+integer product or sum rounded once by precision.round_dyadic, which
+gives the bits of mpmath's operator at the same width, and the hexagon's
+vertices stay exact sums until a caller reads them, its ceiling one
+rounding of the largest.
 The hexagon is a fundamental domain of the compact orbit, the torus R^2 /
 Lambda, Lambda = Z alpha1 + Z alpha2 the lattice of unit log vectors, and
 the sweep keeps its state on that torus: one mark per cell (a mod k, b mod
@@ -81,8 +88,8 @@ between e^{min d_i} and e^{max d_i} times |exp(x) v|. In the trace-zero
 plane each such region is a triangle with 3/2 the area of the sup-ball
 hexagon |d_i| < r inside it. The centres are all moved from one basis of
 L that each call reduces once.
-Each centre (a alpha1 + b alpha2) / k is formed from exact dyadic images
-of the alphas, rounded once per coordinate. The offset between two grid
+Each centre (a alpha1 + b alpha2) / k is formed from the alphas' exact
+integer images, rounded once per coordinate. The offset between two grid
 points depends only on their index difference, which the cover reads
 exactly from the same images, so each centre marks one interval per
 extended row. With B - m_B below the norm of every vector not parallel
@@ -198,19 +205,22 @@ class SimplexSet:
 
 @dataclass(frozen=True)
 class HexDomain:
-    """The hexagon's six vertices, each three coordinates as dyadic pairs
-    (m, x) for m 2^x (`corners`; `vertices` is their mpf view, made on
-    each read), its ceiling (an mpf), and ceiling_err, a float64 at or
-    above the ceiling's error from the alphas (the sum of their errors,
-    rounded outward)."""
+    """The hexagon: corners[v][c] 2^exp is coordinate c of vertex v
+    exactly, before its one rounding at prec bits; `vertices` are those
+    rounded, as mpf values made on each read. ceiling (an mpf) is the
+    largest rounded coordinate, and ceiling_err a float64 at or above its
+    error from the alphas (the sum of their errors, rounded outward)."""
 
     corners: tuple
+    exp: int
+    prec: int
     ceiling: mp.mpf
     ceiling_err: float
 
     @property
     def vertices(self) -> tuple:
-        return tuple(tuple(_mpf(*c) for c in corner) for corner in self.corners)
+        return tuple(tuple(_mpf(*round_dyadic(n, self.exp, self.prec)) for n in corner)
+                     for corner in self.corners)
 
 
 def _dot(x, y) -> int:
@@ -428,8 +438,9 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     a2 in float64."""
     p = prec
     a1 = v1
-    a2 = _rounded(v2 - v1, p)
-    a3 = _rounded(-v2, p)
+    d = v2 - v1
+    a2 = _rounded(d.ints, d.exp, d.err, p)
+    a3 = _rounded([-n for n in v2.ints], v2.exp, v2.err, p)  # -v2 is a vector as v2 is
     (x1, x2, _), (y1, y2, _), e = a1.ints, a2.ints, a1.exp + a2.exp
     cross, c = _sum(round_dyadic(x1 * y2, e, p), round_dyadic(-x2 * y1, e, p), p)  # cross 2^c
     scale = 1.0  # max(|a1|, |a2|, 1)
@@ -442,14 +453,13 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     return SimplexSet(a1, a2, a3)
 
 
-def _rounded(v: LogVector, p: int) -> LogVector:
-    # v's coordinates rounded once at p bits, charged v.err plus 2^-(p-2)
+def _rounded(ints, e: int, err: float, p: int) -> LogVector:
+    # the vector ints 2^e rounded once at p bits, charged err plus 2^-(p-2)
     # max(1, |x_i|), which covers that rounding; the largest |x_i| is the
     # rounding of the largest coordinate's, as rounding is monotone
-    parts = [round_dyadic(n, v.exp, p) for n in v.ints]
-    big = max(range(3), key=lambda i: abs(v.ints[i]))
-    slack = up(math.ldexp(max(1.0, above(abs(parts[big][0]), parts[big][1])), 2 - p))
-    return _joined(parts, up(v.err + slack))
+    parts = [round_dyadic(n, e, p) for n in ints]
+    m, x = parts[ints.index(max(ints, key=abs))]
+    return _joined(parts, up(err + up(math.ldexp(max(1.0, above(abs(m), x)), 2 - p))))
 
 
 def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:
@@ -473,27 +483,27 @@ def _third(p: int) -> tuple[int, int]:
 def hex_domain(phi: SimplexSet, prec: int) -> HexDomain:
     """Fundamental hexagon of the lattice translates of the simplex set:
     vertices are the barycentric {0,1/3,2/3} permutations of the alphas;
-    ceiling is the largest coordinate over all vertices. The six vertices
-    share 18 distinct products (weight 1/3 or 2/3, each rounded at prec
-    bits, times a coordinate), each rounded once to prec bits, and each
-    vertex coordinate is one correctly rounded sum of two of them, all on
-    the alphas' ints (precision.round_dyadic). 2/3 rounds to twice the
-    rounded 1/3 at every width, so the 2/3 products are the 1/3 products
-    doubled: nine products are taken."""
+    ceiling is the largest coordinate over all vertices. Each vertex
+    coordinate is one correctly rounded sum of two products, weight 1/3 or
+    2/3 (each rounded at prec bits) times an alpha's coordinate, each
+    product rounded once at prec bits, all on the alphas' ints
+    (precision.round_dyadic). 2/3 rounds to twice the rounded 1/3 at every
+    width, so the 2/3 products are the 1/3 products doubled: nine products
+    are taken. The sums are exact, and as rounding is monotone, the
+    ceiling is the rounding of the largest of them: one more rounding."""
     p = prec
     w, x = _third(p)
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
-    # terms[k][i]: weight k/3 times alpha_i; the zero-weight term is left
-    # out, as adding an exact zero returns the other unchanged
-    third = [[round_dyadic(w * n, x + alpha.exp, p) for n in alpha.ints] for alpha in alphas]
-    terms = (None, third, [[(m, y + 1) for m, y in coords] for coords in third])
+    # the 1/3 products as ints at one exponent e: third[3 i + c] 2^e is
+    # coordinate c of alpha_i times 1/3, rounded
+    third, e = _aligned([round_dyadic(w * n, x + alpha.exp, p) for alpha in alphas for n in alpha.ints])
     corners = []
-    for perm in itertools.permutations(range(3)):
-        a, b = (terms[k][i] for i, k in enumerate(perm) if k)
-        corners.append((_sum(a[0], b[0], p), _sum(a[1], b[1], p), _sum(a[2], b[2], p)))
-    ints, e = _aligned(list(itertools.chain(*corners)))
+    for perm in itertools.permutations(range(3)):  # the weights k/3 of the three alphas
+        i, j = perm.index(1), perm.index(2)
+        corners.append(tuple(third[3 * i + c] + 2 * third[3 * j + c] for c in range(3)))
     err = up(up(phi.alpha1.err + phi.alpha2.err) + phi.alpha3.err)
-    return HexDomain(tuple(corners), _mpf(max(ints), e), err)
+    top = max(max(corner) for corner in corners)
+    return HexDomain(tuple(corners), e, p, _mpf(*round_dyadic(top, e, p)), err)
 
 
 def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:

@@ -168,17 +168,23 @@ def float_above(x) -> float:
     return above(-man if sign else man, exp)
 
 
-def float_below(x) -> float:
-    """A float64 at or below the nonnegative finite raw mpf tuple x, and at
-    least 0: float_above's mirror."""
-    _, man, exp, bc = x
-    if bc > 53:
-        man, exp = man >> (bc - 53), exp + bc - 53
+def below(n: int, e: int = 0) -> float:
+    """A float64 at or below the dyadic n 2^e >= 0, and at least 0:
+    above's mirror, its 53 leading bits truncated."""
+    s = n.bit_length() - 53
+    if s > 0:
+        n, e = n >> s, e + s
     try:
-        v = math.ldexp(man, exp)
+        v = math.ldexp(n, e)
     except OverflowError:
         return sys.float_info.max
     return v if v >= _NORMAL else max(down(v), 0.0)
+
+
+def float_below(x) -> float:
+    """`below` for the nonnegative finite raw mpf tuple x."""
+    _, man, exp, _ = x
+    return below(man, exp)
 
 
 def greater(n: int, e: int, r: float) -> bool:

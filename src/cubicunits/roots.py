@@ -21,7 +21,6 @@ to the next, doubled precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -210,9 +209,10 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
     and at hi only where a window is clipped to it.
     """
     target = pol.target_bits
-    eps_fr = Fraction(1, 1 << target)
-    # working precision must absorb the root magnitude (err bound is absolute)
-    mag_bits = math.ceil(max(abs(lo), abs(hi))).bit_length()
+    # working precision must absorb the root magnitude (err bound is
+    # absolute): the bits of ceil(max(|lo|, |hi|))
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    mag_bits = max(-(-abs(a) // b), -(-abs(c) // d)).bit_length()
     first = target + mag_bits + 64  # the first rung's working precision
 
     def exact(x: Fraction) -> IsolatedRoot:
@@ -220,7 +220,7 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
         # bits, so it is exact at the first rung: a width-0 enclosure
         return IsolatedRoot(x, x, fraction_to_mpf(x, first), mp.mpf(0), first)
 
-    flo, fhi = values or (eval_scaled(f, *lo.as_integer_ratio()), None)
+    flo, fhi = values or (eval_scaled(f, a, b), None)
     slo = (flo > 0) - (flo < 0)
     if slo == 0:
         return exact(lo)
@@ -246,11 +246,12 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
                     return exact(cand_lo if sl == 0 else cand_hi)
                 if sl != sh:
                     v = mp.make_mpf(from_man_exp(x, -p))
-                    return IsolatedRoot(cand_lo, cand_hi, v, mp.ldexp(1, -target), bits)
+                    return IsolatedRoot(cand_lo, cand_hi, v, mp.make_mpf(from_man_exp(1, -target)), bits)
         # Newton failed to certify at this precision: tighten the exact
         # bracket by bisection (always sound) and escalate; the next rung
         # starts from the narrowed bracket.
         start = None
+        width = Fraction(2, 1 << target)
         for _ in range(64):
             mid = _split(lo, hi)
             sm = sign_at(f, mid)
@@ -260,7 +261,7 @@ def refine_root(f: MonicCubic, lo: Fraction, hi: Fraction,
                 lo = mid
             else:
                 hi, shi = mid, sm
-            if hi - lo <= 2 * eps_fr:
+            if hi - lo <= width:
                 return IsolatedRoot(lo, hi, *_centred(lo, hi, bits), bits)
     raise PrecisionExhaustedError(f"could not certify root of {f} to 2^-{target} within {pol.max_bits} bits")
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, mpf_gt
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_gt
 
 from .errors import DependentUnitsError, InvalidParamsError
-from .precision import down, dyadic, float_above, float_below, mpf_to_fraction, rational_root, up
+from .precision import above, below, down, dyadic, mpf_to_fraction, rational_root, up
 from .units import _RND, LogVector
 
 __all__ = [
@@ -76,7 +76,7 @@ def _radius(a: int, c: int, u, q: int | None, errs) -> float:
     e, err1, err2 = errs
     e1, e2 = (up(up(abs(s) * err1) + up(abs(t) * err2)) for s, t in (u[:2], u[2:]))
     s = (a.bit_length() + 2 * e) // 2  # a 2^(2e) = A 4^s, A in [1/2, 2)
-    z1 = down(math.sqrt(float_below(from_man_exp(a, 2 * (e - s)))))
+    z1 = down(math.sqrt(below(a, 2 * (e - s))))
     return up(r + up(math.ldexp(up(4 * up(e2 + up(size * e1)) / z1), -s)))
 
 
@@ -126,11 +126,11 @@ def _reduce(a: int, b: int, c: int, q: int, word: list, errs=None) -> ShapePoint
         return ShapePoint(mp.make_mpc(tau), True, tuple(word), r if errs else _radius(a, c, u, q, None))
     tau = _tau(a, b, c, q)
     (px, py, h), e = dyadic((*tau, 0.5))
-    size2 = from_man_exp(px * px + py * py, 2 * e)  # |tau|^2
-    # Re tau - 1/2, and 1 - |tau| <= (1 - |tau|^2) / (1 + |tau|) where it is positive
-    edge = float_above(from_man_exp(px - h, e))
+    # Re tau - 1/2, and 1 - |tau| <= (1 - |tau|^2) / (1 + |tau|) where it is
+    # positive, |tau|^2 = (px^2 + py^2) 4^e
+    edge = above(px - h, e)
     num = (2 * h) ** 2 - px * px - py * py
-    inside = up(float_above(from_man_exp(num, 2 * e)) / down(1 + down(math.sqrt(float_below(size2))))) \
+    inside = up(above(num, 2 * e) / down(1 + down(math.sqrt(below(px * px + py * py, 2 * e))))) \
         if num > 0 else 0.0
     return ShapePoint(mp.make_mpc(tau), True, tuple(word), max(_radius(a, c, u, q, errs), edge, inside))
 

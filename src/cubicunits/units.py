@@ -29,8 +29,8 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .precision import (
-    DEFAULT_POLICY, PrecisionPolicy, above, dyadic, float_above, float_below, greater, mpf_to_fraction,
-    round_dyadic, up)
+    DEFAULT_POLICY, PrecisionPolicy, above, below, dyadic, float_above, greater, mpf_to_fraction, round_dyadic,
+    up)
 from .roots import IsolatedRoot, refine_root, refined_roots
 
 __all__ = [
@@ -254,10 +254,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
     roots' bits."""
     if a == 0 or abs(norm_linear_form(order.f, a, b)) != 1:
         raise InvalidParamsError(f"({a},{b}) is not a verified unit of this order")
-    roots = list(order.roots)
-    pol = order.policy
-    rungs = pol.ladder()
-    next(rungs)  # the stored roots' rung
+    roots, pol, rungs = order.roots, order.policy, None
     fa = above(abs(a))
     while True:
         bits = max(r.prec for r in roots)
@@ -274,10 +271,13 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
         else:
             coords = [mpf_log(am, bits, _RND) for am in ams]
             # the largest of 2 e / |m| + 2^-(bits - 8) max(1, |c|) over the coordinates
-            err = max(up(up(2 * e / float_below(am))
+            err = max(up(up(2 * e / below(am[1], am[2]))
                          + up(math.ldexp(max(1.0, above(c[1], c[2])), 8 - bits)))
                       for am, e, c in zip(ams, errs, coords))
             return _joined([(-c[1] if c[0] else c[1], c[2]) for c in coords], err)
+        if rungs is None:
+            rungs = pol.ladder()
+            next(rungs)  # the stored roots' rung
         target = next(rungs, None)
         if target is None:
             raise PrecisionExhaustedError(
