@@ -77,7 +77,8 @@ def eval_scaled(f: MonicCubic, b: int, a: int) -> int:
     """
     if a == 0:
         raise InvalidParamsError("eval_scaled requires a != 0")
-    return ((b + f.p2 * a) * b + f.p1 * a * a) * b + f.p0 * a * a * a
+    aa = a * a
+    return ((b + f.p2 * a) * b + f.p1 * aa) * b + f.p0 * aa * a
 
 
 def norm_linear_form(f: MonicCubic, a: int, b: int) -> int:

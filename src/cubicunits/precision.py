@@ -181,24 +181,12 @@ def below(n: int, e: int = 0) -> float:
     return v if v >= _NORMAL else max(down(v), 0.0)
 
 
-def float_below(x) -> float:
-    """`below` for the nonnegative finite raw mpf tuple x."""
-    _, man, exp, _ = x
-    return below(man, exp)
-
-
 def greater(n: int, e: int, r: float) -> bool:
     """n 2^e > r exactly, for integers n, e and a finite float r: r = m /
     2^k with integers, compared with n 2^e on integers."""
     m, d = r.as_integer_ratio()
     s = e + d.bit_length() - 1
     return n << s > m if s >= 0 else n > m << -s
-
-
-def exceeds(x, r: float) -> bool:
-    """x > r exactly, for a raw mpf tuple x and a finite float r (`greater`)."""
-    sign, man, exp, _ = x
-    return greater(-man if sign else man, exp, r)
 
 
 def round_dyadic(n: int, e: int, p: int) -> tuple[int, int]:

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_abs
+from mpmath.libmp import from_man_exp
 
 from cubicunits import (
     DependentUnitsError,
@@ -35,7 +35,7 @@ from cubicunits import (
 
 from cubicunits import units
 from cubicunits.cubics import sign_at
-from cubicunits.precision import exceeds, float_above, float_below, mpf_to_fraction, up
+from cubicunits.precision import below, float_above, greater, mpf_to_fraction, up
 
 from .oracles import bounds, roots_oracle
 
@@ -227,20 +227,20 @@ def test_log_vector_error_bounds_round_outward(e, f, c):
 @given(st.integers(-2 ** 300, 2 ** 300), st.integers(-1400, 900),
        st.floats(allow_nan=False, allow_infinity=False))
 def test_float_bounds_of_an_mpf_are_exact_where_they_must_be(man, exp, r):
-    # float_above and float_below bracket the exact value, within two
-    # ulps where the result is a normal float, and exceeds compares an
-    # mpf with a float exactly, subnormals included
+    # float_above and below bracket the exact value, within two ulps where
+    # the result is a normal float, and greater compares a dyadic with a
+    # float exactly, subnormals included
     x = from_man_exp(man, exp)
     q = Fraction(man) * Fraction(2) ** exp
-    above, below = float_above(x), float_below(mpf_abs(x))
-    if above == math.inf:  # past the float range
+    hi, lo = float_above(x), below(abs(man), exp)
+    if hi == math.inf:  # past the float range
         assert q > Fraction(sys.float_info.max)
     else:
-        assert Fraction(above) >= q
-        if 2.0 ** -1022 <= abs(above) < sys.float_info.max:  # a normal float within the range
-            assert abs(Fraction(above) - q) <= abs(q) * Fraction(1, 2 ** 51)
-    assert 0 <= Fraction(below) <= abs(q)
-    assert exceeds(x, r) == (q > Fraction(r))
+        assert Fraction(hi) >= q
+        if 2.0 ** -1022 <= abs(hi) < sys.float_info.max:  # a normal float within the range
+            assert abs(Fraction(hi) - q) <= abs(q) * Fraction(1, 2 ** 51)
+    assert 0 <= Fraction(lo) <= abs(q)
+    assert greater(man, exp, r) == (q > Fraction(r))
     assert up(r) > r
 
 
