@@ -111,21 +111,10 @@ class LogVector:
     def __setattr__(self, name, value):
         raise AttributeError(f"LogVector is immutable: cannot set {name}")
 
-    @property
-    def x1(self) -> mp.mpf:
-        return _mpf(self.ints[0], self.exp)
-
-    @property
-    def x2(self) -> mp.mpf:
-        return _mpf(self.ints[1], self.exp)
-
-    @property
-    def x3(self) -> mp.mpf:
-        return _mpf(self.ints[2], self.exp)
-
-    @property
-    def coords(self):
-        return tuple(_mpf(n, self.exp) for n in self.ints)
+    x1 = property(lambda self: _mpf(self.ints[0], self.exp))
+    x2 = property(lambda self: _mpf(self.ints[1], self.exp))
+    x3 = property(lambda self: _mpf(self.ints[2], self.exp))
+    coords = property(lambda self: tuple(_mpf(n, self.exp) for n in self.ints))
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, LogVector):
