@@ -111,6 +111,9 @@ class LogVector:
     def __setattr__(self, name, value):
         raise AttributeError(f"LogVector is immutable: cannot set {name}")
 
+    def __reduce__(self):  # pickle and copy rebuild it through _vector, as setattr is refused
+        return _vector, (self.ints, self.exp, self.err)
+
     x1 = property(lambda self: _mpf(self.ints[0], self.exp))
     x2 = property(lambda self: _mpf(self.ints[1], self.exp))
     x3 = property(lambda self: _mpf(self.ints[2], self.exp))

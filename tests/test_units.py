@@ -1,7 +1,9 @@
 """Unit vetting, log embeddings, regulators, and Cusick certification."""
 
+import copy
 import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -161,6 +163,10 @@ def test_log_vector_arithmetic():
     d = v1.scaled(3) - v1
     assert [mpf_to_fraction(x) for x in d.coords] == [2 * mpf_to_fraction(x) for x in v1.coords]
     assert bounds(d.err, 4 * Fraction(v1.err))
+    # a vector is immutable, and pickle and copy give it back equal
+    with pytest.raises(AttributeError):
+        v1.err = 0.0
+    assert pickle.loads(pickle.dumps(v1)) == copy.deepcopy(v1) == v1 != v2
 
 
 @pytest.mark.parametrize("ambient", [16, 53, 300])
