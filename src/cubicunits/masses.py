@@ -140,7 +140,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .precision import ROW_BITS, above, dyadic, fraction_to_mpf, greater, rational_root, round_dyadic, up
-from .units import _RND, CubicOrderData, LogVector, _aligned, _joined, _mpf, _sum, log_embed
+from .units import _RND, CubicOrderData, LogVector, _aligned, _mpf, _sum, _vector, log_embed
 
 __all__ = [
     "LatticeBasis3",
@@ -459,7 +459,7 @@ def _rounded(ints, e: int, err: float, p: int) -> LogVector:
     # rounding of the largest coordinate's, as rounding is monotone
     parts = [round_dyadic(n, e, p) for n in ints]
     m, x = parts[ints.index(max(ints, key=abs))]
-    return _joined(parts, up(err + up(math.ldexp(max(1.0, above(abs(m), x)), 2 - p))))
+    return _vector(*_aligned(parts), up(err + up(math.ldexp(max(1.0, above(abs(m), x)), 2 - p))))
 
 
 def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:

@@ -163,8 +163,8 @@ def _fill(v: LogVector, ints: tuple[int, int, int], e: int, err: float) -> None:
 
 
 def _vector(ints, e: int, err: float) -> LogVector:
-    # the vector with coordinates ints[i] 2^e, brought to its canonical
-    # image, and error bound err
+    # the vector with coordinates ints[i] 2^e, for any shared e, brought to
+    # its canonical image, and error bound err
     z = ints[0] | ints[1] | ints[2]  # its lowest set bit is their least one
     if not z:
         e = 0
@@ -174,13 +174,6 @@ def _vector(ints, e: int, err: float) -> LogVector:
     v = object.__new__(LogVector)
     _fill(v, tuple(ints), e, err)
     return v
-
-
-def _joined(parts, err: float) -> LogVector:
-    # the vector whose coordinates are the dyadic pairs parts, and error
-    # bound err
-    e = min((x for m, x in parts if m), default=0)
-    return _vector([m << x - e if m else 0 for m, x in parts], e, err)
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,7 @@ def log_embed(order: CubicOrderData, a: int, b: int) -> LogVector:
             err = max(up(up(2 * e / below(am[1], am[2]))
                          + up(math.ldexp(max(1.0, above(c[1], c[2])), 8 - bits)))
                       for am, e, c in zip(ams, errs, coords))
-            return _joined([(-c[1] if c[0] else c[1], c[2]) for c in coords], err)
+            return _vector(*_aligned([(-c[1] if c[0] else c[1], c[2]) for c in coords]), err)
         if rungs is None:
             rungs = pol.ladder()
             next(rungs)  # the stored roots' rung
