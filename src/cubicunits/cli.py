@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -54,12 +54,12 @@ class ConfigError(Exception):
 class ScanConfig:
     family_json: str
     schedule: list[int]
-    precision_bits: int = 192
-    samples: int = 10000
-    heights: list[str] = field(default_factory=lambda: ["10"])
-    out: str | None = None
-    jobs: int = 1
-    tight_r_cap: str = "2"  # the R in the (R, r)-tightness report
+    precision_bits: int
+    samples: int
+    heights: list[str]
+    out: str | None
+    jobs: int
+    tight_r_cap: str  # the R in the (R, r)-tightness report
 
 
 def _fmt(x: mp.mpf, prec: int = ROW_BITS) -> str:
@@ -179,14 +179,7 @@ def build_scan_config(args) -> ScanConfig:
         raise ConfigError("samples must be >= 1")
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    ts = parse_schedule(schedule)
-    try:  # a malformed descriptor fails the same way at every t
-        _Member.of_family(family, ts[0], bits)
-    except CubicUnitsError:
-        pass  # a numeric failure at one t is that row's status
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad family descriptor: {e!r}") from e
-    return ScanConfig(family, ts, bits, samples, heights,
+    return ScanConfig(family, parse_schedule(schedule), bits, samples, heights,
                       args.out or cfg.get("out"), jobs, r_cap)
 
 
@@ -217,9 +210,16 @@ class _Member:
 
     @classmethod
     def of_family(cls, family_json: str, t: int, bits: int) -> "_Member":
-        d = json.loads(family_json)
-        d["t"] = str(t)
-        params, _, f = families.family_from_json(d)
+        """The member at t; a descriptor the family builder cannot read is
+        a ConfigError, a numeric failure at t that row's CubicUnitsError."""
+        try:
+            d = json.loads(family_json)
+            d["t"] = str(t)
+            params, _, f = families.family_from_json(d)
+        except CubicUnitsError:
+            raise  # InvalidParamsError is also a ValueError
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad family descriptor: {e!r}") from e
         return cls(f, _candidate_units(params), bits)
 
     @cached_property

@@ -163,7 +163,7 @@ def _separators(f: MonicCubic, D: int) -> tuple[tuple[Fraction, int], tuple[Frac
         k = 2 * k + 1
 
 
-def _isolating_ends(f: MonicCubic) -> tuple[tuple[Fraction, int | None], ...]:
+def isolating_ends(f: MonicCubic) -> tuple[tuple[Fraction, int | None], ...]:
     """The ends of isolating_intervals, ascending, each with eval_scaled of
     f at it (den^3 f(end), over the end's own reduced denominator) where
     the cuts' search evaluated it, at the separators, and None elsewhere."""
@@ -190,7 +190,7 @@ def isolating_intervals(f: MonicCubic) -> list[tuple[Fraction, Fraction]]:
     q1 < q2 when disc > 0, at the midpoint of the two integer roots when
     one of them is double, and nowhere when f has one distinct real root.
     f is nonzero at every end, with a strict sign change when disc > 0."""
-    ends = [x for x, _ in _isolating_ends(f)]
+    ends = [x for x, _ in isolating_ends(f)]
     return list(zip(ends, ends[1:]))
 
 

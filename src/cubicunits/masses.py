@@ -139,8 +139,10 @@ from .errors import (
     InvalidParamsError,
     PrecisionExhaustedError,
 )
-from .precision import ROW_BITS, above, dyadic, fraction_to_mpf, greater, rational_root, round_dyadic, up
-from .units import _RND, CubicOrderData, LogVector, _aligned, _mpf, _sum, _vector, log_embed
+from .precision import (
+    ROW_BITS, above, aligned, dyadic, dyadic_to_mpf, fraction_to_mpf, greater, rational_root, round_dyadic,
+    round_sum, up)
+from .units import CubicOrderData, LogVector, log_embed
 
 __all__ = [
     "LatticeBasis3",
@@ -219,7 +221,7 @@ class HexDomain:
 
     @property
     def vertices(self) -> tuple:
-        return tuple(tuple(_mpf(*round_dyadic(n, self.exp, self.prec)) for n in corner)
+        return tuple(tuple(dyadic_to_mpf(*round_dyadic(n, self.exp, self.prec)) for n in corner)
                      for corner in self.corners)
 
 
@@ -442,7 +444,7 @@ def make_simplex(v1: LogVector, v2: LogVector, prec: int) -> SimplexSet:
     a2 = _rounded(d.ints, d.exp, d.err, p)
     a3 = _rounded([-n for n in v2.ints], v2.exp, v2.err, p)  # -v2 is a vector as v2 is
     (x1, x2, _), (y1, y2, _), e = a1.ints, a2.ints, a1.exp + a2.exp
-    cross, c = _sum(round_dyadic(x1 * y2, e, p), round_dyadic(-x2 * y1, e, p), p)  # cross 2^c
+    cross, c = round_sum(round_dyadic(x1 * y2, e, p), round_dyadic(-x2 * y1, e, p), p)  # cross 2^c
     scale = 1.0  # max(|a1|, |a2|, 1)
     for a in (a1, a2):
         x = [above(abs(n), a.exp) for n in a.ints]
@@ -459,7 +461,7 @@ def _rounded(ints, e: int, err: float, p: int) -> LogVector:
     # rounding of the largest coordinate's, as rounding is monotone
     parts = [round_dyadic(n, e, p) for n in ints]
     m, x = parts[ints.index(max(ints, key=abs))]
-    return _vector(*_aligned(parts), up(err + up(math.ldexp(max(1.0, above(abs(m), x)), 2 - p))))
+    return LogVector(*aligned(parts), up(err + up(math.ldexp(max(1.0, above(abs(m), x)), 2 - p))))
 
 
 def _order_simplex(order: CubicOrderData, *logs: LogVector) -> SimplexSet:
@@ -496,14 +498,14 @@ def hex_domain(phi: SimplexSet, prec: int) -> HexDomain:
     alphas = (phi.alpha1, phi.alpha2, phi.alpha3)
     # the 1/3 products as ints at one exponent e: third[3 i + c] 2^e is
     # coordinate c of alpha_i times 1/3, rounded
-    third, e = _aligned([round_dyadic(w * n, x + alpha.exp, p) for alpha in alphas for n in alpha.ints])
+    third, e = aligned([round_dyadic(w * n, x + alpha.exp, p) for alpha in alphas for n in alpha.ints])
     corners = []
     for perm in itertools.permutations(range(3)):  # the weights k/3 of the three alphas
         i, j = perm.index(1), perm.index(2)
         corners.append(tuple(third[3 * i + c] + 2 * third[3 * j + c] for c in range(3)))
     err = up(up(phi.alpha1.err + phi.alpha2.err) + phi.alpha3.err)
     top = max(max(corner) for corner in corners)
-    return HexDomain(tuple(corners), e, p, _mpf(*round_dyadic(top, e, p)), err)
+    return HexDomain(tuple(corners), e, p, dyadic_to_mpf(*round_dyadic(top, e, p)), err)
 
 
 def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
@@ -516,9 +518,10 @@ def check_tight(hd: HexDomain, ht, big_r, r, prec: int) -> bool:
     if big_r < 1 or not (0 <= r <= 1):
         raise InvalidParamsError("need R >= 1 and r in [0, 1]")
     p = prec
-    top = mpf_add(hd.ceiling._mpf_, from_float(hd.ceiling_err), p, _RND)  # the float read exactly
-    lhs = mpf_exp(mpf_mul(r._mpf_, top, p, _RND), p, _RND)
-    rhs = mpf_mul(mpf_mul(ht._mpf_, big_r._mpf_, p, _RND), mpf_sub(fone, mpf_shift(fone, -40), p, _RND), p, _RND)
+    top = mpf_add(hd.ceiling._mpf_, from_float(hd.ceiling_err), p, round_nearest)  # the float read exactly
+    lhs = mpf_exp(mpf_mul(r._mpf_, top, p, round_nearest), p, round_nearest)
+    rhs = mpf_mul(mpf_mul(ht._mpf_, big_r._mpf_, p, round_nearest),
+                  mpf_sub(fone, mpf_shift(fone, -40), p, round_nearest), p, round_nearest)
     return mpf_le(lhs, rhs)
 
 

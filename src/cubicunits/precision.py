@@ -1,7 +1,9 @@
 """Precision policy, the CSV rows' named width, exact readings of mpf, int
 and float values as dyadic rationals, the rounding of a dyadic to p bits,
 correctly rounded roots of rationals, and the float64 error bounds'
-outward rounding."""
+outward rounding. A dyadic pair (m, x) is m 2^x: round_dyadic rounds one
+to p bits, round_sum the sum of two, aligned puts pairs at their least
+exponent, and dyadic_to_mpf makes one an mpf, exactly."""
 
 from __future__ import annotations
 
@@ -161,10 +163,8 @@ def above(n: int, e: int = 0) -> float:
 
 
 def float_above(x) -> float:
-    """`above` for the finite mpf, raw mpf tuple or int x (0 for 0)."""
-    if isinstance(x, int):
-        return above(x)
-    sign, man, exp, _ = x if type(x) is tuple else x._mpf_
+    """`above` for the finite raw mpf tuple x (0 for 0)."""
+    sign, man, exp, _ = x
     return above(-man if sign else man, exp)
 
 
@@ -209,3 +209,20 @@ def round_dyadic(n: int, e: int, p: int) -> tuple[int, int]:
         z = (m & -m).bit_length() - 1
         m, e = m >> z, e + z
     return (-m if n < 0 else m), e
+
+
+def round_sum(s: tuple[int, int], t: tuple[int, int], p: int) -> tuple[int, int]:
+    """The dyadic pairs s + t, rounded once to p bits (round_dyadic)."""
+    (m, x), (n, y) = s, t
+    return round_dyadic((m << x - y) + n, y, p) if x >= y else round_dyadic(m + (n << y - x), x, p)
+
+
+def aligned(values) -> tuple[list[int], int]:
+    """(ints, e): the dyadic pairs values as ints at their least exponent e."""
+    e = min(x for _, x in values)
+    return [m << x - e for m, x in values], e
+
+
+def dyadic_to_mpf(m: int, x: int) -> mp.mpf:
+    """The dyadic m 2^x as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(m, x))

@@ -28,7 +28,7 @@ from math import isqrt
 import mpmath as mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up, to_rational
 
-from .cubics import MonicCubic, _isolating_ends, discriminant, eval_scaled, is_totally_real, sign_at
+from .cubics import MonicCubic, discriminant, eval_scaled, is_totally_real, isolating_ends, sign_at
 from .errors import DomainError, InternalInconsistencyError, PrecisionExhaustedError
 from .precision import DEFAULT_POLICY, PrecisionPolicy, fraction_to_mpf
 
@@ -273,7 +273,7 @@ def refined_roots(f: MonicCubic, pol: PrecisionPolicy = DEFAULT_POLICY) -> list[
     from the isolation, and each refinement reads its ends' values."""
     if not is_totally_real(f):
         raise DomainError(f"not totally real (disc={discriminant(f)}): {f}")
-    ends = [(x, eval_scaled(f, *x.as_integer_ratio()) if v is None else v) for x, v in _isolating_ends(f)]
+    ends = [(x, eval_scaled(f, *x.as_integer_ratio()) if v is None else v) for x, v in isolating_ends(f)]
     if any(u * v >= 0 for (_, u), (_, v) in zip(ends, ends[1:])):
         raise InternalInconsistencyError(f"isolation returned a non-bracketing interval for {f}")
     if len(ends) != 4:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_gt
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_gt, round_nearest
 
 from .errors import DependentUnitsError, InvalidParamsError
 from .precision import above, below, down, dyadic, mpf_to_fraction, rational_root, up
-from .units import _RND, LogVector
+from .units import LogVector
 
 __all__ = [
     "ShapePoint",
@@ -55,7 +55,7 @@ def _tau(a: int, b: int, c: int, q: int):
     # the root (-b + i sqrt(4ac - b^2)) / (2a) of the form, raw, each part
     # rounded once at q bits (Im as the correctly rounded square root)
     im = rational_root(4 * a * c - b * b, 4 * a * a, 2, q)
-    return mpf_div(from_int(-b), from_int(2 * a), q, _RND), im
+    return mpf_div(from_int(-b), from_int(2 * a), q, round_nearest), im
 
 
 def _radius(a: int, c: int, u, q: int | None, errs) -> float:

@@ -785,6 +785,19 @@ def _exact_abs(x) -> mp.mpf:
     return mp.fneg(x, exact=True) if x < 0 else x
 
 
+def log_vector(x1, x2, x3, err):
+    """units.LogVector of the mpf, int or float coordinates x1, x2, x3,
+    each read exactly (precision.dyadic), and the error bound err: a float
+    as itself, an mpf or int as the float at or above it."""
+    from cubicunits.precision import above, dyadic
+    from cubicunits.units import LogVector
+
+    if type(err) is not float:
+        (m,), e = dyadic([err])
+        err = above(m, e)
+    return LogVector(*dyadic((x1, x2, x3)), err)
+
+
 class ReferenceLogVector:
     """units.LogVector with mpmath operators, each one exact, and err an
     exact Fraction."""

@@ -55,13 +55,12 @@ from cubicunits import (
     simplest_cubic,
     tilde_D,
     tilde_T,
-    LogVector,
 )
 from cubicunits.errors import InvalidParamsError
 from cubicunits.precision import ROW_BITS
 
 from .oracles import (
-    disc_from_roots, disc_oracle, exp_act, floor_power, norm_from_roots, reference_to_plane)
+    disc_from_roots, disc_oracle, exp_act, floor_power, log_vector, norm_from_roots, reference_to_plane)
 
 
 def _verdict(capfd, num: int, ok: bool, detail: str) -> None:
@@ -478,8 +477,8 @@ def _suite_hexagon_covolume(rng: random.Random) -> int:
             cross = abs(mp.mpf(a1) * b2 - mp.mpf(a2) * b1)
             if cross < mp.mpf("0.01"):
                 continue
-            v1 = LogVector(mp.mpf(a1), mp.mpf(a2), -mp.mpf(a1) - a2, tiny)
-            v2 = LogVector(mp.mpf(b1), mp.mpf(b2), -mp.mpf(b1) - b2, tiny)
+            v1 = log_vector(mp.mpf(a1), mp.mpf(a2), -mp.mpf(a1) - a2, tiny)
+            v2 = log_vector(mp.mpf(b1), mp.mpf(b2), -mp.mpf(b1) - b2, tiny)
             hd = hex_domain(make_simplex(v1, v2, 200), 200)
             proj = [(v[0], v[1]) for v in hd.vertices]
             proj.sort(key=lambda p: mp.atan2(p[1], p[0]))

@@ -24,7 +24,7 @@ from cubicunits.cli import (
     parse_schedule,
     read_config,
 )
-from cubicunits import masses
+from cubicunits import families, masses
 from cubicunits.cubics import MonicCubic
 from cubicunits.errors import OrbitCapError
 from cubicunits.masses import hex_domain
@@ -173,6 +173,33 @@ def test_exit_config_errors(capsys):
             assert main(argv) == EXIT_CONFIG, argv
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", [["scan-family", "--no-mass"], ["mass-profile"]])
+def test_each_member_is_built_once(command, monkeypatch, capsys):
+    # the descriptor is read once per t, by the row that prints it, and not
+    # again to check it
+    calls = []
+    build = families.family_from_json
+
+    def counting(d):
+        calls.append(d["t"])
+        return build(d)
+
+    monkeypatch.setattr(families, "family_from_json", counting)
+    assert main(command[:1] + ["--family", ONE_UNIT, "--schedule", "list:1000,-1000",
+                               "--samples", "60"] + command[1:]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert calls == ["1000", "-1000"]
+
+
+@pytest.mark.parametrize("command", ["scan-family", "mass-profile", "verify"])
+def test_a_malformed_descriptor_exits_2_under_jobs_2(command, capsys):
+    argv = [command, "--family", '{"kind":"one_unit"}', "--schedule", "list:1000,2000",
+            "--samples", "60", "--jobs", "2"]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: bad family descriptor: ")
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--jobs", "--precision-bits"])
@@ -521,7 +548,9 @@ def test_verify_audits_the_regulator_at_each_width(monkeypatch, capsys):
     # regulator's error bound
     import mpmath as mp
 
-    from cubicunits import cli, units
+    from cubicunits import cli
+
+    from .oracles import log_vector
 
     logs = cli._Member.logs.func
 
@@ -529,7 +558,7 @@ def test_verify_audits_the_regulator_at_each_width(monkeypatch, capsys):
         if self.bits != 192:
             return logs(self)
         with mp.workprec(256):
-            return tuple(units.LogVector(*(x * (1 + mp.ldexp(1, -60)) for x in v.coords), v.err)
+            return tuple(log_vector(*(x * (1 + mp.ldexp(1, -60)) for x in v.coords), v.err)
                          for v in logs(self))
 
     monkeypatch.setattr(cli._Member, "logs", property(planted))
@@ -594,7 +623,7 @@ def test_verify_fails_a_planted_height_bias(monkeypatch, capsys):
     # regulator's 1e-12 but far outside one rounding, fails every spot
     import mpmath as mp
 
-    from cubicunits import masses
+    from cubicunits import families, masses
 
     height = masses.lattice_height
 

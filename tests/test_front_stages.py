@@ -183,18 +183,18 @@ def test_error_paths_match_the_operator_code(amb):
     got = outcome(lambda a, b: _simplex(masses.make_simplex(a, b, amb)), v1, d)
     assert got[:2] == ("error", "DependentUnitsError")
     assert agree(got, outcome(O.reference_make_simplex, r1, rd, amb))
-    zero = units.LogVector(mpf(0), mpf(0), mpf(0), mpf(0))
+    zero = O.log_vector(mpf(0), mpf(0), mpf(0), mpf(0))
     for pair in ((v1, d), (zero, v1), (v1, zero)):
         assert outcome(shapes.shape_from_units, *pair)[:2] == ("error", "DependentUnitsError")
     # off-plane input: the LogVector check
-    assert agree(outcome(units.LogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)),
+    assert agree(outcome(O.log_vector, mpf(1), mpf(1), mpf(1), mpf(1e-30)),
                  outcome(O.ReferenceLogVector, mpf(1), mpf(1), mpf(1), mpf(1e-30)))
     # minors that disagree: the first vector sums to 1e-8, inside LogVector's
     # 2^-24 relative slack but, from 53 bits on, far outside the regulator's
     # tolerance
     with mp.workprec(64):
-        a = units.LogVector(mpf(1), mpf(2), mpf(-3) + mpf(1e-8), mpf(1e-30))
-        b = units.LogVector(mpf(2), mpf(-5), mpf(3), mpf(1e-30))
+        a = O.log_vector(mpf(1), mpf(2), mpf(-3) + mpf(1e-8), mpf(1e-30))
+        b = O.log_vector(mpf(2), mpf(-5), mpf(3), mpf(1e-30))
     got = outcome(units.relative_regulator_with_error, a, b, amb)
     assert amb < 53 or got[:2] == ("error", "InternalInconsistencyError")
     assert agree(got, outcome(O.reference_relative_regulator_with_error,

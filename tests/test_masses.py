@@ -24,7 +24,6 @@ from cubicunits import (
     InternalInconsistencyError,
     InvalidParamsError,
     LatticeBasis3,
-    LogVector,
     MonicCubic,
     OneUnitParams,
     PrecisionExhaustedError,
@@ -55,6 +54,7 @@ from .oracles import (
     centre_order,
     exp_act,
     iroot,
+    log_vector,
     reference_cover,
     reference_dual_weight,
     reference_exp_act,
@@ -73,7 +73,7 @@ SEED = '{"kind":"seed","h":{"p2":"0","p1":"-3","p0":"-1"},"a":"1","b":"0","c":"1
 
 
 def vec(x1, x2, x3, err="1e-40"):
-    return LogVector(mp.mpf(x1), mp.mpf(x2), mp.mpf(x3), mp.mpf(err))
+    return log_vector(mp.mpf(x1), mp.mpf(x2), mp.mpf(x3), mp.mpf(err))
 
 
 def basis_from_cols(cols):
@@ -443,7 +443,7 @@ def centre(phi, a, b, k, bits):
             x = mp.mpf(x.numerator) / x.denominator
         with mp.workprec(bits):
             coords.append(+x)
-    return LogVector(*coords, mp.mpf(0))
+    return log_vector(*coords, mp.mpf(0))
 
 
 def raw_embedding(order, prec):
@@ -720,9 +720,9 @@ def test_check_tight_decides_at_its_own_width(prec):
 
 def test_check_tight_fails_closed_on_fat_errors():
     # same nominal alphas, but error bounds so wide the answer must be No
-    a1 = LogVector(mp.mpf(1), mp.mpf(0), mp.mpf(-1), mp.mpf(2))
-    a2 = LogVector(mp.mpf(-1), mp.mpf(1), mp.mpf(0), mp.mpf(2))
-    a3 = LogVector(mp.mpf(0), mp.mpf(-1), mp.mpf(1), mp.mpf(2))
+    a1 = log_vector(mp.mpf(1), mp.mpf(0), mp.mpf(-1), mp.mpf(2))
+    a2 = log_vector(mp.mpf(-1), mp.mpf(1), mp.mpf(0), mp.mpf(2))
+    a3 = log_vector(mp.mpf(0), mp.mpf(-1), mp.mpf(1), mp.mpf(2))
     fat = SimplexSet(a1, a2, a3)
     assert not check_tight(hex_domain(fat, 53), 1, 2, 1, 53)
 

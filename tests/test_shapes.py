@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cubicunits import (
     DependentUnitsError,
     InvalidParamsError,
-    LogVector,
     OneUnitParams,
     ShapePoint,
     build_one_unit,
@@ -29,11 +28,11 @@ from cubicunits.cli import _Member
 from cubicunits.precision import fraction_to_mpf, mpf_to_fraction
 from cubicunits.shapes import curve_range
 
-from .oracles import reference_convention, reference_to_plane, replay
+from .oracles import log_vector, reference_convention, reference_to_plane, replay
 
 
 def vec(x1, x2, x3, err="1e-40"):
-    return LogVector(mp.mpf(x1), mp.mpf(x2), mp.mpf(x3), mp.mpf(err))
+    return log_vector(mp.mpf(x1), mp.mpf(x2), mp.mpf(x3), mp.mpf(err))
 
 
 def omega(prec):
@@ -63,9 +62,9 @@ def test_plane_check_charges_its_own_sum(ambient):
     order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)])
     v1, v2 = (log_embed(order, *u) for u in order.units[:2])
     with mp.workprec(ambient):
-        assert LogVector(*v1.coords, v1.err) == v1
+        assert log_vector(*v1.coords, v1.err) == v1
         with pytest.raises(InvalidParamsError, match="coordinates sum to"):
-            LogVector(v1.x1 + 1, v1.x2, v1.x3, v1.err)
+            log_vector(v1.x1 + 1, v1.x2, v1.x3, v1.err)
     try:
         shape_from_units(v1, v2, ambient)
     except DependentUnitsError:  # at 8 bits the radius can exceed Im tau
@@ -351,8 +350,8 @@ def test_a_shape_radius_keeps_the_scale_of_tiny_vectors():
     # divides the data's error: the same point, with a radius near
     # 2^-53 |tau| + 4 (err2' + |tau| err1') / |z1'|, not a dependence
     for s in (1.0, 1e-200, 1e-300):
-        v1 = LogVector(mp.mpf(s), mp.mpf(-s), mp.mpf(0), 1e-320)
-        v2 = LogVector(mp.mpf(s), mp.mpf(s), mp.mpf(-2 * s), 1e-320)
+        v1 = log_vector(mp.mpf(s), mp.mpf(-s), mp.mpf(0), 1e-320)
+        v2 = log_vector(mp.mpf(s), mp.mpf(s), mp.mpf(-2 * s), 1e-320)
         sp = shape_from_units(v1, v2, 53)
         assert sp.tau == mp.mpc(0, mp.sqrt(3)) and 0 < sp.radius < 2.0 ** -45
 

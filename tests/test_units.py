@@ -39,7 +39,7 @@ from cubicunits import units
 from cubicunits.cubics import sign_at
 from cubicunits.precision import below, float_above, greater, mpf_to_fraction, up
 
-from .oracles import bounds, roots_oracle
+from .oracles import bounds, log_vector, roots_oracle
 
 
 def simplest_order(t):
@@ -117,9 +117,27 @@ def test_log_embed_climbs_to_max_bits_itself(monkeypatch, max_bits, climbs):
 
 
 def test_log_vector_trace_zero_guard():
-    LogVector(mp.mpf(1), mp.mpf(1), mp.mpf(-2), mp.mpf(1e-30))
+    log_vector(mp.mpf(1), mp.mpf(1), mp.mpf(-2), mp.mpf(1e-30))
+    LogVector((1, 1, -2), 0, 1e-30)
     with pytest.raises(InvalidParamsError):
-        LogVector(mp.mpf(1), mp.mpf(1), mp.mpf(1), mp.mpf(1e-30))
+        log_vector(mp.mpf(1), mp.mpf(1), mp.mpf(1), mp.mpf(1e-30))
+    # the image constructor runs the check, with its text
+    with pytest.raises(InvalidParamsError, match=r"^coordinates sum to 3\.0, beyond 3\*err=3\.0e-30$"):
+        LogVector((2, 2, 2), -1, 1e-30)
+
+
+@pytest.mark.parametrize("image, canonical", [
+    (((4, 8, -12), 3), ((1, 2, -3), 5)),  # even ints
+    (([6, -2, -4], -1), ((3, -1, -2), 0)),  # a list, with one common zero bit
+    (((0, 0, 0), 7), ((0, 0, 0), 0)),  # the zero vector at a nonzero exponent
+])
+def test_a_log_vector_keeps_its_canonical_image(image, canonical):
+    # the image constructor strips the common trailing zero bits, so a
+    # non-canonical image equals its canonical twin and hashes the same
+    v, w = LogVector(*image, 1e-30), LogVector(*canonical, 1e-30)
+    assert (v.ints, v.exp) == canonical and type(v.ints) is tuple
+    assert v == w and hash(v) == hash(w)
+    assert v != LogVector(*canonical, 2e-30)
 
 
 @pytest.mark.parametrize("ambient", [16, 20])
@@ -131,9 +149,9 @@ def test_log_vector_trace_check_charges_its_own_sum(ambient):
     order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)])
     v1 = log_embed(order, *order.units[0])
     with mp.workprec(ambient):
-        assert LogVector(v1.x1, v1.x2, v1.x3, v1.err).coords == v1.coords
+        assert log_vector(v1.x1, v1.x2, v1.x3, v1.err).coords == v1.coords
         with pytest.raises(InvalidParamsError, match="coordinates sum to"):
-            LogVector(v1.x1 + 1, v1.x2, v1.x3, v1.err)
+            log_vector(v1.x1 + 1, v1.x2, v1.x3, v1.err)
 
 
 def test_log_embed_basics():
@@ -201,7 +219,7 @@ def test_a_nonzero_error_bound_never_becomes_zero():
     # 4096 bits, where the roots' errors are far below the float range
     tiny = 5e-324
     assert tiny == 2.0 ** -1074
-    v = LogVector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), tiny)
+    v = log_vector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), tiny)
     for w in (v + v, v - v, -v, v.scaled(1), v.scaled(mp.mpf(1) / 3), v.scaled(2.0 ** -900), v.scaled(0.5)):
         assert w.err > 0
     order = build_order(build_one_unit(OneUnitParams(1, 1), 10 ** 12), [(1, 1), (1, 0)],
@@ -221,8 +239,8 @@ def test_a_nonzero_error_bound_never_becomes_zero():
 def test_log_vector_error_bounds_round_outward(e, f, c):
     # (a + b).err >= a.err + b.err and |c| err <= a.scaled(c).err, exactly,
     # over the whole float range, subnormals included
-    a = LogVector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), e)
-    b = LogVector(mp.mpf(-2), mp.mpf(5), mp.mpf(-3), f)
+    a = log_vector(mp.mpf(1), mp.mpf(2), mp.mpf(-3), e)
+    b = log_vector(mp.mpf(-2), mp.mpf(5), mp.mpf(-3), f)
     for s in (a + b, a - b, b - a):
         assert Fraction(s.err) >= Fraction(e) + Fraction(f)
     assert Fraction(a.scaled(c).err) >= abs(mpf_to_fraction(c)) * Fraction(e)
