@@ -67,17 +67,24 @@ hexagon share one mark.
 
 The mass scan runs in two steps per height. First the unit rows: the
 unit eps1^i eps2^j has log vector y = i alpha1 + j alpha2 and exactly
-known norm |exp(x) eps|^2 = disc^{-1/3} sum_k e^{2(x_k + y_k)}. Along a
-grid row x is affine in the column, so that sum is convex there, and the
-grid points of a row where eps is shorter than 1/H form one interval. Its
-two end points pass a cancellation-free float64 test, whose derived bound
-on its float error must fit a stated headroom, and convexity proves every
-point between them escaped. Only monomials whose region, inside x_k +
-y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short on it, so
-each row searches a short computed range of (i, j); and as the grid
-point (a, b) with the monomial (i, j) is the point (a + ik, b + jk) of
-the extended grid, one interval per extended row marks its cells of the
-torus. Then the centre walk visits only the points still open: the two
+known norm |exp(x) eps|^2 = disc^{-1/3} sum_k e^{2(x_k + y_k)}, and the
+points z = x + y where it is shorter than 1/H form one convex set E (a
+log-sum-exp of affine functions). Only monomials whose region, inside
+x_k + y_k < R = log(disc^{1/3} / H^2) / 2, meets the row can be short
+on it, so each row searches a short computed range of (i, j); and as the
+grid point (a, b) with the monomial (i, j) is the point (a + ik, b + jk)
+of the extended grid, one interval per extended row marks its cells of
+the torus. Most of E is settled in bulk: the triangle max_k z_k <= R -
+log(3) / 2 lies in E, as the sum is at most three times its largest
+term; its three corners pass a cancellation-free float64 test, whose
+derived bound on its float error must fit a stated headroom, so by
+convexity their hull lies in E, and every extended row whose points in
+that hull (shrunk by the corners' derived error, with both ends checked
+in float64 against it) number at least k fills its whole torus row with
+no further test. On each row left partly open, float64 Newton finds the
+ends of E's interval, and the two end points pass the same float64 test,
+so convexity proves every point between them escaped. Then the centre
+walk visits only the points still open: the two
 deep holes (one vertex from each of the hexagon's two classes of glued
 vertices, where the origin's covers reach last), the origin, then coarse
 to fine. It gives each one a certified kernel call, lambda_1 within [s -
@@ -163,6 +170,11 @@ __all__ = [
 # shortest vector at a point of a wide cover (_cover); each derives the
 # float error it has to cover.
 _UNIT_HEADROOM = 1e-9
+
+# How far below R the unit rows' inscribed triangle max_m z_m <= R - depth
+# lies: at depth log(3) / 2, sum_m e^{2 z_m} <= 3 max_m e^{2 z_m} <= e^{2R}
+# (_unit_rows). Its corners pass the float test before a row is read from it.
+_TRIANGLE_DEPTH = 0.5 * math.log(3)
 
 _EPS = sys.float_info.epsilon  # float64 machine epsilon, 2^-52
 
@@ -610,7 +622,8 @@ def mass_above_height(
     an isometry (see the module docstring), so one verdict decides every
     grid point of its cell. Each height first runs the unit rows
     (_unit_rows): every cell where some unit monomial is certified shorter
-    than 1/H is marked escaped, one convex interval per extended row. The
+    than 1/H is marked escaped, one convex interval per extended row, and
+    whole torus rows at once from one certified inscribed triangle. The
     centre walk then visits only the points whose cell is still open
     (_open_points): the deep holes (2m, m) and (m, 2m), the origin, then
     descending 2-adic valuation of gcd(a, b), then grid order. It settles
@@ -623,10 +636,11 @@ def mass_above_height(
     other point of it, since every point of a cell is the same lattice up
     to isometry. A cell in doubt still counts as open, and another
     centre's cover may yet decide it. An open cell raises, naming its
-    first hexagon point. The count reads each hexagon row's cells, so a
-    cell counts once per hexagon point in it, and it is exact for the
-    decisions made; each verdict compares the exact dyadic (s -+ margin)
-    H or (B - m_B) H with 1 (_radius).
+    first hexagon point. The count reads the hexagon's torus slices, cut
+    once per grid beside its rows (_hexagon_slices), so a cell counts once
+    per hexagon point in it (_escaped), and it is exact for the decisions
+    made; each verdict compares the exact dyadic (s -+ margin) H or (B -
+    m_B) H with 1 (_radius).
 
     While points stay open, a centre x also gives B - m_B, below the least
     norm of a vector not parallel to its shortest vector v1, and a second,
@@ -689,15 +703,30 @@ def mass_above_height(
             raise PrecisionExhaustedError(
                 f"height vs {height} undecidable within error bounds near {point}; "
                 "rebuild the order with a finer precision policy")
-        escaped = 0
-        for u, row in enumerate(rows, -top):
-            marks = state[u % k]
-            for start, stop in _slices(row.start, row.stop - 1, k):
-                escaped += marks.count(_ESCAPES, start, stop)
-            if len(row) > k:  # k + 1 points: the two ends share a cell
-                escaped += marks[row.start % k] == _ESCAPES
-        fractions.append(Fraction(escaped, sum(map(len, rows))))
+        fractions.append(Fraction(_escaped(state, samples), sum(map(len, rows))))
     return tuple(fractions)
+
+
+@lru_cache(maxsize=16)
+def _hexagon_slices(samples: int) -> tuple[tuple[int, int, int], ...]:
+    """The hexagon_grid points on the torus of _hexagon_rows(samples), as
+    slices (torus row, start, stop), each point in exactly one: a row's
+    points are one or two slices of its torus row u mod k, or the whole
+    row and then its first cell once more when it holds k + 1 points,
+    whose two ends share a cell. Memoised per samples, beside the rows."""
+    k, rows = _hexagon_rows(samples)
+    out = []
+    for u, row in enumerate(rows, -(2 * k // 3)):
+        out += [(u % k, start, stop) for start, stop in _slices(row.start, row.stop - 1, k)]
+        if len(row) > k:
+            out.append((u % k, row.start % k, row.start % k + 1))
+    return tuple(out)
+
+
+def _escaped(state: list[bytearray], samples: int) -> int:
+    """The hexagon_grid points whose torus cell is marked _ESCAPES, a cell
+    counted once per point in it (_hexagon_slices)."""
+    return sum(state[r].count(_ESCAPES, start, stop) for r, start, stop in _hexagon_slices(samples))
 
 
 def _slices(lo: int, hi: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -776,29 +805,66 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     R = log(disc^{1/3} / H^2) / 2 on every m, and vmin < v < vmax bounds
     that triangle on row u (widened by a relative and an absolute 2^-20),
     so only monomials that put some grid point of a row inside those
-    bounds can be short there, and every other one is long. Along a row the sum is convex in v (three
-    exponentials of functions affine in v), so E meets each row in one
-    interval: float64 Newton from each end of the bounds finds its ends,
-    which are rounded inward to integers and certified by the float test
-    below; by convexity that certifies every point between them. An end
-    that fails the test steps inward; after three failures the row is
-    left to the kernel. The widest rows go first, and a row whose torus
-    row u mod k is all marked already is not solved.
+    bounds can be short there, and every other one is long. E is convex
+    (log-sum-exp of affine functions), so it meets each row in one
+    interval, and a row whose interval holds k points or more marks its
+    whole torus row.
+
+    First the inscribed triangle settles those rows in bulk. T_c = {z :
+    max_m z_m <= c}, at c = R - _TRIANGLE_DEPTH, lies in E at depth log(3)
+    / 2, as sum_m e^{2 z_m} <= 3 max_m e^{2 z_m}; but T_c is not taken on
+    trust. Its vertices are V_m = c (1, 1, 1) - 3c e_m; each is solved for
+    a float point C_m = (s, t), which passes the float test below (that
+    test's error model holds at any float point), so the exact image W_m
+    of C_m is in E, and by convexity so is their hull. Then T_(c - gamma)
+    lies in that hull: write a point of the plane in barycentric
+    coordinates, lambda_j = (c - z_j) / (3c) for the V_m and mu for the
+    W_m. With e_m = W_m - V_m, mu solves (I - F / (3c)) mu = lambda, F the
+    matrix of columns e_m, whose columns have trace zero (so sum mu = 1 and
+    mu is the W_m's barycentric vector); if |e_m|_inf <= eta < c, then
+    |mu - lambda|_inf <= (eta / c) / (1 - eta / c) = eta / (c - eta) for
+    lambda in [0, 1], and on T_(c - gamma) every lambda_j >= gamma / (3c),
+    so mu >= 0 once gamma = 3 c eta / (c - eta). eta is the float
+    distance of C_m's float z from V_m plus the test's delta at C_m (below),
+    times 1 + 4 eps, which covers the four roundings of each term; gamma
+    is rounded up by 1 + 4 eps, as its five roundings are within eps/2
+    each; and the read's level is c - gamma times 1 - 8 eps, at least 7 eps
+    below c - gamma. eta < c / 8 is checked per call (so the level is above
+    c / 2), and the triangle is used only then and only when every corner
+    passes. Each row whose searched bounds exceed k - 1 and whose torus row
+    is open is read from T at that level: float bounds (level - s alpha1_m)
+    k / alpha2_m, rounded inward to lo..hi, and when that holds k points
+    its two ends are certified in the triangle, every float z_m <= top =
+    level - delta: z_m is then within delta of the exact one, and the 7
+    eps the level holds back cover top's and delta's own roundings while
+    top > 0. So both ends are in T_(c - gamma), which is convex, and every
+    point between them is in E: the torus row is filled, with no solve and
+    no end test. A row whose read fails goes on to the solve.
+
+    Then the rest, widest first, each skipped once its torus row is all
+    marked: float64 Newton from each end of the bounds finds the ends of
+    E's interval, which are rounded inward to integers and certified by
+    the float test below; by convexity that certifies every point between
+    them. An end that fails the test steps inward; after three failures
+    the row is left to the kernel. The marks are the union of the rows'
+    certified intervals in either order, so they do not depend on which
+    rows the triangle settles.
 
     Each row costs a few float operations. Once per member: the split of
     the coordinates by the sign of alpha2_m, so vmax (vmin) is the least
-    (greatest) of at most two bounds (wide - s alpha1_m) k / alpha2_m.
-    Once per row: s alpha1_m, which Newton's offsets and each end's test
-    share. A certified interval lo..hi marks the cells v mod k of torus row
-    u mod k, as one or two slices of one preallocated buffer (_slices), or
-    the whole row when it holds k points or more.
+    (greatest) of at most two bounds (wide - s alpha1_m) k / alpha2_m, and
+    the triangle's bounds p - u q have their p and q once per height. A
+    certified interval lo..hi marks the cells v mod k of torus row u mod k,
+    as one or two slices of one preallocated buffer (_slices), or the whole
+    row when it holds k points or more.
 
     The test at the extended point c = (s, t) = (u, v) / k, in float64
     with eps = _EPS: the exponents 2 (s alpha1_m + t alpha2_m) are off from
     their exact values by at most 2 delta, delta = (|s| + |t|) (alpha_err +
     3 eps A), where alpha_err bounds the alphas' own error and A = max_m
     max(|alpha1_m|, |alpha2_m|); 3 eps (|s| + |t|) A covers rounding the
-    alphas and c to float64 and the two-term dot product. Each w_m = exp(2
+    alphas and c to float64 and the two-term dot product, with eps A to
+    spare for delta's own float rounding. Each w_m = exp(2
     z_m) is then off by a relative e^{2 delta} - 1, plus the exp call
     (budgeted at 4 eps), the three-term sum (3 eps/2), dscale (one
     correctly rounded sixth root, rational_root: eps/2, budgeted at eps) and
@@ -818,13 +884,42 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
     (x0, x1, x2), (y0, y1, y2) = a1, a2
     q0, q1, q2 = (2.0 * y / k for y in a2)  # d/dv of the exponents 2 z_m
 
-    grow = 3 * (alphas.err + 3 * _EPS * max(map(abs, a1 + a2)))  # err per unit |s| + |t|
+    spread = alphas.err + 3 * _EPS * max(map(abs, a1 + a2))  # z's error per unit |s| + |t|
+    grow = 3 * spread
     # the at most two coordinates that bound v above (alpha2_m > 0), and
     # below (< 0); a lone one is taken twice
     ups = [(x, y) for x, y in zip(a1, a2) if y > 0]
     downs = [(x, y) for x, y in zip(a1, a2) if y < 0]
     (xa, ya), (xb, yb), (xc, yc), (xd, yd) = ups * (3 - len(ups)) + downs * (3 - len(downs))
     fill = memoryview(bytes([_ESCAPES]) * k)
+    ceil, floor, inf = math.ceil, math.floor, math.inf
+
+    def short(s, t, limit, headroom) -> bool:
+        """The float test at the float point (s, t): whether the monomial
+        is certified shorter than 1/H there."""
+        try:
+            return ((abs(s) + abs(t)) * grow + 25 * _EPS <= headroom
+                    and dscale * (math.exp(2.0 * (s * x0 + t * y0)) + math.exp(2.0 * (s * x1 + t * y1))
+                                  + math.exp(2.0 * (s * x2 + t * y2))) < limit)
+        except OverflowError:  # fails the test
+            return False
+
+    def triangle(c: float, limit: float, headroom: float) -> float | None:
+        """The level (c - gamma) (1 - 8 eps) at which the rows read the
+        inscribed triangle max_m z_m <= c, once its three float corners
+        pass the float test; None when a corner fails or eta < c / 8 does
+        not hold."""
+        eta = 0.0
+        for z0, z1, z2 in ((-2 * c, c, c), (c, -2 * c, c), (c, c, -2 * c)):  # c (1, 1, 1) - 3c e_m
+            s, t = (z0 * y1 - z1 * y0) / det, (x0 * z1 - x1 * z0) / det
+            if not short(s, t, limit, headroom):
+                return None
+            eta = max(eta, max(abs(s * x0 + t * y0 - z0), abs(s * x1 + t * y1 - z1),
+                               abs(s * x2 + t * y2 - z2)) + (abs(s) + abs(t)) * spread)
+        eta *= 1 + 4 * _EPS
+        if not eta < c / 8:
+            return None
+        return (c - 3 * c * eta / (c - eta) * (1 + 4 * _EPS)) * (1 - 8 * _EPS)
 
     def end(c0, c1, c2, v, sg, stop):
         """Float64 Newton on g(v) = log sum_m exp(c_m + q_m v), convex,
@@ -848,6 +943,27 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
                 return v
         return v
 
+    def solve(u: int, vmin: float, vmax: float, big_r: float, limit: float,
+              headroom: float) -> tuple[int, int]:
+        """The certified interval lo..hi of row u from Newton's ends, each
+        passing the float test or stepping inward; empty after a third
+        failure at either end."""
+        s = u / k
+        c0, c1, c2 = 2.0 * (s * x0 - big_r), 2.0 * (s * x1 - big_r), 2.0 * (s * x2 - big_r)
+        right = end(c0, c1, c2, vmax, 1, vmin)
+        left = None if right is None else end(c0, c1, c2, vmin, -1, right)
+        if left is None:
+            return 0, -1
+        lo, hi = math.ceil(left), math.floor(right)
+        for e in (1, 0):  # hi, then lo
+            for _ in range(3):
+                if lo > hi or short(s, (hi if e else lo) / k, limit, headroom):
+                    break
+                lo, hi = (lo, hi - 1) if e else (lo + 1, hi)
+            else:
+                return 0, -1
+        return lo, hi
+
     def unit_rows(state: list[bytearray], height: float) -> list[tuple]:
         cutoff = (1.0 / float(height)) ** 2
         out = []
@@ -869,38 +985,42 @@ def _unit_rows(order: CubicOrderData, alphas: _Alphas, k: int):
             vmin, vmax = (vd if vd > vc else vc), (vb if vb < va else va)
             if vmin < vmax:
                 spans.append((u, vmin, vmax))
-        # widest first: a row whose torus row is all marked already is skipped
-        spans.sort(key=lambda b: b[1] - b[2])
-        for u, vmin, vmax in spans:
+        # the rows the inscribed triangle fills go first, with no solve;
+        # then the rest, widest first, each skipped once its torus row is
+        # all marked
+        depth = big_r - _TRIANGLE_DEPTH
+        level = triangle(depth, limit, headroom) if depth > 0 else None
+        rest = spans
+        if level is not None:
+            rest = []
+            # the triangle's bounds on row u are p - u q, one per side
+            (pa, qa), (pb, qb), (pc, qc), (pd, qd) = ((level * k / y, x / y) for x, y in
+                                                      ((xa, ya), (xb, yb), (xc, yc), (xd, yd)))
+            for span in spans:
+                u, vmin, vmax = span
+                # the triangle lies inside the searched bounds, so only a row
+                # they give k points can fill its torus row from it
+                if vmax - vmin > k - 1 and 0 in state[u % k]:
+                    va, vb, vc, vd = pa - u * qa, pb - u * qb, pc - u * qc, pd - u * qd
+                    lo, hi = (vd if vd > vc else vc), (vb if vb < va else va)
+                    if hi - lo >= k - 1 and -inf < lo and hi < inf:
+                        lo, hi = ceil(lo), floor(hi)
+                        s, t, w = u / k, lo / k, hi / k
+                        # both ends certified in the triangle: every float z_m
+                        # at most top, level less the ends' error bound
+                        top = level - (abs(s) + (w if w > -t else -t)) * spread
+                        if (hi - lo >= k - 1 and top > 0
+                                and s * x0 + t * y0 <= top and s * x0 + w * y0 <= top
+                                and s * x1 + t * y1 <= top and s * x1 + w * y1 <= top
+                                and s * x2 + t * y2 <= top and s * x2 + w * y2 <= top):
+                            state[u % k][:] = fill
+                            out.append((u, vmin, vmax, lo, hi))
+                            continue
+                rest.append(span)
+        rest.sort(key=lambda b: b[1] - b[2])
+        for u, vmin, vmax in rest:
             marks = state[u % k]
-            lo, hi = 0, -1
-            if 0 in marks:
-                s = u / k
-                sx0, sx1, sx2 = s * x0, s * x1, s * x2
-                c0, c1, c2 = 2.0 * (sx0 - big_r), 2.0 * (sx1 - big_r), 2.0 * (sx2 - big_r)
-                right = end(c0, c1, c2, vmax, 1, vmin)
-                left = None if right is None else end(c0, c1, c2, vmin, -1, right)
-                if left is not None:
-                    lo, hi = math.ceil(left), math.floor(right)
-                    # certify hi, then lo: an end that fails the float test
-                    # steps inward, and a third failure leaves the row open
-                    for e in (1, 0):
-                        for _ in range(3):
-                            if lo > hi:
-                                break
-                            t = (hi if e else lo) / k
-                            try:
-                                if ((abs(s) + abs(t)) * grow + 25 * _EPS <= headroom
-                                        and dscale * (math.exp(2.0 * (sx0 + t * y0))
-                                                      + math.exp(2.0 * (sx1 + t * y1))
-                                                      + math.exp(2.0 * (sx2 + t * y2))) < limit):
-                                    break
-                            except OverflowError:  # fails the test
-                                pass
-                            lo, hi = (lo, hi - 1) if e else (lo + 1, hi)
-                        else:
-                            lo, hi = 0, -1
-                            break
+            lo, hi = solve(u, vmin, vmax, big_r, limit, headroom) if 0 in marks else (0, -1)
             if lo <= hi:  # the torus cells of the extended points (u, lo..hi)
                 for start, stop in _slices(lo, hi, k):
                     marks[start:stop] = fill[:stop - start]
