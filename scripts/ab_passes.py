@@ -57,12 +57,9 @@ def run_pass(cli, todo) -> tuple[list[float], list[tuple[int, str]]]:
     return times, outs
 
 
-def compare(base: Path, change: Path, workload: str, seed: int, passes: int,
-            first: int = 0, last: int | None = None) -> dict:
-    """Alternating passes of members[first:last] on both trees."""
-    todo = members(workload, seed)[first:last]
-    if not todo:
-        raise SystemExit("ab_passes: the member slice is empty")
+def compare(base: Path, change: Path, workload: str, seed: int, passes: int) -> dict:
+    """Alternating passes of the workload's members on both trees."""
+    todo = members(workload, seed)
     clis = (load_tree(base, "cubicunits_ab_base"), load_tree(change, "cubicunits_ab_change"))
     outs = [run_pass(cli, todo)[1] for cli in clis]  # warm-up, and the outputs compared
     per_member = ([], [])
@@ -93,12 +90,10 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=list(SPECS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--passes", type=int, default=10, help="alternating pairs of timed passes")
-    p.add_argument("--first", type=int, default=0, help="first member of the slice run")
-    p.add_argument("--last", type=int, default=None, help="end of the slice run (exclusive)")
     args = p.parse_args(argv)
     if args.passes < 0 or args.seed < 0:
         p.error("--passes and --seed must be non-negative")
-    r = compare(args.base, args.change, args.workload, args.seed, args.passes, args.first, args.last)
+    r = compare(args.base, args.change, args.workload, args.seed, args.passes)
     print(f"workload {args.workload}, seed {args.seed}: {r['members']} members, {r['passes']} pairs")
     print(f"  change/base pass time, median of pairs: {r['ratio']:.4f} "
           f"(change faster in {r['better_in']} of {r['passes']})")

@@ -811,18 +811,21 @@ def escaped_by_rows(state, samples):
 
 @pytest.mark.parametrize("samples", [1, 7, 60, 300, 600, 10000])
 def test_cached_slices_count_as_the_rows_do(samples):
-    # the escaped count over the slices cut once per grid is the per-row
-    # count on random torus states, sparse to full, on grids with rows of k
-    # + 1 points, whose ends share a cell; the slices are shared
+    # the escaped count over the slices cut once per grid, as
+    # mass_above_height reads it, is the per-row count on random torus
+    # states, sparse to full, on grids with rows of k + 1 points, whose ends
+    # share a cell; the slices are shared
     k, rows = masses._hexagon_rows(samples)
     assert any(len(row) == k + 1 for row in rows)
-    assert masses._hexagon_slices(samples) is masses._hexagon_slices(samples)
-    assert sum(stop - start for _, start, stop in masses._hexagon_slices(samples)) == sum(map(len, rows))
+    slices = masses._hexagon_slices(samples)
+    assert masses._hexagon_slices(samples) is slices
+    assert sum(stop - start for _, start, stop in slices) == sum(map(len, rows))
     rng = random.Random(samples)
     for share in (0.0, 0.1, 0.5, 0.9, 1.0):
         state = [bytearray(rng.choice((masses._STAYS, masses._ESCAPES)) if rng.random() < share
                            else masses._STAYS for _ in range(k)) for _ in range(k)]
-        assert masses._escaped(state, samples) == escaped_by_rows(state, samples)
+        escaped = sum(state[r].count(masses._ESCAPES, start, stop) for r, start, stop in slices)
+        assert escaped == escaped_by_rows(state, samples)
 
 
 def walk_order(samples):
